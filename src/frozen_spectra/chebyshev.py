@@ -191,7 +191,11 @@ def imag_scaled_cheb_int(kind: ChebKind, n: int) -> IntPolynomial:
 
 
 def matrix_poly_eval(p: IntPolynomial, a: IntMatrix) -> list[list[int]]:
-    """Horner evaluation of p at a square integer matrix, exactly."""
+    """Horner evaluation of p at a square integer matrix, exactly.
+
+    Dense monomial reference, O(deg p * n^3): the tests compare the
+    recurrence in frozen_matrix.reduce_to_j1 against it.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix_poly_eval needs a square matrix")

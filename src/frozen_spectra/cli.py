@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -326,15 +324,6 @@ def _coprime_configs(kmax: int):
                     yield make_config(alpha, beta, j, k)
 
 
-def _pmap(fn, items):
-    workers = int(os.environ.get("FROZEN_SPECTRA_THREADS", "1"))
-    items = list(items)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
 def cmd_verify(args) -> int:
     """Run the identity/property sweeps and report per-block pass counts."""
     failures: list[str] = []
@@ -355,15 +344,11 @@ def cmd_verify(args) -> int:
     block("theorem-1 polynomial identity", n)
 
     # Theorem 2: Chebyshev reduction == direct construction, entrywise
-    def check_t2(cfg):
-        return intlinalg.mat_eq(
-            frozen_matrix.reduce_to_j1(cfg), frozen_matrix.build_matrix(cfg).as_lists()
-        )
-
     cfgs = list(_coprime_configs(args.kmax))
-    results = _pmap(check_t2, cfgs)
-    for cfg, ok in zip(cfgs, results):
-        if not ok:
+    for cfg in cfgs:
+        if not intlinalg.mat_eq(
+            frozen_matrix.reduce_to_j1(cfg), frozen_matrix.build_matrix(cfg).as_lists()
+        ):
             failures.append(f"theorem2 {cfg}")
     block("theorem-2 matrix reduction", len(cfgs))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intlinalg
-from .chebyshev import IntPolynomial, X, imag_scaled_cheb_int, matrix_poly_eval, scaled_cheb_int
+from .chebyshev import IntPolynomial, X, imag_scaled_cheb_int, scaled_cheb_int
 from .core_params import Kind, ProblemConfig, SignPair, classify, make_config, sign_pair
 
 
@@ -190,27 +190,58 @@ def numeric_spectrum_j1(k: int, alpha: int, beta: int) -> list[complex]:
     return polished
 
 
+def _row_pairs(m: list[list[int]]) -> list[tuple[int, int, int, int]]:
+    """Nonzeros of each row of m as (col, value, col, value).
+
+    A row with fewer than two nonzeros is padded with (0, 0) terms.  The
+    at-most-two-per-row pattern of j = 1 matrices is asserted.
+    """
+    pairs = []
+    for i, row in enumerate(m):
+        nz = [(col, v) for col, v in enumerate(row) if v]
+        if len(nz) > 2:
+            raise AssertionError(f"row {i} has {len(nz)} nonzeros, expected at most 2")
+        nz += [(0, 0)] * (2 - len(nz))
+        pairs.append((*nz[0], *nz[1]))
+    return pairs
+
+
+def _mul_sub(pairs, y: list[list[int]], sub: list[list[int]]) -> list[list[int]]:
+    """M @ y - sub, with M given by its _row_pairs: two scaled rows of y per row."""
+    return [
+        [s * a + t * b - z for a, b, z in zip(y[p], y[q], sub_row)]
+        for (p, s, q, t), sub_row in zip(pairs, sub)
+    ]
+
+
 def reduce_to_j1(config: ProblemConfig) -> list[list[int]]:
     """Build the j > 1 matrix from j = 1 matrices via Chebyshev polynomials.
 
     alpha = 0:  U_{j-1}(-(c/2) B) * A1   with B the (1, 1-beta) matrix and
                 A1 the (0, beta) one;
     alpha = 1:  2c T_j((c/2) B)         with B the (1, beta) matrix.
-    Evaluated exactly: U_{j-1}(x/2) and 2 T_j(x/2) have integer
-    coefficients, so substituting +-c B keeps everything in Z.
+    With M = -c B resp. c B, both are evaluated by the matrix three-term
+    recurrence Z_{n+1} = M Z_n - Z_{n-1}: from Z_0 = A1, Z_1 = M A1 up to
+    Z_{j-1} for alpha = 0, and from Z_0 = 2I, Z_1 = M up to c Z_j for
+    alpha = 1.  B has at most two nonzeros per row, so each step is two
+    scaled row adds per row and the whole reduction costs O(j k^2).  M is
+    an integer matrix and nothing is divided, so every Z_n stays in Z.
     """
     j, k = config.j, config.k
     if k < 2 or not 1 <= j or 2 * j > k:
         raise ValueError("reduce_to_j1 needs a normalized config with k >= 2 and 1 <= j <= k/2")
     c = sign_pair(config).c
     if config.alpha == 0:
-        b = build_matrix(make_config(1, 1 - config.beta, 1, k)).as_lists()
-        a1 = build_matrix(make_config(0, config.beta, 1, k)).as_lists()
-        u = scaled_cheb_int("U", j - 1)
-        return intlinalg.matmul(matrix_poly_eval(u, intlinalg.mat_scale(-c, b)), a1)
-    b = build_matrix(make_config(1, config.beta, 1, k)).as_lists()
-    t = scaled_cheb_int("T", j)
-    return intlinalg.mat_scale(c, matrix_poly_eval(t, intlinalg.mat_scale(c, b)))
+        m = intlinalg.mat_scale(-c, build_matrix(make_config(1, 1 - config.beta, 1, k)).as_lists())
+        prev = [[0] * k for _ in range(k)]
+        cur = build_matrix(make_config(0, config.beta, 1, k)).as_lists()
+    else:
+        m = intlinalg.mat_scale(c, build_matrix(make_config(1, config.beta, 1, k)).as_lists())
+        prev, cur = intlinalg.mat_scale(2, intlinalg.identity(k)), m
+    pairs = _row_pairs(m)
+    for _ in range(j - 1):
+        prev, cur = cur, _mul_sub(pairs, cur, prev)
+    return intlinalg.mat_scale(c, cur) if config.alpha else cur
 
 
 _KERNEL_SIGNS = {

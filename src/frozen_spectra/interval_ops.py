@@ -163,6 +163,7 @@ def write_csv(f: GridFunction, path) -> None:
 
 
 def read_csv(path) -> GridFunction:
+    """Inverse of write_csv; exactly k*m data rows, then only blank lines."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
@@ -176,6 +177,9 @@ def read_csv(path) -> GridFunction:
                 raise ValueError(f"{path}: expected {k * m} rows, got {i}")
             _, re, im = line.strip().split(",")
             vals[i] = float(re) + 1j * float(im)
+        for line in fh:
+            if line.strip():
+                raise ValueError(f"{path}: data past the {k * m} rows the header declares")
     return GridFunction(k, m, vals)
 
 

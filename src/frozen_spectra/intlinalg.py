@@ -48,11 +48,33 @@ def mat_eq(a: IntMatrix, b: IntMatrix) -> bool:
     return [list(r) for r in a] == [list(r) for r in b]
 
 
-def _exact_div(num: int, den: int) -> int:
-    quot, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("fraction-free elimination produced a non-integer")
-    return quot
+def _eliminate_below(m: list[list[int]], r: int, c: int, prev: int) -> None:
+    """One fraction-free step on pivot m[r][c], in place.
+
+    Every row i below r gets m[i][t] = (m[i][t] * piv - m[i][c] * m[r][t]) / prev
+    for the columns t right of c; column c and those left of it are left
+    stale, since elimination never reads them again.  A row with
+    m[i][c] == 0 is left as it is when piv == prev, where the update is the
+    identity.  Bareiss' theorem makes every quotient exact; the division is
+    skipped for prev = +-1 and checked otherwise.
+    """
+    piv_row = m[r]
+    piv = piv_row[c]
+    tail = piv_row[c + 1 :]
+    for i in range(r + 1, len(m)):
+        row = m[i]
+        f = row[c]
+        if f == 0 and piv == prev:
+            continue
+        nums = [x * piv - f * y for x, y in zip(row[c + 1 :], tail)]
+        if prev == -1:
+            nums = [-v for v in nums]
+        elif prev != 1:
+            quots = [divmod(v, prev) for v in nums]
+            if any(rem for _, rem in quots):
+                raise ArithmeticError("fraction-free elimination produced a non-integer")
+            nums = [q for q, _ in quots]
+        row[c + 1 :] = nums
 
 
 def bareiss_det(a: IntMatrix) -> int:
@@ -72,12 +94,8 @@ def bareiss_det(a: IntMatrix) -> int:
                     break
             else:
                 return 0
-        piv = m[p][p]
-        for i in range(p + 1, n):
-            for j in range(p + 1, n):
-                m[i][j] = _exact_div(m[i][j] * piv - m[i][p] * m[p][j], prev)
-            m[i][p] = 0
-        prev = piv
+        _eliminate_below(m, p, p, prev)
+        prev = m[p][p]
     return sign * m[n - 1][n - 1]
 
 
@@ -93,12 +111,8 @@ def bareiss_rank(a: IntMatrix) -> int:
         if piv_row is None:
             continue
         m[r], m[piv_row] = m[piv_row], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = _exact_div(m[i][j] * piv - m[i][c] * m[r][j], prev)
-            m[i][c] = 0
-        prev = piv
+        _eliminate_below(m, r, c, prev)
+        prev = m[r][c]
         r += 1
         if r == rows:
             break

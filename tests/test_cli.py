@@ -141,6 +141,18 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["type"]
 
 
+def test_invert_rejects_extra_rows_exit_code(tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"alpha": 0, "beta": 1, "j": 1, "k": 2}))
+    wfile = tmp_path / "w.csv"
+    write_csv(GridFunction.from_callable(lambda x: np.ones_like(x), 2, 4), wfile)
+    with open(wfile, "a") as fh:
+        fh.write("0.99,1.0,0.0\n")
+    code, _, err = run(capsys, "invert", "--config", str(cfgfile), "--w", str(wfile), "--out", str(tmp_path / "q.csv"))
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # unattainable W in a degenerate case -> exit 4 with a structured error
     cfgfile = tmp_path / "c.json"

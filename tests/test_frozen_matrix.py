@@ -18,6 +18,7 @@ from frozen_spectra import (
     spectrum_closed_form,
     theorem1_poly,
 )
+from frozen_spectra.chebyshev import matrix_poly_eval, scaled_cheb_int
 from frozen_spectra.intlinalg import identity, mat_add, mat_scale, matmul
 
 
@@ -141,6 +142,27 @@ def test_reduce_to_j1_base_case_and_j2_identity():
 def test_reduce_to_j1_full_sweep_k12():
     for cfg in coprime_configs(12):
         assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
+
+
+def test_reduce_to_j1_matches_monomial_horner_k16():
+    # the recurrence against the monomial expansion of U_{j-1}(x/2) and 2 T_j(x/2)
+    for cfg in coprime_configs(16):
+        c = (-1) ** (cfg.beta + 1)
+        if cfg.alpha == 0:
+            b = build_matrix(make_config(1, 1 - cfg.beta, 1, cfg.k)).as_lists()
+            a1 = build_matrix(make_config(0, cfg.beta, 1, cfg.k)).as_lists()
+            expected = matmul(matrix_poly_eval(scaled_cheb_int("U", cfg.j - 1), mat_scale(-c, b)), a1)
+        else:
+            b = build_matrix(make_config(1, cfg.beta, 1, cfg.k)).as_lists()
+            expected = mat_scale(c, matrix_poly_eval(scaled_cheb_int("T", cfg.j), mat_scale(c, b)))
+        assert reduce_to_j1(cfg) == expected, cfg
+
+
+@pytest.mark.parametrize("j", [2, 50])
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_reduce_to_j1_large_k(j, alpha, beta):
+    cfg = make_config(alpha, beta, j, 101)
+    assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
 
 
 def test_kernel_vectors():

@@ -110,6 +110,20 @@ def test_csv_round_trip(tmp_path, rng):
     assert np.array_equal(g.values, f.values)
 
 
+def test_csv_rejects_rows_past_header_count(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("# k=1 m=2\n0.25,1.0,0.0\n0.75,2.0,0.0\n")
+    assert read_csv(path).m == 2
+    path.write_text("# k=1 m=2\n0.25,1.0,0.0\n0.75,2.0,0.0\n\n")
+    assert read_csv(path).m == 2  # trailing blank lines are fine
+    path.write_text("# k=1 m=2\n0.25,1.0,0.0\n0.75,2.0,0.0\n0.9,3.0,0.0\n")
+    with pytest.raises(ValueError, match="past the 2 rows"):
+        read_csv(path)
+    path.write_text("# k=1 m=2\n0.25,1.0,0.0\n0.75,2.0,0.0\n\n0.9,3.0,0.0\n")
+    with pytest.raises(ValueError, match="past the 2 rows"):
+        read_csv(path)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridFunction(2, 4, np.zeros(7, dtype=complex))

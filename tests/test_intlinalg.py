@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frozen_spectra.intlinalg import bareiss_det, bareiss_rank, identity, matmul, matvec
+from frozen_spectra.intlinalg import _eliminate_below, bareiss_det, bareiss_rank, identity, matmul, matvec
 
 
 def fraction_rank(m):
@@ -85,3 +85,15 @@ def test_big_integer_growth_stays_exact():
     assert isinstance(d, int) and d != 0
     # cross-check rank with the rational oracle on the same matrix
     assert bareiss_rank(m) == fraction_rank(m)
+
+
+def test_elimination_checks_exact_division():
+    # (2 * 1 - 1 * 1) / 2 is not an integer: a wrong divisor must not truncate
+    with pytest.raises(ArithmeticError):
+        _eliminate_below([[1, 1], [1, 2]], 0, 0, 2)
+    m = [[2, 4], [1, 3]]
+    _eliminate_below(m, 0, 0, 2)
+    assert m[1][1] == 1
+    m = [[1, 1], [1, 2]]
+    _eliminate_below(m, 0, 0, -1)
+    assert m[1][1] == -1
