@@ -6,7 +6,6 @@ iso-spectral family construction in the degenerate cases.
 """
 
 from .characteristic import (
-    DeltaEvaluator,
     EigenvalueCollisionError,
     RootConvergenceError,
     Spectrum,
@@ -20,11 +19,9 @@ from .characteristic import (
 )
 from .chebyshev import (
     IntPolynomial,
-    ZeroSet,
     cheb_T,
     cheb_U,
     cheb_eval,
-    cheb_zeros,
     imag_scaled_cheb_int,
     matrix_poly_eval,
     scaled_cheb_int,

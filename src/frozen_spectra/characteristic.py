@@ -84,45 +84,6 @@ def asymptotic_eigenvalue(alpha: int, beta: int, n: int) -> float:
     return (n - (alpha + beta) / 2) ** 2 * math.pi**2
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaEvaluator:
-    """One callable facade over the three characteristic-function routes.
-
-    mode "direct" evaluates from a potential, "from_w" from the reduced
-    data W, "from_spectrum" from a truncated canonical product.  Built
-    from consistent data the three agree up to quadrature/truncation
-    error (that agreement is what the cross-route tests pin down).
-    """
-
-    mode: str
-    payload: object
-    alpha: int
-    beta: int
-    config: object = None
-    n_used: int = 0
-
-    @staticmethod
-    def direct(q, config) -> "DeltaEvaluator":
-        return DeltaEvaluator("direct", q, config.alpha, config.beta, config=config)
-
-    @staticmethod
-    def from_w(w, alpha: int, beta: int) -> "DeltaEvaluator":
-        return DeltaEvaluator("from_w", w, alpha, beta)
-
-    @staticmethod
-    def from_spectrum(spec: "Spectrum", n_used: int) -> "DeltaEvaluator":
-        return DeltaEvaluator("from_spectrum", spec, spec.alpha, spec.beta, n_used=n_used)
-
-    def __call__(self, lam: complex) -> complex:
-        if self.mode == "direct":
-            return delta_direct(self.payload, self.config, lam)
-        if self.mode == "from_w":
-            return delta_from_w(self.payload, self.alpha, self.beta, lam)
-        if self.mode == "from_spectrum":
-            return delta_from_spectrum(self.payload, self.n_used, lam)
-        raise ValueError(f"unknown mode {self.mode!r}")
-
-
 def _sqrt_lambda(lam: complex) -> complex:
     return cmath.sqrt(lam)
 

@@ -10,7 +10,6 @@ what makes polynomial evaluation at integer matrices exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,13 +83,6 @@ ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
 
 
-@dataclass(frozen=True)
-class ZeroSet:
-    kind: ChebKind
-    n: int
-    values: tuple[float, ...]  # strictly decreasing, all in (-1, 1)
-
-
 @lru_cache(maxsize=None)
 def cheb_T(n: int) -> IntPolynomial:
     """T_n by the recurrence; T_0 = 1, T_1 = z."""
@@ -132,18 +124,6 @@ def cheb_eval(kind: ChebKind, n: int, z: complex) -> complex:
     for _ in range(n - 1):
         prev, cur = cur, 2.0 * z * cur - prev
     return cur
-
-
-def cheb_zeros(kind: ChebKind, n: int) -> ZeroSet:
-    """Zero sets: cos((2v+1)pi/2n) for T_n, cos(v pi/(n+1)) for U_n."""
-    _check_kind(kind)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind == "T":
-        vals = tuple(math.cos((2 * v + 1) * math.pi / (2 * n)) for v in range(n))
-    else:
-        vals = tuple(math.cos(v * math.pi / (n + 1)) for v in range(1, n + 1))
-    return ZeroSet(kind, n, vals)
 
 
 def scaled_cheb_int(kind: ChebKind, n: int) -> IntPolynomial:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import chebyshev, frozen_matrix, intlinalg
+from . import chebyshev, frozen_matrix, identities
 from .characteristic import (
     EigenvalueCollisionError,
     RootConvergenceError,
@@ -27,7 +26,7 @@ from .characteristic import (
     delta_direct,
     eigenvalues,
 )
-from .core_params import Kind, ProblemConfig, classify, make_config, normalize_to_half
+from .core_params import ProblemConfig, classify, make_config, normalize_to_half
 from .interval_ops import GridFunction, read_csv, read_profile_csv, write_csv
 from .inverse_pipeline import (
     SpectrumMismatchError,
@@ -314,113 +313,16 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
-def _coprime_configs(kmax: int):
-    for k in range(2, kmax + 1):
-        for j in range(1, k // 2 + 1):
-            if math.gcd(j, k) != 1:
-                continue
-            for alpha in (0, 1):
-                for beta in (0, 1):
-                    yield make_config(alpha, beta, j, k)
-
-
 def cmd_verify(args) -> int:
-    """Run the identity/property sweeps and report per-block pass counts."""
+    """Run the identity sweeps and report per-block check counts."""
     failures: list[str] = []
-
-    def block(name, count):
-        print(f"[verify] {name}: {count} checks passed")
-
-    # Theorem 1: recurrence char poly == Chebyshev closed form, exactly
-    n = 0
-    for k in range(2, args.kmax_theorem1 + 1):
-        for alpha in (0, 1):
-            for beta in (0, 1):
-                if frozen_matrix.char_poly_j1(k, alpha, beta).coeffs != frozen_matrix.theorem1_poly(
-                    k, alpha, beta
-                ).coeffs:
-                    failures.append(f"theorem1 k={k} ({alpha},{beta})")
-                n += 1
-    block("theorem-1 polynomial identity", n)
-
-    # Theorem 2: Chebyshev reduction == direct construction, entrywise
-    cfgs = list(_coprime_configs(args.kmax))
-    for cfg in cfgs:
-        if not intlinalg.mat_eq(
-            frozen_matrix.reduce_to_j1(cfg), frozen_matrix.build_matrix(cfg).as_lists()
-        ):
-            failures.append(f"theorem2 {cfg}")
-    block("theorem-2 matrix reduction", len(cfgs))
-
-    # Corollaries 1 and 3: determinants and the degeneracy split
-    n = 0
-    for k in range(2, args.kmax_theorem1 + 1):
-        for alpha in (0, 1):
-            for beta in (0, 1):
-                a = frozen_matrix.build_matrix(make_config(alpha, beta, 1, k))
-                if frozen_matrix.det_closed_form(k, alpha, beta) != frozen_matrix.det_exact(a):
-                    failures.append(f"corollary1 k={k} ({alpha},{beta})")
-                n += 1
-    for cfg in cfgs:
-        deg = classify(cfg).kind is Kind.DEGENERATE
-        if (frozen_matrix.det_exact(frozen_matrix.build_matrix(cfg)) == 0) != deg:
-            failures.append(f"corollary3 {cfg}")
-        n += 1
-    block("corollary-1/3 determinants", n)
-
-    # Lemmas 2-3: kernels, ranks, and the explicit eigenvector formula
-    n = 0
-    for cfg in cfgs:
-        a = frozen_matrix.build_matrix(cfg)
-        ker = frozen_matrix.kernel(cfg)
-        deg = classify(cfg).kind is Kind.DEGENERATE
-        r = frozen_matrix.rank(a)
-        if deg and (ker.dimension != 1 or r != cfg.k - 1):
-            failures.append(f"lemma3 {cfg}")
-        if not deg and (ker.dimension != 0 or r != cfg.k):
-            failures.append(f"lemma3 {cfg}")
-        n += 1
-    for k in range(2, min(args.kmax, 16) + 1):
-        for alpha, beta in ((0, 0), (1, 0), (1, 1)):
-            for z0 in frozen_matrix.spectrum_closed_form(k, alpha, beta):
-                try:
-                    frozen_matrix.eigvec_j1(z0, k, alpha, beta)  # residual-checked inside
-                except ValueError:
-                    failures.append(f"lemma2 k={k} ({alpha},{beta}) z0={z0}")
-                n += 1
-    block("lemma-2/3 kernels, ranks, eigenvectors", n)
-
-    # Corollary 2: numeric roots against the trigonometric spectra
-    n = 0
-    for k in range(2, min(args.kmax, 20) + 1):
-        for alpha, beta in ((0, 0), (1, 0), (1, 1)):
-            closed = frozen_matrix.spectrum_closed_form(k, alpha, beta)
-            numeric = frozen_matrix.numeric_spectrum_j1(k, alpha, beta)
-            remaining = list(closed)
-            worst = 0.0
-            for z in numeric:
-                i = min(range(len(remaining)), key=lambda t: abs(z - remaining[t]))
-                worst = max(worst, abs(z - remaining.pop(i)))
-            if worst > 1e-9:
-                failures.append(f"corollary2 k={k} ({alpha},{beta}) dist={worst:.2e}")
+    for name, checks in identities.sweeps(args.kmax, args.kmax_theorem1, args.kmax_forward):
+        n = 0
+        for label, ok in checks:
             n += 1
-        if abs(frozen_matrix.char_poly_j1(k, 0, 1).coeffs[0]) < 1:
-            failures.append(f"corollary2 (0,1) k={k} zero in spectrum")
-        n += 1
-    block("corollary-2 closed-form spectra", n)
-
-    # forward-map oracle: direct vs matrix form
-    rng = np.random.default_rng(20240815)
-    n = 0
-    for cfg in _coprime_configs(args.kmax_forward):
-        q = GridFunction(cfg.k, 16, rng.normal(size=16 * cfg.k) + 1j * rng.normal(size=16 * cfg.k))
-        w1 = forward_w_direct(q, cfg)
-        w2 = forward_w_matrix(q, cfg)
-        if np.abs(w1.values - w2.values).max() > 1e-14 * max(1.0, np.abs(w1.values).max()):
-            failures.append(f"forward oracle {cfg}")
-        n += 1
-    block("forward-map oracle", n)
-
+            if not ok:
+                failures.append(label)
+        print(f"[verify] {name}: {n} checks passed")
     if failures:
         print(json.dumps({"error": {"type": "VerifyFailure", "failures": failures}}), file=sys.stderr)
         return EXIT_NUMERICAL

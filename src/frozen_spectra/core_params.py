@@ -79,6 +79,18 @@ def make_config(alpha: int, beta: int, j: int, k: int) -> ProblemConfig:
     return ProblemConfig(alpha, beta, j // g, k // g)
 
 
+def coprime_configs(kmax: int) -> list[ProblemConfig]:
+    """All normalized configs with 1 <= j <= k/2, gcd(j, k) = 1 and k <= kmax."""
+    return [
+        ProblemConfig(alpha, beta, j, k)
+        for k in range(2, kmax + 1)
+        for j in range(1, k // 2 + 1)
+        if math.gcd(j, k) == 1
+        for alpha in (0, 1)
+        for beta in (0, 1)
+    ]
+
+
 def normalize_to_half(config: ProblemConfig) -> tuple[ProblemConfig, bool]:
     """Reflect a > 1/2 onto a <= 1/2.
 

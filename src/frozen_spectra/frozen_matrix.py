@@ -82,13 +82,9 @@ def build_matrix(config: ProblemConfig) -> FrozenMatrix:
     return FrozenMatrix(config, signs, tuple(tuple(row) for row in entries))
 
 
-def _signs(alpha: int, beta: int) -> SignPair:
-    return SignPair((-1) ** (beta + 1), (-1) ** (alpha + beta))
-
-
 def _tridiag_char_polys(k: int, alpha: int, beta: int) -> list[IntPolynomial]:
     """q_0 .. q_{k-1}: q_0 = 1, q_1 = z - 1, q_{n+1} = z q_n - cd q_{n-1}."""
-    s = _signs(alpha, beta)
+    s = sign_pair(make_config(alpha, beta, 1, k))
     cd = s.c * s.d
     polys = [IntPolynomial((1,)), IntPolynomial((-1, 1))]
     for _ in range(k - 2):
@@ -103,7 +99,7 @@ def char_poly_j1(k: int, alpha: int, beta: int) -> IntPolynomial:
     """
     if k < 2:
         raise ValueError("char_poly_j1 needs k >= 2")
-    s = _signs(alpha, beta)
+    s = sign_pair(make_config(alpha, beta, 1, k))
     q = _tridiag_char_polys(k, alpha, beta)
     return (X - s.c * IntPolynomial((1,))) * q[k - 1] - (s.c * s.d) * q[k - 2]
 
@@ -115,7 +111,7 @@ def det_closed_form(k: int, alpha: int, beta: int) -> int:
     """
     if k < 2:
         raise ValueError("det_closed_form needs k >= 2")
-    s = _signs(alpha, beta)
+    s = sign_pair(make_config(alpha, beta, 1, k))
     c, d = s.c, s.d
     if k % 2:
         return (-c * d) ** ((k - 1) // 2) * (1 + c)
@@ -280,7 +276,7 @@ def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     """
     if k < 2:
         raise ValueError("eigvec_j1 needs k >= 2")
-    s = _signs(alpha, beta)
+    s = sign_pair(make_config(alpha, beta, 1, k))
     cd = s.c * s.d
     vals = [1.0 + 0j, complex(z0) - 1.0]
     for _ in range(k - 2):

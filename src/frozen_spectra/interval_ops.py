@@ -162,50 +162,35 @@ def write_csv(f: GridFunction, path) -> None:
             fh.write(f"{float(xi)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
-def read_csv(path) -> GridFunction:
-    """Inverse of write_csv; exactly k*m data rows, then only blank lines."""
+def _read_rows(path, rows: Callable[[int, int], int]) -> tuple[int, int, np.ndarray]:
+    """A '# k=<k> m=<m>' header, exactly rows(k, m) rows x,re,im, then only blank lines."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing '# k=<k> m=<m>' header")
         fields = dict(part.split("=") for part in header[1:].split())
         k, m = int(fields["k"]), int(fields["m"])
-        vals = np.empty(k * m, dtype=complex)
-        for i in range(k * m):
+        n = rows(k, m)
+        vals = np.empty(n, dtype=complex)
+        for i in range(n):
             line = fh.readline()
             if not line:
-                raise ValueError(f"{path}: expected {k * m} rows, got {i}")
+                raise ValueError(f"{path}: expected {n} rows, got {i}")
             _, re, im = line.strip().split(",")
             vals[i] = float(re) + 1j * float(im)
         for line in fh:
             if line.strip():
-                raise ValueError(f"{path}: data past the {k * m} rows the header declares")
+                raise ValueError(f"{path}: data past the {n} rows the header declares")
+    return k, m, vals
+
+
+def read_csv(path) -> GridFunction:
+    """Inverse of write_csv: k*m rows at the midpoints of (0, 1)."""
+    k, m, vals = _read_rows(path, lambda k, m: k * m)
     return GridFunction(k, m, vals)
 
 
-def write_profile_csv(samples: np.ndarray, k: int, path) -> None:
-    """A function on (0, b) sampled at its m midpoints; rows t,re,im."""
-    samples = np.asarray(samples, dtype=complex)
-    m = samples.shape[0]
-    t = subinterval_midpoints(k, m)
-    with open(path, "w") as fh:
-        fh.write(f"# k={k} m={m}\n")
-        for ti, v in zip(t, samples):
-            fh.write(f"{float(ti)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
 def read_profile_csv(path) -> tuple[np.ndarray, int]:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing '# k=<k> m=<m>' header")
-        fields = dict(part.split("=") for part in header[1:].split())
-        k, m = int(fields["k"]), int(fields["m"])
-        vals = np.empty(m, dtype=complex)
-        for i in range(m):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: expected {m} rows, got {i}")
-            _, re, im = line.strip().split(",")
-            vals[i] = float(re) + 1j * float(im)
+    """A function on (0, b), b = 1/k, as m rows t,re,im at its midpoints; returns (samples, k)."""
+    k, _, vals = _read_rows(path, lambda k, m: m)
     return vals, k

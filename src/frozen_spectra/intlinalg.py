@@ -44,10 +44,6 @@ def matvec(a: IntMatrix, x: Sequence[int]) -> list[int]:
     return [sum(r * v for r, v in zip(row, x)) for row in a]
 
 
-def mat_eq(a: IntMatrix, b: IntMatrix) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
-
-
 def _eliminate_below(m: list[list[int]], r: int, c: int, prev: int) -> None:
     """One fraction-free step on pivot m[r][c], in place.
 

@@ -1,9 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
-from frozen_spectra import GridFunction, make_config
+from frozen_spectra import GridFunction
+# re-exported to the test modules
+from frozen_spectra.core_params import coprime_configs  # noqa: F401
+from frozen_spectra.identities import match_multisets  # noqa: F401
 
 
 def smooth_potential(x):
@@ -11,34 +12,9 @@ def smooth_potential(x):
     return (2.0 + 1.0j) * x**2 * (1 - x) + 0.5 * np.cos(3.0 * x)
 
 
-def coprime_configs(kmax, alphas=(0, 1), betas=(0, 1)):
-    """All normalized configs with 1 <= j <= k/2, gcd(j,k) = 1, k <= kmax."""
-    out = []
-    for k in range(2, kmax + 1):
-        for j in range(1, k // 2 + 1):
-            if math.gcd(j, k) != 1:
-                continue
-            for a in alphas:
-                for b in betas:
-                    out.append(make_config(a, b, j, k))
-    return out
-
-
 def random_grid(k, m, rng):
     vals = rng.normal(size=k * m) + 1j * rng.normal(size=k * m)
     return GridFunction(k, m, vals)
-
-
-def match_multisets(a, b):
-    """Greedy nearest matching; returns the worst matched distance."""
-    b = list(b)
-    assert len(a) == len(b)
-    worst = 0.0
-    for z in a:
-        i = min(range(len(b)), key=lambda t: abs(complex(z) - complex(b[t])))
-        worst = max(worst, abs(complex(z) - complex(b[i])))
-        b.pop(i)
-    return worst
 
 
 @pytest.fixture

@@ -215,17 +215,14 @@ def test_extract_w_input_validation():
 
 
 def test_delta_evaluator_modes_agree(rng):
-    from frozen_spectra import DeltaEvaluator
-
     cfg = make_config(1, 0, 2, 5)
     q = random_grid(5, 64, rng)
-    direct = DeltaEvaluator.direct(q, cfg)
-    via_w = DeltaEvaluator.from_w(forward_w_direct(q, cfg), cfg.alpha, cfg.beta)
-    via_prod = DeltaEvaluator.from_spectrum(eigenvalues(q, cfg, 150), 150)
+    w = forward_w_direct(q, cfg)
+    spec = eigenvalues(q, cfg, 150)
     for lam in (-12.0, 4.4 + 0.5j, 95.0):
-        d = direct(lam)
-        assert abs(via_w(lam) - d) < 1e-10 * (1 + abs(d))
-        assert abs(via_prod(lam) - d) < 1e-5 * (1 + abs(d))
+        d = delta_direct(q, cfg, lam)
+        assert abs(delta_from_w(w, cfg.alpha, cfg.beta, lam) - d) < 1e-10 * (1 + abs(d))
+        assert abs(delta_from_spectrum(spec, 150, lam) - d) < 1e-5 * (1 + abs(d))
 
 
 def test_find_root_failure_is_reported():

@@ -8,7 +8,6 @@ from frozen_spectra import (
     cheb_T,
     cheb_U,
     cheb_eval,
-    cheb_zeros,
     imag_scaled_cheb_int,
     matrix_poly_eval,
     scaled_cheb_int,
@@ -38,21 +37,6 @@ def test_eval_special_points():
     # Horner on the exact coefficients is the oracle off the special points
     horner = cheb_T(4)(0.3)
     assert abs(cheb_eval("T", 4, 0.3) - horner) < 1e-14
-
-
-def test_zero_sets():
-    t2 = cheb_zeros("T", 2).values
-    assert np.allclose(t2, [math.sqrt(2) / 2, -math.sqrt(2) / 2])
-    assert cheb_zeros("U", 1).values == (pytest.approx(0.0),)
-    u2 = cheb_zeros("U", 2).values
-    assert np.allclose(u2, [0.5, -0.5])
-    for kind in ("T", "U"):
-        for n in (1, 2, 7, 33, 64):
-            zs = cheb_zeros(kind, n)
-            assert all(a > b for a, b in zip(zs.values, zs.values[1:]))
-            assert all(-1 < v < 1 for v in zs.values)
-            for v in zs.values:
-                assert abs(cheb_eval(kind, n, v)) <= 1e-10
 
 
 def test_parity():

@@ -96,10 +96,19 @@ def test_isospectral_command(tmp_path, capsys, rng):
     q0file = tmp_path / "q0.csv"
     write_csv(q0, q0file)
     out = tmp_path / "q.csv"
-    code, *_ = run(capsys, "isospectral", "--config", str(cfgfile), "--q0", str(q0file), "--out", str(out))
-    assert code == 0
+    argv = ["isospectral", "--config", str(cfgfile), "--q0", str(q0file), "--out", str(out)]
+    assert run(capsys, *argv)[0] == 0
     q1 = read_csv(out)
     assert np.abs((q1.values - q0.values)).max() > 0.1
+    # profile files: f = 1 at the 8 midpoints of (0, 1/7), then with one row past the header's m
+    rows = [f"{(i + 0.5) / 56!r},1.0,0.0\n" for i in range(9)]
+    good, long = tmp_path / "f.csv", tmp_path / "long.csv"
+    good.write_text("".join(["# k=7 m=8\n"] + rows[:8]))
+    long.write_text("".join(["# k=7 m=8\n"] + rows))
+    assert run(capsys, *argv, "--f", str(good))[0] == 0
+    assert np.allclose(np.abs(read_csv(out).values - q0.values), 1.0)
+    code, _, err = run(capsys, *argv, "--f", str(long))
+    assert code == 3 and json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_example_table_and_svg(tmp_path, capsys):
@@ -127,6 +136,18 @@ def test_verify_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--kmax", "8", "--kmax-theorem1", "10", "--kmax-forward", "4")
     assert code == 0
     assert "all blocks passed" in out
+
+
+def test_verify_reports_a_failed_identity(capsys, monkeypatch):
+    from frozen_spectra import identities, make_config, reduce_to_j1
+
+    bad = make_config(1, 1, 2, 5)
+    monkeypatch.setattr(identities, "reduce_to_j1", lambda c: [[0]] if c == bad else reduce_to_j1(c))
+    code, out, err = run(capsys, "verify", "--kmax", "6", "--kmax-theorem1", "4", "--kmax-forward", "2")
+    assert code == 4
+    assert "[verify] theorem-2 matrix reduction: 24 checks passed" in out
+    assert "all blocks passed" not in out
+    assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [f"theorem2 {bad}"]}}
 
 
 def test_unknown_subcommand_exit_code(capsys):
