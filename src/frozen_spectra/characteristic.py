@@ -11,9 +11,12 @@ truncated spectrum, pairing each retained factor with the matching
 zero-potential factor so the tail is exactly 1 under
 lambda_n = lambda_n^0.
 
-All formulas are even in rho, so the principal square root is immaterial.
-Kernels switch to Taylor series below |rho| = 1e-3 where sin(rho s)/rho
-would cancel badly.
+All formulas are even in rho, so the branch of the square root is
+immaterial; one canonical branch also makes the rounding of the exp
+kernel in delta_direct independent of it.  delta_direct can return the
+analytic dDelta/dlambda of its quadrature next to Delta, which is what
+eigenvalues runs Newton on.  Kernels switch to Taylor series below
+|rho| = 1e-3 where sin(rho s)/rho would cancel badly.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,7 +89,15 @@ def asymptotic_eigenvalue(alpha: int, beta: int, n: int) -> float:
 
 
 def _sqrt_lambda(lam: complex) -> complex:
-    return cmath.sqrt(lam)
+    """sqrt(lambda) on one canonical branch: Re rho > 0, or Re rho = 0 and Im rho >= 0.
+
+    Every formula is even in rho, but the exp kernel of delta_direct is not
+    symmetric in rounding, so lambda = x + 0j and x - 0j must give one rho.
+    """
+    rho = cmath.sqrt(lam)
+    if rho.real == 0.0 and rho.imag < 0.0:
+        rho = complex(0.0, -rho.imag)
+    return rho
 
 
 def _ksin(s, rho: complex):
@@ -99,6 +111,21 @@ def _ksin(s, rho: complex):
     return s * acc
 
 
+def _dksin(s, rho: complex):
+    """d/dlambda of sin(rho*s)/rho = (s cos(rho s) - sin(rho s)/rho)/(2 lambda), elementwise.
+
+    Below the series threshold, the term-by-term derivative of the series of
+    _ksin in lambda: s^3 sum_{n>=1} (-1)^n n (rho s)^(2n-2)/(2n+1)!.
+    """
+    if abs(rho) >= RHO_SERIES_THRESHOLD:
+        return (s * np.cos(rho * s) - np.sin(rho * s) / rho) / (2 * rho**2)
+    t = (rho * s) ** 2
+    acc = 0.0
+    for n in range(_SERIES_TERMS, 0, -1):
+        acc = acc * t + (-1) ** n * n / math.factorial(2 * n + 1)
+    return s**3 * acc
+
+
 def _kcosm1(s, rho: complex):
     """(cos(rho*s) - 1)/rho^2, elementwise; series for small |rho|."""
     if abs(rho) >= RHO_SERIES_THRESHOLD:
@@ -110,41 +137,88 @@ def _kcosm1(s, rho: complex):
     return s**2 * acc
 
 
-def _dsinc_dlam(lam: complex) -> complex:
-    """d/dlambda of sin(rho)/rho = (rho cos rho - sin rho)/(2 rho^3)."""
-    rho = _sqrt_lambda(lam)
-    if abs(rho) >= RHO_SERIES_THRESHOLD:
-        return (rho * cmath.cos(rho) - cmath.sin(rho)) / (2 * rho**3)
-    acc = 0.0 + 0.0j
-    for n in range(_SERIES_TERMS, 0, -1):
-        acc = acc * lam + (-1) ** n * n / math.factorial(2 * n + 1)
-    return acc
+@lru_cache(maxsize=None)
+def _chop_lengths(n: int, jm: int) -> np.ndarray:
+    """Length s of each of the n midpoints' chop: x on the head [:jm], 1 - x on the tail."""
+    x = (np.arange(n) + 0.5) / n
+    s = np.concatenate((x[:jm], 1.0 - x[jm:]))
+    s.setflags(write=False)
+    return s
 
 
-def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex) -> complex:
-    """Characteristic determinant evaluated straight from the potential."""
+def _kernel_sums(values: np.ndarray, s: np.ndarray, jm: int, rho: complex, lam: complex, slope: bool):
+    """Sums of values * sin(rho s)/rho and values * cos(rho s) over head and tail.
+
+    Returns ((sin_head, sin_tail), (cos_head, cos_tail)) and, with slope, the
+    same two pairs differentiated in lambda, else None.  Above the series
+    threshold one exp(i rho s) array carries everything: dot products of q
+    and q*s against e and 1/e give every sin and cos sum, and
+        d/dlambda cos(rho s)       = -(s/2) sin(rho s)/rho,
+        d/dlambda sin(rho s)/rho   = (s cos(rho s) - sin(rho s)/rho)/(2 lambda).
+    """
+
+    def dot(w, kern):
+        return complex(w[:jm] @ kern[:jm]), complex(w[jm:] @ kern[jm:])
+
+    if abs(rho) < RHO_SERIES_THRESHOLD:
+        ksin = _ksin(s, rho)
+        sums = dot(values, ksin), dot(values, np.cos(rho * s))
+        if not slope:
+            return sums, None
+        return sums, (dot(values, _dksin(s, rho)), dot(values, -0.5 * s * ksin))
+    e = np.exp(1j * rho * s)
+    inv = 1.0 / e
+    ep, em = dot(values, e), dot(values, inv)
+    sin_sums = tuple((p - m) / (2j * rho) for p, m in zip(ep, em))
+    sums = sin_sums, tuple((p + m) / 2 for p, m in zip(ep, em))
+    if not slope:
+        return sums, None
+    qs = values * s
+    sp, sm = dot(qs, e), dot(qs, inv)
+    dsin = tuple(((p + m) / 2 - ks) / (2 * lam) for p, m, ks in zip(sp, sm, sin_sums))
+    dcos = tuple((m - p) / (4j * rho) for p, m in zip(sp, sm))
+    return sums, (dsin, dcos)
+
+
+def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bool = False):
+    """Characteristic determinant evaluated straight from the potential.
+
+    With slope=True, returns (Delta, dDelta/dlambda) of the same quadrature,
+    from the same kernel pass; the default returns Delta alone.
+    """
     if q.k != config.k:
         raise ValueError(f"grid has k={q.k} but config needs k={config.k}")
+    lam = complex(lam)
     rho = _sqrt_lambda(lam)
     a = config.j / config.k
-    x = q.midpoints()
     h = q.h
     jm = config.j * q.m
-    head_x, head_q = x[:jm], q.values[:jm]
-    tail_x, tail_q = x[jm:], q.values[jm:]
+    s = _chop_lengths(q.k * q.m, jm)
+    (isin, icos), dsums = _kernel_sums(q.values, s, jm, rho, lam, slope)
 
-    c0 = cmath.cos(rho * a) + h * np.sum(_ksin(head_x, rho) * head_q)
-    c1 = cmath.cos(rho * (1 - a)) + h * np.sum(_ksin(1 - tail_x, rho) * tail_q)
-    cp0 = lam * _ksin(a, rho) - h * np.sum(np.cos(rho * head_x) * head_q)
-    cp1 = -lam * _ksin(1 - a, rho) + h * np.sum(np.cos(rho * (1 - tail_x)) * tail_q)
-    s0 = -_ksin(a, rho)
-    s1 = _ksin(1 - a, rho)
-    sp0 = cmath.cos(rho * a)
-    sp1 = cmath.cos(rho * (1 - a))
+    ks0, ks1 = _ksin(a, rho), _ksin(1 - a, rho)
+    cs0, cs1 = cmath.cos(rho * a), cmath.cos(rho * (1 - a))
+    c0 = cs0 + h * isin[0]
+    c1 = cs1 + h * isin[1]
+    cp0 = lam * ks0 - h * icos[0]
+    cp1 = -lam * ks1 + h * icos[1]
+    top = (c0, -ks0) if config.alpha == 0 else (cp0, cs0)
+    bot = (c1, ks1) if config.beta == 0 else (cp1, cs1)
+    value = complex(top[0] * bot[1] - top[1] * bot[0])
+    if not slope:
+        return value
 
-    top = (c0, s0) if config.alpha == 0 else (cp0, sp0)
-    bot = (c1, s1) if config.beta == 0 else (cp1, sp1)
-    return complex(top[0] * bot[1] - top[1] * bot[0])
+    dsin, dcos = dsums
+    dks0, dks1 = _dksin(a, rho), _dksin(1 - a, rho)
+    dcs0, dcs1 = -0.5 * a * ks0, -0.5 * (1 - a) * ks1
+    dc0 = dcs0 + h * dsin[0]
+    dc1 = dcs1 + h * dsin[1]
+    dcp0 = ks0 + lam * dks0 - h * dcos[0]
+    dcp1 = -ks1 - lam * dks1 + h * dcos[1]
+    dtop = (dc0, -dks0) if config.alpha == 0 else (dcp0, dcs0)
+    dbot = (dc1, dks1) if config.beta == 0 else (dcp1, dcs1)
+    dvalue = dtop[0] * bot[1] + top[0] * dbot[1] - dtop[1] * bot[0] - top[1] * dbot[0]
+    return value, complex(dvalue)
 
 
 def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> complex:
@@ -190,27 +264,38 @@ def zero_potential_delta_dlam(alpha: int, beta: int, lam: complex) -> complex:
     if alpha != beta:
         return complex((-1) ** (alpha + 1) * 0.5 * _ksin(1.0, rho))
     if alpha == 0:
-        return _dsinc_dlam(lam)
-    return complex(_ksin(1.0, rho) + lam * _dsinc_dlam(lam))
+        return complex(_dksin(1.0, rho))
+    return complex(_ksin(1.0, rho) + lam * _dksin(1.0, rho))
 
 
 def _find_root(f, lam0: complex, index: int, max_iter: int = 60) -> complex:
-    """Newton with numeric derivative; secant fallback on stagnation."""
+    """Newton on f(lam) = (value, slope); secant fallback on stagnation.
+
+    Each step costs one evaluation of f, and the accepted root is the last
+    point evaluated.  A non-finite value or slope raises at once.
+    """
+
+    def evaluate(x):
+        fx, dfx = f(x)
+        if not (cmath.isfinite(fx) and cmath.isfinite(dfx)):
+            raise RootConvergenceError(
+                f"eigenvalue index {index}: non-finite residual {fx} or slope {dfx} at lambda={x}"
+            )
+        return fx, dfx
+
     x = complex(lam0)
-    fx = f(x)
+    fx, df = evaluate(x)
     prev_x = prev_f = None
     stagnant = 0
     for _ in range(max_iter):
-        h = 1e-6 * (1.0 + abs(x))
-        df = (f(x + h) - f(x - h)) / (2 * h)
         if (stagnant >= 2 or df == 0) and prev_x is not None and fx != prev_f:
             step = fx * (x - prev_x) / (fx - prev_f)
         elif df != 0:
             step = fx / df
         else:
-            step = h
+            step = 1e-6 * (1.0 + abs(x))
         x_new = x - step
-        f_new = f(x_new)
+        f_new, df = evaluate(x_new)
         stagnant = stagnant + 1 if abs(f_new) > 0.7 * abs(fx) else 0
         prev_x, prev_f = x, fx
         x, fx = x_new, f_new
@@ -225,14 +310,15 @@ def _find_root(f, lam0: complex, index: int, max_iter: int = 60) -> complex:
 def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
     """First `count` eigenvalues, seeded from the zero-potential asymptotes.
 
-    Roots are polished by Newton on delta_direct and returned in asymptotic
-    order; non-convergence raises RootConvergenceError with the index, and
-    two indices landing on one root raise EigenvalueCollisionError (densify
-    the grid or perturb the potential in that case).
+    Roots are polished by Newton on delta_direct with its analytic slope
+    (about three evaluations per root) and returned in asymptotic order;
+    non-convergence raises RootConvergenceError with the index, and two
+    indices landing on one root raise EigenvalueCollisionError (densify the
+    grid or perturb the potential in that case).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    f = lambda lam: delta_direct(q, config, lam)
+    f = lambda lam: delta_direct(q, config, lam, slope=True)
     roots = []
     for n in range(1, count + 1):
         lam0 = asymptotic_eigenvalue(config.alpha, config.beta, n)

@@ -11,6 +11,7 @@ carry no timestamps, so identical manifests give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -162,6 +163,8 @@ def cmd_delta(args) -> int:
     cfg = _load_config(args)
     q = _load_potential(args.q, cfg.k, args.m)
     lams = [complex(s) for s in args.lambdas.split(";")]
+    if not all(cmath.isfinite(lam) for lam in lams):
+        raise ValueError(f"--lambdas {args.lambdas!r}: every lambda must be finite")
     lines = []
     for lam in lams:
         d = delta_direct(q, cfg, lam)

@@ -163,7 +163,7 @@ def write_csv(f: GridFunction, path) -> None:
 
 
 def _read_rows(path, rows: Callable[[int, int], int]) -> tuple[int, int, np.ndarray]:
-    """A '# k=<k> m=<m>' header, exactly rows(k, m) rows x,re,im, then only blank lines."""
+    """A '# k=<k> m=<m>' header, exactly rows(k, m) finite rows x,re,im, then only blank lines."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
@@ -181,6 +181,9 @@ def _read_rows(path, rows: Callable[[int, int], int]) -> tuple[int, int, np.ndar
         for line in fh:
             if line.strip():
                 raise ValueError(f"{path}: data past the {n} rows the header declares")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 1} holds a non-finite value {vals[bad[0]]}")
     return k, m, vals
 
 

@@ -19,7 +19,9 @@ from frozen_spectra import (
     make_config,
     zero_potential_delta,
 )
-from frozen_spectra.characteristic import _find_root, _kcosm1, _ksin
+from frozen_spectra import characteristic
+from frozen_spectra.characteristic import _dksin, _find_root, _kcosm1, _ksin
+from frozen_spectra.cli import _demo_potential
 
 PI = math.pi
 
@@ -102,8 +104,10 @@ def test_kernel_series_matches_trig_across_threshold():
     for rho in (9.9e-4, 1.2e-3, (0.3 + 0.9j) * 1e-3):
         direct_sin = np.sin(rho * s) / rho
         direct_cos = (np.cos(rho * s) - 1.0) / rho**2
+        direct_dsin = (s * np.cos(rho * s) - direct_sin) / (2 * rho**2)
         assert np.abs(_ksin(s, rho * 0.999) - direct_sin).max() < 1e-8
         assert np.abs(_kcosm1(s, rho * 0.999) - direct_cos).max() < 1e-8
+        assert np.abs(_dksin(s, rho * 0.999) - direct_dsin).max() < 1e-8
 
 
 def test_delta_smooth_around_rho_zero(rng):
@@ -127,6 +131,50 @@ def test_branch_choice_is_immaterial(rng):
         d_up = delta_direct(q, cfg, complex(-25.0, 0.0))
         d_dn = delta_direct(q, cfg, complex(-25.0, -0.0))
         assert d_up == d_dn  # opposite sqrt branches, identical value
+        assert delta_direct(q, cfg, complex(-25.0, 0.0), slope=True) == delta_direct(
+            q, cfg, complex(-25.0, -0.0), slope=True
+        )
+
+
+def _richardson_slope(f, lam, d):
+    """Central differences at steps d and d/2, extrapolated to O(d^4)."""
+    coarse = (f(lam + d) - f(lam - d)) / (2 * d)
+    fine = (f(lam + d / 2) - f(lam - d / 2)) / d
+    return (4 * fine - coarse) / 3
+
+
+def test_delta_direct_slope_matches_richardson_difference(rng):
+    # real, complex and negative lambda; 2e-6 and 5e-7 sit on either side of
+    # |rho| = 1e-3, where the kernels switch between exp and series forms
+    lams = (-25.0, -3e-6, 5e-7, 2e-6, 4e-6 + 1e-6j, 7.3 + 2.0j, 400.0, 1500.0 - 9.0j)
+    for a in (0, 1):
+        for b in (0, 1):
+            for j, k in ((1, 3), (2, 5)):
+                cfg = make_config(a, b, j, k)
+                q = random_grid(k, 64, rng)
+                f = lambda z: delta_direct(q, cfg, z)
+                for lam in lams:
+                    value, slope = delta_direct(q, cfg, lam, slope=True)
+                    assert value == f(lam)
+                    want = _richardson_slope(f, lam, 1e-3 * (1 + abs(lam)))
+                    assert abs(slope - want) <= 1e-7 * abs(want)
+
+
+def test_eigenvalues_take_at_most_four_evaluations_per_root(monkeypatch):
+    calls = []
+    plain = characteristic.delta_direct
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(characteristic, "delta_direct", counted)
+    cfg = make_config(1, 1, 1, 4)
+    q = GridFunction.from_callable(_demo_potential, 4, 256)
+    count = 400
+    spec = eigenvalues(q, cfg, count)
+    assert spec.count == count
+    assert len(calls) <= 4 * count
 
 
 def test_delta_from_spectrum_zero_potential_is_exact():
@@ -227,7 +275,20 @@ def test_delta_evaluator_modes_agree(rng):
 
 def test_find_root_failure_is_reported():
     with pytest.raises(RootConvergenceError):
-        _find_root(lambda z: 1.0 + 0j, 0.0, index=4, max_iter=10)
+        _find_root(lambda z: (1.0 + 0j, 0j), 0.0, index=4, max_iter=10)
+
+
+def test_find_root_stops_on_a_non_finite_residual():
+    for bad in ((complex("nan"), 1.0 + 0j), (1.0 + 0j, complex("inf"))):
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return (1.0 + 0j, 1.0 + 0j) if len(calls) == 1 else bad
+
+        with pytest.raises(RootConvergenceError, match="non-finite"):
+            _find_root(f, 5.0, index=2)
+        assert len(calls) <= 2
 
 
 def test_eigenvalues_rejects_misaligned_grid(rng):

@@ -174,6 +174,21 @@ def test_invert_rejects_extra_rows_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+def test_non_finite_input_exit_code(tmp_path, capsys):
+    cfg = ["--alpha", "0", "--beta", "1", "--j", "1", "--k", "2"]
+    qfile = tmp_path / "q.csv"
+    write_csv(GridFunction.from_callable(lambda x: np.ones_like(x), 2, 4), qfile)
+    lines = qfile.read_text().splitlines()
+    lines[3] = "0.3125,nan,0.0"
+    qfile.write_text("\n".join(lines) + "\n")
+    for argv in (["eigs", *cfg, "--q", str(qfile), "--count", "3"],
+                 ["delta", *cfg, "--q", str(qfile), "--lambdas", "1.0"],
+                 ["delta", *cfg, "--q", "demo", "--m", "4", "--lambdas", "1.0;inf"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # unattainable W in a degenerate case -> exit 4 with a structured error
     cfgfile = tmp_path / "c.json"

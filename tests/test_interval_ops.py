@@ -13,7 +13,7 @@ from frozen_spectra import (
     read_csv,
     write_csv,
 )
-from frozen_spectra.interval_ops import _q_permutation, _r_permutation, subinterval_midpoints
+from frozen_spectra.interval_ops import _q_permutation, _r_permutation, read_profile_csv, subinterval_midpoints
 
 
 def _random_grid(k, m, seed):
@@ -122,6 +122,16 @@ def test_csv_rejects_rows_past_header_count(tmp_path):
     path.write_text("# k=1 m=2\n0.25,1.0,0.0\n0.75,2.0,0.0\n\n0.9,3.0,0.0\n")
     with pytest.raises(ValueError, match="past the 2 rows"):
         read_csv(path)
+
+
+def test_csv_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "grid.csv"
+    for row in ("0.75,nan,0.0", "0.75,1.0,inf", "0.75,-inf,0.0"):
+        path.write_text(f"# k=1 m=3\n0.25,1.0,0.0\n{row}\n0.9,3.0,0.0\n")
+        with pytest.raises(ValueError, match="data row 2 holds a non-finite value"):
+            read_csv(path)
+        with pytest.raises(ValueError, match="data row 2"):
+            read_profile_csv(path)
 
 
 def test_grid_validation():
