@@ -69,8 +69,20 @@ class Spectrum:
 
     @staticmethod
     def from_dict(d: dict) -> "Spectrum":
-        evs = tuple(complex(re, im) for re, im in d["eigenvalues"])
-        return Spectrum(int(d["alpha"]), int(d["beta"]), evs)
+        """Inverse of to_dict; ValueError unless alpha, beta are 0/1 and each eigenvalue a finite [re, im]."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a spectrum is a JSON object, got {type(d).__name__}")
+        alpha, beta = d["alpha"], d["beta"]
+        if not all(type(f) is int and f in (0, 1) for f in (alpha, beta)):
+            raise ValueError(f"spectrum alpha and beta must be 0 or 1, got {alpha!r} and {beta!r}")
+        try:
+            evs = tuple(complex(re, im) for re, im in d["eigenvalues"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"spectrum eigenvalues must be [re, im] pairs of real numbers: {exc}") from None
+        if not all(map(cmath.isfinite, evs)):
+            n = next(n for n, z in enumerate(evs, start=1) if not cmath.isfinite(z))
+            raise ValueError(f"spectrum eigenvalue {n} is {evs[n - 1]}, not finite")
+        return Spectrum(alpha, beta, evs)
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:

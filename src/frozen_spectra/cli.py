@@ -4,8 +4,8 @@ Subcommands: matrix, classify, cheb, eigs, delta, forward-w, invert,
 reconstruct, isospectral, example, verify.  Structured JSON errors go to
 stderr; exit codes are 0 (ok), 2 (usage), 3 (malformed input),
 4 (numerical failure).  Every command that writes an output file also
-writes <out>.manifest.json describing the run; data files themselves
-carry no timestamps, so identical manifests give byte-identical outputs.
+writes <out>.manifest.json describing the run.  A rerun writes the data
+files byte-identical; its manifests differ only in wall_time_s.
 """
 
 from __future__ import annotations
@@ -43,7 +43,13 @@ EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 EXIT_NUMERICAL = 4
 
+
+class VerifyFailure(Exception):
+    """Identity checks of `verify` that failed; args[0] lists their labels."""
+
+
 _NUMERICAL_ERRORS = (
+    VerifyFailure,
     RootConvergenceError,
     EigenvalueCollisionError,
     InconsistentSystemError,
@@ -55,7 +61,7 @@ _NUMERICAL_ERRORS = (
 
 @dataclass
 class RunManifest:
-    command: str
+    command: str = ""  # dispatch sets it, and wall_time_s
     config: dict | None = None
     inputs: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
@@ -64,14 +70,13 @@ class RunManifest:
     wall_time_s: float = 0.0
 
     def write(self) -> None:
+        text = json.dumps(asdict(self), indent=1, sort_keys=True) + "\n"
         for out in self.outputs:
-            with open(f"{out}.manifest.json", "w") as fh:
-                json.dump(asdict(self), fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            _emit(text, f"{out}.manifest.json")
 
 
 def _load_config(args) -> ProblemConfig:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
         data = data.get("config", data)
@@ -79,9 +84,8 @@ def _load_config(args) -> ProblemConfig:
     return make_config(args.alpha, args.beta, args.j, args.k)
 
 
-def _config_flags(p: argparse.ArgumentParser, with_file: bool = False) -> None:
-    if with_file:
-        p.add_argument("--config", help="JSON file with a {'config': {alpha,beta,j,k}} object")
+def _config_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON file with a {'config': {alpha,beta,j,k}} object")
     p.add_argument("--alpha", type=int, choices=(0, 1))
     p.add_argument("--beta", type=int, choices=(0, 1))
     p.add_argument("--j", type=int)
@@ -92,14 +96,10 @@ def _demo_potential(x: np.ndarray) -> np.ndarray:
     return (2.0 + 1.0j) * x**2 * (1 - x) + 0.5 * np.cos(3.0 * x)
 
 
-def _load_potential(spec_str: str, k: int, m: int | None) -> GridFunction:
+def _load_potential(spec_str: str, k: int, m: int) -> GridFunction:
     if spec_str == "zero":
-        if m is None:
-            raise ValueError("builtin potentials need --m")
         return GridFunction.zeros(k, m)
     if spec_str == "demo":
-        if m is None:
-            raise ValueError("builtin potentials need --m")
         return GridFunction.from_callable(_demo_potential, k, m)
     g = read_csv(spec_str)
     if g.k != k:
@@ -116,30 +116,36 @@ def _emit(text: str, out: str | None) -> list[str]:
     return []
 
 
-def cmd_matrix(args) -> int:
+def _write_solution(sol, out: str, kernel_out: str | None) -> list[str]:
+    write_csv(sol.particular, out)
+    if sol.kernel_generator is None or not kernel_out:
+        return [out]
+    write_csv(sol.kernel_generator, kernel_out)
+    return [out, kernel_out]
+
+
+def cmd_matrix(args) -> RunManifest:
     cfg, _ = normalize_to_half(_load_config(args))
     entries = frozen_matrix.build_matrix(cfg).as_lists()
-    _emit(json.dumps(entries) + "\n", args.out)
-    return EXIT_OK
+    return RunManifest(config=cfg.to_dict(), outputs=_emit(json.dumps(entries) + "\n", args.out))
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> RunManifest:
     cls = classify(_load_config(args))
     print(json.dumps({"kind": cls.kind.value, "case": cls.case_label.value}))
-    return EXIT_OK
+    return RunManifest()
 
 
-def cmd_cheb(args) -> int:
+def cmd_cheb(args) -> RunManifest:
     if args.scaled:
         poly = chebyshev.scaled_cheb_int(args.kind, args.n)
     else:
         poly = chebyshev.cheb_T(args.n) if args.kind == "T" else chebyshev.cheb_U(args.n)
     print(json.dumps(list(poly.coeffs)))
-    return EXIT_OK
+    return RunManifest()
 
 
-def cmd_eigs(args) -> int:
-    t0 = time.monotonic()
+def cmd_eigs(args) -> RunManifest:
     cfg = _load_config(args)
     q = _load_potential(args.q, cfg.k, args.m)
     spec = eigenvalues(q, cfg, args.count)
@@ -148,18 +154,15 @@ def cmd_eigs(args) -> int:
     if args.spectrum_out:
         spec.dump(args.spectrum_out)
         outputs.append(args.spectrum_out)
-    RunManifest(
-        command="eigs",
+    return RunManifest(
         config=cfg.to_dict(),
         inputs={"q": args.q, "count": args.count},
         grid={"k": q.k, "m": q.m},
         outputs=outputs,
-        wall_time_s=time.monotonic() - t0,
-    ).write()
-    return EXIT_OK
+    )
 
 
-def cmd_delta(args) -> int:
+def cmd_delta(args) -> RunManifest:
     cfg = _load_config(args)
     q = _load_potential(args.q, cfg.k, args.m)
     lams = [complex(s) for s in args.lambdas.split(";")]
@@ -169,96 +172,73 @@ def cmd_delta(args) -> int:
     for lam in lams:
         d = delta_direct(q, cfg, lam)
         lines.append(f"{lam.real!r},{lam.imag!r},{d.real!r},{d.imag!r}\n")
-    _emit("".join(lines), args.out)
-    return EXIT_OK
+    return RunManifest(
+        config=cfg.to_dict(),
+        inputs={"q": args.q, "lambdas": args.lambdas},
+        grid={"k": q.k, "m": q.m},
+        outputs=_emit("".join(lines), args.out),
+    )
 
 
-def cmd_forward_w(args) -> int:
-    t0 = time.monotonic()
+def cmd_forward_w(args) -> RunManifest:
     cfg = _load_config(args)
     q = _load_potential(args.q, cfg.k, args.m)
     fwd = forward_w_direct if args.method == "direct" else forward_w_matrix
     w = fwd(q, cfg)
     write_csv(w, args.out)
-    RunManifest(
-        command="forward-w",
+    return RunManifest(
         config=cfg.to_dict(),
         inputs={"q": args.q, "method": args.method},
         grid={"k": w.k, "m": w.m},
         outputs=[args.out],
-        wall_time_s=time.monotonic() - t0,
-    ).write()
-    return EXIT_OK
+    )
 
 
-def cmd_invert(args) -> int:
-    t0 = time.monotonic()
+def cmd_invert(args) -> RunManifest:
     cfg = _load_config(args)
     w = read_csv(args.w)
     sol = solve_inverse(w, cfg, residual_rtol=args.residual_rtol)
-    write_csv(sol.particular, args.out)
-    outputs = [args.out]
-    if sol.kernel_generator is not None and args.kernel_out:
-        write_csv(sol.kernel_generator, args.kernel_out)
-        outputs.append(args.kernel_out)
-    RunManifest(
-        command="invert",
+    return RunManifest(
         config=cfg.to_dict(),
         inputs={"w": args.w},
         grid={"k": w.k, "m": w.m},
         tolerances={"residual_rtol": args.residual_rtol},
-        outputs=outputs,
-        wall_time_s=time.monotonic() - t0,
-    ).write()
-    return EXIT_OK
+        outputs=_write_solution(sol, args.out, args.kernel_out),
+    )
 
 
-def cmd_reconstruct(args) -> int:
-    t0 = time.monotonic()
+def cmd_reconstruct(args) -> RunManifest:
     cfg = _load_config(args)
     spec = Spectrum.load(args.spectrum)
     sol = invert_from_spectrum(
         spec, cfg, args.m, args.n_used, args.modes, residual_rtol=args.residual_rtol
     )
-    write_csv(sol.particular, args.out)
-    outputs = [args.out]
-    if sol.kernel_generator is not None and args.kernel_out:
-        write_csv(sol.kernel_generator, args.kernel_out)
-        outputs.append(args.kernel_out)
-    RunManifest(
-        command="reconstruct",
+    return RunManifest(
         config=cfg.to_dict(),
         inputs={"spectrum": args.spectrum, "n_used": args.n_used, "modes": args.modes},
         grid={"k": cfg.k, "m": args.m},
         tolerances={"residual_rtol": args.residual_rtol},
-        outputs=outputs,
-        wall_time_s=time.monotonic() - t0,
-    ).write()
-    return EXIT_OK
+        outputs=_write_solution(sol, args.out, args.kernel_out),
+    )
 
 
-def cmd_isospectral(args) -> int:
-    t0 = time.monotonic()
+def cmd_isospectral(args) -> RunManifest:
     cfg = _load_config(args)
     q0 = _load_potential(args.q0, cfg.k, args.m)
     if args.f == "model-profile":
         f = quadratic_profile(cfg.k)
     else:
-        samples, fk = read_profile_csv(args.f)
+        f, fk = read_profile_csv(args.f)
         if fk != cfg.k:
             raise ValueError(f"{args.f}: profile is for k={fk}, config has k={cfg.k}")
-        f = samples
     q = build_isospectral_potential(q0, cfg, f)
     write_csv(q, args.out)
-    RunManifest(
-        command="isospectral",
+    return RunManifest(
         config=cfg.to_dict(),
         inputs={"q0": args.q0, "f": args.f},
         grid={"k": q.k, "m": q.m},
         outputs=[args.out],
-        wall_time_s=time.monotonic() - t0,
-    ).write()
-    return EXIT_OK
+    )
 
 
 def _render_svg(report, m: int = 96, width: int = 640, height: int = 360) -> str:
@@ -292,8 +272,7 @@ def _render_svg(report, m: int = 96, width: int = 640, height: int = 360) -> str
     return "\n".join(parts) + "\n"
 
 
-def cmd_example(args) -> int:
-    t0 = time.monotonic()
+def cmd_example(args) -> RunManifest:
     report = reference_example(args.id)
     outputs = _emit(report.table + "\n", args.out)
     if args.samples_out:
@@ -302,35 +281,21 @@ def cmd_example(args) -> int:
         write_csv(supp, args.samples_out)
         outputs.append(args.samples_out)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(_render_svg(report, m=args.m))
-        outputs.append(args.svg)
-    if outputs:
-        RunManifest(
-            command="example",
-            config=report.config.to_dict(),
-            inputs={"id": args.id},
-            outputs=outputs,
-            wall_time_s=time.monotonic() - t0,
-        ).write()
-    return EXIT_OK
+        outputs += _emit(_render_svg(report, m=args.m), args.svg)
+    return RunManifest(config=report.config.to_dict(), inputs={"id": args.id}, outputs=outputs)
 
 
-def cmd_verify(args) -> int:
-    """Run the identity sweeps and report per-block check counts."""
+def cmd_verify(args) -> RunManifest:
+    """Run the identity sweeps and report per-block check counts; raise VerifyFailure if any fails."""
     failures: list[str] = []
     for name, checks in identities.sweeps(args.kmax, args.kmax_theorem1, args.kmax_forward):
-        n = 0
-        for label, ok in checks:
-            n += 1
-            if not ok:
-                failures.append(label)
-        print(f"[verify] {name}: {n} checks passed")
+        results = list(checks)
+        failures += [label for label, ok in results if not ok]
+        print(f"[verify] {name}: {len(results)} checks passed")
     if failures:
-        print(json.dumps({"error": {"type": "VerifyFailure", "failures": failures}}), file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise VerifyFailure(failures)
     print(f"[verify] all blocks passed (kmax={args.kmax})")
-    return EXIT_OK
+    return RunManifest()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,56 +305,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("matrix", help="print the k x k main-equation matrix as JSON")
-    _config_flags(p, with_file=True)
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("matrix", cmd_matrix, "print the k x k main-equation matrix as JSON")
+    _config_flags(p)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_matrix)
 
-    p = sub.add_parser("classify", help="degenerate/non-degenerate case of a config")
-    _config_flags(p, with_file=True)
-    p.set_defaults(fn=cmd_classify)
+    p = command("classify", cmd_classify, "degenerate/non-degenerate case of a config")
+    _config_flags(p)
 
-    p = sub.add_parser("cheb", help="Chebyshev coefficients as a JSON array")
+    p = command("cheb", cmd_cheb, "Chebyshev coefficients as a JSON array")
     p.add_argument("--kind", choices=("T", "U"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scaled", action="store_true", help="2*T_n(x/2) resp. U_n(x/2)")
-    p.set_defaults(fn=cmd_cheb)
 
-    p = sub.add_parser("eigs", help="first N eigenvalues of the boundary value problem")
-    _config_flags(p, with_file=True)
+    p = command("eigs", cmd_eigs, "first N eigenvalues of the boundary value problem")
+    _config_flags(p)
     p.add_argument("--q", required=True, help="potential CSV, or 'zero'/'demo' with --m")
     p.add_argument("--m", type=int, default=512, help="samples per subinterval for builtin potentials")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", help="CSV rows n,re,im (stdout if omitted)")
     p.add_argument("--spectrum-out", help="also write the spectrum as JSON")
-    p.set_defaults(fn=cmd_eigs)
 
-    p = sub.add_parser("delta", help="sample the characteristic function")
-    _config_flags(p, with_file=True)
+    p = command("delta", cmd_delta, "sample the characteristic function")
+    _config_flags(p)
     p.add_argument("--q", required=True)
     p.add_argument("--m", type=int, default=512)
     p.add_argument("--lambdas", required=True, help="semicolon-separated complex values")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_delta)
 
-    p = sub.add_parser("forward-w", help="map a potential to W")
-    _config_flags(p, with_file=True)
+    p = command("forward-w", cmd_forward_w, "map a potential to W")
+    _config_flags(p)
     p.add_argument("--q", required=True)
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--method", choices=("direct", "matrix"), default="direct")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_forward_w)
 
-    p = sub.add_parser("invert", help="solve the main equation W -> q")
-    _config_flags(p, with_file=True)
+    p = command("invert", cmd_invert, "solve the main equation W -> q")
+    _config_flags(p)
     p.add_argument("--w", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kernel-out", help="write the kernel direction (degenerate case)")
     p.add_argument("--residual-rtol", type=float, default=1e-9)
-    p.set_defaults(fn=cmd_invert)
 
-    p = sub.add_parser("reconstruct", help="recover the potential from a spectrum JSON")
-    _config_flags(p, with_file=True)
+    p = command("reconstruct", cmd_reconstruct, "recover the potential from a spectrum JSON")
+    _config_flags(p)
     p.add_argument("--spectrum", required=True)
     p.add_argument("--m", type=int, default=512)
     p.add_argument("--n-used", type=int, default=200)
@@ -397,52 +360,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--kernel-out")
     p.add_argument("--residual-rtol", type=float, default=1e-6)
-    p.set_defaults(fn=cmd_reconstruct)
 
-    p = sub.add_parser("isospectral", help="build an iso-spectral potential (degenerate cases)")
-    _config_flags(p, with_file=True)
+    p = command("isospectral", cmd_isospectral, "build an iso-spectral potential (degenerate cases)")
+    _config_flags(p)
     p.add_argument("--q0", required=True)
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--f", default="model-profile", help="profile CSV on (0,b), or 'model-profile'")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_isospectral)
 
-    p = sub.add_parser("example", help="render a catalogued degenerate case")
+    p = command("example", cmd_example, "render a catalogued degenerate case")
     p.add_argument("--id", required=True, choices=("I7", "I8", "II", "III", "IV"))
     p.add_argument("--out", help="write the symbolic table to a file")
     p.add_argument("--samples-out", help="write the sampled supplement as a grid CSV")
     p.add_argument("--svg", help="write an SVG plot of the supplement")
     p.add_argument("--m", type=int, default=96, help="samples per subinterval for plots")
-    p.set_defaults(fn=cmd_example)
 
-    p = sub.add_parser("verify", help="run the identity/property sweeps")
+    p = command("verify", cmd_verify, "run the identity/property sweeps")
     p.add_argument("--kmax", type=int, default=24)
     p.add_argument("--kmax-theorem1", type=int, default=40)
     p.add_argument("--kmax-forward", type=int, default=8)
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 
 def dispatch(argv) -> int:
-    ap = build_parser()
+    """Run one command: time it, write its manifests, map every error to an exit code."""
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    t0 = time.monotonic()
     try:
-        return args.fn(args)
-    except _NUMERICAL_ERRORS as exc:
-        print(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
+        manifest = args.fn(args)
+        manifest.command, manifest.wall_time_s = args.command, time.monotonic() - t0
+        manifest.write()
+    except (*_NUMERICAL_ERRORS, ValueError, KeyError, OSError) as exc:
+        detail = {"failures": exc.args[0]} if isinstance(exc, VerifyFailure) else {"message": str(exc)}
+        print(json.dumps({"error": {"type": type(exc).__name__, **detail}}), file=sys.stderr)
+        return EXIT_NUMERICAL if isinstance(exc, _NUMERICAL_ERRORS) else EXIT_BAD_INPUT
+    return EXIT_OK
 
 
 def main() -> None:

@@ -52,8 +52,12 @@ def build_matrix(config: ProblemConfig) -> FrozenMatrix:
       (ii)  a[m, m+j]   = d   m = 1..k-j      (upper subdiagonal)
       (iii) a[m, m-j]   = c   m = j+1..k      (lower subdiagonal)
       (iv)  a[m, 2k-m-j+1] = c  m = k-j+1..k  (bottom-right antidiagonal)
-    (1-based indices).  For coprime j, k the families never collide, which
-    is asserted.  For k = 1 (a = 0) the single entry is 2*c*alpha.
+    (1-based indices).  For 1 <= j <= k/2 the families never overlap: (i)
+    and (iii) sit in disjoint rows, as do (ii) and (iv), and (i) and (iv)
+    since j < k-j+1; (ii) and (iii) would need j = 0, and (i)/(ii) and
+    (iii)/(iv) a half-integer row.  Every value is +-1, so exactly 2k
+    nonzero entries is asserted.  For k = 1 (a = 0) the single entry is
+    2*c*alpha.
     """
     j, k = config.j, config.k
     signs = sign_pair(config)
@@ -63,22 +67,16 @@ def build_matrix(config: ProblemConfig) -> FrozenMatrix:
     if not 1 <= j or 2 * j > k:
         raise ValueError(f"need a normalized config with 1 <= j <= k/2, got j={j}, k={k}")
     entries = [[0] * k for _ in range(k)]
-    assigned = set()
-
-    def put(m: int, n: int, value: int) -> None:
-        if (m, n) in assigned:
-            raise AssertionError(f"subdiagonal families collide at ({m}, {n})")
-        assigned.add((m, n))
-        entries[m - 1][n - 1] = value
-
     for m in range(1, j + 1):
-        put(m, j - m + 1, 1)
+        entries[m - 1][j - m] = 1
     for m in range(1, k - j + 1):
-        put(m, m + j, d)
+        entries[m - 1][m + j - 1] = d
     for m in range(j + 1, k + 1):
-        put(m, m - j, c)
+        entries[m - 1][m - j - 1] = c
     for m in range(k - j + 1, k + 1):
-        put(m, 2 * k - m - j + 1, c)
+        entries[m - 1][2 * k - m - j] = c
+    if sum(k - row.count(0) for row in entries) != 2 * k:
+        raise AssertionError(f"subdiagonal families overlap for j={j}, k={k}")
     return FrozenMatrix(config, signs, tuple(tuple(row) for row in entries))
 
 

@@ -98,6 +98,22 @@ def test_eigenvalue_ordering_and_spectrum_json(tmp_path, rng):
     assert Spectrum.load(path) == s
 
 
+@pytest.mark.parametrize("bad", [
+    [],
+    {"alpha": 2, "beta": 0, "eigenvalues": []},
+    {"alpha": "0", "beta": 0, "eigenvalues": []},
+    {"alpha": 0, "beta": True, "eigenvalues": []},
+    {"alpha": 0, "beta": 1, "eigenvalues": 5},
+    {"alpha": 0, "beta": 1, "eigenvalues": [[1.0]]},
+    {"alpha": 0, "beta": 1, "eigenvalues": [[1.0, 0.0, 0.0]]},
+    {"alpha": 0, "beta": 1, "eigenvalues": [[2.0, 0.0], [1.0, "0"]]},
+    {"alpha": 0, "beta": 1, "eigenvalues": [[2.0, 0.0], [1.0, -math.inf]]},
+])
+def test_spectrum_from_dict_rejects_malformed_input(bad):
+    with pytest.raises(ValueError):
+        Spectrum.from_dict(bad)
+
+
 def test_kernel_series_matches_trig_across_threshold():
     # entirety smoke test: the series branch continues the trig branch
     s = np.linspace(0.05, 1.0, 13)

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from frozen_spectra import GridFunction, Spectrum, read_csv, write_csv
-from frozen_spectra.cli import dispatch
+from frozen_spectra import GridFunction, Spectrum, forward_w_direct, make_config, read_csv, write_csv
+from frozen_spectra.characteristic import asymptotic_eigenvalue
+from frozen_spectra.cli import RunManifest, dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -199,3 +202,71 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "invert", "--config", str(cfgfile), "--w", str(wfile), "--out", str(tmp_path / "q.csv"))
     assert code == 4
     assert json.loads(err)["error"]["type"] == "InconsistentSystemError"
+
+
+def zero_potential_spectrum(alpha, beta, count):
+    evs = tuple(complex(asymptotic_eigenvalue(alpha, beta, n)) for n in range(1, count + 1))
+    return Spectrum(alpha, beta, evs)
+
+
+@pytest.fixture
+def inputs(tmp_path, rng):
+    """Input files of the file-writing commands, in their own directory."""
+    d = tmp_path / "in"
+    d.mkdir()
+    (d / "c3.json").write_text(json.dumps({"config": {"alpha": 0, "beta": 1, "j": 1, "k": 3}}))
+    (d / "c7.json").write_text(json.dumps({"alpha": 0, "beta": 0, "j": 3, "k": 7}))
+    q = GridFunction(7, 8, rng.normal(size=56) + 1j * rng.normal(size=56))
+    write_csv(forward_w_direct(q, make_config(0, 0, 3, 7)), d / "w7.csv")  # attainable, degenerate case
+    zero_potential_spectrum(0, 1, 60).dump(d / "s3.json")
+    return d
+
+
+# subcommand -> (arguments, files it writes); {i} is the input directory
+WRITERS = {
+    "matrix": (["--alpha", "1", "--beta", "0", "--j", "5", "--k", "7", "--out", "m.json"], ["m.json"]),
+    "eigs": (["--config", "{i}/c3.json", "--q", "demo", "--m", "32", "--count", "10", "--out", "e.csv",
+              "--spectrum-out", "s.json"], ["e.csv", "s.json"]),
+    "delta": (["--config", "{i}/c3.json", "--q", "demo", "--m", "16", "--lambdas", "1.0;2+1j",
+               "--out", "d.csv"], ["d.csv"]),
+    "forward-w": (["--config", "{i}/c3.json", "--q", "demo", "--m", "8", "--out", "w.csv"], ["w.csv"]),
+    "invert": (["--config", "{i}/c7.json", "--w", "{i}/w7.csv", "--out", "q.csv", "--kernel-out", "k.csv"],
+               ["q.csv", "k.csv"]),
+    "reconstruct": (["--config", "{i}/c3.json", "--spectrum", "{i}/s3.json", "--m", "16", "--n-used", "60",
+                     "--modes", "15", "--out", "r.csv"], ["r.csv"]),
+    "isospectral": (["--config", "{i}/c7.json", "--q0", "zero", "--m", "8", "--out", "iq.csv"], ["iq.csv"]),
+    "example": (["--id", "IV", "--out", "t.txt", "--svg", "p.svg", "--samples-out", "sm.csv", "--m", "10"],
+                ["t.txt", "sm.csv", "p.svg"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_every_written_file_has_a_manifest(command, inputs, tmp_path, capsys, monkeypatch):
+    args, written = WRITERS[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    code, _, err = run(capsys, command, *(a.format(i=inputs) for a in args))
+    assert code == 0, err
+    assert sorted(p.name for p in out.iterdir()) == sorted(written + [f"{f}.manifest.json" for f in written])
+    for f in written:
+        manifest = json.loads((out / f"{f}.manifest.json").read_text())
+        assert set(manifest) == {fld.name for fld in dataclasses.fields(RunManifest)}
+        assert manifest["command"] == command
+        assert manifest["outputs"] == written
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1.0", None])
+def test_reconstruct_rejects_a_malformed_eigenvalue(bad, tmp_path, capsys):
+    spec = zero_potential_spectrum(0, 1, 40).to_dict()
+    spec["eigenvalues"][7][0] = bad
+    specfile = tmp_path / "s.json"
+    specfile.write_text(json.dumps(spec))  # NaN and Infinity as json.load reads them
+    out = tmp_path / "q.csv"
+    code, stdout, err = run(
+        capsys, "reconstruct", "--alpha", "0", "--beta", "1", "--j", "1", "--k", "3",
+        "--spectrum", str(specfile), "--m", "16", "--n-used", "40", "--modes", "10", "--out", str(out),
+    )
+    assert code == 3 and stdout == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]

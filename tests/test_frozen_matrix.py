@@ -47,6 +47,18 @@ def test_build_matrix_examples():
         assert build_matrix(make_config(0, beta, 0, 1)).as_lists() == [[0]]
 
 
+def test_build_matrix_has_two_unit_entries_per_row_and_column():
+    # every 1 <= j <= k/2, coprime or not: the four families never overlap
+    for k in range(2, 25):
+        for j in range(1, k // 2 + 1):
+            for alpha in (0, 1):
+                for beta in (0, 1):
+                    a = np.array(build_matrix(make_config(alpha, beta, j, k)).as_lists())
+                    assert set(np.abs(a).ravel()) <= {0, 1}
+                    nz = a != 0
+                    assert (nz.sum(axis=0) == 2).all() and (nz.sum(axis=1) == 2).all(), (alpha, beta, j, k)
+
+
 def test_build_matrix_rejects_unnormalized():
     with pytest.raises(ValueError):
         build_matrix(make_config(0, 0, 5, 7))
