@@ -54,7 +54,6 @@ from .frozen_matrix import (
 )
 from .interval_ops import (
     GridFunction,
-    SubintervalVector,
     q_apply,
     q_inverse,
     r_apply,
@@ -66,11 +65,9 @@ from .interval_ops import (
 from .inverse_pipeline import (
     EXAMPLE_CASES,
     ExampleReport,
-    IsoSpectralFamily,
     SpectrumMismatchError,
     build_isospectral_potential,
     invert_from_spectrum,
-    make_family,
     quadratic_profile,
     reference_example,
 )
@@ -79,6 +76,7 @@ from .main_equation import (
     MainEqSolution,
     forward_w_direct,
     forward_w_matrix,
+    null_direction,
     solve_inverse,
 )
 

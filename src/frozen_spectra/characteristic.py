@@ -56,10 +56,6 @@ class Spectrum:
     def count(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def index_offset(self) -> float:
-        return (self.alpha + self.beta) / 2
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -373,7 +369,7 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam: complex) -> complex:
     return complex(val)
 
 
-def extract_w(spec: Spectrum, modes: int, k: int, m: int, n_used: int | None = None) -> GridFunction:
+def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
     """Recover W on a (k, m) grid from the spectrum, Fourier mode by mode.
 
     Evaluating the product at the frequencies where the potential-free term
@@ -383,15 +379,13 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int, n_used: int | None = N
       mixed:  rho_m Delta(rho_m^2)     = int W sin(rho_m x) dx,
               rho_m = (m - 1/2) pi.
     W is synthesized in the basis {1, 2 cos(pi m x)} or {2 sin(rho_m x)};
-    n_used >= 4*modes is a good rule of thumb.
+    a spectrum of >= 4*modes eigenvalues is a good rule of thumb.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
-    if n_used is None:
-        n_used = spec.count
     need = modes + 1 if (spec.alpha, spec.beta) == (1, 1) else modes
-    if n_used < need:
-        raise ValueError(f"need at least {need} eigenvalues for {modes} modes, have {n_used}")
+    if spec.count < need:
+        raise ValueError(f"need at least {need} eigenvalues for {modes} modes, have {spec.count}")
     if modes >= k * m:
         raise ValueError(f"modes={modes} would alias on a {k}x{m} grid")
     x = (np.arange(k * m) + 0.5) / (k * m)
@@ -399,16 +393,16 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int, n_used: int | None = N
     a, b = spec.alpha, spec.beta
     if a == b:
         if a == 1:
-            w += delta_from_spectrum(spec, n_used, 0.0)  # mean of W
+            w += delta_from_spectrum(spec, spec.count, 0.0)  # mean of W
         for mm in range(1, modes + 1):
             lam = (math.pi * mm) ** 2
-            coef = delta_from_spectrum(spec, n_used, lam)
+            coef = delta_from_spectrum(spec, spec.count, lam)
             if a == 0:
                 coef *= lam
             w += 2.0 * coef * np.cos(math.pi * mm * x)
     else:
         for mm in range(1, modes + 1):
             rho = (mm - 0.5) * math.pi
-            coef = rho * delta_from_spectrum(spec, n_used, rho**2)
+            coef = rho * delta_from_spectrum(spec, spec.count, rho**2)
             w += 2.0 * coef * np.sin(rho * x)
     return GridFunction(k, m, w)

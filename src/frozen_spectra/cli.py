@@ -79,8 +79,9 @@ def _load_config(args) -> ProblemConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-        data = data.get("config", data)
-        return ProblemConfig.from_dict(data)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: expected a JSON object, got {type(data).__name__}")
+        return ProblemConfig.from_dict(data.get("config", data))
     return make_config(args.alpha, args.beta, args.j, args.k)
 
 
@@ -241,12 +242,12 @@ def cmd_isospectral(args) -> RunManifest:
     )
 
 
-def _render_svg(report, m: int = 96, width: int = 640, height: int = 360) -> str:
+def _render_svg(supp: GridFunction) -> str:
     """Piecewise profile of the supplement as one polyline per subinterval."""
-    xs, ys = report.samples(m)
-    k = report.config.k
+    xs, ys = supp.midpoints(), supp.values.real
+    m = supp.m
     lo, hi = min(ys.min(), -1.05), max(ys.max(), 1.05)
-    pad = 30.0
+    width, height, pad = 640, 360, 30.0
 
     def sx(x):
         return pad + x * (width - 2 * pad)
@@ -262,7 +263,7 @@ def _render_svg(report, m: int = 96, width: int = 640, height: int = 360) -> str
         f'<line x1="{sx(0):.2f}" y1="{sy(0):.2f}" x2="{sx(1):.2f}" y2="{sy(0):.2f}" '
         'stroke="#bbb" stroke-width="1"/>',
     ]
-    for seg in range(k):
+    for seg in range(supp.k):
         pts = " ".join(
             f"{sx(x):.2f},{sy(y):.2f}"
             for x, y in zip(xs[seg * m : (seg + 1) * m], ys[seg * m : (seg + 1) * m])
@@ -275,13 +276,13 @@ def _render_svg(report, m: int = 96, width: int = 640, height: int = 360) -> str
 def cmd_example(args) -> RunManifest:
     report = reference_example(args.id)
     outputs = _emit(report.table + "\n", args.out)
-    if args.samples_out:
-        base = GridFunction.zeros(report.config.k, args.m)
-        supp = build_isospectral_potential(base, report.config, quadratic_profile(report.config.k))
-        write_csv(supp, args.samples_out)
-        outputs.append(args.samples_out)
-    if args.svg:
-        outputs += _emit(_render_svg(report, m=args.m), args.svg)
+    if args.samples_out or args.svg:
+        supp = report.supplement(args.m)
+        if args.samples_out:
+            write_csv(supp, args.samples_out)
+            outputs.append(args.samples_out)
+        if args.svg:
+            outputs += _emit(_render_svg(supp), args.svg)
     return RunManifest(config=report.config.to_dict(), inputs={"id": args.id}, outputs=outputs)
 
 

@@ -41,15 +41,13 @@ class ProblemConfig:
     def a(self) -> Fraction:
         return Fraction(self.j, self.k)
 
-    @property
-    def is_normalized(self) -> bool:
-        return 2 * self.j <= self.k
-
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta, "j": self.j, "k": self.k}
 
     @staticmethod
     def from_dict(d: dict) -> "ProblemConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         return make_config(d["alpha"], d["beta"], d["j"], d["k"])
 
 
@@ -67,10 +65,10 @@ class Classification:
 
 def make_config(alpha: int, beta: int, j: int, k: int) -> ProblemConfig:
     """Validated config with j/k silently reduced to lowest terms."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (alpha, beta, j, k)):
+        raise ValueError("alpha, beta, j and k must be integers")
     if alpha not in (0, 1) or beta not in (0, 1):
         raise ValueError("alpha and beta must be 0 or 1")
-    if not isinstance(j, int) or not isinstance(k, int):
-        raise ValueError("j and k must be integers")
     if k < 1:
         raise ValueError("k must be a positive integer")
     if not 0 <= j <= k:

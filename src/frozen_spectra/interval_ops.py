@@ -7,7 +7,7 @@ reflection x -> 2*nu*b - x used below an exact permutation of grid
 indices: no interpolation ever happens in this module.
 
 The chop operators map a function on (0,1) to a k-vector of functions on
-(0,b):
+(0,b), returned as a (k, m) array whose row nu-1 samples the nu-th one:
     Q_nu f(t) = f((nu-1)b + t)        nu odd
                 f(nu b - t)           nu even
     R_nu f(t) = f((k-nu)b + t)        j+nu even
@@ -30,6 +30,8 @@ class GridFunction:
     values: np.ndarray  # complex, length k*m
 
     def __post_init__(self):
+        if self.k < 1 or self.m < 1:
+            raise ValueError(f"a grid needs k >= 1 and m >= 1, got k={self.k}, m={self.m}")
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (self.k * self.m,):
             raise ValueError(f"expected {self.k * self.m} samples, got shape {v.shape}")
@@ -63,19 +65,6 @@ class GridFunction:
     def _check_aligned(self, other: "GridFunction") -> None:
         if (self.k, self.m) != (other.k, other.m):
             raise ValueError(f"grid mismatch: ({self.k},{self.m}) vs ({other.k},{other.m})")
-
-
-@dataclass(frozen=True, eq=False)
-class SubintervalVector:
-    k: int
-    m: int
-    components: np.ndarray  # complex, shape (k, m)
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=complex)
-        if c.shape != (self.k, self.m):
-            raise ValueError(f"expected shape ({self.k},{self.m}), got {c.shape}")
-        object.__setattr__(self, "components", c)
 
 
 def subinterval_midpoints(k: int, m: int) -> np.ndarray:
@@ -118,39 +107,40 @@ def _r_permutation(j_parity: int, k: int, m: int) -> np.ndarray:
     return _check_permutation(perm, k * m)
 
 
-def q_apply(f: GridFunction) -> SubintervalVector:
-    """Chop f into the k-vector (f, Q_2 f, ..., Q_k f) on (0, b)."""
-    perm = _q_permutation(f.k, f.m)
-    return SubintervalVector(f.k, f.m, f.values[perm])
+def _scatter(perm: np.ndarray, comps: np.ndarray) -> GridFunction:
+    """The grid function whose samples at perm are comps, entry by entry."""
+    k, m = perm.shape
+    out = np.empty(k * m, dtype=complex)
+    out[perm.ravel()] = comps.ravel()
+    return GridFunction(k, m, out)
 
 
-def q_inverse(vec: SubintervalVector) -> GridFunction:
-    """Reassemble a function on (0,1); exact inverse of q_apply."""
-    perm = _q_permutation(vec.k, vec.m)
-    out = np.empty(vec.k * vec.m, dtype=complex)
-    out[perm.ravel()] = vec.components.ravel()
-    return GridFunction(vec.k, vec.m, out)
+def q_apply(f: GridFunction) -> np.ndarray:
+    """Chop f into the k-vector (f, Q_2 f, ..., Q_k f) on (0, b), shape (k, m)."""
+    return f.values[_q_permutation(f.k, f.m)]
 
 
-def r_apply(f: GridFunction, j: int) -> SubintervalVector:
-    """Chop f into (R_1 f, ..., R_k f); the layout depends on parity of j+nu."""
-    perm = _r_permutation(j % 2, f.k, f.m)
-    return SubintervalVector(f.k, f.m, f.values[perm])
+def q_inverse(comps: np.ndarray) -> GridFunction:
+    """Reassemble a (k, m) array into a function on (0,1); exact inverse of q_apply."""
+    return _scatter(_q_permutation(*comps.shape), comps)
 
 
-def r_inverse(vec: SubintervalVector, j: int) -> GridFunction:
-    """Reassemble a function on (0,1); exact inverse of r_apply.
+def r_apply(f: GridFunction, j: int) -> np.ndarray:
+    """Chop f into (R_1 f, ..., R_k f), shape (k, m); the layout depends on parity of j+nu."""
+    return f.values[_r_permutation(j % 2, f.k, f.m)]
+
+
+def r_inverse(comps: np.ndarray, j: int) -> GridFunction:
+    """Reassemble a (k, m) array into a function on (0,1); exact inverse of r_apply.
 
     Component nu lands on ((k-nu)b, (k-nu+1)b), shifted for even j+nu and
     reflected for odd j+nu.  Even j with even k is rejected (coprime j, k
     never produce it).
     """
-    if j % 2 == 0 and vec.k % 2 == 0:
+    k, m = comps.shape
+    if j % 2 == 0 and k % 2 == 0:
         raise ValueError("even j with even k is outside the coprime family")
-    perm = _r_permutation(j % 2, vec.k, vec.m)
-    out = np.empty(vec.k * vec.m, dtype=complex)
-    out[perm.ravel()] = vec.components.ravel()
-    return GridFunction(vec.k, vec.m, out)
+    return _scatter(_r_permutation(j % 2, k, m), comps)
 
 
 def write_csv(f: GridFunction, path) -> None:

@@ -1,11 +1,13 @@
-"""End-to-end flows: iso-spectral families and spectrum-to-potential recovery.
+"""End-to-end flows: iso-spectral potentials and spectrum-to-potential recovery.
 
 In the degenerate cases the solution set of the inverse problem is the
 affine family q0 + R^{-1}(X f) where X is the +-1 kernel vector of the
-frozen matrix and f ranges over functions on (0, b).  This module builds
-such supplements, renders the catalog of worked reference cases (symbolic
-sign/argument tables plus plot samples), and chains
-product -> W -> linear solve for the full reconstruction from a spectrum.
+frozen matrix and f ranges over functions on (0, b); the supplement
+R^{-1}(X f) is main_equation.null_direction.  This module adds it to a
+base potential, renders the catalog of worked reference cases (symbolic
+sign/argument tables plus the supplement of the model profile), and
+chains product -> W -> linear solve for the full reconstruction from a
+spectrum.
 """
 
 from __future__ import annotations
@@ -18,32 +20,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characteristic import Spectrum, asymptotic_eigenvalue, extract_w
-from .core_params import Kind, ProblemConfig, classify, make_config
+from .core_params import ProblemConfig, make_config
 from .frozen_matrix import kernel
-from .interval_ops import GridFunction, SubintervalVector, r_inverse, subinterval_midpoints
-from .main_equation import MainEqSolution, solve_inverse
+from .interval_ops import GridFunction, subinterval_midpoints
+from .main_equation import MainEqSolution, null_direction, solve_inverse
 
 
 class SpectrumMismatchError(ValueError):
     """Input spectrum does not follow the (alpha, beta) asymptotics."""
-
-
-@dataclass(frozen=True, eq=False)
-class IsoSpectralFamily:
-    base: GridFunction
-    config: ProblemConfig
-    kernel_vector: tuple[int, ...]
-
-    def supplement(self, f) -> GridFunction:
-        """R^{-1}(X f) for f on (0, b); independent of the base potential."""
-        samples = _profile_samples(f, self.config.k, self.base.m)
-        comps = np.outer(np.array(self.kernel_vector, dtype=complex), samples)
-        return r_inverse(
-            SubintervalVector(self.config.k, self.base.m, comps), self.config.j
-        )
-
-    def potential(self, f) -> GridFunction:
-        return self.base + self.supplement(f)
 
 
 def _profile_samples(f, k: int, m: int) -> np.ndarray:
@@ -56,25 +40,16 @@ def _profile_samples(f, k: int, m: int) -> np.ndarray:
     return samples
 
 
-def make_family(q0: GridFunction, config: ProblemConfig) -> IsoSpectralFamily:
-    """Iso-spectral family around q0; config must be degenerate."""
-    if q0.k != config.k:
-        raise ValueError(f"grid has k={q0.k} but config needs k={config.k}")
-    if classify(config).kind is not Kind.DEGENERATE:
-        raise ValueError(
-            "iso-spectral supplements exist only in the degenerate cases; "
-            f"{config} is non-degenerate"
-        )
-    return IsoSpectralFamily(q0, config, kernel(config).generator)
-
-
 def build_isospectral_potential(q0: GridFunction, config: ProblemConfig, f) -> GridFunction:
     """A potential sharing the whole spectrum with q0.
 
     Steps: take the kernel sign vector X of the frozen matrix, lift a
-    nonzero profile f on (0, b) to F = X f, and add R^{-1}F to q0.
+    nonzero profile f on (0, b) to F = X f, and add R^{-1}F to q0.  f is a
+    callable on (0, b) or its m samples; config must be degenerate.
     """
-    return make_family(q0, config).potential(f)
+    if q0.k != config.k:
+        raise ValueError(f"grid has k={q0.k} but config needs k={config.k}")
+    return q0 + null_direction(config, _profile_samples(f, config.k, q0.m))
 
 
 def quadratic_profile(k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -108,13 +83,10 @@ class ExampleReport:
     def table(self) -> str:
         return "\n".join(self.rows)
 
-    def samples(self, m: int = 128) -> tuple[np.ndarray, np.ndarray]:
-        """Plot data for the supplement R^{-1}(X f) with the model profile."""
+    def supplement(self, m: int) -> GridFunction:
+        """The supplement R^{-1}(X f) of the model profile f, m samples per subinterval."""
         k = self.config.k
-        base = GridFunction.zeros(k, m)
-        fam = IsoSpectralFamily(base, self.config, self.kernel_vector)
-        supp = fam.supplement(quadratic_profile(k))
-        return supp.midpoints(), supp.values.real
+        return null_direction(self.config, _profile_samples(quadratic_profile(k), k, m))
 
 
 def _piecewise_rows(x: Sequence[int], j: int, k: int) -> tuple[str, ...]:

@@ -5,7 +5,11 @@ W is the function the spectrum determines; the potential solves
 with A the frozen matrix.  The forward map is implemented twice (explicit
 three-branch formula and matrix form) so each can serve as the other's
 oracle; the inverse solve decouples into one k x k linear system per grid
-point of (0, b).
+point of (0, b).  In the degenerate cases the forward map has the null
+direction R^{-1}(X f), X the +-1 kernel vector of A and f any function on
+(0, b): it is the kernel direction of the inverse solve and the
+supplement of every iso-spectral family, and null_direction is the one
+place it is built.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .core_params import Kind, ProblemConfig, classify, sign_pair
 from .frozen_matrix import build_matrix, kernel
-from .interval_ops import GridFunction, SubintervalVector, q_apply, q_inverse, r_apply, r_inverse
+from .interval_ops import GridFunction, q_apply, q_inverse, r_apply, r_inverse
 
 
 class InconsistentSystemError(ValueError):
@@ -26,8 +30,7 @@ class InconsistentSystemError(ValueError):
 @dataclass(frozen=True, eq=False)
 class MainEqSolution:
     particular: GridFunction
-    kernel_generator: GridFunction | None
-    degenerate: bool
+    kernel_generator: GridFunction | None  # None in the non-degenerate cases
 
 
 def _check_grid(f: GridFunction, config: ProblemConfig) -> None:
@@ -68,9 +71,23 @@ def forward_w_matrix(q: GridFunction, config: ProblemConfig) -> GridFunction:
     _check_grid(q, config)
     a = build_matrix(config).as_array(float)
     pref = 0.5 * (-1) ** (config.alpha * config.beta)
-    chopped = r_apply(q, config.j)
-    mixed = pref * (a @ chopped.components)
-    return q_inverse(SubintervalVector(q.k, q.m, mixed))
+    return q_inverse(pref * (a @ r_apply(q, config.j)))
+
+
+def null_direction(config: ProblemConfig, profile: np.ndarray) -> GridFunction:
+    """R^{-1}(X f) for the m samples f of a profile on (0, b), b = 1/k.
+
+    X is the +-1 kernel vector of the frozen matrix, so the forward map
+    sends the result to zero; only the degenerate configs have one, and
+    any other config raises ValueError.
+    """
+    if classify(config).kind is not Kind.DEGENERATE:
+        raise ValueError(
+            "iso-spectral supplements exist only in the degenerate cases; "
+            f"{config} is non-degenerate"
+        )
+    x = np.array(kernel(config).generator, dtype=complex)
+    return r_inverse(np.outer(x, profile), config.j)
 
 
 def solve_inverse(
@@ -94,12 +111,9 @@ def solve_inverse(
             "identically zero, so W determines nothing about the potential"
         )
     a = build_matrix(config).as_array(float)
-    rhs = 2.0 * (-1) ** (config.alpha * config.beta) * q_apply(w).components
-    degenerate = classify(config).kind is Kind.DEGENERATE
-    if not degenerate:
-        sol = np.linalg.solve(a, rhs)
-        particular = r_inverse(SubintervalVector(w.k, w.m, sol), config.j)
-        return MainEqSolution(particular, None, False)
+    rhs = 2.0 * (-1) ** (config.alpha * config.beta) * q_apply(w)
+    if classify(config).kind is not Kind.DEGENERATE:
+        return MainEqSolution(r_inverse(np.linalg.solve(a, rhs), config.j), None)
 
     sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     resid = np.abs(a @ sol - rhs).max(axis=0)
@@ -111,9 +125,4 @@ def solve_inverse(
             f"W is not attainable: relative residual {resid[worst] / scale:.3e} "
             f"at grid point t={t_worst:.6f} exceeds {residual_rtol:.1e}"
         )
-    particular = r_inverse(SubintervalVector(w.k, w.m, sol), config.j)
-    x = np.array(kernel(config).generator, dtype=complex)
-    gen = r_inverse(
-        SubintervalVector(w.k, w.m, np.outer(x, np.ones(w.m))), config.j
-    )
-    return MainEqSolution(particular, gen, True)
+    return MainEqSolution(r_inverse(sol, config.j), null_direction(config, np.ones(w.m)))

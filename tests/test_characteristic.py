@@ -89,7 +89,7 @@ def test_eigenvalue_ordering_and_spectrum_json(tmp_path, rng):
     cfg = make_config(0, 1, 1, 3)
     q = GridFunction.from_callable(smooth_potential, 3, 64)
     s = eigenvalues(q, cfg, 6)
-    assert s.count == 6 and s.index_offset == 0.5
+    assert s.count == 6
     # asymptotic order: real parts increase
     reals = [z.real for z in s.eigenvalues]
     assert reals == sorted(reals)

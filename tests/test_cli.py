@@ -165,6 +165,32 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["type"]
 
 
+@pytest.mark.parametrize("text", ["[1]", '{"config": 5}', '{"alpha": true, "beta": 0, "j": 1, "k": 3}'],
+                         ids=["list", "config-int", "alpha-bool"])
+def test_malformed_config_exit_code(text, tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(text)
+    code, out, err = run(capsys, "matrix", "--config", str(cfgfile), "--out", str(tmp_path / "m.json"))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("argv", [["eigs", "--q", "demo", "--m", "0", "--count", "3"],
+                                  ["forward-w", "--q", "{csv}", "--out", "w.csv"],
+                                  ["invert", "--w", "{csv}", "--out", "q.csv"]],
+                         ids=["eigs-m0", "forward-w-csv", "invert-csv"])
+def test_zero_sample_grid_exit_code(argv, tmp_path, capsys, monkeypatch):
+    csv = tmp_path / "m0.csv"
+    csv.write_text("# k=1 m=0\n")
+    monkeypatch.chdir(tmp_path)
+    cfg = ["--alpha", "1", "--beta", "0", "--j", "0", "--k", "1"]
+    code, out, err = run(capsys, *(a.format(csv=csv) for a in argv), *cfg)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m0.csv"]
+
+
 def test_invert_rejects_extra_rows_exit_code(tmp_path, capsys):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"alpha": 0, "beta": 1, "j": 1, "k": 2}))

@@ -21,7 +21,8 @@ def test_make_config_degenerate_endpoints():
 
 @pytest.mark.parametrize(
     "bad",
-    [(0, 0, 1, 0), (0, 0, -1, 3), (0, 0, 4, 3), (2, 0, 1, 3), (0, 3, 1, 3)],
+    [(0, 0, 1, 0), (0, 0, -1, 3), (0, 0, 4, 3), (2, 0, 1, 3), (0, 3, 1, 3),
+     (True, 0, 1, 3), (0, False, 1, 3), (0, 0, True, 3), (0, 0, 1, True), (1.0, 0, 1, 3)],
 )
 def test_make_config_rejects(bad):
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from frozen_spectra import (
     GridFunction,
-    SubintervalVector,
     q_apply,
     q_inverse,
     r_apply,
@@ -49,20 +48,20 @@ def test_q_apply_k2_layout():
     f = GridFunction(2, 4, np.arange(8, dtype=complex))
     chopped = q_apply(f)
     # first component: f on (0, 1/2); second: f(1 - t), i.e. reversed tail
-    assert np.array_equal(chopped.components[0], np.arange(4))
-    assert np.array_equal(chopped.components[1], np.arange(7, 3, -1))
+    assert np.array_equal(chopped[0], np.arange(4))
+    assert np.array_equal(chopped[1], np.arange(7, 3, -1))
 
 
 def test_q_apply_k1_is_identity():
     f = GridFunction(1, 6, np.arange(6, dtype=complex))
-    assert np.array_equal(q_apply(f).components[0], f.values)
+    assert np.array_equal(q_apply(f)[0], f.values)
 
 
 def test_constants_are_preserved():
     f = GridFunction.from_callable(lambda x: 3.5 - 1j, 5, 8)
-    for comp in q_apply(f).components:
+    for comp in q_apply(f):
         assert np.allclose(comp, 3.5 - 1j)
-    for comp in r_apply(f, 2).components:
+    for comp in r_apply(f, 2):
         assert np.allclose(comp, 3.5 - 1j)
 
 
@@ -71,7 +70,7 @@ def test_r_inverse_piecewise_layout(j, k):
     """Component nu fills ((k-nu)b, (k-nu+1)b): shifted for even j+nu, reflected for odd."""
     m = 5
     comps = np.array([[complex(nu, i) for i in range(m)] for nu in range(1, k + 1)])
-    g = r_inverse(SubintervalVector(k, m, comps), j)
+    g = r_inverse(comps, j)
     out = g.values.reshape(k, m)
     for nu in range(1, k + 1):
         seg = out[k - nu]
@@ -84,13 +83,13 @@ def test_r_inverse_piecewise_layout(j, k):
 def test_r_inverse_rejects_even_even():
     comps = np.zeros((4, 3), dtype=complex)
     with pytest.raises(ValueError):
-        r_inverse(SubintervalVector(4, 3, comps), 2)
+        r_inverse(comps, 2)
 
 
 def test_l1_preservation(rng):
     f = GridFunction(6, 16, rng.normal(size=96) + 1j * rng.normal(size=96))
     for vec in (q_apply(f), r_apply(f, 1), r_apply(f, 2)):
-        assert np.isclose(np.abs(vec.components).mean(), np.abs(f.values).mean())
+        assert np.isclose(np.abs(vec).mean(), np.abs(f.values).mean())
 
 
 def test_midpoint_grids():
@@ -137,5 +136,8 @@ def test_csv_rejects_non_finite_values(tmp_path):
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridFunction(2, 4, np.zeros(7, dtype=complex))
+    for k, m in ((1, 0), (0, 4)):
+        with pytest.raises(ValueError, match="k >= 1 and m >= 1"):
+            GridFunction(k, m, [])
     with pytest.raises(ValueError):
         GridFunction.zeros(2, 4) + GridFunction.zeros(4, 2)

@@ -14,7 +14,7 @@ from frozen_spectra import (
     eigenvalues,
     invert_from_spectrum,
     make_config,
-    make_family,
+    null_direction,
     quadratic_profile,
     reference_example,
 )
@@ -42,15 +42,13 @@ def test_supplement_is_linear_and_base_independent(rng):
     cfg = make_config(1, 1, 3, 8)
     q0 = GridFunction(8, 16, rng.normal(size=128) + 0j)
     q1 = GridFunction(8, 16, rng.normal(size=128) + 1j * rng.normal(size=128))
-    fam0, fam1 = make_family(q0, cfg), make_family(q1, cfg)
     f1 = rng.normal(size=16) + 1j * rng.normal(size=16)
     f2 = rng.normal(size=16)
     # linearity
-    s12 = fam0.supplement(f1 + f2)
-    assert np.allclose(s12.values, (fam0.supplement(f1) + fam0.supplement(f2)).values)
-    # the supplement never depends on the base potential (bit-exact)
-    assert np.array_equal(fam0.supplement(f1).values, fam1.supplement(f1).values)
-    # recovering it by subtraction only adds one rounding step per entry
+    s12 = null_direction(cfg, f1 + f2)
+    assert np.allclose(s12.values, (null_direction(cfg, f1) + null_direction(cfg, f2)).values)
+    # the added supplement does not depend on the base: recovering it by
+    # subtraction only adds one rounding step per entry
     d0 = (build_isospectral_potential(q0, cfg, f1) - q0).values
     d1 = (build_isospectral_potential(q1, cfg, f1) - q1).values
     assert np.abs(d0 - d1).max() < 1e-14
@@ -83,9 +81,9 @@ def test_reference_example_details():
 
 def test_reference_example_samples_follow_the_table():
     rep = reference_example("III")  # first row: -f(x) on (0,1/7)
-    xs, ys = rep.samples(m=40)
+    supp = rep.supplement(40)
     f = quadratic_profile(7)
-    assert np.allclose(ys[:40], -f(xs[:40]))
+    assert np.allclose(supp.values[:40], -f(supp.midpoints()[:40]))
 
 
 @pytest.mark.parametrize("case_id", ["I7", "II", "III", "IV"])
@@ -140,7 +138,7 @@ def test_degenerate_pipeline_closed_loop():
     q = GridFunction.from_callable(smooth_potential, 2, 128)
     spec = eigenvalues(q, cfg, 160)
     sol = invert_from_spectrum(spec, cfg, 128, 160, 40)
-    assert sol.degenerate and sol.kernel_generator is not None
+    assert sol.kernel_generator is not None
     # the recovered representative reproduces the input spectrum
     s2 = eigenvalues(sol.particular, cfg, 20)
     for a, b in zip(spec.eigenvalues[:20], s2.eigenvalues):

@@ -5,10 +5,12 @@ from conftest import coprime_configs, random_grid
 from frozen_spectra import (
     GridFunction,
     InconsistentSystemError,
+    Kind,
+    classify,
     forward_w_direct,
     forward_w_matrix,
     make_config,
-    make_family,
+    null_direction,
     solve_inverse,
 )
 
@@ -63,7 +65,7 @@ def test_nondegenerate_round_trip(rng):
     q = random_grid(3, 32, rng)
     w = forward_w_direct(q, cfg)
     sol = solve_inverse(w, cfg)
-    assert not sol.degenerate and sol.kernel_generator is None
+    assert sol.kernel_generator is None
     assert np.abs(sol.particular.values - q.values).max() < 1e-10
     # W -> q -> W for arbitrary W (any W is attainable here)
     w_any = random_grid(3, 32, rng)
@@ -79,7 +81,7 @@ def test_nondegenerate_unique_solution_two_solvers(rng):
     cfg = make_config(1, 0, 1, 4)
     w = forward_w_direct(random_grid(4, 16, rng), cfg)
     a = build_matrix(cfg).as_array(float)
-    rhs = 2.0 * q_apply(w).components
+    rhs = 2.0 * q_apply(w)
     lu = np.linalg.solve(a, rhs)
     ls, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     assert np.abs(lu - ls).max() < 1e-10
@@ -90,17 +92,33 @@ def test_degenerate_solution_and_kernel(rng):
     q = random_grid(2, 24, rng)
     w = forward_w_direct(q, cfg)
     sol = solve_inverse(w, cfg)
-    assert sol.degenerate and sol.kernel_generator is not None
+    assert sol.kernel_generator is not None
     # the particular solution reproduces W even though it differs from q
     back = forward_w_direct(sol.particular, cfg)
     assert np.abs(back.values - w.values).max() < 1e-10
     # any multiple of the kernel direction is invisible to the forward map
-    fam = make_family(q, cfg)
     for seed in range(3):
         f = np.random.default_rng(seed).normal(size=24) + 0.5j
-        supp = fam.supplement(f)
+        supp = null_direction(cfg, f)
         w2 = forward_w_direct(q + supp, cfg)
         assert np.abs(w2.values - w.values).max() < 1e-12
+
+
+def test_null_direction_maps_to_exactly_zero(rng):
+    # every entry of A R(R^{-1}(X f)) is a +-f sample cancelling its partner
+    degenerate = 0
+    for cfg in coprime_configs(16):
+        f = rng.normal(size=8) + 1j * rng.normal(size=8)
+        if classify(cfg).kind is Kind.NON_DEGENERATE:
+            with pytest.raises(ValueError, match="non-degenerate"):
+                null_direction(cfg, f)
+            continue
+        degenerate += 1
+        g = null_direction(cfg, f)
+        assert (g.k, g.m) == (cfg.k, 8)
+        assert np.all(forward_w_direct(g, cfg).values == 0)
+        assert np.all(forward_w_matrix(g, cfg).values == 0)
+    assert degenerate == 80
 
 
 def test_degenerate_inconsistent_w_is_rejected():
