@@ -7,6 +7,12 @@ here is exact integer arithmetic: characteristic polynomials via the
 tridiagonal recurrence, closed-form determinants, the Chebyshev reduction
 of j > 1 to j = 1, and kernel vectors.  Floats appear only in the numeric
 eigenvalue cross-checks.
+
+For k >= 2 every main-equation matrix is a signed sum of two permutations:
+exactly two nonzeros per row and per column.  Matrices are stored as
+sparse rows, the Chebyshev recurrence steps on sparse rows, and det/rank
+follow the cycles of the row-column graph; the dense form is built only
+on demand.
 """
 
 from __future__ import annotations
@@ -16,26 +22,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import intlinalg
 from .chebyshev import IntPolynomial, X, imag_scaled_cheb_int, scaled_cheb_int
 from .core_params import Kind, ProblemConfig, SignPair, classify, make_config, sign_pair
+
+
+# Per row, its nonzeros as (col, value) pairs sorted by column.
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
 class FrozenMatrix:
     config: ProblemConfig
     signs: SignPair
-    entries: tuple[tuple[int, ...], ...]
+    rows: SparseRows
 
     @property
     def k(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def as_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
+        dense = [[0] * self.k for _ in self.rows]
+        for out, row in zip(dense, self.rows):
+            for col, v in row:
+                out[col] = v
+        return dense
 
     def as_array(self, dtype=float) -> np.ndarray:
-        return np.array(self.entries, dtype=dtype)
+        return np.array(self.as_lists(), dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -45,39 +58,35 @@ class KernelDescriptor:
 
 
 def build_matrix(config: ProblemConfig) -> FrozenMatrix:
-    """Exact entries of the k x k main-equation matrix.
+    """Exact sparse rows of the k x k main-equation matrix, in O(k).
 
     For k >= 2 the four families are
       (i)   a[m, j-m+1] = 1   m = 1..j        (top-left antidiagonal)
       (ii)  a[m, m+j]   = d   m = 1..k-j      (upper subdiagonal)
       (iii) a[m, m-j]   = c   m = j+1..k      (lower subdiagonal)
       (iv)  a[m, 2k-m-j+1] = c  m = k-j+1..k  (bottom-right antidiagonal)
-    (1-based indices).  For 1 <= j <= k/2 the families never overlap: (i)
-    and (iii) sit in disjoint rows, as do (ii) and (iv), and (i) and (iv)
-    since j < k-j+1; (ii) and (iii) would need j = 0, and (i)/(ii) and
-    (iii)/(iv) a half-integer row.  Every value is +-1, so exactly 2k
-    nonzero entries is asserted.  For k = 1 (a = 0) the single entry is
-    2*c*alpha.
+    (1-based indices).  For 1 <= j <= k/2 row m gets one entry from (i) or
+    (iii) and one from (ii) or (iv), and the two never share a column: (ii)
+    and (iii) would need j = 0, (i)/(ii) and (iii)/(iv) a half-integer row.
+    Two distinct columns per row is asserted.  For k = 1 (a = 0) the single
+    entry is 2*c*alpha, stored only when nonzero.
     """
     j, k = config.j, config.k
     signs = sign_pair(config)
     c, d = signs.c, signs.d
     if k == 1:
-        return FrozenMatrix(config, signs, ((2 * c * config.alpha,),))
+        v = 2 * c * config.alpha
+        return FrozenMatrix(config, signs, (((0, v),) if v else (),))
     if not 1 <= j or 2 * j > k:
         raise ValueError(f"need a normalized config with 1 <= j <= k/2, got j={j}, k={k}")
-    entries = [[0] * k for _ in range(k)]
-    for m in range(1, j + 1):
-        entries[m - 1][j - m] = 1
-    for m in range(1, k - j + 1):
-        entries[m - 1][m + j - 1] = d
-    for m in range(j + 1, k + 1):
-        entries[m - 1][m - j - 1] = c
-    for m in range(k - j + 1, k + 1):
-        entries[m - 1][2 * k - m - j] = c
-    if sum(k - row.count(0) for row in entries) != 2 * k:
-        raise AssertionError(f"subdiagonal families overlap for j={j}, k={k}")
-    return FrozenMatrix(config, signs, tuple(tuple(row) for row in entries))
+    rows = []
+    for m in range(1, k + 1):
+        left = (j - m, 1) if m <= j else (m - j - 1, c)  # (i) or (iii)
+        right = (m + j - 1, d) if m <= k - j else (2 * k - m - j, c)  # (ii) or (iv)
+        if left[0] == right[0]:
+            raise AssertionError(f"subdiagonal families overlap in row {m} for j={j}, k={k}")
+        rows.append((left, right) if left[0] < right[0] else (right, left))
+    return FrozenMatrix(config, signs, tuple(rows))
 
 
 def _tridiag_char_polys(k: int, alpha: int, beta: int) -> list[IntPolynomial]:
@@ -184,58 +193,57 @@ def numeric_spectrum_j1(k: int, alpha: int, beta: int) -> list[complex]:
     return polished
 
 
-def _row_pairs(m: list[list[int]]) -> list[tuple[int, int, int, int]]:
-    """Nonzeros of each row of m as (col, value, col, value).
+def reductions_j1(alpha: int, beta: int, k: int):
+    """Yield (j, rows) for j = 1..k/2 from one run of the Chebyshev reduction.
 
-    A row with fewer than two nonzeros is padded with (0, 0) terms.  The
-    at-most-two-per-row pattern of j = 1 matrices is asserted.
-    """
-    pairs = []
-    for i, row in enumerate(m):
-        nz = [(col, v) for col, v in enumerate(row) if v]
-        if len(nz) > 2:
-            raise AssertionError(f"row {i} has {len(nz)} nonzeros, expected at most 2")
-        nz += [(0, 0)] * (2 - len(nz))
-        pairs.append((*nz[0], *nz[1]))
-    return pairs
-
-
-def _mul_sub(pairs, y: list[list[int]], sub: list[list[int]]) -> list[list[int]]:
-    """M @ y - sub, with M given by its _row_pairs: two scaled rows of y per row."""
-    return [
-        [s * a + t * b - z for a, b, z in zip(y[p], y[q], sub_row)]
-        for (p, s, q, t), sub_row in zip(pairs, sub)
-    ]
-
-
-def reduce_to_j1(config: ProblemConfig) -> list[list[int]]:
-    """Build the j > 1 matrix from j = 1 matrices via Chebyshev polynomials.
-
+    Theorem 2 builds the j > 1 matrix from j = 1 matrices:
     alpha = 0:  U_{j-1}(-(c/2) B) * A1   with B the (1, 1-beta) matrix and
                 A1 the (0, beta) one;
     alpha = 1:  2c T_j((c/2) B)         with B the (1, beta) matrix.
-    With M = -c B resp. c B, both are evaluated by the matrix three-term
-    recurrence Z_{n+1} = M Z_n - Z_{n-1}: from Z_0 = A1, Z_1 = M A1 up to
-    Z_{j-1} for alpha = 0, and from Z_0 = 2I, Z_1 = M up to c Z_j for
-    alpha = 1.  B has at most two nonzeros per row, so each step is two
-    scaled row adds per row and the whole reduction costs O(j k^2).  M is
-    an integer matrix and nothing is divided, so every Z_n stays in Z.
+    With M = -c B resp. c B, both are the matrix three-term recurrence
+    Z_{n+1} = M Z_n - Z_{n-1}, yielding Z_{j-1} from Z_0 = A1, Z_1 = M A1
+    for alpha = 0, and c Z_j from c Z_0 = 2c I, c Z_1 = B for alpha = 1
+    (c Z_n obeys the same recurrence).  c does not depend on j, so every j
+    is a prefix of one sequence.  M has two nonzeros per row and every Z_n
+    stays sparse, so each step is two scaled sparse-row adds per row, O(k).
+    M is an integer matrix and nothing is divided, so every Z_n stays in Z.
+    rows are sparse rows as in FrozenMatrix.rows; for gcd(j, k) = 1 they
+    equal those of build_matrix.
     """
+    if k < 2:
+        raise ValueError("reductions_j1 needs k >= 2")
+    c = sign_pair(make_config(alpha, beta, 1, k)).c
+    b = build_matrix(make_config(1, 1 - beta if alpha == 0 else beta, 1, k)).rows
+    s = -c if alpha == 0 else c
+    m = [((p, s * u), (q, s * t)) for (p, u), (q, t) in b]
+    if alpha == 0:
+        prev, cur = [()] * k, build_matrix(make_config(0, beta, 1, k)).rows
+    else:
+        prev, cur = [((i, 2 * c),) for i in range(k)], b
+    for j in range(1, k // 2 + 1):
+        yield j, tuple(cur)
+        prev, cur = cur, _mul_sub(m, cur, prev)
+
+
+def _mul_sub(m, y, sub) -> list[tuple[tuple[int, int], ...]]:
+    """M @ y - sub on sparse rows, with M given as ((col, value), (col, value)) per row."""
+    out = []
+    for ((p, s), (q, t)), sub_row in zip(m, sub):
+        row = {col: s * v for col, v in y[p]}
+        for col, v in y[q]:
+            row[col] = row.get(col, 0) + t * v
+        for col, v in sub_row:
+            row[col] = row.get(col, 0) - v
+        out.append(tuple(sorted((col, v) for col, v in row.items() if v)))
+    return out
+
+
+def reduce_to_j1(config: ProblemConfig) -> SparseRows:
+    """Sparse rows of the j > 1 matrix by the Chebyshev reduction (see reductions_j1)."""
     j, k = config.j, config.k
     if k < 2 or not 1 <= j or 2 * j > k:
         raise ValueError("reduce_to_j1 needs a normalized config with k >= 2 and 1 <= j <= k/2")
-    c = sign_pair(config).c
-    if config.alpha == 0:
-        m = intlinalg.mat_scale(-c, build_matrix(make_config(1, 1 - config.beta, 1, k)).as_lists())
-        prev = [[0] * k for _ in range(k)]
-        cur = build_matrix(make_config(0, config.beta, 1, k)).as_lists()
-    else:
-        m = intlinalg.mat_scale(c, build_matrix(make_config(1, config.beta, 1, k)).as_lists())
-        prev, cur = intlinalg.mat_scale(2, intlinalg.identity(k)), m
-    pairs = _row_pairs(m)
-    for _ in range(j - 1):
-        prev, cur = cur, _mul_sub(pairs, cur, prev)
-    return intlinalg.mat_scale(c, cur) if config.alpha else cur
+    return next(rows for jj, rows in reductions_j1(config.alpha, config.beta, k) if jj == j)
 
 
 _KERNEL_SIGNS = {
@@ -259,8 +267,7 @@ def kernel(config: ProblemConfig) -> KernelDescriptor:
         return KernelDescriptor(0, ())
     pattern = _KERNEL_SIGNS[(config.alpha, config.beta)]
     x = tuple(pattern(v) for v in range(1, config.k + 1))
-    a = build_matrix(config).as_lists()
-    if any(intlinalg.matvec(a, x)):
+    if any(sum(v * x[col] for col, v in row) for row in build_matrix(config).rows):
         raise AssertionError(f"closed-form kernel vector failed A X = 0 for {config}")
     return KernelDescriptor(1, x)
 
@@ -288,15 +295,76 @@ def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     return x
 
 
-def rank(matrix) -> int:
-    """Exact rank of an integer matrix (fraction-free elimination)."""
-    if isinstance(matrix, FrozenMatrix):
-        matrix = matrix.as_lists()
-    return intlinalg.bareiss_rank(matrix)
+def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple[int, int]]]:
+    """sgn(sigma_a) and (L, block det) per cycle of the row-column graph.
+
+    With exactly two nonzeros per row and per column (asserted) the
+    bipartite row-column graph is a union of even cycles, and the matrix is,
+    up to a permutation, the direct sum of one block per cycle.  Walking a
+    cycle of L rows picks an a-edge in each row and reaches the next row by
+    the b-edge of that column; the only permutations inside the block are
+    all-a and all-b, so the block det is prod(a) + (-1)^(L-1) prod(b), taken
+    relative to sigma_a, the permutation that picks every a-edge.
+    """
+    rows = matrix.rows
+    col_rows: list[list[tuple[int, int]]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        if len(row) != 2 or row[0][0] == row[1][0] or not (row[0][1] and row[1][1]):
+            raise AssertionError(f"row {i} is {row}, expected two nonzeros in distinct columns")
+        for col, v in row:
+            col_rows[col].append((i, v))
+    for col, entries in enumerate(col_rows):
+        if len(entries) != 2:
+            raise AssertionError(f"column {col} has {len(entries)} nonzeros, expected 2")
+    sigma_a = [-1] * len(rows)
+    blocks = []
+    for start in range(len(rows)):
+        if sigma_a[start] >= 0:
+            continue
+        i, (col, v) = start, rows[start][0]
+        prod_a = prod_b = 1
+        length = 0
+        while True:
+            sigma_a[i] = col
+            prod_a *= v
+            length += 1
+            (r1, w1), (r2, w2) = col_rows[col]
+            i, w = (r2, w2) if r1 == i else (r1, w1)
+            prod_b *= w
+            if i == start:
+                break
+            (c1, v1), (c2, v2) = rows[i]
+            col, v = (c2, v2) if c1 == col else (c1, v1)
+        blocks.append((length, prod_a + (-1) ** (length - 1) * prod_b))
+    return _perm_sign(sigma_a), blocks
 
 
-def det_exact(matrix) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    if isinstance(matrix, FrozenMatrix):
-        matrix = matrix.as_lists()
-    return intlinalg.bareiss_det(matrix)
+def _perm_sign(perm: list[int]) -> int:
+    """Sign of a permutation of 0..n-1: (-1)^(L-1) per cycle of L elements."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            sign = -sign
+        sign = -sign
+    return sign
+
+
+def rank(matrix: FrozenMatrix) -> int:
+    """Exact rank: L per cycle block with nonzero det, L - 1 per singular one."""
+    if matrix.k == 1:
+        return len(matrix.rows[0])
+    return sum(length if det else length - 1 for length, det in _cycle_blocks(matrix)[1])
+
+
+def det_exact(matrix: FrozenMatrix) -> int:
+    """Exact determinant: sgn(sigma_a) times the product of the cycle-block dets."""
+    if matrix.k == 1:
+        return sum(v for _, v in matrix.rows[0])
+    sign, blocks = _cycle_blocks(matrix)
+    return sign * math.prod(det for _, det in blocks)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core_params import Kind, classify, coprime_configs, make_config
+from .core_params import Kind, ProblemConfig, classify, coprime_configs, make_config
 from .frozen_matrix import (
     build_matrix,
     char_poly_j1,
@@ -23,7 +23,7 @@ from .frozen_matrix import (
     kernel,
     numeric_spectrum_j1,
     rank,
-    reduce_to_j1,
+    reductions_j1,
     spectrum_closed_form,
     theorem1_poly,
 )
@@ -58,9 +58,16 @@ def theorem1(kmax: int):
 
 
 def theorem2(kmax: int):
-    """Theorem 2: the Chebyshev reduction to j = 1 equals the direct matrix."""
-    for cfg in coprime_configs(kmax):
-        yield f"theorem2 {cfg}", reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
+    """Theorem 2: the Chebyshev reduction to j = 1 equals the direct matrix.
+
+    One recurrence run per (k, alpha, beta) serves every coprime j.
+    """
+    for k in range(2, kmax + 1):
+        for alpha, beta in _FLAGS:
+            for j, rows in reductions_j1(alpha, beta, k):
+                if math.gcd(j, k) == 1:
+                    cfg = ProblemConfig(alpha, beta, j, k)
+                    yield f"theorem2 {cfg}", rows == build_matrix(cfg).rows
 
 
 def corollaries_1_3(kmax_t1: int, kmax: int):

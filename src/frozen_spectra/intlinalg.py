@@ -2,6 +2,8 @@
 
 Everything here runs on Python ints (arbitrary precision), never floats.
 Matrices are sequences of row sequences; results are lists of lists.
+bareiss_det and bareiss_rank work on any integer matrix; the tests hold
+frozen_matrix's cycle-decomposition det_exact and rank against them.
 """
 
 from __future__ import annotations

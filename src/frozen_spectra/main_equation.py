@@ -14,6 +14,7 @@ place it is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,11 @@ def solve_inverse(
     ones get the minimum-norm least-squares representative plus the kernel
     direction R^{-1}(X * 1), with consistency enforced via the relative
     residual (<= residual_rtol * ||rhs||, else InconsistentSystemError
-    naming the worst grid point).
+    naming the worst grid point).  residual_rtol must be finite and >= 0:
+    a NaN would make the residual test always pass.
     """
+    if not (math.isfinite(residual_rtol) and residual_rtol >= 0):
+        raise ValueError(f"residual_rtol must be finite and >= 0, got {residual_rtol}")
     _check_grid(w, config)
     if config.k == 1 and config.alpha == 0:
         raise ValueError(

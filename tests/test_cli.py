@@ -142,10 +142,15 @@ def test_verify_exits_zero(capsys):
 
 
 def test_verify_reports_a_failed_identity(capsys, monkeypatch):
-    from frozen_spectra import identities, make_config, reduce_to_j1
+    from frozen_spectra import identities, make_config, reductions_j1
 
     bad = make_config(1, 1, 2, 5)
-    monkeypatch.setattr(identities, "reduce_to_j1", lambda c: [[0]] if c == bad else reduce_to_j1(c))
+
+    def broken(alpha, beta, k):
+        for j, rows in reductions_j1(alpha, beta, k):
+            yield j, () if make_config(alpha, beta, j, k) == bad else rows
+
+    monkeypatch.setattr(identities, "reductions_j1", broken)
     code, out, err = run(capsys, "verify", "--kmax", "6", "--kmax-theorem1", "4", "--kmax-forward", "2")
     assert code == 4
     assert "[verify] theorem-2 matrix reduction: 24 checks passed" in out
@@ -228,6 +233,27 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "invert", "--config", str(cfgfile), "--w", str(wfile), "--out", str(tmp_path / "q.csv"))
     assert code == 4
     assert json.loads(err)["error"]["type"] == "InconsistentSystemError"
+
+
+def test_nan_residual_tolerance_exit_code(tmp_path, capsys):
+    # a NaN tolerance must not let the unattainable W above through
+    inp = tmp_path / "in"
+    inp.mkdir()
+    cfg = ["--alpha", "0", "--beta", "0", "--j", "1", "--k", "2"]
+    wfile = inp / "w.csv"
+    write_csv(GridFunction.from_callable(lambda x: np.ones_like(x), 2, 8), wfile)
+    specfile = inp / "s.json"
+    zero_potential_spectrum(0, 0, 40).dump(specfile)
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (["invert", *cfg, "--w", str(wfile), "--out", str(out / "q.csv")],
+                 ["reconstruct", *cfg, "--spectrum", str(specfile), "--m", "16", "--n-used", "40",
+                  "--modes", "10", "--out", str(out / "r.csv")]):
+        code, stdout, err = run(capsys, *argv, "--residual-rtol", "nan")
+        assert code == 3 and stdout == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and "residual_rtol" in error["message"]
+        assert list(out.iterdir()) == []
 
 
 def zero_potential_spectrum(alpha, beta, count):

@@ -3,7 +3,9 @@ import pytest
 
 from conftest import coprime_configs, match_multisets
 from frozen_spectra import (
+    FrozenMatrix,
     Kind,
+    ProblemConfig,
     build_matrix,
     char_poly_j1,
     classify,
@@ -15,11 +17,17 @@ from frozen_spectra import (
     numeric_spectrum_j1,
     rank,
     reduce_to_j1,
+    reductions_j1,
     spectrum_closed_form,
     theorem1_poly,
 )
 from frozen_spectra.chebyshev import matrix_poly_eval, scaled_cheb_int
-from frozen_spectra.intlinalg import identity, mat_add, mat_scale, matmul
+from frozen_spectra.intlinalg import bareiss_det, bareiss_rank, identity, mat_add, mat_scale, matmul
+
+
+def sparse(dense):
+    """Sparse rows of a dense integer matrix, as in FrozenMatrix.rows."""
+    return tuple(tuple((col, v) for col, v in enumerate(row) if v) for row in dense)
 
 
 def test_build_matrix_displayed_pattern_3_7():
@@ -133,7 +141,7 @@ def test_reduce_to_j1_base_case_and_j2_identity():
         for a in (0, 1):
             for b in (0, 1):
                 cfg = make_config(a, b, 1, k)
-                assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
+                assert reduce_to_j1(cfg) == build_matrix(cfg).rows
     # j = 2: common form d A1^{(1,gamma)} A1^{(alpha,beta)} - 2 alpha c I
     for k in (5, 7, 9, 11):
         for a in (0, 1):
@@ -148,12 +156,12 @@ def test_reduce_to_j1_base_case_and_j2_identity():
                     mat_scale(d, matmul(m1, m2)), mat_scale(-2 * a * c, identity(k))
                 )
                 assert build_matrix(cfg).as_lists() == expected
-                assert reduce_to_j1(cfg) == expected
+                assert reduce_to_j1(cfg) == sparse(expected)
 
 
 def test_reduce_to_j1_full_sweep_k12():
     for cfg in coprime_configs(12):
-        assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
+        assert reduce_to_j1(cfg) == build_matrix(cfg).rows
 
 
 def test_reduce_to_j1_matches_monomial_horner_k16():
@@ -167,14 +175,24 @@ def test_reduce_to_j1_matches_monomial_horner_k16():
         else:
             b = build_matrix(make_config(1, cfg.beta, 1, cfg.k)).as_lists()
             expected = mat_scale(c, matrix_poly_eval(scaled_cheb_int("T", cfg.j), mat_scale(c, b)))
-        assert reduce_to_j1(cfg) == expected, cfg
+        assert reduce_to_j1(cfg) == sparse(expected), cfg
 
 
 @pytest.mark.parametrize("j", [2, 50])
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_reduce_to_j1_large_k(j, alpha, beta):
     cfg = make_config(alpha, beta, j, 101)
-    assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
+    assert reduce_to_j1(cfg) == build_matrix(cfg).rows
+
+
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_reductions_j1_one_run_serves_every_j_k101(alpha, beta):
+    yielded = list(reductions_j1(alpha, beta, 101))
+    assert [j for j, _ in yielded] == list(range(1, 51))
+    for j, rows in yielded:  # 101 is prime: every j is coprime
+        cfg = ProblemConfig(alpha, beta, j, 101)
+        assert rows == build_matrix(cfg).rows
+        assert reduce_to_j1(cfg) == rows
 
 
 def test_kernel_vectors():
@@ -214,7 +232,29 @@ def test_eigvec_examples():
 def test_rank_examples():
     assert rank(build_matrix(make_config(0, 0, 3, 7))) == 6
     assert rank(build_matrix(make_config(0, 1, 1, 3))) == 3
-    assert rank([[0, 0], [0, 0]]) == 0
+
+
+def test_cycle_det_and_rank_match_bareiss():
+    j1 = [make_config(a, b, 1, k) for k in range(31, 41) for a in (0, 1) for b in (0, 1)]
+    for cfg in coprime_configs(30) + j1:
+        a = build_matrix(cfg)
+        dense = a.as_lists()
+        assert (det_exact(a), rank(a)) == (bareiss_det(dense), bareiss_rank(dense)), cfg
+    for alpha in (0, 1):
+        for beta in (0, 1):
+            a = build_matrix(make_config(alpha, beta, 0, 1))
+            assert (det_exact(a), rank(a)) == (bareiss_det(a.as_lists()), bareiss_rank(a.as_lists()))
+
+
+def test_cycle_det_and_rank_reject_other_patterns():
+    a = build_matrix(make_config(0, 1, 2, 5))
+    three = (a.rows[0] + ((4, 1),),) + a.rows[1:]  # a third nonzero in row 0
+    lone = (((0, 1), (1, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1)))  # column 0 has one nonzero
+    for rows in (three, lone):
+        m = FrozenMatrix(a.config, a.signs, rows)
+        for fn in (det_exact, rank):
+            with pytest.raises(AssertionError):
+                fn(m)
 
 
 def test_zero_eigenvalue_algebraic_multiplicity_observed(capsys):

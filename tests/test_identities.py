@@ -5,7 +5,7 @@ from frozen_spectra import GridFunction, IntPolynomial, identities
 # One broken ingredient per sweep; each is used by that sweep alone.
 BROKEN = {
     "theorem-1 polynomial identity": ("theorem1_poly", lambda k, a, b: IntPolynomial((1,))),
-    "theorem-2 matrix reduction": ("reduce_to_j1", lambda cfg: [[0]]),
+    "theorem-2 matrix reduction": ("reductions_j1", lambda a, b, k: ((j, ()) for j in range(1, k // 2 + 1))),
     "corollary-1/3 determinants": ("det_closed_form", lambda k, a, b: 7),
     "lemma-2/3 kernels, ranks, eigenvectors": ("rank", lambda a: -1),
     "corollary-2 closed-form spectra": ("numeric_spectrum_j1", lambda k, a, b: [9.0] * k),

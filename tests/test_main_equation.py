@@ -130,6 +130,14 @@ def test_degenerate_inconsistent_w_is_rejected():
         solve_inverse(w, cfg)
 
 
+@pytest.mark.parametrize("rtol", [float("nan"), float("inf"), -1.0])
+def test_residual_rtol_must_be_finite_and_non_negative(rtol):
+    # a NaN tolerance would accept the unattainable W = 1 above
+    w = GridFunction.from_callable(lambda x: np.ones_like(x), 2, 16)
+    with pytest.raises(ValueError, match="residual_rtol"):
+        solve_inverse(w, make_config(0, 0, 1, 2), residual_rtol=rtol)
+
+
 def test_k1_round_trip_and_vacuous_case(rng):
     # a = 0 with a Neumann condition at 0 is invertible (1x1 matrix -2 or 2)
     q = random_grid(1, 16, rng)
