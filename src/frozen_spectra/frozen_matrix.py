@@ -204,11 +204,12 @@ def reductions_j1(alpha: int, beta: int, k: int):
     Z_{n+1} = M Z_n - Z_{n-1}, yielding Z_{j-1} from Z_0 = A1, Z_1 = M A1
     for alpha = 0, and c Z_j from c Z_0 = 2c I, c Z_1 = B for alpha = 1
     (c Z_n obeys the same recurrence).  c does not depend on j, so every j
-    is a prefix of one sequence.  M has two nonzeros per row and every Z_n
-    stays sparse, so each step is two scaled sparse-row adds per row, O(k).
-    M is an integer matrix and nothing is divided, so every Z_n stays in Z.
-    rows are sparse rows as in FrozenMatrix.rows; for gcd(j, k) = 1 they
-    equal those of build_matrix.
+    is a prefix of one sequence.  M has two nonzeros per row, so a step is
+    two scaled sparse-row adds per row; each yielded Z_n has the two-per-row
+    pattern of build_matrix, so a step costs O(k).  M is an integer matrix
+    and nothing is divided, so every Z_n stays in Z.  rows are sparse rows
+    as in FrozenMatrix.rows; for gcd(j, k) = 1 they equal those of
+    build_matrix.
     """
     if k < 2:
         raise ValueError("reductions_j1 needs k >= 2")
@@ -221,8 +222,9 @@ def reductions_j1(alpha: int, beta: int, k: int):
     else:
         prev, cur = [((i, 2 * c),) for i in range(k)], b
     for j in range(1, k // 2 + 1):
+        if j > 1:
+            prev, cur = cur, _mul_sub(m, cur, prev)
         yield j, tuple(cur)
-        prev, cur = cur, _mul_sub(m, cur, prev)
 
 
 def _mul_sub(m, y, sub) -> list[tuple[tuple[int, int], ...]]:
