@@ -42,6 +42,7 @@ from .frozen_matrix import (
     KernelDescriptor,
     build_matrix,
     char_poly_j1,
+    char_polys_j1,
     det_closed_form,
     det_exact,
     eigvec_j1,

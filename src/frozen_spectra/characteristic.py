@@ -30,10 +30,11 @@ from functools import lru_cache
 import numpy as np
 
 from .core_params import ProblemConfig
-from .interval_ops import GridFunction
+from .interval_ops import GridFunction, grid_midpoints
 
 RHO_SERIES_THRESHOLD = 1e-3
 _SERIES_TERMS = 8
+_NEWTON_MAX_STEPS = 60
 
 
 class RootConvergenceError(RuntimeError):
@@ -146,9 +147,9 @@ def _kcosm1(s, rho: complex):
 
 
 @lru_cache(maxsize=None)
-def _chop_lengths(n: int, jm: int) -> np.ndarray:
-    """Length s of each of the n midpoints' chop: x on the head [:jm], 1 - x on the tail."""
-    x = (np.arange(n) + 0.5) / n
+def _chop_lengths(k: int, m: int, jm: int) -> np.ndarray:
+    """Length s of each grid midpoint's chop: x on the head [:jm], 1 - x on the tail."""
+    x = grid_midpoints(k, m)
     s = np.concatenate((x[:jm], 1.0 - x[jm:]))
     s.setflags(write=False)
     return s
@@ -201,7 +202,7 @@ def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bo
     a = config.j / config.k
     h = q.h
     jm = config.j * q.m
-    s = _chop_lengths(q.k * q.m, jm)
+    s = _chop_lengths(q.k, q.m, jm)
     (isin, icos), dsums = _kernel_sums(q.values, s, jm, rho, lam, slope)
 
     ks0, ks1 = _ksin(a, rho), _ksin(1 - a, rho)
@@ -276,7 +277,7 @@ def zero_potential_delta_dlam(alpha: int, beta: int, lam: complex) -> complex:
     return complex(_ksin(1.0, rho) + lam * _dksin(1.0, rho))
 
 
-def _find_root(f, lam0: complex, index: int, max_iter: int = 60) -> complex:
+def _find_root(f, lam0: complex, index: int) -> complex:
     """Newton on f(lam) = (value, slope); secant fallback on stagnation.
 
     Each step costs one evaluation of f, and the accepted root is the last
@@ -295,7 +296,7 @@ def _find_root(f, lam0: complex, index: int, max_iter: int = 60) -> complex:
     fx, df = evaluate(x)
     prev_x = prev_f = None
     stagnant = 0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_STEPS):
         if (stagnant >= 2 or df == 0) and prev_x is not None and fx != prev_f:
             step = fx * (x - prev_x) / (fx - prev_f)
         elif df != 0:
@@ -310,7 +311,7 @@ def _find_root(f, lam0: complex, index: int, max_iter: int = 60) -> complex:
         if abs(step) <= 1e-12 * (1.0 + abs(x)):
             return x
     raise RootConvergenceError(
-        f"eigenvalue index {index}: no convergence after {max_iter} iterations "
+        f"eigenvalue index {index}: no convergence after {_NEWTON_MAX_STEPS} iterations "
         f"(last residual {abs(fx):.3e} at lambda={x})"
     )
 
@@ -388,7 +389,7 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
         raise ValueError(f"need at least {need} eigenvalues for {modes} modes, have {spec.count}")
     if modes >= k * m:
         raise ValueError(f"modes={modes} would alias on a {k}x{m} grid")
-    x = (np.arange(k * m) + 0.5) / (k * m)
+    x = grid_midpoints(k, m)
     w = np.zeros(k * m, dtype=complex)
     a, b = spec.alpha, spec.beta
     if a == b:

@@ -1,11 +1,13 @@
 """Chebyshev polynomials of the first and second kinds, exact and floating.
 
-The exact layer builds coefficient vectors with Python ints via the
-three-term recurrence Y_{n+1}(z) = 2z Y_n(z) - Y_{n-1}(z); coefficients
-grow like 2^n, so nothing here is allowed to touch floats.  The rescaled
-variants 2*T_n(x/2), U_n(x/2) and their imaginary-argument counterparts
-i^n*U_n(x/(2i)), 2*i^n*T_n(x/(2i)) all have integer coefficients, which is
-what makes polynomial evaluation at integer matrices exact.
+One three-term recurrence Y_{n+1}(z) = 2z Y_n(z) - Y_{n-1}(z), from Y_0 = 1
+and Y_1 = z (T) or 2z (U), builds coefficient vectors with Python ints and,
+run on a complex number instead of z, evaluates them in floating point.
+Coefficients grow like 2^n, so the exact path never touches floats.  The
+rescaled variants 2*T_n(x/2), U_n(x/2) divide coefficient m by 2^m, and
+their imaginary-argument counterparts i^n*U_n(x/(2i)), 2*i^n*T_n(x/(2i))
+multiply that by i^(n-m); all have integer coefficients, which is what
+makes polynomial evaluation at integer matrices exact.
 """
 
 from __future__ import annotations
@@ -72,12 +74,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def shift_up(self, power: int = 1) -> "IntPolynomial":
-        """Multiply by z**power."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * power + self.coeffs)
-
 
 ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
@@ -86,26 +82,24 @@ X = IntPolynomial((0, 1))
 @lru_cache(maxsize=None)
 def cheb_T(n: int) -> IntPolynomial:
     """T_n by the recurrence; T_0 = 1, T_1 = z."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return ONE
-    prev, cur = ONE, X
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * X * cur - prev
-    return cur
+    return _chebyshev(n, ONE, X, 2 * X)
 
 
 @lru_cache(maxsize=None)
 def cheb_U(n: int) -> IntPolynomial:
     """U_n by the recurrence; U_0 = 1, U_1 = 2z."""
+    return _chebyshev(n, ONE, 2 * X, 2 * X)
+
+
+def _chebyshev(n: int, y0, y1, two_z):
+    """Y_n of Y_{n+1} = 2z Y_n - Y_{n-1}: polynomials with z = X, or values at a number z."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return ONE
-    prev, cur = ONE, 2 * X
+        return y0
+    prev, cur = y0, y1
     for _ in range(n - 1):
-        prev, cur = cur, 2 * X * cur - prev
+        prev, cur = cur, two_z * cur - prev
     return cur
 
 
@@ -115,15 +109,8 @@ def cheb_eval(kind: ChebKind, n: int, z: complex) -> complex:
     Valid off [-1, 1]; for real |z| <= 1 matches the trigonometric form.
     """
     _check_kind(kind)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1.0 + 0.0j
-    prev = 1.0 + 0.0j
-    cur = complex(z) if kind == "T" else 2.0 * complex(z)
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * z * cur - prev
-    return cur
+    y1 = complex(z) if kind == "T" else 2.0 * complex(z)
+    return _chebyshev(n, 1.0 + 0.0j, y1, 2.0 * z)
 
 
 def scaled_cheb_int(kind: ChebKind, n: int) -> IntPolynomial:
@@ -137,8 +124,7 @@ def scaled_cheb_int(kind: ChebKind, n: int) -> IntPolynomial:
     pre = 2 if kind == "T" else 1
     out = []
     for m, c in enumerate(base.coeffs):
-        num = pre * c
-        quot, rem = divmod(num, 1 << m)
+        quot, rem = divmod(pre * c, 1 << m)
         if rem:
             raise ArithmeticError(f"non-integer coefficient at degree {m} for {kind}_{n}(x/2)")
         out.append(quot)
@@ -148,25 +134,17 @@ def scaled_cheb_int(kind: ChebKind, n: int) -> IntPolynomial:
 def imag_scaled_cheb_int(kind: ChebKind, n: int) -> IntPolynomial:
     """i^n * U_n(x/(2i)) or 2 * i^n * T_n(x/(2i)) as exact integer polynomials.
 
-    Chebyshev parity makes every surviving power of i real; both that and
-    the 2^m divisibility are asserted during construction.
+    x/(2i) = -i*x/2, so coefficient m of scaled_cheb_int(kind, n) is
+    multiplied by i^n * (-i)^m = i^(n-m).  Chebyshev parity makes every
+    surviving power of i real; that is asserted here, and the 2^m
+    divisibility in scaled_cheb_int.
     """
-    _check_kind(kind)
-    base = cheb_T(n) if kind == "T" else cheb_U(n)
-    pre = 2 if kind == "T" else 1
-    out = [0] * (base.degree + 1)
-    for m, c in enumerate(base.coeffs):
-        if c == 0:
-            continue
-        # x/(2i) = -i*x/2, so coefficient m carries i^n * (-i)^m = i^(n-m)
+    out = []
+    for m, c in enumerate(scaled_cheb_int(kind, n).coeffs):
         rot = (n - m) % 4
-        if rot % 2:
+        if c and rot % 2:
             raise ArithmeticError(f"imaginary coefficient survived at degree {m} for kind {kind}, n={n}")
-        sign = 1 if rot == 0 else -1
-        quot, rem = divmod(pre * c * sign, 1 << m)
-        if rem:
-            raise ArithmeticError(f"non-integer coefficient at degree {m} for kind {kind}, n={n}")
-        out[m] = quot
+        out.append(-c if rot == 2 else c)
     return IntPolynomial(tuple(out))
 
 

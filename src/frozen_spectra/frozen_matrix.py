@@ -3,10 +3,11 @@
 The k x k integer matrix attached to a config (alpha, beta, a = j/k) has
 four constant subdiagonal families (entries 1, d, c, c); its kernel decides
 whether the inverse problem has a unique solution.  Everything structural
-here is exact integer arithmetic: characteristic polynomials via the
-tridiagonal recurrence, closed-form determinants, the Chebyshev reduction
-of j > 1 to j = 1, and kernel vectors.  Floats appear only in the numeric
-eigenvalue cross-checks.
+here is exact integer arithmetic: characteristic polynomials from one run
+of the tridiagonal j = 1 recurrence per (alpha, beta), closed-form
+determinants, the Chebyshev reduction of j > 1 to j = 1, and kernel
+vectors.  Floats appear only in the numeric eigenvalue cross-checks and in
+the j = 1 eigenvectors, the same recurrence run on a number.
 
 For k >= 2 every main-equation matrix is a signed sum of two permutations:
 exactly two nonzeros per row and per column.  Matrices are stored as
@@ -17,6 +18,7 @@ on demand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,26 +91,38 @@ def build_matrix(config: ProblemConfig) -> FrozenMatrix:
     return FrozenMatrix(config, signs, tuple(rows))
 
 
-def _tridiag_char_polys(k: int, alpha: int, beta: int) -> list[IntPolynomial]:
-    """q_0 .. q_{k-1}: q_0 = 1, q_1 = z - 1, q_{n+1} = z q_n - cd q_{n-1}."""
-    s = sign_pair(make_config(alpha, beta, 1, k))
-    cd = s.c * s.d
-    polys = [IntPolynomial((1,)), IntPolynomial((-1, 1))]
-    for _ in range(k - 2):
-        polys.append(X * polys[-1] - cd * polys[-2])
-    return polys[:k]
+def _three_term(z, y0, y1, cd: int):
+    """y_0, y_1, ... with y_{n+1} = z y_n - cd y_{n-1}, each computed when read; z is X or a number.
+
+    The j = 1 matrix A is tridiagonal with diagonal (1, 0, ..., 0, c),
+    super-diagonal d and sub-diagonal c, so from y_0 = 1, y_1 = z - 1 this
+    yields the minors q_n: for n < k, the leading n x n minor of zI - A.
+    """
+    prev, cur = y0, y1
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, z * cur - cd * prev
+
+
+def char_polys_j1(alpha: int, beta: int):
+    """det(zI - A) of the j = 1 matrix for k = 2, 3, ..., from one run of the recurrence.
+
+    Expanding along the last row gives p_k = (z - c) q_{k-1} - cd q_{k-2}.
+    c and d do not depend on k, so p_k is a fixed combination of two
+    consecutive minors and obeys their recurrence p_{k+1} = z p_k - cd p_{k-1};
+    run back from p_2 and p_3 it starts at p_0 = 1 - d, p_1 = z - 1 - c.
+    """
+    s = sign_pair(make_config(alpha, beta, 1, 2))
+    p0, p1 = IntPolynomial((1 - s.d,)), X - IntPolynomial((1 + s.c,))
+    return itertools.islice(_three_term(X, p0, p1, s.c * s.d), 2, None)
 
 
 def char_poly_j1(k: int, alpha: int, beta: int) -> IntPolynomial:
-    """det(zI - A) for j = 1 via the tridiagonal recurrence.
-
-    p_k(z) = (z - c) q_{k-1}(z) - c d q_{k-2}(z).
-    """
+    """det(zI - A) for j = 1: entry k of char_polys_j1(alpha, beta)."""
     if k < 2:
         raise ValueError("char_poly_j1 needs k >= 2")
-    s = sign_pair(make_config(alpha, beta, 1, k))
-    q = _tridiag_char_polys(k, alpha, beta)
-    return (X - s.c * IntPolynomial((1,))) * q[k - 1] - (s.c * s.d) * q[k - 2]
+    return next(itertools.islice(char_polys_j1(alpha, beta), k - 2, None))
 
 
 def det_closed_form(k: int, alpha: int, beta: int) -> int:
@@ -138,7 +152,7 @@ def theorem1_poly(k: int, alpha: int, beta: int) -> IntPolynomial:
     if k < 2:
         raise ValueError("theorem1_poly needs k >= 2")
     if alpha == 0 and beta == 0:
-        return imag_scaled_cheb_int("U", k - 1).shift_up()
+        return X * imag_scaled_cheb_int("U", k - 1)
     if alpha == 0 and beta == 1:
         return imag_scaled_cheb_int("T", k) - 2 * imag_scaled_cheb_int("U", k - 1)
     if alpha == 1 and beta == 0:
@@ -277,24 +291,21 @@ def kernel(config: ProblemConfig) -> KernelDescriptor:
 def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     """Eigenvector of the j = 1 matrix for eigenvalue z0.
 
-    Component m is d^(m-1) q_{m-1}(z0) with the tridiagonal recurrence
-    polynomials q_n.  The residual ||A x - z0 x||_inf <= 1e-9 ||x||_inf is
-    checked a posteriori; failure means z0 was not an eigenvalue.
+    Component m is d^(m-1) q_{m-1}(z0), the minors of _three_term at z0.
+    The residual ||A x - z0 x||_inf <= 1e-9 ||x||_inf is checked a
+    posteriori on the sparse rows, two products per row; failure means z0
+    was not an eigenvalue.
     """
     if k < 2:
         raise ValueError("eigvec_j1 needs k >= 2")
-    s = sign_pair(make_config(alpha, beta, 1, k))
-    cd = s.c * s.d
-    vals = [1.0 + 0j, complex(z0) - 1.0]
-    for _ in range(k - 2):
-        vals.append(z0 * vals[-1] - cd * vals[-2])
-    x = np.array([s.d ** m * vals[m] for m in range(k)], dtype=complex)
-    a = build_matrix(make_config(alpha, beta, 1, k)).as_array(complex)
-    resid = np.abs(a @ x - z0 * x).max()
-    scale = np.abs(x).max()
+    a = build_matrix(make_config(alpha, beta, 1, k))
+    z, s = complex(z0), a.signs
+    x = [s.d**m * q for m, q in zip(range(k), _three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
+    resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(a.rows, x))
+    scale = max(map(abs, x))
     if resid > 1e-9 * scale:
         raise ValueError(f"z0={z0} is not an eigenvalue: residual {resid:.3e} vs scale {scale:.3e}")
-    return x
+    return np.array(x, dtype=complex)
 
 
 def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple[int, int]]]:

@@ -16,7 +16,7 @@ import numpy as np
 from .core_params import Kind, ProblemConfig, classify, coprime_configs, make_config
 from .frozen_matrix import (
     build_matrix,
-    char_poly_j1,
+    char_polys_j1,
     det_closed_form,
     det_exact,
     eigvec_j1,
@@ -50,11 +50,10 @@ def match_multisets(a, b) -> float:
 
 
 def theorem1(kmax: int):
-    """Theorem 1: the recurrence char poly equals the Chebyshev closed form."""
-    for k in range(2, kmax + 1):
-        for alpha, beta in _FLAGS:
-            same = char_poly_j1(k, alpha, beta).coeffs == theorem1_poly(k, alpha, beta).coeffs
-            yield f"theorem1 k={k} ({alpha},{beta})", same
+    """Theorem 1: the recurrence char poly equals the Chebyshev closed form; one run per (alpha, beta)."""
+    for alpha, beta in _FLAGS:
+        for k, p in zip(range(2, kmax + 1), char_polys_j1(alpha, beta)):
+            yield f"theorem1 k={k} ({alpha},{beta})", p.coeffs == theorem1_poly(k, alpha, beta).coeffs
 
 
 def theorem2(kmax: int):
@@ -105,13 +104,15 @@ def lemmas_2_3(kmax: int):
 
 def corollary2(kmax: int):
     """Corollary 2: numeric j = 1 roots match the trigonometric spectra; 0 is no (0,1) root."""
-    for k in range(2, min(kmax, _SPECTRUM_KMAX) + 1):
+    ks = range(2, min(kmax, _SPECTRUM_KMAX) + 1)
+    for k in ks:
         for alpha, beta in _CLOSED_FORM_FLAGS:
             worst = match_multisets(
                 numeric_spectrum_j1(k, alpha, beta), spectrum_closed_form(k, alpha, beta)
             )
             yield f"corollary2 k={k} ({alpha},{beta}) dist={worst:.2e}", worst < 1e-9
-        yield f"corollary2 (0,1) k={k} zero in spectrum", abs(char_poly_j1(k, 0, 1).coeffs[0]) >= 1
+    for k, p in zip(ks, char_polys_j1(0, 1)):
+        yield f"corollary2 (0,1) k={k} zero in spectrum", abs(p.coeffs[0]) >= 1
 
 
 def forward_oracle(kmax: int):

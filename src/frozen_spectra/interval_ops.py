@@ -38,8 +38,7 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
     def midpoints(self) -> np.ndarray:
-        n = self.k * self.m
-        return (np.arange(n) + 0.5) / n
+        return grid_midpoints(self.k, self.m)
 
     @property
     def h(self) -> float:
@@ -47,7 +46,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn: Callable, k: int, m: int = 64) -> "GridFunction":
-        x = (np.arange(k * m) + 0.5) / (k * m)
+        x = grid_midpoints(k, m)
         return cls(k, m, np.asarray(fn(x), dtype=complex) * np.ones_like(x))
 
     @classmethod
@@ -65,6 +64,11 @@ class GridFunction:
     def _check_aligned(self, other: "GridFunction") -> None:
         if (self.k, self.m) != (other.k, other.m):
             raise ValueError(f"grid mismatch: ({self.k},{self.m}) vs ({other.k},{other.m})")
+
+
+def grid_midpoints(k: int, m: int) -> np.ndarray:
+    """Midpoints x_i = (i + 1/2)/(k*m) of the k*m cells of (0, 1)."""
+    return (np.arange(k * m) + 0.5) / (k * m)
 
 
 def subinterval_midpoints(k: int, m: int) -> np.ndarray:

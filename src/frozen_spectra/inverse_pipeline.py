@@ -149,6 +149,8 @@ def invert_from_spectrum(
     """
     if (spec.alpha, spec.beta) != (config.alpha, config.beta):
         raise ValueError("spectrum flags differ from the config flags")
+    if n_used < 1:
+        raise ValueError(f"n_used must be >= 1, got {n_used}")
     if spec.count < n_used:
         raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")
     _check_asymptotics(spec, n_used)

@@ -278,6 +278,19 @@ def test_extract_w_input_validation():
         delta_from_spectrum(s, 11, 1.0)
 
 
+_TEN = Spectrum(0, 0, tuple(complex(asymptotic_eigenvalue(0, 0, n)) for n in range(1, 11)))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: eigenvalues(GridFunction.zeros(3, 8), make_config(0, 0, 1, 3), 0), "count"),
+    (lambda: delta_from_spectrum(_TEN, 0, 1.0), "n_used"),
+    (lambda: extract_w(_TEN, 4, 1, 4), "alias"),  # modes >= k*m
+], ids=["eigenvalues-count-0", "delta-from-spectrum-n-used-0", "extract-w-modes-alias"])
+def test_size_arguments_raise_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_delta_evaluator_modes_agree(rng):
     cfg = make_config(1, 0, 2, 5)
     q = random_grid(5, 64, rng)
@@ -290,8 +303,8 @@ def test_delta_evaluator_modes_agree(rng):
 
 
 def test_find_root_failure_is_reported():
-    with pytest.raises(RootConvergenceError):
-        _find_root(lambda z: (1.0 + 0j, 0j), 0.0, index=4, max_iter=10)
+    with pytest.raises(RootConvergenceError, match="no convergence after 60 iterations"):
+        _find_root(lambda z: (1.0 + 0j, 0j), 0.0, index=4)
 
 
 def test_find_root_stops_on_a_non_finite_residual():

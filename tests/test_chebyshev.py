@@ -12,6 +12,7 @@ from frozen_spectra import (
     matrix_poly_eval,
     scaled_cheb_int,
 )
+from frozen_spectra import chebyshev
 
 
 def test_base_cases_and_low_degrees():
@@ -66,6 +67,19 @@ def test_scaled_variants():
         scaled_cheb_int("U", n)
         imag_scaled_cheb_int("T", n)
         imag_scaled_cheb_int("U", n)
+
+
+def test_rescaling_asserts_parity_and_divisibility(monkeypatch):
+    # U_1 replaced by 1 + 2z: divisible by 2^m, but of mixed parity
+    monkeypatch.setattr(chebyshev, "cheb_U", lambda n: IntPolynomial((1, 2)))
+    assert scaled_cheb_int("U", 1).coeffs == (1, 1)
+    with pytest.raises(ArithmeticError, match="imaginary coefficient survived"):
+        imag_scaled_cheb_int("U", 1)
+    # U_1 replaced by z: z/2 has no integer coefficient
+    monkeypatch.setattr(chebyshev, "cheb_U", lambda n: IntPolynomial((0, 1)))
+    for fn in (scaled_cheb_int, imag_scaled_cheb_int):
+        with pytest.raises(ArithmeticError, match="non-integer coefficient"):
+            fn("U", 1)
 
 
 def test_scaled_variants_evaluate_consistently():

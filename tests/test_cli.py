@@ -7,7 +7,7 @@ import pytest
 
 from frozen_spectra import GridFunction, Spectrum, forward_w_direct, make_config, read_csv, write_csv
 from frozen_spectra.characteristic import asymptotic_eigenvalue
-from frozen_spectra.cli import RunManifest, dispatch
+from frozen_spectra.cli import RunManifest, _demo_potential, dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -254,6 +254,50 @@ def test_nan_residual_tolerance_exit_code(tmp_path, capsys):
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and "residual_rtol" in error["message"]
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_used", ["-5", "0"])
+def test_reconstruct_rejects_n_used_below_one(n_used, tmp_path, capsys):
+    specfile = tmp_path / "s.json"
+    zero_potential_spectrum(0, 1, 120).dump(specfile)
+    code, stdout, err = run(
+        capsys, "reconstruct", "--alpha", "0", "--beta", "1", "--j", "1", "--k", "3", "--spectrum", str(specfile),
+        "--m", "16", "--n-used", n_used, "--modes", "20", "--out", str(tmp_path / "q.csv"),
+    )
+    assert code == 3 and stdout == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and "n_used" in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def _write_inputs(d):
+    """Grid and profile CSVs that disagree with a k = 5 config, or are malformed."""
+    write_csv(GridFunction.from_callable(lambda x: 50 * _demo_potential(x), 5, 64), d / "q50.csv")
+    write_csv(GridFunction.zeros(4, 8), d / "k4.csv")
+    (d / "profile_k4.csv").write_text("# k=4 m=2\n0.0625,1.0,0.0\n0.1875,1.0,0.0\n")
+    (d / "headless.csv").write_text("0.05,1.0,0.0\n")
+    (d / "short.csv").write_text("# k=5 m=2\n0.05,1.0,0.0\n")
+
+
+# 50x the demo potential on (1, 0, 2, 5) sends indices 1 and 2 to one root
+@pytest.mark.parametrize("argv, code, kind, message", [
+    (["eigs", "--q", "q50.csv", "--count", "40"], 4, "EigenvalueCollisionError", "converged to the same root"),
+    (["eigs", "--q", "k4.csv", "--count", "3"], 3, "ValueError", "grid k=4 does not match config k=5"),
+    (["isospectral", "--q0", "zero", "--m", "2", "--f", "profile_k4.csv", "--out", "iq.csv"], 3, "ValueError",
+     "profile is for k=4"),
+    (["forward-w", "--q", "headless.csv", "--out", "w.csv"], 3, "ValueError", "missing '# k=<k> m=<m>' header"),
+    (["forward-w", "--q", "short.csv", "--out", "w.csv"], 3, "ValueError", "expected 10 rows, got 1"),
+], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "csv-no-header", "csv-short"])
+def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, monkeypatch):
+    _write_inputs(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    got, stdout, err = run(capsys, *argv, "--alpha", "1", "--beta", "0", "--j", "2", "--k", "5")
+    assert (got, stdout) == (code, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == kind and message in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def zero_potential_spectrum(alpha, beta, count):

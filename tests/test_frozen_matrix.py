@@ -8,6 +8,7 @@ from frozen_spectra import (
     ProblemConfig,
     build_matrix,
     char_poly_j1,
+    char_polys_j1,
     classify,
     det_closed_form,
     det_exact,
@@ -83,6 +84,18 @@ def test_char_poly_examples():
                 det = det_exact(build_matrix(make_config(a, b, 1, k)))
                 const = p.coeffs[0] if p.coeffs else 0
                 assert const == (-1) ** k * det
+
+
+def test_char_polys_j1_is_det_zi_minus_a():
+    # one run per flag pair; p_k(z) = det(zI - A) at k + 1 integer points, by Bareiss
+    for alpha in (0, 1):
+        for beta in (0, 1):
+            for k, p in zip(range(2, 13), char_polys_j1(alpha, beta)):
+                a = build_matrix(make_config(alpha, beta, 1, k)).as_lists()
+                for z in range(-k // 2, k // 2 + 2):
+                    zi_a = [[z * (r == c) - v for c, v in enumerate(row)] for r, row in enumerate(a)]
+                    assert p(z) == bareiss_det(zi_a), (alpha, beta, k, z)
+                assert p.degree == k and p.coeffs[-1] == 1
 
 
 def test_det_closed_form_examples():
