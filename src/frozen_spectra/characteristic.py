@@ -24,8 +24,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -341,6 +343,12 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
     return Spectrum(config.alpha, config.beta, tuple(roots))
 
 
+@lru_cache(maxsize=32)
+def _asymptotes(alpha: int, beta: int, n: int) -> tuple[float, ...]:
+    """Zero-potential eigenvalues lambda_1^0 < ... < lambda_n^0."""
+    return tuple(asymptotic_eigenvalue(alpha, beta, i) for i in range(1, n + 1))
+
+
 def delta_from_spectrum(spec: Spectrum, n_used: int, lam: complex) -> complex:
     """Truncated canonical product for the characteristic function.
 
@@ -349,24 +357,31 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam: complex) -> complex:
     When lam coincides with a retained lambda_n^0 the 0/0 pair is replaced
     by its limit -Delta_0'(lam), so evaluation exactly at zero-potential
     eigenvalues is well defined.
+
+    The asymptotes are built once per (alpha, beta, N) and cached.  They
+    increase strictly and |lam - lambda_n^0| grows with |Re lam - lambda_n^0|,
+    so the one asymptote lam can coincide with is a neighbour of Re lam's
+    bisection point (the lower index on a tie).  The factors are multiplied
+    in index order with scalar complex arithmetic, skipping that one, so
+    the result is bit-identical to a plain loop over n = 1..N.
     """
     if spec.count < n_used:
         raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")
     if n_used < 1:
         raise ValueError("n_used must be >= 1")
-    a, b = spec.alpha, spec.beta
+    a, b, evs = spec.alpha, spec.beta, spec.eigenvalues
     lam = complex(lam)
-    lam0 = [asymptotic_eigenvalue(a, b, n) for n in range(1, n_used + 1)]
-    hit = min(range(n_used), key=lambda i: abs(lam - lam0[i]))
+    lam0 = _asymptotes(a, b, n_used)
+    hit = bisect_left(lam0, lam.real)
+    if hit == n_used or (hit > 0 and abs(lam - lam0[hit - 1]) <= abs(lam - lam0[hit])):
+        hit -= 1
     if abs(lam - lam0[hit]) <= 1e-9 * (1.0 + abs(lam0[hit])):
-        val = -zero_potential_delta_dlam(a, b, lam) * (spec.eigenvalues[hit] - lam)
+        val = -zero_potential_delta_dlam(a, b, lam) * (evs[hit] - lam)
     else:
-        hit = None
+        hit = n_used
         val = zero_potential_delta(a, b, lam)
-    for i in range(n_used):
-        if i == hit:
-            continue
-        val *= (spec.eigenvalues[i] - lam) / (lam0[i] - lam)
+    for ev, z in chain(zip(evs[:hit], lam0[:hit]), zip(evs[hit + 1 : n_used], lam0[hit + 1 :])):
+        val *= (ev - lam) / (z - lam)
     return complex(val)
 
 

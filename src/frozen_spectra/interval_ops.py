@@ -16,6 +16,7 @@ The chop operators map a function on (0,1) to a k-vector of functions on
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -156,25 +157,39 @@ def write_csv(f: GridFunction, path) -> None:
             fh.write(f"{float(xi)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
+_HEADER = re.compile(r"#\s*k=([0-9]+)\s+m=([0-9]+)")
+
+
 def _read_rows(path, rows: Callable[[int, int], int]) -> tuple[int, int, np.ndarray]:
-    """A '# k=<k> m=<m>' header, exactly rows(k, m) finite rows x,re,im, then only blank lines."""
+    """A '# k=<k> m=<m>' header, exactly rows(k, m) finite rows x,re,im, then only blank lines.
+
+    k and m are integers >= 1, each given once.  Rows are collected as they
+    are read, so a header that declares more rows than the file holds
+    allocates nothing for them.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing '# k=<k> m=<m>' header")
-        fields = dict(part.split("=") for part in header[1:].split())
-        k, m = int(fields["k"]), int(fields["m"])
+        match = _HEADER.fullmatch(header)
+        k, m = (int(match[1]), int(match[2])) if match else (0, 0)
+        if min(k, m) < 1:
+            raise ValueError(f"{path}: header {header!r} is not '# k=<k> m=<m>' with integers k, m >= 1")
         n = rows(k, m)
-        vals = np.empty(n, dtype=complex)
+        vals = []
         for i in range(n):
             line = fh.readline()
             if not line:
-                raise ValueError(f"{path}: expected {n} rows, got {i}")
-            _, re, im = line.strip().split(",")
-            vals[i] = float(re) + 1j * float(im)
+                raise ValueError(f"{path}: expected {n} rows, got {i} (header {header!r})")
+            try:
+                _, real, imag = line.strip().split(",")
+                vals.append(float(real) + 1j * float(imag))
+            except ValueError:
+                raise ValueError(f"{path}: data row {i + 1} is not x,re,im: {line.strip()!r}") from None
         for line in fh:
             if line.strip():
                 raise ValueError(f"{path}: data past the {n} rows the header declares")
+    vals = np.array(vals, dtype=complex)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 1} holds a non-finite value {vals[bad[0]]}")

@@ -20,8 +20,8 @@ from frozen_spectra import (
     zero_potential_delta,
 )
 from frozen_spectra import characteristic
-from frozen_spectra.characteristic import _dksin, _find_root, _kcosm1, _ksin
-from frozen_spectra.cli import _demo_potential
+from frozen_spectra.characteristic import _dksin, _find_root, _kcosm1, _ksin, zero_potential_delta_dlam
+from frozen_spectra.cli import _demo_potential, dispatch
 
 PI = math.pi
 
@@ -230,6 +230,74 @@ def test_delta_from_spectrum_at_degenerate_frequency(rng):
     spec = eigenvalues(q, cfg, 50)
     val = delta_from_spectrum(spec, 50, (3 * PI) ** 2)
     assert abs(val) < 1e-12
+
+
+def _reference_delta_from_spectrum(spec, n_used, lam):
+    """The plain loop over n = 1..N that delta_from_spectrum must match bit for bit."""
+    if spec.count < n_used:
+        raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")
+    if n_used < 1:
+        raise ValueError("n_used must be >= 1")
+    a, b = spec.alpha, spec.beta
+    lam = complex(lam)
+    lam0 = [asymptotic_eigenvalue(a, b, n) for n in range(1, n_used + 1)]
+    hit = min(range(n_used), key=lambda i: abs(lam - lam0[i]))
+    if abs(lam - lam0[hit]) <= 1e-9 * (1.0 + abs(lam0[hit])):
+        val = -zero_potential_delta_dlam(a, b, lam) * (spec.eigenvalues[hit] - lam)
+    else:
+        hit = None
+        val = zero_potential_delta(a, b, lam)
+    for i in range(n_used):
+        if i == hit:
+            continue
+        val *= (spec.eigenvalues[i] - lam) / (lam0[i] - lam)
+    return complex(val)
+
+
+def _probe_lambdas(alpha, beta, n_used, count):
+    """Every extract_w frequency up to count, plus the edge cases of the nearest-asymptote search."""
+    lam0 = [asymptotic_eigenvalue(alpha, beta, n) for n in range(1, n_used + 1)]
+    if alpha == beta:
+        lams = [0.0] + [(math.pi * mm) ** 2 for mm in range(1, count + 1)]
+    else:
+        lams = [0.0] + [((mm - 0.5) * math.pi) ** 2 for mm in range(1, count + 1)]
+    lams += [lam0[0] - 5.0, lam0[-1] + 100.0, lam0[-1] * 4.0, 1e20]
+    lams += [(lo + hi) / 2 for lo, hi in zip(lam0, lam0[1:])]
+    for z in lam0:
+        lams += [z * (1 + 5e-10), z * (1 - 5e-10) - 1e-12, z * (1 + 2e-9) + 1e-8, complex(z, 1e-10)]
+        lams += [complex(z, 2e5), complex(z + 0.5, -4e5)]
+    return lams
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_delta_from_spectrum_matches_reference_loop(alpha, beta, rng):
+    count = 150
+    lam0 = np.array([asymptotic_eigenvalue(alpha, beta, n) for n in range(1, count + 1)])
+    evs = lam0 + 3.0 + rng.normal(size=count) + 1j * rng.normal(scale=0.2, size=count)
+    spec = Spectrum(alpha, beta, tuple(complex(z) for z in evs))
+    for n_used in (1, 2, 37, spec.count):
+        lams = _probe_lambdas(alpha, beta, n_used, count)
+        got = [delta_from_spectrum(spec, n_used, lam) for lam in lams]
+        want = [_reference_delta_from_spectrum(spec, n_used, lam) for lam in lams]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+
+
+@pytest.mark.parametrize("flags", [(0, 0, 2, 5), (0, 1, 1, 3)], ids=["degenerate", "non-degenerate"])
+def test_reconstruct_files_match_the_reference_loop(flags, tmp_path, monkeypatch, capsys):
+    cfg = make_config(*flags)
+    q = GridFunction.from_callable(smooth_potential, cfg.k, 32)
+    eigenvalues(q, cfg, 100).dump(tmp_path / "s.json")
+    files = {}
+    for name, product in (("new", delta_from_spectrum), ("ref", _reference_delta_from_spectrum)):
+        monkeypatch.setattr(characteristic, "delta_from_spectrum", product)
+        out, ker = tmp_path / f"{name}.q.csv", tmp_path / f"{name}.kernel.csv"
+        argv = ["reconstruct", "--alpha", str(cfg.alpha), "--beta", str(cfg.beta), "--j", str(cfg.j),
+                "--k", str(cfg.k), "--spectrum", str(tmp_path / "s.json"), "--m", "32", "--n-used", "100",
+                "--modes", "25", "--out", str(out), "--kernel-out", str(ker)]
+        assert dispatch(argv) == 0, capsys.readouterr().err
+        files[name] = [p.read_bytes() if p.exists() else None for p in (out, ker)]
+    assert (files["new"][1] is not None) == (cfg.alpha == cfg.beta)
+    assert files["new"] == files["ref"]
 
 
 def test_extract_w_zero_spectrum():

@@ -278,6 +278,11 @@ def _write_inputs(d):
     (d / "profile_k4.csv").write_text("# k=4 m=2\n0.0625,1.0,0.0\n0.1875,1.0,0.0\n")
     (d / "headless.csv").write_text("0.05,1.0,0.0\n")
     (d / "short.csv").write_text("# k=5 m=2\n0.05,1.0,0.0\n")
+    rows = [f"{(i + 0.5) / 10!r},1.0,0.0\n" for i in range(10)]
+    for name, header in [("no_m", "k=5"), ("bare_m", "k=5 m"), ("k_twice", "k=5 m=2 k=3"),
+                         ("m_huge", f"k=1 m={10**15}")]:
+        (d / f"{name}.csv").write_text(f"# {header}\n" + "".join(rows))
+    (d / "two_fields.csv").write_text("# k=5 m=2\n" + "".join(rows[:3] + ["0.35,1\n"] + rows[4:]))
 
 
 # 50x the demo potential on (1, 0, 2, 5) sends indices 1 and 2 to one root
@@ -288,7 +293,16 @@ def _write_inputs(d):
      "profile is for k=4"),
     (["forward-w", "--q", "headless.csv", "--out", "w.csv"], 3, "ValueError", "missing '# k=<k> m=<m>' header"),
     (["forward-w", "--q", "short.csv", "--out", "w.csv"], 3, "ValueError", "expected 10 rows, got 1"),
-], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "csv-no-header", "csv-short"])
+    (["forward-w", "--q", "no_m.csv", "--out", "w.csv"], 3, "ValueError", "no_m.csv: header '# k=5' is not"),
+    (["invert", "--w", "bare_m.csv", "--out", "q.csv"], 3, "ValueError", "bare_m.csv: header '# k=5 m' is not"),
+    (["forward-w", "--q", "k_twice.csv", "--out", "w.csv"], 3, "ValueError",
+     "k_twice.csv: header '# k=5 m=2 k=3' is not"),
+    (["invert", "--w", "two_fields.csv", "--out", "q.csv"], 3, "ValueError",
+     "two_fields.csv: data row 4 is not x,re,im: '0.35,1'"),
+    (["forward-w", "--q", "m_huge.csv", "--out", "w.csv"], 3, "ValueError",
+     f"m_huge.csv: expected {10**15} rows, got 10 (header '# k=1 m={10**15}')"),
+], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "csv-no-header", "csv-short",
+        "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields", "csv-header-m-huge"])
 def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, monkeypatch):
     _write_inputs(tmp_path)
     before = sorted(p.name for p in tmp_path.iterdir())
