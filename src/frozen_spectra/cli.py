@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,7 +172,13 @@ def cmd_delta(args) -> RunManifest:
         raise ValueError(f"--lambdas {args.lambdas!r}: every lambda must be finite")
     lines = []
     for lam in lams:
-        d = delta_direct(q, cfg, lam)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = delta_direct(q, cfg, lam)
+        except OverflowError:
+            d = None
+        if d is None or not cmath.isfinite(d):
+            raise ArithmeticError(f"Delta is not finite at lambda={lam}: it overflows double precision")
         lines.append(f"{lam.real!r},{lam.imag!r},{d.real!r},{d.imag!r}\n")
     return RunManifest(
         config=cfg.to_dict(),
@@ -299,7 +306,9 @@ def cmd_verify(args) -> RunManifest:
     return RunManifest()
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state between calls."""
     ap = argparse.ArgumentParser(
         prog="frozen-spectra",
         description="Frozen-argument boundary value problems: matrices, spectra, inverse recovery",

@@ -176,6 +176,57 @@ def test_delta_direct_slope_matches_richardson_difference(rng):
                     assert abs(slope - want) <= 1e-7 * abs(want)
 
 
+def _reference_kernel_sums(values, s, jm, rho, lam, slope):
+    """The full-length exp(i rho s) kernel that the blocked _kernel_sums must match above the series threshold."""
+
+    def dot(w, kern):
+        return complex(w[:jm] @ kern[:jm]), complex(w[jm:] @ kern[jm:])
+
+    e = np.exp(1j * rho * s)
+    inv = 1.0 / e
+    ep, em = dot(values, e), dot(values, inv)
+    sin_sums = tuple((p - m) / (2j * rho) for p, m in zip(ep, em))
+    sums = sin_sums, tuple((p + m) / 2 for p, m in zip(ep, em))
+    if not slope:
+        return sums, None
+    qs = values * s
+    sp, sm = dot(qs, e), dot(qs, inv)
+    dsin = tuple(((p + m) / 2 - ks) / (2 * lam) for p, m, ks in zip(sp, sm, sin_sums))
+    dcos = tuple((m - p) / (4j * rho) for p, m in zip(sp, sm))
+    return sums, (dsin, dcos)
+
+
+def _full_length_kernel(q, jm, rho, lam, slope):
+    x = q.midpoints()
+    return _reference_kernel_sums(q.values, np.concatenate((x[:jm], 1.0 - x[jm:])), jm, rho, lam, slope)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+# (j, k) = (0, 1) and (1, 1) leave the head or the tail empty; m = 1, 7 and 1000
+# give grids whose head and reversed tail end in a partial block
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("j, k", [(0, 1), (1, 1), (2, 5), (3, 8)])
+@pytest.mark.parametrize("m", [1, 7, 256, 1000])
+def test_blocked_kernel_matches_the_full_length_kernel(alpha, beta, j, k, m, rng, monkeypatch):
+    cfg = make_config(alpha, beta, j, k)
+    q = random_grid(k, m, rng)
+    for lam in (-2500.0, -5e5, 1e7 + 3j, 2500.0 - 40j, 1e4 + 3000j):
+        with np.errstate(over="ignore", invalid="ignore"):  # lambda * Delta overflows at -5e5 for (1, 1)
+            got = delta_direct(q, cfg, lam, slope=True)
+            value = delta_direct(q, cfg, lam)
+            with monkeypatch.context() as mp:
+                mp.setattr(characteristic, "_kernel_sums", _full_length_kernel)
+                want = delta_direct(q, cfg, lam, slope=True)
+        assert _bits(value) == _bits(got[0])
+        for g, w in zip(got, want):
+            assert cmath.isfinite(g) == cmath.isfinite(w)
+            if cmath.isfinite(w):
+                assert abs(g - w) <= 1e-12 * abs(w)
+
+
 def test_eigenvalues_take_at_most_four_evaluations_per_root(monkeypatch):
     calls = []
     plain = characteristic.delta_direct

@@ -1,11 +1,15 @@
+import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frozen_spectra import GridFunction, Spectrum, forward_w_direct, make_config, read_csv, write_csv
+from frozen_spectra import GridFunction, Spectrum, cli, forward_w_direct, make_config, read_csv, write_csv
 from frozen_spectra.characteristic import asymptotic_eigenvalue
 from frozen_spectra.cli import RunManifest, _demo_potential, dispatch
 
@@ -162,6 +166,47 @@ def test_unknown_subcommand_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+def _outputs(d):
+    """Every file in d; wall_time_s dropped from the manifests, the one field a rerun may change."""
+    files = {}
+    for p in sorted(d.iterdir()):
+        files[p.name] = p.read_bytes()
+        if p.name.endswith(".manifest.json"):
+            files[p.name] = {k: v for k, v in json.loads(files[p.name]).items() if k != "wall_time_s"}
+    return files
+
+
+def test_one_parser_serves_every_dispatch_like_a_fresh_process(tmp_path, capsys, monkeypatch):
+    runs = [
+        ["eigs", "--alpha", "0", "--count", "three"],
+        ["eigs", "--alpha", "0", "--beta", "1", "--j", "1", "--k", "3", "--q", "demo", "--m", "16",
+         "--count", "4", "--out", "e.csv", "--spectrum-out", "s.json"],
+        ["delta", "--alpha", "1", "--beta", "1", "--j", "2", "--k", "5", "--q", "demo", "--m", "8",
+         "--lambdas", "1.0;2+1j"],
+        ["--help"],
+    ]
+    monkeypatch.setenv("COLUMNS", "100")  # the width --help wraps to
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    want = []
+    for argv in runs:
+        p = subprocess.run([sys.executable, "-m", "frozen_spectra.cli", *argv], cwd=fresh, env=env,
+                           capture_output=True, text=True)
+        want.append((p.returncode, p.stdout))
+    monkeypatch.chdir(reused)
+    cli.build_parser()
+    added = []
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", lambda *a, **kw: added.append(a))
+    got = [run(capsys, *argv)[:2] for argv in runs]
+    assert [code for code, _ in got] == [2, 0, 0, 0]
+    assert got == want
+    assert added == []
+    assert _outputs(reused) == _outputs(fresh)
+    assert sorted(_outputs(reused)) == ["e.csv", "e.csv.manifest.json", "s.json", "s.json.manifest.json"]
+
+
 def test_malformed_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "c.json"
     bad.write_text("{not json")
@@ -285,7 +330,11 @@ def _write_inputs(d):
     (d / "two_fields.csv").write_text("# k=5 m=2\n" + "".join(rows[:3] + ["0.35,1\n"] + rows[4:]))
 
 
+DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
+
+
 # 50x the demo potential on (1, 0, 2, 5) sends indices 1 and 2 to one root
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, code, kind, message", [
     (["eigs", "--q", "q50.csv", "--count", "40"], 4, "EigenvalueCollisionError", "converged to the same root"),
     (["eigs", "--q", "k4.csv", "--count", "3"], 3, "ValueError", "grid k=4 does not match config k=5"),
@@ -301,13 +350,20 @@ def _write_inputs(d):
      "two_fields.csv: data row 4 is not x,re,im: '0.35,1'"),
     (["forward-w", "--q", "m_huge.csv", "--out", "w.csv"], 3, "ValueError",
      f"m_huge.csv: expected {10**15} rows, got 10 (header '# k=1 m={10**15}')"),
+    # on (0, 1, 2, 7) Delta overflows to inf at -7e5, and at -1e6 cos(rho a) already does
+    (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "100", "--lambdas=-7e5"], 4, "ArithmeticError",
+     "Delta is not finite at lambda=(-700000+0j)"),
+    (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "100", "--lambdas=-1e6"], 4, "ArithmeticError",
+     "Delta is not finite at lambda=(-1000000+0j)"),
 ], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "csv-no-header", "csv-short",
-        "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields", "csv-header-m-huge"])
+        "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields", "csv-header-m-huge",
+        "delta-inf", "delta-math-range"])
 def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, monkeypatch):
     _write_inputs(tmp_path)
     before = sorted(p.name for p in tmp_path.iterdir())
     monkeypatch.chdir(tmp_path)
-    got, stdout, err = run(capsys, *argv, "--alpha", "1", "--beta", "0", "--j", "2", "--k", "5")
+    # the (1, 0, 2, 5) config goes first, so that flags of the case override it
+    got, stdout, err = run(capsys, argv[0], "--alpha", "1", "--beta", "0", "--j", "2", "--k", "5", *argv[1:])
     assert (got, stdout) == (code, "")
     error = json.loads(err)["error"]
     assert error["type"] == kind and message in error["message"]
