@@ -21,7 +21,6 @@ from .chebyshev import (
     IntPolynomial,
     cheb_T,
     cheb_U,
-    cheb_eval,
     imag_scaled_cheb_int,
     matrix_poly_eval,
     scaled_cheb_int,
@@ -42,7 +41,6 @@ from .frozen_matrix import (
     KernelDescriptor,
     build_matrix,
     char_poly_j1,
-    char_polys_j1,
     det_closed_form,
     det_exact,
     eigvec_j1,

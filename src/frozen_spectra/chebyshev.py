@@ -1,10 +1,10 @@
-"""Chebyshev polynomials of the first and second kinds, exact and floating.
+"""Chebyshev polynomials and the library's one three-term recurrence.
 
-One three-term recurrence Y_{n+1}(z) = 2z Y_n(z) - Y_{n-1}(z), from Y_0 = 1
-and Y_1 = z (T) or 2z (U), builds coefficient vectors with Python ints and,
-run on a complex number instead of z, evaluates them in floating point.
-Coefficients grow like 2^n, so the exact path never touches floats.  The
-rescaled variants 2*T_n(x/2), U_n(x/2) divide coefficient m by 2^m, and
+three_term runs y_{n+1} = z y_n - c y_{n-1}, z a polynomial or a number; a
+StoredRun keeps one run's terms and reads them by index, one step per new
+degree.  T_n and U_n are one run each of Y_{n+1} = 2z Y_n - Y_{n-1} from
+Y_0 = 1, Y_1 = z (T) or 2z (U), in Python ints that never touch floats.
+The rescaled variants 2*T_n(x/2), U_n(x/2) divide coefficient m by 2^m, and
 their imaginary-argument counterparts i^n*U_n(x/(2i)), 2*i^n*T_n(x/(2i))
 multiply that by i^(n-m); all have integer coefficients, which is what
 makes polynomial evaluation at integer matrices exact.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, zip_longest
 
 from .intlinalg import IntMatrix, identity, mat_add, mat_scale, matmul
 
@@ -52,16 +53,10 @@ class IntPolynomial:
         return acc
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
+        return IntPolynomial(tuple(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return IntPolynomial(tuple(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -79,38 +74,44 @@ ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
 
 
-@lru_cache(maxsize=None)
-def cheb_T(n: int) -> IntPolynomial:
-    """T_n by the recurrence; T_0 = 1, T_1 = z."""
-    return _chebyshev(n, ONE, X, 2 * X)
-
-
-@lru_cache(maxsize=None)
-def cheb_U(n: int) -> IntPolynomial:
-    """U_n by the recurrence; U_0 = 1, U_1 = 2z."""
-    return _chebyshev(n, ONE, 2 * X, 2 * X)
-
-
-def _chebyshev(n: int, y0, y1, two_z):
-    """Y_n of Y_{n+1} = 2z Y_n - Y_{n-1}: polynomials with z = X, or values at a number z."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return y0
+def three_term(z, y0, y1, c: int):
+    """y_0, y_1, ... of y_{n+1} = z y_n - c y_{n-1}, each computed when read; z is X, 2X or a number."""
     prev, cur = y0, y1
-    for _ in range(n - 1):
-        prev, cur = cur, two_z * cur - prev
-    return cur
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, z * cur - c * prev
 
 
-def cheb_eval(kind: ChebKind, n: int, z: complex) -> complex:
-    """Evaluate T_n or U_n at a complex point by forward recurrence.
+class StoredRun:
+    """The terms of one three_term run, kept as they are computed and read by index n >= 0."""
 
-    Valid off [-1, 1]; for real |z| <= 1 matches the trigonometric form.
-    """
-    _check_kind(kind)
-    y1 = complex(z) if kind == "T" else 2.0 * complex(z)
-    return _chebyshev(n, 1.0 + 0.0j, y1, 2.0 * z)
+    def __init__(self, z, y0, y1, c: int):
+        self._terms = three_term(z, y0, y1, c)
+        self._seen: list = []
+
+    def __getitem__(self, n: int):
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        if n >= len(self._seen):
+            self._seen.extend(islice(self._terms, n + 1 - len(self._seen)))
+        return self._seen[n]
+
+
+@lru_cache(maxsize=None)
+def _cheb_run(kind: ChebKind) -> StoredRun:
+    """Y_0 = 1, Y_1 = z (T) or 2z (U) of Y_{n+1} = 2z Y_n - Y_{n-1}."""
+    return StoredRun(2 * X, ONE, X if kind == "T" else 2 * X, 1)
+
+
+def cheb_T(n: int) -> IntPolynomial:
+    """T_n, entry n of the stored T run; T_0 = 1, T_1 = z."""
+    return _cheb_run("T")[n]
+
+
+def cheb_U(n: int) -> IntPolynomial:
+    """U_n, entry n of the stored U run; U_0 = 1, U_1 = 2z."""
+    return _cheb_run("U")[n]
 
 
 def scaled_cheb_int(kind: ChebKind, n: int) -> IntPolynomial:

@@ -282,19 +282,21 @@ def _render_svg(supp: GridFunction) -> str:
 
 def cmd_example(args) -> RunManifest:
     report = reference_example(args.id)
+    supp = report.supplement(args.m)  # validates --m before any file is written
     outputs = _emit(report.table + "\n", args.out)
-    if args.samples_out or args.svg:
-        supp = report.supplement(args.m)
-        if args.samples_out:
-            write_csv(supp, args.samples_out)
-            outputs.append(args.samples_out)
-        if args.svg:
-            outputs += _emit(_render_svg(supp), args.svg)
+    if args.samples_out:
+        write_csv(supp, args.samples_out)
+        outputs.append(args.samples_out)
+    if args.svg:
+        outputs += _emit(_render_svg(supp), args.svg)
     return RunManifest(config=report.config.to_dict(), inputs={"id": args.id}, outputs=outputs)
 
 
 def cmd_verify(args) -> RunManifest:
     """Run the identity sweeps and report per-block check counts; raise VerifyFailure if any fails."""
+    for flag in ("kmax", "kmax_theorem1", "kmax_forward"):  # below 2 a block would check nothing
+        if getattr(args, flag) < 2:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 2, got {getattr(args, flag)}")
     failures: list[str] = []
     for name, checks in identities.sweeps(args.kmax, args.kmax_theorem1, args.kmax_forward):
         results = list(checks)

@@ -3,8 +3,9 @@
 The k x k integer matrix attached to a config (alpha, beta, a = j/k) has
 four constant subdiagonal families (entries 1, d, c, c); its kernel decides
 whether the inverse problem has a unique solution.  Everything structural
-here is exact integer arithmetic: characteristic polynomials from one run
-of the tridiagonal j = 1 recurrence per (alpha, beta), closed-form
+here is exact integer arithmetic: characteristic polynomials read by k
+from one stored run of the tridiagonal j = 1 recurrence per (alpha, beta),
+which steps only past the largest k read so far, closed-form
 determinants, the Chebyshev reduction of j > 1 to j = 1, and kernel
 vectors.  Floats appear only in the numeric eigenvalue cross-checks and in
 the j = 1 eigenvectors, the same recurrence run on a number.
@@ -18,13 +19,13 @@ on demand.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import IntPolynomial, X, imag_scaled_cheb_int, scaled_cheb_int
+from .chebyshev import IntPolynomial, StoredRun, X, imag_scaled_cheb_int, scaled_cheb_int, three_term
 from .core_params import Kind, ProblemConfig, SignPair, classify, make_config, sign_pair
 
 
@@ -91,38 +92,27 @@ def build_matrix(config: ProblemConfig) -> FrozenMatrix:
     return FrozenMatrix(config, signs, tuple(rows))
 
 
-def _three_term(z, y0, y1, cd: int):
-    """y_0, y_1, ... with y_{n+1} = z y_n - cd y_{n-1}, each computed when read; z is X or a number.
+@lru_cache(maxsize=None)
+def _char_poly_run(alpha: int, beta: int) -> StoredRun:
+    """det(zI - A) of the j = 1 matrix as entry k >= 2 of one stored three_term run.
 
-    The j = 1 matrix A is tridiagonal with diagonal (1, 0, ..., 0, c),
-    super-diagonal d and sub-diagonal c, so from y_0 = 1, y_1 = z - 1 this
-    yields the minors q_n: for n < k, the leading n x n minor of zI - A.
-    """
-    prev, cur = y0, y1
-    yield prev
-    while True:
-        yield cur
-        prev, cur = cur, z * cur - cd * prev
-
-
-def char_polys_j1(alpha: int, beta: int):
-    """det(zI - A) of the j = 1 matrix for k = 2, 3, ..., from one run of the recurrence.
-
-    Expanding along the last row gives p_k = (z - c) q_{k-1} - cd q_{k-2}.
-    c and d do not depend on k, so p_k is a fixed combination of two
-    consecutive minors and obeys their recurrence p_{k+1} = z p_k - cd p_{k-1};
-    run back from p_2 and p_3 it starts at p_0 = 1 - d, p_1 = z - 1 - c.
+    A is tridiagonal with diagonal (1, 0, ..., 0, c), super-diagonal d and
+    sub-diagonal c, so the leading n x n minors q_n of zI - A (n < k) obey
+    q_{n+1} = z q_n - cd q_{n-1} from q_0 = 1, q_1 = z - 1.  Expanding
+    along the last row gives p_k = (z - c) q_{k-1} - cd q_{k-2}.  c and d
+    do not depend on k, so p_k is a fixed combination of two consecutive
+    minors and obeys their recurrence p_{k+1} = z p_k - cd p_{k-1}; run
+    back from p_2 and p_3 it starts at p_0 = 1 - d, p_1 = z - 1 - c.
     """
     s = sign_pair(make_config(alpha, beta, 1, 2))
-    p0, p1 = IntPolynomial((1 - s.d,)), X - IntPolynomial((1 + s.c,))
-    return itertools.islice(_three_term(X, p0, p1, s.c * s.d), 2, None)
+    return StoredRun(X, IntPolynomial((1 - s.d,)), X - IntPolynomial((1 + s.c,)), s.c * s.d)
 
 
 def char_poly_j1(k: int, alpha: int, beta: int) -> IntPolynomial:
-    """det(zI - A) for j = 1: entry k of char_polys_j1(alpha, beta)."""
+    """det(zI - A) for j = 1: entry k of the stored run of (alpha, beta)."""
     if k < 2:
         raise ValueError("char_poly_j1 needs k >= 2")
-    return next(itertools.islice(char_polys_j1(alpha, beta), k - 2, None))
+    return _char_poly_run(alpha, beta)[k]
 
 
 def det_closed_form(k: int, alpha: int, beta: int) -> int:
@@ -291,7 +281,8 @@ def kernel(config: ProblemConfig) -> KernelDescriptor:
 def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     """Eigenvector of the j = 1 matrix for eigenvalue z0.
 
-    Component m is d^(m-1) q_{m-1}(z0), the minors of _three_term at z0.
+    Component m is d^(m-1) q_{m-1}(z0): the minors q_n of _char_poly_run,
+    their three_term run on the number z0.
     The residual ||A x - z0 x||_inf <= 1e-9 ||x||_inf is checked a
     posteriori on the sparse rows, two products per row; failure means z0
     was not an eigenvalue.
@@ -300,7 +291,7 @@ def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
         raise ValueError("eigvec_j1 needs k >= 2")
     a = build_matrix(make_config(alpha, beta, 1, k))
     z, s = complex(z0), a.signs
-    x = [s.d**m * q for m, q in zip(range(k), _three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
+    x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
     resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(a.rows, x))
     scale = max(map(abs, x))
     if resid > 1e-9 * scale:

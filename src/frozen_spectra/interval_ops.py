@@ -31,8 +31,7 @@ class GridFunction:
     values: np.ndarray  # complex, length k*m
 
     def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise ValueError(f"a grid needs k >= 1 and m >= 1, got k={self.k}, m={self.m}")
+        _check_grid(self.k, self.m)
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (self.k * self.m,):
             raise ValueError(f"expected {self.k * self.m} samples, got shape {v.shape}")
@@ -47,11 +46,13 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn: Callable, k: int, m: int = 64) -> "GridFunction":
+        _check_grid(k, m)
         x = grid_midpoints(k, m)
         return cls(k, m, np.asarray(fn(x), dtype=complex) * np.ones_like(x))
 
     @classmethod
     def zeros(cls, k: int, m: int = 64) -> "GridFunction":
+        _check_grid(k, m)
         return cls(k, m, np.zeros(k * m, dtype=complex))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
@@ -67,6 +68,12 @@ class GridFunction:
             raise ValueError(f"grid mismatch: ({self.k},{self.m}) vs ({other.k},{other.m})")
 
 
+def _check_grid(k: int, m: int) -> None:
+    """Reject a grid shape before anything is allocated for it."""
+    if k < 1 or m < 1:
+        raise ValueError(f"a grid needs k >= 1 and m >= 1, got k={k}, m={m}")
+
+
 def grid_midpoints(k: int, m: int) -> np.ndarray:
     """Midpoints x_i = (i + 1/2)/(k*m) of the k*m cells of (0, 1)."""
     return (np.arange(k * m) + 0.5) / (k * m)
@@ -74,6 +81,7 @@ def grid_midpoints(k: int, m: int) -> np.ndarray:
 
 def subinterval_midpoints(k: int, m: int) -> np.ndarray:
     """Midpoints t_i = (i + 1/2) b/m of (0, b), b = 1/k."""
+    _check_grid(k, m)
     return (np.arange(m) + 0.5) / (k * m)
 
 
@@ -100,16 +108,11 @@ def _q_permutation(k: int, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _r_permutation(j_parity: int, k: int, m: int) -> np.ndarray:
-    i = np.arange(m)
-    rows = []
-    for nu in range(1, k + 1):
-        if (j_parity + nu) % 2 == 0:
-            rows.append((k - nu) * m + i)
-        else:
-            rows.append((k - nu + 1) * m - 1 - i)
-    perm = np.vstack(rows)
+    """Row nu of R is row k+1-nu of Q, reversed within the row when j + k is odd."""
+    perm = _q_permutation(k, m)[::-1]
+    perm = np.ascontiguousarray(perm if (j_parity + k) % 2 == 0 else perm[:, ::-1])  # fast to index by
     perm.setflags(write=False)
-    return _check_permutation(perm, k * m)
+    return perm
 
 
 def _scatter(perm: np.ndarray, comps: np.ndarray) -> GridFunction:

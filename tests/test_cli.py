@@ -43,6 +43,15 @@ def test_cheb_output(capsys):
     assert code == 0 and json.loads(out) == [0, -2, 0, 1]
 
 
+def test_cheb_rejects_negative_degree(capsys):
+    run(capsys, "cheb", "--kind", "T", "--n", "5")  # the stored run is non-empty, so -1 could wrap around
+    for kind in ("T", "U"):
+        for scaled in ([], ["--scaled"]):
+            code, out, err = run(capsys, "cheb", "--kind", kind, "--n=-1", *scaled)
+            assert (code, out) == (3, "")
+            assert json.loads(err)["error"] == {"type": "ValueError", "message": "n must be >= 0, got -1"}
+
+
 def test_forward_invert_round_trip(tmp_path, capsys, rng):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"config": {"alpha": 0, "beta": 1, "j": 1, "k": 3}}))
@@ -355,15 +364,33 @@ DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
      "Delta is not finite at lambda=(-700000+0j)"),
     (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "100", "--lambdas=-1e6"], 4, "ArithmeticError",
      "Delta is not finite at lambda=(-1000000+0j)"),
+    # a range below 2 would leave a block with no checks
+    (["verify", "--kmax", "1"], 3, "ValueError", "--kmax must be >= 2, got 1"),
+    (["verify", "--kmax=-3"], 3, "ValueError", "--kmax must be >= 2, got -3"),
+    (["verify", "--kmax-theorem1", "0"], 3, "ValueError", "--kmax-theorem1 must be >= 2, got 0"),
+    (["verify", "--kmax-forward", "1"], 3, "ValueError", "--kmax-forward must be >= 2, got 1"),
+    # a bad --m is rejected before any output file is written
+    (["example", "--id", "I7", "--out", "t.txt", "--m=-1", "--svg", "x.svg"], 3, "ValueError",
+     "a grid needs k >= 1 and m >= 1, got k=7, m=-1"),
+    (["example", "--id", "IV", "--out", "t.txt", "--m", "0"], 3, "ValueError",
+     "a grid needs k >= 1 and m >= 1, got k=8, m=0"),
+    (["isospectral", "--q0", "zero", "--m=-1", "--out", "iq.csv"], 3, "ValueError",
+     "a grid needs k >= 1 and m >= 1, got k=5, m=-1"),
+    (["eigs", "--q", "demo", "--m=-2", "--count", "3", "--out", "e.csv"], 3, "ValueError",
+     "a grid needs k >= 1 and m >= 1, got k=5, m=-2"),
 ], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "csv-no-header", "csv-short",
         "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields", "csv-header-m-huge",
-        "delta-inf", "delta-math-range"])
+        "delta-inf", "delta-math-range", "verify-kmax-1", "verify-kmax-negative", "verify-kmax-theorem1-0",
+        "verify-kmax-forward-1", "example-m-negative", "example-m-zero", "isospectral-m-negative",
+        "eigs-m-negative"])
 def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, monkeypatch):
     _write_inputs(tmp_path)
     before = sorted(p.name for p in tmp_path.iterdir())
     monkeypatch.chdir(tmp_path)
-    # the (1, 0, 2, 5) config goes first, so that flags of the case override it
-    got, stdout, err = run(capsys, argv[0], "--alpha", "1", "--beta", "0", "--j", "2", "--k", "5", *argv[1:])
+    # the (1, 0, 2, 5) config goes first, so that flags of the case override it;
+    # verify and example take no config
+    config = [] if argv[0] in ("verify", "example") else ["--alpha", "1", "--beta", "0", "--j", "2", "--k", "5"]
+    got, stdout, err = run(capsys, argv[0], *config, *argv[1:])
     assert (got, stdout) == (code, "")
     error = json.loads(err)["error"]
     assert error["type"] == kind and message in error["message"]

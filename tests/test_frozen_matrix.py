@@ -8,7 +8,6 @@ from frozen_spectra import (
     ProblemConfig,
     build_matrix,
     char_poly_j1,
-    char_polys_j1,
     classify,
     det_closed_form,
     det_exact,
@@ -86,11 +85,12 @@ def test_char_poly_examples():
                 assert const == (-1) ** k * det
 
 
-def test_char_polys_j1_is_det_zi_minus_a():
-    # one run per flag pair; p_k(z) = det(zI - A) at k + 1 integer points, by Bareiss
+def test_char_poly_j1_is_det_zi_minus_a():
+    # p_k(z) = det(zI - A) at k + 1 integer points, by Bareiss
     for alpha in (0, 1):
         for beta in (0, 1):
-            for k, p in zip(range(2, 13), char_polys_j1(alpha, beta)):
+            for k in range(2, 13):
+                p = char_poly_j1(k, alpha, beta)
                 a = build_matrix(make_config(alpha, beta, 1, k)).as_lists()
                 for z in range(-k // 2, k // 2 + 2):
                     zi_a = [[z * (r == c) - v for c, v in enumerate(row)] for r, row in enumerate(a)]

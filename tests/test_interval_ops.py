@@ -80,6 +80,27 @@ def test_r_inverse_piecewise_layout(j, k):
             assert np.array_equal(seg, comps[nu - 1][::-1])
 
 
+def loop_r_permutation(j_parity, k, m):
+    """The R chop row by row: row nu shifts ((k-nu)b, (k-nu+1)b) for even j+nu, reflects it for odd."""
+    i = np.arange(m)
+    rows = []
+    for nu in range(1, k + 1):
+        if (j_parity + nu) % 2 == 0:
+            rows.append((k - nu) * m + i)
+        else:
+            rows.append((k - nu + 1) * m - 1 - i)
+    return np.vstack(rows)
+
+
+def test_r_permutation_is_the_q_permutation_read_backwards():
+    for k in range(1, 14):
+        for m in (1, 2, 3, 5):
+            for j_parity in (0, 1):
+                perm = _r_permutation(j_parity, k, m)
+                assert np.array_equal(perm, loop_r_permutation(j_parity, k, m)), (j_parity, k, m)
+                assert not perm.flags.writeable
+
+
 def test_r_inverse_rejects_even_even():
     comps = np.zeros((4, 3), dtype=complex)
     with pytest.raises(ValueError):
@@ -139,5 +160,11 @@ def test_grid_validation():
     for k, m in ((1, 0), (0, 4)):
         with pytest.raises(ValueError, match="k >= 1 and m >= 1"):
             GridFunction(k, m, [])
+    # negative sizes are rejected before numpy sees them, and so is k*m > 0 from two negatives
+    for k, m in ((2, -1), (-1, 3), (-2, -3)):
+        for make in (GridFunction.zeros, lambda k, m: GridFunction.from_callable(lambda x: x, k, m),
+                     subinterval_midpoints):
+            with pytest.raises(ValueError, match=f"a grid needs k >= 1 and m >= 1, got k={k}, m={m}"):
+                make(k, m)
     with pytest.raises(ValueError):
         GridFunction.zeros(2, 4) + GridFunction.zeros(4, 2)
