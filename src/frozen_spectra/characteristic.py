@@ -7,11 +7,13 @@ fundamental solutions
 with composite midpoint quadrature on the shared grid; its kernel sums
 factor every e^{+-i rho s} over blocks of about sqrt(n) of the n grid
 points, so an evaluation costs about 4 sqrt(n) complex exps and two thin
-matrix products rather than n exps.  Route 2 (delta_from_w) integrates
-W against the trig kernels.  Route 3 (delta_from_spectrum) evaluates the
-canonical infinite product over a truncated spectrum, pairing each
-retained factor with the matching zero-potential factor so the tail is
-exactly 1 under lambda_n = lambda_n^0.
+matrix products rather than n exps.  The potential is laid out in those
+blocks once per potential, not once per evaluation, and the boundary
+terms take one cmath.sin and one cmath.cos per endpoint.  Route 2
+(delta_from_w) integrates W against the trig kernels.  Route 3
+(delta_from_spectrum) evaluates the canonical infinite product over a
+truncated spectrum, pairing each retained factor with the matching
+zero-potential factor so the tail is exactly 1 under lambda_n = lambda_n^0.
 
 All formulas are even in rho, so the branch of the square root is
 immaterial; one canonical branch also makes the rounding of the exp
@@ -165,21 +167,38 @@ def _block_layout(k: int, m: int, jm: int):
 
     The head's lengths are x_0..x_{jm-1}; the tail's, read backwards, are
     x_0..x_{n-jm-1}, because 1 - x_i = x_{n-1-i}.  With b = isqrt(n) points per
-    block and enough blocks for the longer of the two, returns b, the signed
-    offsets [[fine, coarse], [-fine, -coarse]] whose exps give every factor
-    e^{+-i rho x}, their weights [1, x, 1, x] for the rows of the slope sums,
-    and the zero padding that fills head and reversed tail to whole blocks.
+    block and enough blocks for the longer of the two, returns b, the number
+    of blocks, the signed offsets [[fine, coarse], [-fine, -coarse]] whose
+    exps give every factor e^{+-i rho x}, and the weights (1, x) that spread
+    each exp row over a value row and a slope row.
     """
     n = k * m
     b = math.isqrt(n)
     blocks = -(-max(jm, n - jm) // b)
     x = np.concatenate(((np.arange(b) + 0.5) / n, np.arange(blocks) * (b / n)))
-    ones = np.ones_like(x)
-    layout = (np.stack((x, -x)), np.stack((ones, x, ones, x)),
-              np.zeros(blocks * b - jm, dtype=complex), np.zeros(blocks * b - (n - jm), dtype=complex))
-    for a in layout:
-        a.setflags(write=False)
-    return (b, *layout)
+    offsets, weights = np.stack((x, -x)), np.stack((np.ones_like(x), x))
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return b, blocks, offsets, weights
+
+
+@lru_cache(maxsize=1)
+def _potential_rows(q: GridFunction, jm: int) -> np.ndarray:
+    """Head and reversed tail of q as (2, blocks, b) rows, zero-padded to whole blocks.
+
+    Newton passes one potential to every call, so the rows are laid out once
+    per (q, jm); q's samples are read-only and q hashes by identity, so a
+    cached layout can never go stale.  The one entry keeps the last
+    potential alive until another takes its place.
+    """
+    b, blocks, _, _ = _block_layout(q.k, q.m, jm)
+    v = q.values
+    rows = np.zeros((2, blocks * b), dtype=complex)
+    rows[0, :jm] = v[:jm]
+    rows[1, : v.size - jm] = v[jm:][::-1]
+    rows = rows.reshape(2, blocks, b)
+    rows.setflags(write=False)
+    return rows
 
 
 def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex, slope: bool):
@@ -193,14 +212,15 @@ def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex, slope: bo
         d/dlambda sin(rho s)/rho   = (s cos(rho s) - sin(rho s)/rho)/(2 lambda).
     Those sums come blocked (see _block_layout), with s = coarse + fine and
     e^{+-i rho s} = E+-(coarse) F+-(fine): head and reversed tail, as rows of b
-    samples, meet [F+, fine F+, F-, fine F-] in one (rows x b) @ (b x 4)
-    product, and [E+, coarse E+, E-, coarse E-] turns each side's row sums
-    into its four sums.  A call takes 2(b + blocks), about 4 sqrt(n), complex
-    exps and two thin matrix products, and no n-length array but the rows;
-    the value sums are the same floats with or without slope.
+    samples laid out once per potential (_potential_rows), meet
+    [F+, fine F+, F-, fine F-] in one (rows x b) @ (b x 4) product, and
+    [E+, coarse E+, E-, coarse E-] turns each side's row sums into its four
+    sums.  A call takes 2(b + blocks), about 4 sqrt(n), complex exps and two
+    thin matrix products, builds no n-length array, and finishes in scalar
+    arithmetic; the value sums are the same floats with or without slope.
     """
-    v = q.values
     if abs(rho) < RHO_SERIES_THRESHOLD:
+        v = q.values
         s = _chop_lengths(q.k, q.m, jm)
 
         def dot(w, kern):
@@ -211,22 +231,36 @@ def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex, slope: bo
         if not slope:
             return sums, None
         return sums, (dot(v, _dksin(s, rho)), dot(v, -0.5 * s * ksin))
-    b, offsets, weights, pad_head, pad_tail = _block_layout(q.k, q.m, jm)
+    b, _, offsets, weights = _block_layout(q.k, q.m, jm)
     # rows e^{i rho x}, x e^{i rho x}, e^{-i rho x}, x e^{-i rho x}; columns the fine, then the coarse points
-    factors = np.exp((1j * rho) * offsets)[[0, 0, 1, 1]] * weights
-    rows = np.concatenate((v[:jm], pad_head, v[jm:][::-1], pad_tail)).reshape(-1, b)
-    row_sums = (rows @ factors[:, :b].T).reshape(2, -1, 4)
+    factors = (np.exp((1j * rho) * offsets)[:, None] * weights).reshape(4, -1)
+    row_sums = _potential_rows(q, jm) @ factors[:, :b].T
     head, tail = (factors[:, b:] @ row_sums).tolist()
-    ep, em = (head[0][0], tail[0][0]), (head[2][2], tail[2][2])
-    sin_sums = tuple((p - m) / (2j * rho) for p, m in zip(ep, em))
-    sums = sin_sums, tuple((p + m) / 2 for p, m in zip(ep, em))
+    two_i_rho = 2j * rho
+    ph, mh, pt, mt = head[0][0], head[2][2], tail[0][0], tail[2][2]
+    sin_h, sin_t = (ph - mh) / two_i_rho, (pt - mt) / two_i_rho
+    sums = (sin_h, sin_t), ((ph + mh) / 2, (pt + mt) / 2)
     if not slope:
         return sums, None
-    sp = tuple(u[1][0] + u[0][1] for u in (head, tail))
-    sm = tuple(u[3][2] + u[2][3] for u in (head, tail))
-    dsin = tuple(((p + m) / 2 - ks) / (2 * lam) for p, m, ks in zip(sp, sm, sin_sums))
-    dcos = tuple((m - p) / (4j * rho) for p, m in zip(sp, sm))
+    sph, smh = head[1][0] + head[0][1], head[3][2] + head[2][3]
+    spt, smt = tail[1][0] + tail[0][1], tail[3][2] + tail[2][3]
+    two_lam = 2 * lam
+    dsin = ((sph + smh) / 2 - sin_h) / two_lam, ((spt + smt) / 2 - sin_t) / two_lam
+    dcos = (smh - sph) / (2 * two_i_rho), (smt - spt) / (2 * two_i_rho)
     return sums, (dsin, dcos)
+
+
+def _endpoint_terms(s: float, rho: complex, lam: complex):
+    """cos(rho s), sin(rho s)/rho and d/dlambda of sin(rho s)/rho at one endpoint s.
+
+    One cmath.sin and one cmath.cos give all three; below the series
+    threshold the last two come from _ksin and _dksin.
+    """
+    cs = cmath.cos(rho * s)
+    if abs(rho) < RHO_SERIES_THRESHOLD:
+        return cs, _ksin(s, rho), _dksin(s, rho)
+    ks = cmath.sin(rho * s) / rho
+    return cs, ks, (s * cs - ks) / (2 * lam)
 
 
 def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bool = False):
@@ -244,20 +278,19 @@ def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bo
     jm = config.j * q.m
     (isin, icos), dsums = _kernel_sums(q, jm, rho, lam, slope)
 
-    ks0, ks1 = _ksin(a, rho), _ksin(1 - a, rho)
-    cs0, cs1 = cmath.cos(rho * a), cmath.cos(rho * (1 - a))
+    cs0, ks0, dks0 = _endpoint_terms(a, rho, lam)
+    cs1, ks1, dks1 = _endpoint_terms(1 - a, rho, lam)
     c0 = cs0 + h * isin[0]
     c1 = cs1 + h * isin[1]
     cp0 = lam * ks0 - h * icos[0]
     cp1 = -lam * ks1 + h * icos[1]
     top = (c0, -ks0) if config.alpha == 0 else (cp0, cs0)
     bot = (c1, ks1) if config.beta == 0 else (cp1, cs1)
-    value = complex(top[0] * bot[1] - top[1] * bot[0])
+    value = top[0] * bot[1] - top[1] * bot[0]
     if not slope:
         return value
 
     dsin, dcos = dsums
-    dks0, dks1 = _dksin(a, rho), _dksin(1 - a, rho)
     dcs0, dcs1 = -0.5 * a * ks0, -0.5 * (1 - a) * ks1
     dc0 = dcs0 + h * dsin[0]
     dc1 = dcs1 + h * dsin[1]
@@ -266,7 +299,7 @@ def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bo
     dtop = (dc0, -dks0) if config.alpha == 0 else (dcp0, dcs0)
     dbot = (dc1, dks1) if config.beta == 0 else (dcp1, dcs1)
     dvalue = dtop[0] * bot[1] + top[0] * dbot[1] - dtop[1] * bot[0] - top[1] * dbot[0]
-    return value, complex(dvalue)
+    return value, dvalue
 
 
 def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> complex:

@@ -75,12 +75,16 @@ X = IntPolynomial((0, 1))
 
 
 def three_term(z, y0, y1, c: int):
-    """y_0, y_1, ... of y_{n+1} = z y_n - c y_{n-1}, each computed when read; z is X, 2X or a number."""
+    """y_0, y_1, ... of y_{n+1} = z y_n - c y_{n-1}, each computed when read; z is X, 2X or a number.
+
+    With c = 1 (the Chebyshev runs) y_{n-1} is subtracted as it is, not
+    through a copy scaled by 1.
+    """
     prev, cur = y0, y1
     yield prev
     while True:
         yield cur
-        prev, cur = cur, z * cur - c * prev
+        prev, cur = cur, z * cur - (prev if c == 1 else c * prev)
 
 
 class StoredRun:

@@ -167,7 +167,12 @@ def cmd_eigs(args) -> RunManifest:
 def cmd_delta(args) -> RunManifest:
     cfg = _load_config(args)
     q = _load_potential(args.q, cfg.k, args.m)
-    lams = [complex(s) for s in args.lambdas.split(";")]
+    lams = []
+    for entry in args.lambdas.split(";"):
+        try:
+            lams.append(complex(entry))
+        except ValueError:
+            raise ValueError(f"--lambdas {args.lambdas!r}: entry {entry!r} is not a complex number") from None
     if not all(cmath.isfinite(lam) for lam in lams):
         raise ValueError(f"--lambdas {args.lambdas!r}: every lambda must be finite")
     lines = []

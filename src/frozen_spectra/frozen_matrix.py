@@ -278,6 +278,12 @@ def kernel(config: ProblemConfig) -> KernelDescriptor:
     return KernelDescriptor(1, x)
 
 
+@lru_cache(maxsize=1)
+def _j1_matrix(k: int, alpha: int, beta: int) -> FrozenMatrix:
+    """The j = 1 matrix, built once for a run of eigenvectors of one (k, alpha, beta)."""
+    return build_matrix(make_config(alpha, beta, 1, k))
+
+
 def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     """Eigenvector of the j = 1 matrix for eigenvalue z0.
 
@@ -289,7 +295,7 @@ def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     """
     if k < 2:
         raise ValueError("eigvec_j1 needs k >= 2")
-    a = build_matrix(make_config(alpha, beta, 1, k))
+    a = _j1_matrix(k, alpha, beta)
     z, s = complex(z0), a.signs
     x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
     resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(a.rows, x))

@@ -26,15 +26,22 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
+    """Samples at the k*m grid midpoints, held as a read-only copy of the input.
+
+    The samples never change after construction, so a GridFunction can key
+    per-potential caches by identity (eq=False keeps the identity hash).
+    """
+
     k: int
     m: int
-    values: np.ndarray  # complex, length k*m
+    values: np.ndarray  # complex, length k*m, read-only
 
     def __post_init__(self):
         _check_grid(self.k, self.m)
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)
         if v.shape != (self.k * self.m,):
             raise ValueError(f"expected {self.k * self.m} samples, got shape {v.shape}")
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def midpoints(self) -> np.ndarray:

@@ -1,5 +1,10 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,16 @@ from frozen_spectra import (
     zero_potential_delta,
 )
 from frozen_spectra import characteristic
-from frozen_spectra.characteristic import _dksin, _find_root, _kcosm1, _ksin, zero_potential_delta_dlam
+from frozen_spectra.characteristic import (
+    RHO_SERIES_THRESHOLD,
+    _dksin,
+    _endpoint_terms,
+    _find_root,
+    _kcosm1,
+    _ksin,
+    _sqrt_lambda,
+    zero_potential_delta_dlam,
+)
 from frozen_spectra.cli import _demo_potential, dispatch
 
 PI = math.pi
@@ -225,6 +239,61 @@ def test_blocked_kernel_matches_the_full_length_kernel(alpha, beta, j, k, m, rng
             assert cmath.isfinite(g) == cmath.isfinite(w)
             if cmath.isfinite(w):
                 assert abs(g - w) <= 1e-12 * abs(w)
+
+
+# two potentials on one grid, and two j on one potential: every pair of
+# neighbouring cases differs in (q, j * m), the key of the potential-row cache
+_CACHE_CASES = """
+import numpy as np
+from frozen_spectra import GridFunction, delta_direct, make_config
+qs = [GridFunction(5, 64, g.normal(size=320) + 1j * g.normal(size=320))
+      for g in (np.random.default_rng(1), np.random.default_rng(2))]
+cases = [(qs[0], make_config(0, 1, 2, 5)), (qs[1], make_config(0, 1, 2, 5)), (qs[0], make_config(0, 1, 1, 5))]
+lams = (400.0, 1500.0 - 9.0j, -2500.0)
+"""
+
+
+def test_potential_row_cache_returns_the_bits_of_a_fresh_process():
+    # each case in a process of its own, so nothing it computes is cached from another case
+    script = _CACHE_CASES + (
+        "import json, sys\n"
+        "q, cfg = cases[int(sys.argv[1])]\n"
+        "print(json.dumps([[(z.real.hex(), z.imag.hex()) for z in delta_direct(q, cfg, lam, slope=True)]\n"
+        "                  for lam in lams]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(c)], env=env, stdout=subprocess.PIPE, text=True)
+             for c in range(3)]
+    outs = [p.communicate(timeout=60)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0, 0]
+    fresh = [json.loads(out) for out in outs]
+    scope = {}
+    exec(_CACHE_CASES, scope)
+    cases, lams = scope["cases"], scope["lams"]
+    # here the cases alternate, and each repeats its lambdas back to back
+    for c in (0, 1, 0, 2, 1, 2, 0):
+        q, cfg = cases[c]
+        for lam, want in zip(lams, fresh[c]):
+            assert [_bits(z) for z in delta_direct(q, cfg, lam, slope=True)] == [tuple(b) for b in want]
+
+
+@pytest.mark.parametrize("lam", [1e-7, 9.9e-7, -3e-6 + 1e-7j, 1.01e-6, 2e-6 + 1e-6j, 7.3 + 2.0j, -2500.0,
+                                 1e4 + 3000j, 1e7 + 3j])
+def test_endpoint_terms_match_the_numpy_kernels(lam):
+    # lambda = 1e-6 is the series threshold |rho| = 1e-3; the endpoints are a and 1 - a of the configs in use
+    rho = _sqrt_lambda(lam)
+    for s in (1 / 4, 2 / 7, 1 / 3, 3 / 8, 2 / 5, 1 / 2, 3 / 5, 5 / 8, 2 / 3, 5 / 7, 3 / 4, 1.0):
+        cs, ks, dks = _endpoint_terms(s, rho, lam)
+        want_ks, want_dks = complex(_ksin(s, rho)), complex(_dksin(s, rho))
+        assert cs == cmath.cos(rho * s)
+        assert abs(ks - want_ks) <= 1e-15 * abs(want_ks)
+        if abs(rho) < RHO_SERIES_THRESHOLD:
+            assert (ks, dks) == (want_ks, want_dks)
+        else:
+            # (s cos(rho s) - sin(rho s)/rho)/(2 lambda) cancels near the threshold, so the
+            # agreement is measured against the size of its two terms
+            size = (abs(s * cs) + abs(want_ks)) / abs(2 * lam)
+            assert abs(dks - want_dks) <= 1e-15 * size
 
 
 def test_eigenvalues_take_at_most_four_evaluations_per_root(monkeypatch):

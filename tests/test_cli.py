@@ -364,6 +364,13 @@ DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
      "Delta is not finite at lambda=(-700000+0j)"),
     (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "100", "--lambdas=-1e6"], 4, "ArithmeticError",
      "Delta is not finite at lambda=(-1000000+0j)"),
+    # an empty or malformed lambda names the flag and the entry
+    (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "16", "--lambdas="], 3, "ValueError",
+     "--lambdas '': entry '' is not a complex number"),
+    (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "16", "--lambdas", "1;;2"], 3, "ValueError",
+     "--lambdas '1;;2': entry '' is not a complex number"),
+    (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "16", "--lambdas", "1;x"], 3, "ValueError",
+     "--lambdas '1;x': entry 'x' is not a complex number"),
     # a range below 2 would leave a block with no checks
     (["verify", "--kmax", "1"], 3, "ValueError", "--kmax must be >= 2, got 1"),
     (["verify", "--kmax=-3"], 3, "ValueError", "--kmax must be >= 2, got -3"),
@@ -380,7 +387,8 @@ DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
      "a grid needs k >= 1 and m >= 1, got k=5, m=-2"),
 ], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "csv-no-header", "csv-short",
         "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields", "csv-header-m-huge",
-        "delta-inf", "delta-math-range", "verify-kmax-1", "verify-kmax-negative", "verify-kmax-theorem1-0",
+        "delta-inf", "delta-math-range", "delta-lambdas-empty", "delta-lambdas-empty-entry",
+        "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative", "verify-kmax-theorem1-0",
         "verify-kmax-forward-1", "example-m-negative", "example-m-zero", "isospectral-m-negative",
         "eigs-m-negative"])
 def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, monkeypatch):

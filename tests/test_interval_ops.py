@@ -154,6 +154,20 @@ def test_csv_rejects_non_finite_values(tmp_path):
             read_profile_csv(path)
 
 
+def test_samples_are_a_read_only_copy():
+    vals = np.arange(6, dtype=complex)
+    f = GridFunction(2, 3, vals)
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] = 5.0
+    # the caller's array stays writable, and writing to it leaves f as it was
+    vals[0] = 99.0
+    assert vals.flags.writeable and not np.shares_memory(vals, f.values)
+    assert np.array_equal(f.values, np.arange(6))
+    # a grid built from another grid's samples holds its own copy
+    g = GridFunction(2, 3, f.values)
+    assert not g.values.flags.writeable and not np.shares_memory(f.values, g.values)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridFunction(2, 4, np.zeros(7, dtype=complex))
