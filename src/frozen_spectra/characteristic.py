@@ -9,18 +9,22 @@ factor every e^{+-i rho s} over blocks of about sqrt(n) of the n grid
 points, so an evaluation costs about 4 sqrt(n) complex exps and two thin
 matrix products rather than n exps.  The potential is laid out in those
 blocks once per potential, not once per evaluation, and the boundary
-terms take one cmath.sin and one cmath.cos per endpoint.  Route 2
-(delta_from_w) integrates W against the trig kernels.  Route 3
-(delta_from_spectrum) evaluates the canonical infinite product over a
-truncated spectrum, pairing each retained factor with the matching
-zero-potential factor so the tail is exactly 1 under lambda_n = lambda_n^0.
+terms take one cmath.sin and one cmath.cos per endpoint.  One boundary
+assembly (_boundary_det) chooses the determinant's rows on (alpha, beta):
+fed the kernel sums it gives Delta, fed zero sums at a = 0 the
+zero-potential Delta_0.  Route 2 (delta_from_w) adds an integral of W
+against the trig kernels to Delta_0.  Route 3 (delta_from_spectrum)
+evaluates the canonical infinite product over a truncated spectrum,
+pairing each retained factor with the matching zero-potential factor so
+the tail is exactly 1 under lambda_n = lambda_n^0.
 
 All formulas are even in rho, so the branch of the square root is
 immaterial; one canonical branch also makes the rounding of the exp
-kernel in delta_direct independent of it.  delta_direct can return the
-analytic dDelta/dlambda of its quadrature next to Delta, which is what
-eigenvalues runs Newton on.  Kernels switch to Taylor series below
-|rho| = 1e-3 where sin(rho s)/rho would cancel badly.
+kernel in delta_direct independent of it.  Every kernel pass also yields
+the analytic dDelta/dlambda of its quadrature, which is what eigenvalues
+runs Newton on.  Kernels switch to Taylor series below |rho| = 1e-3
+where sin(rho s)/rho would cancel badly; the series branch reads the
+same per-potential rows.
 """
 
 from __future__ import annotations
@@ -153,15 +157,6 @@ def _kcosm1(s, rho: complex):
 
 
 @lru_cache(maxsize=None)
-def _chop_lengths(k: int, m: int, jm: int) -> np.ndarray:
-    """Length s of each grid midpoint's chop: x on the head [:jm], 1 - x on the tail."""
-    x = grid_midpoints(k, m)
-    s = np.concatenate((x[:jm], 1.0 - x[jm:]))
-    s.setflags(write=False)
-    return s
-
-
-@lru_cache(maxsize=None)
 def _block_layout(k: int, m: int, jm: int):
     """The chop lengths in blocks: x_t = (t + 1/2)/n = coarse_B + fine_r, t = B*b + r.
 
@@ -201,53 +196,45 @@ def _potential_rows(q: GridFunction, jm: int) -> np.ndarray:
     return rows
 
 
-def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex, slope: bool):
-    """Sums of q * sin(rho s)/rho and q * cos(rho s) over head and tail.
+def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
+    """Sums of q * sin(rho s)/rho and q * cos(rho s) over head and tail, and their lambda-derivatives.
 
-    Returns ((sin_head, sin_tail), (cos_head, cos_tail)) and, with slope, the
-    same two pairs differentiated in lambda, else None.  Above the series
+    Returns ((sin_head, sin_tail), (cos_head, cos_tail)) and the same two
+    pairs differentiated in lambda.  Both branches read q from the rows of
+    _potential_rows, laid out once per potential.  Above the series
     threshold the sums of q e^{+-i rho s} and q s e^{+-i rho s} carry
     everything, and
         d/dlambda cos(rho s)       = -(s/2) sin(rho s)/rho,
         d/dlambda sin(rho s)/rho   = (s cos(rho s) - sin(rho s)/rho)/(2 lambda).
     Those sums come blocked (see _block_layout), with s = coarse + fine and
     e^{+-i rho s} = E+-(coarse) F+-(fine): head and reversed tail, as rows of b
-    samples laid out once per potential (_potential_rows), meet
-    [F+, fine F+, F-, fine F-] in one (rows x b) @ (b x 4) product, and
-    [E+, coarse E+, E-, coarse E-] turns each side's row sums into its four
-    sums.  A call takes 2(b + blocks), about 4 sqrt(n), complex exps and two
-    thin matrix products, builds no n-length array, and finishes in scalar
-    arithmetic; the value sums are the same floats with or without slope.
+    samples, meet [F+, fine F+, F-, fine F-] in one (rows x b) @ (b x 4)
+    product, and [E+, coarse E+, E-, coarse E-] turns each side's row sums
+    into its four sums.  A call takes 2(b + blocks), about 4 sqrt(n), complex
+    exps and two thin matrix products, builds no n-length array, and
+    finishes in scalar arithmetic.  Below the threshold the four series
+    kernels are taken on the (blocks, b) grid of lengths coarse + fine.
     """
-    if abs(rho) < RHO_SERIES_THRESHOLD:
-        v = q.values
-        s = _chop_lengths(q.k, q.m, jm)
-
-        def dot(w, kern):
-            return complex(w[:jm] @ kern[:jm]), complex(w[jm:] @ kern[jm:])
-
-        ksin = _ksin(s, rho)
-        sums = dot(v, ksin), dot(v, np.cos(rho * s))
-        if not slope:
-            return sums, None
-        return sums, (dot(v, _dksin(s, rho)), dot(v, -0.5 * s * ksin))
     b, _, offsets, weights = _block_layout(q.k, q.m, jm)
+    rows = _potential_rows(q, jm)
+    if abs(rho) < RHO_SERIES_THRESHOLD:
+        s = offsets[0, b:, None] + offsets[0, :b]
+        ksin = _ksin(s, rho)
+        kernels = np.stack((ksin, np.cos(rho * s), _dksin(s, rho), -0.5 * s * ksin)).reshape(4, -1)
+        isin, icos, dsin, dcos = (kernels @ rows.reshape(2, -1).T).tolist()
+        return (isin, icos), (dsin, dcos)
     # rows e^{i rho x}, x e^{i rho x}, e^{-i rho x}, x e^{-i rho x}; columns the fine, then the coarse points
     factors = (np.exp((1j * rho) * offsets)[:, None] * weights).reshape(4, -1)
-    row_sums = _potential_rows(q, jm) @ factors[:, :b].T
-    head, tail = (factors[:, b:] @ row_sums).tolist()
+    head, tail = (factors[:, b:] @ (rows @ factors[:, :b].T)).tolist()
     two_i_rho = 2j * rho
     ph, mh, pt, mt = head[0][0], head[2][2], tail[0][0], tail[2][2]
     sin_h, sin_t = (ph - mh) / two_i_rho, (pt - mt) / two_i_rho
-    sums = (sin_h, sin_t), ((ph + mh) / 2, (pt + mt) / 2)
-    if not slope:
-        return sums, None
     sph, smh = head[1][0] + head[0][1], head[3][2] + head[2][3]
     spt, smt = tail[1][0] + tail[0][1], tail[3][2] + tail[2][3]
     two_lam = 2 * lam
     dsin = ((sph + smh) / 2 - sin_h) / two_lam, ((spt + smt) / 2 - sin_t) / two_lam
     dcos = (smh - sph) / (2 * two_i_rho), (smt - spt) / (2 * two_i_rho)
-    return sums, (dsin, dcos)
+    return ((sin_h, sin_t), ((ph + mh) / 2, (pt + mt) / 2)), (dsin, dcos)
 
 
 def _endpoint_terms(s: float, rho: complex, lam: complex):
@@ -263,6 +250,42 @@ def _endpoint_terms(s: float, rho: complex, lam: complex):
     return cs, ks, (s * cs - ks) / (2 * lam)
 
 
+def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: complex, sums, dsums=None):
+    """The 2x2 boundary determinant, the one place its rows are chosen on (alpha, beta).
+
+    The fundamental solutions C, S normalized at a enter through the
+    endpoint terms at a and 1 - a and the h-weighted kernel sums
+    ((sin_head, sin_tail), (cos_head, cos_tail)) of _kernel_sums; the row at
+    0 holds (C, S) for alpha = 0 and (C', S') for alpha = 1, the row at 1
+    likewise for beta.  With dsums, the sums differentiated in lambda,
+    returns (Delta, dDelta/dlambda), else Delta.  Zero sums at a = 0 give
+    the zero-potential Delta_0.
+    """
+    isin, icos = sums
+    cs0, ks0, dks0 = _endpoint_terms(a, rho, lam)
+    cs1, ks1, dks1 = _endpoint_terms(1 - a, rho, lam)
+    c0 = cs0 + h * isin[0]
+    c1 = cs1 + h * isin[1]
+    cp0 = lam * ks0 - h * icos[0]
+    cp1 = -lam * ks1 + h * icos[1]
+    top = (c0, -ks0) if alpha == 0 else (cp0, cs0)
+    bot = (c1, ks1) if beta == 0 else (cp1, cs1)
+    value = top[0] * bot[1] - top[1] * bot[0]
+    if dsums is None:
+        return value
+
+    dsin, dcos = dsums
+    dcs0, dcs1 = -0.5 * a * ks0, -0.5 * (1 - a) * ks1
+    dc0 = dcs0 + h * dsin[0]
+    dc1 = dcs1 + h * dsin[1]
+    dcp0 = ks0 + lam * dks0 - h * dcos[0]
+    dcp1 = -ks1 - lam * dks1 + h * dcos[1]
+    dtop = (dc0, -dks0) if alpha == 0 else (dcp0, dcs0)
+    dbot = (dc1, dks1) if beta == 0 else (dcp1, dcs1)
+    dvalue = dtop[0] * bot[1] + top[0] * dbot[1] - dtop[1] * bot[0] - top[1] * dbot[0]
+    return value, dvalue
+
+
 def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bool = False):
     """Characteristic determinant evaluated straight from the potential.
 
@@ -273,37 +296,13 @@ def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bo
         raise ValueError(f"grid has k={q.k} but config needs k={config.k}")
     lam = complex(lam)
     rho = _sqrt_lambda(lam)
+    sums, dsums = _kernel_sums(q, config.j * q.m, rho, lam)
     a = config.j / config.k
-    h = q.h
-    jm = config.j * q.m
-    (isin, icos), dsums = _kernel_sums(q, jm, rho, lam, slope)
-
-    cs0, ks0, dks0 = _endpoint_terms(a, rho, lam)
-    cs1, ks1, dks1 = _endpoint_terms(1 - a, rho, lam)
-    c0 = cs0 + h * isin[0]
-    c1 = cs1 + h * isin[1]
-    cp0 = lam * ks0 - h * icos[0]
-    cp1 = -lam * ks1 + h * icos[1]
-    top = (c0, -ks0) if config.alpha == 0 else (cp0, cs0)
-    bot = (c1, ks1) if config.beta == 0 else (cp1, cs1)
-    value = top[0] * bot[1] - top[1] * bot[0]
-    if not slope:
-        return value
-
-    dsin, dcos = dsums
-    dcs0, dcs1 = -0.5 * a * ks0, -0.5 * (1 - a) * ks1
-    dc0 = dcs0 + h * dsin[0]
-    dc1 = dcs1 + h * dsin[1]
-    dcp0 = ks0 + lam * dks0 - h * dcos[0]
-    dcp1 = -ks1 - lam * dks1 + h * dcos[1]
-    dtop = (dc0, -dks0) if config.alpha == 0 else (dcp0, dcs0)
-    dbot = (dc1, dks1) if config.beta == 0 else (dcp1, dcs1)
-    dvalue = dtop[0] * bot[1] + top[0] * dbot[1] - dtop[1] * bot[0] - top[1] * dbot[0]
-    return value, dvalue
+    return _boundary_det(config.alpha, config.beta, a, q.h, rho, lam, sums, dsums if slope else None)
 
 
 def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> complex:
-    """Characteristic determinant from W.
+    """Characteristic determinant from W: Delta_0 plus an integral of W.
 
     alpha != beta:  (-1)^alpha cos rho + int W(x) sin(rho x)/rho dx
     (1,1):          rho sin rho + int W(x) cos(rho x) dx
@@ -316,37 +315,30 @@ def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> comple
     rho = _sqrt_lambda(lam)
     x = w.midpoints()
     h = w.h
+    val = zero_potential_delta(alpha, beta, lam)
     if alpha != beta:
-        quad = h * np.sum(w.values * _ksin(x, rho))
-        return complex((-1) ** alpha * cmath.cos(rho) + quad)
+        return complex(val + h * np.sum(w.values * _ksin(x, rho)))
     if alpha == 1:
-        quad = h * np.sum(w.values * np.cos(rho * x))
-        return complex(lam * _ksin(1.0, rho) + quad)
-    quad = h * np.sum(w.values * _kcosm1(x, rho))
-    val = _ksin(1.0, rho) + quad
+        return complex(val + h * np.sum(w.values * np.cos(rho * x)))
+    val = val + h * np.sum(w.values * _kcosm1(x, rho))
     if abs(rho) >= RHO_SERIES_THRESHOLD:
         val = val + h * np.sum(w.values) / lam
     return complex(val)
 
 
+_NO_SUMS = ((0.0, 0.0), (0.0, 0.0))
+
+
 def zero_potential_delta(alpha: int, beta: int, lam: complex) -> complex:
-    """Closed-form characteristic function of the zero potential."""
-    rho = _sqrt_lambda(lam)
-    if alpha != beta:
-        return complex((-1) ** alpha * cmath.cos(rho))
-    if alpha == 0:
-        return complex(_ksin(1.0, rho))
-    return complex(lam * _ksin(1.0, rho))
+    """Closed-form characteristic function of the zero potential: the boundary determinant at a = 0."""
+    lam = complex(lam)
+    return _boundary_det(alpha, beta, 0.0, 0.0, _sqrt_lambda(lam), lam, _NO_SUMS)
 
 
 def zero_potential_delta_dlam(alpha: int, beta: int, lam: complex) -> complex:
-    """d/dlambda of the zero-potential characteristic function."""
-    rho = _sqrt_lambda(lam)
-    if alpha != beta:
-        return complex((-1) ** (alpha + 1) * 0.5 * _ksin(1.0, rho))
-    if alpha == 0:
-        return complex(_dksin(1.0, rho))
-    return complex(_ksin(1.0, rho) + lam * _dksin(1.0, rho))
+    """d/dlambda of the zero-potential characteristic function, from the same determinant."""
+    lam = complex(lam)
+    return _boundary_det(alpha, beta, 0.0, 0.0, _sqrt_lambda(lam), lam, _NO_SUMS, _NO_SUMS)[1]
 
 
 def _find_root(f, lam0: complex, index: int) -> complex:

@@ -37,7 +37,7 @@ from .inverse_pipeline import (
     quadratic_profile,
     reference_example,
 )
-from .main_equation import InconsistentSystemError, forward_w_direct, forward_w_matrix, solve_inverse
+from .main_equation import InconsistentSystemError, forward_w_direct, solve_inverse
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -196,12 +196,11 @@ def cmd_delta(args) -> RunManifest:
 def cmd_forward_w(args) -> RunManifest:
     cfg = _load_config(args)
     q = _load_potential(args.q, cfg.k, args.m)
-    fwd = forward_w_direct if args.method == "direct" else forward_w_matrix
-    w = fwd(q, cfg)
+    w = forward_w_direct(q, cfg)
     write_csv(w, args.out)
     return RunManifest(
         config=cfg.to_dict(),
-        inputs={"q": args.q, "method": args.method},
+        inputs={"q": args.q},
         grid={"k": w.k, "m": w.m},
         outputs=[args.out],
     )
@@ -358,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     _config_flags(p)
     p.add_argument("--q", required=True)
     p.add_argument("--m", type=int, default=64)
-    p.add_argument("--method", choices=("direct", "matrix"), default="direct")
     p.add_argument("--out", required=True)
 
     p = command("invert", cmd_invert, "solve the main equation W -> q")

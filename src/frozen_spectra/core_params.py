@@ -105,6 +105,15 @@ def normalize_to_half(config: ProblemConfig) -> tuple[ProblemConfig, bool]:
     return config, False
 
 
+def require_normalized(config: ProblemConfig) -> None:
+    """ValueError unless 2j <= k, the range a <= 1/2 the main equation is written for."""
+    if 2 * config.j > config.k:
+        raise ValueError(
+            f"config must be normalized (2j <= k), got j={config.j}, k={config.k}; "
+            "apply normalize_to_half first"
+        )
+
+
 def sign_pair(config: ProblemConfig) -> SignPair:
     c = (-1) ** (config.beta + 1)
     d = (-1) ** (config.alpha + config.beta)

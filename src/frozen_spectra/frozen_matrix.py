@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import IntPolynomial, StoredRun, X, imag_scaled_cheb_int, scaled_cheb_int, three_term
-from .core_params import Kind, ProblemConfig, SignPair, classify, make_config, sign_pair
+from .core_params import Kind, ProblemConfig, SignPair, classify, make_config, require_normalized, sign_pair
 
 
 # Per row, its nonzeros as (col, value) pairs sorted by column.
@@ -72,16 +72,16 @@ def build_matrix(config: ProblemConfig) -> FrozenMatrix:
     (iii) and one from (ii) or (iv), and the two never share a column: (ii)
     and (iii) would need j = 0, (i)/(ii) and (iii)/(iv) a half-integer row.
     Two distinct columns per row is asserted.  For k = 1 (a = 0) the single
-    entry is 2*c*alpha, stored only when nonzero.
+    entry is 2*c*alpha, stored only when nonzero.  A config with 2j > k
+    raises ValueError (require_normalized).
     """
+    require_normalized(config)
     j, k = config.j, config.k
     signs = sign_pair(config)
     c, d = signs.c, signs.d
     if k == 1:
         v = 2 * c * config.alpha
         return FrozenMatrix(config, signs, (((0, v),) if v else (),))
-    if not 1 <= j or 2 * j > k:
-        raise ValueError(f"need a normalized config with 1 <= j <= k/2, got j={j}, k={k}")
     rows = []
     for m in range(1, k + 1):
         left = (j - m, 1) if m <= j else (m - j - 1, c)  # (i) or (iii)
@@ -246,10 +246,10 @@ def _mul_sub(m, y, sub) -> list[tuple[tuple[int, int], ...]]:
 
 def reduce_to_j1(config: ProblemConfig) -> SparseRows:
     """Sparse rows of the j > 1 matrix by the Chebyshev reduction (see reductions_j1)."""
-    j, k = config.j, config.k
-    if k < 2 or not 1 <= j or 2 * j > k:
-        raise ValueError("reduce_to_j1 needs a normalized config with k >= 2 and 1 <= j <= k/2")
-    return next(rows for jj, rows in reductions_j1(config.alpha, config.beta, k) if jj == j)
+    require_normalized(config)
+    if config.k < 2:
+        raise ValueError("reduce_to_j1 needs k >= 2")
+    return next(rows for jj, rows in reductions_j1(config.alpha, config.beta, config.k) if jj == config.j)
 
 
 _KERNEL_SIGNS = {

@@ -66,10 +66,6 @@ class GridFunction:
         self._check_aligned(other)
         return GridFunction(self.k, self.m, self.values + other.values)
 
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_aligned(other)
-        return GridFunction(self.k, self.m, self.values - other.values)
-
     def _check_aligned(self, other: "GridFunction") -> None:
         if (self.k, self.m) != (other.k, other.m):
             raise ValueError(f"grid mismatch: ({self.k},{self.m}) vs ({other.k},{other.m})")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_params import Kind, ProblemConfig, classify, sign_pair
+from .core_params import Kind, ProblemConfig, classify, require_normalized, sign_pair
 from .frozen_matrix import build_matrix, kernel
 from .interval_ops import GridFunction, q_apply, q_inverse, r_apply, r_inverse
 
@@ -37,8 +37,7 @@ class MainEqSolution:
 def _check_grid(f: GridFunction, config: ProblemConfig) -> None:
     if f.k != config.k:
         raise ValueError(f"grid has k={f.k} but config needs k={config.k}")
-    if config.k >= 2 and 2 * config.j > config.k:
-        raise ValueError("config must be normalized (2j <= k); apply normalize_to_half first")
+    require_normalized(config)
 
 
 def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
@@ -82,6 +81,7 @@ def null_direction(config: ProblemConfig, profile: np.ndarray) -> GridFunction:
     sends the result to zero; only the degenerate configs have one, and
     any other config raises ValueError.
     """
+    require_normalized(config)
     if classify(config).kind is not Kind.DEGENERATE:
         raise ValueError(
             "iso-spectral supplements exist only in the degenerate cases; "

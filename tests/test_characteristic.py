@@ -65,6 +65,22 @@ def test_zero_potential_baselines():
                 assert abs(zero_potential_delta(a, b, lam) - want) < 1e-12 * (1 + abs(want))
 
 
+# complex lambda on both sides of the series threshold |rho| = 1e-3, away from it, and at hit points (pi m)^2
+@pytest.mark.parametrize("lam", [5e-7 + 3e-7j, -2e-7 + 9e-7j, -8e-7 - 5e-7j, 1.2e-6 - 4e-7j, -3e-6 + 1e-7j,
+                                 2.5 + 1.5j, -40.0 + 3.0j, 700.0 - 25.0j] + [(PI * m) ** 2 for m in (1, 2, 3, 10, 40)])
+def test_zero_potential_slope_matches_the_closed_forms(lam):
+    rho = cmath.sqrt(lam)
+    ks, cs = cmath.sin(rho) / rho, cmath.cos(rho)
+    closed = {(0, 1): -0.5 * ks, (1, 0): 0.5 * ks, (0, 0): (cs - ks) / (2 * lam), (1, 1): ks + (cs - ks) / 2}
+    for (a, b), want in closed.items():
+        tol = 1e-12 * abs(want)
+        if (a, b) == (0, 0) and abs(rho) < RHO_SERIES_THRESHOLD:
+            # the closed form cancels below the threshold, so it holds only to
+            # 1e-15 of the size of its two terms
+            tol = 1e-15 * (abs(cs) + abs(ks)) / abs(2 * lam)
+        assert abs(zero_potential_delta_dlam(a, b, lam) - want) <= tol, (a, b)
+
+
 def test_route_consistency_small_sweep(rng):
     for cfg in coprime_configs(6):
         q = random_grid(cfg.k, 64, rng)
@@ -190,7 +206,7 @@ def test_delta_direct_slope_matches_richardson_difference(rng):
                     assert abs(slope - want) <= 1e-7 * abs(want)
 
 
-def _reference_kernel_sums(values, s, jm, rho, lam, slope):
+def _reference_kernel_sums(values, s, jm, rho, lam):
     """The full-length exp(i rho s) kernel that the blocked _kernel_sums must match above the series threshold."""
 
     def dot(w, kern):
@@ -201,8 +217,6 @@ def _reference_kernel_sums(values, s, jm, rho, lam, slope):
     ep, em = dot(values, e), dot(values, inv)
     sin_sums = tuple((p - m) / (2j * rho) for p, m in zip(ep, em))
     sums = sin_sums, tuple((p + m) / 2 for p, m in zip(ep, em))
-    if not slope:
-        return sums, None
     qs = values * s
     sp, sm = dot(qs, e), dot(qs, inv)
     dsin = tuple(((p + m) / 2 - ks) / (2 * lam) for p, m, ks in zip(sp, sm, sin_sums))
@@ -210,9 +224,20 @@ def _reference_kernel_sums(values, s, jm, rho, lam, slope):
     return sums, (dsin, dcos)
 
 
-def _full_length_kernel(q, jm, rho, lam, slope):
+def _reference_series_sums(values, s, jm, rho, lam):
+    """The full-length series kernel over the chop lengths, that the series branch must match below the threshold."""
+
+    def dot(w, kern):
+        return complex(w[:jm] @ kern[:jm]), complex(w[jm:] @ kern[jm:])
+
+    ksin = _ksin(s, rho)
+    return (dot(values, ksin), dot(values, np.cos(rho * s))), (dot(values, _dksin(s, rho)), dot(values, -0.5 * s * ksin))
+
+
+def _full_length_kernel(q, jm, rho, lam):
     x = q.midpoints()
-    return _reference_kernel_sums(q.values, np.concatenate((x[:jm], 1.0 - x[jm:])), jm, rho, lam, slope)
+    reference = _reference_series_sums if abs(rho) < RHO_SERIES_THRESHOLD else _reference_kernel_sums
+    return reference(q.values, np.concatenate((x[:jm], 1.0 - x[jm:])), jm, rho, lam)
 
 
 def _bits(z):
@@ -220,14 +245,15 @@ def _bits(z):
 
 
 # (j, k) = (0, 1) and (1, 1) leave the head or the tail empty; m = 1, 7 and 1000
-# give grids whose head and reversed tail end in a partial block
+# give grids whose head and reversed tail end in a partial block; the last four
+# lambdas have |rho| < 1e-3 and take the series branch
 @pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
 @pytest.mark.parametrize("j, k", [(0, 1), (1, 1), (2, 5), (3, 8)])
 @pytest.mark.parametrize("m", [1, 7, 256, 1000])
 def test_blocked_kernel_matches_the_full_length_kernel(alpha, beta, j, k, m, rng, monkeypatch):
     cfg = make_config(alpha, beta, j, k)
     q = random_grid(k, m, rng)
-    for lam in (-2500.0, -5e5, 1e7 + 3j, 2500.0 - 40j, 1e4 + 3000j):
+    for lam in (-2500.0, -5e5, 1e7 + 3j, 2500.0 - 40j, 1e4 + 3000j, 0.0, 1e-7, -3e-7 + 1e-7j, 9.9e-7):
         with np.errstate(over="ignore", invalid="ignore"):  # lambda * Delta overflows at -5e5 for (1, 1)
             got = delta_direct(q, cfg, lam, slope=True)
             value = delta_direct(q, cfg, lam)

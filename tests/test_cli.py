@@ -337,9 +337,13 @@ def _write_inputs(d):
                          ("m_huge", f"k=1 m={10**15}")]:
         (d / f"{name}.csv").write_text(f"# {header}\n" + "".join(rows))
     (d / "two_fields.csv").write_text("# k=5 m=2\n" + "".join(rows[:3] + ["0.35,1\n"] + rows[4:]))
+    write_csv(GridFunction.from_callable(_demo_potential, 1, 4), d / "k1.csv")
+    zero_potential_spectrum(1, 1, 40).dump(d / "s11.json")
 
 
 DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
+A_ONE = {(a, b): ["--alpha", str(a), "--beta", str(b), "--j", "1", "--k", "1"] for a in (0, 1) for b in (0, 1)}
+NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply normalize_to_half first"
 
 
 # 50x the demo potential on (1, 0, 2, 5) sends indices 1 and 2 to one root
@@ -385,12 +389,23 @@ DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
      "a grid needs k >= 1 and m >= 1, got k=5, m=-1"),
     (["eigs", "--q", "demo", "--m=-2", "--count", "3", "--out", "e.csv"], 3, "ValueError",
      "a grid needs k >= 1 and m >= 1, got k=5, m=-2"),
+    # a = 1 is outside the normalized range 2j <= k of the main equation for every flag pair
+    (["forward-w", *A_ONE[0, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
+    (["forward-w", *A_ONE[1, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
+    (["invert", *A_ONE[0, 0], "--w", "k1.csv", "--out", "q.csv"], 3, "ValueError", NOT_NORMALIZED),
+    (["invert", *A_ONE[0, 1], "--w", "k1.csv", "--out", "q.csv"], 3, "ValueError", NOT_NORMALIZED),
+    (["invert", *A_ONE[1, 0], "--w", "k1.csv", "--out", "q.csv"], 3, "ValueError", NOT_NORMALIZED),
+    (["invert", *A_ONE[1, 1], "--w", "k1.csv", "--out", "q.csv"], 3, "ValueError", NOT_NORMALIZED),
+    (["reconstruct", *A_ONE[1, 1], "--spectrum", "s11.json", "--m", "4", "--n-used", "40", "--modes", "3",
+      "--out", "r.csv"], 3, "ValueError", NOT_NORMALIZED),
+    (["isospectral", *A_ONE[0, 0], "--q0", "zero", "--m", "4", "--out", "iq.csv"], 3, "ValueError", NOT_NORMALIZED),
 ], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "csv-no-header", "csv-short",
         "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields", "csv-header-m-huge",
         "delta-inf", "delta-math-range", "delta-lambdas-empty", "delta-lambdas-empty-entry",
         "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative", "verify-kmax-theorem1-0",
         "verify-kmax-forward-1", "example-m-negative", "example-m-zero", "isospectral-m-negative",
-        "eigs-m-negative"])
+        "eigs-m-negative", "forward-w-a-one-01", "forward-w-a-one-11", "invert-a-one-00", "invert-a-one-01",
+        "invert-a-one-10", "invert-a-one-11", "reconstruct-a-one-11", "isospectral-a-one-00"])
 def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, monkeypatch):
     _write_inputs(tmp_path)
     before = sorted(p.name for p in tmp_path.iterdir())
