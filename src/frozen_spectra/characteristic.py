@@ -22,9 +22,12 @@ All formulas are even in rho, so the branch of the square root is
 immaterial; one canonical branch also makes the rounding of the exp
 kernel in delta_direct independent of it.  Every kernel pass also yields
 the analytic dDelta/dlambda of its quadrature, which is what eigenvalues
-runs Newton on.  Kernels switch to Taylor series below |rho| = 1e-3
-where sin(rho s)/rho would cancel badly; the series branch reads the
-same per-potential rows.
+runs Newton on.  One function (_trig_kernels) gives every trig kernel,
+on arrays and at scalar endpoints: cos(rho s), sin(rho s)/rho, its
+lambda-derivative and (cos(rho s) - 1)/lambda.  It holds the only switch
+to Taylor series, below |rho| = 0.1, where the exp form of
+dDelta/dlambda would lose digits to cancellation; the series branch of
+the kernel sums reads the same per-potential rows.
 """
 
 from __future__ import annotations
@@ -42,8 +45,15 @@ import numpy as np
 from .core_params import ProblemConfig
 from .interval_ops import GridFunction, grid_midpoints
 
-RHO_SERIES_THRESHOLD = 1e-3
+RHO_SERIES_THRESHOLD = 0.1
 _SERIES_TERMS = 8
+# Taylor coefficients in t = (rho s)^2, highest power first, of sin(rho s)/(rho s),
+# of its t-derivative and of (cos(rho s) - 1)/(rho s)^2
+_SERIES = tuple(
+    ((-1) ** n / math.factorial(2 * n + 1), (-1) ** (n + 1) * (n + 1) / math.factorial(2 * n + 3),
+     (-1) ** (n + 1) / math.factorial(2 * n + 2))
+    for n in range(_SERIES_TERMS - 1, -1, -1)
+)
 _NEWTON_MAX_STEPS = 60
 
 
@@ -83,7 +93,10 @@ class Spectrum:
         if not all(type(f) is int and f in (0, 1) for f in (alpha, beta)):
             raise ValueError(f"spectrum alpha and beta must be 0 or 1, got {alpha!r} and {beta!r}")
         try:
-            evs = tuple(complex(re, im) for re, im in d["eigenvalues"])
+            pairs = [(re, im) for re, im in d["eigenvalues"]]
+            if any(type(part) is bool for pair in pairs for part in pair):
+                raise TypeError("true and false are not numbers")
+            evs = tuple(complex(re, im) for re, im in pairs)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"spectrum eigenvalues must be [re, im] pairs of real numbers: {exc}") from None
         if not all(map(cmath.isfinite, evs)):
@@ -119,41 +132,27 @@ def _sqrt_lambda(lam: complex) -> complex:
     return rho
 
 
-def _ksin(s, rho: complex):
-    """sin(rho*s)/rho, elementwise; Taylor series for small |rho|."""
-    if abs(rho) >= RHO_SERIES_THRESHOLD:
-        return np.sin(rho * s) / rho
-    t = (rho * s) ** 2
-    acc = (-1) ** (_SERIES_TERMS - 1) / math.factorial(2 * _SERIES_TERMS - 1)
-    for n in range(_SERIES_TERMS - 2, -1, -1):
-        acc = acc * t + (-1) ** n / math.factorial(2 * n + 1)
-    return s * acc
+def _trig_kernels(s, rho: complex, lam: complex):
+    """cos(rho s), sin(rho s)/rho, d/dlambda of sin(rho s)/rho and (cos(rho s) - 1)/lambda.
 
-
-def _dksin(s, rho: complex):
-    """d/dlambda of sin(rho*s)/rho = (s cos(rho s) - sin(rho s)/rho)/(2 lambda), elementwise.
-
-    Below the series threshold, the term-by-term derivative of the series of
-    _ksin in lambda: s^3 sum_{n>=1} (-1)^n n (rho s)^(2n-2)/(2n+1)!.
+    s is a numpy array of lengths or one endpoint as a float, which keeps
+    the arithmetic in cmath.  All four are entire in lambda = rho^2.  Above
+    the series threshold the last three come from cos and sin, with
+        d/dlambda sin(rho s)/rho = (s cos(rho s) - sin(rho s)/rho)/(2 lambda),
+    which cancels with an error of about eps/|lambda|, so the threshold sits
+    at |rho| = 0.1; below it, from one Horner pass in t = (rho s)^2 over
+    _SERIES.
     """
+    trig = np if isinstance(s, np.ndarray) else cmath
+    cs = trig.cos(rho * s)
     if abs(rho) >= RHO_SERIES_THRESHOLD:
-        return (s * np.cos(rho * s) - np.sin(rho * s) / rho) / (2 * rho**2)
+        ks = trig.sin(rho * s) / rho
+        return cs, ks, (s * cs - ks) / (2 * lam), (cs - 1.0) / lam
     t = (rho * s) ** 2
-    acc = 0.0
-    for n in range(_SERIES_TERMS, 0, -1):
-        acc = acc * t + (-1) ** n * n / math.factorial(2 * n + 1)
-    return s**3 * acc
-
-
-def _kcosm1(s, rho: complex):
-    """(cos(rho*s) - 1)/rho^2, elementwise; series for small |rho|."""
-    if abs(rho) >= RHO_SERIES_THRESHOLD:
-        return (np.cos(rho * s) - 1.0) / rho**2
-    t = (rho * s) ** 2
-    acc = (-1) ** _SERIES_TERMS / math.factorial(2 * _SERIES_TERMS)
-    for n in range(_SERIES_TERMS - 1, 0, -1):
-        acc = acc * t + (-1) ** n / math.factorial(2 * n)
-    return s**2 * acc
+    ks, dks, cm = _SERIES[0]
+    for c_ks, c_dks, c_cm in _SERIES[1:]:
+        ks, dks, cm = ks * t + c_ks, dks * t + c_dks, cm * t + c_cm
+    return cs, s * ks, s**3 * dks, s**2 * cm
 
 
 @lru_cache(maxsize=None)
@@ -212,15 +211,15 @@ def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
     product, and [E+, coarse E+, E-, coarse E-] turns each side's row sums
     into its four sums.  A call takes 2(b + blocks), about 4 sqrt(n), complex
     exps and two thin matrix products, builds no n-length array, and
-    finishes in scalar arithmetic.  Below the threshold the four series
-    kernels are taken on the (blocks, b) grid of lengths coarse + fine.
+    finishes in scalar arithmetic.  Below the threshold _trig_kernels gives
+    the four kernels on the (blocks, b) grid of lengths coarse + fine.
     """
     b, _, offsets, weights = _block_layout(q.k, q.m, jm)
     rows = _potential_rows(q, jm)
     if abs(rho) < RHO_SERIES_THRESHOLD:
         s = offsets[0, b:, None] + offsets[0, :b]
-        ksin = _ksin(s, rho)
-        kernels = np.stack((ksin, np.cos(rho * s), _dksin(s, rho), -0.5 * s * ksin)).reshape(4, -1)
+        cs, ks, dks, _ = _trig_kernels(s, rho, lam)
+        kernels = np.stack((ks, cs, dks, -0.5 * s * ks)).reshape(4, -1)
         isin, icos, dsin, dcos = (kernels @ rows.reshape(2, -1).T).tolist()
         return (isin, icos), (dsin, dcos)
     # rows e^{i rho x}, x e^{i rho x}, e^{-i rho x}, x e^{-i rho x}; columns the fine, then the coarse points
@@ -237,24 +236,11 @@ def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
     return ((sin_h, sin_t), ((ph + mh) / 2, (pt + mt) / 2)), (dsin, dcos)
 
 
-def _endpoint_terms(s: float, rho: complex, lam: complex):
-    """cos(rho s), sin(rho s)/rho and d/dlambda of sin(rho s)/rho at one endpoint s.
-
-    One cmath.sin and one cmath.cos give all three; below the series
-    threshold the last two come from _ksin and _dksin.
-    """
-    cs = cmath.cos(rho * s)
-    if abs(rho) < RHO_SERIES_THRESHOLD:
-        return cs, _ksin(s, rho), _dksin(s, rho)
-    ks = cmath.sin(rho * s) / rho
-    return cs, ks, (s * cs - ks) / (2 * lam)
-
-
 def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: complex, sums, dsums=None):
     """The 2x2 boundary determinant, the one place its rows are chosen on (alpha, beta).
 
     The fundamental solutions C, S normalized at a enter through the
-    endpoint terms at a and 1 - a and the h-weighted kernel sums
+    trig kernels at the endpoints a and 1 - a and the h-weighted kernel sums
     ((sin_head, sin_tail), (cos_head, cos_tail)) of _kernel_sums; the row at
     0 holds (C, S) for alpha = 0 and (C', S') for alpha = 1, the row at 1
     likewise for beta.  With dsums, the sums differentiated in lambda,
@@ -262,8 +248,8 @@ def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: 
     the zero-potential Delta_0.
     """
     isin, icos = sums
-    cs0, ks0, dks0 = _endpoint_terms(a, rho, lam)
-    cs1, ks1, dks1 = _endpoint_terms(1 - a, rho, lam)
+    cs0, ks0, dks0, _ = _trig_kernels(a, rho, lam)
+    cs1, ks1, dks1, _ = _trig_kernels(1 - a, rho, lam)
     c0 = cs0 + h * isin[0]
     c1 = cs1 + h * isin[1]
     cp0 = lam * ks0 - h * icos[0]
@@ -313,16 +299,11 @@ def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> comple
                     the range of the forward map has zero mean).
     """
     rho = _sqrt_lambda(lam)
-    x = w.midpoints()
-    h = w.h
-    val = zero_potential_delta(alpha, beta, lam)
-    if alpha != beta:
-        return complex(val + h * np.sum(w.values * _ksin(x, rho)))
-    if alpha == 1:
-        return complex(val + h * np.sum(w.values * np.cos(rho * x)))
-    val = val + h * np.sum(w.values * _kcosm1(x, rho))
-    if abs(rho) >= RHO_SERIES_THRESHOLD:
-        val = val + h * np.sum(w.values) / lam
+    cs, ks, _, cm = _trig_kernels(w.midpoints(), rho, lam)
+    kernel = ks if alpha != beta else cs if alpha == 1 else cm
+    val = zero_potential_delta(alpha, beta, lam) + w.h * np.sum(w.values * kernel)
+    if (alpha, beta) == (0, 0) and abs(rho) >= RHO_SERIES_THRESHOLD:
+        val = val + w.h * np.sum(w.values) / lam
     return complex(val)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,12 +28,9 @@ from frozen_spectra import (
 from frozen_spectra import characteristic
 from frozen_spectra.characteristic import (
     RHO_SERIES_THRESHOLD,
-    _dksin,
-    _endpoint_terms,
     _find_root,
-    _kcosm1,
-    _ksin,
     _sqrt_lambda,
+    _trig_kernels,
     zero_potential_delta_dlam,
 )
 from frozen_spectra.cli import _demo_potential, dispatch
@@ -65,20 +63,22 @@ def test_zero_potential_baselines():
                 assert abs(zero_potential_delta(a, b, lam) - want) < 1e-12 * (1 + abs(want))
 
 
-# complex lambda on both sides of the series threshold |rho| = 1e-3, away from it, and at hit points (pi m)^2
+# complex lambda well below, just below and just above the series threshold |rho| = 0.1, far above
+# it, and at hit points (pi m)^2
 @pytest.mark.parametrize("lam", [5e-7 + 3e-7j, -2e-7 + 9e-7j, -8e-7 - 5e-7j, 1.2e-6 - 4e-7j, -3e-6 + 1e-7j,
-                                 2.5 + 1.5j, -40.0 + 3.0j, 700.0 - 25.0j] + [(PI * m) ** 2 for m in (1, 2, 3, 10, 40)])
+                                 2.5 + 1.5j, -40.0 + 3.0j, 700.0 - 25.0j] + [(PI * m) ** 2 for m in (1, 2, 3, 10, 40)]
+                         + [9.9e-3, 1.01e-2, -1.02e-2 + 1e-3j])
 def test_zero_potential_slope_matches_the_closed_forms(lam):
     rho = cmath.sqrt(lam)
     ks, cs = cmath.sin(rho) / rho, cmath.cos(rho)
-    closed = {(0, 1): -0.5 * ks, (1, 0): 0.5 * ks, (0, 0): (cs - ks) / (2 * lam), (1, 1): ks + (cs - ks) / 2}
+    # (cos rho - sin(rho)/rho)/(2 lambda) cancels near lambda = 0, so it is taken at 40 digits
+    with mpmath.workdps(40):
+        z = mpmath.mpc(lam)
+        r = mpmath.sqrt(z)
+        slope00 = complex((mpmath.cos(r) - mpmath.sin(r) / r) / (2 * z))
+    closed = {(0, 1): -0.5 * ks, (1, 0): 0.5 * ks, (0, 0): slope00, (1, 1): ks + (cs - ks) / 2}
     for (a, b), want in closed.items():
-        tol = 1e-12 * abs(want)
-        if (a, b) == (0, 0) and abs(rho) < RHO_SERIES_THRESHOLD:
-            # the closed form cancels below the threshold, so it holds only to
-            # 1e-15 of the size of its two terms
-            tol = 1e-15 * (abs(cs) + abs(ks)) / abs(2 * lam)
-        assert abs(zero_potential_delta_dlam(a, b, lam) - want) <= tol, (a, b)
+        assert abs(zero_potential_delta_dlam(a, b, lam) - want) <= 1e-12 * abs(want), (a, b)
 
 
 def test_route_consistency_small_sweep(rng):
@@ -138,22 +138,47 @@ def test_eigenvalue_ordering_and_spectrum_json(tmp_path, rng):
     {"alpha": 0, "beta": 1, "eigenvalues": [[1.0, 0.0, 0.0]]},
     {"alpha": 0, "beta": 1, "eigenvalues": [[2.0, 0.0], [1.0, "0"]]},
     {"alpha": 0, "beta": 1, "eigenvalues": [[2.0, 0.0], [1.0, -math.inf]]},
+    {"alpha": 0, "beta": 1, "eigenvalues": [[True, False], [20.0, 0.0]]},
 ])
 def test_spectrum_from_dict_rejects_malformed_input(bad):
     with pytest.raises(ValueError):
         Spectrum.from_dict(bad)
 
 
+def _mp_trig_kernels(s, lam):
+    """cos(rho s), sin(rho s)/rho, d/dlambda of sin(rho s)/rho and (cos(rho s) - 1)/lambda at 40 digits."""
+    with mpmath.workdps(40):
+        s, lam = mpmath.mpf(s), mpmath.mpc(lam)
+        ksin = lambda z: s * mpmath.sinc(mpmath.sqrt(z) * s)
+        rho = mpmath.sqrt(lam)
+        # cos x - 1 = -2 sin^2(x/2) has no cancellation at small x
+        kernels = mpmath.cos(rho * s), ksin(lam), mpmath.diff(ksin, lam), -(s**2 / 2) * mpmath.sinc(rho * s / 2) ** 2
+        return tuple(complex(v) for v in kernels)
+
+
+def _check_trig_kernels(got, want, s, lam, series):
+    """Each kernel within 1e-15 of the 40-digit value: relative, or, where the closed form cancels, of its terms."""
+    cs, ks, dks, cm = want
+    size = (1.0, abs(ks), abs(dks), abs(cm))
+    if not series:
+        # (s cos - sin/rho)/(2 lambda) and (cos - 1)/lambda cancel near the threshold
+        size = (1.0, abs(ks), (abs(s * cs) + abs(ks)) / abs(2 * lam), (abs(cs) + 1.0) / abs(lam))
+    for name, g, w, sz in zip(("cos", "sin/rho", "d sin/rho", "(cos - 1)/lambda"), got, want, size):
+        assert abs(g - w) <= 1e-15 * sz, (name, s, lam)
+
+
 def test_kernel_series_matches_trig_across_threshold():
-    # entirety smoke test: the series branch continues the trig branch
+    # the series branch continues the trig branch: |rho| well below, and just below and above 0.1,
+    # against 40 digits on the array and the scalar path
     s = np.linspace(0.05, 1.0, 13)
-    for rho in (9.9e-4, 1.2e-3, (0.3 + 0.9j) * 1e-3):
-        direct_sin = np.sin(rho * s) / rho
-        direct_cos = (np.cos(rho * s) - 1.0) / rho**2
-        direct_dsin = (s * np.cos(rho * s) - direct_sin) / (2 * rho**2)
-        assert np.abs(_ksin(s, rho * 0.999) - direct_sin).max() < 1e-8
-        assert np.abs(_kcosm1(s, rho * 0.999) - direct_cos).max() < 1e-8
-        assert np.abs(_dksin(s, rho * 0.999) - direct_dsin).max() < 1e-8
+    for rho in (9.9e-4, 1.2e-3, 0.0999, 0.1001, (0.3 + 0.9j) * 0.1, (0.3 + 0.96j) * 0.1, -0.0995j, 0.1005j):
+        lam = rho * rho
+        series = abs(rho) < RHO_SERIES_THRESHOLD
+        array = _trig_kernels(s, _sqrt_lambda(lam), lam)
+        for i, x in enumerate(s.tolist()):
+            want = _mp_trig_kernels(x, lam)
+            _check_trig_kernels([k[i] for k in array], want, x, lam, series)
+            _check_trig_kernels(_trig_kernels(x, _sqrt_lambda(lam), lam), want, x, lam, series)
 
 
 def test_delta_smooth_around_rho_zero(rng):
@@ -190,9 +215,10 @@ def _richardson_slope(f, lam, d):
 
 
 def test_delta_direct_slope_matches_richardson_difference(rng):
-    # real, complex and negative lambda; 2e-6 and 5e-7 sit on either side of
-    # |rho| = 1e-3, where the kernels switch between exp and series forms
-    lams = (-25.0, -3e-6, 5e-7, 2e-6, 4e-6 + 1e-6j, 7.3 + 2.0j, 400.0, 1500.0 - 9.0j)
+    # real, complex and negative lambda; 9.9e-3 and 1.01e-2 sit on either side of
+    # |rho| = 0.1, where the kernels switch between series and exp forms
+    lams = (-25.0, -3e-6, 5e-7, 2e-6, 4e-6 + 1e-6j, 9.9e-3, 1.01e-2, -1.02e-2 + 1e-3j, 7.3 + 2.0j, 400.0,
+            1500.0 - 9.0j)
     for a in (0, 1):
         for b in (0, 1):
             for j, k in ((1, 3), (2, 5)):
@@ -225,13 +251,19 @@ def _reference_kernel_sums(values, s, jm, rho, lam):
 
 
 def _reference_series_sums(values, s, jm, rho, lam):
-    """The full-length series kernel over the chop lengths, that the series branch must match below the threshold."""
+    """The full-length series kernel over the chop lengths, that the series branch must match below the threshold.
+
+    Its own Taylor sums in t = (rho s)^2, not the library's: sin(rho s)/rho = s sum_n (-1)^n t^n/(2n+1)!
+    and d/dlambda of it = s^3 sum_{n>=1} (-1)^n n t^(n-1)/(2n+1)!, to n = 12.
+    """
 
     def dot(w, kern):
         return complex(w[:jm] @ kern[:jm]), complex(w[jm:] @ kern[jm:])
 
-    ksin = _ksin(s, rho)
-    return (dot(values, ksin), dot(values, np.cos(rho * s))), (dot(values, _dksin(s, rho)), dot(values, -0.5 * s * ksin))
+    t = (rho * s) ** 2
+    ksin = s * sum((-1) ** n / math.factorial(2 * n + 1) * t**n for n in range(13))
+    dksin = s**3 * sum((-1) ** n * n / math.factorial(2 * n + 1) * t ** (n - 1) for n in range(1, 13))
+    return (dot(values, ksin), dot(values, np.cos(rho * s))), (dot(values, dksin), dot(values, -0.5 * s * ksin))
 
 
 def _full_length_kernel(q, jm, rho, lam):
@@ -245,15 +277,17 @@ def _bits(z):
 
 
 # (j, k) = (0, 1) and (1, 1) leave the head or the tail empty; m = 1, 7 and 1000
-# give grids whose head and reversed tail end in a partial block; the last four
-# lambdas have |rho| < 1e-3 and take the series branch
+# give grids whose head and reversed tail end in a partial block; the lambdas from
+# 0.0 to 9.9e-3 have |rho| < 0.1 and take the series branch, and 1.01e-2 and
+# -1.02e-2 + 1e-3j sit just above it
 @pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
 @pytest.mark.parametrize("j, k", [(0, 1), (1, 1), (2, 5), (3, 8)])
 @pytest.mark.parametrize("m", [1, 7, 256, 1000])
 def test_blocked_kernel_matches_the_full_length_kernel(alpha, beta, j, k, m, rng, monkeypatch):
     cfg = make_config(alpha, beta, j, k)
     q = random_grid(k, m, rng)
-    for lam in (-2500.0, -5e5, 1e7 + 3j, 2500.0 - 40j, 1e4 + 3000j, 0.0, 1e-7, -3e-7 + 1e-7j, 9.9e-7):
+    for lam in (-2500.0, -5e5, 1e7 + 3j, 2500.0 - 40j, 1e4 + 3000j, 0.0, 1e-7, -3e-7 + 1e-7j, 9.9e-7, 1.01e-6,
+                -3e-6 + 1e-7j, 1e-4, 9.9e-3, 1.01e-2, -1.02e-2 + 1e-3j):
         with np.errstate(over="ignore", invalid="ignore"):  # lambda * Delta overflows at -5e5 for (1, 1)
             got = delta_direct(q, cfg, lam, slope=True)
             value = delta_direct(q, cfg, lam)
@@ -303,23 +337,71 @@ def test_potential_row_cache_returns_the_bits_of_a_fresh_process():
             assert [_bits(z) for z in delta_direct(q, cfg, lam, slope=True)] == [tuple(b) for b in want]
 
 
+_ENDPOINTS = (1 / 4, 2 / 7, 1 / 3, 3 / 8, 2 / 5, 1 / 2, 3 / 5, 5 / 8, 2 / 3, 5 / 7, 3 / 4, 1.0)
+
+
 @pytest.mark.parametrize("lam", [1e-7, 9.9e-7, -3e-6 + 1e-7j, 1.01e-6, 2e-6 + 1e-6j, 7.3 + 2.0j, -2500.0,
-                                 1e4 + 3000j, 1e7 + 3j])
+                                 1e4 + 3000j, 1e7 + 3j, 1e-4, 9.9e-3, 1.01e-2, -1.02e-2 + 1e-3j, 0.05])
 def test_endpoint_terms_match_the_numpy_kernels(lam):
-    # lambda = 1e-6 is the series threshold |rho| = 1e-3; the endpoints are a and 1 - a of the configs in use
+    # the cmath path at one endpoint against the numpy path at all of them; lambda = 1e-2 is the
+    # series threshold |rho| = 0.1, and the endpoints are a and 1 - a of the configs in use
     rho = _sqrt_lambda(lam)
-    for s in (1 / 4, 2 / 7, 1 / 3, 3 / 8, 2 / 5, 1 / 2, 3 / 5, 5 / 8, 2 / 3, 5 / 7, 3 / 4, 1.0):
-        cs, ks, dks = _endpoint_terms(s, rho, lam)
-        want_ks, want_dks = complex(_ksin(s, rho)), complex(_dksin(s, rho))
+    array = _trig_kernels(np.array(_ENDPOINTS), rho, lam)
+    for i, s in enumerate(_ENDPOINTS):
+        cs, ks, dks, cm = kernels = _trig_kernels(s, rho, lam)
+        assert all(type(v) is complex for v in kernels)
         assert cs == cmath.cos(rho * s)
+        want_ks, want_dks, want_cm = (complex(k[i]) for k in array[1:])
         assert abs(ks - want_ks) <= 1e-15 * abs(want_ks)
         if abs(rho) < RHO_SERIES_THRESHOLD:
-            assert (ks, dks) == (want_ks, want_dks)
+            assert abs(dks - want_dks) <= 1e-15 * abs(want_dks)
+            assert abs(cm - want_cm) <= 1e-15 * abs(want_cm)
         else:
-            # (s cos(rho s) - sin(rho s)/rho)/(2 lambda) cancels near the threshold, so the
-            # agreement is measured against the size of its two terms
-            size = (abs(s * cs) + abs(want_ks)) / abs(2 * lam)
-            assert abs(dks - want_dks) <= 1e-15 * size
+            # (s cos(rho s) - sin(rho s)/rho)/(2 lambda) and (cos(rho s) - 1)/lambda cancel near
+            # the threshold, so the agreement is measured against the size of their terms
+            assert abs(dks - want_dks) <= 1e-15 * (abs(s * cs) + abs(want_ks)) / abs(2 * lam)
+            assert abs(cm - want_cm) <= 1e-15 * (abs(cs) + 1.0) / abs(lam)
+
+
+def _mp_delta_direct(q, cfg, lam):
+    """Delta of delta_direct's midpoint quadrature in mpmath, from the fundamental solutions C, S normalized at a.
+
+    It runs at the caller's working precision, so that mpmath.diff can raise it.
+    """
+    n, jm = q.k * q.m, cfg.j * q.m
+    lam = mpmath.mpc(lam)
+    rho = mpmath.sqrt(lam)
+    a = mpmath.mpf(cfg.j) / cfg.k
+    ksin = lambda s: s * mpmath.sinc(rho * s)
+    kcos = lambda s: mpmath.cos(rho * s)
+    # point t sits at x_t = (t + 1/2)/n: at distance x_t from 0 in the head, 1 - x_t from 1 in the tail
+    x = [mpmath.mpf(2 * t + 1) / (2 * n) for t in range(n)]
+    s = x[:jm] + [1 - xt for xt in x[jm:]]
+    v = [mpmath.mpc(z) for z in q.values.tolist()]
+    quad = lambda kernel, part: mpmath.fsum(v[t] * kernel(s[t]) for t in part) / n
+    head, tail = range(jm), range(jm, n)
+    isin, icos = (quad(ksin, head), quad(ksin, tail)), (quad(kcos, head), quad(kcos, tail))
+    # C(0), S(0), C'(0), S'(0) and C(1), S(1), C'(1), S'(1)
+    c0, s0, cp0, sp0 = kcos(a) + isin[0], -ksin(a), lam * ksin(a) - icos[0], kcos(a)
+    c1, s1, cp1, sp1 = kcos(1 - a) + isin[1], ksin(1 - a), -lam * ksin(1 - a) + icos[1], kcos(1 - a)
+    top = (c0, s0) if cfg.alpha == 0 else (cp0, sp0)
+    bot = (c1, s1) if cfg.beta == 0 else (cp1, sp1)
+    return top[0] * bot[1] - top[1] * bot[0]
+
+
+# from 1e-4 down, the exp form of the slope would lose four to eight digits to cancellation;
+# 9.9e-3 and 1.01e-2 straddle the series threshold |rho| = 0.1
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_delta_direct_slope_matches_mpmath_across_the_series_threshold(alpha, beta, rng):
+    cfg = make_config(alpha, beta, 2, 5)
+    q = random_grid(5, 32, rng)
+    for lam in (1.01e-6, 1e-5, 1e-4, 9.9e-3, 1.01e-2, -1.02e-2 + 1e-3j, 0.05, 0.5):
+        value, slope = delta_direct(q, cfg, lam, slope=True)
+        with mpmath.workdps(40):
+            want = complex(_mp_delta_direct(q, cfg, lam))
+            want_slope = complex(mpmath.diff(lambda z: _mp_delta_direct(q, cfg, z), mpmath.mpc(lam)))
+        assert abs(value - want) <= 1e-12 * abs(want), lam
+        assert abs(slope - want_slope) <= 1e-12 * abs(want_slope), lam
 
 
 def test_eigenvalues_take_at_most_four_evaluations_per_root(monkeypatch):
@@ -519,6 +601,21 @@ def test_delta_evaluator_modes_agree(rng):
 def test_find_root_failure_is_reported():
     with pytest.raises(RootConvergenceError, match="no convergence after 60 iterations"):
         _find_root(lambda z: (1.0 + 0j, 0j), 0.0, index=4)
+
+
+def test_find_root_falls_back_to_the_secant_when_newton_stagnates():
+    # the slope 5 is five times too steep for f(x) = x - 3, so Newton from 0 only takes a
+    # fifth of each gap; after two stagnant steps the secant through the last two points
+    # lands on 3, and one more step confirms it
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return z - 3, 5.0 + 0j
+
+    assert abs(_find_root(f, 0.0, index=1) - 3) <= 1e-15 * 3
+    assert len(calls) == 5
+    assert abs(calls[3] - 3) <= 1e-15  # plain Newton would be at 1.464 here
 
 
 def test_find_root_stops_on_a_non_finite_residual():

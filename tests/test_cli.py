@@ -330,6 +330,7 @@ def _write_inputs(d):
     write_csv(GridFunction.from_callable(lambda x: 50 * _demo_potential(x), 5, 64), d / "q50.csv")
     write_csv(GridFunction.zeros(4, 8), d / "k4.csv")
     (d / "profile_k4.csv").write_text("# k=4 m=2\n0.0625,1.0,0.0\n0.1875,1.0,0.0\n")
+    (d / "profile_m2.csv").write_text("# k=5 m=2\n0.05,1.0,0.0\n0.15,1.0,0.0\n")
     (d / "headless.csv").write_text("0.05,1.0,0.0\n")
     (d / "short.csv").write_text("# k=5 m=2\n0.05,1.0,0.0\n")
     rows = [f"{(i + 0.5) / 10!r},1.0,0.0\n" for i in range(10)]
@@ -339,6 +340,7 @@ def _write_inputs(d):
     (d / "two_fields.csv").write_text("# k=5 m=2\n" + "".join(rows[:3] + ["0.35,1\n"] + rows[4:]))
     write_csv(GridFunction.from_callable(_demo_potential, 1, 4), d / "k1.csv")
     zero_potential_spectrum(1, 1, 40).dump(d / "s11.json")
+    (d / "bool_eigenvalue.json").write_text('{"alpha": 0, "beta": 1, "eigenvalues": [[true, false], [20.0, 0.0]]}')
 
 
 DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
@@ -353,6 +355,11 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
     (["eigs", "--q", "k4.csv", "--count", "3"], 3, "ValueError", "grid k=4 does not match config k=5"),
     (["isospectral", "--q0", "zero", "--m", "2", "--f", "profile_k4.csv", "--out", "iq.csv"], 3, "ValueError",
      "profile is for k=4"),
+    (["isospectral", "--q0", "zero", "--m", "3", "--f", "profile_m2.csv", "--out", "iq.csv"], 3, "ValueError",
+     "profile must have 3 samples on (0, 1/5), got shape (2,)"),
+    (["reconstruct", "--alpha", "0", "--beta", "1", "--j", "1", "--k", "3", "--spectrum", "bool_eigenvalue.json",
+      "--m", "4", "--n-used", "2", "--modes", "1", "--out", "r.csv"], 3, "ValueError",
+     "true and false are not numbers"),
     (["forward-w", "--q", "headless.csv", "--out", "w.csv"], 3, "ValueError", "missing '# k=<k> m=<m>' header"),
     (["forward-w", "--q", "short.csv", "--out", "w.csv"], 3, "ValueError", "expected 10 rows, got 1"),
     (["forward-w", "--q", "no_m.csv", "--out", "w.csv"], 3, "ValueError", "no_m.csv: header '# k=5' is not"),
@@ -399,7 +406,8 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
     (["reconstruct", *A_ONE[1, 1], "--spectrum", "s11.json", "--m", "4", "--n-used", "40", "--modes", "3",
       "--out", "r.csv"], 3, "ValueError", NOT_NORMALIZED),
     (["isospectral", *A_ONE[0, 0], "--q0", "zero", "--m", "4", "--out", "iq.csv"], 3, "ValueError", NOT_NORMALIZED),
-], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "csv-no-header", "csv-short",
+], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "profile-m-mismatch",
+        "spectrum-bool-eigenvalue", "csv-no-header", "csv-short",
         "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields", "csv-header-m-huge",
         "delta-inf", "delta-math-range", "delta-lambdas-empty", "delta-lambdas-empty-entry",
         "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative", "verify-kmax-theorem1-0",
