@@ -97,7 +97,7 @@ class Spectrum:
             if any(type(part) is bool for pair in pairs for part in pair):
                 raise TypeError("true and false are not numbers")
             evs = tuple(complex(re, im) for re, im in pairs)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"spectrum eigenvalues must be [re, im] pairs of real numbers: {exc}") from None
         if not all(map(cmath.isfinite, evs)):
             n = next(n for n, z in enumerate(evs, start=1) if not cmath.isfinite(z))
@@ -431,37 +431,30 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam: complex) -> complex:
 def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
     """Recover W on a (k, m) grid from the spectrum, Fourier mode by mode.
 
-    Evaluating the product at the frequencies where the potential-free term
-    of the W-representation vanishes isolates the Fourier coefficients:
-      (0,0):  (pi m)^2 Delta((pi m)^2) = int W cos(pi m x) dx  (mean is 0)
-      (1,1):  Delta((pi m)^2)          = int W cos(pi m x) dx
-      mixed:  rho_m Delta(rho_m^2)     = int W sin(rho_m x) dx,
-              rho_m = (m - 1/2) pi.
-    W is synthesized in the basis {1, 2 cos(pi m x)} or {2 sin(rho_m x)};
+    One rule serves every (alpha, beta): mode m sits on the zero-potential
+    eigenvalue lambda_n^0, n = m + (alpha+beta)//2, where the potential-free
+    term of the W-representation vanishes, so with rho_m = sqrt(lambda_n^0)
+      rho_m^(2-alpha-beta) Delta(rho_m^2) = int W b(rho_m x) dx,
+    b = cos and rho_m = m pi when alpha = beta, b = sin and
+    rho_m = (m - 1/2) pi otherwise.  W is synthesized in the basis
+    {2 b(rho_m x)}, plus the mean Delta(0) for (1,1) (the (0,0) mean is 0);
     a spectrum of >= 4*modes eigenvalues is a good rule of thumb.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
-    need = modes + 1 if (spec.alpha, spec.beta) == (1, 1) else modes
+    a, b = spec.alpha, spec.beta
+    need = modes + (a + b) // 2
     if spec.count < need:
         raise ValueError(f"need at least {need} eigenvalues for {modes} modes, have {spec.count}")
+    x = grid_midpoints(k, m)  # rejects k or m < 1 before the alias check could blame the modes
     if modes >= k * m:
         raise ValueError(f"modes={modes} would alias on a {k}x{m} grid")
-    x = grid_midpoints(k, m)
+    shift, basis = (0.0, np.cos) if a == b else (0.5, np.sin)
     w = np.zeros(k * m, dtype=complex)
-    a, b = spec.alpha, spec.beta
-    if a == b:
-        if a == 1:
-            w += delta_from_spectrum(spec, spec.count, 0.0)  # mean of W
-        for mm in range(1, modes + 1):
-            lam = (math.pi * mm) ** 2
-            coef = delta_from_spectrum(spec, spec.count, lam)
-            if a == 0:
-                coef *= lam
-            w += 2.0 * coef * np.cos(math.pi * mm * x)
-    else:
-        for mm in range(1, modes + 1):
-            rho = (mm - 0.5) * math.pi
-            coef = rho * delta_from_spectrum(spec, spec.count, rho**2)
-            w += 2.0 * coef * np.sin(rho * x)
+    if (a, b) == (1, 1):
+        w += delta_from_spectrum(spec, spec.count, 0.0)  # mean of W
+    for mm in range(1, modes + 1):
+        rho = (mm - shift) * math.pi
+        coef = rho ** (2 - a - b) * delta_from_spectrum(spec, spec.count, rho**2)
+        w += 2.0 * coef * basis(rho * x)
     return GridFunction(k, m, w)

@@ -53,7 +53,6 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn: Callable, k: int, m: int = 64) -> "GridFunction":
-        _check_grid(k, m)
         x = grid_midpoints(k, m)
         return cls(k, m, np.asarray(fn(x), dtype=complex) * np.ones_like(x))
 
@@ -79,6 +78,7 @@ def _check_grid(k: int, m: int) -> None:
 
 def grid_midpoints(k: int, m: int) -> np.ndarray:
     """Midpoints x_i = (i + 1/2)/(k*m) of the k*m cells of (0, 1)."""
+    _check_grid(k, m)
     return (np.arange(k * m) + 0.5) / (k * m)
 
 

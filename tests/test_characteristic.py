@@ -139,6 +139,7 @@ def test_eigenvalue_ordering_and_spectrum_json(tmp_path, rng):
     {"alpha": 0, "beta": 1, "eigenvalues": [[2.0, 0.0], [1.0, "0"]]},
     {"alpha": 0, "beta": 1, "eigenvalues": [[2.0, 0.0], [1.0, -math.inf]]},
     {"alpha": 0, "beta": 1, "eigenvalues": [[True, False], [20.0, 0.0]]},
+    {"alpha": 0, "beta": 1, "eigenvalues": [[10**400, 0.0], [20.0, 0.0]]},  # too big for a float
 ])
 def test_spectrum_from_dict_rejects_malformed_input(bad):
     with pytest.raises(ValueError):
@@ -535,20 +536,23 @@ def test_extract_w_zero_spectrum():
         assert np.abs(w.values).max() < 1e-10
 
 
-def test_extract_w_matches_quadrature_coefficients(rng):
-    # the m-th extracted coefficient equals the midpoint-quadrature Fourier
-    # coefficient of the true W, up to product truncation
-    cfg = make_config(0, 1, 1, 3)
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_extract_w_matches_quadrature_coefficients(alpha, beta):
+    # the m-th extracted coefficient equals the midpoint-quadrature Fourier coefficient of the true W,
+    # up to product truncation: cos at m pi when alpha = beta, sin at (m - 1/2) pi otherwise
+    cfg = make_config(alpha, beta, 1, 3)
     q = GridFunction.from_callable(smooth_potential, 3, 64)
     w_true = forward_w_direct(q, cfg)
-    spec = eigenvalues(q, cfg, 240)
-    w_hat = extract_w(spec, 12, 3, 64)
+    w_hat = extract_w(eigenvalues(q, cfg, 240), 12, 3, 64)
     x = w_true.midpoints()
+    shift, basis = (0.0, np.cos) if alpha == beta else (0.5, np.sin)
     for mm in (1, 3, 8, 12):
-        rho = (mm - 0.5) * PI
-        coef_true = w_true.h * np.sum(w_true.values * np.sin(rho * x))
-        coef_hat = w_hat.h * np.sum(w_hat.values * np.sin(rho * x))
-        assert abs(coef_true - coef_hat) < 2e-4
+        rho = (mm - shift) * PI
+        coef_true = w_true.h * np.sum(w_true.values * basis(rho * x))
+        coef_hat = w_hat.h * np.sum(w_hat.values * basis(rho * x))
+        assert abs(coef_true - coef_hat) < 1e-6
+    if (alpha, beta) == (1, 1):
+        assert abs(w_true.h * np.sum(w_true.values) - w_hat.h * np.sum(w_hat.values)) < 1e-6
 
 
 def test_extract_w_round_trip_error_decreases(rng):
@@ -572,6 +576,13 @@ def test_extract_w_input_validation():
         extract_w(s, 0, 2, 16)
     with pytest.raises(ValueError):
         delta_from_spectrum(s, 11, 1.0)
+    # mode m reads the eigenvalue of index m + (alpha+beta)//2, so (1,1) needs one more than modes
+    ten = {flags: Spectrum(*flags, tuple(complex(asymptotic_eigenvalue(*flags, n)) for n in range(1, 11)))
+           for flags in ((1, 1), (0, 1))}
+    extract_w(ten[1, 1], 9, 2, 16)
+    with pytest.raises(ValueError, match="need at least 11 eigenvalues for 10 modes, have 10"):
+        extract_w(ten[1, 1], 10, 2, 16)
+    extract_w(ten[0, 1], 10, 2, 16)
 
 
 _TEN = Spectrum(0, 0, tuple(complex(asymptotic_eigenvalue(0, 0, n)) for n in range(1, 11)))

@@ -60,6 +60,12 @@ def test_scaled_variants():
         imag_scaled_cheb_int("U", n)
 
 
+def test_rescaling_rejects_an_unknown_kind():
+    for fn in (scaled_cheb_int, imag_scaled_cheb_int):
+        with pytest.raises(ValueError, match="kind must be 'T' or 'U', got 'V'"):
+            fn("V", 3)
+
+
 def test_rescaling_asserts_parity_and_divisibility(monkeypatch):
     # U_1 replaced by 1 + 2z: divisible by 2^m, but of mixed parity
     monkeypatch.setattr(chebyshev, "cheb_U", lambda n: IntPolynomial((1, 2)))

@@ -154,7 +154,7 @@ def test_verify_exits_zero(capsys):
     assert "all blocks passed" in out
 
 
-def test_verify_reports_a_failed_identity(capsys, monkeypatch):
+def _broken_reduction():
     from frozen_spectra import identities, make_config, reductions_j1
 
     bad = make_config(1, 1, 2, 5)
@@ -163,12 +163,31 @@ def test_verify_reports_a_failed_identity(capsys, monkeypatch):
         for j, rows in reductions_j1(alpha, beta, k):
             yield j, () if make_config(alpha, beta, j, k) == bad else rows
 
-    monkeypatch.setattr(identities, "reductions_j1", broken)
+    return identities, "reductions_j1", broken, "theorem-2 matrix reduction: 24", f"theorem2 {bad}"
+
+
+def _broken_eigenvector():
+    from frozen_spectra import eigvec_j1, identities, spectrum_closed_form
+
+    bad = spectrum_closed_form(3, 1, 0)[1]
+
+    def broken(z0, k, alpha, beta):
+        if (z0, k, alpha, beta) == (bad, 3, 1, 0):
+            raise ValueError(f"z0={z0} is not an eigenvalue")
+        return eigvec_j1(z0, k, alpha, beta)
+
+    return identities, "eigvec_j1", broken, "lemma-2/3 kernels, ranks, eigenvectors: 84", f"lemma2 k=3 (1,0) z0={bad}"
+
+
+@pytest.mark.parametrize("breakage", [_broken_reduction, _broken_eigenvector], ids=["theorem2", "lemma2"])
+def test_verify_reports_a_failed_identity(breakage, capsys, monkeypatch):
+    module, name, broken, block, label = breakage()
+    monkeypatch.setattr(module, name, broken)
     code, out, err = run(capsys, "verify", "--kmax", "6", "--kmax-theorem1", "4", "--kmax-forward", "2")
     assert code == 4
-    assert "[verify] theorem-2 matrix reduction: 24 checks passed" in out
+    assert f"[verify] {block} checks passed" in out
     assert "all blocks passed" not in out
-    assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [f"theorem2 {bad}"]}}
+    assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [label]}}
 
 
 def test_unknown_subcommand_exit_code(capsys):
@@ -341,10 +360,13 @@ def _write_inputs(d):
     write_csv(GridFunction.from_callable(_demo_potential, 1, 4), d / "k1.csv")
     zero_potential_spectrum(1, 1, 40).dump(d / "s11.json")
     (d / "bool_eigenvalue.json").write_text('{"alpha": 0, "beta": 1, "eigenvalues": [[true, false], [20.0, 0.0]]}')
+    huge = "1" + "0" * 400  # a 401-digit integer
+    (d / "huge_eigenvalue.json").write_text(f'{{"alpha": 0, "beta": 1, "eigenvalues": [[{huge}, 0.0], [20.0, 0.0]]}}')
 
 
 DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
 A_ONE = {(a, b): ["--alpha", str(a), "--beta", str(b), "--j", "1", "--k", "1"] for a in (0, 1) for b in (0, 1)}
+RECONSTRUCT_11 = ["--alpha", "1", "--beta", "1", "--j", "1", "--k", "3", "--spectrum", "s11.json"]
 NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply normalize_to_half first"
 
 
@@ -360,6 +382,11 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
     (["reconstruct", "--alpha", "0", "--beta", "1", "--j", "1", "--k", "3", "--spectrum", "bool_eigenvalue.json",
       "--m", "4", "--n-used", "2", "--modes", "1", "--out", "r.csv"], 3, "ValueError",
      "true and false are not numbers"),
+    (["reconstruct", "--alpha", "0", "--beta", "1", "--j", "1", "--k", "3", "--spectrum", "huge_eigenvalue.json",
+      "--m", "4", "--n-used", "2", "--modes", "1", "--out", "r.csv"], 3, "ValueError",
+     "int too large to convert to float"),
+    (["reconstruct", *RECONSTRUCT_11, "--m", "4", "--n-used", "41", "--modes", "1", "--out", "r.csv"], 3,
+     "ValueError", "spectrum holds 40 eigenvalues, need 41"),
     (["forward-w", "--q", "headless.csv", "--out", "w.csv"], 3, "ValueError", "missing '# k=<k> m=<m>' header"),
     (["forward-w", "--q", "short.csv", "--out", "w.csv"], 3, "ValueError", "expected 10 rows, got 1"),
     (["forward-w", "--q", "no_m.csv", "--out", "w.csv"], 3, "ValueError", "no_m.csv: header '# k=5' is not"),
@@ -396,6 +423,10 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
      "a grid needs k >= 1 and m >= 1, got k=5, m=-1"),
     (["eigs", "--q", "demo", "--m=-2", "--count", "3", "--out", "e.csv"], 3, "ValueError",
      "a grid needs k >= 1 and m >= 1, got k=5, m=-2"),
+    (["reconstruct", *RECONSTRUCT_11, "--m", "0", "--n-used", "40", "--modes", "1", "--out", "r.csv",
+      "--kernel-out", "rk.csv"], 3, "ValueError", "a grid needs k >= 1 and m >= 1, got k=3, m=0"),
+    (["reconstruct", *RECONSTRUCT_11, "--m=-1", "--n-used", "40", "--modes", "1", "--out", "r.csv"], 3,
+     "ValueError", "a grid needs k >= 1 and m >= 1, got k=3, m=-1"),
     # a = 1 is outside the normalized range 2j <= k of the main equation for every flag pair
     (["forward-w", *A_ONE[0, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
     (["forward-w", *A_ONE[1, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
@@ -407,13 +438,15 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
       "--out", "r.csv"], 3, "ValueError", NOT_NORMALIZED),
     (["isospectral", *A_ONE[0, 0], "--q0", "zero", "--m", "4", "--out", "iq.csv"], 3, "ValueError", NOT_NORMALIZED),
 ], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "profile-m-mismatch",
-        "spectrum-bool-eigenvalue", "csv-no-header", "csv-short",
-        "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields", "csv-header-m-huge",
+        "spectrum-bool-eigenvalue", "spectrum-huge-eigenvalue", "reconstruct-n-used-above-count", "csv-no-header",
+        "csv-short", "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields",
+        "csv-header-m-huge",
         "delta-inf", "delta-math-range", "delta-lambdas-empty", "delta-lambdas-empty-entry",
         "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative", "verify-kmax-theorem1-0",
         "verify-kmax-forward-1", "example-m-negative", "example-m-zero", "isospectral-m-negative",
-        "eigs-m-negative", "forward-w-a-one-01", "forward-w-a-one-11", "invert-a-one-00", "invert-a-one-01",
-        "invert-a-one-10", "invert-a-one-11", "reconstruct-a-one-11", "isospectral-a-one-00"])
+        "eigs-m-negative", "reconstruct-m-zero", "reconstruct-m-negative", "forward-w-a-one-01", "forward-w-a-one-11",
+        "invert-a-one-00", "invert-a-one-01", "invert-a-one-10", "invert-a-one-11", "reconstruct-a-one-11",
+        "isospectral-a-one-00"])
 def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, monkeypatch):
     _write_inputs(tmp_path)
     before = sorted(p.name for p in tmp_path.iterdir())

@@ -242,6 +242,24 @@ def test_eigvec_examples():
         eigvec_j1(0.5, 3, 0, 0)  # not an eigenvalue
 
 
+# each j = 1 helper at k, for the k >= 2 guard
+_J1_HELPERS = {
+    "det_closed_form": lambda k: det_closed_form(k, 1, 0),
+    "theorem1_poly": lambda k: theorem1_poly(k, 0, 1),
+    "spectrum_closed_form": lambda k: spectrum_closed_form(k, 1, 1),
+    "reductions_j1": lambda k: next(reductions_j1(0, 0, k)),  # a generator checks k on its first step
+    "reduce_to_j1": lambda k: reduce_to_j1(make_config(1, 0, 0, k)),
+    "kernel": lambda k: kernel(make_config(0, 0, 0, k)),
+    "eigvec_j1": lambda k: eigvec_j1(0j, k, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_J1_HELPERS))
+def test_j1_helpers_reject_k_below_2(name):
+    with pytest.raises(ValueError, match=f"{name} needs k >= 2"):
+        _J1_HELPERS[name](1)
+
+
 def test_rank_examples():
     assert rank(build_matrix(make_config(0, 0, 3, 7))) == 6
     assert rank(build_matrix(make_config(0, 1, 1, 3))) == 3

@@ -12,7 +12,13 @@ from frozen_spectra import (
     read_csv,
     write_csv,
 )
-from frozen_spectra.interval_ops import _q_permutation, _r_permutation, read_profile_csv, subinterval_midpoints
+from frozen_spectra.interval_ops import (
+    _q_permutation,
+    _r_permutation,
+    grid_midpoints,
+    read_profile_csv,
+    subinterval_midpoints,
+)
 
 
 def _random_grid(k, m, seed):
@@ -177,7 +183,7 @@ def test_grid_validation():
     # negative sizes are rejected before numpy sees them, and so is k*m > 0 from two negatives
     for k, m in ((2, -1), (-1, 3), (-2, -3)):
         for make in (GridFunction.zeros, lambda k, m: GridFunction.from_callable(lambda x: x, k, m),
-                     subinterval_midpoints):
+                     grid_midpoints, subinterval_midpoints):
             with pytest.raises(ValueError, match=f"a grid needs k >= 1 and m >= 1, got k={k}, m={m}"):
                 make(k, m)
     with pytest.raises(ValueError):

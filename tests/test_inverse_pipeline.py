@@ -60,6 +60,11 @@ def test_nondegenerate_config_is_rejected(rng):
         build_isospectral_potential(q0, make_config(0, 1, 1, 3), np.zeros(8))
 
 
+def test_isospectral_potential_rejects_a_grid_of_another_k():
+    with pytest.raises(ValueError, match="grid has k=4 but config needs k=3"):
+        build_isospectral_potential(GridFunction.zeros(4, 8), make_config(0, 0, 1, 3), np.zeros(8))
+
+
 @pytest.mark.parametrize("case_id", sorted(EXAMPLE_CASES))
 def test_reference_tables_match_golden_files(case_id):
     report = reference_example(case_id)
