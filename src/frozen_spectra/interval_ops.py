@@ -16,7 +16,9 @@ The chop operators map a function on (0,1) to a k-vector of functions on
 
 from __future__ import annotations
 
+import itertools
 import re
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -154,24 +156,65 @@ def r_inverse(comps: np.ndarray, j: int) -> GridFunction:
     return _scatter(_r_permutation(j % 2, k, m), comps)
 
 
+CSV_CHUNK = 4096  # rows formatted or parsed at a time by write_csv and _read_rows
+
+
 def write_csv(f: GridFunction, path) -> None:
-    """Rows x,re,im at midpoints, with a '# k=<k> m=<m>' header."""
-    x = f.midpoints()
+    """Rows x,re,im at midpoints, with a '# k=<k> m=<m>' header.
+
+    Rows are formatted CSV_CHUNK at a time by one '%r,%r,%r\\n' * rows format
+    over Python floats.  %r of a float is float.__repr__, so the bytes are those
+    of a per-row repr, and a rerun writes the file byte-identical.
+    """
+    x, v = f.midpoints(), f.values
     with open(path, "w") as fh:
         fh.write(f"# k={f.k} m={f.m}\n")
-        for xi, v in zip(x, f.values):
-            fh.write(f"{float(xi)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+        for s in range(0, len(x), CSV_CHUNK):
+            rows = np.column_stack([x[s : s + CSV_CHUNK], v.real[s : s + CSV_CHUNK], v.imag[s : s + CSV_CHUNK]])
+            fh.write("%r,%r,%r\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 _HEADER = re.compile(r"#\s*k=([0-9]+)\s+m=([0-9]+)")
 
 
-def _read_rows(path, rows: Callable[[int, int], int]) -> tuple[int, int, np.ndarray]:
+def _parse_rows(path, lines: list[str], first: int) -> np.ndarray:
+    """Lines first+1, first+2, ... (1-based data rows) as an (n, 3) table of x, re, im.
+
+    numpy's C parser reads the whole chunk; when it fails or drops a blank
+    line, the rows are read one by one with float(), which accepts what the
+    C parser does and more, and which names the file and the row that fails.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a chunk of blank lines warns "input contained no data"
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if table.shape == (len(lines), 3):
+            return table
+    except ValueError:
+        pass
+    table = np.empty((len(lines), 3))
+    for i, line in enumerate(lines):
+        try:
+            x, real, imag = line.strip().split(",")
+            table[i] = float(x), float(real), float(imag)
+        except ValueError:
+            raise ValueError(f"{path}: data row {first + i + 1} is not x,re,im: {line.strip()!r}") from None
+    return table
+
+
+def _read_rows(
+    path, rows: Callable[[int, int], int], midpoints: Callable[[int, int], np.ndarray]
+) -> tuple[int, int, np.ndarray]:
     """A '# k=<k> m=<m>' header, exactly rows(k, m) finite rows x,re,im, then only blank lines.
 
-    k and m are integers >= 1, each given once.  Rows are collected as they
-    are read, so a header that declares more rows than the file holds
-    allocates nothing for them.
+    k and m are integers >= 1, each given once.  The body is read and parsed
+    at most CSV_CHUNK lines at a time, so a header that declares more rows
+    than the file holds allocates nothing for the missing ones.  Each x must
+    lie within a quarter cell, h/4 with h = 1/(k*m), of midpoints(k, m) at
+    its row, so rounded x still load but a row out of place does not.  The
+    errors come in this order: header, row shape, row count, trailing data,
+    non-finite re/im, x; each names the file, and a row error its 1-based row.
+    Returns (k, m, samples), the samples built as re + 1j*im.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -182,33 +225,40 @@ def _read_rows(path, rows: Callable[[int, int], int]) -> tuple[int, int, np.ndar
         if min(k, m) < 1:
             raise ValueError(f"{path}: header {header!r} is not '# k=<k> m=<m>' with integers k, m >= 1")
         n = rows(k, m)
-        vals = []
-        for i in range(n):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: expected {n} rows, got {i} (header {header!r})")
-            try:
-                _, real, imag = line.strip().split(",")
-                vals.append(float(real) + 1j * float(imag))
-            except ValueError:
-                raise ValueError(f"{path}: data row {i + 1} is not x,re,im: {line.strip()!r}") from None
+        chunks, got = [], 0
+        while got < n:
+            want = min(CSV_CHUNK, n - got)
+            lines = list(itertools.islice(fh, want))
+            chunks.append(_parse_rows(path, lines, got))
+            got += len(lines)
+            if len(lines) < want:
+                raise ValueError(f"{path}: expected {n} rows, got {got} (header {header!r})")
         for line in fh:
             if line.strip():
                 raise ValueError(f"{path}: data past the {n} rows the header declares")
-    vals = np.array(vals, dtype=complex)
+    table = np.concatenate(chunks)
+    with np.errstate(invalid="ignore"):  # 1j * inf has a nan real part, as in Python; rejected below
+        vals = table[:, 1] + 1j * table[:, 2]
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 1} holds a non-finite value {vals[bad[0]]}")
+    mid = midpoints(k, m)
+    off = np.flatnonzero(~(np.abs(table[:, 0] - mid) <= 0.25 / (k * m)))
+    if off.size:
+        i = off[0]
+        raise ValueError(
+            f"{path}: data row {i + 1} has x={float(table[i, 0])!r}, not within h/4 of its midpoint {float(mid[i])!r}"
+        )
     return k, m, vals
 
 
 def read_csv(path) -> GridFunction:
     """Inverse of write_csv: k*m rows at the midpoints of (0, 1)."""
-    k, m, vals = _read_rows(path, lambda k, m: k * m)
+    k, m, vals = _read_rows(path, lambda k, m: k * m, grid_midpoints)
     return GridFunction(k, m, vals)
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, int]:
     """A function on (0, b), b = 1/k, as m rows t,re,im at its midpoints; returns (samples, k)."""
-    k, _, vals = _read_rows(path, lambda k, m: m)
+    k, _, vals = _read_rows(path, lambda k, m: m, subinterval_midpoints)
     return vals, k

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,8 @@ def test_verify_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--kmax", "8", "--kmax-theorem1", "10", "--kmax-forward", "4")
     assert code == 0
     assert "all blocks passed" in out
+    blocks = [line for line in out.splitlines() if line.startswith("[verify]") and "all blocks" not in line]
+    assert blocks and all(re.fullmatch(r"\[verify\] .+: \d+ checks passed", line) for line in blocks)
 
 
 def _broken_reduction():
@@ -163,7 +166,7 @@ def _broken_reduction():
         for j, rows in reductions_j1(alpha, beta, k):
             yield j, () if make_config(alpha, beta, j, k) == bad else rows
 
-    return identities, "reductions_j1", broken, "theorem-2 matrix reduction: 24", f"theorem2 {bad}"
+    return identities, "reductions_j1", broken, "theorem-2 matrix reduction: 23 checks passed, 1 failed", f"theorem2 {bad}"
 
 
 def _broken_eigenvector():
@@ -176,7 +179,7 @@ def _broken_eigenvector():
             raise ValueError(f"z0={z0} is not an eigenvalue")
         return eigvec_j1(z0, k, alpha, beta)
 
-    return identities, "eigvec_j1", broken, "lemma-2/3 kernels, ranks, eigenvectors: 84", f"lemma2 k=3 (1,0) z0={bad}"
+    return identities, "eigvec_j1", broken, "lemma-2/3 kernels, ranks, eigenvectors: 83 checks passed, 1 failed", f"lemma2 k=3 (1,0) z0={bad}"
 
 
 @pytest.mark.parametrize("breakage", [_broken_reduction, _broken_eigenvector], ids=["theorem2", "lemma2"])
@@ -185,7 +188,7 @@ def test_verify_reports_a_failed_identity(breakage, capsys, monkeypatch):
     monkeypatch.setattr(module, name, broken)
     code, out, err = run(capsys, "verify", "--kmax", "6", "--kmax-theorem1", "4", "--kmax-forward", "2")
     assert code == 4
-    assert f"[verify] {block} checks passed" in out
+    assert f"[verify] {block}\n" in out
     assert "all blocks passed" not in out
     assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [label]}}
 
@@ -279,6 +282,47 @@ def test_invert_rejects_extra_rows_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "invert", "--config", str(cfgfile), "--w", str(wfile), "--out", str(tmp_path / "q.csv"))
     assert code == 3
     assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+OFF_X = 5 / 24 + 0.26 / 12  # row 3 of a k=3 m=4 grid moved by just over a quarter cell, h/4 = 1/48
+
+
+def _edit_x(edit, lines):
+    """The data rows of a k=3 m=4 grid CSV, edited in their x column."""
+    if edit == "abc":
+        return ["abc" + lines[0][lines[0].index(","):]] + lines[1:]
+    if edit == "reversed":
+        return lines[::-1]
+    if edit == "off":
+        return lines[:2] + [f"{OFF_X!r},{lines[2].split(',', 1)[1]}"] + lines[3:]
+    x_rounded = [f"{float(line.split(',', 1)[0]):.6g},{line.split(',', 1)[1]}" for line in lines]
+    assert x_rounded != lines
+    return x_rounded
+
+
+@pytest.mark.parametrize("command", ["eigs", "forward-w"])
+@pytest.mark.parametrize("edit, message", [
+    ("abc", "data row 1 is not x,re,im: 'abc,"),
+    ("reversed", f"data row 1 has x={23 / 24!r}, not within h/4 of its midpoint {1 / 24!r}"),
+    ("off", f"data row 3 has x={OFF_X!r}, not within h/4 of its midpoint {5 / 24!r}"),
+    ("rounded", None),
+], ids=["abc", "reversed", "off", "rounded"])
+def test_grid_csv_x_column_exit_code(command, edit, message, tmp_path, capsys, monkeypatch):
+    qfile = tmp_path / "q.csv"
+    write_csv(GridFunction.from_callable(_demo_potential, 3, 4), qfile)
+    header, *lines = qfile.read_text().splitlines()
+    qfile.write_text("\n".join([header, *_edit_x(edit, lines)]) + "\n")
+    monkeypatch.chdir(tmp_path)
+    cfg = ["--alpha", "0", "--beta", "1", "--j", "1", "--k", "3", "--q", str(qfile)]
+    argv = ["eigs", *cfg, "--count", "3", "--out", "e.csv"] if command == "eigs" else ["forward-w", *cfg, "--out", "w.csv"]
+    code, out, err = run(capsys, *argv)
+    if message is None:  # x rounded to 6 significant digits is still within h/4 of the midpoints
+        assert code == 0
+        return
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and error["message"].startswith(f"{qfile}: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv"]
 
 
 def test_non_finite_input_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from frozen_spectra import (
     write_csv,
 )
 from frozen_spectra.interval_ops import (
+    CSV_CHUNK,
     _q_permutation,
     _r_permutation,
     grid_midpoints,
@@ -188,3 +191,129 @@ def test_grid_validation():
                 make(k, m)
     with pytest.raises(ValueError):
         GridFunction.zeros(2, 4) + GridFunction.zeros(4, 2)
+
+
+def oracle_write_csv(f, path):
+    """The grid-CSV writer row by row: one f-string of float reprs per row."""
+    with open(path, "w") as fh:
+        fh.write(f"# k={f.k} m={f.m}\n")
+        for xi, v in zip(f.midpoints(), f.values):
+            fh.write(f"{float(xi)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+
+
+def oracle_read_values(path):
+    """The samples of a well-formed grid or profile CSV, parsed line by line with float()."""
+    with open(path) as fh:
+        fh.readline()
+        vals = []
+        for line in fh:
+            if line.strip():
+                _, real, imag = line.strip().split(",")
+                vals.append(float(real) + 1j * float(imag))
+    return np.array(vals, dtype=complex)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e308, -1e308]
+
+
+def _edge_grid(k, m, seed):
+    """Random samples with every edge value in both parts, at random rows."""
+    rng = np.random.default_rng(seed)
+    n = k * m
+    re, im = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n), rng.normal(size=n)
+    for part in (re, im):
+        rows = rng.choice(n, size=min(n, 4 * len(EDGE_VALUES)), replace=False)
+        part[rows] = np.resize(EDGE_VALUES, len(rows))
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = re, im
+    return GridFunction(k, m, values)
+
+
+@pytest.mark.parametrize("k, m", [(1, CSV_CHUNK - 1), (1, CSV_CHUNK), (1, CSV_CHUNK + 1), (7, CSV_CHUNK), (3, 5)])
+def test_csv_io_matches_the_row_by_row_oracles(k, m, tmp_path):
+    f = _edge_grid(k, m, seed=k * m)
+    path, oracle_path = tmp_path / "grid.csv", tmp_path / "oracle.csv"
+    write_csv(f, path)
+    oracle_write_csv(f, oracle_path)
+    assert path.read_bytes() == oracle_path.read_bytes()
+    g = read_csv(path)
+    assert (g.k, g.m) == (k, m)
+    assert g.values.tobytes() == oracle_read_values(path).tobytes()
+    # a profile file of one subinterval: the first m rows, same values
+    profile = tmp_path / "profile.csv"
+    profile.write_text("".join(path.read_text().splitlines(keepends=True)[: m + 1]))
+    vals, fk = read_profile_csv(profile)
+    assert fk == k and vals.tobytes() == oracle_read_values(profile).tobytes()
+
+
+def test_csv_read_falls_back_to_float_per_row(tmp_path):
+    """A chunk the C parser refuses is read row by row: float() accepts '1_0', and a bad row is named."""
+    n = CSV_CHUNK + 10
+    x = grid_midpoints(1, n).tolist()
+    lines = [f"{xi!r},{i}.5,-{i}\n" for i, xi in enumerate(x)]
+    path = tmp_path / "grid.csv"
+    lines[CSV_CHUNK + 3] = f"{x[CSV_CHUNK + 3]!r},1_0,2\n"
+    path.write_text(f"# k=1 m={n}\n" + "".join(lines))
+    values = read_csv(path).values
+    assert values.tobytes() == oracle_read_values(path).tobytes() and values[CSV_CHUNK + 3] == 10 + 2j
+    for bad, row in (("\n", CSV_CHUNK + 3), ("0.5,1,2,3\n", 2), ("0.5;1;2\n", CSV_CHUNK)):
+        edited = list(lines)
+        edited[row - 1] = bad
+        path.write_text(f"# k=1 m={n}\n" + "".join(edited))
+        with pytest.raises(ValueError, match=f"grid.csv: data row {row} is not x,re,im: {bad.strip()!r}"):
+            read_csv(path)
+
+
+def test_csv_checks_x_within_a_quarter_cell(tmp_path):
+    path = tmp_path / "grid.csv"
+    k, m = 3, 4
+    h = 1 / (k * m)
+    x = grid_midpoints(k, m).tolist()
+    for shift, ok in ((0.24 * h, True), (-0.24 * h, True), (0.26 * h, False), (-0.26 * h, False)):
+        rows = [f"{xi + (shift if i == 5 else 0.0)!r},1.0,0.0\n" for i, xi in enumerate(x)]
+        path.write_text(f"# k={k} m={m}\n" + "".join(rows))
+        if ok:
+            assert np.array_equal(read_csv(path).values, np.ones(k * m))
+        else:
+            with pytest.raises(ValueError, match="data row 6 has x=.*, not within h/4 of its midpoint"):
+                read_csv(path)
+    rows = [f"{xi!r},1.0,0.0\n" for xi in x]
+    rows[2] = "nan,1.0,0.0\n"
+    path.write_text(f"# k={k} m={m}\n" + "".join(rows))
+    with pytest.raises(ValueError, match="data row 3 has x=nan"):
+        read_csv(path)
+    # a profile's x are the midpoints of (0, 1/k), not those of (0, 1)
+    path.write_text(f"# k={k} m={m}\n" + "".join(f"{xi!r},1.0,0.0\n" for xi in subinterval_midpoints(k, m).tolist()))
+    assert read_profile_csv(path)[1] == k
+    path.write_text(f"# k={k} m={m}\n" + "".join(f"{xi!r},1.0,0.0\n" for xi in x[::-1][:m]))
+    with pytest.raises(ValueError, match="data row 1 has x="):
+        read_profile_csv(path)
+
+
+def test_csv_errors_keep_their_order(tmp_path):
+    """Row shape before row count before trailing data before non-finite values before x."""
+    path = tmp_path / "grid.csv"
+    cases = [
+        ("# k=1 m=3\n0.9,1,2\nbad\n", "data row 2 is not x,re,im"),
+        ("# k=1 m=3\n0.9,nan,2\n0.9,1,2\n", "expected 3 rows, got 2"),
+        ("# k=1 m=2\n0.9,nan,2\n0.9,1,2\n0.9,1,2\n", "data past the 2 rows"),
+        ("# k=1 m=2\n0.9,1,2\n0.9,1,inf\n", "data row 2 holds a non-finite value"),
+        ("# k=1 m=2\n0.25,1,2\n0.5,1,2\n", "data row 2 has x=0.5"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_csv(path)
+
+
+def test_csv_header_with_missing_rows_allocates_nothing_for_them(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text(f"# k=1 m={10**15}\n" + "".join(f"{(i + 0.5) / 10!r},1.0,0.0\n" for i in range(10)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"expected {10**15} rows, got 10"):
+            read_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
