@@ -4,26 +4,31 @@ Route 1 (delta_direct) builds the 2x2 boundary determinant from the
 fundamental solutions
     C(x) = cos rho(x-a) + int_a^x sin(rho(x-t))/rho q(t) dt,
     S(x) = sin(rho(x-a))/rho,          rho^2 = lambda,
-with composite midpoint quadrature on the shared grid; its kernel sums
-factor every e^{+-i rho s} over blocks of about sqrt(n) of the n grid
-points, so an evaluation costs about 4 sqrt(n) complex exps and two thin
-matrix products rather than n exps.  The potential is laid out in those
-blocks once per potential, not once per evaluation, and the boundary
-terms take one cmath.sin and one cmath.cos per endpoint.  One boundary
+by Filon's cell rule on the shared grid: q is taken as constant on each
+cell of width h and e^{+-i rho s} is integrated exactly over the cell, so
+every kernel sum is the midpoint sum times h sinc(rho h/2).  A
+piecewise-constant q is integrated exactly, and the error no longer grows
+like (rho h)^2 as the midpoint rule's did.  The kernel sums factor every
+e^{+-i rho s} over blocks of about sqrt(n) of the n grid points, so an
+evaluation costs about 4 sqrt(n) complex exps and two thin matrix products
+rather than n exps.  The potential is laid out in those blocks once per
+potential, not once per evaluation, and the boundary terms take one
+cmath.sin and one cmath.cos per endpoint and per half cell.  One boundary
 assembly (_boundary_det) chooses the determinant's rows on (alpha, beta):
 fed the kernel sums it gives Delta, fed zero sums at a = 0 the
 zero-potential Delta_0.  Route 2 (delta_from_w) adds an integral of W
-against the trig kernels to Delta_0.  Route 3 (delta_from_spectrum)
-evaluates the canonical infinite product over a truncated spectrum,
-pairing each retained factor with the matching zero-potential factor so
-the tail is exactly 1 under lambda_n = lambda_n^0.
+against the trig kernels to Delta_0, by the same cell rule.  Route 3
+(delta_from_spectrum) evaluates the canonical infinite product over a
+truncated spectrum, pairing each retained factor with the matching
+zero-potential factor so the tail is exactly 1 under lambda_n = lambda_n^0.
 
 All formulas are even in rho, so the branch of the square root is
 immaterial; one canonical branch also makes the rounding of the exp
 kernel in delta_direct independent of it.  Every kernel pass also yields
-the analytic dDelta/dlambda of its quadrature, which is what eigenvalues
+the analytic dDelta/dlambda of its rule, which is what eigenvalues
 runs Newton on.  One function (_trig_kernels) gives every trig kernel,
-on arrays and at scalar endpoints: cos(rho s), sin(rho s)/rho, its
+on arrays, at scalar endpoints and at the half cell h/2, where
+sin(rho s)/rho is half the cell weight: cos(rho s), sin(rho s)/rho, its
 lambda-derivative and (cos(rho s) - 1)/lambda.  It holds the only switch
 to Taylor series, below |rho| = 0.1, where the exp form of
 dDelta/dlambda would lose digits to cancellation; the series branch of
@@ -89,6 +94,9 @@ class Spectrum:
         """Inverse of to_dict; ValueError unless alpha, beta are 0/1 and each eigenvalue a finite [re, im]."""
         if not isinstance(d, dict):
             raise ValueError(f"a spectrum is a JSON object, got {type(d).__name__}")
+        missing = [key for key in ("alpha", "beta", "eigenvalues") if key not in d]
+        if missing:
+            raise ValueError(f"spectrum has no {', '.join(map(repr, missing))}")
         alpha, beta = d["alpha"], d["beta"]
         if not all(type(f) is int and f in (0, 1) for f in (alpha, beta)):
             raise ValueError(f"spectrum alpha and beta must be 0 or 1, got {alpha!r} and {beta!r}")
@@ -111,8 +119,12 @@ class Spectrum:
 
     @staticmethod
     def load(path) -> "Spectrum":
-        with open(path) as fh:
-            return Spectrum.from_dict(json.load(fh))
+        """from_dict of a JSON file; a ValueError, malformed JSON included, names the file."""
+        try:
+            with open(path) as fh:
+                return Spectrum.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def asymptotic_eigenvalue(alpha: int, beta: int, n: int) -> float:
@@ -240,20 +252,25 @@ def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: 
     """The 2x2 boundary determinant, the one place its rows are chosen on (alpha, beta).
 
     The fundamental solutions C, S normalized at a enter through the
-    trig kernels at the endpoints a and 1 - a and the h-weighted kernel sums
-    ((sin_head, sin_tail), (cos_head, cos_tail)) of _kernel_sums; the row at
+    trig kernels at the endpoints a and 1 - a and the kernel sums
+    ((sin_head, sin_tail), (cos_head, cos_tail)) of _kernel_sums, weighted
+    by the cell rule's h sinc(rho h/2) = 2 sin(rho h/2)/rho, the kernel
+    sin(rho s)/rho at s = h/2 (its series branch included); the row at
     0 holds (C, S) for alpha = 0 and (C', S') for alpha = 1, the row at 1
     likewise for beta.  With dsums, the sums differentiated in lambda,
-    returns (Delta, dDelta/dlambda), else Delta.  Zero sums at a = 0 give
-    the zero-potential Delta_0.
+    returns (Delta, dDelta/dlambda), else Delta; the weight's own
+    lambda-derivative multiplies the sums in the slope.  Zero sums at a = 0
+    give the zero-potential Delta_0.
     """
     isin, icos = sums
     cs0, ks0, dks0, _ = _trig_kernels(a, rho, lam)
     cs1, ks1, dks1, _ = _trig_kernels(1 - a, rho, lam)
-    c0 = cs0 + h * isin[0]
-    c1 = cs1 + h * isin[1]
-    cp0 = lam * ks0 - h * icos[0]
-    cp1 = -lam * ks1 + h * icos[1]
+    _, ksh, dksh, _ = _trig_kernels(h / 2, rho, lam)
+    weight = 2 * ksh  # h sinc(rho h/2): each e^{+-i rho s} integrated exactly over its cell
+    c0 = cs0 + weight * isin[0]
+    c1 = cs1 + weight * isin[1]
+    cp0 = lam * ks0 - weight * icos[0]
+    cp1 = -lam * ks1 + weight * icos[1]
     top = (c0, -ks0) if alpha == 0 else (cp0, cs0)
     bot = (c1, ks1) if beta == 0 else (cp1, cs1)
     value = top[0] * bot[1] - top[1] * bot[0]
@@ -261,11 +278,12 @@ def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: 
         return value
 
     dsin, dcos = dsums
+    dweight = 2 * dksh
     dcs0, dcs1 = -0.5 * a * ks0, -0.5 * (1 - a) * ks1
-    dc0 = dcs0 + h * dsin[0]
-    dc1 = dcs1 + h * dsin[1]
-    dcp0 = ks0 + lam * dks0 - h * dcos[0]
-    dcp1 = -ks1 - lam * dks1 + h * dcos[1]
+    dc0 = dcs0 + weight * dsin[0] + dweight * isin[0]
+    dc1 = dcs1 + weight * dsin[1] + dweight * isin[1]
+    dcp0 = ks0 + lam * dks0 - weight * dcos[0] - dweight * icos[0]
+    dcp1 = -ks1 - lam * dks1 + weight * dcos[1] + dweight * icos[1]
     dtop = (dc0, -dks0) if alpha == 0 else (dcp0, dcs0)
     dbot = (dc1, dks1) if beta == 0 else (dcp1, dcs1)
     dvalue = dtop[0] * bot[1] + top[0] * dbot[1] - dtop[1] * bot[0] - top[1] * dbot[0]
@@ -275,8 +293,11 @@ def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: 
 def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bool = False):
     """Characteristic determinant evaluated straight from the potential.
 
-    With slope=True, returns (Delta, dDelta/dlambda) of the same quadrature,
-    from the same kernel pass; the default returns Delta alone.
+    q is read as constant on each grid cell and every cell is integrated
+    exactly (Filon's cell rule), so a piecewise-constant potential gives
+    Delta up to rounding whatever rho h is.  With slope=True, returns
+    (Delta, dDelta/dlambda) of the same rule, from the same kernel pass; the
+    default returns Delta alone.
     """
     if q.k != config.k:
         raise ValueError(f"grid has k={q.k} but config needs k={config.k}")
@@ -297,14 +318,20 @@ def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> comple
                     series threshold the mean term is dropped, which is the
                     entire continuation valid for zero-mean W (every W in
                     the range of the forward map has zero mean).
+
+    The whole integral term, the (0,0) mean term included, is weighted by
+    the cell rule's h sinc(rho h/2), so W is read as constant on each cell
+    exactly as delta_direct reads q, and the two routes are one
+    discretisation.
     """
     rho = _sqrt_lambda(lam)
     cs, ks, _, cm = _trig_kernels(w.midpoints(), rho, lam)
     kernel = ks if alpha != beta else cs if alpha == 1 else cm
-    val = zero_potential_delta(alpha, beta, lam) + w.h * np.sum(w.values * kernel)
+    integral = np.sum(w.values * kernel)
     if (alpha, beta) == (0, 0) and abs(rho) >= RHO_SERIES_THRESHOLD:
-        val = val + w.h * np.sum(w.values) / lam
-    return complex(val)
+        integral = integral + np.sum(w.values) / lam
+    weight = 2 * _trig_kernels(w.h / 2, rho, lam)[1]
+    return complex(zero_potential_delta(alpha, beta, lam) + weight * integral)
 
 
 _NO_SUMS = ((0.0, 0.0), (0.0, 0.0))

@@ -43,6 +43,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 EXIT_NUMERICAL = 4
+# cheb --n and verify --kmax-theorem1 keep every term of a stored Chebyshev or
+# characteristic-polynomial run: n terms of up to n coefficients of up to n
+# bits, so memory grows as n^3 (about 240 MB for verify at the limit)
+MAX_STORED_N = 1000
 
 
 class VerifyFailure(Exception):
@@ -77,13 +81,22 @@ class RunManifest:
 
 
 def _load_config(args) -> ProblemConfig:
-    if args.config:
+    """The --config file's config, else the flags'; every ValueError of the file names it."""
+    if not args.config:
+        return make_config(args.alpha, args.beta, args.j, args.k)
+    try:
         with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
-            raise ValueError(f"{args.config}: expected a JSON object, got {type(data).__name__}")
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         return ProblemConfig.from_dict(data.get("config", data))
-    return make_config(args.alpha, args.beta, args.j, args.k)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
+
+
+def _check_stored_n(flag: str, n: int) -> None:
+    if n > MAX_STORED_N:
+        raise ValueError(f"{flag} must be <= {MAX_STORED_N}, got {n}: memory grows as n^3")
 
 
 def _config_flags(p: argparse.ArgumentParser) -> None:
@@ -139,6 +152,7 @@ def cmd_classify(args) -> RunManifest:
 
 
 def cmd_cheb(args) -> RunManifest:
+    _check_stored_n("--n", args.n)
     if args.scaled:
         poly = chebyshev.scaled_cheb_int(args.kind, args.n)
     else:
@@ -301,6 +315,7 @@ def cmd_verify(args) -> RunManifest:
     for flag in ("kmax", "kmax_theorem1", "kmax_forward"):  # below 2 a block would check nothing
         if getattr(args, flag) < 2:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 2, got {getattr(args, flag)}")
+    _check_stored_n("--kmax-theorem1", args.kmax_theorem1)
     failures: list[str] = []
     for name, checks in identities.sweeps(args.kmax, args.kmax_theorem1, args.kmax_forward):
         results = list(checks)

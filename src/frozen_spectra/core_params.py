@@ -48,6 +48,9 @@ class ProblemConfig:
     def from_dict(d: dict) -> "ProblemConfig":
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        missing = [key for key in ("alpha", "beta", "j", "k") if key not in d]
+        if missing:
+            raise ValueError(f"config has no {', '.join(map(repr, missing))}")
         return make_config(d["alpha"], d["beta"], d["j"], d["k"])
 
 

@@ -142,7 +142,7 @@ def test_criterion_07_delta_route_consistency(rng):
         for lam in grid:
             d1 = delta_direct(q, cfg, lam)
             d2 = delta_from_w(w, cfg.alpha, cfg.beta, lam)
-            assert abs(d1 - d2) <= 1e-6 * (1 + abs(d1))
+            assert abs(d1 - d2) <= 1e-10 * (1 + abs(d1))
             checks += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0

@@ -365,7 +365,10 @@ def test_endpoint_terms_match_the_numpy_kernels(lam):
 
 
 def _mp_delta_direct(q, cfg, lam):
-    """Delta of delta_direct's midpoint quadrature in mpmath, from the fundamental solutions C, S normalized at a.
+    """Delta of delta_direct's cell rule in mpmath, from the fundamental solutions C, S normalized at a.
+
+    q is constant on each cell of width h = 1/n, so each cell integrates exactly to its midpoint
+    value times h sinc(rho h/2).
 
     It runs at the caller's working precision, so that mpmath.diff can raise it.
     """
@@ -379,7 +382,8 @@ def _mp_delta_direct(q, cfg, lam):
     x = [mpmath.mpf(2 * t + 1) / (2 * n) for t in range(n)]
     s = x[:jm] + [1 - xt for xt in x[jm:]]
     v = [mpmath.mpc(z) for z in q.values.tolist()]
-    quad = lambda kernel, part: mpmath.fsum(v[t] * kernel(s[t]) for t in part) / n
+    weight = mpmath.sinc(rho / (2 * n)) / n
+    quad = lambda kernel, part: mpmath.fsum(v[t] * kernel(s[t]) for t in part) * weight
     head, tail = range(jm), range(jm, n)
     isin, icos = (quad(ksin, head), quad(ksin, tail)), (quad(kcos, head), quad(kcos, tail))
     # C(0), S(0), C'(0), S'(0) and C(1), S(1), C'(1), S'(1)
@@ -403,6 +407,27 @@ def test_delta_direct_slope_matches_mpmath_across_the_series_threshold(alpha, be
             want_slope = complex(mpmath.diff(lambda z: _mp_delta_direct(q, cfg, z), mpmath.mpc(lam)))
         assert abs(value - want) <= 1e-12 * abs(want), lam
         assert abs(slope - want_slope) <= 1e-12 * abs(want_slope), lam
+
+
+# the cell rule integrates a piecewise-constant potential exactly, so splitting every cell in four
+# (each sample repeated 4 times) changes nothing but rounding; 0, 1e-5 and 0.05 lie on the series
+# side of |rho| = 0.1
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_piecewise_constant_potentials_are_integrated_exactly(alpha, beta, rng):
+    cfg = make_config(alpha, beta, 2, 5)
+    q = random_grid(5, 16, rng)
+    fine = GridFunction(5, 64, np.repeat(q.values, 4))
+    w, w_fine = forward_w_direct(q, cfg), forward_w_direct(fine, cfg)
+    assert np.array_equal(w_fine.values, np.repeat(w.values, 4))
+    for lam in (0.0, 1e-5, 0.05, -30.0, 3.7 + 1.0j, 250.0, 2000.0 - 40.0j):
+        value, slope = delta_direct(q, cfg, lam, slope=True)
+        value_fine, slope_fine = delta_direct(fine, cfg, lam, slope=True)
+        assert abs(value_fine - value) <= 1e-12 * abs(value), lam
+        assert abs(slope_fine - slope) <= 1e-12 * abs(slope), lam
+        route2 = delta_from_w(w, alpha, beta, lam)
+        assert abs(delta_from_w(w_fine, alpha, beta, lam) - route2) <= 1e-12 * abs(route2), lam
+    roots, roots_fine = (np.array(eigenvalues(g, cfg, 60).eigenvalues) for g in (q, fine))
+    assert np.all(np.abs(roots_fine - roots) <= 1e-12 * np.abs(roots))
 
 
 def test_eigenvalues_take_at_most_four_evaluations_per_root(monkeypatch):
@@ -538,8 +563,9 @@ def test_extract_w_zero_spectrum():
 
 @pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_extract_w_matches_quadrature_coefficients(alpha, beta):
-    # the m-th extracted coefficient equals the midpoint-quadrature Fourier coefficient of the true W,
-    # up to product truncation: cos at m pi when alpha = beta, sin at (m - 1/2) pi otherwise
+    # the m-th extracted coefficient equals the cell-rule Fourier coefficient of the true W, read as
+    # constant on each cell, up to product truncation: cos at m pi when alpha = beta, sin at
+    # (m - 1/2) pi otherwise
     cfg = make_config(alpha, beta, 1, 3)
     q = GridFunction.from_callable(smooth_potential, 3, 64)
     w_true = forward_w_direct(q, cfg)
@@ -548,7 +574,7 @@ def test_extract_w_matches_quadrature_coefficients(alpha, beta):
     shift, basis = (0.0, np.cos) if alpha == beta else (0.5, np.sin)
     for mm in (1, 3, 8, 12):
         rho = (mm - shift) * PI
-        coef_true = w_true.h * np.sum(w_true.values * basis(rho * x))
+        coef_true = w_true.h * np.sinc(rho * w_true.h / (2 * PI)) * np.sum(w_true.values * basis(rho * x))
         coef_hat = w_hat.h * np.sum(w_hat.values * basis(rho * x))
         assert abs(coef_true - coef_hat) < 1e-6
     if (alpha, beta) == (1, 1):

@@ -12,7 +12,7 @@ import pytest
 
 from frozen_spectra import GridFunction, Spectrum, cli, forward_w_direct, make_config, read_csv, write_csv
 from frozen_spectra.characteristic import asymptotic_eigenvalue
-from frozen_spectra.cli import RunManifest, _demo_potential, dispatch
+from frozen_spectra.cli import MAX_STORED_N, RunManifest, _demo_potential, dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -406,11 +406,16 @@ def _write_inputs(d):
     (d / "bool_eigenvalue.json").write_text('{"alpha": 0, "beta": 1, "eigenvalues": [[true, false], [20.0, 0.0]]}')
     huge = "1" + "0" * 400  # a 401-digit integer
     (d / "huge_eigenvalue.json").write_text(f'{{"alpha": 0, "beta": 1, "eigenvalues": [[{huge}, 0.0], [20.0, 0.0]]}}')
+    (d / "no_eigenvalues.json").write_text('{"alpha": 0, "beta": 1}')
+    (d / "truncated.json").write_text('{"alpha": 0, "beta": 1, "eigenvalues": [[2.5, 0.0], [22')
+    (d / "no_k.json").write_text('{"config": {"alpha": 0, "beta": 1, "j": 1}}')
+    (d / "truncated_config.json").write_text('{"config": {"alpha": 0, ')
 
 
 DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
 A_ONE = {(a, b): ["--alpha", str(a), "--beta", str(b), "--j", "1", "--k", "1"] for a in (0, 1) for b in (0, 1)}
 RECONSTRUCT_11 = ["--alpha", "1", "--beta", "1", "--j", "1", "--k", "3", "--spectrum", "s11.json"]
+SPECTRUM_01 = ["--alpha", "0", "--beta", "1", "--j", "1", "--k", "3", "--spectrum"]
 NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply normalize_to_half first"
 
 
@@ -431,6 +436,15 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
      "int too large to convert to float"),
     (["reconstruct", *RECONSTRUCT_11, "--m", "4", "--n-used", "41", "--modes", "1", "--out", "r.csv"], 3,
      "ValueError", "spectrum holds 40 eigenvalues, need 41"),
+    # a JSON input that lacks a key or does not parse names the file, and the key
+    (["reconstruct", *SPECTRUM_01, "no_eigenvalues.json", "--m", "4", "--n-used", "2", "--modes", "1", "--out",
+      "r.csv"], 3, "ValueError", "no_eigenvalues.json: spectrum has no 'eigenvalues'"),
+    (["reconstruct", *SPECTRUM_01, "truncated.json", "--m", "4", "--n-used", "2", "--modes", "1", "--out",
+      "r.csv"], 3, "ValueError", "truncated.json: Expecting"),
+    (["forward-w", "--config", "no_k.json", "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError",
+     "no_k.json: config has no 'k'"),
+    (["eigs", "--config", "truncated_config.json", "--q", "demo", "--m", "4", "--count", "3"], 3, "ValueError",
+     "truncated_config.json: Expecting"),
     (["forward-w", "--q", "headless.csv", "--out", "w.csv"], 3, "ValueError", "missing '# k=<k> m=<m>' header"),
     (["forward-w", "--q", "short.csv", "--out", "w.csv"], 3, "ValueError", "expected 10 rows, got 1"),
     (["forward-w", "--q", "no_m.csv", "--out", "w.csv"], 3, "ValueError", "no_m.csv: header '# k=5' is not"),
@@ -458,6 +472,11 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
     (["verify", "--kmax=-3"], 3, "ValueError", "--kmax must be >= 2, got -3"),
     (["verify", "--kmax-theorem1", "0"], 3, "ValueError", "--kmax-theorem1 must be >= 2, got 0"),
     (["verify", "--kmax-forward", "1"], 3, "ValueError", "--kmax-forward must be >= 2, got 1"),
+    # a stored run above the limit would hold n^3 bits; it is refused before any term is computed
+    (["verify", "--kmax-theorem1", str(MAX_STORED_N + 1)], 3, "ValueError",
+     f"--kmax-theorem1 must be <= {MAX_STORED_N}, got {MAX_STORED_N + 1}"),
+    (["cheb", "--kind", "U", "--n", str(MAX_STORED_N + 1), "--scaled"], 3, "ValueError",
+     f"--n must be <= {MAX_STORED_N}, got {MAX_STORED_N + 1}"),
     # a bad --m is rejected before any output file is written
     (["example", "--id", "I7", "--out", "t.txt", "--m=-1", "--svg", "x.svg"], 3, "ValueError",
      "a grid needs k >= 1 and m >= 1, got k=7, m=-1"),
@@ -482,12 +501,14 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
       "--out", "r.csv"], 3, "ValueError", NOT_NORMALIZED),
     (["isospectral", *A_ONE[0, 0], "--q0", "zero", "--m", "4", "--out", "iq.csv"], 3, "ValueError", NOT_NORMALIZED),
 ], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "profile-m-mismatch",
-        "spectrum-bool-eigenvalue", "spectrum-huge-eigenvalue", "reconstruct-n-used-above-count", "csv-no-header",
+        "spectrum-bool-eigenvalue", "spectrum-huge-eigenvalue", "reconstruct-n-used-above-count",
+        "spectrum-no-eigenvalues", "spectrum-truncated", "config-no-k", "config-truncated", "csv-no-header",
         "csv-short", "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields",
         "csv-header-m-huge",
         "delta-inf", "delta-math-range", "delta-lambdas-empty", "delta-lambdas-empty-entry",
         "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative", "verify-kmax-theorem1-0",
-        "verify-kmax-forward-1", "example-m-negative", "example-m-zero", "isospectral-m-negative",
+        "verify-kmax-forward-1", "verify-kmax-theorem1-above-limit", "cheb-n-above-limit", "example-m-negative",
+        "example-m-zero", "isospectral-m-negative",
         "eigs-m-negative", "reconstruct-m-zero", "reconstruct-m-negative", "forward-w-a-one-01", "forward-w-a-one-11",
         "invert-a-one-00", "invert-a-one-01", "invert-a-one-10", "invert-a-one-11", "reconstruct-a-one-11",
         "isospectral-a-one-00"])
@@ -496,8 +517,8 @@ def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, mon
     before = sorted(p.name for p in tmp_path.iterdir())
     monkeypatch.chdir(tmp_path)
     # the (1, 0, 2, 5) config goes first, so that flags of the case override it;
-    # verify and example take no config
-    config = [] if argv[0] in ("verify", "example") else ["--alpha", "1", "--beta", "0", "--j", "2", "--k", "5"]
+    # verify, example and cheb take no config
+    config = [] if argv[0] in ("verify", "example", "cheb") else ["--alpha", "1", "--beta", "0", "--j", "2", "--k", "5"]
     got, stdout, err = run(capsys, argv[0], *config, *argv[1:])
     assert (got, stdout) == (code, "")
     error = json.loads(err)["error"]
