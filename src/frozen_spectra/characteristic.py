@@ -20,7 +20,10 @@ zero-potential Delta_0.  Route 2 (delta_from_w) adds an integral of W
 against the trig kernels to Delta_0, by the same cell rule.  Route 3
 (delta_from_spectrum) evaluates the canonical infinite product over a
 truncated spectrum, pairing each retained factor with the matching
-zero-potential factor so the tail is exactly 1 under lambda_n = lambda_n^0.
+zero-potential factor so the tail is exactly 1 under lambda_n = lambda_n^0;
+it takes a whole batch of lambda in one pass over the factors, in CPython's
+complex arithmetic on split float arrays, so each value keeps the bits of
+a scalar loop.
 
 All formulas are even in rho, so the branch of the square root is
 immaterial; one canonical branch also makes the rounding of the exp
@@ -43,7 +46,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -419,8 +421,8 @@ def _asymptotes(alpha: int, beta: int, n: int) -> tuple[float, ...]:
     return tuple(asymptotic_eigenvalue(alpha, beta, i) for i in range(1, n + 1))
 
 
-def delta_from_spectrum(spec: Spectrum, n_used: int, lam: complex) -> complex:
-    """Truncated canonical product for the characteristic function.
+def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
+    """Truncated canonical product for the characteristic function, at one lambda or at many.
 
     Delta(lam) ~ Delta_0(lam) * prod_{n<=N} (lambda_n - lam)/(lambda_n^0 - lam),
     which keeps every tail factor exactly 1 under lambda_n = lambda_n^0.
@@ -428,31 +430,90 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam: complex) -> complex:
     by its limit -Delta_0'(lam), so evaluation exactly at zero-potential
     eigenvalues is well defined.
 
+    lam is one number, which returns one complex, or a 1-D sequence, which
+    returns a list of complex in its order; one lambda is a batch of one.
     The asymptotes are built once per (alpha, beta, N) and cached.  They
     increase strictly and |lam - lambda_n^0| grows with |Re lam - lambda_n^0|,
     so the one asymptote lam can coincide with is a neighbour of Re lam's
-    bisection point (the lower index on a tie).  The factors are multiplied
-    in index order with scalar complex arithmetic, skipping that one, so
-    the result is bit-identical to a plain loop over n = 1..N.
+    bisection point (the lower index on a tie).  That search and the
+    starting value stay scalar per lambda; the factors and the running
+    product are taken for the whole batch at once, n by n in index order
+    (see _product_batch), each lambda skipping its own coincident factor.
+    Every result is bit-identical to a plain complex loop over n = 1..N.
     """
     if spec.count < n_used:
         raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")
     if n_used < 1:
         raise ValueError("n_used must be >= 1")
     a, b, evs = spec.alpha, spec.beta, spec.eigenvalues
-    lam = complex(lam)
+    single = np.ndim(lam) == 0
+    lams = [complex(lam)] if single else [complex(z) for z in lam]
     lam0 = _asymptotes(a, b, n_used)
-    hit = bisect_left(lam0, lam.real)
-    if hit == n_used or (hit > 0 and abs(lam - lam0[hit - 1]) <= abs(lam - lam0[hit])):
-        hit -= 1
-    if abs(lam - lam0[hit]) <= 1e-9 * (1.0 + abs(lam0[hit])):
-        val = -zero_potential_delta_dlam(a, b, lam) * (evs[hit] - lam)
-    else:
-        hit = n_used
-        val = zero_potential_delta(a, b, lam)
-    for ev, z in chain(zip(evs[:hit], lam0[:hit]), zip(evs[hit + 1 : n_used], lam0[hit + 1 :])):
-        val *= (ev - lam) / (z - lam)
-    return complex(val)
+    hits, starts = [], []
+    for z in lams:
+        hit = bisect_left(lam0, z.real)
+        if hit == n_used or (hit > 0 and abs(z - lam0[hit - 1]) <= abs(z - lam0[hit])):
+            hit -= 1
+        if abs(z - lam0[hit]) <= 1e-9 * (1.0 + abs(lam0[hit])):
+            start = -zero_potential_delta_dlam(a, b, z) * (evs[hit] - z)
+        else:
+            hit, start = n_used, zero_potential_delta(a, b, z)
+        hits.append(hit)
+        starts.append(start)
+    vals = _product_batch(evs[:n_used], lam0, lams, hits, starts)
+    return vals[0] if single else vals
+
+
+_FACTOR_CHUNK = 16  # factor indices per block of _product_batch's factor table
+
+
+def _product_batch(evs, lam0, lams, hits, starts) -> list[complex]:
+    """starts[l] * prod_{n != hits[l]} (evs[n] - lams[l])/(lam0[n] - lams[l]) for every l, n in index order.
+
+    The arithmetic is CPython's complex arithmetic on split real and
+    imaginary float arrays, so every entry has the bits of the scalar loop
+    val *= (ev - lam)/(z - lam): the operands as CPython forms them,
+    (ev.re - lam.re, ev.im - lam.im) and (z - lam.re, 0.0 - lam.im); the
+    quotient by Smith's method, branching on |re| >= |im| of the divisor;
+    the product as (ac - bd, ad + bc).  (numpy's complex * and / round
+    differently.)  A product step is one multiply of the stacked real
+    factor [[fr, -fi], [fi, fr]] by (val.re, val.im) and one add, since
+    x (-y) and a - b round like -(x y) and a + (-b).  A lambda's own hit
+    factor is skipped by the add's mask, not multiplied by 1, which could
+    flip the sign of a zero.  Like CPython, it overflows to inf and nan
+    without a warning.  The factors are built _FACTOR_CHUNK indices at a
+    time, which keeps the table small.
+    """
+    count = len(lams)
+    evr, evi = np.array([z.real for z in evs]), np.array([z.imag for z in evs])
+    z0 = np.array(lam0)
+    lr, li = np.array([z.real for z in lams]), np.array([z.imag for z in lams])
+    bi = 0.0 - li
+    hit = np.array(hits)
+    val = np.array([[z.real for z in starts], [z.imag for z in starts]])
+    step = np.empty((2, 2, count))
+    terms = step[:, 0], step[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # CPython's complex arithmetic never warns
+        for lo in range(0, len(evs), _FACTOR_CHUNK):
+            n = np.arange(lo, min(lo + _FACTOR_CHUNK, len(evs)))
+            ar, ai, br = evr[n, None] - lr, evi[n, None] - li, z0[n, None] - lr
+            keep = hit != n[:, None]
+            br[~keep] = 1.0  # the skipped factor; an exact hit would divide 0 by 0
+            big = np.abs(br) >= np.abs(bi)  # Smith: divide through by the larger part
+            p, s = np.where(big, br, bi), np.where(big, bi, br)
+            x, y = np.where(big, ar, ai), np.where(big, ai, ar)
+            ratio = s / p
+            denom = p + s * ratio
+            xr = x * ratio
+            fr = (x + y * ratio) / denom
+            fi = np.where(big, y - xr, xr - y) / denom
+            table = np.empty((n.size, 2, 2, count))
+            table[:, 0, 0] = table[:, 1, 1] = fr
+            table[:, 0, 1], table[:, 1, 0] = -fi, fi
+            for factor, mask in zip(table, keep):
+                np.multiply(factor, val, out=step)
+                np.add(*terms, out=val, where=mask)
+    return [complex(re, im) for re, im in zip(*val.tolist())]
 
 
 def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
@@ -465,7 +526,9 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
     b = cos and rho_m = m pi when alpha = beta, b = sin and
     rho_m = (m - 1/2) pi otherwise.  W is synthesized in the basis
     {2 b(rho_m x)}, plus the mean Delta(0) for (1,1) (the (0,0) mean is 0);
-    a spectrum of >= 4*modes eigenvalues is a good rule of thumb.
+    a spectrum of >= 4*modes eigenvalues is a good rule of thumb.  Every
+    Delta comes from one batched delta_from_spectrum call over the whole
+    spectrum, each with the bits of its own scalar product.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
@@ -477,11 +540,13 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
     if modes >= k * m:
         raise ValueError(f"modes={modes} would alias on a {k}x{m} grid")
     shift, basis = (0.0, np.cos) if a == b else (0.5, np.sin)
+    rhos = [(mm - shift) * math.pi for mm in range(1, modes + 1)]
+    mean = (a, b) == (1, 1)
+    deltas = delta_from_spectrum(spec, spec.count, [0.0] * mean + [rho**2 for rho in rhos])
     w = np.zeros(k * m, dtype=complex)
-    if (a, b) == (1, 1):
-        w += delta_from_spectrum(spec, spec.count, 0.0)  # mean of W
-    for mm in range(1, modes + 1):
-        rho = (mm - shift) * math.pi
-        coef = rho ** (2 - a - b) * delta_from_spectrum(spec, spec.count, rho**2)
+    if mean:
+        w += deltas.pop(0)  # mean of W
+    for rho, d in zip(rhos, deltas):
+        coef = rho ** (2 - a - b) * d
         w += 2.0 * coef * basis(rho * x)
     return GridFunction(k, m, w)

@@ -60,8 +60,7 @@ class GridFunction:
 
     @classmethod
     def zeros(cls, k: int, m: int = 64) -> "GridFunction":
-        _check_grid(k, m)
-        return cls(k, m, np.zeros(k * m, dtype=complex))
+        return cls(k, m, _allocate_grid(k, m, lambda n: np.zeros(n, dtype=complex)))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         self._check_aligned(other)
@@ -78,10 +77,18 @@ def _check_grid(k: int, m: int) -> None:
         raise ValueError(f"a grid needs k >= 1 and m >= 1, got k={k}, m={m}")
 
 
+def _allocate_grid(k: int, m: int, make: Callable[[int], np.ndarray]) -> np.ndarray:
+    """make(k*m) for a valid grid shape; a grid the allocator refuses is a ValueError naming it."""
+    _check_grid(k, m)
+    try:
+        return make(k * m)
+    except MemoryError:
+        raise ValueError(f"a grid with k={k}, m={m} has {k * m} points, too many to allocate") from None
+
+
 def grid_midpoints(k: int, m: int) -> np.ndarray:
     """Midpoints x_i = (i + 1/2)/(k*m) of the k*m cells of (0, 1)."""
-    _check_grid(k, m)
-    return (np.arange(k * m) + 0.5) / (k * m)
+    return _allocate_grid(k, m, lambda n: (np.arange(n) + 0.5) / n)
 
 
 def subinterval_midpoints(k: int, m: int) -> np.ndarray:

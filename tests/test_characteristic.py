@@ -523,6 +523,16 @@ def _probe_lambdas(alpha, beta, n_used, count):
     return lams
 
 
+def _assert_batch_matches_reference_loop(spec, n_used, lams):
+    """Each lambda alone, and all of them as one list and as one array, against the scalar loop."""
+    want = [_bits(_reference_delta_from_spectrum(spec, n_used, lam)) for lam in lams]
+    assert [_bits(delta_from_spectrum(spec, n_used, lam)) for lam in lams] == want
+    batch = delta_from_spectrum(spec, n_used, lams)
+    assert type(batch) is list and all(type(z) is complex for z in batch)
+    assert list(map(_bits, batch)) == want
+    assert list(map(_bits, delta_from_spectrum(spec, n_used, np.array(lams, dtype=complex)))) == want
+
+
 @pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_delta_from_spectrum_matches_reference_loop(alpha, beta, rng):
     count = 150
@@ -530,19 +540,69 @@ def test_delta_from_spectrum_matches_reference_loop(alpha, beta, rng):
     evs = lam0 + 3.0 + rng.normal(size=count) + 1j * rng.normal(scale=0.2, size=count)
     spec = Spectrum(alpha, beta, tuple(complex(z) for z in evs))
     for n_used in (1, 2, 37, spec.count):
-        lams = _probe_lambdas(alpha, beta, n_used, count)
-        got = [delta_from_spectrum(spec, n_used, lam) for lam in lams]
-        want = [_reference_delta_from_spectrum(spec, n_used, lam) for lam in lams]
-        assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+        _assert_batch_matches_reference_loop(spec, n_used, _probe_lambdas(alpha, beta, n_used, count))
 
 
-@pytest.mark.parametrize("flags", [(0, 0, 2, 5), (0, 1, 1, 3)], ids=["degenerate", "non-degenerate"])
+@pytest.mark.parametrize("shift", [0.25, -0.25])
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_delta_from_spectrum_keeps_the_sign_of_zero(alpha, beta, shift):
+    # eigenvalues whose imaginary parts are 0.0 and -0.0 in turn, every third one off the real axis;
+    # probed at the asymptotes exactly (the skipped factor), at the eigenvalues themselves (a zero
+    # factor) and at real lambdas, each real one also with a -0.0 imaginary part and negated
+    count = 60
+    evs = tuple(complex(asymptotic_eigenvalue(alpha, beta, n) + shift * (-1) ** n,
+                        0.5 * (-1) ** n if n % 3 == 0 else (-1) ** n * 0.0) for n in range(1, count + 1))
+    spec = Spectrum(alpha, beta, evs)
+    reals = [z.real for z in map(complex, _probe_lambdas(alpha, beta, count, 20)) if z.imag == 0.0 and z.real < 1e6]
+    reals += [asymptotic_eigenvalue(alpha, beta, n) for n in range(1, count + 1)] + [0.0]
+    reals += [z.real for z in evs if z.imag == 0.0]
+    lams = [x for r in reals for x in (r, complex(r, -0.0), -r, complex(-r, -0.0))]
+    lams += [z for z in evs if z.imag != 0.0]
+    signs = set()
+    for n_used in (1, 7, count):
+        _assert_batch_matches_reference_loop(spec, n_used, lams)
+        signs |= {math.copysign(1.0, z.imag) for z in delta_from_spectrum(spec, n_used, lams) if z.imag == 0.0}
+    assert signs == {1.0, -1.0}  # the probes reach zeros of both signs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_delta_from_spectrum_overflows_like_the_loop_without_a_warning():
+    # a spectrum near the top of the double range: at lambda = 1e-300 the product overflows to nan
+    spec = Spectrum(0, 1, tuple(complex(asymptotic_eigenvalue(0, 1, n) * 1e150, 1e150) for n in range(1, 41)))
+    lams = [1e-300, 1e300, 2.5, complex(1e150, 2.0)]
+    got = delta_from_spectrum(spec, 40, lams)
+    assert cmath.isnan(got[0]) and cmath.isfinite(got[1])
+    assert list(map(_bits, got)) == [_bits(_reference_delta_from_spectrum(spec, 40, lam)) for lam in lams]
+
+
+def test_extract_w_evaluates_the_product_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(spec, n_used, lam):
+        calls.append(len(lam))
+        return delta_from_spectrum(spec, n_used, lam)
+
+    monkeypatch.setattr(characteristic, "delta_from_spectrum", counted)
+    for flags, modes in (((1, 1), 12), ((0, 1), 12), ((0, 0), 9)):
+        evs = tuple(complex(asymptotic_eigenvalue(*flags, n)) for n in range(1, 41))
+        calls.clear()
+        extract_w(Spectrum(*flags, evs), modes, 3, 16)
+        assert calls == [modes + (flags == (1, 1))]
+
+
+def _reference_product(spec, n_used, lam):
+    """The scalar reference loop mapped over a batch of lambdas, a stand-in for delta_from_spectrum."""
+    return [_reference_delta_from_spectrum(spec, n_used, z) for z in lam]
+
+
+@pytest.mark.parametrize("flags", [(0, 0, 2, 5), (0, 1, 1, 3), (1, 1, 1, 4)],
+                         ids=["degenerate", "non-degenerate", "mean-11"])
 def test_reconstruct_files_match_the_reference_loop(flags, tmp_path, monkeypatch, capsys):
     cfg = make_config(*flags)
     q = GridFunction.from_callable(smooth_potential, cfg.k, 32)
     eigenvalues(q, cfg, 100).dump(tmp_path / "s.json")
     files = {}
-    for name, product in (("new", delta_from_spectrum), ("ref", _reference_delta_from_spectrum)):
+    for name, product in (("new", delta_from_spectrum), ("ref", _reference_product)):
         monkeypatch.setattr(characteristic, "delta_from_spectrum", product)
         out, ker = tmp_path / f"{name}.q.csv", tmp_path / f"{name}.kernel.csv"
         argv = ["reconstruct", "--alpha", str(cfg.alpha), "--beta", str(cfg.beta), "--j", str(cfg.j),

@@ -417,6 +417,10 @@ A_ONE = {(a, b): ["--alpha", str(a), "--beta", str(b), "--j", "1", "--k", "1"] f
 RECONSTRUCT_11 = ["--alpha", "1", "--beta", "1", "--j", "1", "--k", "3", "--spectrum", "s11.json"]
 SPECTRUM_01 = ["--alpha", "0", "--beta", "1", "--j", "1", "--k", "3", "--spectrum"]
 NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply normalize_to_half first"
+# 3e11 points: the allocator refuses the grid at once, so nothing is filled
+CONFIG_0113 = ["--alpha", "0", "--beta", "1", "--j", "1", "--k", "3"]
+HUGE_M = ["--m", str(10**11)]
+TOO_LARGE = f"a grid with k=3, m={10**11} has {3 * 10**11} points, too many to allocate"
 
 
 # 50x the demo potential on (1, 0, 2, 5) sends indices 1 and 2 to one root
@@ -490,6 +494,15 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
       "--kernel-out", "rk.csv"], 3, "ValueError", "a grid needs k >= 1 and m >= 1, got k=3, m=0"),
     (["reconstruct", *RECONSTRUCT_11, "--m=-1", "--n-used", "40", "--modes", "1", "--out", "r.csv"], 3,
      "ValueError", "a grid needs k >= 1 and m >= 1, got k=3, m=-1"),
+    # a grid too large to allocate names k, m and the point count, and writes no file
+    (["eigs", *CONFIG_0113, "--q", "demo", *HUGE_M, "--count", "3", "--out", "e.csv"], 3, "ValueError", TOO_LARGE),
+    (["eigs", *CONFIG_0113, "--q", "zero", *HUGE_M, "--count", "3", "--out", "e.csv"], 3, "ValueError", TOO_LARGE),
+    (["delta", *CONFIG_0113, "--q", "demo", *HUGE_M, "--lambdas", "1", "--out", "d.csv"], 3, "ValueError",
+     TOO_LARGE),
+    (["forward-w", *CONFIG_0113, "--q", "demo", *HUGE_M, "--out", "w.csv"], 3, "ValueError", TOO_LARGE),
+    (["isospectral", *CONFIG_0113, "--q0", "demo", *HUGE_M, "--out", "iq.csv"], 3, "ValueError", TOO_LARGE),
+    (["reconstruct", *RECONSTRUCT_11, *HUGE_M, "--n-used", "40", "--modes", "1", "--out", "r.csv",
+      "--kernel-out", "rk.csv"], 3, "ValueError", TOO_LARGE),
     # a = 1 is outside the normalized range 2j <= k of the main equation for every flag pair
     (["forward-w", *A_ONE[0, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
     (["forward-w", *A_ONE[1, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
@@ -509,7 +522,9 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
         "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative", "verify-kmax-theorem1-0",
         "verify-kmax-forward-1", "verify-kmax-theorem1-above-limit", "cheb-n-above-limit", "example-m-negative",
         "example-m-zero", "isospectral-m-negative",
-        "eigs-m-negative", "reconstruct-m-zero", "reconstruct-m-negative", "forward-w-a-one-01", "forward-w-a-one-11",
+        "eigs-m-negative", "reconstruct-m-zero", "reconstruct-m-negative", "eigs-m-huge", "eigs-zero-m-huge",
+        "delta-m-huge", "forward-w-m-huge", "isospectral-m-huge", "reconstruct-m-huge", "forward-w-a-one-01",
+        "forward-w-a-one-11",
         "invert-a-one-00", "invert-a-one-01", "invert-a-one-10", "invert-a-one-11", "reconstruct-a-one-11",
         "isospectral-a-one-00"])
 def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, monkeypatch):
