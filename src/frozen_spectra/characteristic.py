@@ -14,16 +14,16 @@ evaluation costs about 4 sqrt(n) complex exps and two thin matrix products
 rather than n exps.  The potential is laid out in those blocks once per
 potential, not once per evaluation, and the boundary terms take one
 cmath.sin and one cmath.cos per endpoint and per half cell.  One boundary
-assembly (_boundary_det) chooses the determinant's rows on (alpha, beta):
-fed the kernel sums it gives Delta, fed zero sums at a = 0 the
-zero-potential Delta_0.  Route 2 (delta_from_w) adds an integral of W
-against the trig kernels to Delta_0, by the same cell rule.  Route 3
-(delta_from_spectrum) evaluates the canonical infinite product over a
-truncated spectrum, pairing each retained factor with the matching
-zero-potential factor so the tail is exactly 1 under lambda_n = lambda_n^0;
-it takes a whole batch of lambda in one pass over the factors, in CPython's
-complex arithmetic on split float arrays, so each value keeps the bits of
-a scalar loop.
+assembly (_boundary_det) chooses the determinant's rows on (alpha, beta)
+and builds only those two, one per endpoint: fed the kernel sums it gives
+Delta, fed zero sums at a = 0 the zero-potential Delta_0.  Route 2
+(delta_from_w) adds an integral of W against the trig kernels to Delta_0,
+by the same cell rule.  Route 3 (delta_from_spectrum) evaluates the
+canonical infinite product over a truncated spectrum, pairing each
+retained factor with the matching zero-potential factor so the tail is
+exactly 1 under lambda_n = lambda_n^0; it takes a whole batch of lambda in
+one pass over the factors, in CPython's complex arithmetic on split float
+arrays, so each value keeps the bits of a scalar loop.
 
 All formulas are even in rho, so the branch of the square root is
 immaterial; one canonical branch also makes the rounding of the exp
@@ -31,9 +31,10 @@ kernel in delta_direct independent of it.  Every kernel pass also yields
 the analytic dDelta/dlambda of its rule, which is what eigenvalues
 runs Newton on.  One function (_trig_kernels) gives every trig kernel,
 on arrays, at scalar endpoints and at the half cell h/2, where
-sin(rho s)/rho is half the cell weight: cos(rho s), sin(rho s)/rho, its
-lambda-derivative and (cos(rho s) - 1)/lambda.  It holds the only switch
-to Taylor series, below |rho| = 0.1, where the exp form of
+sin(rho s)/rho is half the cell weight: cos(rho s), sin(rho s)/rho and
+its lambda-derivative.  Route 2's (0,0) kernel (cos(rho x) - 1)/lambda is
+-2 (sin(rho x/2)/rho)^2, the second of them at x/2.  It holds the only
+switch to Taylor series, below |rho| = 0.1, where the exp form of
 dDelta/dlambda would lose digits to cancellation; the series branch of
 the kernel sums reads the same per-potential rows.
 """
@@ -49,16 +50,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_params import ProblemConfig
+from .core_params import ProblemConfig, require_flags
 from .interval_ops import GridFunction, grid_midpoints
 
 RHO_SERIES_THRESHOLD = 0.1
 _SERIES_TERMS = 8
-# Taylor coefficients in t = (rho s)^2, highest power first, of sin(rho s)/(rho s),
-# of its t-derivative and of (cos(rho s) - 1)/(rho s)^2
+# Taylor coefficients in t = (rho s)^2, highest power first, of sin(rho s)/(rho s) and of its t-derivative
 _SERIES = tuple(
-    ((-1) ** n / math.factorial(2 * n + 1), (-1) ** (n + 1) * (n + 1) / math.factorial(2 * n + 3),
-     (-1) ** (n + 1) / math.factorial(2 * n + 2))
+    ((-1) ** n / math.factorial(2 * n + 1), (-1) ** (n + 1) * (n + 1) / math.factorial(2 * n + 3))
     for n in range(_SERIES_TERMS - 1, -1, -1)
 )
 _NEWTON_MAX_STEPS = 60
@@ -131,6 +130,7 @@ class Spectrum:
 
 def asymptotic_eigenvalue(alpha: int, beta: int, n: int) -> float:
     """Zero-potential eigenvalue (n - (alpha+beta)/2)^2 pi^2, n >= 1."""
+    require_flags(alpha, beta)
     return (n - (alpha + beta) / 2) ** 2 * math.pi**2
 
 
@@ -147,11 +147,11 @@ def _sqrt_lambda(lam: complex) -> complex:
 
 
 def _trig_kernels(s, rho: complex, lam: complex):
-    """cos(rho s), sin(rho s)/rho, d/dlambda of sin(rho s)/rho and (cos(rho s) - 1)/lambda.
+    """cos(rho s), sin(rho s)/rho and d/dlambda of sin(rho s)/rho.
 
     s is a numpy array of lengths or one endpoint as a float, which keeps
-    the arithmetic in cmath.  All four are entire in lambda = rho^2.  Above
-    the series threshold the last three come from cos and sin, with
+    the arithmetic in cmath.  All three are entire in lambda = rho^2.  Above
+    the series threshold the last two come from cos and sin, with
         d/dlambda sin(rho s)/rho = (s cos(rho s) - sin(rho s)/rho)/(2 lambda),
     which cancels with an error of about eps/|lambda|, so the threshold sits
     at |rho| = 0.1; below it, from one Horner pass in t = (rho s)^2 over
@@ -161,12 +161,12 @@ def _trig_kernels(s, rho: complex, lam: complex):
     cs = trig.cos(rho * s)
     if abs(rho) >= RHO_SERIES_THRESHOLD:
         ks = trig.sin(rho * s) / rho
-        return cs, ks, (s * cs - ks) / (2 * lam), (cs - 1.0) / lam
+        return cs, ks, (s * cs - ks) / (2 * lam)
     t = (rho * s) ** 2
-    ks, dks, cm = _SERIES[0]
-    for c_ks, c_dks, c_cm in _SERIES[1:]:
-        ks, dks, cm = ks * t + c_ks, dks * t + c_dks, cm * t + c_cm
-    return cs, s * ks, s**3 * dks, s**2 * cm
+    ks, dks = _SERIES[0]
+    for c_ks, c_dks in _SERIES[1:]:
+        ks, dks = ks * t + c_ks, dks * t + c_dks
+    return cs, s * ks, s**3 * dks
 
 
 @lru_cache(maxsize=None)
@@ -225,14 +225,14 @@ def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
     product, and [E+, coarse E+, E-, coarse E-] turns each side's row sums
     into its four sums.  A call takes 2(b + blocks), about 4 sqrt(n), complex
     exps and two thin matrix products, builds no n-length array, and
-    finishes in scalar arithmetic.  Below the threshold _trig_kernels gives
-    the four kernels on the (blocks, b) grid of lengths coarse + fine.
+    finishes in scalar arithmetic.  Below the threshold the four kernels
+    come from _trig_kernels on the (blocks, b) grid of lengths coarse + fine.
     """
     b, _, offsets, weights = _block_layout(q.k, q.m, jm)
     rows = _potential_rows(q, jm)
     if abs(rho) < RHO_SERIES_THRESHOLD:
         s = offsets[0, b:, None] + offsets[0, :b]
-        cs, ks, dks, _ = _trig_kernels(s, rho, lam)
+        cs, ks, dks = _trig_kernels(s, rho, lam)
         kernels = np.stack((ks, cs, dks, -0.5 * s * ks)).reshape(4, -1)
         isin, icos, dsin, dcos = (kernels @ rows.reshape(2, -1).T).tolist()
         return (isin, icos), (dsin, dcos)
@@ -257,24 +257,20 @@ def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: 
     trig kernels at the endpoints a and 1 - a and the kernel sums
     ((sin_head, sin_tail), (cos_head, cos_tail)) of _kernel_sums, weighted
     by the cell rule's h sinc(rho h/2) = 2 sin(rho h/2)/rho, the kernel
-    sin(rho s)/rho at s = h/2 (its series branch included); the row at
-    0 holds (C, S) for alpha = 0 and (C', S') for alpha = 1, the row at 1
-    likewise for beta.  With dsums, the sums differentiated in lambda,
-    returns (Delta, dDelta/dlambda), else Delta; the weight's own
-    lambda-derivative multiplies the sums in the slope.  Zero sums at a = 0
-    give the zero-potential Delta_0.
+    sin(rho s)/rho at s = h/2 (its series branch included).  Only the two
+    rows the flags select are built: (C, S) at 0 for alpha = 0 and
+    (C', S') for alpha = 1, likewise at 1 for beta.  With dsums, the sums
+    differentiated in lambda, returns (Delta, dDelta/dlambda), else Delta;
+    the weight's own lambda-derivative multiplies the sums in the slope.
+    Zero sums at a = 0 give the zero-potential Delta_0.
     """
     isin, icos = sums
-    cs0, ks0, dks0, _ = _trig_kernels(a, rho, lam)
-    cs1, ks1, dks1, _ = _trig_kernels(1 - a, rho, lam)
-    _, ksh, dksh, _ = _trig_kernels(h / 2, rho, lam)
+    cs0, ks0, dks0 = _trig_kernels(a, rho, lam)
+    cs1, ks1, dks1 = _trig_kernels(1 - a, rho, lam)
+    _, ksh, dksh = _trig_kernels(h / 2, rho, lam)
     weight = 2 * ksh  # h sinc(rho h/2): each e^{+-i rho s} integrated exactly over its cell
-    c0 = cs0 + weight * isin[0]
-    c1 = cs1 + weight * isin[1]
-    cp0 = lam * ks0 - weight * icos[0]
-    cp1 = -lam * ks1 + weight * icos[1]
-    top = (c0, -ks0) if alpha == 0 else (cp0, cs0)
-    bot = (c1, ks1) if beta == 0 else (cp1, cs1)
+    top = (cs0 + weight * isin[0], -ks0) if alpha == 0 else (lam * ks0 - weight * icos[0], cs0)
+    bot = (cs1 + weight * isin[1], ks1) if beta == 0 else (-lam * ks1 + weight * icos[1], cs1)
     value = top[0] * bot[1] - top[1] * bot[0]
     if dsums is None:
         return value
@@ -282,12 +278,10 @@ def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: 
     dsin, dcos = dsums
     dweight = 2 * dksh
     dcs0, dcs1 = -0.5 * a * ks0, -0.5 * (1 - a) * ks1
-    dc0 = dcs0 + weight * dsin[0] + dweight * isin[0]
-    dc1 = dcs1 + weight * dsin[1] + dweight * isin[1]
-    dcp0 = ks0 + lam * dks0 - weight * dcos[0] - dweight * icos[0]
-    dcp1 = -ks1 - lam * dks1 + weight * dcos[1] + dweight * icos[1]
-    dtop = (dc0, -dks0) if alpha == 0 else (dcp0, dcs0)
-    dbot = (dc1, dks1) if beta == 0 else (dcp1, dcs1)
+    dtop = ((dcs0 + weight * dsin[0] + dweight * isin[0], -dks0) if alpha == 0
+            else (ks0 + lam * dks0 - weight * dcos[0] - dweight * icos[0], dcs0))
+    dbot = ((dcs1 + weight * dsin[1] + dweight * isin[1], dks1) if beta == 0
+            else (-ks1 - lam * dks1 + weight * dcos[1] + dweight * icos[1], dcs1))
     dvalue = dtop[0] * bot[1] + top[0] * dbot[1] - dtop[1] * bot[0] - top[1] * dbot[0]
     return value, dvalue
 
@@ -316,19 +310,25 @@ def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> comple
     alpha != beta:  (-1)^alpha cos rho + int W(x) sin(rho x)/rho dx
     (1,1):          rho sin rho + int W(x) cos(rho x) dx
     (0,0):          sin(rho)/rho + int W(x) cos(rho x)/rho^2 dx, computed
-                    with the mean of W split off; for |rho| below the
-                    series threshold the mean term is dropped, which is the
-                    entire continuation valid for zero-mean W (every W in
-                    the range of the forward map has zero mean).
+                    with the mean of W split off, by the kernel
+                    (cos(rho x) - 1)/lambda = -2 (sin(rho x/2)/rho)^2; for
+                    |rho| below the series threshold the mean term is
+                    dropped, which is the entire continuation valid for
+                    zero-mean W (every W in the range of the forward map
+                    has zero mean).
 
     The whole integral term, the (0,0) mean term included, is weighted by
     the cell rule's h sinc(rho h/2), so W is read as constant on each cell
     exactly as delta_direct reads q, and the two routes are one
     discretisation.
     """
+    require_flags(alpha, beta)
     rho = _sqrt_lambda(lam)
-    cs, ks, _, cm = _trig_kernels(w.midpoints(), rho, lam)
-    kernel = ks if alpha != beta else cs if alpha == 1 else cm
+    if (alpha, beta) == (0, 0):  # the half-angle form has no cancellation on either branch
+        kernel = -2 * _trig_kernels(w.midpoints() / 2, rho, lam)[1] ** 2
+    else:
+        cs, ks, _ = _trig_kernels(w.midpoints(), rho, lam)
+        kernel = ks if alpha != beta else cs
     integral = np.sum(w.values * kernel)
     if (alpha, beta) == (0, 0) and abs(rho) >= RHO_SERIES_THRESHOLD:
         integral = integral + np.sum(w.values) / lam
@@ -341,12 +341,14 @@ _NO_SUMS = ((0.0, 0.0), (0.0, 0.0))
 
 def zero_potential_delta(alpha: int, beta: int, lam: complex) -> complex:
     """Closed-form characteristic function of the zero potential: the boundary determinant at a = 0."""
+    require_flags(alpha, beta)
     lam = complex(lam)
     return _boundary_det(alpha, beta, 0.0, 0.0, _sqrt_lambda(lam), lam, _NO_SUMS)
 
 
 def zero_potential_delta_dlam(alpha: int, beta: int, lam: complex) -> complex:
     """d/dlambda of the zero-potential characteristic function, from the same determinant."""
+    require_flags(alpha, beta)
     lam = complex(lam)
     return _boundary_det(alpha, beta, 0.0, 0.0, _sqrt_lambda(lam), lam, _NO_SUMS, _NO_SUMS)[1]
 

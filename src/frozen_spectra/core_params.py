@@ -66,12 +66,17 @@ class Classification:
     case_label: Case
 
 
+def require_flags(alpha, beta) -> None:
+    """ValueError unless alpha and beta are each the int 0 or 1; a bool is not a flag."""
+    if not (type(alpha) is int and type(beta) is int and alpha in (0, 1) and beta in (0, 1)):
+        raise ValueError("alpha and beta must be 0 or 1")
+
+
 def make_config(alpha: int, beta: int, j: int, k: int) -> ProblemConfig:
     """Validated config with j/k silently reduced to lowest terms."""
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (alpha, beta, j, k)):
         raise ValueError("alpha, beta, j and k must be integers")
-    if alpha not in (0, 1) or beta not in (0, 1):
-        raise ValueError("alpha and beta must be 0 or 1")
+    require_flags(alpha, beta)
     if k < 1:
         raise ValueError("k must be a positive integer")
     if not 0 <= j <= k:

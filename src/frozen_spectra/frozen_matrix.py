@@ -26,7 +26,16 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import IntPolynomial, StoredRun, X, imag_scaled_cheb_int, scaled_cheb_int, three_term
-from .core_params import Kind, ProblemConfig, SignPair, classify, make_config, require_normalized, sign_pair
+from .core_params import (
+    Kind,
+    ProblemConfig,
+    SignPair,
+    classify,
+    make_config,
+    require_flags,
+    require_normalized,
+    sign_pair,
+)
 
 
 # Per row, its nonzeros as (col, value) pairs sorted by column.
@@ -141,6 +150,7 @@ def theorem1_poly(k: int, alpha: int, beta: int) -> IntPolynomial:
     """
     if k < 2:
         raise ValueError("theorem1_poly needs k >= 2")
+    require_flags(alpha, beta)
     if alpha == 0 and beta == 0:
         return X * imag_scaled_cheb_int("U", k - 1)
     if alpha == 0 and beta == 1:
@@ -161,6 +171,7 @@ def spectrum_closed_form(k: int, alpha: int, beta: int) -> list[complex]:
     """
     if k < 2:
         raise ValueError("spectrum_closed_form needs k >= 2")
+    require_flags(alpha, beta)
     if alpha == 0 and beta == 0:
         return [0j] + [2j * math.cos(v * math.pi / k) for v in range(1, k)]
     if alpha == 0 and beta == 1:

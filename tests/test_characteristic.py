@@ -28,6 +28,7 @@ from frozen_spectra import (
 from frozen_spectra import characteristic
 from frozen_spectra.characteristic import (
     RHO_SERIES_THRESHOLD,
+    _boundary_det,
     _find_root,
     _sqrt_lambda,
     _trig_kernels,
@@ -147,24 +148,22 @@ def test_spectrum_from_dict_rejects_malformed_input(bad):
 
 
 def _mp_trig_kernels(s, lam):
-    """cos(rho s), sin(rho s)/rho, d/dlambda of sin(rho s)/rho and (cos(rho s) - 1)/lambda at 40 digits."""
+    """cos(rho s), sin(rho s)/rho and d/dlambda of sin(rho s)/rho at 40 digits."""
     with mpmath.workdps(40):
         s, lam = mpmath.mpf(s), mpmath.mpc(lam)
         ksin = lambda z: s * mpmath.sinc(mpmath.sqrt(z) * s)
-        rho = mpmath.sqrt(lam)
-        # cos x - 1 = -2 sin^2(x/2) has no cancellation at small x
-        kernels = mpmath.cos(rho * s), ksin(lam), mpmath.diff(ksin, lam), -(s**2 / 2) * mpmath.sinc(rho * s / 2) ** 2
+        kernels = mpmath.cos(mpmath.sqrt(lam) * s), ksin(lam), mpmath.diff(ksin, lam)
         return tuple(complex(v) for v in kernels)
 
 
 def _check_trig_kernels(got, want, s, lam, series):
     """Each kernel within 1e-15 of the 40-digit value: relative, or, where the closed form cancels, of its terms."""
-    cs, ks, dks, cm = want
-    size = (1.0, abs(ks), abs(dks), abs(cm))
+    cs, ks, dks = want
+    size = (1.0, abs(ks), abs(dks))
     if not series:
-        # (s cos - sin/rho)/(2 lambda) and (cos - 1)/lambda cancel near the threshold
-        size = (1.0, abs(ks), (abs(s * cs) + abs(ks)) / abs(2 * lam), (abs(cs) + 1.0) / abs(lam))
-    for name, g, w, sz in zip(("cos", "sin/rho", "d sin/rho", "(cos - 1)/lambda"), got, want, size):
+        # (s cos - sin/rho)/(2 lambda) cancels near the threshold
+        size = (1.0, abs(ks), (abs(s * cs) + abs(ks)) / abs(2 * lam))
+    for name, g, w, sz in zip(("cos", "sin/rho", "d sin/rho"), got, want, size, strict=True):
         assert abs(g - w) <= 1e-15 * sz, (name, s, lam)
 
 
@@ -349,19 +348,100 @@ def test_endpoint_terms_match_the_numpy_kernels(lam):
     rho = _sqrt_lambda(lam)
     array = _trig_kernels(np.array(_ENDPOINTS), rho, lam)
     for i, s in enumerate(_ENDPOINTS):
-        cs, ks, dks, cm = kernels = _trig_kernels(s, rho, lam)
+        cs, ks, dks = kernels = _trig_kernels(s, rho, lam)
         assert all(type(v) is complex for v in kernels)
         assert cs == cmath.cos(rho * s)
-        want_ks, want_dks, want_cm = (complex(k[i]) for k in array[1:])
+        want_ks, want_dks = (complex(k[i]) for k in array[1:])
         assert abs(ks - want_ks) <= 1e-15 * abs(want_ks)
         if abs(rho) < RHO_SERIES_THRESHOLD:
             assert abs(dks - want_dks) <= 1e-15 * abs(want_dks)
-            assert abs(cm - want_cm) <= 1e-15 * abs(want_cm)
         else:
-            # (s cos(rho s) - sin(rho s)/rho)/(2 lambda) and (cos(rho s) - 1)/lambda cancel near
-            # the threshold, so the agreement is measured against the size of their terms
+            # (s cos(rho s) - sin(rho s)/rho)/(2 lambda) cancels near the threshold, so the
+            # agreement is measured against the size of its terms
             assert abs(dks - want_dks) <= 1e-15 * (abs(s * cs) + abs(want_ks)) / abs(2 * lam)
-            assert abs(cm - want_cm) <= 1e-15 * (abs(cs) + 1.0) / abs(lam)
+
+
+# The four-kernel _trig_kernels and four-row _boundary_det as they stood before the assembly built only
+# the two rows the flags select, verbatim but for their names and the series length written out: the oracle
+# whose bits the library keeps.
+_REFERENCE_SERIES = tuple(
+    ((-1) ** n / math.factorial(2 * n + 1), (-1) ** (n + 1) * (n + 1) / math.factorial(2 * n + 3),
+     (-1) ** (n + 1) / math.factorial(2 * n + 2))
+    for n in range(8 - 1, -1, -1)
+)
+
+
+def _reference_trig_kernels(s, rho, lam):
+    """cos(rho s), sin(rho s)/rho, d/dlambda of sin(rho s)/rho and (cos(rho s) - 1)/lambda."""
+    trig = np if isinstance(s, np.ndarray) else cmath
+    cs = trig.cos(rho * s)
+    if abs(rho) >= RHO_SERIES_THRESHOLD:
+        ks = trig.sin(rho * s) / rho
+        return cs, ks, (s * cs - ks) / (2 * lam), (cs - 1.0) / lam
+    t = (rho * s) ** 2
+    ks, dks, cm = _REFERENCE_SERIES[0]
+    for c_ks, c_dks, c_cm in _REFERENCE_SERIES[1:]:
+        ks, dks, cm = ks * t + c_ks, dks * t + c_dks, cm * t + c_cm
+    return cs, s * ks, s**3 * dks, s**2 * cm
+
+
+def _reference_boundary_det(alpha, beta, a, h, rho, lam, sums, dsums=None):
+    """All four boundary rows built, the two that (alpha, beta) select kept."""
+    isin, icos = sums
+    cs0, ks0, dks0, _ = _reference_trig_kernels(a, rho, lam)
+    cs1, ks1, dks1, _ = _reference_trig_kernels(1 - a, rho, lam)
+    _, ksh, dksh, _ = _reference_trig_kernels(h / 2, rho, lam)
+    weight = 2 * ksh  # h sinc(rho h/2): each e^{+-i rho s} integrated exactly over its cell
+    c0 = cs0 + weight * isin[0]
+    c1 = cs1 + weight * isin[1]
+    cp0 = lam * ks0 - weight * icos[0]
+    cp1 = -lam * ks1 + weight * icos[1]
+    top = (c0, -ks0) if alpha == 0 else (cp0, cs0)
+    bot = (c1, ks1) if beta == 0 else (cp1, cs1)
+    value = top[0] * bot[1] - top[1] * bot[0]
+    if dsums is None:
+        return value
+
+    dsin, dcos = dsums
+    dweight = 2 * dksh
+    dcs0, dcs1 = -0.5 * a * ks0, -0.5 * (1 - a) * ks1
+    dc0 = dcs0 + weight * dsin[0] + dweight * isin[0]
+    dc1 = dcs1 + weight * dsin[1] + dweight * isin[1]
+    dcp0 = ks0 + lam * dks0 - weight * dcos[0] - dweight * icos[0]
+    dcp1 = -ks1 - lam * dks1 + weight * dcos[1] + dweight * icos[1]
+    dtop = (dc0, -dks0) if alpha == 0 else (dcp0, dcs0)
+    dbot = (dc1, dks1) if beta == 0 else (dcp1, dcs1)
+    dvalue = dtop[0] * bot[1] + top[0] * dbot[1] - dtop[1] * bot[0] - top[1] * dbot[0]
+    return value, dvalue
+
+
+# (sums, dsums) pairs: the zero sums of Delta_0, sums of signed zeros only, and sums that mix signed
+# zeros with finite values
+_SIGNED_ZERO_SUMS = [
+    (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0))),
+    (((-0.0, 0.0), (complex(0.0, -0.0), complex(-0.0, -0.0))),
+     ((complex(-0.0, -0.0), -0.0), (complex(-0.0, 0.0), 0.0))),
+    (((0.31 - 1.7j, -0.0), (2.5 + 0.4j, complex(-0.0, 0.9))),
+     ((complex(-1.1, -0.0), 0.6 - 2.2j), (-0.0, 0.9 + 0.8j))),
+    (((-4.2 + 0.5j, 1.3 - 0.2j), (0.0, -2.6 - 3.3j)),
+     ((0.7 + 1.9j, complex(0.0, -0.0)), (-1.5 + 0.1j, complex(2.2, -0.0)))),
+]
+_BITS_LAMBDAS = [0.0, 1e-7, 9.9e-3, 1.01e-2, -1.02e-2 + 1e-3j, 7.3 + 2.0j, -2500.0, 1e4 + 3000j, 1.6e6,
+                 complex(-2500.0, -0.0), complex(1e-7, -0.0), complex(7.3, -0.0)]
+
+
+# a = 0 with zero sums is Delta_0; h = 0 is the weight of Delta_0, 1/768 and 1/7168 the cells of the grids in use
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_boundary_det_keeps_the_bits_of_the_four_row_assembly(alpha, beta):
+    for a in (0.0, 2 / 7, 1 / 3, 1 / 2):
+        for h in (0.0, 1 / 768, 1 / 7168):
+            for lam in map(complex, _BITS_LAMBDAS):
+                rho = _sqrt_lambda(lam)
+                for sums, dsums in _SIGNED_ZERO_SUMS:
+                    args = alpha, beta, a, h, rho, lam, sums
+                    assert _bits(_boundary_det(*args)) == _bits(_reference_boundary_det(*args)), (a, h, lam)
+                    got, want = _boundary_det(*args, dsums), _reference_boundary_det(*args, dsums)
+                    assert [_bits(z) for z in got] == [_bits(z) for z in want], (a, h, lam)
 
 
 def _mp_delta_direct(q, cfg, lam):
@@ -428,6 +508,42 @@ def test_piecewise_constant_potentials_are_integrated_exactly(alpha, beta, rng):
         assert abs(delta_from_w(w_fine, alpha, beta, lam) - route2) <= 1e-12 * abs(route2), lam
     roots, roots_fine = (np.array(eigenvalues(g, cfg, 60).eigenvalues) for g in (q, fine))
     assert np.all(np.abs(roots_fine - roots) <= 1e-12 * np.abs(roots))
+
+
+def _mp_delta_from_w_00(w, lam, mean_term):
+    """Route 2 for (0,0) at 40 digits on w's own nodes.
+
+    sin(rho)/rho + h sinc(rho h/2) int W (cos(rho x) - 1)/lambda, plus the mean term int W/lambda when
+    mean_term is set; cos x - 1 = -2 sin^2(x/2) has no cancellation.
+    """
+    with mpmath.workdps(40):
+        lam = mpmath.mpc(lam)
+        rho = mpmath.sqrt(lam)
+        x = [mpmath.mpf(t) for t in w.midpoints().tolist()]
+        v = [mpmath.mpc(z) for z in w.values.tolist()]
+        integral = mpmath.fsum(vt * -(xt**2 / 2) * mpmath.sinc(rho * xt / 2) ** 2 for vt, xt in zip(v, x))
+        if mean_term:
+            integral += mpmath.fsum(v) / lam
+        n = w.k * w.m
+        return complex(mpmath.sinc(rho) + mpmath.sinc(rho / (2 * n)) / n * integral)
+
+
+# the (0,0) kernel on both sides of |rho| = 0.1: below it only a zero-mean W is in range and the mean term is
+# dropped, above it any W.  Integer samples whose sum is exactly 0 leave no rounding in the mean term, so the
+# kernel carries the whole integral; 9.99e-3 and 1.0001e-2 straddle the threshold, where (cos - 1)/lambda
+# lost about eps/|lambda| to cancellation (3.5e-15 at 1.0001e-2).  At 2000 + 40j, Delta_0 and the integral
+# cancel to 2.8e-15 whatever the kernel.
+@pytest.mark.parametrize("lam", [1e-7, 1e-3, 9.99e-3, 1.0001e-2, 0.02, 30.0, 2000.0 + 40.0j])
+def test_delta_from_w_00_kernel_matches_mpmath_across_the_series_threshold(lam, rng):
+    v = rng.integers(-8, 9, 96) + 1j * rng.integers(-8, 9, 96)
+    w = GridFunction(3, 32, v.copy())
+    v[-1] -= v.sum()
+    zero_mean = GridFunction(3, 32, v)
+    series = abs(_sqrt_lambda(lam)) < RHO_SERIES_THRESHOLD
+    bound = 1e-14 if abs(lam) > 1e3 else 1e-15
+    for g in (zero_mean,) if series else (zero_mean, w):
+        got, want = delta_from_w(g, 0, 0, lam), _mp_delta_from_w_00(g, lam, not series)
+        assert abs(got - want) <= bound * abs(want), lam
 
 
 def test_eigenvalues_take_at_most_four_evaluations_per_root(monkeypatch):

@@ -4,7 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frozen_spectra import Case, Kind, classify, make_config, normalize_to_half, sign_pair
+from frozen_spectra import (
+    Case,
+    GridFunction,
+    Kind,
+    asymptotic_eigenvalue,
+    classify,
+    delta_from_w,
+    make_config,
+    normalize_to_half,
+    sign_pair,
+    spectrum_closed_form,
+    theorem1_poly,
+    zero_potential_delta,
+)
+from frozen_spectra.characteristic import zero_potential_delta_dlam
 
 
 def test_make_config_reduces_to_lowest_terms():
@@ -27,6 +41,24 @@ def test_make_config_degenerate_endpoints():
 def test_make_config_rejects(bad):
     with pytest.raises(ValueError):
         make_config(*bad)
+
+
+# the functions that take the boundary flags bare and build no ProblemConfig or Spectrum that would check them
+_FLAG_READERS = {
+    "theorem1_poly": lambda a, b: theorem1_poly(3, a, b),
+    "spectrum_closed_form": lambda a, b: spectrum_closed_form(3, a, b),
+    "asymptotic_eigenvalue": lambda a, b: asymptotic_eigenvalue(a, b, 2),
+    "zero_potential_delta": lambda a, b: zero_potential_delta(a, b, 5.0),
+    "zero_potential_delta_dlam": lambda a, b: zero_potential_delta_dlam(a, b, 5.0),
+    "delta_from_w": lambda a, b: delta_from_w(GridFunction.zeros(3, 4), a, b, 5.0),
+}
+
+
+@pytest.mark.parametrize("flags", [(2, 0), (0, -1), (True, 0)])
+@pytest.mark.parametrize("reader", sorted(_FLAG_READERS))
+def test_bare_flags_outside_zero_and_one_are_rejected(reader, flags):
+    with pytest.raises(ValueError, match=r"^alpha and beta must be 0 or 1$"):
+        _FLAG_READERS[reader](*flags)
 
 
 def test_normalize_to_half():
