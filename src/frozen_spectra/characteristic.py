@@ -23,7 +23,10 @@ canonical infinite product over a truncated spectrum, pairing each
 retained factor with the matching zero-potential factor so the tail is
 exactly 1 under lambda_n = lambda_n^0; it takes a whole batch of lambda in
 one pass over the factors, in CPython's complex arithmetic on split float
-arrays, so each value keeps the bits of a scalar loop.
+arrays, so each value keeps the bits of a scalar loop.  extract_w reads
+W's cos or sin coefficients off that product at the zero-potential
+eigenvalues and synthesizes W on the n = k*m midpoints with one
+length-4n complex FFT, in O(n log n) rather than O(modes n).
 
 All formulas are even in rho, so the branch of the square root is
 immaterial; one canonical branch also makes the rounding of the exp
@@ -51,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core_params import ProblemConfig, require_flags
-from .interval_ops import GridFunction, grid_midpoints
+from .interval_ops import GridFunction, _allocate_grid
 
 RHO_SERIES_THRESHOLD = 0.1
 _SERIES_TERMS = 8
@@ -519,18 +522,26 @@ def _product_batch(evs, lam0, lams, hits, starts) -> list[complex]:
 
 
 def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
-    """Recover W on a (k, m) grid from the spectrum, Fourier mode by mode.
+    """Recover W on a (k, m) grid from the spectrum: Fourier coefficients, then one FFT.
 
     One rule serves every (alpha, beta): mode m sits on the zero-potential
     eigenvalue lambda_n^0, n = m + (alpha+beta)//2, where the potential-free
     term of the W-representation vanishes, so with rho_m = sqrt(lambda_n^0)
-      rho_m^(2-alpha-beta) Delta(rho_m^2) = int W b(rho_m x) dx,
+      c_m = rho_m^(2-alpha-beta) Delta(rho_m^2) = int W b(rho_m x) dx,
     b = cos and rho_m = m pi when alpha = beta, b = sin and
     rho_m = (m - 1/2) pi otherwise.  W is synthesized in the basis
     {2 b(rho_m x)}, plus the mean Delta(0) for (1,1) (the (0,0) mean is 0);
     a spectrum of >= 4*modes eigenvalues is a good rule of thumb.  Every
     Delta comes from one batched delta_from_spectrum call over the whole
     spectrum, each with the bits of its own scalar product.
+
+    On the n = k*m midpoints x_i = (2i + 1)/(2n), rho_m x_i = pi p (2i + 1)/(4n)
+    with p = 2 rho_m/pi = 2(m - shift), and 2 b(t) = u e^{it} + conj(u) e^{-it},
+    u = 1 for cos and -i for sin.  So the whole sum is the unscaled length-4n
+    inverse DFT of Z[p] = u c_m e^{i pi p/4n}, Z[4n - p] = conj(u) c_m e^{-i pi p/4n},
+    read at its first n samples: one complex FFT, O(n log n) rather than
+    O(modes n).  p <= 2 modes < 2n by the alias check, so the two halves of Z
+    never meet.  The mean is added on the grid.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
@@ -538,17 +549,19 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
     need = modes + (a + b) // 2
     if spec.count < need:
         raise ValueError(f"need at least {need} eigenvalues for {modes} modes, have {spec.count}")
-    x = grid_midpoints(k, m)  # rejects k or m < 1 before the alias check could blame the modes
-    if modes >= k * m:
+    z = _allocate_grid(k, m, lambda n: np.zeros(4 * n, dtype=complex))  # rejects k or m < 1 first
+    n = k * m
+    if modes >= n:
         raise ValueError(f"modes={modes} would alias on a {k}x{m} grid")
-    shift, basis = (0.0, np.cos) if a == b else (0.5, np.sin)
+    shift, u = (0.0, 1.0) if a == b else (0.5, -1j)
     rhos = [(mm - shift) * math.pi for mm in range(1, modes + 1)]
     mean = (a, b) == (1, 1)
     deltas = delta_from_spectrum(spec, spec.count, [0.0] * mean + [rho**2 for rho in rhos])
-    w = np.zeros(k * m, dtype=complex)
-    if mean:
-        w += deltas.pop(0)  # mean of W
-    for rho, d in zip(rhos, deltas):
-        coef = rho ** (2 - a - b) * d
-        w += 2.0 * coef * basis(rho * x)
+    w_mean = deltas.pop(0) if mean else 0.0
+    coef = np.array(rhos) ** (2 - a - b) * np.array(deltas)
+    p = np.arange(2, 2 * modes + 1, 2) - (a != b)
+    phase = np.exp((1j * math.pi / (4 * n)) * p)
+    z[p] = u * coef * phase
+    z[4 * n - p] = u.conjugate() * coef * phase.conj()
+    w = np.fft.ifft(z, norm="forward")[:n] + w_mean
     return GridFunction(k, m, w)

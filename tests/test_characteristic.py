@@ -35,6 +35,7 @@ from frozen_spectra.characteristic import (
     zero_potential_delta_dlam,
 )
 from frozen_spectra.cli import _demo_potential, dispatch
+from frozen_spectra.interval_ops import grid_midpoints
 
 PI = math.pi
 
@@ -735,6 +736,109 @@ def test_extract_w_zero_spectrum():
         evs = tuple(complex(asymptotic_eigenvalue(a, b, n)) for n in range(1, 81))
         w = extract_w(Spectrum(a, b, evs), 12, 2 if (a, b) != (0, 0) else 3, 32)
         assert np.abs(w.values).max() < 1e-10
+
+
+def _reference_extract_w(spec, modes, k, m):
+    """The per-mode synthesis loop that extract_w's one FFT must match to rounding."""
+    if modes < 1:
+        raise ValueError("modes must be >= 1")
+    a, b = spec.alpha, spec.beta
+    need = modes + (a + b) // 2
+    if spec.count < need:
+        raise ValueError(f"need at least {need} eigenvalues for {modes} modes, have {spec.count}")
+    x = grid_midpoints(k, m)  # rejects k or m < 1 before the alias check could blame the modes
+    if modes >= k * m:
+        raise ValueError(f"modes={modes} would alias on a {k}x{m} grid")
+    shift, basis = (0.0, np.cos) if a == b else (0.5, np.sin)
+    rhos = [(mm - shift) * math.pi for mm in range(1, modes + 1)]
+    mean = (a, b) == (1, 1)
+    deltas = delta_from_spectrum(spec, spec.count, [0.0] * mean + [rho**2 for rho in rhos])
+    w = np.zeros(k * m, dtype=complex)
+    if mean:
+        w += deltas.pop(0)  # mean of W
+    for rho, d in zip(rhos, deltas):
+        coef = rho ** (2 - a - b) * d
+        w += 2.0 * coef * basis(rho * x)
+    return GridFunction(k, m, w)
+
+
+def _decaying_spectrum(alpha, beta, count, rng):
+    """Asymptotes moved by O(1/n), so the W coefficients decay like those of a W with a jump."""
+    n = np.arange(1, count + 1)
+    lam0 = np.array([asymptotic_eigenvalue(alpha, beta, i) for i in n])
+    evs = lam0 + (rng.normal(size=count) + 0.2j * rng.normal(size=count)) / n
+    return Spectrum(alpha, beta, tuple(complex(z) for z in evs))
+
+
+def _synthesis_coefficients(spec, modes):
+    """The mean and the c_m = rho_m^(2-alpha-beta) Delta(rho_m^2) that extract_w synthesizes."""
+    a, b = spec.alpha, spec.beta
+    shift = 0.0 if a == b else 0.5
+    rhos = [(mm - shift) * math.pi for mm in range(1, modes + 1)]
+    mean = (a, b) == (1, 1)
+    deltas = delta_from_spectrum(spec, spec.count, [0.0] * mean + [rho**2 for rho in rhos])
+    w_mean = deltas.pop(0) if mean else 0j
+    return w_mean, [rho ** (2 - a - b) * d for rho, d in zip(rhos, deltas)]
+
+
+@pytest.mark.parametrize("k, m", [(3, 32), (5, 19), (4, 320), (1, 1279)], ids=["96", "95", "1280", "1279"])
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_extract_w_matches_the_per_mode_loop(alpha, beta, k, m, rng):
+    # 1e-14 of sum |2 c_m| for k*m <= 1280; the largest reading here is 4.6e-15
+    n = k * m
+    spec = _decaying_spectrum(alpha, beta, n + 8, rng)
+    for modes in (1, 25, n - 1):
+        got = extract_w(spec, modes, k, m)
+        want = _reference_extract_w(spec, modes, k, m)
+        w_mean, coefs = _synthesis_coefficients(spec, modes)
+        scale = sum(2 * abs(c) for c in coefs)
+        assert (got.k, got.m) == (k, m)
+        assert np.abs(got.values - want.values).max() <= 1e-14 * scale
+        if (alpha, beta) == (1, 1):  # the mean is added on the grid, not synthesized
+            assert abs(np.mean(got.values) - w_mean) <= 1e-14 * scale
+            assert abs(w_mean) > 1e3 * 1e-14 * scale
+
+
+def _mp_synthesis(spec, modes, n, points):
+    """40-digit sum of mean + 2 c_m b(rho_m x_i) at the given points, with exact angles.
+
+    rho_m x_i = pi p (2i + 1)/(4n) with p = 2(m - shift), so each angle is reduced exactly
+    in integers before mpmath evaluates it.
+    """
+    w_mean, coefs = _synthesis_coefficients(spec, modes)
+    cos = spec.alpha == spec.beta
+    with mpmath.workdps(40):
+        table = {}
+        out = []
+        for i in points:
+            re = im = mpmath.mpf(0)
+            for mm, c in enumerate(coefs, start=1):
+                r = ((2 * mm - (not cos)) * (2 * i + 1)) % (8 * n)
+                if r not in table:
+                    angle = mpmath.pi * r / (4 * n)
+                    table[r] = mpmath.cos(angle) if cos else mpmath.sin(angle)
+                re += 2 * mpmath.mpf(c.real) * table[r]
+                im += 2 * mpmath.mpf(c.imag) * table[r]
+            out.append(complex(re + w_mean.real, im + w_mean.imag))
+    return np.array(out), sum(2 * abs(c) for c in coefs)
+
+
+@pytest.mark.parametrize("k, m, modes, stride", [(3, 32, 40, 1), (4, 320, 1000, 32)], ids=["96-40", "1280-1000"])
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_extract_w_matches_mpmath(alpha, beta, k, m, modes, stride, rng):
+    # the FFT reads 0.5-2.0e-16 of sum |2 c_m| here and the per-mode loop 5.5e-16 to 3.4e-15,
+    # because the loop rounds rho_m x before its cos or sin
+    n = k * m
+    spec = _decaying_spectrum(alpha, beta, modes + 8, rng)
+    points = list(range(0, n, stride)) + [n - 1]
+    want, scale = _mp_synthesis(spec, modes, n, points)
+    got = extract_w(spec, modes, k, m).values[points]
+    assert np.abs(got - want).max() <= 3e-16 * scale
+
+
+def test_extract_w_names_a_grid_too_large_to_allocate():
+    with pytest.raises(ValueError, match=f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many"):
+        extract_w(_TEN, 4, 3, 10**19)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])

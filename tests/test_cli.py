@@ -410,6 +410,7 @@ def _write_inputs(d):
     (d / "truncated.json").write_text('{"alpha": 0, "beta": 1, "eigenvalues": [[2.5, 0.0], [22')
     (d / "no_k.json").write_text('{"config": {"alpha": 0, "beta": 1, "j": 1}}')
     (d / "truncated_config.json").write_text('{"config": {"alpha": 0, ')
+    (d / "huge_k.json").write_text(json.dumps({"config": {"alpha": 0, "beta": 1, "j": 1, "k": 10**30}}))
 
 
 DELTA_CONFIG = ["--alpha", "0", "--beta", "1", "--j", "2", "--k", "7"]
@@ -421,6 +422,9 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
 CONFIG_0113 = ["--alpha", "0", "--beta", "1", "--j", "1", "--k", "3"]
 HUGE_M = ["--m", str(10**11)]
 TOO_LARGE = f"a grid with k=3, m={10**11} has {3 * 10**11} points, too many to allocate"
+# beyond the platform's index range numpy refuses the size itself, before any allocation
+INDEX_M = ["--m", str(10**19)]
+BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many to allocate"
 
 
 # 50x the demo potential on (1, 0, 2, 5) sends indices 1 and 2 to one root
@@ -503,6 +507,12 @@ TOO_LARGE = f"a grid with k=3, m={10**11} has {3 * 10**11} points, too many to a
     (["isospectral", *CONFIG_0113, "--q0", "demo", *HUGE_M, "--out", "iq.csv"], 3, "ValueError", TOO_LARGE),
     (["reconstruct", *RECONSTRUCT_11, *HUGE_M, "--n-used", "40", "--modes", "1", "--out", "r.csv",
       "--kernel-out", "rk.csv"], 3, "ValueError", TOO_LARGE),
+    (["eigs", *CONFIG_0113, "--q", "demo", *INDEX_M, "--count", "3", "--out", "e.csv"], 3, "ValueError",
+     BEYOND_INDEX),
+    (["forward-w", "--config", "huge_k.json", "--q", "zero", "--m", "4", "--out", "w.csv"], 3, "ValueError",
+     f"a grid with k={10**30}, m=4 has {4 * 10**30} points, too many to allocate"),
+    (["reconstruct", *RECONSTRUCT_11, *INDEX_M, "--n-used", "40", "--modes", "1", "--out", "r.csv",
+      "--kernel-out", "rk.csv"], 3, "ValueError", BEYOND_INDEX),
     # a = 1 is outside the normalized range 2j <= k of the main equation for every flag pair
     (["forward-w", *A_ONE[0, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
     (["forward-w", *A_ONE[1, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
@@ -523,7 +533,8 @@ TOO_LARGE = f"a grid with k=3, m={10**11} has {3 * 10**11} points, too many to a
         "verify-kmax-forward-1", "verify-kmax-theorem1-above-limit", "cheb-n-above-limit", "example-m-negative",
         "example-m-zero", "isospectral-m-negative",
         "eigs-m-negative", "reconstruct-m-zero", "reconstruct-m-negative", "eigs-m-huge", "eigs-zero-m-huge",
-        "delta-m-huge", "forward-w-m-huge", "isospectral-m-huge", "reconstruct-m-huge", "forward-w-a-one-01",
+        "delta-m-huge", "forward-w-m-huge", "isospectral-m-huge", "reconstruct-m-huge",
+        "eigs-m-beyond-index", "forward-w-zero-k-beyond-index", "reconstruct-m-beyond-index", "forward-w-a-one-01",
         "forward-w-a-one-11",
         "invert-a-one-00", "invert-a-one-01", "invert-a-one-10", "invert-a-one-11", "reconstruct-a-one-11",
         "isospectral-a-one-00"])

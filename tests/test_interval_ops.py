@@ -193,6 +193,14 @@ def test_grid_validation():
         GridFunction.zeros(2, 4) + GridFunction.zeros(4, 2)
 
 
+@pytest.mark.parametrize("k, m", [(3, 10**11), (3, 10**19), (10**30, 4)], ids=["memory", "index", "index-k"])
+def test_a_grid_too_large_to_allocate_is_named(k, m):
+    # 3e11 points exceed the memory; past the index range numpy refuses the size itself
+    for make in (GridFunction.zeros, grid_midpoints):
+        with pytest.raises(ValueError, match=f"^a grid with k={k}, m={m} has {k * m} points, too many to allocate$"):
+            make(k, m)
+
+
 def oracle_write_csv(f, path):
     """The grid-CSV writer row by row: one f-string of float reprs per row."""
     with open(path, "w") as fh:
