@@ -12,16 +12,18 @@ the j = 1 eigenvectors, the same recurrence run on a number.
 
 For k >= 2 every main-equation matrix is a signed sum of two permutations:
 exactly two nonzeros per row and per column.  Matrices are stored as
-sparse rows, the Chebyshev recurrence steps on sparse rows, and det/rank
-follow the cycles of the row-column graph; the dense form is built only
-on demand.
+sparse rows, and the loops that read them (the Chebyshev recurrence step,
+the kernel check A X = 0, the eigenvector residual) unpack each row as its
+two (col, value) pairs; a row of any other length raises AssertionError.
+det and rank follow the cycles of the row-column graph, walked once per
+matrix and kept on it; the dense form is built only on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,6 +63,11 @@ class FrozenMatrix:
 
     def as_array(self, dtype=float) -> np.ndarray:
         return np.array(self.as_lists(), dtype=dtype)
+
+    @cached_property
+    def cycles(self) -> tuple[int, list[tuple[int, int]]]:
+        """_cycle_blocks of the rows, walked on first use and kept: det_exact and rank share one walk."""
+        return _cycle_blocks(self)
 
 
 @dataclass(frozen=True)
@@ -242,16 +249,48 @@ def reductions_j1(alpha: int, beta: int, k: int):
         yield j, tuple(cur)
 
 
-def _mul_sub(m, y, sub) -> list[tuple[tuple[int, int], ...]]:
-    """M @ y - sub on sparse rows, with M given as ((col, value), (col, value)) per row."""
+def _mul_sub(m, y, sub) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """M @ y - sub on two-entry sparse rows, with M given as ((col, value), (col, value)) per row.
+
+    Row i is s y[p] + t y[q] - sub[i], four terms read off the pairs of
+    y[p] and y[q].  Two of them cancel: against sub[i], or, in the first
+    step (where sub[i] has no entry for alpha = 0 and one for alpha = 1),
+    at the column y[p] and y[q] share.  Exactly one term of y[p] and one
+    of y[q] must remain; that, two entries in every row of M and y, and
+    no sub entry off the four columns are asserted.
+    """
     out = []
-    for ((p, s), (q, t)), sub_row in zip(m, sub):
-        row = {col: s * v for col, v in y[p]}
-        for col, v in y[q]:
-            row[col] = row.get(col, 0) + t * v
-        for col, v in sub_row:
-            row[col] = row.get(col, 0) - v
-        out.append(tuple(sorted((col, v) for col, v in row.items() if v)))
+    try:
+        for ((p, s), (q, t)), sub_row in zip(m, sub):
+            (a1, v1), (a2, v2) = y[p]
+            (b1, w1), (b2, w2) = y[q]
+            v1, v2, w1, w2 = s * v1, s * v2, t * w1, t * w2
+            for col, v in sub_row:
+                if col == a1:
+                    v1 -= v
+                elif col == a2:
+                    v2 -= v
+                elif col == b1:
+                    w1 -= v
+                elif col == b2:
+                    w2 -= v
+                else:
+                    raise AssertionError(f"a sub entry in column {col} is off the columns of M @ y")
+            if b1 == a1:
+                v1, w1 = v1 + w1, 0
+            elif b1 == a2:
+                v2, w1 = v2 + w1, 0
+            if b2 == a1:
+                v1, w2 = v1 + w2, 0
+            elif b2 == a2:
+                v2, w2 = v2 + w2, 0
+            if (not v1) == (not v2) or (not w1) == (not w2):
+                raise AssertionError(f"M @ y - sub keeps other than one term of y[{p}] and one of y[{q}]")
+            left = (a1, v1) if v1 else (a2, v2)
+            right = (b1, w1) if w1 else (b2, w2)
+            out.append((left, right) if left < right else (right, left))
+    except ValueError:
+        raise AssertionError("every row of M and of y must hold exactly two entries") from None
     return out
 
 
@@ -276,7 +315,7 @@ def kernel(config: ProblemConfig) -> KernelDescriptor:
 
     One-dimensional with an explicit +-1 sign vector in the four degenerate
     cases, trivial otherwise.  The product A X = 0 is verified in exact
-    integer arithmetic before returning.
+    integer arithmetic before returning, each row read as its two entries.
     """
     if config.k < 2:
         raise ValueError("kernel needs k >= 2")
@@ -284,8 +323,12 @@ def kernel(config: ProblemConfig) -> KernelDescriptor:
         return KernelDescriptor(0, ())
     pattern = _KERNEL_SIGNS[(config.alpha, config.beta)]
     x = tuple(pattern(v) for v in range(1, config.k + 1))
-    if any(sum(v * x[col] for col, v in row) for row in build_matrix(config).rows):
-        raise AssertionError(f"closed-form kernel vector failed A X = 0 for {config}")
+    try:
+        for (c1, v1), (c2, v2) in build_matrix(config).rows:
+            if v1 * x[c1] + v2 * x[c2]:
+                raise AssertionError(f"closed-form kernel vector failed A X = 0 for {config}")
+    except ValueError:
+        raise AssertionError(f"a row of the matrix of {config} does not hold exactly two entries") from None
     return KernelDescriptor(1, x)
 
 
@@ -301,15 +344,19 @@ def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     Component m is d^(m-1) q_{m-1}(z0): the minors q_n of _char_poly_run,
     their three_term run on the number z0.
     The residual ||A x - z0 x||_inf <= 1e-9 ||x||_inf is checked a
-    posteriori on the sparse rows, two products per row; failure means z0
-    was not an eigenvalue.
+    posteriori on the sparse rows, each read as its two entries (a row of
+    any other length raises AssertionError); failure means z0 was not an
+    eigenvalue, a ValueError.
     """
     if k < 2:
         raise ValueError("eigvec_j1 needs k >= 2")
     a = _j1_matrix(k, alpha, beta)
     z, s = complex(z0), a.signs
     x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
-    resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(a.rows, x))
+    try:
+        resid = max([abs(v1 * x[c1] + v2 * x[c2] - z * xi) for ((c1, v1), (c2, v2)), xi in zip(a.rows, x)])
+    except ValueError:
+        raise AssertionError(f"a row of the j = 1 matrix for k={k} does not hold exactly two entries") from None
     scale = max(map(abs, x))
     if resid > 1e-9 * scale:
         raise ValueError(f"z0={z0} is not an eigenvalue: residual {resid:.3e} vs scale {scale:.3e}")
@@ -326,6 +373,8 @@ def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple[int, int]]]:
     the b-edge of that column; the only permutations inside the block are
     all-a and all-b, so the block det is prod(a) + (-1)^(L-1) prod(b), taken
     relative to sigma_a, the permutation that picks every a-edge.
+    FrozenMatrix.cycles keeps the result, so det_exact and rank read one
+    walk per matrix.
     """
     rows = matrix.rows
     col_rows: list[list[tuple[int, int]]] = [[] for _ in rows]
@@ -380,12 +429,12 @@ def rank(matrix: FrozenMatrix) -> int:
     """Exact rank: L per cycle block with nonzero det, L - 1 per singular one."""
     if matrix.k == 1:
         return len(matrix.rows[0])
-    return sum(length if det else length - 1 for length, det in _cycle_blocks(matrix)[1])
+    return sum(length if det else length - 1 for length, det in matrix.cycles[1])
 
 
 def det_exact(matrix: FrozenMatrix) -> int:
     """Exact determinant: sgn(sigma_a) times the product of the cycle-block dets."""
     if matrix.k == 1:
         return sum(v for _, v in matrix.rows[0])
-    sign, blocks = _cycle_blocks(matrix)
+    sign, blocks = matrix.cycles
     return sign * math.prod(det for _, det in blocks)

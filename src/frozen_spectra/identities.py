@@ -5,6 +5,12 @@ identity and the case, so a failed check reads as a report line.  The
 `verify` command and the acceptance gate run the same sweeps, with the same
 ranges and tolerances: exact equality for the integer identities, 1e-9 for
 the closed-form spectra, 1e-14 * max(1, |W|) for the forward-map oracle.
+
+Within one sweeps() run each coprime config's matrix is built once: the
+Theorem 2 sweep builds it anyway, and records its (det, rank), two ints,
+for the Corollary 1/3 and Lemma 3 sweeps that follow.  No matrix outlives
+its (k, alpha, beta) step and nothing is kept between runs.  Called alone,
+each sweep builds what it reads.
 """
 
 from __future__ import annotations
@@ -57,34 +63,55 @@ def theorem1(kmax: int):
             yield f"theorem1 k={k} ({alpha},{beta})", ok
 
 
-def theorem2(kmax: int):
+def theorem2(kmax: int, record: dict | None = None):
     """Theorem 2: the Chebyshev reduction to j = 1 equals the direct matrix.
 
-    One recurrence run per (k, alpha, beta) serves every coprime j.
+    One recurrence run per (k, alpha, beta) serves every coprime j.  With a
+    record, each config's (det, rank) is stored in it for the sweeps that
+    follow.
     """
     for k in range(2, kmax + 1):
         for alpha, beta in _FLAGS:
             for j, rows in reductions_j1(alpha, beta, k):
                 if math.gcd(j, k) == 1:
                     cfg = ProblemConfig(alpha, beta, j, k)
-                    yield f"theorem2 {cfg}", rows == build_matrix(cfg).rows
+                    a = build_matrix(cfg)
+                    if record is not None:
+                        record[cfg] = det_exact(a), rank(a)
+                    yield f"theorem2 {cfg}", rows == a.rows
 
 
-def corollaries_1_3(kmax_t1: int, kmax: int):
-    """Corollary 1 (closed-form j = 1 determinants) and Corollary 3 (det = 0 iff degenerate)."""
+def _det(cfg: ProblemConfig, record: dict) -> int:
+    return record[cfg][0] if cfg in record else det_exact(build_matrix(cfg))
+
+
+def _rank(cfg: ProblemConfig, record: dict) -> int:
+    return record[cfg][1] if cfg in record else rank(build_matrix(cfg))
+
+
+def corollaries_1_3(kmax_t1: int, kmax: int, record: dict | None = None):
+    """Corollary 1 (closed-form j = 1 determinants) and Corollary 3 (det = 0 iff degenerate).
+
+    A determinant theorem2 recorded is read, not recomputed.
+    """
+    record = {} if record is None else record
     for k in range(2, kmax_t1 + 1):
         for alpha, beta in _FLAGS:
-            det = det_exact(build_matrix(make_config(alpha, beta, 1, k)))
+            det = _det(make_config(alpha, beta, 1, k), record)
             yield f"corollary1 k={k} ({alpha},{beta})", det_closed_form(k, alpha, beta) == det
     for cfg in coprime_configs(kmax):
         deg = classify(cfg).kind is Kind.DEGENERATE
-        yield f"corollary3 {cfg}", (det_exact(build_matrix(cfg)) == 0) == deg
+        yield f"corollary3 {cfg}", (_det(cfg, record) == 0) == deg
 
 
-def lemmas_2_3(kmax: int):
-    """Lemma 3 (kernel dimension and rank) and Lemma 2 (the explicit j = 1 eigenvectors)."""
+def lemmas_2_3(kmax: int, record: dict | None = None):
+    """Lemma 3 (kernel dimension and rank) and Lemma 2 (the explicit j = 1 eigenvectors).
+
+    A rank theorem2 recorded is read, not recomputed.
+    """
+    record = {} if record is None else record
     for cfg in coprime_configs(kmax):
-        r = rank(build_matrix(cfg))
+        r = _rank(cfg, record)
         ker = kernel(cfg)
         if classify(cfg).kind is Kind.DEGENERATE:
             ok = ker.dimension == 1 and r == cfg.k - 1
@@ -128,12 +155,17 @@ def forward_oracle(kmax: int):
 
 
 def sweeps(kmax: int, kmax_t1: int, kmax_fwd: int):
-    """The `verify` blocks in print order, as (name, sweep) pairs."""
+    """The `verify` blocks in print order, as (name, sweep) pairs.
+
+    The theorem-2 sweep records (det, rank) per coprime config in a dict of
+    this run, which the determinant and kernel sweeps read.
+    """
+    record: dict[ProblemConfig, tuple[int, int]] = {}
     return [
         ("theorem-1 polynomial identity", theorem1(kmax_t1)),
-        ("theorem-2 matrix reduction", theorem2(kmax)),
-        ("corollary-1/3 determinants", corollaries_1_3(kmax_t1, kmax)),
-        ("lemma-2/3 kernels, ranks, eigenvectors", lemmas_2_3(kmax)),
+        ("theorem-2 matrix reduction", theorem2(kmax, record)),
+        ("corollary-1/3 determinants", corollaries_1_3(kmax_t1, kmax, record)),
+        ("lemma-2/3 kernels, ranks, eigenvectors", lemmas_2_3(kmax, record)),
         ("corollary-2 closed-form spectra", corollary2(kmax)),
         ("forward-map oracle", forward_oracle(kmax_fwd)),
     ]

@@ -445,6 +445,31 @@ def test_boundary_det_keeps_the_bits_of_the_four_row_assembly(alpha, beta):
                     assert [_bits(z) for z in got] == [_bits(z) for z in want], (a, h, lam)
 
 
+def _reference_delta_from_w(w, alpha, beta, lam):
+    """Route 2 with every flag pair reading its kernel out of the full three-kernel pass."""
+    rho = _sqrt_lambda(lam)
+    if (alpha, beta) == (0, 0):
+        kernel = -2 * _trig_kernels(w.midpoints() / 2, rho, lam)[1] ** 2
+    else:
+        cs, ks, _ = _trig_kernels(w.midpoints(), rho, lam)
+        kernel = ks if alpha != beta else cs
+    integral = np.sum(w.values * kernel)
+    if (alpha, beta) == (0, 0) and abs(rho) >= RHO_SERIES_THRESHOLD:
+        integral = integral + np.sum(w.values) / lam
+    weight = 2 * _trig_kernels(w.h / 2, rho, lam)[1]
+    return complex(zero_potential_delta(alpha, beta, lam) + weight * integral)
+
+
+# 9.9e-3 and -1.02e-2 + 1e-3j lie below |rho| = 0.1, 1.01e-2 just above it; 7 x 1024 is the grid of the timings
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_delta_from_w_keeps_the_bits_of_the_three_kernel_pass(alpha, beta, rng):
+    for k, m in ((3, 32), (7, 1024)):
+        w = random_grid(k, m, rng)
+        for lam in map(complex, _BITS_LAMBDAS + [2500.0 + 40.0j]):
+            got, want = delta_from_w(w, alpha, beta, lam), _reference_delta_from_w(w, alpha, beta, lam)
+            assert _bits(got) == _bits(want), (k, m, lam)
+
+
 def _mp_delta_direct(q, cfg, lam):
     """Delta of delta_direct's cell rule in mpmath, from the fundamental solutions C, S normalized at a.
 

@@ -21,7 +21,8 @@ from frozen_spectra import (
     spectrum_closed_form,
     theorem1_poly,
 )
-from frozen_spectra.chebyshev import matrix_poly_eval, scaled_cheb_int
+from frozen_spectra import frozen_matrix
+from frozen_spectra.chebyshev import matrix_poly_eval, scaled_cheb_int, three_term
 from frozen_spectra.intlinalg import bareiss_det, bareiss_rank, identity, mat_add, mat_scale, matmul
 
 
@@ -286,6 +287,93 @@ def test_cycle_det_and_rank_reject_other_patterns():
         for fn in (det_exact, rank):
             with pytest.raises(AssertionError):
                 fn(m)
+
+
+def test_cycles_are_walked_once_per_matrix(monkeypatch):
+    walks = []
+    walk = frozen_matrix._cycle_blocks
+    monkeypatch.setattr(frozen_matrix, "_cycle_blocks", lambda m: walks.append(m) or walk(m))
+    a = build_matrix(make_config(0, 0, 3, 8))
+    assert (det_exact(a), rank(a), det_exact(a), rank(a)) == (0, 7, 0, 7)
+    assert walks == [a]
+    b = build_matrix(make_config(0, 0, 3, 8))
+    assert rank(b) == 7 and walks == [a, b]
+
+
+def _dict_mul_sub(m, y, sub):
+    """The recurrence step on a dict per row: the oracle of the two-entry step."""
+    out = []
+    for ((p, s), (q, t)), sub_row in zip(m, sub):
+        row = {col: s * v for col, v in y[p]}
+        for col, v in y[q]:
+            row[col] = row.get(col, 0) + t * v
+        for col, v in sub_row:
+            row[col] = row.get(col, 0) - v
+        out.append(tuple(sorted((col, v) for col, v in row.items() if v)))
+    return out
+
+
+# every step of every run up to k = 40: every j, coprime or not, including the first step, whose sub rows have
+# no entry (alpha = 0) or one (alpha = 1)
+def test_mul_sub_matches_the_dict_step(monkeypatch):
+    step = frozen_matrix._mul_sub
+    rows = []
+
+    def checked(m, y, sub):
+        got = step(m, y, sub)
+        assert got == _dict_mul_sub(m, y, sub)
+        rows.append(len(got))
+        return got
+
+    monkeypatch.setattr(frozen_matrix, "_mul_sub", checked)
+    for k in range(2, 41):
+        for alpha in (0, 1):
+            for beta in (0, 1):
+                for _, z in reductions_j1(alpha, beta, k):
+                    assert all(len(row) == 2 for row in z)
+    assert sum(rows) == 4 * sum(k * (k // 2 - 1) for k in range(2, 41))
+
+
+def test_pair_reads_reject_a_row_of_three(monkeypatch):
+    a = build_matrix(make_config(0, 1, 2, 5))
+    three = (a.rows[0] + ((4, 1),),) + a.rows[1:]  # a third nonzero in row 0
+    m = [tuple((col, -v) for col, v in row) for row in a.rows]
+    with pytest.raises(AssertionError):
+        frozen_matrix._mul_sub(m, three, a.rows)
+    with pytest.raises(AssertionError):  # a sub entry off the four columns of the step
+        frozen_matrix._mul_sub(m, a.rows, [((3, 1), (4, 1))] * 5)
+    monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: FrozenMatrix(a.config, a.signs, three))
+    with pytest.raises(AssertionError):
+        kernel(make_config(0, 1, 2, 5))
+    j1 = build_matrix(make_config(0, 0, 1, 3))
+    wide = FrozenMatrix(j1.config, j1.signs, (j1.rows[0] + ((2, 1),),) + j1.rows[1:])
+    monkeypatch.setattr(frozen_matrix, "_j1_matrix", lambda k, alpha, beta: wide)
+    with pytest.raises(AssertionError):
+        eigvec_j1(0.0, 3, 0, 0)
+
+
+def _sum_eigvec_j1(z0, k, alpha, beta):
+    """eigvec_j1 with the residual summed over a generator per row: the oracle of the two-entry residual."""
+    a = build_matrix(make_config(alpha, beta, 1, k))
+    z, s = complex(z0), a.signs
+    x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
+    resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(a.rows, x))
+    scale = max(map(abs, x))
+    if resid > 1e-9 * scale:
+        raise ValueError(f"z0={z0} is not an eigenvalue: residual {resid:.3e} vs scale {scale:.3e}")
+    return np.array(x, dtype=complex)
+
+
+def test_eigvec_j1_matches_the_summed_residual():
+    for k in range(2, 17):
+        for alpha, beta in ((0, 0), (1, 0), (1, 1)):
+            for z0 in spectrum_closed_form(k, alpha, beta):
+                assert np.array_equal(eigvec_j1(z0, k, alpha, beta), _sum_eigvec_j1(z0, k, alpha, beta))
+            for z0 in (0.5, 7.0, 3j):  # never an eigenvalue of these spectra, which lie in [-2, 2] or i[-2, 2]
+                with pytest.raises(ValueError, match="is not an eigenvalue"):
+                    _sum_eigvec_j1(z0, k, alpha, beta)
+                with pytest.raises(ValueError, match="is not an eigenvalue"):
+                    eigvec_j1(z0, k, alpha, beta)
 
 
 def test_zero_eigenvalue_algebraic_multiplicity_observed(capsys):

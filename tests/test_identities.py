@@ -1,6 +1,10 @@
+import tracemalloc
+from collections import Counter
+
 import pytest
 
-from frozen_spectra import GridFunction, IntPolynomial, identities
+from frozen_spectra import GridFunction, IntPolynomial, frozen_matrix, identities, make_config
+from frozen_spectra.core_params import coprime_configs
 
 # One broken ingredient per sweep; each is used by that sweep alone.
 BROKEN = {
@@ -33,3 +37,37 @@ def test_a_broken_identity_fails_its_sweep_only(block, monkeypatch):
 def test_match_multisets_sizes_and_distance():
     assert identities.match_multisets([1, 2j], [2j + 1e-3, 1]) == pytest.approx(1e-3)
     assert identities.match_multisets([1], [1, 1]) == float("inf")
+
+
+def _consume(*ranges):
+    for _, checks in identities.sweeps(*ranges):
+        for _ in checks:
+            pass
+
+
+# j = 1 configs with 12 < k <= 14 are no coprime config of kmax = 12: the corollary-1 sweep builds them itself
+def test_one_sweeps_run_builds_and_walks_each_coprime_matrix_once(monkeypatch):
+    built, walked = Counter(), Counter()
+    build, walk = identities.build_matrix, frozen_matrix._cycle_blocks
+    monkeypatch.setattr(identities, "build_matrix", lambda cfg: built.update([cfg]) or build(cfg))
+    monkeypatch.setattr(frozen_matrix, "_cycle_blocks", lambda m: walked.update([m.config]) or walk(m))
+    _consume(12, 14, 3)
+    once = Counter(coprime_configs(12) + [make_config(a, b, 1, k) for k in (13, 14) for a in (0, 1) for b in (0, 1)])
+    assert built == once
+    assert walked == once
+    _consume(12, 14, 3)  # a second run keeps nothing of the first
+    assert built == once + once
+    assert walked == once + once
+
+
+# the record of one run holds two ints per coprime config and no matrix: about 0.25 MB here, where a cache of every
+# matrix built reads about 2.5 MB
+def test_a_sweeps_run_holds_no_matrix_beyond_its_step():
+    _consume(6, 6, 3)  # warm the per-process caches (stored runs, grid layouts)
+    tracemalloc.start()
+    try:
+        _consume(30, 10, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
