@@ -172,17 +172,6 @@ def _trig_kernels(s, rho: complex, lam: complex):
     return cs, s * ks, s**3 * dks
 
 
-def _sin_kernel(s: np.ndarray, rho: complex, lam: complex) -> np.ndarray:
-    """sin(rho s)/rho alone on an array of lengths, bit for bit the second kernel of _trig_kernels.
-
-    Above the series threshold it skips the cos and the lambda-derivative;
-    below it, rare on a grid, it is _trig_kernels' series branch.
-    """
-    if abs(rho) >= RHO_SERIES_THRESHOLD:
-        return np.sin(rho * s) / rho
-    return _trig_kernels(s, rho, lam)[1]
-
-
 @lru_cache(maxsize=None)
 def _block_layout(k: int, m: int, jm: int):
     """The chop lengths in blocks: x_t = (t + 1/2)/n = coarse_B + fine_r, t = B*b + r.
@@ -334,17 +323,15 @@ def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> comple
     The whole integral term, the (0,0) mean term included, is weighted by
     the cell rule's h sinc(rho h/2), so W is read as constant on each cell
     exactly as delta_direct reads q, and the two routes are one
-    discretisation.  Each flag pair computes only the kernel it reads, on
-    the n midpoints (at x/2 for (0,0)), with the bits of _trig_kernels.
+    discretisation.
     """
     require_flags(alpha, beta)
     rho = _sqrt_lambda(lam)
     if (alpha, beta) == (0, 0):  # the half-angle form has no cancellation on either branch
-        kernel = -2 * _sin_kernel(w.midpoints() / 2, rho, lam) ** 2
-    elif alpha != beta:
-        kernel = _sin_kernel(w.midpoints(), rho, lam)
+        kernel = -2 * _trig_kernels(w.midpoints() / 2, rho, lam)[1] ** 2
     else:
-        kernel = np.cos(rho * w.midpoints())
+        cs, ks, _ = _trig_kernels(w.midpoints(), rho, lam)
+        kernel = ks if alpha != beta else cs
     integral = np.sum(w.values * kernel)
     if (alpha, beta) == (0, 0) and abs(rho) >= RHO_SERIES_THRESHOLD:
         integral = integral + np.sum(w.values) / lam

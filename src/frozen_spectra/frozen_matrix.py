@@ -15,8 +15,8 @@ exactly two nonzeros per row and per column.  Matrices are stored as
 sparse rows, and the loops that read them (the Chebyshev recurrence step,
 the kernel check A X = 0, the eigenvector residual) unpack each row as its
 two (col, value) pairs; a row of any other length raises AssertionError.
-det and rank follow the cycles of the row-column graph, walked once per
-matrix and kept on it; the dense form is built only on demand.
+det, rank and solve_inverse follow the cycles of the row-column graph,
+walked once per matrix and kept on it; the dense form is built on demand.
 """
 
 from __future__ import annotations
@@ -61,12 +61,9 @@ class FrozenMatrix:
                 out[col] = v
         return dense
 
-    def as_array(self, dtype=float) -> np.ndarray:
-        return np.array(self.as_lists(), dtype=dtype)
-
     @cached_property
-    def cycles(self) -> tuple[int, list[tuple[int, int]]]:
-        """_cycle_blocks of the rows, walked on first use and kept: det_exact and rank share one walk."""
+    def cycles(self) -> tuple[int, list[tuple]]:
+        """_cycle_blocks of the rows, walked on first use and kept: det_exact, rank and solve_inverse share one walk."""
         return _cycle_blocks(self)
 
 
@@ -363,50 +360,50 @@ def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     return np.array(x, dtype=complex)
 
 
-def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple[int, int]]]:
-    """sgn(sigma_a) and (L, block det) per cycle of the row-column graph.
+def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
+    """sgn(sigma_a) and, per cycle of the row-column graph, its walk and block det.
 
     With exactly two nonzeros per row and per column (asserted) the
     bipartite row-column graph is a union of even cycles, and the matrix is,
     up to a permutation, the direct sum of one block per cycle.  Walking a
-    cycle of L rows picks an a-edge in each row and reaches the next row by
-    the b-edge of that column; the only permutations inside the block are
-    all-a and all-b, so the block det is prod(a) + (-1)^(L-1) prod(b), taken
-    relative to sigma_a, the permutation that picks every a-edge.
-    FrozenMatrix.cycles keeps the result, so det_exact and rank read one
-    walk per matrix.
+    cycle of L rows picks the a-edge a_t in column c_t of row r_t and
+    reaches the next row by the b-edge of that column, so row r_t holds its
+    b-value b_t in column c_(t-1) (c_(-1) = c_(L-1)).  Each cycle is kept
+    as (rows, cols, a, b) in walk order and its block det: the only
+    permutations inside the block are all-a and all-b, so the det is
+    prod(a) + (-1)^(L-1) prod(b), taken relative to sigma_a, the
+    permutation that picks every a-edge.  FrozenMatrix.cycles keeps the
+    result, so det_exact, rank and solve_inverse read one walk per matrix.
     """
     rows = matrix.rows
-    col_rows: list[list[tuple[int, int]]] = [[] for _ in rows]
+    col_rows: list[list[int]] = [[] for _ in rows]
     for i, row in enumerate(rows):
         if len(row) != 2 or row[0][0] == row[1][0] or not (row[0][1] and row[1][1]):
             raise AssertionError(f"row {i} is {row}, expected two nonzeros in distinct columns")
-        for col, v in row:
-            col_rows[col].append((i, v))
+        for col, _ in row:
+            col_rows[col].append(i)
     for col, entries in enumerate(col_rows):
         if len(entries) != 2:
             raise AssertionError(f"column {col} has {len(entries)} nonzeros, expected 2")
     sigma_a = [-1] * len(rows)
-    blocks = []
+    cycles = []
     for start in range(len(rows)):
         if sigma_a[start] >= 0:
             continue
-        i, (col, v) = start, rows[start][0]
-        prod_a = prod_b = 1
-        length = 0
+        walk = []
+        i, prev = start, rows[start][1][0]  # enter the first row by its second entry, its b-edge
         while True:
+            (c1, v1), (c2, v2) = rows[i]
+            col, v, w = (c2, v2, v1) if c1 == prev else (c1, v1, v2)
             sigma_a[i] = col
-            prod_a *= v
-            length += 1
-            (r1, w1), (r2, w2) = col_rows[col]
-            i, w = (r2, w2) if r1 == i else (r1, w1)
-            prod_b *= w
+            walk.append((i, col, v, w))
+            r1, r2 = col_rows[col]
+            i, prev = (r2 if r1 == i else r1), col
             if i == start:
                 break
-            (c1, v1), (c2, v2) = rows[i]
-            col, v = (c2, v2) if c1 == col else (c1, v1)
-        blocks.append((length, prod_a + (-1) ** (length - 1) * prod_b))
-    return _perm_sign(sigma_a), blocks
+        walk_rows, cols, a, b = zip(*walk)
+        cycles.append((walk_rows, cols, a, b, math.prod(a) + (-1) ** (len(a) - 1) * math.prod(b)))
+    return _perm_sign(sigma_a), cycles
 
 
 def _perm_sign(perm: list[int]) -> int:
@@ -429,12 +426,12 @@ def rank(matrix: FrozenMatrix) -> int:
     """Exact rank: L per cycle block with nonzero det, L - 1 per singular one."""
     if matrix.k == 1:
         return len(matrix.rows[0])
-    return sum(length if det else length - 1 for length, det in matrix.cycles[1])
+    return sum(len(cols) if det else len(cols) - 1 for _, cols, _, _, det in matrix.cycles[1])
 
 
 def det_exact(matrix: FrozenMatrix) -> int:
     """Exact determinant: sgn(sigma_a) times the product of the cycle-block dets."""
     if matrix.k == 1:
         return sum(v for _, v in matrix.rows[0])
-    sign, blocks = matrix.cycles
-    return sign * math.prod(det for _, det in blocks)
+    sign, cycles = matrix.cycles
+    return sign * math.prod(det for _, _, _, _, det in cycles)

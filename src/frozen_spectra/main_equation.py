@@ -4,8 +4,8 @@ W is the function the spectrum determines; the potential solves
     W(x) = ((-1)^(alpha*beta)/2) Q^{-1} A R q(x)
 with A the frozen matrix.  The forward map is implemented twice (explicit
 three-branch formula and matrix form) so each can serve as the other's
-oracle; the inverse solve decouples into one k x k linear system per grid
-point of (0, b).  In the degenerate cases the forward map has the null
+oracle; the inverse solve runs on the cycles of A, for all grid points
+of (0, b) at once.  In the degenerate cases the forward map has the null
 direction R^{-1}(X f), X the +-1 kernel vector of A and f any function on
 (0, b): it is the kernel direction of the inverse solve and the
 supplement of every iso-spectral family, and null_direction is the one
@@ -69,7 +69,7 @@ def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
 def forward_w_matrix(q: GridFunction, config: ProblemConfig) -> GridFunction:
     """W from q via the matrix form p Q^{-1} A R q."""
     _check_grid(q, config)
-    a = build_matrix(config).as_array(float)
+    a = np.array(build_matrix(config).as_lists(), dtype=float)
     pref = 0.5 * (-1) ** (config.alpha * config.beta)
     return q_inverse(pref * (a @ r_apply(q, config.j)))
 
@@ -96,15 +96,18 @@ def solve_inverse(
     config: ProblemConfig,
     residual_rtol: float = 1e-9,
 ) -> MainEqSolution:
-    """Solve the main equation for q given W.
+    """Solve the main equation A (Rq)(t) = 2 (-1)^(alpha*beta) (QW)(t) for q.
 
-    Per grid point t of (0, b) this solves A (Rq)(t) = 2 (-1)^(alpha*beta)
-    (QW)(t).  Non-degenerate configs get the unique solution; degenerate
-    ones get the minimum-norm least-squares representative plus the kernel
-    direction R^{-1}(X * 1), with consistency enforced via the relative
-    residual (<= residual_rtol * ||rhs||, else InconsistentSystemError
-    naming the worst grid point).  residual_rtol must be finite and >= 0:
-    a NaN would make the residual test always pass.
+    All grid points t of (0, b) are solved at once on the cycles of A.  Row
+    r_t of a cycle of L rows reads a_t y[c_t] + b_t y[c_(t-1)] = f_t with
+    +-1 entries, so y[c_t] = g_t (z + p_t) for g = cumprod(-a b) and
+    p = cumsum(g a f).  S = p_(L-1) closes a regular block (det != 0) with
+    z = -S/2.  On a singular block p_t - (t+1) S/L projects f onto the
+    range, |S|/L is the least-squares residual per row, and z = -mean(p)
+    gives the minimum-norm solution, returned with the kernel direction
+    R^{-1}(X * 1).  A residual above residual_rtol * ||rhs|| raises
+    InconsistentSystemError naming the worst grid point.  residual_rtol
+    must be finite and >= 0: a NaN would make the residual test always pass.
     """
     if not (math.isfinite(residual_rtol) and residual_rtol >= 0):
         raise ValueError(f"residual_rtol must be finite and >= 0, got {residual_rtol}")
@@ -114,13 +117,23 @@ def solve_inverse(
             "with a = 0 and a Dirichlet condition at 0 the forward map is "
             "identically zero, so W determines nothing about the potential"
         )
-    a = build_matrix(config).as_array(float)
+    matrix = build_matrix(config)
     rhs = 2.0 * (-1) ** (config.alpha * config.beta) * q_apply(w)
-    if classify(config).kind is not Kind.DEGENERATE:
-        return MainEqSolution(r_inverse(np.linalg.solve(a, rhs), config.j), None)
-
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    resid = np.abs(a @ sol - rhs).max(axis=0)
+    if config.k == 1:
+        return MainEqSolution(r_inverse(rhs / matrix.rows[0][0][1], config.j), None)
+    y, resid = np.empty_like(rhs), np.zeros(w.m)
+    for *walk, det in matrix.cycles[1]:
+        rows, cols, a, b = map(np.array, walk)
+        g = np.cumprod(-a * b)
+        p = np.cumsum((g * a)[:, None] * rhs[rows], axis=0)
+        if det:  # det = prod(a) (1 - g_(L-1)), so g_(L-1) = -1
+            p -= p[-1] / 2
+        else:
+            s = p[-1] / len(rows)
+            resid = np.maximum(resid, np.abs(s))
+            p = p - np.arange(1, len(rows) + 1)[:, None] * s
+            p -= p.mean(axis=0)
+        y[cols] = g[:, None] * p
     scale = max(np.abs(rhs).max(), 1e-300)
     worst = int(np.argmax(resid))
     if resid[worst] > residual_rtol * scale:
@@ -129,4 +142,5 @@ def solve_inverse(
             f"W is not attainable: relative residual {resid[worst] / scale:.3e} "
             f"at grid point t={t_worst:.6f} exceeds {residual_rtol:.1e}"
         )
-    return MainEqSolution(r_inverse(sol, config.j), null_direction(config, np.ones(w.m)))
+    degenerate = classify(config).kind is Kind.DEGENERATE
+    return MainEqSolution(r_inverse(y, config.j), null_direction(config, np.ones(w.m)) if degenerate else None)

@@ -102,7 +102,7 @@ def test_criterion_04_lemmas_2_and_3():
     # geometric multiplicity one for every closed-form eigenvalue, k <= 20
     for k in range(2, 21):
         for alpha, beta in [(0, 0), (1, 0), (1, 1)]:
-            a = build_matrix(make_config(alpha, beta, 1, k)).as_array(complex)
+            a = np.array(build_matrix(make_config(alpha, beta, 1, k)).as_lists(), dtype=complex)
             for z0 in spectrum_closed_form(k, alpha, beta):
                 sv = np.linalg.svd(z0 * np.eye(k) - a, compute_uv=False)
                 assert int(np.sum(sv > 1e-6)) == k - 1

@@ -6,13 +6,17 @@ from frozen_spectra import (
     GridFunction,
     InconsistentSystemError,
     Kind,
+    build_matrix,
     classify,
     forward_w_direct,
     forward_w_matrix,
     make_config,
     null_direction,
+    read_csv,
     solve_inverse,
 )
+from frozen_spectra.cli import dispatch
+from frozen_spectra.interval_ops import q_apply, r_inverse
 
 
 def test_constant_potential_three_branches():
@@ -80,7 +84,7 @@ def test_nondegenerate_unique_solution_two_solvers(rng):
 
     cfg = make_config(1, 0, 1, 4)
     w = forward_w_direct(random_grid(4, 16, rng), cfg)
-    a = build_matrix(cfg).as_array(float)
+    a = np.array(build_matrix(cfg).as_lists(), dtype=float)
     rhs = 2.0 * q_apply(w)
     lu = np.linalg.solve(a, rhs)
     ls, *_ = np.linalg.lstsq(a, rhs, rcond=None)
@@ -149,3 +153,90 @@ def test_k1_round_trip_and_vacuous_case(rng):
     # with a Dirichlet condition at 0 the problem determines nothing
     with pytest.raises(ValueError, match="determines nothing"):
         solve_inverse(GridFunction.zeros(1, 16), make_config(0, 0, 0, 1))
+
+
+def _dense_solve(w, cfg):
+    """The dense solve the cycle walk replaced, as its oracle: LU on a regular A, min-norm lstsq on a singular one.
+
+    Returns the potential's values and lstsq's max-abs residual per grid point, relative to max |rhs|.
+    """
+    a = np.array(build_matrix(cfg).as_lists(), dtype=float)
+    rhs = 2.0 * (-1) ** (cfg.alpha * cfg.beta) * q_apply(w)
+    if classify(cfg).kind is Kind.DEGENERATE:
+        sol = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    else:
+        sol = np.linalg.solve(a, rhs)
+    return r_inverse(sol, cfg.j).values, np.abs(a @ sol - rhs).max(axis=0) / np.abs(rhs).max()
+
+
+def test_cycle_solve_matches_the_dense_solve(rng):
+    kinds = []
+    for cfg in coprime_configs(40):
+        kinds.append(classify(cfg).kind)
+        w = random_grid(cfg.k, 3, rng)
+        if kinds[-1] is Kind.DEGENERATE:
+            w = forward_w_direct(w, cfg)  # attainable, so lstsq's answer is the min-norm solution
+        want, _ = _dense_solve(w, cfg)
+        got = solve_inverse(w, cfg).particular.values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), cfg
+    assert (kinds.count(Kind.DEGENERATE), kinds.count(Kind.NON_DEGENERATE)) == (490, 490)
+
+
+def test_cycle_solve_rejects_what_lstsq_rejects(rng):
+    # a random W is unattainable in every degenerate config; the walk's |S|/L is lstsq's max-abs residual
+    m = 5
+    for cfg in coprime_configs(24):
+        if classify(cfg).kind is not Kind.DEGENERATE:
+            continue
+        w = random_grid(cfg.k, m, rng)
+        _, resid = _dense_solve(w, cfg)
+        worst = int(np.argmax(resid))
+        with pytest.raises(InconsistentSystemError) as err:
+            solve_inverse(w, cfg)
+        assert str(err.value) == (
+            f"W is not attainable: relative residual {resid[worst]:.3e} "
+            f"at grid point t={(worst + 0.5) / (cfg.k * m):.6f} exceeds 1.0e-09"
+        )
+        with pytest.raises(InconsistentSystemError):
+            solve_inverse(w, cfg, residual_rtol=0.999 * resid[worst])
+        assert solve_inverse(w, cfg, residual_rtol=1.001 * resid[worst]).kernel_generator is not None
+
+
+def test_cycle_solve_k1_divides_by_the_single_entry(rng):
+    for beta in (0, 1):
+        cfg = make_config(1, beta, 0, 1)
+        w = random_grid(1, 16, rng)
+        want, _ = _dense_solve(w, cfg)
+        assert np.array_equal(solve_inverse(w, cfg).particular.values, want)
+
+
+def test_cycle_solve_round_trip_at_k_3999(rng):
+    # degenerate (Case II) with a = 1000/3999: the dense A alone would hold 16 million floats
+    cfg = make_config(0, 1, 1000, 3999)
+    w = forward_w_direct(random_grid(cfg.k, 2, rng), cfg)
+    sol = solve_inverse(w, cfg)
+    back = forward_w_direct(sol.particular, cfg)
+    assert np.abs(back.values - w.values).max() <= 1e-13 * np.abs(w.values).max()
+    assert np.all(forward_w_direct(sol.kernel_generator, cfg).values == 0)
+
+
+def test_invert_and_reconstruct_run_no_dense_solve(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the main equation fell back to a dense solve")
+
+    flags = ["--alpha", "0", "--beta", "0", "--j", "2", "--k", "5"]  # degenerate: both write a kernel file
+    w, spectrum = tmp_path / "w.csv", tmp_path / "spectrum.json"
+    assert dispatch(["forward-w", *flags, "--q", "demo", "--m", "16", "--out", str(w)]) == 0
+    assert dispatch(["eigs", *flags, "--q", "demo", "--m", "64", "--count", "120", "--spectrum-out", str(spectrum)]) == 0
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    commands = {
+        "invert": ["--w", str(w)],
+        "reconstruct": ["--spectrum", str(spectrum), "--m", "64", "--n-used", "120", "--modes", "30"],
+    }
+    for name, inputs in commands.items():
+        out, kernel_out = tmp_path / f"{name}_q.csv", tmp_path / f"{name}_kernel.csv"
+        assert dispatch([name, *flags, *inputs, "--out", str(out), "--kernel-out", str(kernel_out)]) == 0, name
+        assert kernel_out.exists()
+    back = forward_w_direct(read_csv(tmp_path / "invert_q.csv"), make_config(0, 0, 2, 5))
+    assert np.abs(back.values - read_csv(w).values).max() < 1e-12
