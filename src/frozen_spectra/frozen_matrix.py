@@ -6,17 +6,16 @@ whether the inverse problem has a unique solution.  Everything structural
 here is exact integer arithmetic: characteristic polynomials read by k
 from one stored run of the tridiagonal j = 1 recurrence per (alpha, beta),
 which steps only past the largest k read so far, closed-form
-determinants, the Chebyshev reduction of j > 1 to j = 1, and kernel
-vectors.  Floats appear only in the numeric eigenvalue cross-checks and in
+determinants and kernel vectors, and the Chebyshev reduction of j > 1 to
+j = 1.  Floats appear only in the numeric eigenvalue cross-checks and in
 the j = 1 eigenvectors, the same recurrence run on a number.
 
 For k >= 2 every main-equation matrix is a signed sum of two permutations:
 exactly two nonzeros per row and per column.  Matrices are stored as
-sparse rows, and the loops that read them (the Chebyshev recurrence step,
-the kernel check A X = 0, the eigenvector residual) unpack each row as its
-two (col, value) pairs; a row of any other length raises AssertionError.
-det, rank and solve_inverse follow the cycles of the row-column graph,
-walked once per matrix and kept on it; the dense form is built on demand.
+sparse rows; the Chebyshev step and the eigenvector residual read each
+row as its two (col, value) pairs (any other length raises
+AssertionError).  det, rank, the kernel and solve_inverse read the cycles
+of the row-column graph, walked once per matrix and kept on it.
 """
 
 from __future__ import annotations
@@ -63,14 +62,32 @@ class FrozenMatrix:
 
     @cached_property
     def cycles(self) -> tuple[int, list[tuple]]:
-        """_cycle_blocks of the rows, walked on first use and kept: det_exact, rank and solve_inverse share one walk."""
+        """_cycle_blocks of the rows, walked on first use and kept: det_exact, rank, null_vector and solve_inverse share one walk."""
         return _cycle_blocks(self)
+
+    @property
+    def null_vector(self) -> tuple[int, ...]:
+        """A X = 0 on the one singular cycle block: X[c_t] = prod_{s<=t} (-a_s b_s), first nonzero +1; () if none."""
+        singular = [cycle for cycle in self.cycles[1] if not cycle[4]]
+        if len(singular) > 1:
+            raise AssertionError(f"the matrix of {self.config} has {len(singular)} singular cycle blocks")
+        if not singular:
+            return ()
+        _, cols, a, b, _ = singular[0]
+        x, g = [0] * self.k, 1
+        for col, u, v in zip(cols, a, b):
+            g *= -u * v
+            x[col] = g
+        return tuple(x) if x[min(cols)] > 0 else tuple(-v for v in x)
 
 
 @dataclass(frozen=True)
 class KernelDescriptor:
-    dimension: int  # 0 or 1
-    generator: tuple[int, ...]  # +-1 entries, empty when dimension == 0
+    generator: tuple[int, ...]  # +-1 entries, empty for a regular matrix
+
+    @property
+    def dimension(self) -> int:
+        return 1 if self.generator else 0
 
 
 def build_matrix(config: ProblemConfig) -> FrozenMatrix:
@@ -140,6 +157,21 @@ def det_closed_form(k: int, alpha: int, beta: int) -> int:
     if k % 2:
         return (-c * d) ** ((k - 1) // 2) * (1 + c)
     return c * (-c * d) ** (k // 2 - 1) * (1 - d)
+
+
+_KERNEL_SIGNS = {
+    (0, 0): lambda v: (-1) ** (v - 1),
+    (0, 1): lambda v: (-1) ** (v // 2),
+    (1, 0): lambda v: (-1) ** ((v - 1) // 2),
+    (1, 1): lambda v: (-1) ** (v // 2),
+}
+
+
+def kernel_closed_form(config: ProblemConfig) -> tuple[int, ...]:
+    """The paper's +-1 kernel vector X, X_v for v = 1..k, in the four degenerate cases; () otherwise."""
+    if classify(config).kind is Kind.NON_DEGENERATE:
+        return ()
+    return tuple(map(_KERNEL_SIGNS[(config.alpha, config.beta)], range(1, config.k + 1)))
 
 
 def theorem1_poly(k: int, alpha: int, beta: int) -> IntPolynomial:
@@ -299,34 +331,11 @@ def reduce_to_j1(config: ProblemConfig) -> SparseRows:
     return next(rows for jj, rows in reductions_j1(config.alpha, config.beta, config.k) if jj == config.j)
 
 
-_KERNEL_SIGNS = {
-    (0, 0): lambda v: (-1) ** (v - 1),
-    (0, 1): lambda v: (-1) ** (v // 2),
-    (1, 0): lambda v: (-1) ** ((v - 1) // 2),
-    (1, 1): lambda v: (-1) ** (v // 2),
-}
-
-
 def kernel(config: ProblemConfig) -> KernelDescriptor:
-    """Kernel of the main-equation matrix.
-
-    One-dimensional with an explicit +-1 sign vector in the four degenerate
-    cases, trivial otherwise.  The product A X = 0 is verified in exact
-    integer arithmetic before returning, each row read as its two entries.
-    """
+    """Kernel of the main-equation matrix, read off its walk: FrozenMatrix.null_vector, +-1 or ()."""
     if config.k < 2:
         raise ValueError("kernel needs k >= 2")
-    if classify(config).kind is Kind.NON_DEGENERATE:
-        return KernelDescriptor(0, ())
-    pattern = _KERNEL_SIGNS[(config.alpha, config.beta)]
-    x = tuple(pattern(v) for v in range(1, config.k + 1))
-    try:
-        for (c1, v1), (c2, v2) in build_matrix(config).rows:
-            if v1 * x[c1] + v2 * x[c2]:
-                raise AssertionError(f"closed-form kernel vector failed A X = 0 for {config}")
-    except ValueError:
-        raise AssertionError(f"a row of the matrix of {config} does not hold exactly two entries") from None
-    return KernelDescriptor(1, x)
+    return KernelDescriptor(build_matrix(config).null_vector)
 
 
 @lru_cache(maxsize=1)
@@ -372,8 +381,9 @@ def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
     as (rows, cols, a, b) in walk order and its block det: the only
     permutations inside the block are all-a and all-b, so the det is
     prod(a) + (-1)^(L-1) prod(b), taken relative to sigma_a, the
-    permutation that picks every a-edge.  FrozenMatrix.cycles keeps the
-    result, so det_exact, rank and solve_inverse read one walk per matrix.
+    permutation that picks every a-edge.  FrozenMatrix.cycles keeps the result.
+    A normalized coprime config gives one cycle through all k rows (checked
+    up to k = 120): that is why its kernel vector X has no zero entry.
     """
     rows = matrix.rows
     col_rows: list[list[int]] = [[] for _ in rows]

@@ -7,9 +7,9 @@ ranges and tolerances: exact equality for the integer identities, 1e-9 for
 the closed-form spectra, 1e-14 * max(1, |W|) for the forward-map oracle.
 
 Within one sweeps() run each coprime config's matrix is built once: the
-Theorem 2 sweep builds it anyway, and records its (det, rank), two ints,
-for the Corollary 1/3 and Lemma 3 sweeps that follow.  No matrix outlives
-its (k, alpha, beta) step and nothing is kept between runs.  Called alone,
+Theorem 2 sweep builds it anyway, and records its (det, rank, kernel) for
+the Corollary 1/3 and Lemma 3 sweeps that follow.  No matrix outlives its
+(k, alpha, beta) step and nothing is kept between runs.  Called alone,
 each sweep builds what it reads.
 """
 
@@ -26,7 +26,7 @@ from .frozen_matrix import (
     det_closed_form,
     det_exact,
     eigvec_j1,
-    kernel,
+    kernel_closed_form,
     numeric_spectrum_j1,
     rank,
     reductions_j1,
@@ -67,8 +67,8 @@ def theorem2(kmax: int, record: dict | None = None):
     """Theorem 2: the Chebyshev reduction to j = 1 equals the direct matrix.
 
     One recurrence run per (k, alpha, beta) serves every coprime j.  With a
-    record, each config's (det, rank) is stored in it for the sweeps that
-    follow.
+    record, each config's (det, rank, kernel) is stored in it for the
+    sweeps that follow.
     """
     for k in range(2, kmax + 1):
         for alpha, beta in _FLAGS:
@@ -77,16 +77,13 @@ def theorem2(kmax: int, record: dict | None = None):
                     cfg = ProblemConfig(alpha, beta, j, k)
                     a = build_matrix(cfg)
                     if record is not None:
-                        record[cfg] = det_exact(a), rank(a)
+                        record[cfg] = det_exact(a), rank(a), a.null_vector
                     yield f"theorem2 {cfg}", rows == a.rows
 
 
-def _det(cfg: ProblemConfig, record: dict) -> int:
-    return record[cfg][0] if cfg in record else det_exact(build_matrix(cfg))
-
-
-def _rank(cfg: ProblemConfig, record: dict) -> int:
-    return record[cfg][1] if cfg in record else rank(build_matrix(cfg))
+def _recorded(cfg: ProblemConfig, record: dict) -> tuple[int, int, tuple[int, ...]]:
+    a = None if cfg in record else build_matrix(cfg)
+    return record[cfg] if a is None else (det_exact(a), rank(a), a.null_vector)
 
 
 def corollaries_1_3(kmax_t1: int, kmax: int, record: dict | None = None):
@@ -97,27 +94,22 @@ def corollaries_1_3(kmax_t1: int, kmax: int, record: dict | None = None):
     record = {} if record is None else record
     for k in range(2, kmax_t1 + 1):
         for alpha, beta in _FLAGS:
-            det = _det(make_config(alpha, beta, 1, k), record)
+            det = _recorded(make_config(alpha, beta, 1, k), record)[0]
             yield f"corollary1 k={k} ({alpha},{beta})", det_closed_form(k, alpha, beta) == det
     for cfg in coprime_configs(kmax):
         deg = classify(cfg).kind is Kind.DEGENERATE
-        yield f"corollary3 {cfg}", (_det(cfg, record) == 0) == deg
+        yield f"corollary3 {cfg}", (_recorded(cfg, record)[0] == 0) == deg
 
 
 def lemmas_2_3(kmax: int, record: dict | None = None):
-    """Lemma 3 (kernel dimension and rank) and Lemma 2 (the explicit j = 1 eigenvectors).
+    """Lemma 3 (the walk's kernel is kernel_closed_form, rank k - dim) and Lemma 2 (the j = 1 eigenvectors).
 
-    A rank theorem2 recorded is read, not recomputed.
+    A rank and kernel theorem2 recorded are read, not recomputed.
     """
     record = {} if record is None else record
     for cfg in coprime_configs(kmax):
-        r = _rank(cfg, record)
-        ker = kernel(cfg)
-        if classify(cfg).kind is Kind.DEGENERATE:
-            ok = ker.dimension == 1 and r == cfg.k - 1
-        else:
-            ok = ker.dimension == 0 and ker.generator == () and r == cfg.k
-        yield f"lemma3 {cfg}", ok
+        _, r, x = _recorded(cfg, record)
+        yield f"lemma3 {cfg}", x == kernel_closed_form(cfg) and r == cfg.k - bool(x)
     for k in range(2, min(kmax, _EIGVEC_KMAX) + 1):
         for alpha, beta in _CLOSED_FORM_FLAGS:
             for z0 in spectrum_closed_form(k, alpha, beta):
@@ -157,10 +149,10 @@ def forward_oracle(kmax: int):
 def sweeps(kmax: int, kmax_t1: int, kmax_fwd: int):
     """The `verify` blocks in print order, as (name, sweep) pairs.
 
-    The theorem-2 sweep records (det, rank) per coprime config in a dict of
-    this run, which the determinant and kernel sweeps read.
+    The theorem-2 sweep records (det, rank, kernel) per coprime config in a
+    dict of this run, which the determinant and kernel sweeps read.
     """
-    record: dict[ProblemConfig, tuple[int, int]] = {}
+    record: dict[ProblemConfig, tuple[int, int, tuple[int, ...]]] = {}
     return [
         ("theorem-1 polynomial identity", theorem1(kmax_t1)),
         ("theorem-2 matrix reduction", theorem2(kmax, record)),

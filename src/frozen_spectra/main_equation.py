@@ -8,8 +8,8 @@ oracle; the inverse solve runs on the cycles of A, for all grid points
 of (0, b) at once.  In the degenerate cases the forward map has the null
 direction R^{-1}(X f), X the +-1 kernel vector of A and f any function on
 (0, b): it is the kernel direction of the inverse solve and the
-supplement of every iso-spectral family, and null_direction is the one
-place it is built.
+supplement of every iso-spectral family.  X is read off the cycle walk
+of A, the one place singularity is decided, by solve_inverse and kernel().
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_params import Kind, ProblemConfig, classify, require_normalized, sign_pair
+from .core_params import ProblemConfig, require_normalized, sign_pair
 from .frozen_matrix import build_matrix, kernel
 from .interval_ops import GridFunction, q_apply, q_inverse, r_apply, r_inverse
 
@@ -77,18 +77,15 @@ def forward_w_matrix(q: GridFunction, config: ProblemConfig) -> GridFunction:
 def null_direction(config: ProblemConfig, profile: np.ndarray) -> GridFunction:
     """R^{-1}(X f) for the m samples f of a profile on (0, b), b = 1/k.
 
-    X is the +-1 kernel vector of the frozen matrix, so the forward map
-    sends the result to zero; only the degenerate configs have one, and
-    any other config raises ValueError.
+    X = kernel(config).generator, so the forward map sends the result to
+    zero; a config whose matrix is regular raises ValueError.  At k = 1 the
+    zero matrix of alpha = 0 keeps kernel's k >= 2 error.
     """
     require_normalized(config)
-    if classify(config).kind is not Kind.DEGENERATE:
-        raise ValueError(
-            "iso-spectral supplements exist only in the degenerate cases; "
-            f"{config} is non-degenerate"
-        )
-    x = np.array(kernel(config).generator, dtype=complex)
-    return r_inverse(np.outer(x, profile), config.j)
+    x = kernel(config).generator if config.k > 1 or config.alpha == 0 else ()
+    if not x:
+        raise ValueError(f"iso-spectral supplements exist only in the degenerate cases; {config} is non-degenerate")
+    return r_inverse(np.outer(np.array(x, dtype=complex), profile), config.j)
 
 
 def solve_inverse(
@@ -105,9 +102,9 @@ def solve_inverse(
     z = -S/2.  On a singular block p_t - (t+1) S/L projects f onto the
     range, |S|/L is the least-squares residual per row, and z = -mean(p)
     gives the minimum-norm solution, returned with the kernel direction
-    R^{-1}(X * 1).  A residual above residual_rtol * ||rhs|| raises
-    InconsistentSystemError naming the worst grid point.  residual_rtol
-    must be finite and >= 0: a NaN would make the residual test always pass.
+    R^{-1}(X * 1), X = A.null_vector.  A residual above residual_rtol *
+    ||rhs|| raises InconsistentSystemError naming the worst grid point.
+    residual_rtol must be finite and >= 0: a NaN would make the residual test always pass.
     """
     if not (math.isfinite(residual_rtol) and residual_rtol >= 0):
         raise ValueError(f"residual_rtol must be finite and >= 0, got {residual_rtol}")
@@ -142,5 +139,6 @@ def solve_inverse(
             f"W is not attainable: relative residual {resid[worst] / scale:.3e} "
             f"at grid point t={t_worst:.6f} exceeds {residual_rtol:.1e}"
         )
-    degenerate = classify(config).kind is Kind.DEGENERATE
-    return MainEqSolution(r_inverse(y, config.j), null_direction(config, np.ones(w.m)) if degenerate else None)
+    x = matrix.null_vector
+    kernel_direction = r_inverse(np.outer(np.array(x, dtype=complex), np.ones(w.m)), config.j) if x else None
+    return MainEqSolution(r_inverse(y, config.j), kernel_direction)

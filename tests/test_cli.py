@@ -193,6 +193,24 @@ def test_verify_reports_a_failed_identity(breakage, capsys, monkeypatch):
     assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [label]}}
 
 
+def test_verify_reports_a_wrong_closed_form_kernel(capsys, monkeypatch):
+    from frozen_spectra import identities
+    from frozen_spectra.core_params import ProblemConfig
+    from frozen_spectra.frozen_matrix import kernel_closed_form
+
+    bad = ProblemConfig(1, 1, 3, 8)
+
+    def flipped(cfg):
+        x = kernel_closed_form(cfg)
+        return (-x[0],) + x[1:] if cfg == bad else x
+
+    monkeypatch.setattr(identities, "kernel_closed_form", flipped)
+    code, out, err = run(capsys, "verify", "--kmax", "8", "--kmax-theorem1", "4", "--kmax-forward", "2")
+    assert code == 4
+    assert "[verify] lemma-2/3 kernels, ranks, eigenvectors: 148 checks passed, 1 failed\n" in out
+    assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [f"lemma3 {bad}"]}}
+
+
 def test_unknown_subcommand_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -22,6 +22,7 @@ from frozen_spectra import (
     theorem1_poly,
 )
 from frozen_spectra import frozen_matrix
+from frozen_spectra.frozen_matrix import KernelDescriptor, kernel_closed_form
 from frozen_spectra.chebyshev import matrix_poly_eval, scaled_cheb_int, three_term
 from frozen_spectra.intlinalg import bareiss_det, bareiss_rank, identity, mat_add, mat_scale, matmul
 
@@ -216,19 +217,31 @@ def test_kernel_vectors():
     assert kernel(make_config(1, 1, 3, 8)).generator == (1, -1, -1, 1, 1, -1, -1, 1)
     nd = kernel(make_config(0, 1, 1, 3))
     assert nd.dimension == 0 and nd.generator == ()
+    assert KernelDescriptor((1, -1, 1)).dimension == 1  # dimension follows the generator
 
 
 def test_kernel_and_rank_sweep():
-    for cfg in coprime_configs(16):
+    for cfg in coprime_configs(60):
         deg = classify(cfg).kind is Kind.DEGENERATE
         ker = kernel(cfg)
-        r = rank(build_matrix(cfg))
+        a = build_matrix(cfg)
+        r = rank(a)
+        assert len(a.cycles[1]) == 1, cfg  # one cycle through all k rows, so X has no zero entry
+        assert ker.generator == a.null_vector
         if deg:
             assert ker.dimension == 1
             assert r == cfg.k - 1
+            assert ker.generator == kernel_closed_form(cfg), cfg
         else:
             assert ker.dimension == 0
             assert r == cfg.k
+
+
+def test_null_vector_rejects_two_singular_blocks():
+    # gcd(j, k) = 2: two cycles, both singular for (0, 0), both regular for (0, 1)
+    with pytest.raises(AssertionError, match="2 singular cycle blocks"):
+        build_matrix(ProblemConfig(0, 0, 2, 4)).null_vector
+    assert build_matrix(ProblemConfig(0, 1, 2, 4)).null_vector == ()
 
 
 def test_eigvec_examples():

@@ -15,6 +15,7 @@ from frozen_spectra import (
     read_csv,
     solve_inverse,
 )
+from frozen_spectra import core_params, frozen_matrix, main_equation
 from frozen_spectra.cli import dispatch
 from frozen_spectra.interval_ops import q_apply, r_inverse
 
@@ -240,3 +241,34 @@ def test_invert_and_reconstruct_run_no_dense_solve(tmp_path, monkeypatch):
         assert kernel_out.exists()
     back = forward_w_direct(read_csv(tmp_path / "invert_q.csv"), make_config(0, 0, 2, 5))
     assert np.abs(back.values - read_csv(w).values).max() < 1e-12
+
+
+def test_solve_inverse_builds_once_and_reads_its_own_kernel(rng, monkeypatch):
+    builds = []
+
+    def counted(cfg):
+        builds.append(cfg)
+        return build_matrix(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_inverse decided the kernel a second time")
+
+    monkeypatch.setattr(main_equation, "build_matrix", counted)
+    monkeypatch.setattr(frozen_matrix, "build_matrix", counted)
+    for module, name in ((core_params, "classify"), (frozen_matrix, "classify"), (frozen_matrix, "kernel"),
+                         (main_equation, "kernel"), (main_equation, "null_direction")):
+        monkeypatch.setattr(module, name, refuse)
+    for cfg, degenerate in ((make_config(1, 1, 3, 8), True), (make_config(0, 1, 3, 7), False)):
+        builds.clear()
+        sol = solve_inverse(forward_w_direct(random_grid(cfg.k, 4, rng), cfg), cfg)
+        assert builds == [cfg]
+        assert (sol.kernel_generator is not None) == degenerate
+
+
+def test_solve_inverse_kernel_is_null_direction_of_ones(rng):
+    m = 3
+    for cfg in coprime_configs(24):
+        if classify(cfg).kind is not Kind.DEGENERATE:
+            continue
+        sol = solve_inverse(forward_w_direct(random_grid(cfg.k, m, rng), cfg), cfg)
+        assert np.array_equal(sol.kernel_generator.values, null_direction(cfg, np.ones(m)).values), cfg
