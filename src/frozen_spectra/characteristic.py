@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_params import ProblemConfig, require_flags
+from .core_params import ProblemConfig, require_flags, require_grid
 from .interval_ops import GridFunction, _allocate_grid
 
 RHO_SERIES_THRESHOLD = 0.1
@@ -298,8 +298,7 @@ def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bo
     (Delta, dDelta/dlambda) of the same rule, from the same kernel pass; the
     default returns Delta alone.
     """
-    if q.k != config.k:
-        raise ValueError(f"grid has k={q.k} but config needs k={config.k}")
+    require_grid(q, config)
     lam = complex(lam)
     rho = _sqrt_lambda(lam)
     sums, dsums = _kernel_sums(q, config.j * q.m, rho, lam)

@@ -122,6 +122,12 @@ def require_normalized(config: ProblemConfig) -> None:
         )
 
 
+def require_grid(f, config: ProblemConfig) -> None:
+    """ValueError unless the grid function f has the config's k subintervals."""
+    if f.k != config.k:
+        raise ValueError(f"grid has k={f.k} but config needs k={config.k}")
+
+
 def sign_pair(config: ProblemConfig) -> SignPair:
     c = (-1) ** (config.beta + 1)
     d = (-1) ** (config.alpha + config.beta)

@@ -12,10 +12,10 @@ the built matrix with the zero count read exactly off the characteristic
 polynomial, and in the j = 1 eigenvectors, the same recurrence run on a
 number.
 
-For k >= 2 every main-equation matrix is a signed sum of two permutations:
-exactly two nonzeros per row and per column.  Matrices are stored as
-sparse rows; the Chebyshev step and the eigenvector residual read each
-row as its two (col, value) pairs (any other length raises
+Every main-equation matrix is a signed sum of two permutations: two
+entries per row and per column, both in column 0 at a = 0 (k = 1).  Stored
+as sparse rows, each read as its two (col, value) pairs by the Chebyshev
+step and the eigenvector residual (any other length raises
 AssertionError).  det, rank, the kernel and solve_inverse read the cycles
 of the row-column graph, walked once per matrix and kept on it.
 """
@@ -41,7 +41,7 @@ from .core_params import (
 )
 
 
-# Per row, its nonzeros as (col, value) pairs sorted by column.
+# Per row, its two family entries as (col, value) pairs sorted by column; as_lists sums a shared column (a = 0).
 SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -59,7 +59,7 @@ class FrozenMatrix:
         dense = [[0] * self.k for _ in self.rows]
         for out, row in zip(dense, self.rows):
             for col, v in row:
-                out[col] = v
+                out[col] += v
         return dense
 
     @cached_property
@@ -95,30 +95,27 @@ class KernelDescriptor:
 def build_matrix(config: ProblemConfig) -> FrozenMatrix:
     """Exact sparse rows of the k x k main-equation matrix, in O(k).
 
-    For k >= 2 the four families are
+    The four families are
       (i)   a[m, j-m+1] = 1   m = 1..j        (top-left antidiagonal)
       (ii)  a[m, m+j]   = d   m = 1..k-j      (upper subdiagonal)
       (iii) a[m, m-j]   = c   m = j+1..k      (lower subdiagonal)
       (iv)  a[m, 2k-m-j+1] = c  m = k-j+1..k  (bottom-right antidiagonal)
-    (1-based indices).  For 1 <= j <= k/2 row m gets one entry from (i) or
-    (iii) and one from (ii) or (iv), and the two never share a column: (ii)
-    and (iii) would need j = 0, (i)/(ii) and (iii)/(iv) a half-integer row.
-    Two distinct columns per row is asserted.  For k = 1 (a = 0) the single
-    entry is 2*c*alpha, stored only when nonzero.  A config with 2j > k
-    raises ValueError (require_normalized).
+    (1-based indices).  For 0 <= j <= k/2 row m gets one entry from (i) or
+    (iii) and one from (ii) or (iv).  (ii) and (iii) share a column only at
+    j = 0, i.e. a = 0 and k = 1, where the one row holds c and d in column 0;
+    (i)/(ii) and (iii)/(iv) would need a half-integer row.  For j >= 1 two
+    distinct columns per row is asserted.  A config with 2j > k raises
+    ValueError (require_normalized).
     """
     require_normalized(config)
     j, k = config.j, config.k
     signs = sign_pair(config)
     c, d = signs.c, signs.d
-    if k == 1:
-        v = 2 * c * config.alpha
-        return FrozenMatrix(config, signs, (((0, v),) if v else (),))
     rows = []
     for m in range(1, k + 1):
         left = (j - m, 1) if m <= j else (m - j - 1, c)  # (i) or (iii)
         right = (m + j - 1, d) if m <= k - j else (2 * k - m - j, c)  # (ii) or (iv)
-        if left[0] == right[0]:
+        if j and left[0] == right[0]:
             raise AssertionError(f"subdiagonal families overlap in row {m} for j={j}, k={k}")
         rows.append((left, right) if left[0] < right[0] else (right, left))
     return FrozenMatrix(config, signs, tuple(rows))
@@ -329,8 +326,6 @@ def reduce_to_j1(config: ProblemConfig) -> SparseRows:
 
 def kernel(config: ProblemConfig) -> KernelDescriptor:
     """Kernel of the main-equation matrix, read off its walk: FrozenMatrix.null_vector, +-1 or ()."""
-    if config.k < 2:
-        raise ValueError("kernel needs k >= 2")
     return KernelDescriptor(build_matrix(config).null_vector)
 
 
@@ -378,14 +373,15 @@ def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
     permutations inside the block are all-a and all-b, so the det is
     prod(a) + (-1)^(L-1) prod(b), taken relative to sigma_a, the
     permutation that picks every a-edge.  FrozenMatrix.cycles keeps the result.
+    A row whose two entries share a column (a = 0) is a cycle of one row.
     A normalized coprime config gives one cycle through all k rows (checked
     up to k = 120): that is why its kernel vector X has no zero entry.
     """
     rows = matrix.rows
     col_rows: list[list[int]] = [[] for _ in rows]
     for i, row in enumerate(rows):
-        if len(row) != 2 or row[0][0] == row[1][0] or not (row[0][1] and row[1][1]):
-            raise AssertionError(f"row {i} is {row}, expected two nonzeros in distinct columns")
+        if len(row) != 2 or not (row[0][1] and row[1][1]):
+            raise AssertionError(f"row {i} is {row}, expected two nonzeros")
         for col, _ in row:
             col_rows[col].append(i)
     for col, entries in enumerate(col_rows):
@@ -430,14 +426,10 @@ def _perm_sign(perm: list[int]) -> int:
 
 def rank(matrix: FrozenMatrix) -> int:
     """Exact rank: L per cycle block with nonzero det, L - 1 per singular one."""
-    if matrix.k == 1:
-        return len(matrix.rows[0])
     return sum(len(cols) if det else len(cols) - 1 for _, cols, _, _, det in matrix.cycles[1])
 
 
 def det_exact(matrix: FrozenMatrix) -> int:
     """Exact determinant: sgn(sigma_a) times the product of the cycle-block dets."""
-    if matrix.k == 1:
-        return sum(v for _, v in matrix.rows[0])
     sign, cycles = matrix.cycles
     return sign * math.prod(det for _, _, _, _, det in cycles)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characteristic import Spectrum, asymptotic_eigenvalue, extract_w
-from .core_params import ProblemConfig, make_config
+from .core_params import ProblemConfig, make_config, require_grid
 from .frozen_matrix import kernel
 from .interval_ops import GridFunction, subinterval_midpoints
 from .main_equation import MainEqSolution, null_direction, solve_inverse
@@ -47,8 +47,7 @@ def build_isospectral_potential(q0: GridFunction, config: ProblemConfig, f) -> G
     nonzero profile f on (0, b) to F = X f, and add R^{-1}F to q0.  f is a
     callable on (0, b) or its m samples; config must be degenerate.
     """
-    if q0.k != config.k:
-        raise ValueError(f"grid has k={q0.k} but config needs k={config.k}")
+    require_grid(q0, config)
     return q0 + null_direction(config, _profile_samples(f, config.k, q0.m))
 
 

@@ -9,7 +9,8 @@ of (0, b) at once.  In the degenerate cases the forward map has the null
 direction R^{-1}(X f), X the +-1 kernel vector of A and f any function on
 (0, b): it is the kernel direction of the inverse solve and the
 supplement of every iso-spectral family.  X is read off the cycle walk
-of A, the one place singularity is decided, by solve_inverse and kernel().
+of A, the one place singularity is decided, by solve_inverse and kernel(),
+and lifted by _lift.  At a = 0, A is the 1 x 1 matrix c + d.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_params import ProblemConfig, require_normalized, sign_pair
+from .core_params import ProblemConfig, require_grid, require_normalized, sign_pair
 from .frozen_matrix import build_matrix, kernel
 from .interval_ops import GridFunction, q_apply, q_inverse, r_apply, r_inverse
 
@@ -35,8 +36,7 @@ class MainEqSolution:
 
 
 def _check_grid(f: GridFunction, config: ProblemConfig) -> None:
-    if f.k != config.k:
-        raise ValueError(f"grid has k={f.k} but config needs k={config.k}")
+    require_grid(f, config)
     require_normalized(config)
 
 
@@ -74,18 +74,22 @@ def forward_w_matrix(q: GridFunction, config: ProblemConfig) -> GridFunction:
     return q_inverse(pref * (a @ r_apply(q, config.j)))
 
 
+def _lift(x: tuple[int, ...], profile: np.ndarray, j: int) -> GridFunction:
+    """R^{-1}(X f): row nu of the (k, m) array is x_nu times the m samples f."""
+    return r_inverse(np.outer(np.array(x, dtype=complex), profile), j)
+
+
 def null_direction(config: ProblemConfig, profile: np.ndarray) -> GridFunction:
     """R^{-1}(X f) for the m samples f of a profile on (0, b), b = 1/k.
 
     X = kernel(config).generator, so the forward map sends the result to
-    zero; a config whose matrix is regular raises ValueError.  At k = 1 the
-    zero matrix of alpha = 0 keeps kernel's k >= 2 error.
+    zero; a config whose matrix is regular raises ValueError.  At a = 0
+    with alpha = 0, X = (1,) and the result is f(1 - x).
     """
-    require_normalized(config)
-    x = kernel(config).generator if config.k > 1 or config.alpha == 0 else ()
+    x = kernel(config).generator
     if not x:
         raise ValueError(f"iso-spectral supplements exist only in the degenerate cases; {config} is non-degenerate")
-    return r_inverse(np.outer(np.array(x, dtype=complex), profile), config.j)
+    return _lift(x, profile, config.j)
 
 
 def solve_inverse(
@@ -116,8 +120,6 @@ def solve_inverse(
         )
     matrix = build_matrix(config)
     rhs = 2.0 * (-1) ** (config.alpha * config.beta) * q_apply(w)
-    if config.k == 1:
-        return MainEqSolution(r_inverse(rhs / matrix.rows[0][0][1], config.j), None)
     y, resid = np.empty_like(rhs), np.zeros(w.m)
     for *walk, det in matrix.cycles[1]:
         rows, cols, a, b = map(np.array, walk)
@@ -140,5 +142,5 @@ def solve_inverse(
             f"at grid point t={t_worst:.6f} exceeds {residual_rtol:.1e}"
         )
     x = matrix.null_vector
-    kernel_direction = r_inverse(np.outer(np.array(x, dtype=complex), np.ones(w.m)), config.j) if x else None
+    kernel_direction = _lift(x, np.ones(w.m), config.j) if x else None
     return MainEqSolution(r_inverse(y, config.j), kernel_direction)

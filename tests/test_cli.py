@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frozen_spectra import GridFunction, Spectrum, cli, forward_w_direct, make_config, read_csv, write_csv
+from frozen_spectra import (
+    GridFunction,
+    Spectrum,
+    cli,
+    forward_w_direct,
+    make_config,
+    quadratic_profile,
+    read_csv,
+    write_csv,
+)
 from frozen_spectra.characteristic import asymptotic_eigenvalue
 from frozen_spectra.cli import MAX_STORED_N, RunManifest, _demo_potential, dispatch
 
@@ -126,6 +135,20 @@ def test_isospectral_command(tmp_path, capsys, rng):
     assert np.allclose(np.abs(read_csv(out).values - q0.values), 1.0)
     code, _, err = run(capsys, *argv, "--f", str(long))
     assert code == 3 and json.loads(err)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+def test_isospectral_command_at_a0(beta, tmp_path, capsys):
+    # a = 0 with alpha = 0 is degenerate (cases I and II): the supplement is the model profile f(1 - x)
+    out = tmp_path / "q.csv"
+    argv = ["isospectral", "--beta", str(beta), "--j", "0", "--k", "1", "--q0", "zero", "--m", "4", "--out", str(out)]
+    assert run(capsys, *argv, "--alpha", "0")[0] == 0
+    x = (np.arange(4) + 0.5) / 4
+    assert np.array_equal(read_csv(out).values, quadratic_profile(1)(1 - x) + 0j)
+    out.unlink()
+    code, _, err = run(capsys, *argv, "--alpha", "1")
+    assert code == 3 and not out.exists()
+    assert "non-degenerate" in json.loads(err)["error"]["message"]
 
 
 def test_example_table_and_svg(tmp_path, capsys):

@@ -285,7 +285,6 @@ _J1_HELPERS = {
     "spectrum_closed_form": lambda k: spectrum_closed_form(k, 1, 1),
     "reductions_j1": lambda k: next(reductions_j1(0, 0, k)),  # a generator checks k on its first step
     "reduce_to_j1": lambda k: reduce_to_j1(make_config(1, 0, 0, k)),
-    "kernel": lambda k: kernel(make_config(0, 0, 0, k)),
     "eigvec_j1": lambda k: eigvec_j1(0j, k, 0, 0),
 }
 
@@ -294,6 +293,23 @@ _J1_HELPERS = {
 def test_j1_helpers_reject_k_below_2(name):
     with pytest.raises(ValueError, match=f"{name} needs k >= 2"):
         _J1_HELPERS[name](1)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a0_is_walked_as_a_one_row_cycle(alpha, beta):
+    # (j, k) = (0, 1): families (ii) and (iii) put d and c into the one entry, c + d = 2 c alpha
+    cfg = make_config(alpha, beta, 0, 1)
+    a = build_matrix(cfg)
+    c, d = a.signs.c, a.signs.d
+    assert sorted(a.rows[0]) == sorted(((0, c), (0, d)))
+    assert a.as_lists() == [[c + d]] == [[2 * c * alpha]]
+    sign, cycles = a.cycles
+    assert sign == 1 and [(rows, cols) for rows, cols, *_ in cycles] == [((0,), (0,))]
+    assert det_exact(a) == c + d == bareiss_det(a.as_lists())
+    assert (det_exact(a) == 0) == (classify(cfg).kind is Kind.DEGENERATE)
+    ker = kernel(cfg)
+    assert ker.generator == a.null_vector == kernel_closed_form(cfg) == ((1,) if alpha == 0 else ())
+    assert rank(a) == 1 - ker.dimension == bareiss_rank(a.as_lists())
 
 
 def test_rank_examples():

@@ -11,13 +11,17 @@ from frozen_spectra import (
     SpectrumMismatchError,
     asymptotic_eigenvalue,
     build_isospectral_potential,
+    delta_direct,
     eigenvalues,
+    forward_w_direct,
     invert_from_spectrum,
     make_config,
     null_direction,
     quadratic_profile,
     reference_example,
+    solve_inverse,
 )
+from frozen_spectra import characteristic, core_params, inverse_pipeline, main_equation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,9 +64,44 @@ def test_nondegenerate_config_is_rejected(rng):
         build_isospectral_potential(q0, make_config(0, 1, 1, 3), np.zeros(8))
 
 
+@pytest.mark.parametrize("beta", [0, 1])
+def test_isospectral_family_at_a0_is_every_reflected_profile(beta, rng):
+    # a = 0 with alpha = 0: the frozen term vanishes, so q0 + f(1 - x) shares q0's spectrum for every f
+    q0 = GridFunction(1, 16, rng.normal(size=16) + 1j * rng.normal(size=16))
+    f = rng.normal(size=16) + 1j * rng.normal(size=16)
+    q = build_isospectral_potential(q0, make_config(0, beta, 0, 1), f)
+    assert np.array_equal(q.values, q0.values + f[::-1])
+    with pytest.raises(ValueError, match="non-degenerate"):
+        build_isospectral_potential(q0, make_config(1, beta, 0, 1), f)
+
+
 def test_isospectral_potential_rejects_a_grid_of_another_k():
     with pytest.raises(ValueError, match="grid has k=4 but config needs k=3"):
         build_isospectral_potential(GridFunction.zeros(4, 8), make_config(0, 0, 1, 3), np.zeros(8))
+
+
+def test_every_grid_reader_raises_the_one_grid_check(monkeypatch):
+    # delta_direct, the main equation and the iso-spectral builder all call core_params.require_grid
+    q, cfg = GridFunction.zeros(4, 8), make_config(0, 0, 1, 3)
+    readers = {
+        "delta_direct": lambda: delta_direct(q, cfg, 1.0),
+        "forward_w_direct": lambda: forward_w_direct(q, cfg),
+        "solve_inverse": lambda: solve_inverse(q, cfg),
+        "build_isospectral_potential": lambda: build_isospectral_potential(q, cfg, np.zeros(8)),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ValueError) as err:
+            read()
+        assert str(err.value) == "grid has k=4 but config needs k=3", name
+    calls = []
+    check = core_params.require_grid
+    for module in (characteristic, main_equation, inverse_pipeline):
+        monkeypatch.setattr(module, "require_grid", lambda f, c: calls.append(f.k) or check(f, c))
+    for name, read in readers.items():
+        calls.clear()
+        with pytest.raises(ValueError):
+            read()
+        assert calls == [4], name
 
 
 @pytest.mark.parametrize("case_id", sorted(EXAMPLE_CASES))

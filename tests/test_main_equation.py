@@ -126,6 +126,21 @@ def test_null_direction_maps_to_exactly_zero(rng):
     assert degenerate == 80
 
 
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_null_direction_at_a0_is_the_reflected_profile(alpha, beta, rng):
+    # a = 0 with alpha = 0: A = [[0]], X = (1,), and R^{-1}(X f) is f(1 - x); alpha = 1 is regular
+    cfg = make_config(alpha, beta, 0, 1)
+    f = rng.normal(size=8) + 1j * rng.normal(size=8)
+    if alpha:
+        with pytest.raises(ValueError, match="non-degenerate"):
+            null_direction(cfg, f)
+        return
+    g = null_direction(cfg, f)
+    assert (g.k, g.m) == (1, 8) and np.array_equal(g.values, f[::-1])
+    assert np.all(forward_w_direct(g, cfg).values == 0)
+    assert np.all(forward_w_matrix(g, cfg).values == 0)
+
+
 def test_degenerate_inconsistent_w_is_rejected():
     # W = 1 is not attainable for (0,0), a = 1/2: attainable W are odd
     # around x = 1/2, so the residual check must fire
@@ -258,7 +273,8 @@ def test_solve_inverse_builds_once_and_reads_its_own_kernel(rng, monkeypatch):
     for module, name in ((core_params, "classify"), (frozen_matrix, "classify"), (frozen_matrix, "kernel"),
                          (main_equation, "kernel"), (main_equation, "null_direction")):
         monkeypatch.setattr(module, name, refuse)
-    for cfg, degenerate in ((make_config(1, 1, 3, 8), True), (make_config(0, 1, 3, 7), False)):
+    for cfg, degenerate in ((make_config(1, 1, 3, 8), True), (make_config(0, 1, 3, 7), False),
+                            (make_config(1, 0, 0, 1), False), (make_config(1, 1, 0, 1), False)):
         builds.clear()
         sol = solve_inverse(forward_w_direct(random_grid(cfg.k, 4, rng), cfg), cfg)
         assert builds == [cfg]
