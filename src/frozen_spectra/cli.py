@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -131,12 +132,22 @@ def _emit(text: str, out: str | None) -> list[str]:
     return []
 
 
+def _check_distinct_outputs(args, *flags: str) -> None:
+    """Reject two output flags that name one file, a file's manifest included, before anything is written."""
+    written: dict[str, str] = {}
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        for name in (path, f"{path}.manifest.json") if path else ():
+            first = written.setdefault(os.path.realpath(name), flag)
+            if first != flag:
+                raise ValueError(f"{first} and {flag} both write {name}")
+
+
 def _write_solution(sol, out: str, kernel_out: str | None) -> list[str]:
-    write_csv(sol.particular, out)
-    if sol.kernel_generator is None or not kernel_out:
-        return [out]
-    write_csv(sol.kernel_generator, kernel_out)
-    return [out, kernel_out]
+    """The particular solution, then its kernel direction when there is one and kernel_out asks for it."""
+    more = [(sol.kernel_generator, kernel_out)] if sol.kernel_generator is not None and kernel_out else []
+    write_csv(sol.particular, out, *more)
+    return [out] + [path for _, path in more]
 
 
 def cmd_matrix(args) -> RunManifest:
@@ -162,6 +173,7 @@ def cmd_cheb(args) -> RunManifest:
 
 
 def cmd_eigs(args) -> RunManifest:
+    _check_distinct_outputs(args, "--out", "--spectrum-out")
     cfg = _load_config(args)
     q = _load_potential(args.q, cfg.k, args.m)
     spec = eigenvalues(q, cfg, args.count)
@@ -221,6 +233,7 @@ def cmd_forward_w(args) -> RunManifest:
 
 
 def cmd_invert(args) -> RunManifest:
+    _check_distinct_outputs(args, "--out", "--kernel-out")
     cfg = _load_config(args)
     w = read_csv(args.w)
     sol = solve_inverse(w, cfg, residual_rtol=args.residual_rtol)
@@ -234,6 +247,7 @@ def cmd_invert(args) -> RunManifest:
 
 
 def cmd_reconstruct(args) -> RunManifest:
+    _check_distinct_outputs(args, "--out", "--kernel-out")
     cfg = _load_config(args)
     spec = Spectrum.load(args.spectrum)
     sol = invert_from_spectrum(
@@ -299,6 +313,7 @@ def _render_svg(supp: GridFunction) -> str:
 
 
 def cmd_example(args) -> RunManifest:
+    _check_distinct_outputs(args, "--out", "--samples-out", "--svg")
     report = reference_example(args.id)
     supp = report.supplement(args.m)  # validates --m before any file is written
     outputs = _emit(report.table + "\n", args.out)

@@ -109,7 +109,13 @@ def _check_permutation(perm: np.ndarray, size: int) -> np.ndarray:
     return perm
 
 
-@lru_cache(maxsize=None)
+# Grids kept per permutation cache.  One `verify` keys 7 q and 9 r layouts and
+# one invert or reconstruct a single grid, so no run loses a hit, while a
+# sweep over many grids keeps at most this many index arrays alive
+PERMUTATION_CACHE = 32
+
+
+@lru_cache(maxsize=PERMUTATION_CACHE)
 def _q_permutation(k: int, m: int) -> np.ndarray:
     i = np.arange(m)
     rows = []
@@ -123,7 +129,7 @@ def _q_permutation(k: int, m: int) -> np.ndarray:
     return _check_permutation(perm, k * m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PERMUTATION_CACHE)
 def _r_permutation(j_parity: int, k: int, m: int) -> np.ndarray:
     """Row nu of R is row k+1-nu of Q, reversed within the row when j + k is odd."""
     perm = _q_permutation(k, m)[::-1]
@@ -171,19 +177,33 @@ def r_inverse(comps: np.ndarray, j: int) -> GridFunction:
 CSV_CHUNK = 4096  # rows formatted or parsed at a time by write_csv and _read_rows
 
 
-def write_csv(f: GridFunction, path) -> None:
-    """Rows x,re,im at midpoints, with a '# k=<k> m=<m>' header.
+def _x_templates(x: np.ndarray):
+    """Per CSV_CHUNK rows of x, the rows with x written out and '%r,%r' left for re, im."""
+    for s in range(0, len(x), CSV_CHUNK):
+        chunk = x[s : s + CSV_CHUNK]
+        yield "%r,%%r,%%r\n" * len(chunk) % tuple(chunk.tolist())
 
-    Rows are formatted CSV_CHUNK at a time by one '%r,%r,%r\\n' * rows format
-    over Python floats.  %r of a float is float.__repr__, so the bytes are those
-    of a per-row repr, and a rerun writes the file byte-identical.
+
+def write_csv(f: GridFunction, path, *more: tuple[GridFunction, object]) -> None:
+    """Rows x,re,im at midpoints, with a '# k=<k> m=<m>' header: f to path, then each (g, path) of more.
+
+    Every function must lie on f's grid, else ValueError before any file is
+    opened.  x is formatted in one pass, CSV_CHUNK rows at a time, into a
+    template that each file fills with its re, im; the files are written one
+    after the other, in order, so a file that fails to open leaves the ones
+    before it complete.  %r of a float is float.__repr__, so the bytes are
+    those of a per-row repr, and a rerun writes every file byte-identical.
     """
-    x, v = f.midpoints(), f.values
-    with open(path, "w") as fh:
-        fh.write(f"# k={f.k} m={f.m}\n")
-        for s in range(0, len(x), CSV_CHUNK):
-            rows = np.column_stack([x[s : s + CSV_CHUNK], v.real[s : s + CSV_CHUNK], v.imag[s : s + CSV_CHUNK]])
-            fh.write("%r,%r,%r\n" * len(rows) % tuple(rows.ravel().tolist()))
+    for g, _ in more:
+        f._check_aligned(g)
+    templates = _x_templates(f.midpoints())
+    if more:  # kept for every file; a single file streams them
+        templates = list(templates)
+    for g, p in ((f, path), *more):
+        with open(p, "w") as fh:
+            fh.write(f"# k={g.k} m={g.m}\n")
+            for s, template in zip(range(0, len(g.values), CSV_CHUNK), templates):
+                fh.write(template % tuple(g.values[s : s + CSV_CHUNK].view(float).tolist()))
 
 
 _HEADER = re.compile(r"#\s*k=([0-9]+)\s+m=([0-9]+)")

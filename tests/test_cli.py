@@ -645,6 +645,43 @@ def test_every_written_file_has_a_manifest(command, inputs, tmp_path, capsys, mo
         assert manifest["outputs"] == written
 
 
+# two output flags of one command that name one file, a manifest included
+COLLISIONS = {
+    "invert": (["--config", "{i}/c7.json", "--w", "{i}/w7.csv", "--out", "q.csv", "--kernel-out", "q.csv"],
+               "--out and --kernel-out both write q.csv"),
+    "reconstruct": (["--config", "{i}/c7.json", "--spectrum", "{i}/s00.json", "--m", "8", "--n-used", "60",
+                     "--modes", "15", "--out", "r.csv", "--kernel-out", "./r.csv"],
+                    "--out and --kernel-out both write ./r.csv"),
+    "eigs": (["--config", "{i}/c3.json", "--q", "demo", "--m", "32", "--count", "10", "--out", "e.json",
+              "--spectrum-out", "e.json"], "--out and --spectrum-out both write e.json"),
+    "example": (["--id", "IV", "--out", "t.txt", "--samples-out", "sm.csv", "--svg", "t.txt.manifest.json"],
+                "--out and --svg both write t.txt.manifest.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COLLISIONS))
+def test_colliding_output_paths_exit_code(command, inputs, tmp_path, capsys, monkeypatch):
+    args, message = COLLISIONS[command]
+    zero_potential_spectrum(0, 0, 60).dump(inputs / "s00.json")  # (0, 0, 3, 7) is degenerate: both files are due
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    code, stdout, err = run(capsys, command, *(a.format(i=inputs) for a in args))
+    assert (code, stdout) == (3, "")
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+    assert list(out.iterdir()) == []
+
+
+def test_a_kernel_file_that_cannot_be_opened_leaves_the_solution_and_no_manifest(inputs, tmp_path, capsys):
+    config = ["--config", str(inputs / "c7.json"), "--w", str(inputs / "w7.csv")]
+    whole, q = tmp_path / "whole.csv", tmp_path / "q.csv"
+    assert run(capsys, "invert", *config, "--out", str(whole))[0] == 0
+    code, _, err = run(capsys, "invert", *config, "--out", str(q), "--kernel-out", str(tmp_path / "no_dir" / "k.csv"))
+    assert code == 3 and json.loads(err)["error"]["type"] == "FileNotFoundError"
+    assert q.read_bytes() == whole.read_bytes()
+    assert not (tmp_path / "q.csv.manifest.json").exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1.0", None])
 def test_reconstruct_rejects_a_malformed_eigenvalue(bad, tmp_path, capsys):
     spec = zero_potential_spectrum(0, 1, 40).to_dict()

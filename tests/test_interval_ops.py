@@ -16,6 +16,7 @@ from frozen_spectra import (
 )
 from frozen_spectra.interval_ops import (
     CSV_CHUNK,
+    PERMUTATION_CACHE,
     _q_permutation,
     _r_permutation,
     grid_midpoints,
@@ -108,6 +109,17 @@ def test_r_permutation_is_the_q_permutation_read_backwards():
                 perm = _r_permutation(j_parity, k, m)
                 assert np.array_equal(perm, loop_r_permutation(j_parity, k, m)), (j_parity, k, m)
                 assert not perm.flags.writeable
+
+
+def test_permutation_caches_keep_a_bounded_number_of_grids():
+    grids = [(k, m) for k in range(1, 9) for m in (2, 7, 16, 33, 64)]  # 40 grids, 80 r layouts
+    assert len(grids) > PERMUTATION_CACHE
+    for k, m in grids:
+        f = _random_grid(k, m, seed=k * m)
+        q_apply(f), r_apply(f, 1), r_apply(f, 2)
+    for cache in (_q_permutation, _r_permutation):
+        info = cache.cache_info()
+        assert info.maxsize == PERMUTATION_CACHE and info.currsize == PERMUTATION_CACHE
 
 
 def test_r_inverse_rejects_even_even():
@@ -252,6 +264,20 @@ def test_csv_io_matches_the_row_by_row_oracles(k, m, tmp_path):
     profile.write_text("".join(path.read_text().splitlines(keepends=True)[: m + 1]))
     vals, fk = read_profile_csv(profile)
     assert fk == k and vals.tobytes() == oracle_read_values(profile).tobytes()
+    # two functions on one grid share the x column, and each file is its own oracle's
+    g = _edge_grid(k, m, seed=k * m + 1)
+    pair = tmp_path / "f.csv", tmp_path / "g.csv"
+    write_csv(f, pair[0], (g, pair[1]))
+    assert pair[0].read_bytes() == oracle_path.read_bytes()
+    oracle_write_csv(g, oracle_path)
+    assert pair[1].read_bytes() == oracle_path.read_bytes()
+
+
+def test_csv_write_rejects_a_second_grid_before_opening_a_file(tmp_path):
+    f, g = _random_grid(3, 5, seed=1), _random_grid(5, 3, seed=2)
+    with pytest.raises(ValueError, match=r"grid mismatch: \(3,5\) vs \(5,3\)"):
+        write_csv(f, tmp_path / "f.csv", (f, tmp_path / "f2.csv"), (g, tmp_path / "g.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_read_falls_back_to_float_per_row(tmp_path):
