@@ -36,10 +36,13 @@ runs Newton on.  One function (_trig_kernels) gives every trig kernel,
 on arrays, at scalar endpoints and at the half cell h/2, where
 sin(rho s)/rho is half the cell weight: cos(rho s), sin(rho s)/rho and
 its lambda-derivative.  Route 2's (0,0) kernel (cos(rho x) - 1)/lambda is
--2 (sin(rho x/2)/rho)^2, the second of them at x/2.  It holds the only
-switch to Taylor series, below |rho| = 0.1, where the exp form of
-dDelta/dlambda would lose digits to cancellation; the series branch of
-the kernel sums reads the same per-potential rows.
+-2 (sin(rho x/2)/rho)^2, the second of them at x/2.  It switches to
+Taylor series below |rho| = RHO_SERIES_THRESHOLD = 0.1, where the exp form
+of dDelta/dlambda would lose digits to cancellation.  Two more places test
+the same threshold: _kernel_sums, which below it takes its kernels from
+_trig_kernels on the per-potential rows instead of the blocked exps, and
+delta_from_w, which adds the (0,0) mean term sum(W)/lambda only above it
+and drops it below, the entire continuation for zero-mean W.
 """
 
 from __future__ import annotations

@@ -8,9 +8,13 @@ the closed-form spectra, 1e-14 * max(1, |W|) for the forward-map oracle.
 
 Within one sweeps() run each coprime config's matrix is built once: the
 Theorem 2 sweep builds it anyway, and records its (det, rank, kernel) for
-the Corollary 1/3 and Lemma 3 sweeps that follow.  No matrix outlives its
-(k, alpha, beta) step and nothing is kept between runs.  Called alone,
-each sweep builds what it reads.
+the Corollary 1/3 and Lemma 3 sweeps that follow; the record is dropped
+when the run ends.  What persists between runs does so by design: the
+stored Chebyshev runs (chebyshev._cheb_run) and j = 1 char-poly runs
+(frozen_matrix._char_poly_run), each grown to the highest degree asked
+for, and the j = 1 matrix that eigvec_j1 read last (frozen_matrix._j1_matrix).
+Every other matrix lives only for its (k, alpha, beta) step.  Called
+alone, each sweep builds what it reads.
 """
 
 from __future__ import annotations

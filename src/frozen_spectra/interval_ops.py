@@ -12,6 +12,10 @@ The chop operators map a function on (0,1) to a k-vector of functions on
                 f(nu b - t)           nu even
     R_nu f(t) = f((k-nu)b + t)        j+nu even
                 f((k-nu+1)b - t)      j+nu odd
+On the grid each chop is a reshape of the samples to (k, m), with the
+pieces in reverse order for R, followed by a reversal of every other row;
+the inverses reverse the same rows back.  Every chop returns a fresh
+C-contiguous copy, and nothing is kept per grid between calls.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -102,63 +105,31 @@ def subinterval_midpoints(k: int, m: int) -> np.ndarray:
     return (np.arange(m) + 0.5) / (k * m)
 
 
-def _check_permutation(perm: np.ndarray, size: int) -> np.ndarray:
-    flat = np.sort(perm.ravel())
-    if not np.array_equal(flat, np.arange(size)):
-        raise AssertionError("index map is not a permutation of the grid")
-    return perm
+def _reflect_rows(grid: np.ndarray, first: int) -> np.ndarray:
+    """A C-contiguous copy of the (k, m) grid with rows first, first + 2, ... reversed.
 
-
-# Grids kept per permutation cache.  One `verify` keys 7 q and 9 r layouts and
-# one invert or reconstruct a single grid, so no run loses a hit, while a
-# sweep over many grids keeps at most this many index arrays alive
-PERMUTATION_CACHE = 32
-
-
-@lru_cache(maxsize=PERMUTATION_CACHE)
-def _q_permutation(k: int, m: int) -> np.ndarray:
-    i = np.arange(m)
-    rows = []
-    for nu in range(1, k + 1):
-        if nu % 2:
-            rows.append((nu - 1) * m + i)
-        else:
-            rows.append(nu * m - 1 - i)
-    perm = np.vstack(rows)
-    perm.setflags(write=False)
-    return _check_permutation(perm, k * m)
-
-
-@lru_cache(maxsize=PERMUTATION_CACHE)
-def _r_permutation(j_parity: int, k: int, m: int) -> np.ndarray:
-    """Row nu of R is row k+1-nu of Q, reversed within the row when j + k is odd."""
-    perm = _q_permutation(k, m)[::-1]
-    perm = np.ascontiguousarray(perm if (j_parity + k) % 2 == 0 else perm[:, ::-1])  # fast to index by
-    perm.setflags(write=False)
-    return perm
-
-
-def _scatter(perm: np.ndarray, comps: np.ndarray) -> GridFunction:
-    """The grid function whose samples at perm are comps, entry by entry."""
-    k, m = perm.shape
-    out = np.empty(k * m, dtype=complex)
-    out[perm.ravel()] = comps.ravel()
-    return GridFunction(k, m, out)
+    Reversing the same rows twice gives the grid back, so the helper is its
+    own inverse: each chop and its inverse call it with the same rows.
+    """
+    out = np.array(grid, order="C")
+    out[first::2] = grid[first::2, ::-1]
+    return out
 
 
 def q_apply(f: GridFunction) -> np.ndarray:
     """Chop f into the k-vector (f, Q_2 f, ..., Q_k f) on (0, b), shape (k, m)."""
-    return f.values[_q_permutation(f.k, f.m)]
+    return _reflect_rows(f.values.reshape(f.k, f.m), 1)
 
 
 def q_inverse(comps: np.ndarray) -> GridFunction:
     """Reassemble a (k, m) array into a function on (0,1); exact inverse of q_apply."""
-    return _scatter(_q_permutation(*comps.shape), comps)
+    k, m = comps.shape
+    return GridFunction(k, m, _reflect_rows(comps, 1).ravel())
 
 
 def r_apply(f: GridFunction, j: int) -> np.ndarray:
-    """Chop f into (R_1 f, ..., R_k f), shape (k, m); the layout depends on parity of j+nu."""
-    return f.values[_r_permutation(j % 2, f.k, f.m)]
+    """Chop f into (R_1 f, ..., R_k f), shape (k, m): the pieces last to first, row nu reflected for odd j+nu."""
+    return _reflect_rows(f.values.reshape(f.k, f.m)[::-1], j % 2)
 
 
 def r_inverse(comps: np.ndarray, j: int) -> GridFunction:
@@ -171,7 +142,8 @@ def r_inverse(comps: np.ndarray, j: int) -> GridFunction:
     k, m = comps.shape
     if j % 2 == 0 and k % 2 == 0:
         raise ValueError("even j with even k is outside the coprime family")
-    return _scatter(_r_permutation(j % 2, k, m), comps)
+    # piece p of (0,1) is component nu = k - p, reflected when j + k - p is odd
+    return GridFunction(k, m, _reflect_rows(comps[::-1], (k - 1 - j) % 2).ravel())
 
 
 CSV_CHUNK = 4096  # rows formatted or parsed at a time by write_csv and _read_rows

@@ -63,7 +63,7 @@ def test_one_sweeps_run_builds_and_walks_each_coprime_matrix_once(monkeypatch):
 # the record of one run holds two ints per coprime config and no matrix: about 0.25 MB here, where a cache of every
 # matrix built reads about 2.5 MB
 def test_a_sweeps_run_holds_no_matrix_beyond_its_step():
-    _consume(6, 6, 3)  # warm the per-process caches (stored runs, grid layouts)
+    _consume(6, 6, 3)  # warm the per-process caches (stored Chebyshev and char-poly runs, the last j = 1 matrix)
     tracemalloc.start()
     try:
         _consume(30, 10, 3)

@@ -16,9 +16,6 @@ from frozen_spectra import (
 )
 from frozen_spectra.interval_ops import (
     CSV_CHUNK,
-    PERMUTATION_CACHE,
-    _q_permutation,
-    _r_permutation,
     grid_midpoints,
     read_profile_csv,
     subinterval_midpoints,
@@ -46,12 +43,28 @@ def test_r_round_trip_is_bit_exact(k, m, j, seed):
     assert np.array_equal(r_inverse(r_apply(f, j), j).values, f.values)
 
 
+def _index_grid(k, m):
+    """The grid whose sample i holds the value i, so a chop's entries read as the indices it took."""
+    return GridFunction(k, m, np.arange(k * m))
+
+
+def loop_q_permutation(k, m):
+    """The Q chop row by row: row nu shifts ((nu-1)b, nu b) for odd nu, reflects it for even nu."""
+    i = np.arange(m)
+    return np.vstack([(nu - 1) * m + i if nu % 2 else nu * m - 1 - i for nu in range(1, k + 1)])
+
+
 def test_permutation_property():
-    for k in range(1, 9):
-        for m in (1, 3, 8):
-            assert np.array_equal(np.sort(_q_permutation(k, m).ravel()), np.arange(k * m))
-            for jpar in (0, 1):
-                assert np.array_equal(np.sort(_r_permutation(jpar, k, m).ravel()), np.arange(k * m))
+    for k in range(1, 14):
+        for m in (1, 2, 3, 5):
+            f = _index_grid(k, m)
+            chopped = q_apply(f)
+            assert chopped.flags.c_contiguous and np.array_equal(chopped, loop_q_permutation(k, m)), (k, m)
+            chopped[:] = -1  # a fresh array: writing into it changes neither f nor a later chop of f
+            assert np.array_equal(q_apply(f), loop_q_permutation(k, m))
+            assert np.array_equal(f.values, np.arange(k * m))
+            for j in range(4):
+                assert np.array_equal(np.sort(r_apply(f, j).real.ravel()), np.arange(k * m)), (j, k, m)
 
 
 def test_q_apply_k2_layout():
@@ -105,21 +118,35 @@ def loop_r_permutation(j_parity, k, m):
 def test_r_permutation_is_the_q_permutation_read_backwards():
     for k in range(1, 14):
         for m in (1, 2, 3, 5):
-            for j_parity in (0, 1):
-                perm = _r_permutation(j_parity, k, m)
-                assert np.array_equal(perm, loop_r_permutation(j_parity, k, m)), (j_parity, k, m)
-                assert not perm.flags.writeable
+            f = _index_grid(k, m)
+            for j in range(4):
+                want = loop_r_permutation(j % 2, k, m)
+                chopped = r_apply(f, j)
+                assert chopped.flags.c_contiguous and np.array_equal(chopped, want), (j, k, m)
+                chopped[:] = -1
+                assert np.array_equal(r_apply(f, j), want)
 
 
-def test_permutation_caches_keep_a_bounded_number_of_grids():
-    grids = [(k, m) for k in range(1, 9) for m in (2, 7, 16, 33, 64)]  # 40 grids, 80 r layouts
-    assert len(grids) > PERMUTATION_CACHE
-    for k, m in grids:
-        f = _random_grid(k, m, seed=k * m)
-        q_apply(f), r_apply(f, 1), r_apply(f, 2)
-    for cache in (_q_permutation, _r_permutation):
-        info = cache.cache_info()
-        assert info.maxsize == PERMUTATION_CACHE and info.currsize == PERMUTATION_CACHE
+def _chop_both_ways(f):
+    """Every chop of f, each put back by its inverse where r_inverse accepts j; nothing made here outlives the call."""
+    q_inverse(q_apply(f))
+    for j in (1, 2):
+        comps = r_apply(f, j)
+        if j % 2 or f.k % 2:
+            r_inverse(comps, j)
+
+
+def test_chops_keep_no_memory_per_grid():
+    """Chopping 40 grids of about 32k points each leaves nothing allocated behind."""
+    grids = [(k, 32768 // k + d) for k in range(1, 9) for d in range(5)]
+    tracemalloc.start()
+    try:
+        for k, m in grids:
+            _chop_both_ways(GridFunction.zeros(k, m))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
 
 
 def test_r_inverse_rejects_even_even():
