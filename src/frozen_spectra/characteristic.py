@@ -7,13 +7,14 @@ fundamental solutions
 by Filon's cell rule on the shared grid: q is taken as constant on each
 cell of width h and e^{+-i rho s} is integrated exactly over the cell, so
 every kernel sum is the midpoint sum times h sinc(rho h/2).  A
-piecewise-constant q is integrated exactly, and the error no longer grows
-like (rho h)^2 as the midpoint rule's did.  The kernel sums factor every
+piecewise-constant q is integrated exactly.  The kernel sums factor every
 e^{+-i rho s} over blocks of about sqrt(n) of the n grid points, so an
 evaluation costs about 4 sqrt(n) complex exps and two thin matrix products
 rather than n exps.  The potential is laid out in those blocks once per
 potential, not once per evaluation, and the boundary terms take one
-cmath.sin and one cmath.cos per endpoint and per half cell.  One boundary
+cmath.sin and one cmath.cos per endpoint and per half cell.  That layout
+of the last (potential, jm) is all the module keeps between calls
+(_layout); Route 3 forms its asymptotes per call.  One boundary
 assembly (_boundary_det) chooses the determinant's rows on (alpha, beta)
 and builds only those two, one per endpoint: fed the kernel sums it gives
 Delta, fed zero sums at a = 0 the zero-potential Delta_0.  Route 2
@@ -50,7 +51,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -175,44 +175,34 @@ def _trig_kernels(s, rho: complex, lam: complex):
     return cs, s * ks, s**3 * dks
 
 
-@lru_cache(maxsize=None)
-def _block_layout(k: int, m: int, jm: int):
-    """The chop lengths in blocks: x_t = (t + 1/2)/n = coarse_B + fine_r, t = B*b + r.
+@lru_cache(maxsize=1)
+def _layout(q: GridFunction, jm: int):
+    """q's head and reversed tail in blocks, with the offsets and weights of their lengths.
 
+    The chop lengths are x_t = (t + 1/2)/n = coarse_B + fine_r, t = B*b + r.
     The head's lengths are x_0..x_{jm-1}; the tail's, read backwards, are
     x_0..x_{n-jm-1}, because 1 - x_i = x_{n-1-i}.  With b = isqrt(n) points per
-    block and enough blocks for the longer of the two, returns b, the number
-    of blocks, the signed offsets [[fine, coarse], [-fine, -coarse]] whose
-    exps give every factor e^{+-i rho x}, and the weights (1, x) that spread
-    each exp row over a value row and a slope row.
+    block and enough blocks for the longer of the two, returns b, the signed
+    offsets [[fine, coarse], [-fine, -coarse]] whose exps give every factor
+    e^{+-i rho x}, the weights (1, x) that spread each exp row over a value
+    row and a slope row, and the head and reversed tail of q as (2, blocks, b)
+    rows, zero-padded to whole blocks.  Newton passes one potential to every
+    call, so the layout is built once per (q, jm); q's samples are read-only
+    and q hashes by identity, so the one cached entry can never go stale.  It
+    keeps the last potential alive until another takes its place.
     """
-    n = k * m
+    n = q.k * q.m
     b = math.isqrt(n)
     blocks = -(-max(jm, n - jm) // b)
     x = np.concatenate(((np.arange(b) + 0.5) / n, np.arange(blocks) * (b / n)))
     offsets, weights = np.stack((x, -x)), np.stack((np.ones_like(x), x))
-    offsets.setflags(write=False)
-    weights.setflags(write=False)
-    return b, blocks, offsets, weights
-
-
-@lru_cache(maxsize=1)
-def _potential_rows(q: GridFunction, jm: int) -> np.ndarray:
-    """Head and reversed tail of q as (2, blocks, b) rows, zero-padded to whole blocks.
-
-    Newton passes one potential to every call, so the rows are laid out once
-    per (q, jm); q's samples are read-only and q hashes by identity, so a
-    cached layout can never go stale.  The one entry keeps the last
-    potential alive until another takes its place.
-    """
-    b, blocks, _, _ = _block_layout(q.k, q.m, jm)
-    v = q.values
     rows = np.zeros((2, blocks * b), dtype=complex)
-    rows[0, :jm] = v[:jm]
-    rows[1, : v.size - jm] = v[jm:][::-1]
+    rows[0, :jm] = q.values[:jm]
+    rows[1, : n - jm] = q.values[jm:][::-1]
     rows = rows.reshape(2, blocks, b)
-    rows.setflags(write=False)
-    return rows
+    for table in (offsets, weights, rows):
+        table.setflags(write=False)
+    return b, offsets, weights, rows
 
 
 def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
@@ -220,12 +210,12 @@ def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
 
     Returns ((sin_head, sin_tail), (cos_head, cos_tail)) and the same two
     pairs differentiated in lambda.  Both branches read q from the rows of
-    _potential_rows, laid out once per potential.  Above the series
+    _layout, built once per potential.  Above the series
     threshold the sums of q e^{+-i rho s} and q s e^{+-i rho s} carry
     everything, and
         d/dlambda cos(rho s)       = -(s/2) sin(rho s)/rho,
         d/dlambda sin(rho s)/rho   = (s cos(rho s) - sin(rho s)/rho)/(2 lambda).
-    Those sums come blocked (see _block_layout), with s = coarse + fine and
+    Those sums come blocked (see _layout), with s = coarse + fine and
     e^{+-i rho s} = E+-(coarse) F+-(fine): head and reversed tail, as rows of b
     samples, meet [F+, fine F+, F-, fine F-] in one (rows x b) @ (b x 4)
     product, and [E+, coarse E+, E-, coarse E-] turns each side's row sums
@@ -234,8 +224,7 @@ def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
     finishes in scalar arithmetic.  Below the threshold the four kernels
     come from _trig_kernels on the (blocks, b) grid of lengths coarse + fine.
     """
-    b, _, offsets, weights = _block_layout(q.k, q.m, jm)
-    rows = _potential_rows(q, jm)
+    b, offsets, weights, rows = _layout(q, jm)
     if abs(rho) < RHO_SERIES_THRESHOLD:
         s = offsets[0, b:, None] + offsets[0, :b]
         cs, ks, dks = _trig_kernels(s, rho, lam)
@@ -422,12 +411,6 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
     return Spectrum(config.alpha, config.beta, tuple(roots))
 
 
-@lru_cache(maxsize=32)
-def _asymptotes(alpha: int, beta: int, n: int) -> tuple[float, ...]:
-    """Zero-potential eigenvalues lambda_1^0 < ... < lambda_n^0."""
-    return tuple(asymptotic_eigenvalue(alpha, beta, i) for i in range(1, n + 1))
-
-
 def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
     """Truncated canonical product for the characteristic function, at one lambda or at many.
 
@@ -439,10 +422,12 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
 
     lam is one number, which returns one complex, or a 1-D sequence, which
     returns a list of complex in its order; one lambda is a batch of one.
-    The asymptotes are built once per (alpha, beta, N) and cached.  They
-    increase strictly and |lam - lambda_n^0| grows with |Re lam - lambda_n^0|,
-    so the one asymptote lam can coincide with is a neighbour of Re lam's
-    bisection point (the lower index on a tie).  That search and the
+    The asymptotes are formed per call, with the bits of
+    asymptotic_eigenvalue: the square of an integer or half-integer is
+    exact.  They increase strictly and |lam - lambda_n^0| grows with
+    |Re lam - lambda_n^0|, so the one asymptote lam can coincide with is a
+    neighbour of Re lam's bisection point (the lower index on a tie), found
+    for the whole batch by one searchsorted.  The coincidence test and the
     starting value stay scalar per lambda; the factors and the running
     product are taken for the whole batch at once, n by n in index order
     (see _product_batch), each lambda skipping its own coincident factor.
@@ -455,13 +440,13 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
     a, b, evs = spec.alpha, spec.beta, spec.eigenvalues
     single = np.ndim(lam) == 0
     lams = [complex(lam)] if single else [complex(z) for z in lam]
-    lam0 = _asymptotes(a, b, n_used)
+    lam0 = (np.arange(1, n_used + 1) - (a + b) / 2) ** 2 * math.pi**2
+    z0 = lam0.tolist()
     hits, starts = [], []
-    for z in lams:
-        hit = bisect_left(lam0, z.real)
-        if hit == n_used or (hit > 0 and abs(z - lam0[hit - 1]) <= abs(z - lam0[hit])):
+    for z, hit in zip(lams, np.searchsorted(lam0, [z.real for z in lams]).tolist()):
+        if hit == n_used or (hit > 0 and abs(z - z0[hit - 1]) <= abs(z - z0[hit])):
             hit -= 1
-        if abs(z - lam0[hit]) <= 1e-9 * (1.0 + abs(lam0[hit])):
+        if abs(z - z0[hit]) <= 1e-9 * (1.0 + abs(z0[hit])):
             start = -zero_potential_delta_dlam(a, b, z) * (evs[hit] - z)
         else:
             hit, start = n_used, zero_potential_delta(a, b, z)
@@ -493,7 +478,6 @@ def _product_batch(evs, lam0, lams, hits, starts) -> list[complex]:
     """
     count = len(lams)
     evr, evi = np.array([z.real for z in evs]), np.array([z.imag for z in evs])
-    z0 = np.array(lam0)
     lr, li = np.array([z.real for z in lams]), np.array([z.imag for z in lams])
     bi = 0.0 - li
     hit = np.array(hits)
@@ -503,7 +487,7 @@ def _product_batch(evs, lam0, lams, hits, starts) -> list[complex]:
     with np.errstate(over="ignore", invalid="ignore"):  # CPython's complex arithmetic never warns
         for lo in range(0, len(evs), _FACTOR_CHUNK):
             n = np.arange(lo, min(lo + _FACTOR_CHUNK, len(evs)))
-            ar, ai, br = evr[n, None] - lr, evi[n, None] - li, z0[n, None] - lr
+            ar, ai, br = evr[n, None] - lr, evi[n, None] - li, lam0[n, None] - lr
             keep = hit != n[:, None]
             br[~keep] = 1.0  # the skipped factor; an exact hit would divide 0 by 0
             big = np.abs(br) >= np.abs(bi)  # Smith: divide through by the larger part

@@ -29,9 +29,10 @@ from .characteristic import (
     delta_direct,
     eigenvalues,
 )
-from .core_params import ProblemConfig, classify, make_config, normalize_to_half
+from .core_params import ProblemConfig, classify, make_config, normalize_to_half, require_grid
 from .interval_ops import GridFunction, read_csv, read_profile_csv, write_csv
 from .inverse_pipeline import (
+    EXAMPLE_CASES,
     SpectrumMismatchError,
     build_isospectral_potential,
     invert_from_spectrum,
@@ -112,15 +113,22 @@ def _demo_potential(x: np.ndarray) -> np.ndarray:
     return (2.0 + 1.0j) * x**2 * (1 - x) + 0.5 * np.cos(3.0 * x)
 
 
-def _load_potential(spec_str: str, k: int, m: int) -> GridFunction:
-    if spec_str == "zero":
-        return GridFunction.zeros(k, m)
-    if spec_str == "demo":
-        return GridFunction.from_callable(_demo_potential, k, m)
-    g = read_csv(spec_str)
-    if g.k != k:
-        raise ValueError(f"{spec_str}: grid k={g.k} does not match config k={k}")
+def _read_grid(path: str, cfg: ProblemConfig) -> GridFunction:
+    """read_csv, then the one grid-vs-config check; both errors name the file."""
+    g = read_csv(path)
+    try:
+        require_grid(g, cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return g
+
+
+def _load_potential(spec_str: str, cfg: ProblemConfig, m: int) -> GridFunction:
+    if spec_str == "zero":
+        return GridFunction.zeros(cfg.k, m)
+    if spec_str == "demo":
+        return GridFunction.from_callable(_demo_potential, cfg.k, m)
+    return _read_grid(spec_str, cfg)
 
 
 def _emit(text: str, out: str | None) -> list[str]:
@@ -175,7 +183,7 @@ def cmd_cheb(args) -> RunManifest:
 def cmd_eigs(args) -> RunManifest:
     _check_distinct_outputs(args, "--out", "--spectrum-out")
     cfg = _load_config(args)
-    q = _load_potential(args.q, cfg.k, args.m)
+    q = _load_potential(args.q, cfg, args.m)
     spec = eigenvalues(q, cfg, args.count)
     lines = [f"{n},{z.real!r},{z.imag!r}\n" for n, z in enumerate(spec.eigenvalues, start=1)]
     outputs = _emit("".join(lines), args.out)
@@ -192,7 +200,7 @@ def cmd_eigs(args) -> RunManifest:
 
 def cmd_delta(args) -> RunManifest:
     cfg = _load_config(args)
-    q = _load_potential(args.q, cfg.k, args.m)
+    q = _load_potential(args.q, cfg, args.m)
     lams = []
     for entry in args.lambdas.split(";"):
         try:
@@ -221,7 +229,7 @@ def cmd_delta(args) -> RunManifest:
 
 def cmd_forward_w(args) -> RunManifest:
     cfg = _load_config(args)
-    q = _load_potential(args.q, cfg.k, args.m)
+    q = _load_potential(args.q, cfg, args.m)
     w = forward_w_direct(q, cfg)
     write_csv(w, args.out)
     return RunManifest(
@@ -235,7 +243,7 @@ def cmd_forward_w(args) -> RunManifest:
 def cmd_invert(args) -> RunManifest:
     _check_distinct_outputs(args, "--out", "--kernel-out")
     cfg = _load_config(args)
-    w = read_csv(args.w)
+    w = _read_grid(args.w, cfg)
     sol = solve_inverse(w, cfg, residual_rtol=args.residual_rtol)
     return RunManifest(
         config=cfg.to_dict(),
@@ -264,7 +272,7 @@ def cmd_reconstruct(args) -> RunManifest:
 
 def cmd_isospectral(args) -> RunManifest:
     cfg = _load_config(args)
-    q0 = _load_potential(args.q0, cfg.k, args.m)
+    q0 = _load_potential(args.q0, cfg, args.m)
     if args.f == "model-profile":
         f = quadratic_profile(cfg.k)
     else:
@@ -416,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("example", cmd_example, "render a catalogued degenerate case")
-    p.add_argument("--id", required=True, choices=("I7", "I8", "II", "III", "IV"))
+    p.add_argument("--id", required=True, choices=sorted(EXAMPLE_CASES))
     p.add_argument("--out", help="write the symbolic table to a file")
     p.add_argument("--samples-out", help="write the sampled supplement as a grid CSV")
     p.add_argument("--svg", help="write an SVG plot of the supplement")

@@ -47,7 +47,8 @@ def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
       W(x) = p (q(1-a+x) + d q(1-a-x))        on (0, a)
              p (c q(1+a-x) + d q(1-a-x))      on (a, 1-a)
              p c (q(1+a-x) + q(x-1+a))        on (1-a, 1)
-    All arguments land exactly on grid midpoints.
+    All arguments land exactly on grid midpoints, so with r the samples
+    read backwards, q(1 - x_i) = r[i], each piece is two slices of q or r.
     """
     _check_grid(q, config)
     s = sign_pair(config)
@@ -55,14 +56,11 @@ def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
     jm = config.j * q.m
     n = q.k * q.m
     pref = 0.5 * (-1) ** (config.alpha * config.beta)
-    v = q.values
+    v, r = q.values, q.values[::-1]
     out = np.empty(n, dtype=complex)
-    head = np.arange(jm)
-    out[head] = pref * (v[n - jm + head] + d * v[n - jm - head - 1])
-    mid = np.arange(jm, n - jm)
-    out[mid] = pref * (c * v[n + jm - mid - 1] + d * v[n - jm - mid - 1])
-    tail = np.arange(n - jm, n)
-    out[tail] = pref * c * (v[n + jm - tail - 1] + v[tail - n + jm])
+    out[:jm] = pref * (v[n - jm :] + d * r[jm : 2 * jm])
+    out[jm : n - jm] = pref * (c * r[: n - 2 * jm] + d * r[2 * jm :])
+    out[n - jm :] = pref * c * (r[n - 2 * jm : n - jm] + v[:jm])
     return GridFunction(q.k, q.m, out)
 
 

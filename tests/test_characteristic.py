@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -338,6 +339,31 @@ def test_potential_row_cache_returns_the_bits_of_a_fresh_process():
             assert [_bits(z) for z in delta_direct(q, cfg, lam, slope=True)] == [tuple(b) for b in want]
 
 
+def _retained_after(calls):
+    """Bytes still allocated after calls() runs under tracemalloc."""
+    tracemalloc.start()
+    try:
+        calls()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_delta_direct_keeps_the_layout_of_the_last_potential_only():
+    """delta_direct on 40 grids of distinct shapes, about 90k points each, then on a 3x2 grid, leaves nothing behind."""
+    shapes = [(k, 90000 // k + d) for k in range(1, 9) for d in range(5)]
+    cfg_of = {k: make_config(0, 1, int(k > 1), k) for k in range(1, 9)}
+    small_cfg = make_config(0, 1, 1, 3)
+    delta_direct(GridFunction.zeros(3, 2), small_cfg, 50.0)
+
+    def calls():
+        for k, m in shapes:
+            delta_direct(GridFunction.zeros(k, m), cfg_of[k], 50.0)
+        delta_direct(GridFunction.zeros(3, 2), small_cfg, 50.0)
+
+    assert _retained_after(calls) < 100_000
+
+
 _ENDPOINTS = (1 / 4, 2 / 7, 1 / 3, 3 / 8, 2 / 5, 1 / 2, 3 / 5, 5 / 8, 2 / 3, 5 / 7, 3 / 4, 1.0)
 
 
@@ -658,6 +684,7 @@ def _probe_lambdas(alpha, beta, n_used, count):
     else:
         lams = [0.0] + [((mm - 0.5) * math.pi) ** 2 for mm in range(1, count + 1)]
     lams += [lam0[0] - 5.0, lam0[-1] + 100.0, lam0[-1] * 4.0, 1e20]
+    lams += [complex(math.nan, 1.0)]  # no bisection point: 0 or N by the search, either way no hit and Delta_0
     lams += [(lo + hi) / 2 for lo, hi in zip(lam0, lam0[1:])]
     for z in lam0:
         lams += [z * (1 + 5e-10), z * (1 - 5e-10) - 1e-12, z * (1 + 2e-9) + 1e-8, complex(z, 1e-10)]
@@ -683,6 +710,19 @@ def test_delta_from_spectrum_matches_reference_loop(alpha, beta, rng):
     spec = Spectrum(alpha, beta, tuple(complex(z) for z in evs))
     for n_used in (1, 2, 37, spec.count):
         _assert_batch_matches_reference_loop(spec, n_used, _probe_lambdas(alpha, beta, n_used, count))
+
+
+def test_delta_from_spectrum_keeps_no_asymptotes_between_calls():
+    """The product at 40 truncations of a 5000-eigenvalue spectrum, then at one, leaves nothing behind."""
+    spec = Spectrum(0, 1, tuple(complex(asymptotic_eigenvalue(0, 1, n) + 1.0) for n in range(1, 5001)))
+    delta_from_spectrum(spec, 1, 7.0)
+
+    def calls():
+        for n_used in range(400, 440):
+            delta_from_spectrum(spec, n_used, 7.0)
+        delta_from_spectrum(spec, 1, 7.0)
+
+    assert _retained_after(calls) < 100_000
 
 
 @pytest.mark.parametrize("shift", [0.25, -0.25])

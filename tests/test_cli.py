@@ -472,7 +472,8 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, code, kind, message", [
     (["eigs", "--q", "q50.csv", "--count", "40"], 4, "EigenvalueCollisionError", "converged to the same root"),
-    (["eigs", "--q", "k4.csv", "--count", "3"], 3, "ValueError", "grid k=4 does not match config k=5"),
+    (["eigs", "--q", "k4.csv", "--count", "3"], 3, "ValueError", "k4.csv: grid has k=4 but config needs k=5"),
+    (["invert", "--w", "k4.csv", "--out", "q.csv"], 3, "ValueError", "k4.csv: grid has k=4 but config needs k=5"),
     (["isospectral", "--q0", "zero", "--m", "2", "--f", "profile_k4.csv", "--out", "iq.csv"], 3, "ValueError",
      "profile is for k=4"),
     (["isospectral", "--q0", "zero", "--m", "3", "--f", "profile_m2.csv", "--out", "iq.csv"], 3, "ValueError",
@@ -564,7 +565,7 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
     (["reconstruct", *A_ONE[1, 1], "--spectrum", "s11.json", "--m", "4", "--n-used", "40", "--modes", "3",
       "--out", "r.csv"], 3, "ValueError", NOT_NORMALIZED),
     (["isospectral", *A_ONE[0, 0], "--q0", "zero", "--m", "4", "--out", "iq.csv"], 3, "ValueError", NOT_NORMALIZED),
-], ids=["eigs-collision", "potential-k-mismatch", "profile-k-mismatch", "profile-m-mismatch",
+], ids=["eigs-collision", "potential-k-mismatch", "invert-k-mismatch", "profile-k-mismatch", "profile-m-mismatch",
         "spectrum-bool-eigenvalue", "spectrum-huge-eigenvalue", "reconstruct-n-used-above-count",
         "spectrum-no-eigenvalues", "spectrum-truncated", "config-no-k", "config-truncated", "csv-no-header",
         "csv-short", "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields",
