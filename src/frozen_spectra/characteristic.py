@@ -6,20 +6,18 @@ fundamental solutions
     S(x) = sin(rho(x-a))/rho,          rho^2 = lambda,
 by Filon's cell rule on the shared grid: q is taken as constant on each
 cell of width h and e^{+-i rho s} is integrated exactly over the cell, so
-every kernel sum is the midpoint sum times h sinc(rho h/2).  A
-piecewise-constant q is integrated exactly.  The kernel sums factor every
-e^{+-i rho s} over blocks of about sqrt(n) of the n grid points, so an
-evaluation costs about 4 sqrt(n) complex exps and two thin matrix products
-rather than n exps.  The potential is laid out in those blocks once per
-potential, not once per evaluation, and the boundary terms take one
-cmath.sin and one cmath.cos per endpoint and per half cell.  That layout
-of the last (potential, jm) is all the module keeps between calls
-(_layout); Route 3 forms its asymptotes per call.  One boundary
-assembly (_boundary_det) chooses the determinant's rows on (alpha, beta)
-and builds only those two, one per endpoint: fed the kernel sums it gives
-Delta, fed zero sums at a = 0 the zero-potential Delta_0.  Route 2
-(delta_from_w) adds an integral of W against the trig kernels to Delta_0,
-by the same cell rule.  Route 3 (delta_from_spectrum) evaluates the
+every kernel sum is the midpoint sum times h sinc(rho h/2), and a
+piecewise-constant q is integrated exactly.  The kernel sums
+(_kernel_sums) factor every e^{+-i rho s} over blocks of about sqrt(n) of
+the n grid points, about 4 sqrt(n) complex exps and two thin matrix
+products rather than n exps, on a layout built once per grid function; the
+layout of the last q or W is all the module keeps between calls
+(_layout).  One boundary assembly (_boundary_det) builds only the two
+determinant rows that (alpha, beta) select and returns Delta and
+dDelta/dlambda: of q from its kernel sums, of the zero potential from zero
+sums at a = 0.  Route 2 (delta_from_w) adds an integral of W to Delta_0 by
+the same rule, for (0,1), (1,0) and (1,1) a kernel sum of Route 1 with
+the whole grid as the head.  Route 3 (delta_from_spectrum) evaluates the
 canonical infinite product over a truncated spectrum, pairing each
 retained factor with the matching zero-potential factor so the tail is
 exactly 1 under lambda_n = lambda_n^0; it takes a whole batch of lambda in
@@ -31,19 +29,17 @@ length-4n complex FFT, in O(n log n) rather than O(modes n).
 
 All formulas are even in rho, so the branch of the square root is
 immaterial; one canonical branch also makes the rounding of the exp
-kernel in delta_direct independent of it.  Every kernel pass also yields
-the analytic dDelta/dlambda of its rule, which is what eigenvalues
-runs Newton on.  One function (_trig_kernels) gives every trig kernel,
-on arrays, at scalar endpoints and at the half cell h/2, where
-sin(rho s)/rho is half the cell weight: cos(rho s), sin(rho s)/rho and
-its lambda-derivative.  Route 2's (0,0) kernel (cos(rho x) - 1)/lambda is
--2 (sin(rho x/2)/rho)^2, the second of them at x/2.  It switches to
-Taylor series below |rho| = RHO_SERIES_THRESHOLD = 0.1, where the exp form
-of dDelta/dlambda would lose digits to cancellation.  Two more places test
-the same threshold: _kernel_sums, which below it takes its kernels from
-_trig_kernels on the per-potential rows instead of the blocked exps, and
-delta_from_w, which adds the (0,0) mean term sum(W)/lambda only above it
-and drops it below, the entire continuation for zero-mean W.
+kernel in delta_direct independent of it.  Newton in eigenvalues runs on
+the analytic dDelta/dlambda of the rule.  One function (_trig_kernels)
+gives cos(rho s), sin(rho s)/rho and its lambda-derivative on arrays, at
+scalar endpoints and at the half cell h/2, where sin(rho s)/rho is half
+the cell weight; below |rho| = RHO_SERIES_THRESHOLD = 0.1, where the exp
+form of dDelta/dlambda would lose digits to cancellation, it switches to
+Taylor series.  Two more places test the same threshold: _kernel_sums,
+which below it takes its kernels from _trig_kernels on the laid-out rows
+instead of the blocked exps, and delta_from_w, which adds the (0,0) mean
+term sum(W)/lambda only above it and drops it below, the entire
+continuation for zero-mean W.
 """
 
 from __future__ import annotations
@@ -176,8 +172,8 @@ def _trig_kernels(s, rho: complex, lam: complex):
 
 
 @lru_cache(maxsize=1)
-def _layout(q: GridFunction, jm: int):
-    """q's head and reversed tail in blocks, with the offsets and weights of their lengths.
+def _layout(f: GridFunction, jm: int):
+    """f's head and reversed tail in blocks, with the offsets and weights of their lengths.
 
     The chop lengths are x_t = (t + 1/2)/n = coarse_B + fine_r, t = B*b + r.
     The head's lengths are x_0..x_{jm-1}; the tail's, read backwards, are
@@ -185,34 +181,34 @@ def _layout(q: GridFunction, jm: int):
     block and enough blocks for the longer of the two, returns b, the signed
     offsets [[fine, coarse], [-fine, -coarse]] whose exps give every factor
     e^{+-i rho x}, the weights (1, x) that spread each exp row over a value
-    row and a slope row, and the head and reversed tail of q as (2, blocks, b)
+    row and a slope row, and the head and reversed tail of f as (2, blocks, b)
     rows, zero-padded to whole blocks.  Newton passes one potential to every
-    call, so the layout is built once per (q, jm); q's samples are read-only
-    and q hashes by identity, so the one cached entry can never go stale.  It
-    keeps the last potential alive until another takes its place.
+    call, so the layout is built once per (f, jm); f's samples are read-only
+    and f hashes by identity, so the one cached entry can never go stale.  It
+    keeps the last q or W alive until a call of either route replaces it.
     """
-    n = q.k * q.m
+    n = f.k * f.m
     b = math.isqrt(n)
     blocks = -(-max(jm, n - jm) // b)
     x = np.concatenate(((np.arange(b) + 0.5) / n, np.arange(blocks) * (b / n)))
     offsets, weights = np.stack((x, -x)), np.stack((np.ones_like(x), x))
     rows = np.zeros((2, blocks * b), dtype=complex)
-    rows[0, :jm] = q.values[:jm]
-    rows[1, : n - jm] = q.values[jm:][::-1]
+    rows[0, :jm] = f.values[:jm]
+    rows[1, : n - jm] = f.values[jm:][::-1]
     rows = rows.reshape(2, blocks, b)
     for table in (offsets, weights, rows):
         table.setflags(write=False)
     return b, offsets, weights, rows
 
 
-def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
-    """Sums of q * sin(rho s)/rho and q * cos(rho s) over head and tail, and their lambda-derivatives.
+def _kernel_sums(f: GridFunction, jm: int, rho: complex, lam: complex):
+    """Sums of f * sin(rho s)/rho and f * cos(rho s) over head and tail, and their lambda-derivatives.
 
     Returns ((sin_head, sin_tail), (cos_head, cos_tail)) and the same two
-    pairs differentiated in lambda.  Both branches read q from the rows of
-    _layout, built once per potential.  Above the series
-    threshold the sums of q e^{+-i rho s} and q s e^{+-i rho s} carry
-    everything, and
+    pairs differentiated in lambda, for q split at jm = j*m (Route 1) or W
+    all head, jm = n (Route 2).  Both branches read f's rows from _layout.
+    Above the series threshold the sums of f e^{+-i rho s} and
+    f s e^{+-i rho s} carry everything, and
         d/dlambda cos(rho s)       = -(s/2) sin(rho s)/rho,
         d/dlambda sin(rho s)/rho   = (s cos(rho s) - sin(rho s)/rho)/(2 lambda).
     Those sums come blocked (see _layout), with s = coarse + fine and
@@ -224,7 +220,7 @@ def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
     finishes in scalar arithmetic.  Below the threshold the four kernels
     come from _trig_kernels on the (blocks, b) grid of lengths coarse + fine.
     """
-    b, offsets, weights, rows = _layout(q, jm)
+    b, offsets, weights, rows = _layout(f, jm)
     if abs(rho) < RHO_SERIES_THRESHOLD:
         s = offsets[0, b:, None] + offsets[0, :b]
         cs, ks, dks = _trig_kernels(s, rho, lam)
@@ -245,7 +241,7 @@ def _kernel_sums(q: GridFunction, jm: int, rho: complex, lam: complex):
     return ((sin_h, sin_t), ((ph + mh) / 2, (pt + mt) / 2)), (dsin, dcos)
 
 
-def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: complex, sums, dsums=None):
+def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: complex, sums, dsums):
     """The 2x2 boundary determinant, the one place its rows are chosen on (alpha, beta).
 
     The fundamental solutions C, S normalized at a enter through the
@@ -254,10 +250,9 @@ def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: 
     by the cell rule's h sinc(rho h/2) = 2 sin(rho h/2)/rho, the kernel
     sin(rho s)/rho at s = h/2 (its series branch included).  Only the two
     rows the flags select are built: (C, S) at 0 for alpha = 0 and
-    (C', S') for alpha = 1, likewise at 1 for beta.  With dsums, the sums
-    differentiated in lambda, returns (Delta, dDelta/dlambda), else Delta;
-    the weight's own lambda-derivative multiplies the sums in the slope.
-    Zero sums at a = 0 give the zero-potential Delta_0.
+    (C', S') for alpha = 1, likewise at 1 for beta.  Returns (Delta,
+    dDelta/dlambda), the slope from dsums, the sums differentiated in lambda,
+    and the weight's own derivative.  Zero sums at a = 0 give Delta_0.
     """
     isin, icos = sums
     cs0, ks0, dks0 = _trig_kernels(a, rho, lam)
@@ -267,9 +262,6 @@ def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: 
     top = (cs0 + weight * isin[0], -ks0) if alpha == 0 else (lam * ks0 - weight * icos[0], cs0)
     bot = (cs1 + weight * isin[1], ks1) if beta == 0 else (-lam * ks1 + weight * icos[1], cs1)
     value = top[0] * bot[1] - top[1] * bot[0]
-    if dsums is None:
-        return value
-
     dsin, dcos = dsums
     dweight = 2 * dksh
     dcs0, dcs1 = -0.5 * a * ks0, -0.5 * (1 - a) * ks1
@@ -294,8 +286,8 @@ def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bo
     lam = complex(lam)
     rho = _sqrt_lambda(lam)
     sums, dsums = _kernel_sums(q, config.j * q.m, rho, lam)
-    a = config.j / config.k
-    return _boundary_det(config.alpha, config.beta, a, q.h, rho, lam, sums, dsums if slope else None)
+    pair = _boundary_det(config.alpha, config.beta, config.j / config.k, q.h, rho, lam, sums, dsums)
+    return pair if slope else pair[0]
 
 
 def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> complex:
@@ -314,18 +306,18 @@ def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> comple
     The whole integral term, the (0,0) mean term included, is weighted by
     the cell rule's h sinc(rho h/2), so W is read as constant on each cell
     exactly as delta_direct reads q, and the two routes are one
-    discretisation.
+    discretisation.  (0,0) keeps its n-length kernel: the blocked sums would
+    give (sum W cos(rho x) - sum W)/lambda, 100x worse near |rho| = 0.1.
     """
     require_flags(alpha, beta)
     rho = _sqrt_lambda(lam)
     if (alpha, beta) == (0, 0):  # the half-angle form has no cancellation on either branch
-        kernel = -2 * _trig_kernels(w.midpoints() / 2, rho, lam)[1] ** 2
+        integral = np.sum(w.values * (-2 * _trig_kernels(w.midpoints() / 2, rho, lam)[1] ** 2))
+        if abs(rho) >= RHO_SERIES_THRESHOLD:
+            integral = integral + np.sum(w.values) / lam
     else:
-        cs, ks, _ = _trig_kernels(w.midpoints(), rho, lam)
-        kernel = ks if alpha != beta else cs
-    integral = np.sum(w.values * kernel)
-    if (alpha, beta) == (0, 0) and abs(rho) >= RHO_SERIES_THRESHOLD:
-        integral = integral + np.sum(w.values) / lam
+        (isin, icos), _ = _kernel_sums(w, w.k * w.m, rho, lam)
+        integral = isin[0] if alpha != beta else icos[0]
     weight = 2 * _trig_kernels(w.h / 2, rho, lam)[1]
     return complex(zero_potential_delta(alpha, beta, lam) + weight * integral)
 
@@ -337,7 +329,7 @@ def zero_potential_delta(alpha: int, beta: int, lam: complex) -> complex:
     """Closed-form characteristic function of the zero potential: the boundary determinant at a = 0."""
     require_flags(alpha, beta)
     lam = complex(lam)
-    return _boundary_det(alpha, beta, 0.0, 0.0, _sqrt_lambda(lam), lam, _NO_SUMS)
+    return _boundary_det(alpha, beta, 0.0, 0.0, _sqrt_lambda(lam), lam, _NO_SUMS, _NO_SUMS)[0]
 
 
 def zero_potential_delta_dlam(alpha: int, beta: int, lam: complex) -> complex:

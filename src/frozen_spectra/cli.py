@@ -34,6 +34,7 @@ from .interval_ops import GridFunction, read_csv, read_profile_csv, write_csv
 from .inverse_pipeline import (
     EXAMPLE_CASES,
     SpectrumMismatchError,
+    _profile_samples,
     build_isospectral_potential,
     invert_from_spectrum,
     quadratic_profile,
@@ -258,6 +259,8 @@ def cmd_reconstruct(args) -> RunManifest:
     _check_distinct_outputs(args, "--out", "--kernel-out")
     cfg = _load_config(args)
     spec = Spectrum.load(args.spectrum)
+    if (spec.alpha, spec.beta) != (cfg.alpha, cfg.beta):
+        raise ValueError(f"{args.spectrum}: flags {spec.alpha, spec.beta} differ from the config's {cfg.alpha, cfg.beta}")
     sol = invert_from_spectrum(
         spec, cfg, args.m, args.n_used, args.modes, residual_rtol=args.residual_rtol
     )
@@ -279,6 +282,10 @@ def cmd_isospectral(args) -> RunManifest:
         f, fk = read_profile_csv(args.f)
         if fk != cfg.k:
             raise ValueError(f"{args.f}: profile is for k={fk}, config has k={cfg.k}")
+        try:
+            f = _profile_samples(f, cfg.k, q0.m)
+        except ValueError as exc:
+            raise ValueError(f"{args.f}: {exc}") from None
     q = build_isospectral_potential(q0, cfg, f)
     write_csv(q, args.out)
     return RunManifest(

@@ -466,19 +466,15 @@ def test_boundary_det_keeps_the_bits_of_the_four_row_assembly(alpha, beta):
                 rho = _sqrt_lambda(lam)
                 for sums, dsums in _SIGNED_ZERO_SUMS:
                     args = alpha, beta, a, h, rho, lam, sums
-                    assert _bits(_boundary_det(*args)) == _bits(_reference_boundary_det(*args)), (a, h, lam)
+                    assert _bits(_boundary_det(*args, dsums)[0]) == _bits(_reference_boundary_det(*args)), (a, h, lam)
                     got, want = _boundary_det(*args, dsums), _reference_boundary_det(*args, dsums)
                     assert [_bits(z) for z in got] == [_bits(z) for z in want], (a, h, lam)
 
 
 def _reference_delta_from_w(w, alpha, beta, lam):
-    """Route 2 with every flag pair reading its kernel out of the full three-kernel pass."""
+    """Route 2 for (0,0) as the three-kernel pass computed it: the half-angle kernel on all n midpoints."""
     rho = _sqrt_lambda(lam)
-    if (alpha, beta) == (0, 0):
-        kernel = -2 * _trig_kernels(w.midpoints() / 2, rho, lam)[1] ** 2
-    else:
-        cs, ks, _ = _trig_kernels(w.midpoints(), rho, lam)
-        kernel = ks if alpha != beta else cs
+    kernel = -2 * _trig_kernels(w.midpoints() / 2, rho, lam)[1] ** 2
     integral = np.sum(w.values * kernel)
     if (alpha, beta) == (0, 0) and abs(rho) >= RHO_SERIES_THRESHOLD:
         integral = integral + np.sum(w.values) / lam
@@ -486,14 +482,76 @@ def _reference_delta_from_w(w, alpha, beta, lam):
     return complex(zero_potential_delta(alpha, beta, lam) + weight * integral)
 
 
-# 9.9e-3 and -1.02e-2 + 1e-3j lie below |rho| = 0.1, 1.01e-2 just above it; 7 x 1024 is the grid of the timings
-@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+# 9.9e-3 and -1.02e-2 + 1e-3j lie below |rho| = 0.1, 1.01e-2 just above it; 7 x 1024 is the grid of the timings.
+# The other flag pairs read the blocked kernel sums, which round differently: see the mpmath test below.
+@pytest.mark.parametrize("alpha, beta", [(0, 0)])
 def test_delta_from_w_keeps_the_bits_of_the_three_kernel_pass(alpha, beta, rng):
     for k, m in ((3, 32), (7, 1024)):
         w = random_grid(k, m, rng)
         for lam in map(complex, _BITS_LAMBDAS + [2500.0 + 40.0j]):
             got, want = delta_from_w(w, alpha, beta, lam), _reference_delta_from_w(w, alpha, beta, lam)
             assert _bits(got) == _bits(want), (k, m, lam)
+
+
+def _mp_delta_from_w(w, alpha, beta, lam):
+    """Route 2 for (0,1), (1,0) and (1,1) at 40 digits on the exact midpoints, and the scale of its rounding.
+
+    Returns Delta_0 + h sinc(rho h/2) sum W_i K(x_i), K = sin(rho x)/rho or cos(rho x), and
+    |Delta_0| + |h sinc(rho h/2)| sum |W_i K(x_i)|, the size of the terms a float sum adds up.
+    """
+    with mpmath.workdps(40):
+        lam = mpmath.mpc(lam)
+        rho = mpmath.sqrt(lam)
+        n = w.k * w.m
+        x = [mpmath.mpf(2 * t + 1) / (2 * n) for t in range(n)]
+        kernel = (lambda s: s * mpmath.sinc(rho * s)) if alpha != beta else (lambda s: mpmath.cos(rho * s))
+        terms = [mpmath.mpc(v) * kernel(xt) for v, xt in zip(w.values.tolist(), x)]
+        delta0 = (-1) ** alpha * mpmath.cos(rho) if alpha != beta else rho * mpmath.sin(rho)
+        weight = mpmath.sinc(rho / (2 * n)) / n
+        value = delta0 + weight * mpmath.fsum(terms)
+        scale = abs(delta0) + abs(weight) * mpmath.fsum(abs(t) for t in terms)
+        return complex(value), float(scale)
+
+
+# the bit-pin lambdas on both sides of |rho| = 0.1, and 1e5 + 3j where rho x runs over 50 periods
+@pytest.mark.parametrize("alpha, beta", [(0, 1), (1, 0), (1, 1)])
+def test_delta_from_w_matches_mpmath_on_the_exact_midpoints(alpha, beta, rng):
+    for k, m in ((3, 32), (7, 64)):
+        w = random_grid(k, m, rng)
+        for lam in map(complex, _BITS_LAMBDAS + [1e5 + 3j]):
+            want, scale = _mp_delta_from_w(w, alpha, beta, lam)
+            bound = 4 * np.finfo(float).eps * (1 + abs(_sqrt_lambda(lam))) * scale
+            assert abs(delta_from_w(w, alpha, beta, lam) - want) <= bound, (k, m, lam)
+
+
+def test_route_2_leaves_the_bits_of_route_1(rng):
+    """Both routes share the one-entry layout cache, so alternating them lays q and W out again and again."""
+    cfg = make_config(0, 1, 2, 5)
+    q, w = random_grid(5, 64, rng), random_grid(5, 64, rng)
+    lams = [0.0, 1e-7, 9.9e-3, 1.01e-2, -1.02e-2 + 1e-3j, 7.3 + 2.0j, -2500.0, 1e4 + 3000j]
+    alone = [[_bits(z) for z in delta_direct(q, cfg, lam, slope=True)] for lam in lams]
+    route2 = [[_bits(delta_from_w(w, a, b, lam)) for a, b in ((0, 1), (1, 0), (1, 1))] for lam in lams]
+    for lam, want, want2 in zip(lams, alone, route2):
+        assert [_bits(z) for z in delta_direct(q, cfg, lam, slope=True)] == want, lam
+        assert [_bits(delta_from_w(w, a, b, lam)) for a, b in ((0, 1), (1, 0), (1, 1))] == want2, lam
+
+
+def test_delta_from_w_builds_no_grid_length_array_above_the_series_threshold():
+    """After the first call lays W out, a call allocates far less than one n-length complex array (1.8 MB).
+
+    Below |rho| = 0.1 the kernel sums take their Taylor kernels on the whole laid-out grid, for Route 1 too.
+    """
+    w = GridFunction.zeros(7, 16384)
+    for lam in (2500.0 + 40j, -30.0, 1e5 + 3j):
+        for alpha, beta in ((0, 1), (1, 0), (1, 1)):
+            delta_from_w(w, alpha, beta, lam)
+            tracemalloc.start()
+            try:
+                delta_from_w(w, alpha, beta, lam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 200_000, (alpha, beta, lam, peak)
 
 
 def _mp_delta_direct(q, cfg, lam):

@@ -594,6 +594,23 @@ def test_typed_error_exit_codes(argv, code, kind, message, tmp_path, capsys, mon
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+# the whole message: the input file, then what in it differs from the config or the grid
+@pytest.mark.parametrize("argv, message", [
+    (["isospectral", "--q0", "zero", "--m", "3", "--f", "profile_m2.csv", "--out", "iq.csv"],
+     "profile_m2.csv: profile must have 3 samples on (0, 1/5), got shape (2,)"),
+    (["reconstruct", *SPECTRUM_01, "s11.json", "--m", "4", "--n-used", "40", "--modes", "3", "--out", "r.csv"],
+     "s11.json: flags (1, 1) differ from the config's (0, 1)"),
+], ids=["profile-m-mismatch", "spectrum-flags-mismatch"])
+def test_input_errors_name_the_file_and_what_differs(argv, message, tmp_path, capsys, monkeypatch):
+    _write_inputs(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    got, stdout, err = run(capsys, argv[0], "--alpha", "1", "--beta", "0", "--j", "2", "--k", "5", *argv[1:])
+    assert (got, stdout) == (3, "")
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def zero_potential_spectrum(alpha, beta, count):
     evs = tuple(complex(asymptotic_eigenvalue(alpha, beta, n)) for n in range(1, count + 1))
     return Spectrum(alpha, beta, evs)
