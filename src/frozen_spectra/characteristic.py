@@ -133,6 +133,8 @@ class Spectrum:
 def asymptotic_eigenvalue(alpha: int, beta: int, n: int) -> float:
     """Zero-potential eigenvalue (n - (alpha+beta)/2)^2 pi^2, n >= 1."""
     require_flags(alpha, beta)
+    if n < 1:
+        raise ValueError(f"eigenvalue index n must be >= 1, got {n}")
     return (n - (alpha + beta) / 2) ** 2 * math.pi**2
 
 

@@ -128,14 +128,18 @@ def require_grid(f, config: ProblemConfig) -> None:
         raise ValueError(f"grid has k={f.k} but config needs k={config.k}")
 
 
+_SIGN_PAIRS = {(a, b): SignPair((-1) ** (b + 1), (-1) ** (a + b)) for a in (0, 1) for b in (0, 1)}
+_I, _II, _III, _IV = (Classification(Kind.DEGENERATE, case) for case in (Case.I, Case.II, Case.III, Case.IV))
+_V, _VI, _VII = (Classification(Kind.NON_DEGENERATE, case) for case in (Case.V, Case.VI, Case.VII))
+
+
 def sign_pair(config: ProblemConfig) -> SignPair:
-    c = (-1) ** (config.beta + 1)
-    d = (-1) ** (config.alpha + config.beta)
-    return SignPair(c, d)
+    """The sign constants c = (-1)^(beta+1), d = (-1)^(alpha+beta), as the one shared SignPair of the flag pair."""
+    return _SIGN_PAIRS[config.alpha, config.beta]
 
 
 def classify(config: ProblemConfig) -> Classification:
-    """Exact degenerate / non-degenerate case split.
+    """Exact degenerate / non-degenerate case split, as the one shared Classification of the case.
 
     Degenerate (matrix singular, iso-spectral families exist):
       (I)   alpha = beta = 0
@@ -147,15 +151,15 @@ def classify(config: ProblemConfig) -> Classification:
     """
     a, b, j, k = config.alpha, config.beta, config.j, config.k
     if a == 0 and b == 0:
-        return Classification(Kind.DEGENERATE, Case.I)
+        return _I
     if a == 0 and b == 1:
         if j % 2 == 0:
-            return Classification(Kind.DEGENERATE, Case.II)
-        return Classification(Kind.NON_DEGENERATE, Case.V)
+            return _II
+        return _V
     if a == 1 and b == 0:
         if (k + j) % 2 == 0:
-            return Classification(Kind.DEGENERATE, Case.III)
-        return Classification(Kind.NON_DEGENERATE, Case.VI)
+            return _III
+        return _VI
     if k % 2 == 0:
-        return Classification(Kind.DEGENERATE, Case.IV)
-    return Classification(Kind.NON_DEGENERATE, Case.VII)
+        return _IV
+    return _VII

@@ -141,6 +141,7 @@ def char_poly_j1(k: int, alpha: int, beta: int) -> IntPolynomial:
     """det(zI - A) for j = 1: entry k of the stored run of (alpha, beta)."""
     if k < 2:
         raise ValueError("char_poly_j1 needs k >= 2")
+    require_flags(alpha, beta)  # the cache would take True or 1.0 for the 1 it holds
     return _char_poly_run(alpha, beta)[k]
 
 
@@ -347,6 +348,7 @@ def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     """
     if k < 2:
         raise ValueError("eigvec_j1 needs k >= 2")
+    require_flags(alpha, beta)  # the cache would take True or 1.0 for the 1 it holds
     a = _j1_matrix(k, alpha, beta)
     z, s = complex(z0), a.signs
     x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]

@@ -1,5 +1,7 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +63,12 @@ def test_bare_flags_outside_zero_and_one_are_rejected(reader, flags):
         _FLAG_READERS[reader](*flags)
 
 
+@pytest.mark.parametrize("n", [0, -1, np.int64(0)])
+def test_asymptotic_eigenvalue_rejects_an_index_below_1(n):
+    with pytest.raises(ValueError, match=r"^eigenvalue index n must be >= 1, got -?\d+$"):
+        asymptotic_eigenvalue(1, 1, n)
+
+
 def test_normalize_to_half():
     cfg, refl = normalize_to_half(make_config(0, 1, 5, 7))
     assert (cfg.alpha, cfg.beta, cfg.j, cfg.k) == (1, 0, 2, 7) and refl
@@ -114,6 +122,15 @@ def test_classify(alpha, beta, j, k, kind, case):
     cls = classify(make_config(alpha, beta, j, k))
     assert cls.kind is kind
     assert cls.case_label is case
+
+
+def test_sign_pair_and_classify_return_shared_frozen_constants():
+    assert sign_pair(make_config(1, 0, 1, 3)) is sign_pair(make_config(1, 0, 2, 7))
+    assert classify(make_config(0, 1, 3, 7)) is classify(make_config(0, 1, 1, 9))
+    with pytest.raises(FrozenInstanceError):
+        sign_pair(make_config(1, 0, 1, 3)).c = 1
+    with pytest.raises(FrozenInstanceError):
+        classify(make_config(0, 0, 1, 3)).kind = Kind.NON_DEGENERATE
 
 
 def test_classify_beyond_half():

@@ -295,6 +295,22 @@ def test_j1_helpers_reject_k_below_2(name):
         _J1_HELPERS[name](1)
 
 
+# the j = 1 helpers that read a cache keyed by the flags, where True and 1.0 hash as the 1 they equal
+_CACHED_FLAG_READERS = {
+    "char_poly_j1": lambda alpha: char_poly_j1(3, alpha, 0),
+    "eigvec_j1": lambda alpha: eigvec_j1(spectrum_closed_form(3, 1, 0)[0], 3, alpha, 0),
+}
+
+
+@pytest.mark.parametrize("flag", [True, 1.0])
+@pytest.mark.parametrize("name", list(_CACHED_FLAG_READERS))
+def test_cached_j1_helpers_reject_a_bool_or_float_flag_after_a_warm_call(name, flag):
+    read = _CACHED_FLAG_READERS[name]
+    read(1)  # holds (3, 1, 0) in the cache
+    with pytest.raises(ValueError, match=r"^alpha and beta must be 0 or 1$"):
+        read(flag)
+
+
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_a0_is_walked_as_a_one_row_cycle(alpha, beta):
     # (j, k) = (0, 1): families (ii) and (iii) put d and c into the one entry, c + d = 2 c alpha

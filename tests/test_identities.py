@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from frozen_spectra import GridFunction, IntPolynomial, frozen_matrix, identities, make_config
-from frozen_spectra.core_params import coprime_configs
+from frozen_spectra.core_params import ProblemConfig, coprime_configs
 
 # One broken ingredient per sweep; each is used by that sweep alone.
 BROKEN = {
@@ -32,6 +32,15 @@ def test_a_broken_identity_fails_its_sweep_only(block, monkeypatch):
     monkeypatch.setattr(identities, name, fake)
     failed = _failed()
     assert [b for b, labels in failed.items() if labels] == [block]
+
+
+def test_a_passed_check_formats_no_label(monkeypatch):
+    def no_repr(cfg):
+        raise AssertionError("a passed check formatted its config")
+
+    monkeypatch.setattr(ProblemConfig, "__repr__", no_repr)
+    for name, checks in identities.sweeps(12, 12, 4):
+        assert set(checks) == {("", True)}, name
 
 
 def test_match_multisets_sizes_and_distance():
