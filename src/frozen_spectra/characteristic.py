@@ -21,11 +21,11 @@ the whole grid as the head.  Route 3 (delta_from_spectrum) evaluates the
 canonical infinite product over a truncated spectrum, pairing each
 retained factor with the matching zero-potential factor so the tail is
 exactly 1 under lambda_n = lambda_n^0; it takes a whole batch of lambda in
-one pass over the factors, in CPython's complex arithmetic on split float
-arrays, so each value keeps the bits of a scalar loop.  extract_w reads
-W's cos or sin coefficients off that product at the zero-potential
-eigenvalues and synthesizes W on the n = k*m midpoints with one
-length-4n complex FFT, in O(n log n) rather than O(modes n).
+one pass over the factors, in numpy's complex arithmetic, and one lambda
+has the same bits alone as in any batch.  extract_w reads W's cos or
+sin coefficients off that product at the zero-potential eigenvalues and
+synthesizes W on the n = k*m midpoints with one length-4n complex FFT,
+in O(n log n) rather than O(modes n).
 
 All formulas are even in rho, so the branch of the square root is
 immaterial; one canonical branch also makes the rounding of the exp
@@ -405,6 +405,9 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
     return Spectrum(config.alpha, config.beta, tuple(roots))
 
 
+_FACTOR_CHUNK = 16  # factor indices per table in delta_from_spectrum
+
+
 def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
     """Truncated canonical product for the characteristic function, at one lambda or at many.
 
@@ -422,10 +425,11 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
     |Re lam - lambda_n^0|, so the one asymptote lam can coincide with is a
     neighbour of Re lam's bisection point (the lower index on a tie), found
     for the whole batch by one searchsorted.  The coincidence test and the
-    starting value stay scalar per lambda; the factors and the running
-    product are taken for the whole batch at once, n by n in index order
-    (see _product_batch), each lambda skipping its own coincident factor.
-    Every result is bit-identical to a plain complex loop over n = 1..N.
+    starting value stay scalar per lambda.  The factors are numpy complex
+    tables of _FACTOR_CHUNK indices by the whole batch, each lambda's
+    coincident factor set to 1, and the running product takes their rows in
+    index order.  A lambda gets the same bits alone as in any batch, and an
+    overflow gives inf or nan without a warning.
     """
     if spec.count < n_used:
         raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")
@@ -446,59 +450,16 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
             hit, start = n_used, zero_potential_delta(a, b, z)
         hits.append(hit)
         starts.append(start)
-    vals = _product_batch(evs[:n_used], lam0, lams, hits, starts)
+    evs, lams, hits, vals = np.array(evs[:n_used]), np.array(lams), np.array(hits), np.array(starts)
+    with np.errstate(all="ignore"):  # an exact hit divides by 0 until its factor is set; overflow gives inf or nan
+        for lo in range(0, n_used, _FACTOR_CHUNK):
+            n = np.arange(lo, min(lo + _FACTOR_CHUNK, n_used))
+            table = (evs[n, None] - lams) / (lam0[n, None] - lams)
+            table[n[:, None] == hits] = 1.0  # the coincident factor is in the start
+            for row in table:
+                vals = vals * row  # not *=: numpy rounds an in-place product of one element differently
+    vals = vals.tolist()
     return vals[0] if single else vals
-
-
-_FACTOR_CHUNK = 16  # factor indices per block of _product_batch's factor table
-
-
-def _product_batch(evs, lam0, lams, hits, starts) -> list[complex]:
-    """starts[l] * prod_{n != hits[l]} (evs[n] - lams[l])/(lam0[n] - lams[l]) for every l, n in index order.
-
-    The arithmetic is CPython's complex arithmetic on split real and
-    imaginary float arrays, so every entry has the bits of the scalar loop
-    val *= (ev - lam)/(z - lam): the operands as CPython forms them,
-    (ev.re - lam.re, ev.im - lam.im) and (z - lam.re, 0.0 - lam.im); the
-    quotient by Smith's method, branching on |re| >= |im| of the divisor;
-    the product as (ac - bd, ad + bc).  (numpy's complex * and / round
-    differently.)  A product step is one multiply of the stacked real
-    factor [[fr, -fi], [fi, fr]] by (val.re, val.im) and one add, since
-    x (-y) and a - b round like -(x y) and a + (-b).  A lambda's own hit
-    factor is skipped by the add's mask, not multiplied by 1, which could
-    flip the sign of a zero.  Like CPython, it overflows to inf and nan
-    without a warning.  The factors are built _FACTOR_CHUNK indices at a
-    time, which keeps the table small.
-    """
-    count = len(lams)
-    evr, evi = np.array([z.real for z in evs]), np.array([z.imag for z in evs])
-    lr, li = np.array([z.real for z in lams]), np.array([z.imag for z in lams])
-    bi = 0.0 - li
-    hit = np.array(hits)
-    val = np.array([[z.real for z in starts], [z.imag for z in starts]])
-    step = np.empty((2, 2, count))
-    terms = step[:, 0], step[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # CPython's complex arithmetic never warns
-        for lo in range(0, len(evs), _FACTOR_CHUNK):
-            n = np.arange(lo, min(lo + _FACTOR_CHUNK, len(evs)))
-            ar, ai, br = evr[n, None] - lr, evi[n, None] - li, lam0[n, None] - lr
-            keep = hit != n[:, None]
-            br[~keep] = 1.0  # the skipped factor; an exact hit would divide 0 by 0
-            big = np.abs(br) >= np.abs(bi)  # Smith: divide through by the larger part
-            p, s = np.where(big, br, bi), np.where(big, bi, br)
-            x, y = np.where(big, ar, ai), np.where(big, ai, ar)
-            ratio = s / p
-            denom = p + s * ratio
-            xr = x * ratio
-            fr = (x + y * ratio) / denom
-            fi = np.where(big, y - xr, xr - y) / denom
-            table = np.empty((n.size, 2, 2, count))
-            table[:, 0, 0] = table[:, 1, 1] = fr
-            table[:, 0, 1], table[:, 1, 0] = -fi, fi
-            for factor, mask in zip(table, keep):
-                np.multiply(factor, val, out=step)
-                np.add(*terms, out=val, where=mask)
-    return [complex(re, im) for re, im in zip(*val.tolist())]
 
 
 def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
@@ -513,7 +474,7 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
     {2 b(rho_m x)}, plus the mean Delta(0) for (1,1) (the (0,0) mean is 0);
     a spectrum of >= 4*modes eigenvalues is a good rule of thumb.  Every
     Delta comes from one batched delta_from_spectrum call over the whole
-    spectrum, each with the bits of its own scalar product.
+    spectrum.
 
     On the n = k*m midpoints x_i = (2i + 1)/(2n), rho_m x_i = pi p (2i + 1)/(4n)
     with p = 2 rho_m/pi = 2(m - shift), and 2 b(t) = u e^{it} + conj(u) e^{-it},

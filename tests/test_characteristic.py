@@ -36,7 +36,7 @@ from frozen_spectra.characteristic import (
     zero_potential_delta_dlam,
 )
 from frozen_spectra.cli import _demo_potential, dispatch
-from frozen_spectra.interval_ops import grid_midpoints
+from frozen_spectra.interval_ops import grid_midpoints, read_csv
 
 PI = math.pi
 
@@ -712,26 +712,38 @@ def test_delta_from_spectrum_at_degenerate_frequency(rng):
     assert abs(val) < 1e-12
 
 
-def _reference_delta_from_spectrum(spec, n_used, lam):
-    """The plain loop over n = 1..N that delta_from_spectrum must match bit for bit."""
-    if spec.count < n_used:
-        raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")
-    if n_used < 1:
-        raise ValueError("n_used must be >= 1")
+def _mp_delta_from_spectrum(spec, n_used, lams):
+    """The truncated product at 40 digits from delta_from_spectrum's own coincidence test and start.
+
+    The start, Delta_0(lam) or -Delta_0'(lam) (lambda_n - lam) at a coincident asymptote, is the
+    library's in double: near its zeros Delta_0 is conditioned by the rounding of lam, not by the
+    product.  Every factor is formed and multiplied at 40 digits, numerators and denominators
+    apart, with one division per lambda.
+    """
     a, b = spec.alpha, spec.beta
-    lam = complex(lam)
     lam0 = [asymptotic_eigenvalue(a, b, n) for n in range(1, n_used + 1)]
-    hit = min(range(n_used), key=lambda i: abs(lam - lam0[i]))
-    if abs(lam - lam0[hit]) <= 1e-9 * (1.0 + abs(lam0[hit])):
-        val = -zero_potential_delta_dlam(a, b, lam) * (spec.eigenvalues[hit] - lam)
-    else:
-        hit = None
-        val = zero_potential_delta(a, b, lam)
-    for i in range(n_used):
-        if i == hit:
-            continue
-        val *= (spec.eigenvalues[i] - lam) / (lam0[i] - lam)
-    return complex(val)
+    out = []
+    with mpmath.workdps(40):
+        evs, asymptotes = [mpmath.mpc(z) for z in spec.eigenvalues[:n_used]], [mpmath.mpf(z) for z in lam0]
+        for lam in map(complex, lams):
+            hit = min(range(n_used), key=lambda i: abs(lam - lam0[i]))
+            if abs(lam - lam0[hit]) <= 1e-9 * (1.0 + abs(lam0[hit])):
+                start = -zero_potential_delta_dlam(a, b, lam) * (spec.eigenvalues[hit] - lam)
+            else:
+                hit, start = None, zero_potential_delta(a, b, lam)
+            z, num, den = mpmath.mpc(lam), mpmath.mpc(start), mpmath.mpf(1)
+            for i, (ev, z0) in enumerate(zip(evs, asymptotes)):
+                if i != hit:
+                    num, den = num * (ev - z), den * (z0 - z)
+            out.append(complex(num / den))
+    return out
+
+
+def _assert_relative(got, want, bound, context):
+    """|got - want| <= bound |want| wherever want is nonzero and finite."""
+    for g, w, c in zip(got, want, context):
+        if w != 0 and cmath.isfinite(w):
+            assert abs(g - w) <= bound * abs(w), (c, g, w)
 
 
 def _probe_lambdas(alpha, beta, n_used, count):
@@ -750,24 +762,35 @@ def _probe_lambdas(alpha, beta, n_used, count):
     return lams
 
 
-def _assert_batch_matches_reference_loop(spec, n_used, lams):
-    """Each lambda alone, and all of them as one list and as one array, against the scalar loop."""
-    want = [_bits(_reference_delta_from_spectrum(spec, n_used, lam)) for lam in lams]
-    assert [_bits(delta_from_spectrum(spec, n_used, lam)) for lam in lams] == want
-    batch = delta_from_spectrum(spec, n_used, lams)
-    assert type(batch) is list and all(type(z) is complex for z in batch)
-    assert list(map(_bits, batch)) == want
-    assert list(map(_bits, delta_from_spectrum(spec, n_used, np.array(lams, dtype=complex)))) == want
+def _random_spectrum(alpha, beta, count, rng):
+    lam0 = np.array([asymptotic_eigenvalue(alpha, beta, n) for n in range(1, count + 1)])
+    evs = lam0 + 3.0 + rng.normal(size=count) + 1j * rng.normal(scale=0.2, size=count)
+    return Spectrum(alpha, beta, tuple(complex(z) for z in evs))
 
 
 @pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_delta_from_spectrum_matches_reference_loop(alpha, beta, rng):
-    count = 150
-    lam0 = np.array([asymptotic_eigenvalue(alpha, beta, n) for n in range(1, count + 1)])
-    evs = lam0 + 3.0 + rng.normal(size=count) + 1j * rng.normal(scale=0.2, size=count)
-    spec = Spectrum(alpha, beta, tuple(complex(z) for z in evs))
+    # each lambda alone, and all of them as one list and as one array, in the same bits and within 1e-13
+    # of the 40-digit product
+    spec = _random_spectrum(alpha, beta, 150, rng)
     for n_used in (1, 2, 37, spec.count):
-        _assert_batch_matches_reference_loop(spec, n_used, _probe_lambdas(alpha, beta, n_used, count))
+        lams = _probe_lambdas(alpha, beta, n_used, spec.count)
+        batch = delta_from_spectrum(spec, n_used, lams)
+        assert type(batch) is list and all(type(z) is complex for z in batch)
+        bits = list(map(_bits, batch))
+        assert [_bits(delta_from_spectrum(spec, n_used, lam)) for lam in lams] == bits
+        assert list(map(_bits, delta_from_spectrum(spec, n_used, np.array(lams, dtype=complex)))) == bits
+        _assert_relative(batch, _mp_delta_from_spectrum(spec, n_used, lams), 1e-13, lams)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_delta_from_spectrum_gives_one_lambda_the_bits_of_any_batch(alpha, beta, rng):
+    # an in-place running product rounds a batch of one element differently from a longer batch
+    spec = _random_spectrum(alpha, beta, 150, rng)
+    lams = _probe_lambdas(alpha, beta, spec.count, spec.count)
+    full = list(map(_bits, delta_from_spectrum(spec, spec.count, lams)))
+    assert [_bits(delta_from_spectrum(spec, spec.count, lam)) for lam in lams] == full
+    assert [_bits(delta_from_spectrum(spec, spec.count, [lam, 7.0])[0]) for lam in lams] == full
 
 
 def test_delta_from_spectrum_keeps_no_asymptotes_between_calls():
@@ -783,36 +806,43 @@ def test_delta_from_spectrum_keeps_no_asymptotes_between_calls():
     assert _retained_after(calls) < 100_000
 
 
+_MP_DELTA_0 = {  # Delta_0 as an entire function of lambda
+    (0, 0): lambda z: mpmath.sinc(mpmath.sqrt(z)),
+    (0, 1): lambda z: mpmath.cos(mpmath.sqrt(z)),
+    (1, 0): lambda z: -mpmath.cos(mpmath.sqrt(z)),
+    (1, 1): lambda z: z * mpmath.sinc(mpmath.sqrt(z)),
+}
+
+
 @pytest.mark.parametrize("shift", [0.25, -0.25])
 @pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_delta_from_spectrum_keeps_the_sign_of_zero(alpha, beta, shift):
-    # eigenvalues whose imaginary parts are 0.0 and -0.0 in turn, every third one off the real axis;
-    # probed at the asymptotes exactly (the skipped factor), at the eigenvalues themselves (a zero
-    # factor) and at real lambdas, each real one also with a -0.0 imaginary part and negated
+def test_delta_from_spectrum_is_zero_at_an_eigenvalue_and_skips_the_factor_at_an_asymptote(alpha, beta, shift):
+    # eigenvalues shift off their asymptotes, every third one also off the real axis, the others with
+    # imaginary parts 0.0 and -0.0 in turn
     count = 60
     evs = tuple(complex(asymptotic_eigenvalue(alpha, beta, n) + shift * (-1) ** n,
                         0.5 * (-1) ** n if n % 3 == 0 else (-1) ** n * 0.0) for n in range(1, count + 1))
     spec = Spectrum(alpha, beta, evs)
-    reals = [z.real for z in map(complex, _probe_lambdas(alpha, beta, count, 20)) if z.imag == 0.0 and z.real < 1e6]
-    reals += [asymptotic_eigenvalue(alpha, beta, n) for n in range(1, count + 1)] + [0.0]
-    reals += [z.real for z in evs if z.imag == 0.0]
-    lams = [x for r in reals for x in (r, complex(r, -0.0), -r, complex(-r, -0.0))]
-    lams += [z for z in evs if z.imag != 0.0]
-    signs = set()
     for n_used in (1, 7, count):
-        _assert_batch_matches_reference_loop(spec, n_used, lams)
-        signs |= {math.copysign(1.0, z.imag) for z in delta_from_spectrum(spec, n_used, lams) if z.imag == 0.0}
-    assert signs == {1.0, -1.0}  # the probes reach zeros of both signs
+        # a zero factor makes the product exactly 0, whatever the sign of a zero imaginary part
+        at_evs = list(evs[:n_used]) + [z.conjugate() for z in evs[:n_used] if z.imag == 0.0]
+        assert all(z == 0 for z in delta_from_spectrum(spec, n_used, at_evs))
+        # at lambda_n^0 the 0/0 pair is -Delta_0'(lambda) (lambda_n - lambda), then the rest of the product
+        lam0 = [asymptotic_eigenvalue(alpha, beta, n) for n in range(1, n_used + 1)]
+        with mpmath.workdps(40):
+            slopes = [complex(mpmath.diff(_MP_DELTA_0[alpha, beta], mpmath.mpf(z))) for z in lam0]
+        _assert_relative([zero_potential_delta_dlam(alpha, beta, z) for z in lam0], slopes, 1e-13, lam0)
+        want = _mp_delta_from_spectrum(spec, n_used, lam0)
+        assert 0 not in want
+        _assert_relative(delta_from_spectrum(spec, n_used, lam0), want, 1e-13, lam0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_delta_from_spectrum_overflows_like_the_loop_without_a_warning():
+def test_delta_from_spectrum_overflows_to_nan_without_a_warning():
     # a spectrum near the top of the double range: at lambda = 1e-300 the product overflows to nan
     spec = Spectrum(0, 1, tuple(complex(asymptotic_eigenvalue(0, 1, n) * 1e150, 1e150) for n in range(1, 41)))
-    lams = [1e-300, 1e300, 2.5, complex(1e150, 2.0)]
-    got = delta_from_spectrum(spec, 40, lams)
+    got = delta_from_spectrum(spec, 40, [1e-300, 1e300, 2.5, complex(1e150, 2.0)])
     assert cmath.isnan(got[0]) and cmath.isfinite(got[1])
-    assert list(map(_bits, got)) == [_bits(_reference_delta_from_spectrum(spec, 40, lam)) for lam in lams]
 
 
 def test_extract_w_evaluates_the_product_in_one_call(monkeypatch):
@@ -830,28 +860,27 @@ def test_extract_w_evaluates_the_product_in_one_call(monkeypatch):
         assert calls == [modes + (flags == (1, 1))]
 
 
-def _reference_product(spec, n_used, lam):
-    """The scalar reference loop mapped over a batch of lambdas, a stand-in for delta_from_spectrum."""
-    return [_reference_delta_from_spectrum(spec, n_used, z) for z in lam]
-
-
 @pytest.mark.parametrize("flags", [(0, 0, 2, 5), (0, 1, 1, 3), (1, 1, 1, 4)],
                          ids=["degenerate", "non-degenerate", "mean-11"])
 def test_reconstruct_files_match_the_reference_loop(flags, tmp_path, monkeypatch, capsys):
+    # the written q within 1e-13 of max|q| of the q written with the 40-digit product in its place,
+    # and the kernel direction, which does not read the product, byte for byte
     cfg = make_config(*flags)
     q = GridFunction.from_callable(smooth_potential, cfg.k, 32)
     eigenvalues(q, cfg, 100).dump(tmp_path / "s.json")
     files = {}
-    for name, product in (("new", delta_from_spectrum), ("ref", _reference_product)):
+    for name, product in (("new", delta_from_spectrum), ("ref", _mp_delta_from_spectrum)):
         monkeypatch.setattr(characteristic, "delta_from_spectrum", product)
         out, ker = tmp_path / f"{name}.q.csv", tmp_path / f"{name}.kernel.csv"
         argv = ["reconstruct", "--alpha", str(cfg.alpha), "--beta", str(cfg.beta), "--j", str(cfg.j),
                 "--k", str(cfg.k), "--spectrum", str(tmp_path / "s.json"), "--m", "32", "--n-used", "100",
                 "--modes", "25", "--out", str(out), "--kernel-out", str(ker)]
         assert dispatch(argv) == 0, capsys.readouterr().err
-        files[name] = [p.read_bytes() if p.exists() else None for p in (out, ker)]
-    assert (files["new"][1] is not None) == (cfg.alpha == cfg.beta)
-    assert files["new"] == files["ref"]
+        files[name] = read_csv(out).values, ker.read_bytes() if ker.exists() else None
+    (got, got_kernel), (want, want_kernel) = files["new"], files["ref"]
+    assert (got_kernel is not None) == (cfg.alpha == cfg.beta)
+    assert got_kernel == want_kernel
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_extract_w_zero_spectrum():
