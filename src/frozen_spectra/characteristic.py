@@ -9,37 +9,33 @@ cell of width h and e^{+-i rho s} is integrated exactly over the cell, so
 every kernel sum is the midpoint sum times h sinc(rho h/2), and a
 piecewise-constant q is integrated exactly.  The kernel sums
 (_kernel_sums) factor every e^{+-i rho s} over blocks of about sqrt(n) of
-the n grid points, about 4 sqrt(n) complex exps and two thin matrix
-products rather than n exps, on a layout built once per grid function; the
-layout of the last q or W is all the module keeps between calls
-(_layout).  One boundary assembly (_boundary_det) builds only the two
-determinant rows that (alpha, beta) select and returns Delta and
-dDelta/dlambda: of q from its kernel sums, of the zero potential from zero
-sums at a = 0.  Route 2 (delta_from_w) adds an integral of W to Delta_0 by
-the same rule, for (0,1), (1,0) and (1,1) a kernel sum of Route 1 with
-the whole grid as the head.  Route 3 (delta_from_spectrum) evaluates the
-canonical infinite product over a truncated spectrum, pairing each
-retained factor with the matching zero-potential factor so the tail is
-exactly 1 under lambda_n = lambda_n^0; it takes a whole batch of lambda in
-one pass over the factors, in numpy's complex arithmetic, and one lambda
-has the same bits alone as in any batch.  extract_w reads W's cos or
-sin coefficients off that product at the zero-potential eigenvalues and
-synthesizes W on the n = k*m midpoints with one length-4n complex FFT,
-in O(n log n) rather than O(modes n).
+the n grid points, on a layout kept for the last q or W only (_layout).
+One boundary assembly (_boundary_det) builds only the two determinant
+rows that (alpha, beta) select and returns Delta and dDelta/dlambda: of q
+from its kernel sums, of the zero potential from zero sums at a = 0, at
+one lambda or at a whole batch.  Route 2 (delta_from_w) adds an integral
+of W to Delta_0 by the same rule, for (0,1), (1,0) and (1,1) a kernel sum
+of Route 1 with the whole grid as the head.  Route 3 (delta_from_spectrum)
+evaluates the canonical infinite product over a truncated spectrum, each
+retained factor paired with the matching zero-potential factor so the
+tail is exactly 1 under lambda_n = lambda_n^0, for a whole batch of lambda
+without a loop over lambda: one boundary assembly gives every starting
+value, and fixed tiles of factors by lambdas are reduced pairwise.
+extract_w reads W's cos or sin coefficients off that product at the
+zero-potential eigenvalues and synthesizes W with one complex FFT.
 
-All formulas are even in rho, so the branch of the square root is
-immaterial; one canonical branch also makes the rounding of the exp
-kernel in delta_direct independent of it.  Newton in eigenvalues runs on
-the analytic dDelta/dlambda of the rule.  One function (_trig_kernels)
-gives cos(rho s), sin(rho s)/rho and its lambda-derivative on arrays, at
-scalar endpoints and at the half cell h/2, where sin(rho s)/rho is half
-the cell weight; below |rho| = RHO_SERIES_THRESHOLD = 0.1, where the exp
-form of dDelta/dlambda would lose digits to cancellation, it switches to
-Taylor series.  Two more places test the same threshold: _kernel_sums,
-which below it takes its kernels from _trig_kernels on the laid-out rows
-instead of the blocked exps, and delta_from_w, which adds the (0,0) mean
-term sum(W)/lambda only above it and drops it below, the entire
-continuation for zero-mean W.
+All formulas are even in rho; one canonical branch of the square root
+(_sqrt_lambda) keeps the rounding of delta_direct independent of it.
+Newton in eigenvalues runs on the analytic dDelta/dlambda of the rule.
+One function (_trig_kernels) gives cos(rho s), sin(rho s)/rho and its
+lambda-derivative at lengths s (at s = h/2, half the cell weight);
+below |rho| = RHO_SERIES_THRESHOLD = 0.1, where the exp form of
+dDelta/dlambda would lose digits to cancellation, it switches to Taylor
+series, on a lambda batch by a per-lambda mask.  Two more places test
+the threshold: _kernel_sums, which below it takes its kernels from
+_trig_kernels instead of the blocked exps, and delta_from_w, which adds
+the (0,0) mean term sum(W)/lambda only above it, the entire continuation
+for zero-mean W below.
 """
 
 from __future__ import annotations
@@ -138,35 +134,47 @@ def asymptotic_eigenvalue(alpha: int, beta: int, n: int) -> float:
     return (n - (alpha + beta) / 2) ** 2 * math.pi**2
 
 
-def _sqrt_lambda(lam: complex) -> complex:
+def _sqrt_lambda(lam):
     """sqrt(lambda) on one canonical branch: Re rho > 0, or Re rho = 0 and Im rho >= 0.
 
     Every formula is even in rho, but the exp kernel of delta_direct is not
     symmetric in rounding, so lambda = x + 0j and x - 0j must give one rho.
+    lam is one complex, taken in cmath, or a 1-D array, taken in numpy.
     """
+    if isinstance(lam, np.ndarray):
+        rho = np.sqrt(lam)
+        return np.where((rho.real == 0.0) & (rho.imag < 0.0), rho.conj(), rho)
     rho = cmath.sqrt(lam)
     if rho.real == 0.0 and rho.imag < 0.0:
         rho = complex(0.0, -rho.imag)
     return rho
 
 
-def _trig_kernels(s, rho: complex, lam: complex):
+def _trig_kernels(s, rho, lam):
     """cos(rho s), sin(rho s)/rho and d/dlambda of sin(rho s)/rho.
 
-    s is a numpy array of lengths or one endpoint as a float, which keeps
-    the arithmetic in cmath.  All three are entire in lambda = rho^2.  Above
-    the series threshold the last two come from cos and sin, with
+    s is a numpy array of lengths or one endpoint as a float, which keeps the
+    arithmetic in cmath unless rho and lam are 1-D arrays of a lambda batch,
+    with the threshold as a per-lambda mask.  All three are entire in rho^2.
+    Above the threshold the last two come from cos and sin, with
         d/dlambda sin(rho s)/rho = (s cos(rho s) - sin(rho s)/rho)/(2 lambda),
     which cancels with an error of about eps/|lambda|, so the threshold sits
     at |rho| = 0.1; below it, from one Horner pass in t = (rho s)^2 over
     _SERIES.
     """
-    trig = np if isinstance(s, np.ndarray) else cmath
-    cs = trig.cos(rho * s)
-    if abs(rho) >= RHO_SERIES_THRESHOLD:
-        ks = trig.sin(rho * s) / rho
+    x, series, trig = rho * s, abs(rho) < RHO_SERIES_THRESHOLD, np if isinstance(s, np.ndarray) else cmath
+    if type(rho) is not complex:  # a lambda batch: every scalar caller passes one complex, the cheapest test
+        if series.any() and not series.all():  # one call per side, into one (3, L) array
+            kernels = np.empty((3, rho.size), dtype=complex)
+            for side in (series, ~series):
+                kernels[:, side] = _trig_kernels(s, rho[side], lam[side])
+            return kernels
+        trig, series = np, series.all()
+    cs = trig.cos(x)
+    if not series:
+        ks = trig.sin(x) / rho
         return cs, ks, (s * cs - ks) / (2 * lam)
-    t = (rho * s) ** 2
+    t = x**2
     ks, dks = _SERIES[0]
     for c_ks, c_dks in _SERIES[1:]:
         ks, dks = ks * t + c_ks, dks * t + c_dks
@@ -405,7 +413,7 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
     return Spectrum(config.alpha, config.beta, tuple(roots))
 
 
-_FACTOR_CHUNK = 16  # factor indices per table in delta_from_spectrum
+_FACTOR_CHUNK, _LAMBDA_TILE = 64, 128  # factor indices by lambdas per table in delta_from_spectrum
 
 
 def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
@@ -418,48 +426,47 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
     eigenvalues is well defined.
 
     lam is one number, which returns one complex, or a 1-D sequence, which
-    returns a list of complex in its order; one lambda is a batch of one.
-    The asymptotes are formed per call, with the bits of
-    asymptotic_eigenvalue: the square of an integer or half-integer is
-    exact.  They increase strictly and |lam - lambda_n^0| grows with
-    |Re lam - lambda_n^0|, so the one asymptote lam can coincide with is a
-    neighbour of Re lam's bisection point (the lower index on a tie), found
-    for the whole batch by one searchsorted.  The coincidence test and the
-    starting value stay scalar per lambda.  The factors are numpy complex
-    tables of _FACTOR_CHUNK indices by the whole batch, each lambda's
-    coincident factor set to 1, and the running product takes their rows in
-    index order.  A lambda gets the same bits alone as in any batch, and an
-    overflow gives inf or nan without a warning.
+    returns a list of complex in its order; one lambda is a batch of one.  The
+    asymptotes are formed per call, with the bits of asymptotic_eigenvalue: the
+    square of an integer or half-integer is exact.  They increase strictly and
+    |lam - lambda_n^0| grows with |Re lam - lambda_n^0|, so the one asymptote
+    lam can coincide with is a neighbour of Re lam's bisection point (the lower
+    index on a tie), found for the whole batch by one searchsorted.  One
+    _boundary_det call gives every Delta_0 and Delta_0' of the batch.  The
+    factors are complex tables of _FACTOR_CHUNK indices by _LAMBDA_TILE
+    lambdas, each lambda's coincident factor set to 1, whose rows are
+    multiplied pairwise by halves, an odd last row into the running product,
+    until none is left.  Both sizes are fixed, so a lambda gets the same bits
+    alone as in any batch; an overflow gives inf or nan without a warning.
     """
     if spec.count < n_used:
         raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")
     if n_used < 1:
         raise ValueError("n_used must be >= 1")
-    a, b, evs = spec.alpha, spec.beta, spec.eigenvalues
-    single = np.ndim(lam) == 0
-    lams = [complex(lam)] if single else [complex(z) for z in lam]
-    lam0 = (np.arange(1, n_used + 1) - (a + b) / 2) ** 2 * math.pi**2
-    z0 = lam0.tolist()
-    hits, starts = [], []
-    for z, hit in zip(lams, np.searchsorted(lam0, [z.real for z in lams]).tolist()):
-        if hit == n_used or (hit > 0 and abs(z - z0[hit - 1]) <= abs(z - z0[hit])):
-            hit -= 1
-        if abs(z - z0[hit]) <= 1e-9 * (1.0 + abs(z0[hit])):
-            start = -zero_potential_delta_dlam(a, b, z) * (evs[hit] - z)
-        else:
-            hit, start = n_used, zero_potential_delta(a, b, z)
-        hits.append(hit)
-        starts.append(start)
-    evs, lams, hits, vals = np.array(evs[:n_used]), np.array(lams), np.array(hits), np.array(starts)
+    given = np.array(lam, dtype=complex)
+    if given.ndim > 1:
+        raise ValueError(f"lam must be one number or a 1-D sequence, got shape {given.shape}")
+    a, b, evs, lams = spec.alpha, spec.beta, np.array(spec.eigenvalues[:n_used]), given.reshape(-1)
+    index = np.arange(n_used)
+    lam0 = (index + 1 - (a + b) / 2) ** 2 * math.pi**2
     with np.errstate(all="ignore"):  # an exact hit divides by 0 until its factor is set; overflow gives inf or nan
-        for lo in range(0, n_used, _FACTOR_CHUNK):
-            n = np.arange(lo, min(lo + _FACTOR_CHUNK, n_used))
-            table = (evs[n, None] - lams) / (lam0[n, None] - lams)
-            table[n[:, None] == hits] = 1.0  # the coincident factor is in the start
-            for row in table:
-                vals = vals * row  # not *=: numpy rounds an in-place product of one element differently
-    vals = vals.tolist()
-    return vals[0] if single else vals
+        above = np.searchsorted(lam0, lams.real)
+        below, above = np.maximum(above - 1, 0), np.minimum(above, n_used - 1)
+        hits = np.where(np.abs(lams - lam0[below]) <= np.abs(lams - lam0[above]), below, above)
+        coincide = np.abs(lams - lam0[hits]) <= 1e-9 * (1.0 + lam0[hits])
+        d0, d0_slope = _boundary_det(a, b, 0.0, 0.0, _sqrt_lambda(lams), lams, _NO_SUMS, _NO_SUMS)
+        vals, hits = np.where(coincide, -d0_slope * (evs[hits] - lams), d0), np.where(coincide, hits, n_used)
+        for tile in (slice(lo, lo + _LAMBDA_TILE) for lo in range(0, lams.size, _LAMBDA_TILE)):
+            val = vals[tile]
+            for n in (slice(n0, n0 + _FACTOR_CHUNK) for n0 in range(0, n_used, _FACTOR_CHUNK)):
+                table = (evs[n, None] - lams[tile]) / (lam0[n, None] - lams[tile])
+                table[index[n, None] == hits[tile]] = 1.0  # the coincident factor is in the start
+                while len(table):  # out of place: numpy rounds an in-place product of one element differently
+                    if len(table) % 2:
+                        val, table = val * table[-1], table[:-1]
+                    table = table[: len(table) // 2] * table[len(table) // 2 :]  # halves: one loop, not one per row
+            vals[tile] = val
+    return vals.tolist() if given.ndim else complex(vals[0])
 
 
 def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:

@@ -845,6 +845,84 @@ def test_delta_from_spectrum_overflows_to_nan_without_a_warning():
     assert cmath.isnan(got[0]) and cmath.isfinite(got[1])
 
 
+def test_delta_from_spectrum_assembles_one_boundary_determinant_per_batch(monkeypatch, rng):
+    # every starting value of a batch, Delta_0 or -Delta_0' at a coincident asymptote, comes from one
+    # _boundary_det call on arrays; no scalar zero-potential determinant runs
+    calls = []
+
+    def counted(*args):
+        calls.append(np.shape(args[5]))
+        return _boundary_det(*args)
+
+    def scalar(*args):
+        raise AssertionError(f"a scalar zero-potential determinant ran at {args}")
+
+    monkeypatch.setattr(characteristic, "_boundary_det", counted)
+    monkeypatch.setattr(characteristic, "zero_potential_delta", scalar)
+    monkeypatch.setattr(characteristic, "zero_potential_delta_dlam", scalar)
+    spec = _random_spectrum(1, 1, 400, rng)
+    lams = [0.0] + [(PI * mm) ** 2 for mm in range(1, 101)]  # 101 lambdas, all but the first on asymptotes
+    delta_from_spectrum(spec, 400, lams)
+    assert calls == [(101,)]
+    calls.clear()
+    extract_w(spec, 100, 4, 64)
+    assert calls == [(101,)]
+
+
+# the lambdas of the CI step that evaluates Delta on both sides of the series threshold
+_THRESHOLD_LAMBDAS = [0, 1e-7, 9.9e-7, 1.01e-6, 9.9e-3, 1.01e-2, -1.02e-2 + 1e-3j, -2500, 1e4 + 3000j]
+
+
+def _signs(z):
+    return math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_batched_zero_potential_determinant_matches_the_scalar_path(alpha, beta):
+    # one array call against one cmath call per lambda, across the series threshold, on the negative axis
+    # from either side of the cut, and at 1000 extract_w frequencies: rho on the scalar branch, signed zeros
+    # included; the kernels of a mixed batch, and Delta_0 and Delta_0', within 4e-16 relative
+    shift = 0.0 if alpha == beta else 0.5
+    lams = [complex(z) for z in _THRESHOLD_LAMBDAS] + [complex(-4.0, -0.0), complex(-4.0, 0.0)]
+    lams += [complex(((mm - shift) * PI) ** 2) for mm in range(1, 1001)]
+    batch = np.array(lams)
+    rho = _sqrt_lambda(batch)
+    for got, lam in zip(rho.tolist(), lams):
+        want = _sqrt_lambda(lam)
+        assert _signs(got) == _signs(want) and abs(got - want) <= 2.3e-16 * abs(want), (lam, got, want)
+    for s in (2 / 7, 1.0):
+        kernels = _trig_kernels(s, rho, batch)
+        assert kernels.shape == (3, len(lams))
+        for i, lam in enumerate(lams):
+            _assert_relative(kernels[:, i].tolist(), _trig_kernels(s, _sqrt_lambda(lam), lam), 4e-16, [(s, lam)] * 3)
+    values, slopes = _boundary_det(alpha, beta, 0.0, 0.0, rho, batch, characteristic._NO_SUMS, characteristic._NO_SUMS)
+    _assert_relative(values.tolist(), [zero_potential_delta(alpha, beta, z) for z in lams], 4e-16, lams)
+    _assert_relative(slopes.tolist(), [zero_potential_delta_dlam(alpha, beta, z) for z in lams], 4e-16, lams)
+
+
+def test_delta_from_spectrum_edge_batches():
+    # an empty batch returns an empty list, a 0-d array one complex, and a 2-D lam is refused by its shape
+    assert delta_from_spectrum(_TEN, 10, []) == []
+    got = delta_from_spectrum(_TEN, 10, np.array(7.0))
+    assert type(got) is complex and _bits(got) == _bits(delta_from_spectrum(_TEN, 10, 7.0))
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        delta_from_spectrum(_TEN, 10, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_delta_from_spectrum_peak_memory_stays_within_its_tables(rng):
+    # 1100 factors at 1001 lambdas; one table of every factor by every lambda would take 17.6 MB
+    spec = _random_spectrum(0, 1, 1100, rng)
+    lams = [0.0] + [((mm - 0.5) * PI) ** 2 for mm in range(1, 1001)]
+    tracemalloc.start()
+    try:
+        delta_from_spectrum(spec, 1100, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+
+
 def test_extract_w_evaluates_the_product_in_one_call(monkeypatch):
     calls = []
 
