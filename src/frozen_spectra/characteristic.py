@@ -8,14 +8,15 @@ by Filon's cell rule on the shared grid: q is taken as constant on each
 cell of width h and e^{+-i rho s} is integrated exactly over the cell, so
 every kernel sum is the midpoint sum times h sinc(rho h/2), and a
 piecewise-constant q is integrated exactly.  The kernel sums
-(_kernel_sums) factor every e^{+-i rho s} over blocks of about sqrt(n) of
-the n grid points, on a layout kept for the last q or W only (_layout).
+(_kernel_sums) split every length into a coarse and a fine part, over
+blocks of about sqrt(n) of the n grid points, on a layout kept for the
+last q or W only (_layout).
 One boundary assembly (_boundary_det) builds only the two determinant
 rows that (alpha, beta) select and returns Delta and dDelta/dlambda: of q
 from its kernel sums, of the zero potential from zero sums at a = 0, at
 one lambda or at a whole batch.  Route 2 (delta_from_w) adds an integral
-of W to Delta_0 by the same rule, for (0,1), (1,0) and (1,1) a kernel sum
-of Route 1 with the whole grid as the head.  Route 3 (delta_from_spectrum)
+of W to Delta_0 by the same rule, for every flag pair a kernel sum of
+Route 1 with the whole grid as the head.  Route 3 (delta_from_spectrum)
 evaluates the canonical infinite product over a truncated spectrum, each
 retained factor paired with the matching zero-potential factor so the
 tail is exactly 1 under lambda_n = lambda_n^0, for a whole batch of lambda
@@ -29,13 +30,13 @@ All formulas are even in rho; one canonical branch of the square root
 Newton in eigenvalues runs on the analytic dDelta/dlambda of the rule.
 One function (_trig_kernels) gives cos(rho s), sin(rho s)/rho and its
 lambda-derivative at lengths s (at s = h/2, half the cell weight);
-below |rho| = RHO_SERIES_THRESHOLD = 0.1, where the exp form of
-dDelta/dlambda would lose digits to cancellation, it switches to Taylor
-series, on a lambda batch by a per-lambda mask.  Two more places test
-the threshold: _kernel_sums, which below it takes its kernels from
-_trig_kernels instead of the blocked exps, and delta_from_w, which adds
-the (0,0) mean term sum(W)/lambda only above it, the entire continuation
-for zero-mean W below.
+below |rho| = RHO_SERIES_THRESHOLD = 1.0, where the exp form of
+dDelta/dlambda would lose digits to cancellation, it switches to a 12-term
+Taylor series, on a lambda batch by a per-lambda mask.  One more place
+tests the threshold: _kernel_sums, which below it builds the same blocked
+sums by angle addition from _trig_kernels at the fine and coarse lengths
+instead of from exps, and gives Route 2's (0,0) sum without the mean term
+sum(W)/lambda, the entire continuation for zero-mean W.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ import numpy as np
 from .core_params import ProblemConfig, require_flags, require_grid
 from .interval_ops import GridFunction, _allocate_grid
 
-RHO_SERIES_THRESHOLD = 0.1
-_SERIES_TERMS = 8
+RHO_SERIES_THRESHOLD = 1.0
+_SERIES_TERMS = 12
 # Taylor coefficients in t = (rho s)^2, highest power first, of sin(rho s)/(rho s) and of its t-derivative
 _SERIES = tuple(
     ((-1) ** n / math.factorial(2 * n + 1), (-1) ** (n + 1) * (n + 1) / math.factorial(2 * n + 3))
@@ -159,8 +160,8 @@ def _trig_kernels(s, rho, lam):
     Above the threshold the last two come from cos and sin, with
         d/dlambda sin(rho s)/rho = (s cos(rho s) - sin(rho s)/rho)/(2 lambda),
     which cancels with an error of about eps/|lambda|, so the threshold sits
-    at |rho| = 0.1; below it, from one Horner pass in t = (rho s)^2 over
-    _SERIES.
+    at |rho| = 1; below it, from one Horner pass in t = (rho s)^2 over the
+    _SERIES_TERMS = 12 terms of _SERIES, for lengths s <= 1.
     """
     x, series, trig = rho * s, abs(rho) < RHO_SERIES_THRESHOLD, np if isinstance(s, np.ndarray) else cmath
     if type(rho) is not complex:  # a lambda batch: every scalar caller passes one complex, the cheapest test
@@ -191,11 +192,12 @@ def _layout(f: GridFunction, jm: int):
     block and enough blocks for the longer of the two, returns b, the signed
     offsets [[fine, coarse], [-fine, -coarse]] whose exps give every factor
     e^{+-i rho x}, the weights (1, x) that spread each exp row over a value
-    row and a slope row, and the head and reversed tail of f as (2, blocks, b)
-    rows, zero-padded to whole blocks.  Newton passes one potential to every
-    call, so the layout is built once per (f, jm); f's samples are read-only
-    and f hashes by identity, so the one cached entry can never go stale.  It
-    keeps the last q or W alive until a call of either route replaces it.
+    row and a slope row (and give the series branch its ones and lengths),
+    and the head and reversed tail of f as (2, blocks, b) rows, zero-padded
+    to whole blocks.  Newton passes one potential to every call, so the
+    layout is built once per (f, jm); f's samples are read-only and f hashes
+    by identity, so the one cached entry can never go stale.  It keeps the
+    last q or W alive until a call of either route replaces it.
     """
     n = f.k * f.m
     b = math.isqrt(n)
@@ -212,43 +214,53 @@ def _layout(f: GridFunction, jm: int):
 
 
 def _kernel_sums(f: GridFunction, jm: int, rho: complex, lam: complex):
-    """Sums of f * sin(rho s)/rho and f * cos(rho s) over head and tail, and their lambda-derivatives.
+    """Sums of f sin(rho s)/rho and f cos(rho s) over head and tail, their lambda-derivatives, and the (0,0) sums.
 
-    Returns ((sin_head, sin_tail), (cos_head, cos_tail)) and the same two
-    pairs differentiated in lambda, for q split at jm = j*m (Route 1) or W
-    all head, jm = n (Route 2).  Both branches read f's rows from _layout.
-    Above the series threshold the sums of f e^{+-i rho s} and
-    f s e^{+-i rho s} carry everything, and
+    Returns ((sin_head, sin_tail), (cos_head, cos_tail)), the same two pairs
+    differentiated in lambda, and the (0,0) pair: sum f cos(rho s)/lambda above
+    the series threshold, below it the entire part sum f (cos(rho s) - 1)/lambda.
+    f is q split at jm = j*m (Route 1) or W all head, jm = n (Route 2).  Both
+    branches read f's rows from _layout, with s = coarse + fine: head and
+    reversed tail, as rows of b samples, meet kernels of the fine lengths in
+    one (rows x b) @ (b x columns) product, and kernels of the coarse lengths
+    turn each side's row sums into its sums.  A call builds no n-length array
+    and finishes in scalar arithmetic.  Above the threshold, 2(b + blocks),
+    about 4 sqrt(n), complex exps give e^{+-i rho s} = E+-(coarse) F+-(fine)
+    as the columns [F+, fine F+, F-, fine F-] and rows
+    [E+, coarse E+, E-, coarse E-], and
         d/dlambda cos(rho s)       = -(s/2) sin(rho s)/rho,
         d/dlambda sin(rho s)/rho   = (s cos(rho s) - sin(rho s)/rho)/(2 lambda).
-    Those sums come blocked (see _layout), with s = coarse + fine and
-    e^{+-i rho s} = E+-(coarse) F+-(fine): head and reversed tail, as rows of b
-    samples, meet [F+, fine F+, F-, fine F-] in one (rows x b) @ (b x 4)
-    product, and [E+, coarse E+, E-, coarse E-] turns each side's row sums
-    into its four sums.  A call takes 2(b + blocks), about 4 sqrt(n), complex
-    exps and two thin matrix products, builds no n-length array, and
-    finishes in scalar arithmetic.  Below the threshold the four kernels
-    come from _trig_kernels on the (blocks, b) grid of lengths coarse + fine.
+    Below it, one _trig_kernels call gives C = cos(rho t), S = sin(rho t)/rho
+    and dS/dlambda at every fine and coarse length t, with dC = -(t/2) S and
+    K = (cos(rho t) - 1)/lambda = -S^2/(1 + C), and angle addition
+        S(c + r) = S_c C_r + C_c S_r,    C(c + r) = C_c C_r - lambda S_c S_r,
+        K(c + r) = C_c K_r + K_c - S_c S_r,
+    with the product rule for the slopes, gives every sum; none cancels.
     """
     b, offsets, weights, rows = _layout(f, jm)
     if abs(rho) < RHO_SERIES_THRESHOLD:
-        s = offsets[0, b:, None] + offsets[0, :b]
-        cs, ks, dks = _trig_kernels(s, rho, lam)
-        kernels = np.stack((ks, cs, dks, -0.5 * s * ks)).reshape(4, -1)
-        isin, icos, dsin, dcos = (kernels @ rows.reshape(2, -1).T).tolist()
-        return (isin, icos), (dsin, dcos)
+        ones, t = weights
+        cs, ks, dks = _trig_kernels(t, rho, lam)
+        # C, S, dC, dS, K and 1 at the fine, then the coarse lengths
+        kernels = np.stack((cs, ks, -0.5 * t * ks, dks, -ks**2 / (1 + cs), ones))
+        sides = (kernels[:5, b:] @ (rows @ kernels[:, :b].T)).tolist()  # [side][coarse C, S, dC, dS, K][fine]
+        sums = [(s[0] + c[1], c[0] - lam * s[1], ds[0] + s[2] + dc[1] + c[3],
+                 dc[0] + c[2] - s[1] - lam * (ds[1] + s[3]), c[4] + k[5] - s[1]) for c, s, dc, ds, k in sides]
+        isin, icos, dsin, dcos, k00 = zip(*sums)
+        return (isin, icos), (dsin, dcos), k00
     # rows e^{i rho x}, x e^{i rho x}, e^{-i rho x}, x e^{-i rho x}; columns the fine, then the coarse points
     factors = (np.exp((1j * rho) * offsets)[:, None] * weights).reshape(4, -1)
     head, tail = (factors[:, b:] @ (rows @ factors[:, :b].T)).tolist()
     two_i_rho = 2j * rho
     ph, mh, pt, mt = head[0][0], head[2][2], tail[0][0], tail[2][2]
     sin_h, sin_t = (ph - mh) / two_i_rho, (pt - mt) / two_i_rho
+    cos_h, cos_t = (ph + mh) / 2, (pt + mt) / 2
     sph, smh = head[1][0] + head[0][1], head[3][2] + head[2][3]
     spt, smt = tail[1][0] + tail[0][1], tail[3][2] + tail[2][3]
     two_lam = 2 * lam
     dsin = ((sph + smh) / 2 - sin_h) / two_lam, ((spt + smt) / 2 - sin_t) / two_lam
     dcos = (smh - sph) / (2 * two_i_rho), (smt - spt) / (2 * two_i_rho)
-    return ((sin_h, sin_t), ((ph + mh) / 2, (pt + mt) / 2)), (dsin, dcos)
+    return ((sin_h, sin_t), (cos_h, cos_t)), (dsin, dcos), (cos_h / lam, cos_t / lam)
 
 
 def _boundary_det(alpha: int, beta: int, a: float, h: float, rho: complex, lam: complex, sums, dsums):
@@ -295,7 +307,7 @@ def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bo
     require_grid(q, config)
     lam = complex(lam)
     rho = _sqrt_lambda(lam)
-    sums, dsums = _kernel_sums(q, config.j * q.m, rho, lam)
+    sums, dsums, _ = _kernel_sums(q, config.j * q.m, rho, lam)
     pair = _boundary_det(config.alpha, config.beta, config.j / config.k, q.h, rho, lam, sums, dsums)
     return pair if slope else pair[0]
 
@@ -305,29 +317,21 @@ def delta_from_w(w: GridFunction, alpha: int, beta: int, lam: complex) -> comple
 
     alpha != beta:  (-1)^alpha cos rho + int W(x) sin(rho x)/rho dx
     (1,1):          rho sin rho + int W(x) cos(rho x) dx
-    (0,0):          sin(rho)/rho + int W(x) cos(rho x)/rho^2 dx, computed
-                    with the mean of W split off, by the kernel
-                    (cos(rho x) - 1)/lambda = -2 (sin(rho x/2)/rho)^2; for
-                    |rho| below the series threshold the mean term is
-                    dropped, which is the entire continuation valid for
-                    zero-mean W (every W in the range of the forward map
-                    has zero mean).
+    (0,0):          sin(rho)/rho + int W(x) cos(rho x)/rho^2 dx; below the
+                    series threshold the mean term int W/lambda is dropped
+                    and the kernel is (cos(rho x) - 1)/lambda, which is the
+                    entire continuation valid for zero-mean W (every W in
+                    the range of the forward map has zero mean).
 
-    The whole integral term, the (0,0) mean term included, is weighted by
-    the cell rule's h sinc(rho h/2), so W is read as constant on each cell
-    exactly as delta_direct reads q, and the two routes are one
-    discretisation.  (0,0) keeps its n-length kernel: the blocked sums would
-    give (sum W cos(rho x) - sum W)/lambda, 100x worse near |rho| = 0.1.
+    Every flag pair reads one of Route 1's kernel sums, with the whole grid
+    as the head, weighted by the cell rule's h sinc(rho h/2), so W is read as
+    constant on each cell exactly as delta_direct reads q, and the two routes
+    are one discretisation.
     """
     require_flags(alpha, beta)
     rho = _sqrt_lambda(lam)
-    if (alpha, beta) == (0, 0):  # the half-angle form has no cancellation on either branch
-        integral = np.sum(w.values * (-2 * _trig_kernels(w.midpoints() / 2, rho, lam)[1] ** 2))
-        if abs(rho) >= RHO_SERIES_THRESHOLD:
-            integral = integral + np.sum(w.values) / lam
-    else:
-        (isin, icos), _ = _kernel_sums(w, w.k * w.m, rho, lam)
-        integral = isin[0] if alpha != beta else icos[0]
+    (isin, icos), _, k00 = _kernel_sums(w, w.k * w.m, rho, lam)
+    integral = isin[0] if alpha != beta else icos[0] if alpha else k00[0]
     weight = 2 * _trig_kernels(w.h / 2, rho, lam)[1]
     return complex(zero_potential_delta(alpha, beta, lam) + weight * integral)
 
@@ -340,13 +344,6 @@ def zero_potential_delta(alpha: int, beta: int, lam: complex) -> complex:
     require_flags(alpha, beta)
     lam = complex(lam)
     return _boundary_det(alpha, beta, 0.0, 0.0, _sqrt_lambda(lam), lam, _NO_SUMS, _NO_SUMS)[0]
-
-
-def zero_potential_delta_dlam(alpha: int, beta: int, lam: complex) -> complex:
-    """d/dlambda of the zero-potential characteristic function, from the same determinant."""
-    require_flags(alpha, beta)
-    lam = complex(lam)
-    return _boundary_det(alpha, beta, 0.0, 0.0, _sqrt_lambda(lam), lam, _NO_SUMS, _NO_SUMS)[1]
 
 
 def _find_root(f, lam0: complex, index: int) -> complex:

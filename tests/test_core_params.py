@@ -20,7 +20,6 @@ from frozen_spectra import (
     theorem1_poly,
     zero_potential_delta,
 )
-from frozen_spectra.characteristic import zero_potential_delta_dlam
 
 
 def test_make_config_reduces_to_lowest_terms():
@@ -51,7 +50,6 @@ _FLAG_READERS = {
     "spectrum_closed_form": lambda a, b: spectrum_closed_form(3, a, b),
     "asymptotic_eigenvalue": lambda a, b: asymptotic_eigenvalue(a, b, 2),
     "zero_potential_delta": lambda a, b: zero_potential_delta(a, b, 5.0),
-    "zero_potential_delta_dlam": lambda a, b: zero_potential_delta_dlam(a, b, 5.0),
     "delta_from_w": lambda a, b: delta_from_w(GridFunction.zeros(3, 4), a, b, 5.0),
 }
 
