@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_params import ProblemConfig, require_flags, require_grid
+from .core_params import ProblemConfig, is_int, require_flags, require_grid
 from .interval_ops import GridFunction, _allocate_grid
 
 RHO_SERIES_THRESHOLD = 1.0
@@ -127,10 +127,10 @@ class Spectrum:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def asymptotic_eigenvalue(alpha: int, beta: int, n: int) -> float:
-    """Zero-potential eigenvalue (n - (alpha+beta)/2)^2 pi^2, n >= 1."""
+def asymptotic_eigenvalue(alpha: int, beta: int, n):
+    """Zero-potential eigenvalue (n - (alpha+beta)/2)^2 pi^2 of an index n >= 1, elementwise on an integer array."""
     require_flags(alpha, beta)
-    if n < 1:
+    if not (n.dtype.kind in "iu" if isinstance(n, np.ndarray) else is_int(n)) or np.any(n < 1):
         raise ValueError(f"eigenvalue index n must be >= 1, got {n}")
     return (n - (alpha + beta) / 2) ** 2 * math.pi**2
 
@@ -394,13 +394,11 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
     indices landing on one root raise EigenvalueCollisionError (densify the
     grid or perturb the potential in that case).
     """
-    if count < 1:
+    if not is_int(count) or count < 1:
         raise ValueError("count must be >= 1")
     f = lambda lam: delta_direct(q, config, lam, slope=True)
-    roots = []
-    for n in range(1, count + 1):
-        lam0 = asymptotic_eigenvalue(config.alpha, config.beta, n)
-        roots.append(_find_root(f, lam0, n))
+    seeds = asymptotic_eigenvalue(config.alpha, config.beta, np.arange(1, count + 1)).tolist()
+    roots = [_find_root(f, lam0, n) for n, lam0 in enumerate(seeds, start=1)]
     order = sorted(range(count), key=lambda i: (roots[i].real, roots[i].imag))
     for u, v in zip(order, order[1:]):
         if abs(roots[u] - roots[v]) <= 1e-8 * (1.0 + abs(roots[u])):
@@ -424,28 +422,28 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
 
     lam is one number, which returns one complex, or a 1-D sequence, which
     returns a list of complex in its order; one lambda is a batch of one.  The
-    asymptotes are formed per call, with the bits of asymptotic_eigenvalue: the
-    square of an integer or half-integer is exact.  They increase strictly and
-    |lam - lambda_n^0| grows with |Re lam - lambda_n^0|, so the one asymptote
-    lam can coincide with is a neighbour of Re lam's bisection point (the lower
-    index on a tie), found for the whole batch by one searchsorted.  One
-    _boundary_det call gives every Delta_0 and Delta_0' of the batch.  The
-    factors are complex tables of _FACTOR_CHUNK indices by _LAMBDA_TILE
-    lambdas, each lambda's coincident factor set to 1, whose rows are
-    multiplied pairwise by halves, an odd last row into the running product,
-    until none is left.  Both sizes are fixed, so a lambda gets the same bits
-    alone as in any batch; an overflow gives inf or nan without a warning.
+    asymptotes come from asymptotic_eigenvalue on the index array.  They
+    increase strictly and |lam - lambda_n^0| grows with |Re lam - lambda_n^0|,
+    so the one asymptote lam can coincide with is a neighbour of Re lam's
+    bisection point (the lower index on a tie), found for the whole batch by
+    one searchsorted.  One _boundary_det call gives every Delta_0 and Delta_0'
+    of the batch.  The factors are complex tables of _FACTOR_CHUNK indices by
+    _LAMBDA_TILE lambdas, each lambda's coincident factor set to 1, whose rows
+    are multiplied pairwise by halves, an odd last row into the running
+    product, until none is left.  Both sizes are fixed, so a lambda gets the
+    same bits alone as in any batch; an overflow gives inf or nan without a
+    warning.
     """
+    if not is_int(n_used) or n_used < 1:
+        raise ValueError("n_used must be >= 1")
     if spec.count < n_used:
         raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")
-    if n_used < 1:
-        raise ValueError("n_used must be >= 1")
     given = np.array(lam, dtype=complex)
     if given.ndim > 1:
         raise ValueError(f"lam must be one number or a 1-D sequence, got shape {given.shape}")
     a, b, evs, lams = spec.alpha, spec.beta, np.array(spec.eigenvalues[:n_used]), given.reshape(-1)
     index = np.arange(n_used)
-    lam0 = (index + 1 - (a + b) / 2) ** 2 * math.pi**2
+    lam0 = asymptotic_eigenvalue(a, b, index + 1)
     with np.errstate(all="ignore"):  # an exact hit divides by 0 until its factor is set; overflow gives inf or nan
         above = np.searchsorted(lam0, lams.real)
         below, above = np.maximum(above - 1, 0), np.minimum(above, n_used - 1)
@@ -488,7 +486,7 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
     O(modes n).  p <= 2 modes < 2n by the alias check, so the two halves of Z
     never meet.  The mean is added on the grid.
     """
-    if modes < 1:
+    if not is_int(modes) or modes < 1:
         raise ValueError("modes must be >= 1")
     a, b = spec.alpha, spec.beta
     need = modes + (a + b) // 2

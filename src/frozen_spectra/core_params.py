@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from numbers import Integral
 
 
 class Kind(str, Enum):
@@ -70,6 +71,11 @@ def require_flags(alpha, beta) -> None:
     """ValueError unless alpha and beta are each the int 0 or 1; a bool is not a flag."""
     if not (type(alpha) is int and type(beta) is int and alpha in (0, 1) and beta in (0, 1)):
         raise ValueError("alpha and beta must be 0 or 1")
+
+
+def is_int(v) -> bool:
+    """True for an int or a numpy integer; a bool is not an index, a count or a size."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def make_config(alpha: int, beta: int, j: int, k: int) -> ProblemConfig:

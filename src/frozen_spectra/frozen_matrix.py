@@ -10,7 +10,8 @@ determinants and kernel vectors, and the Chebyshev reduction of j > 1 to
 j = 1.  Floats appear only in the j = 1 eigenvalues, LAPACK's eigvals of
 the built matrix with the zero count read exactly off the characteristic
 polynomial, and in the j = 1 eigenvectors, the same recurrence run on a
-number.
+number.  Every j = 1 helper enters through one guard, _j1_signs; the signs
+c, d are read from core_params only, and a FrozenMatrix holds no copy.
 
 Every main-equation matrix is a signed sum of two permutations: two
 entries per row and per column, both in column 0 at a = 0 (k = 1).  Stored
@@ -30,10 +31,12 @@ import numpy as np
 
 from .chebyshev import IntPolynomial, StoredRun, X, imag_scaled_cheb_int, scaled_cheb_int, three_term
 from .core_params import (
+    _SIGN_PAIRS,
     Kind,
     ProblemConfig,
     SignPair,
     classify,
+    is_int,
     make_config,
     require_flags,
     require_normalized,
@@ -48,7 +51,6 @@ SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 @dataclass(frozen=True, eq=False)
 class FrozenMatrix:
     config: ProblemConfig
-    signs: SignPair
     rows: SparseRows
 
     @property
@@ -118,7 +120,15 @@ def build_matrix(config: ProblemConfig) -> FrozenMatrix:
         if j and left[0] == right[0]:
             raise AssertionError(f"subdiagonal families overlap in row {m} for j={j}, k={k}")
         rows.append((left, right) if left[0] < right[0] else (right, left))
-    return FrozenMatrix(config, signs, tuple(rows))
+    return FrozenMatrix(config, tuple(rows))
+
+
+def _j1_signs(name: str, k: int, alpha: int, beta: int) -> SignPair:
+    """The j = 1 entry check, an integer k >= 2 and then the flags before a cache takes True as 1; their SignPair."""
+    if not is_int(k) or k < 2:
+        raise ValueError(f"{name} needs k >= 2")
+    require_flags(alpha, beta)
+    return _SIGN_PAIRS[alpha, beta]
 
 
 @lru_cache(maxsize=None)
@@ -133,15 +143,13 @@ def _char_poly_run(alpha: int, beta: int) -> StoredRun:
     minors and obeys their recurrence p_{k+1} = z p_k - cd p_{k-1}; run
     back from p_2 and p_3 it starts at p_0 = 1 - d, p_1 = z - 1 - c.
     """
-    s = sign_pair(make_config(alpha, beta, 1, 2))
+    s = _SIGN_PAIRS[alpha, beta]
     return StoredRun(X, IntPolynomial((1 - s.d,)), X - IntPolynomial((1 + s.c,)), s.c * s.d)
 
 
 def char_poly_j1(k: int, alpha: int, beta: int) -> IntPolynomial:
     """det(zI - A) for j = 1: entry k of the stored run of (alpha, beta)."""
-    if k < 2:
-        raise ValueError("char_poly_j1 needs k >= 2")
-    require_flags(alpha, beta)  # the cache would take True or 1.0 for the 1 it holds
+    _j1_signs("char_poly_j1", k, alpha, beta)
     return _char_poly_run(alpha, beta)[k]
 
 
@@ -150,9 +158,7 @@ def det_closed_form(k: int, alpha: int, beta: int) -> int:
 
     (-cd)^((k-1)/2) (1 + c) for odd k, c (-cd)^(k/2-1) (1 - d) for even k.
     """
-    if k < 2:
-        raise ValueError("det_closed_form needs k >= 2")
-    s = sign_pair(make_config(alpha, beta, 1, k))
+    s = _j1_signs("det_closed_form", k, alpha, beta)
     c, d = s.c, s.d
     if k % 2:
         return (-c * d) ** ((k - 1) // 2) * (1 + c)
@@ -184,9 +190,7 @@ def theorem1_poly(k: int, alpha: int, beta: int) -> IntPolynomial:
     The imaginary-argument cases reduce to integer polynomials; the
     construction asserts that every power of i cancels.
     """
-    if k < 2:
-        raise ValueError("theorem1_poly needs k >= 2")
-    require_flags(alpha, beta)
+    _j1_signs("theorem1_poly", k, alpha, beta)
     if alpha == 0 and beta == 0:
         return X * imag_scaled_cheb_int("U", k - 1)
     if alpha == 0 and beta == 1:
@@ -205,9 +209,7 @@ def spectrum_closed_form(k: int, alpha: int, beta: int) -> list[complex]:
     No closed form exists for (0,1); use numeric_spectrum_j1 there (the
     only guarantee is that 0 is not an eigenvalue).
     """
-    if k < 2:
-        raise ValueError("spectrum_closed_form needs k >= 2")
-    require_flags(alpha, beta)
+    _j1_signs("spectrum_closed_form", k, alpha, beta)
     if alpha == 0 and beta == 0:
         return [0j] + [2j * math.cos(v * math.pi / k) for v in range(1, k)]
     if alpha == 0 and beta == 1:
@@ -230,6 +232,7 @@ def numeric_spectrum_j1(k: int, alpha: int, beta: int) -> list[complex]:
     within 1e-12 of the closed forms for k <= 40 and k in {60, 120, 200},
     and against the Lemma 2 residual of eigvec_j1 for (0,1).
     """
+    _j1_signs("numeric_spectrum_j1", k, alpha, beta)
     p = char_poly_j1(k, alpha, beta)
     zero_mult = next(i for i, c in enumerate(p.coeffs) if c != 0)
     a = np.array(build_matrix(make_config(alpha, beta, 1, k)).as_lists(), dtype=float)
@@ -256,9 +259,7 @@ def reductions_j1(alpha: int, beta: int, k: int):
     as in FrozenMatrix.rows; for gcd(j, k) = 1 they equal those of
     build_matrix.
     """
-    if k < 2:
-        raise ValueError("reductions_j1 needs k >= 2")
-    c = sign_pair(make_config(alpha, beta, 1, k)).c
+    c = _j1_signs("reductions_j1", k, alpha, beta).c
     b = build_matrix(make_config(1, 1 - beta if alpha == 0 else beta, 1, k)).rows
     s = -c if alpha == 0 else c
     m = [((p, s * u), (q, s * t)) for (p, u), (q, t) in b]
@@ -320,8 +321,7 @@ def _mul_sub(m, y, sub) -> list[tuple[tuple[int, int], tuple[int, int]]]:
 def reduce_to_j1(config: ProblemConfig) -> SparseRows:
     """Sparse rows of the j > 1 matrix by the Chebyshev reduction (see reductions_j1)."""
     require_normalized(config)
-    if config.k < 2:
-        raise ValueError("reduce_to_j1 needs k >= 2")
+    _j1_signs("reduce_to_j1", config.k, config.alpha, config.beta)
     return next(rows for jj, rows in reductions_j1(config.alpha, config.beta, config.k) if jj == config.j)
 
 
@@ -346,11 +346,9 @@ def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
     any other length raises AssertionError); failure means z0 was not an
     eigenvalue, a ValueError.
     """
-    if k < 2:
-        raise ValueError("eigvec_j1 needs k >= 2")
-    require_flags(alpha, beta)  # the cache would take True or 1.0 for the 1 it holds
+    s = _j1_signs("eigvec_j1", k, alpha, beta)
     a = _j1_matrix(k, alpha, beta)
-    z, s = complex(z0), a.signs
+    z = complex(z0)
     x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
     try:
         resid = max([abs(v1 * x[c1] + v2 * x[c2] - z * xi) for ((c1, v1), (c2, v2)), xi in zip(a.rows, x)])

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characteristic import Spectrum, asymptotic_eigenvalue, extract_w
-from .core_params import ProblemConfig, make_config, require_grid
+from .core_params import ProblemConfig, is_int, make_config, require_grid
 from .frozen_matrix import kernel
 from .interval_ops import GridFunction, subinterval_midpoints
 from .main_equation import MainEqSolution, null_direction, solve_inverse
@@ -73,9 +73,7 @@ EXAMPLE_CASES = {
 
 @dataclass(frozen=True)
 class ExampleReport:
-    case_id: str
     config: ProblemConfig
-    kernel_vector: tuple[int, ...]
     rows: tuple[str, ...]  # symbolic table, one row per subinterval of (0,1)
 
     @property
@@ -113,18 +111,14 @@ def reference_example(case_id: str) -> ExampleReport:
         raise ValueError(f"unknown example id {case_id!r}; choose from {sorted(EXAMPLE_CASES)}")
     alpha, beta, j, k = EXAMPLE_CASES[case_id]
     config = make_config(alpha, beta, j, k)
-    x = kernel(config).generator
-    return ExampleReport(case_id, config, x, _piecewise_rows(x, j, k))
+    return ExampleReport(config, _piecewise_rows(kernel(config).generator, j, k))
 
 
 def _check_asymptotics(spec: Spectrum, n_used: int) -> None:
     """Reject spectra whose residuals kappa_n diverge linearly in n."""
-    tail = range(max(1, n_used - 9), n_used + 1)
-    ratios = []
-    for n in tail:
-        kappa = spec.eigenvalues[n - 1] - asymptotic_eigenvalue(spec.alpha, spec.beta, n)
-        ratios.append(abs(kappa) / n)
-    if np.median(ratios) > math.pi**2 / 4:
+    tail = np.arange(max(1, n_used - 9), n_used + 1)
+    kappa = np.array(spec.eigenvalues[tail[0] - 1 : n_used]) - asymptotic_eigenvalue(spec.alpha, spec.beta, tail)
+    if np.median(np.abs(kappa) / tail) > math.pi**2 / 4:
         raise SpectrumMismatchError(
             "spectrum residuals grow linearly with the index; the (alpha, beta) "
             "flags do not match the input spectrum's asymptotics"
@@ -148,7 +142,7 @@ def invert_from_spectrum(
     """
     if (spec.alpha, spec.beta) != (config.alpha, config.beta):
         raise ValueError("spectrum flags differ from the config flags")
-    if n_used < 1:
+    if not is_int(n_used) or n_used < 1:
         raise ValueError(f"n_used must be >= 1, got {n_used}")
     if spec.count < n_used:
         raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")

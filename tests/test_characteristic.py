@@ -23,6 +23,7 @@ from frozen_spectra import (
     eigenvalues,
     extract_w,
     forward_w_direct,
+    invert_from_spectrum,
     make_config,
     zero_potential_delta,
 )
@@ -1135,11 +1136,23 @@ def test_extract_w_input_validation():
 _TEN = Spectrum(0, 0, tuple(complex(asymptotic_eigenvalue(0, 0, n)) for n in range(1, 11)))
 
 
+# a size is an int or a numpy integer >= 1: a bool or a float is rejected with the message of a size below 1
 @pytest.mark.parametrize("call, match", [
     (lambda: eigenvalues(GridFunction.zeros(3, 8), make_config(0, 0, 1, 3), 0), "count"),
+    (lambda: eigenvalues(GridFunction.zeros(3, 8), make_config(0, 0, 1, 3), 2.5), "^count must be >= 1$"),
+    (lambda: eigenvalues(GridFunction.zeros(3, 8), make_config(0, 0, 1, 3), True), "^count must be >= 1$"),
     (lambda: delta_from_spectrum(_TEN, 0, 1.0), "n_used"),
+    (lambda: delta_from_spectrum(_TEN, 2.5, 1.0), "^n_used must be >= 1$"),
+    (lambda: delta_from_spectrum(_TEN, True, 1.0), "^n_used must be >= 1$"),
+    (lambda: invert_from_spectrum(_TEN, make_config(0, 0, 1, 3), 4, 2.5, 1), "^n_used must be >= 1, got 2.5$"),
+    (lambda: invert_from_spectrum(_TEN, make_config(0, 0, 1, 3), 4, True, 1), "^n_used must be >= 1, got True$"),
     (lambda: extract_w(_TEN, 4, 1, 4), "alias"),  # modes >= k*m
-], ids=["eigenvalues-count-0", "delta-from-spectrum-n-used-0", "extract-w-modes-alias"])
+    (lambda: extract_w(_TEN, 2.5, 1, 4), "^modes must be >= 1$"),
+    (lambda: extract_w(_TEN, True, 1, 4), "^modes must be >= 1$"),
+], ids=["eigenvalues-count-0", "eigenvalues-count-float", "eigenvalues-count-bool",
+        "delta-from-spectrum-n-used-0", "delta-from-spectrum-n-used-float", "delta-from-spectrum-n-used-bool",
+        "invert-from-spectrum-n-used-float", "invert-from-spectrum-n-used-bool",
+        "extract-w-modes-alias", "extract-w-modes-float", "extract-w-modes-bool"])
 def test_size_arguments_raise_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -11,10 +12,15 @@ from frozen_spectra import (
     GridFunction,
     Kind,
     asymptotic_eigenvalue,
+    char_poly_j1,
     classify,
+    det_closed_form,
     delta_from_w,
+    eigvec_j1,
     make_config,
     normalize_to_half,
+    numeric_spectrum_j1,
+    reductions_j1,
     sign_pair,
     spectrum_closed_form,
     theorem1_poly,
@@ -44,8 +50,13 @@ def test_make_config_rejects(bad):
         make_config(*bad)
 
 
-# the functions that take the boundary flags bare and build no ProblemConfig or Spectrum that would check them
+# the functions that take the boundary flags bare and check them before any ProblemConfig or Spectrum would
 _FLAG_READERS = {
+    "det_closed_form": lambda a, b: det_closed_form(3, a, b),
+    "char_poly_j1": lambda a, b: char_poly_j1(3, a, b),
+    "numeric_spectrum_j1": lambda a, b: numeric_spectrum_j1(3, a, b),
+    "reductions_j1": lambda a, b: next(reductions_j1(a, b, 3)),  # a generator checks on its first step
+    "eigvec_j1": lambda a, b: eigvec_j1(0j, 3, a, b),
     "theorem1_poly": lambda a, b: theorem1_poly(3, a, b),
     "spectrum_closed_form": lambda a, b: spectrum_closed_form(3, a, b),
     "asymptotic_eigenvalue": lambda a, b: asymptotic_eigenvalue(a, b, 2),
@@ -61,10 +72,20 @@ def test_bare_flags_outside_zero_and_one_are_rejected(reader, flags):
         _FLAG_READERS[reader](*flags)
 
 
-@pytest.mark.parametrize("n", [0, -1, np.int64(0)])
+@pytest.mark.parametrize("n", [0, -1, np.int64(0), True, 2.5])
 def test_asymptotic_eigenvalue_rejects_an_index_below_1(n):
-    with pytest.raises(ValueError, match=r"^eigenvalue index n must be >= 1, got -?\d+$"):
+    with pytest.raises(ValueError, match=rf"^eigenvalue index n must be >= 1, got {re.escape(str(n))}$"):
         asymptotic_eigenvalue(1, 1, n)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_asymptotic_eigenvalue_of_an_index_array_is_the_scalar_bit_for_bit(alpha, beta):
+    n = np.arange(1, 20001)
+    table = asymptotic_eigenvalue(alpha, beta, n)
+    assert table.tolist() == [asymptotic_eigenvalue(alpha, beta, i) for i in range(1, 20001)]
+    for bad in (np.arange(0, 5), n.astype(float), n > 0):
+        with pytest.raises(ValueError, match=r"^eigenvalue index n must be >= 1, got "):
+            asymptotic_eigenvalue(alpha, beta, bad)
 
 
 def test_normalize_to_half():

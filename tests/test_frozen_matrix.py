@@ -18,6 +18,7 @@ from frozen_spectra import (
     rank,
     reduce_to_j1,
     reductions_j1,
+    sign_pair,
     spectrum_closed_form,
     theorem1_poly,
 )
@@ -34,7 +35,8 @@ def sparse(dense):
 
 def test_build_matrix_displayed_pattern_3_7():
     a = build_matrix(make_config(0, 0, 3, 7))
-    c, d = a.signs.c, a.signs.d
+    s = sign_pair(a.config)
+    c, d = s.c, s.d
     assert (c, d) == (-1, 1)
     expected = [
         [0, 0, 1, d, 0, 0, 0],
@@ -281,6 +283,8 @@ def test_eigvec_examples():
 # each j = 1 helper at k, for the k >= 2 guard
 _J1_HELPERS = {
     "det_closed_form": lambda k: det_closed_form(k, 1, 0),
+    "char_poly_j1": lambda k: char_poly_j1(k, 0, 0),
+    "numeric_spectrum_j1": lambda k: numeric_spectrum_j1(k, 0, 1),
     "theorem1_poly": lambda k: theorem1_poly(k, 0, 1),
     "spectrum_closed_form": lambda k: spectrum_closed_form(k, 1, 1),
     "reductions_j1": lambda k: next(reductions_j1(0, 0, k)),  # a generator checks k on its first step
@@ -316,7 +320,8 @@ def test_a0_is_walked_as_a_one_row_cycle(alpha, beta):
     # (j, k) = (0, 1): families (ii) and (iii) put d and c into the one entry, c + d = 2 c alpha
     cfg = make_config(alpha, beta, 0, 1)
     a = build_matrix(cfg)
-    c, d = a.signs.c, a.signs.d
+    s = sign_pair(cfg)
+    c, d = s.c, s.d
     assert sorted(a.rows[0]) == sorted(((0, c), (0, d)))
     assert a.as_lists() == [[c + d]] == [[2 * c * alpha]]
     sign, cycles = a.cycles
@@ -350,7 +355,7 @@ def test_cycle_det_and_rank_reject_other_patterns():
     three = (a.rows[0] + ((4, 1),),) + a.rows[1:]  # a third nonzero in row 0
     lone = (((0, 1), (1, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1)))  # column 0 has one nonzero
     for rows in (three, lone):
-        m = FrozenMatrix(a.config, a.signs, rows)
+        m = FrozenMatrix(a.config, rows)
         for fn in (det_exact, rank):
             with pytest.raises(AssertionError):
                 fn(m)
@@ -409,11 +414,11 @@ def test_pair_reads_reject_a_row_of_three(monkeypatch):
         frozen_matrix._mul_sub(m, three, a.rows)
     with pytest.raises(AssertionError):  # a sub entry off the four columns of the step
         frozen_matrix._mul_sub(m, a.rows, [((3, 1), (4, 1))] * 5)
-    monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: FrozenMatrix(a.config, a.signs, three))
+    monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: FrozenMatrix(a.config, three))
     with pytest.raises(AssertionError):
         kernel(make_config(0, 1, 2, 5))
     j1 = build_matrix(make_config(0, 0, 1, 3))
-    wide = FrozenMatrix(j1.config, j1.signs, (j1.rows[0] + ((2, 1),),) + j1.rows[1:])
+    wide = FrozenMatrix(j1.config, (j1.rows[0] + ((2, 1),),) + j1.rows[1:])
     monkeypatch.setattr(frozen_matrix, "_j1_matrix", lambda k, alpha, beta: wide)
     with pytest.raises(AssertionError):
         eigvec_j1(0.0, 3, 0, 0)
@@ -422,7 +427,7 @@ def test_pair_reads_reject_a_row_of_three(monkeypatch):
 def _sum_eigvec_j1(z0, k, alpha, beta):
     """eigvec_j1 with the residual summed over a generator per row: the oracle of the two-entry residual."""
     a = build_matrix(make_config(alpha, beta, 1, k))
-    z, s = complex(z0), a.signs
+    z, s = complex(z0), sign_pair(a.config)
     x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
     resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(a.rows, x))
     scale = max(map(abs, x))

@@ -15,6 +15,7 @@ from frozen_spectra import (
     eigenvalues,
     forward_w_direct,
     invert_from_spectrum,
+    kernel,
     make_config,
     null_direction,
     quadratic_profile,
@@ -113,7 +114,7 @@ def test_reference_tables_match_golden_files(case_id):
 
 def test_reference_example_details():
     rep = reference_example("I7")
-    assert rep.kernel_vector == (1, -1, 1, -1, 1, -1, 1)
+    assert kernel(rep.config).generator == (1, -1, 1, -1, 1, -1, 1)
     assert rep.rows[0] == "f(x) on (0,1/7)"
     rep = reference_example("II")
     assert rep.rows[0] == "-f(1/7-x) on (0,1/7)"
