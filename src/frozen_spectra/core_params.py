@@ -75,13 +75,14 @@ def require_flags(alpha, beta) -> None:
 
 def is_int(v) -> bool:
     """True for an int or a numpy integer; a bool is not an index, a count or a size."""
-    return isinstance(v, Integral) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
 
 
 def make_config(alpha: int, beta: int, j: int, k: int) -> ProblemConfig:
-    """Validated config with j/k silently reduced to lowest terms."""
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (alpha, beta, j, k)):
+    """Validated config with j/k silently reduced to lowest terms; a numpy integer is stored as the int it equals."""
+    if not (is_int(alpha) and is_int(beta) and is_int(j) and is_int(k)):
         raise ValueError("alpha, beta, j and k must be integers")
+    alpha, beta, j, k = int(alpha), int(beta), int(j), int(k)
     require_flags(alpha, beta)
     if k < 1:
         raise ValueError("k must be a positive integer")

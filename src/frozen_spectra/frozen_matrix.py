@@ -9,9 +9,11 @@ which steps only past the largest k read so far, closed-form
 determinants and kernel vectors, and the Chebyshev reduction of j > 1 to
 j = 1.  Floats appear only in the j = 1 eigenvalues, LAPACK's eigvals of
 the built matrix with the zero count read exactly off the characteristic
-polynomial, and in the j = 1 eigenvectors, the same recurrence run on a
-number.  Every j = 1 helper enters through one guard, _j1_signs; the signs
-c, d are read from core_params only, and a FrozenMatrix holds no copy.
+polynomial, and in the j = 1 eigenvectors, the same recurrence run on the
+eigenvalue vector, one run per spectrum.  Every j = 1 helper enters
+through one guard, _j1_signs; the signs c, d are read from core_params
+only, and a FrozenMatrix holds no copy.  No j = 1 matrix is cached: each
+call builds the one it reads, in O(k).
 
 Every main-equation matrix is a signed sum of two permutations: two
 entries per row and per column, both in column 0 at a = 0 (k = 1).  Stored
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -62,6 +65,14 @@ class FrozenMatrix:
         for out, row in zip(dense, self.rows):
             for col, v in row:
                 out[col] += v
+        return dense
+
+    def as_float(self) -> np.ndarray:
+        """The dense float matrix: each row's two entries added into zeros, so a shared column sums as in as_lists."""
+        dense = np.zeros((self.k, self.k))
+        for out, ((c1, v1), (c2, v2)) in zip(dense, self.rows):
+            out[c1] += v1
+            out[c2] += v2
         return dense
 
     @cached_property
@@ -235,8 +246,7 @@ def numeric_spectrum_j1(k: int, alpha: int, beta: int) -> list[complex]:
     _j1_signs("numeric_spectrum_j1", k, alpha, beta)
     p = char_poly_j1(k, alpha, beta)
     zero_mult = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    a = np.array(build_matrix(make_config(alpha, beta, 1, k)).as_lists(), dtype=float)
-    z = np.linalg.eigvals(a).astype(complex)
+    z = np.linalg.eigvals(build_matrix(make_config(alpha, beta, 1, k)).as_float()).astype(complex)
     z[np.argsort(np.abs(z))[:zero_mult]] = 0j
     return z.tolist()
 
@@ -330,34 +340,35 @@ def kernel(config: ProblemConfig) -> KernelDescriptor:
     return KernelDescriptor(build_matrix(config).null_vector)
 
 
-@lru_cache(maxsize=1)
-def _j1_matrix(k: int, alpha: int, beta: int) -> FrozenMatrix:
-    """The j = 1 matrix, built once for a run of eigenvectors of one (k, alpha, beta)."""
-    return build_matrix(make_config(alpha, beta, 1, k))
-
-
-def eigvec_j1(z0: complex, k: int, alpha: int, beta: int) -> np.ndarray:
-    """Eigenvector of the j = 1 matrix for eigenvalue z0.
+def eigvec_j1(z0, k: int, alpha: int, beta: int) -> np.ndarray:
+    """Eigenvectors of the j = 1 matrix: its vector for a number z0, its (k, L) columns for a 1-D array of L.
 
     Component m is d^(m-1) q_{m-1}(z0): the minors q_n of _char_poly_run,
-    their three_term run on the number z0.
-    The residual ||A x - z0 x||_inf <= 1e-9 ||x||_inf is checked a
-    posteriori on the sparse rows, each read as its two entries (a row of
-    any other length raises AssertionError); failure means z0 was not an
-    eigenvalue, a ValueError.
+    their three_term run on the eigenvalue vector, one run for the whole
+    array.  A number is the array of one, so a column has the same bits
+    alone as in any batch.  The residual ||A x - z0 x||_inf <= 1e-9
+    ||x||_inf is checked a posteriori per column on the sparse rows, each
+    read as its two entries (a row of any other length raises
+    AssertionError); a column that fails it, a non-finite z0 included,
+    means its z0 was not an eigenvalue, a ValueError naming the first.
     """
     s = _j1_signs("eigvec_j1", k, alpha, beta)
-    a = _j1_matrix(k, alpha, beta)
-    z = complex(z0)
-    x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
+    rows = build_matrix(make_config(alpha, beta, 1, k)).rows
     try:
-        resid = max([abs(v1 * x[c1] + v2 * x[c2] - z * xi) for ((c1, v1), (c2, v2)), xi in zip(a.rows, x)])
+        (c1, v1), (c2, v2) = np.array(rows).transpose(1, 2, 0)  # per pair, its k columns and k values
     except ValueError:
         raise AssertionError(f"a row of the j = 1 matrix for k={k} does not hold exactly two entries") from None
-    scale = max(map(abs, x))
-    if resid > 1e-9 * scale:
-        raise ValueError(f"z0={z0} is not an eigenvalue: residual {resid:.3e} vs scale {scale:.3e}")
-    return np.array(x, dtype=complex)
+    z = np.atleast_1d(np.asarray(z0, dtype=complex))
+    with np.errstate(all="ignore"):  # a non-finite z0 fails the residual test below, silently
+        x = np.array(list(islice(three_term(z, np.ones_like(z), z - 1.0, s.c * s.d), k)))
+        x = s.d ** np.arange(k)[:, None] * x  # row m is d^m q_m
+        resid = np.abs(v1[:, None] * x[c1] + v2[:, None] * x[c2] - z * x).max(axis=0)
+        scale = np.abs(x).max(axis=0)
+    failed = np.flatnonzero(~(resid <= 1e-9 * scale))
+    if failed.size:
+        i = failed[0]
+        raise ValueError(f"z0={z[i]} is not an eigenvalue: residual {resid[i]:.3e} vs scale {scale[i]:.3e}")
+    return x if np.ndim(z0) else x[:, 0]
 
 
 def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
@@ -380,10 +391,15 @@ def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
     rows = matrix.rows
     col_rows: list[list[int]] = [[] for _ in rows]
     for i, row in enumerate(rows):
-        if len(row) != 2 or not (row[0][1] and row[1][1]):
+        try:
+            (c1, v1), (c2, v2) = row
+            ok = v1 and v2
+        except ValueError:
+            ok = False
+        if not ok:
             raise AssertionError(f"row {i} is {row}, expected two nonzeros")
-        for col, _ in row:
-            col_rows[col].append(i)
+        col_rows[c1].append(i)
+        col_rows[c2].append(i)
     for col, entries in enumerate(col_rows):
         if len(entries) != 2:
             raise AssertionError(f"column {col} has {len(entries)} nonzeros, expected 2")
@@ -392,19 +408,22 @@ def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
     for start in range(len(rows)):
         if sigma_a[start] >= 0:
             continue
-        walk = []
+        walk_rows, cols, a, b = [], [], [], []
         i, prev = start, rows[start][1][0]  # enter the first row by its second entry, its b-edge
         while True:
             (c1, v1), (c2, v2) = rows[i]
             col, v, w = (c2, v2, v1) if c1 == prev else (c1, v1, v2)
             sigma_a[i] = col
-            walk.append((i, col, v, w))
+            walk_rows.append(i)
+            cols.append(col)
+            a.append(v)
+            b.append(w)
             r1, r2 = col_rows[col]
             i, prev = (r2 if r1 == i else r1), col
             if i == start:
                 break
-        walk_rows, cols, a, b = zip(*walk)
-        cycles.append((walk_rows, cols, a, b, math.prod(a) + (-1) ** (len(a) - 1) * math.prod(b)))
+        det = math.prod(a) + (-1) ** (len(a) - 1) * math.prod(b)
+        cycles.append((tuple(walk_rows), tuple(cols), tuple(a), tuple(b), det))
     return _perm_sign(sigma_a), cycles
 
 

@@ -13,14 +13,14 @@ the Corollary 1/3 and Lemma 3 sweeps that follow; the record is dropped
 when the run ends.  What persists between runs does so by design: the
 stored Chebyshev runs (chebyshev._cheb_run) and j = 1 char-poly runs
 (frozen_matrix._char_poly_run), each grown to the highest degree asked
-for, and the j = 1 matrix that eigvec_j1 read last (frozen_matrix._j1_matrix).
-Every other matrix lives only for its (k, alpha, beta) step.  Called
+for.  Every matrix lives only for its (k, alpha, beta) step.  Called
 alone, each sweep builds what it reads.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -49,15 +49,17 @@ _PASS = ("", True)  # a passed check: its label is never read, so none is built
 
 
 def match_multisets(a, b) -> float:
-    """Worst distance of a greedy nearest matching; inf when the sizes differ."""
+    """Worst distance of a greedy nearest matching, the first nearest on a tie; inf on unequal sizes, nan on a NaN."""
     if len(a) != len(b):
         return math.inf
     b = [complex(z) for z in b]
     worst = 0.0
     for z in a:
         z = complex(z)
-        i = min(range(len(b)), key=lambda t: abs(z - b[t]))
-        worst = max(worst, abs(z - b.pop(i)))
+        dist = [abs(z - w) for w in b]
+        i = dist.index(min(dist))
+        del b[i]
+        worst = max(worst, dist[i]) if dist[i] == dist[i] else math.nan  # max keeps a NaN worst, never takes one
     return worst
 
 
@@ -119,13 +121,24 @@ def lemmas_2_3(kmax: int, record: dict | None = None):
         yield _PASS if ok else (f"lemma3 {cfg}", False)
     for k in range(2, min(kmax, _EIGVEC_KMAX) + 1):
         for alpha, beta in _CLOSED_FORM_FLAGS:
-            for z0 in spectrum_closed_form(k, alpha, beta):
-                try:
-                    eigvec_j1(z0, k, alpha, beta)  # residual-checked inside
-                except ValueError:
-                    yield f"lemma2 k={k} ({alpha},{beta}) z0={z0}", False
-                else:
-                    yield _PASS
+            spectrum = spectrum_closed_form(k, alpha, beta)
+            try:
+                eigvec_j1(spectrum, k, alpha, beta)  # every column residual-checked inside
+            except ValueError:
+                yield from _lemma2_labels(spectrum, k, alpha, beta)
+            else:
+                yield from repeat(_PASS, len(spectrum))
+
+
+def _lemma2_labels(spectrum: list[complex], k: int, alpha: int, beta: int):
+    """One check per eigenvalue, each alone: a failed batch names every eigenvalue that fails."""
+    for z0 in spectrum:
+        try:
+            eigvec_j1(z0, k, alpha, beta)
+        except ValueError:
+            yield f"lemma2 k={k} ({alpha},{beta}) z0={z0}", False
+        else:
+            yield _PASS
 
 
 def corollary2(kmax: int):

@@ -197,9 +197,9 @@ def _broken_eigenvector():
 
     bad = spectrum_closed_form(3, 1, 0)[1]
 
-    def broken(z0, k, alpha, beta):
-        if (z0, k, alpha, beta) == (bad, 3, 1, 0):
-            raise ValueError(f"z0={z0} is not an eigenvalue")
+    def broken(z0, k, alpha, beta):  # z0 is a number or a batch of them
+        if (k, alpha, beta) == (3, 1, 0) and bad in np.atleast_1d(z0):
+            raise ValueError(f"z0={bad} is not an eigenvalue")
         return eigvec_j1(z0, k, alpha, beta)
 
     return identities, "eigvec_j1", broken, "lemma-2/3 kernels, ranks, eigenvectors: 83 checks passed, 1 failed", f"lemma2 k=3 (1,0) z0={bad}"

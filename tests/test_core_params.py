@@ -11,6 +11,7 @@ from frozen_spectra import (
     Case,
     GridFunction,
     Kind,
+    ProblemConfig,
     asymptotic_eigenvalue,
     char_poly_j1,
     classify,
@@ -43,11 +44,21 @@ def test_make_config_degenerate_endpoints():
 @pytest.mark.parametrize(
     "bad",
     [(0, 0, 1, 0), (0, 0, -1, 3), (0, 0, 4, 3), (2, 0, 1, 3), (0, 3, 1, 3),
-     (True, 0, 1, 3), (0, False, 1, 3), (0, 0, True, 3), (0, 0, 1, True), (1.0, 0, 1, 3)],
+     (True, 0, 1, 3), (0, False, 1, 3), (0, 0, True, 3), (0, 0, 1, True), (1.0, 0, 1, 3), (0, 0, 2.0, 5)],
 )
 def test_make_config_rejects(bad):
     with pytest.raises(ValueError):
         make_config(*bad)
+
+
+@pytest.mark.parametrize("numpy_int", [np.int64, np.int32])
+@pytest.mark.parametrize("field", range(4))
+def test_make_config_stores_a_numpy_integer_as_an_int(numpy_int, field):
+    args = [0, 1, 4, 10]
+    args[field] = numpy_int(args[field])
+    cfg = make_config(*args)
+    assert cfg == make_config(0, 1, 4, 10) == ProblemConfig(0, 1, 2, 5)
+    assert all(type(v) is int for v in (cfg.alpha, cfg.beta, cfg.j, cfg.k))
 
 
 # the functions that take the boundary flags bare and check them before any ProblemConfig or Spectrum would

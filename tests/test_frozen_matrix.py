@@ -280,6 +280,44 @@ def test_eigvec_examples():
         eigvec_j1(0.5, 3, 0, 0)  # not an eigenvalue
 
 
+def _j1_spectrum(k, alpha, beta):
+    return numeric_spectrum_j1(k, 0, 1) if (alpha, beta) == (0, 1) else spectrum_closed_form(k, alpha, beta)
+
+
+# one recurrence run on the whole spectrum gives each column the bits of the run on its eigenvalue alone
+def test_eigvec_j1_on_a_spectrum_is_the_column_stack_of_scalar_calls():
+    for k in range(2, 41):
+        for alpha, beta in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            spectrum = _j1_spectrum(k, alpha, beta)
+            x = eigvec_j1(spectrum, k, alpha, beta)
+            cols = np.stack([eigvec_j1(z0, k, alpha, beta) for z0 in spectrum], axis=1)
+            assert x.shape == cols.shape == (k, k)
+            assert x.tobytes() == cols.tobytes(), (k, alpha, beta)
+
+
+def test_eigvec_j1_names_the_non_eigenvalue_of_a_batch():
+    spectrum = spectrum_closed_form(5, 1, 1)
+    with pytest.raises(ValueError, match=r"^z0=\(0\.5\+0j\) is not an eigenvalue"):
+        eigvec_j1(spectrum[:2] + [0.5] + spectrum[2:], 5, 1, 1)
+
+
+@pytest.mark.parametrize("z0", [float("nan"), float("inf"), complex("nan+1j")], ids=["nan", "inf", "nan+1j"])
+def test_eigvec_j1_rejects_a_non_finite_z0(z0):
+    with pytest.raises(ValueError, match="is not an eigenvalue"):
+        eigvec_j1(z0, 3, 0, 0)
+    with pytest.raises(ValueError, match="is not an eigenvalue"):
+        eigvec_j1(spectrum_closed_form(3, 0, 0) + [z0], 3, 0, 0)
+
+
+def test_as_float_is_the_dense_matrix():
+    a0 = [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]  # one row, both entries in column 0
+    for cfg in coprime_configs(30) + a0:
+        a = build_matrix(cfg)
+        dense = a.as_float()
+        assert dense.dtype == np.float64
+        assert np.array_equal(dense, np.array(a.as_lists(), dtype=float)), cfg
+
+
 # each j = 1 helper at k, for the k >= 2 guard
 _J1_HELPERS = {
     "det_closed_form": lambda k: det_closed_form(k, 1, 0),
@@ -419,9 +457,11 @@ def test_pair_reads_reject_a_row_of_three(monkeypatch):
         kernel(make_config(0, 1, 2, 5))
     j1 = build_matrix(make_config(0, 0, 1, 3))
     wide = FrozenMatrix(j1.config, (j1.rows[0] + ((2, 1),),) + j1.rows[1:])
-    monkeypatch.setattr(frozen_matrix, "_j1_matrix", lambda k, alpha, beta: wide)
+    monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: wide)
     with pytest.raises(AssertionError):
         eigvec_j1(0.0, 3, 0, 0)
+    with pytest.raises(AssertionError):
+        eigvec_j1([0.0, 1j], 3, 0, 0)
 
 
 def _sum_eigvec_j1(z0, k, alpha, beta):

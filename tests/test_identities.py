@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -26,10 +27,13 @@ def test_sweeps_pass_on_the_library():
     assert _failed() == {name: [] for name in BROKEN}
 
 
-@pytest.mark.parametrize("block", list(BROKEN))
-def test_a_broken_identity_fails_its_sweep_only(block, monkeypatch):
-    name, fake = BROKEN[block]
-    monkeypatch.setattr(identities, name, fake)
+# max(0.0, nan) is 0.0: a NaN spectrum must not read as a perfect match
+NAN_SPECTRUM = ("corollary-2 closed-form spectra", ("numeric_spectrum_j1", lambda k, a, b: [math.nan] * k))
+
+
+@pytest.mark.parametrize("block,broken", [*BROKEN.items(), NAN_SPECTRUM], ids=[*BROKEN, "corollary-2 NaN spectrum"])
+def test_a_broken_identity_fails_its_sweep_only(block, broken, monkeypatch):
+    monkeypatch.setattr(identities, *broken)
     failed = _failed()
     assert [b for b, labels in failed.items() if labels] == [block]
 
@@ -46,6 +50,14 @@ def test_a_passed_check_formats_no_label(monkeypatch):
 def test_match_multisets_sizes_and_distance():
     assert identities.match_multisets([1, 2j], [2j + 1e-3, 1]) == pytest.approx(1e-3)
     assert identities.match_multisets([1], [1, 1]) == float("inf")
+    assert identities.match_multisets([0, 1], [1, -1]) == 2.0  # 0 takes the first of its two nearest, so 1 gets -1
+
+
+def test_match_multisets_reads_nan_on_a_nan():
+    nan = math.nan
+    for a, b in (([nan], [1.0]), ([1.0, 2.0], [nan, 2.0]), ([nan, 1.0], [1.0, 1.0]), ([1.0, 2.0], [2.0, nan])):
+        assert math.isnan(identities.match_multisets(a, b)), (a, b)
+        assert math.isnan(identities.match_multisets(b, a)), (b, a)
 
 
 def _consume(*ranges):
@@ -72,7 +84,7 @@ def test_one_sweeps_run_builds_and_walks_each_coprime_matrix_once(monkeypatch):
 # the record of one run holds two ints per coprime config and no matrix: about 0.25 MB here, where a cache of every
 # matrix built reads about 2.5 MB
 def test_a_sweeps_run_holds_no_matrix_beyond_its_step():
-    _consume(6, 6, 3)  # warm the per-process caches (stored Chebyshev and char-poly runs, the last j = 1 matrix)
+    _consume(6, 6, 3)  # warm the per-process caches (stored Chebyshev and char-poly runs)
     tracemalloc.start()
     try:
         _consume(30, 10, 3)
