@@ -411,8 +411,8 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
 _FACTOR_CHUNK, _LAMBDA_TILE = 64, 128  # factor indices by lambdas per table in delta_from_spectrum
 
 
-def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
-    """Truncated canonical product for the characteristic function, at one lambda or at many.
+def delta_from_spectrum(spec: Spectrum, n_used: int, lams) -> list[complex]:
+    """Truncated canonical product for the characteristic function at a 1-D sequence of lambda.
 
     Delta(lam) ~ Delta_0(lam) * prod_{n<=N} (lambda_n - lam)/(lambda_n^0 - lam),
     which keeps every tail factor exactly 1 under lambda_n = lambda_n^0.
@@ -420,8 +420,8 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
     by its limit -Delta_0'(lam), so evaluation exactly at zero-potential
     eigenvalues is well defined.
 
-    lam is one number, which returns one complex, or a 1-D sequence, which
-    returns a list of complex in its order; one lambda is a batch of one.  The
+    lams is a 1-D sequence (any other shape is a ValueError), so one lambda
+    is the batch [lam]; returns a list of complex in its order.  The
     asymptotes come from asymptotic_eigenvalue on the index array.  They
     increase strictly and |lam - lambda_n^0| grows with |Re lam - lambda_n^0|,
     so the one asymptote lam can coincide with is a neighbour of Re lam's
@@ -432,16 +432,16 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
     are multiplied pairwise by halves, an odd last row into the running
     product, until none is left.  Both sizes are fixed, so a lambda gets the
     same bits alone as in any batch; an overflow gives inf or nan without a
-    warning.
+    warning, and extract_w refuses it.
     """
     if not is_int(n_used) or n_used < 1:
         raise ValueError("n_used must be >= 1")
     if spec.count < n_used:
         raise ValueError(f"spectrum holds {spec.count} eigenvalues, need {n_used}")
-    given = np.array(lam, dtype=complex)
-    if given.ndim > 1:
-        raise ValueError(f"lam must be one number or a 1-D sequence, got shape {given.shape}")
-    a, b, evs, lams = spec.alpha, spec.beta, np.array(spec.eigenvalues[:n_used]), given.reshape(-1)
+    lams = np.array(lams, dtype=complex)
+    if lams.ndim != 1:
+        raise ValueError(f"lams must be a 1-D sequence, got shape {lams.shape}")
+    a, b, evs = spec.alpha, spec.beta, np.array(spec.eigenvalues[:n_used])
     index = np.arange(n_used)
     lam0 = asymptotic_eigenvalue(a, b, index + 1)
     with np.errstate(all="ignore"):  # an exact hit divides by 0 until its factor is set; overflow gives inf or nan
@@ -461,7 +461,7 @@ def delta_from_spectrum(spec: Spectrum, n_used: int, lam):
                         val, table = val * table[-1], table[:-1]
                     table = table[: len(table) // 2] * table[len(table) // 2 :]  # halves: one loop, not one per row
             vals[tile] = val
-    return vals.tolist() if given.ndim else complex(vals[0])
+    return vals.tolist()
 
 
 def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
@@ -476,7 +476,8 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
     {2 b(rho_m x)}, plus the mean Delta(0) for (1,1) (the (0,0) mean is 0);
     a spectrum of >= 4*modes eigenvalues is a good rule of thumb.  Every
     Delta comes from one batched delta_from_spectrum call over the whole
-    spectrum.
+    spectrum.  A Delta or W that overflows raises ArithmeticError naming its
+    mode (0 for the mean) or grid point, a Delta before any arithmetic on it.
 
     On the n = k*m midpoints x_i = (2i + 1)/(2n), rho_m x_i = pi p (2i + 1)/(4n)
     with p = 2 rho_m/pi = 2(m - shift), and 2 b(t) = u e^{it} + conj(u) e^{-it},
@@ -500,11 +501,18 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
     rhos = [(mm - shift) * math.pi for mm in range(1, modes + 1)]
     mean = (a, b) == (1, 1)
     deltas = delta_from_spectrum(spec, spec.count, [0.0] * mean + [rho**2 for rho in rhos])
+    if not all(map(cmath.isfinite, deltas)):
+        i = next(i for i, d in enumerate(deltas) if not cmath.isfinite(d))
+        raise ArithmeticError(f"the product over the spectrum overflows double precision at mode {i + 1 - mean}")
     w_mean = deltas.pop(0) if mean else 0.0
-    coef = np.array(rhos) ** (2 - a - b) * np.array(deltas)
     p = np.arange(2, 2 * modes + 1, 2) - (a != b)
     phase = np.exp((1j * math.pi / (4 * n)) * p)
-    z[p] = u * coef * phase
-    z[4 * n - p] = u.conjugate() * coef * phase.conj()
-    w = np.fft.ifft(z, norm="forward")[:n] + w_mean
+    with np.errstate(over="ignore", invalid="ignore"):  # a W beyond double precision is refused below
+        coef = np.array(rhos) ** (2 - a - b) * np.array(deltas)
+        z[p] = u * coef * phase
+        z[4 * n - p] = u.conjugate() * coef * phase.conj()
+        w = np.fft.ifft(z, norm="forward")[:n] + w_mean
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise ArithmeticError(f"the synthesis of W overflows double precision at x={(np.argmin(finite) + 0.5) / n:.6f}")
     return GridFunction(k, m, w)

@@ -340,17 +340,17 @@ def kernel(config: ProblemConfig) -> KernelDescriptor:
     return KernelDescriptor(build_matrix(config).null_vector)
 
 
-def eigvec_j1(z0, k: int, alpha: int, beta: int) -> np.ndarray:
-    """Eigenvectors of the j = 1 matrix: its vector for a number z0, its (k, L) columns for a 1-D array of L.
+def eigvec_j1(z, k: int, alpha: int, beta: int) -> np.ndarray:
+    """Eigenvectors of the j = 1 matrix: the (k, L) columns for a 1-D array z of L eigenvalues.
 
-    Component m is d^(m-1) q_{m-1}(z0): the minors q_n of _char_poly_run,
+    Component m is d^(m-1) q_{m-1}(z_i): the minors q_n of _char_poly_run,
     their three_term run on the eigenvalue vector, one run for the whole
-    array.  A number is the array of one, so a column has the same bits
-    alone as in any batch.  The residual ||A x - z0 x||_inf <= 1e-9
-    ||x||_inf is checked a posteriori per column on the sparse rows, each
-    read as its two entries (a row of any other length raises
-    AssertionError); a column that fails it, a non-finite z0 included,
-    means its z0 was not an eigenvalue, a ValueError naming the first.
+    array.  One eigenvalue is the batch [z0] (any other shape of z is a
+    ValueError), so a column has the same bits alone as in any batch.  The
+    residual ||A x - z_i x||_inf <= 1e-9 ||x||_inf is checked a posteriori
+    per column on the sparse rows, each read as its two entries (any other
+    length is an AssertionError); a column that fails it, a non-finite z_i
+    included, means z_i was not an eigenvalue, a ValueError naming the first.
     """
     s = _j1_signs("eigvec_j1", k, alpha, beta)
     rows = build_matrix(make_config(alpha, beta, 1, k)).rows
@@ -358,7 +358,9 @@ def eigvec_j1(z0, k: int, alpha: int, beta: int) -> np.ndarray:
         (c1, v1), (c2, v2) = np.array(rows).transpose(1, 2, 0)  # per pair, its k columns and k values
     except ValueError:
         raise AssertionError(f"a row of the j = 1 matrix for k={k} does not hold exactly two entries") from None
-    z = np.atleast_1d(np.asarray(z0, dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 1:
+        raise ValueError(f"z must be a 1-D array of eigenvalues, got shape {z.shape}")
     with np.errstate(all="ignore"):  # a non-finite z0 fails the residual test below, silently
         x = np.array(list(islice(three_term(z, np.ones_like(z), z - 1.0, s.c * s.d), k)))
         x = s.d ** np.arange(k)[:, None] * x  # row m is d^m q_m
@@ -368,7 +370,7 @@ def eigvec_j1(z0, k: int, alpha: int, beta: int) -> np.ndarray:
     if failed.size:
         i = failed[0]
         raise ValueError(f"z0={z[i]} is not an eigenvalue: residual {resid[i]:.3e} vs scale {scale[i]:.3e}")
-    return x if np.ndim(z0) else x[:, 0]
+    return x
 
 
 def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:

@@ -13,8 +13,8 @@ the Corollary 1/3 and Lemma 3 sweeps that follow; the record is dropped
 when the run ends.  What persists between runs does so by design: the
 stored Chebyshev runs (chebyshev._cheb_run) and j = 1 char-poly runs
 (frozen_matrix._char_poly_run), each grown to the highest degree asked
-for.  Every matrix lives only for its (k, alpha, beta) step.  Called
-alone, each sweep builds what it reads.
+for.  Every matrix lives only for its (k, alpha, beta) step.  The record
+is a required argument; given an empty one, each sweep builds what it reads.
 """
 
 from __future__ import annotations
@@ -71,12 +71,12 @@ def theorem1(kmax: int):
             yield _PASS if ok else (f"theorem1 k={k} ({alpha},{beta})", False)
 
 
-def theorem2(kmax: int, record: dict | None = None):
+def theorem2(kmax: int, record: dict):
     """Theorem 2: the Chebyshev reduction to j = 1 equals the direct matrix.
 
-    One recurrence run per (k, alpha, beta) serves every coprime j.  With a
-    record, each config's (det, rank, kernel) is stored in it for the
-    sweeps that follow.
+    One recurrence run per (k, alpha, beta) serves every coprime j.  Each
+    config's (det, rank, kernel) is stored in record for the sweeps that
+    follow.
     """
     for k in range(2, kmax + 1):
         for alpha, beta in _FLAGS:
@@ -84,8 +84,7 @@ def theorem2(kmax: int, record: dict | None = None):
                 if math.gcd(j, k) == 1:
                     cfg = ProblemConfig(alpha, beta, j, k)
                     a = build_matrix(cfg)
-                    if record is not None:
-                        record[cfg] = det_exact(a), rank(a), a.null_vector
+                    record[cfg] = det_exact(a), rank(a), a.null_vector
                     yield _PASS if rows == a.rows else (f"theorem2 {cfg}", False)
 
 
@@ -94,12 +93,11 @@ def _recorded(cfg: ProblemConfig, record: dict) -> tuple[int, int, tuple[int, ..
     return record[cfg] if a is None else (det_exact(a), rank(a), a.null_vector)
 
 
-def corollaries_1_3(kmax_t1: int, kmax: int, record: dict | None = None):
+def corollaries_1_3(kmax_t1: int, kmax: int, record: dict):
     """Corollary 1 (closed-form j = 1 determinants) and Corollary 3 (det = 0 iff degenerate).
 
     A determinant theorem2 recorded is read, not recomputed.
     """
-    record = {} if record is None else record
     for k in range(2, kmax_t1 + 1):
         for alpha, beta in _FLAGS:
             det = _recorded(make_config(alpha, beta, 1, k), record)[0]
@@ -109,12 +107,11 @@ def corollaries_1_3(kmax_t1: int, kmax: int, record: dict | None = None):
         yield _PASS if (_recorded(cfg, record)[0] == 0) == deg else (f"corollary3 {cfg}", False)
 
 
-def lemmas_2_3(kmax: int, record: dict | None = None):
+def lemmas_2_3(kmax: int, record: dict):
     """Lemma 3 (the walk's kernel is kernel_closed_form, rank k - dim) and Lemma 2 (the j = 1 eigenvectors).
 
     A rank and kernel theorem2 recorded are read, not recomputed.
     """
-    record = {} if record is None else record
     for cfg in coprime_configs(kmax):
         _, r, x = _recorded(cfg, record)
         ok = x == kernel_closed_form(cfg) and r == cfg.k - bool(x)
@@ -134,7 +131,7 @@ def _lemma2_labels(spectrum: list[complex], k: int, alpha: int, beta: int):
     """One check per eigenvalue, each alone: a failed batch names every eigenvalue that fails."""
     for z0 in spectrum:
         try:
-            eigvec_j1(z0, k, alpha, beta)
+            eigvec_j1([z0], k, alpha, beta)
         except ValueError:
             yield f"lemma2 k={k} ({alpha},{beta}) z0={z0}", False
         else:

@@ -57,12 +57,12 @@ class GridFunction:
         return 1.0 / (self.k * self.m)
 
     @classmethod
-    def from_callable(cls, fn: Callable, k: int, m: int = 64) -> "GridFunction":
+    def from_callable(cls, fn: Callable, k: int, m: int) -> "GridFunction":
         x = grid_midpoints(k, m)
         return cls(k, m, np.asarray(fn(x), dtype=complex) * np.ones_like(x))
 
     @classmethod
-    def zeros(cls, k: int, m: int = 64) -> "GridFunction":
+    def zeros(cls, k: int, m: int) -> "GridFunction":
         return cls(k, m, _allocate_grid(k, m, lambda n: np.zeros(n, dtype=complex)))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":

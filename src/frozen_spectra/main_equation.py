@@ -105,40 +105,47 @@ def solve_inverse(
     range, |S|/L is the least-squares residual per row, and z = -mean(p)
     gives the minimum-norm solution, returned with the kernel direction
     R^{-1}(X * 1), X = A.null_vector.  A residual above residual_rtol *
-    ||rhs|| raises InconsistentSystemError naming the worst grid point.
-    residual_rtol must be finite and >= 0: a NaN would make the residual test always pass.
+    ||rhs||, or NaN, raises InconsistentSystemError naming the worst grid
+    point.  residual_rtol must be finite and >= 0, W finite (ValueError); a
+    solve that overflows anyway raises ArithmeticError naming its grid point.
     """
     if not (math.isfinite(residual_rtol) and residual_rtol >= 0):
         raise ValueError(f"residual_rtol must be finite and >= 0, got {residual_rtol}")
     _check_grid(w, config)
+    if not np.isfinite(w.values).all():
+        raise ValueError("W holds a NaN or inf sample")
     if config.k == 1 and config.alpha == 0:
         raise ValueError(
             "with a = 0 and a Dirichlet condition at 0 the forward map is "
             "identically zero, so W determines nothing about the potential"
         )
     matrix = build_matrix(config)
-    rhs = 2.0 * (-1) ** (config.alpha * config.beta) * q_apply(w)
-    y, resid = np.empty_like(rhs), np.zeros(w.m)
-    for *walk, det in matrix.cycles[1]:
-        rows, cols, a, b = map(np.array, walk)
-        g = np.cumprod(-a * b)
-        p = np.cumsum((g * a)[:, None] * rhs[rows], axis=0)
-        if det:  # det = prod(a) (1 - g_(L-1)), so g_(L-1) = -1
-            p -= p[-1] / 2
-        else:
-            s = p[-1] / len(rows)
-            resid = np.maximum(resid, np.abs(s))
-            p = p - np.arange(1, len(rows) + 1)[:, None] * s
-            p -= p.mean(axis=0)
-        y[cols] = g[:, None] * p
-    scale = max(np.abs(rhs).max(), 1e-300)
-    worst = int(np.argmax(resid))
-    if resid[worst] > residual_rtol * scale:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by grid point
+        rhs = 2.0 * (-1) ** (config.alpha * config.beta) * q_apply(w)
+        y, resid = np.empty_like(rhs), np.zeros(w.m)
+        for *walk, det in matrix.cycles[1]:
+            rows, cols, a, b = map(np.array, walk)
+            g = np.cumprod(-a * b)
+            p = np.cumsum((g * a)[:, None] * rhs[rows], axis=0)
+            if det:  # det = prod(a) (1 - g_(L-1)), so g_(L-1) = -1
+                p -= p[-1] / 2
+            else:
+                s = p[-1] / len(rows)
+                resid = np.maximum(resid, np.abs(s))
+                p = p - np.arange(1, len(rows) + 1)[:, None] * s
+                p -= p.mean(axis=0)
+            y[cols] = g[:, None] * p
+        finite = np.isfinite(y).all(axis=0)
+        worst = int(np.argmax(resid) if finite.all() else np.argmin(finite))
         t_worst = (worst + 0.5) / (w.k * w.m)
-        raise InconsistentSystemError(
-            f"W is not attainable: relative residual {resid[worst] / scale:.3e} "
-            f"at grid point t={t_worst:.6f} exceeds {residual_rtol:.1e}"
-        )
+        if not finite[worst]:
+            raise ArithmeticError(f"the solve overflows double precision at grid point t={t_worst:.6f}")
+        scale = max(np.abs(rhs).max(), 1e-300)
+        if not resid[worst] <= residual_rtol * scale:
+            raise InconsistentSystemError(
+                f"W is not attainable: relative residual {resid[worst] / scale:.3e} "
+                f"at grid point t={t_worst:.6f} exceeds {residual_rtol:.1e}"
+            )
     x = matrix.null_vector
     kernel_direction = _lift(x, np.ones(w.m), config.j) if x else None
     return MainEqSolution(r_inverse(y, config.j), kernel_direction)

@@ -688,10 +688,10 @@ def test_delta_from_spectrum_zero_potential_is_exact():
         evs = tuple(complex(asymptotic_eigenvalue(a, b, n)) for n in range(1, 61))
         s = Spectrum(a, b, evs)
         for lam in (-17.0, 3.3 + 1.0j, 250.0):
-            assert abs(delta_from_spectrum(s, 60, lam) - zero_potential_delta(a, b, lam)) < 1e-10
+            assert abs(delta_from_spectrum(s, 60, [lam])[0] - zero_potential_delta(a, b, lam)) < 1e-10
         # evaluation exactly at a retained zero-potential eigenvalue
         lam0 = asymptotic_eigenvalue(a, b, 3)
-        assert abs(delta_from_spectrum(s, 60, lam0) - zero_potential_delta(a, b, lam0)) < 1e-10
+        assert abs(delta_from_spectrum(s, 60, [lam0])[0] - zero_potential_delta(a, b, lam0)) < 1e-10
 
 
 def test_delta_from_spectrum_converges_monotonically(rng):
@@ -704,7 +704,7 @@ def test_delta_from_spectrum_converges_monotonically(rng):
         worst = 0.0
         for lam in grid:
             dd = delta_direct(q, cfg, lam)
-            dp = delta_from_spectrum(spec, n_used, lam)
+            dp = delta_from_spectrum(spec, n_used, [lam])[0]
             worst = max(worst, abs(dd - dp) / (1 + abs(dd)))
         errs.append(worst)
     for lo, hi in zip(errs[1:], errs[:-1]):
@@ -718,7 +718,7 @@ def test_delta_from_spectrum_at_degenerate_frequency(rng):
     cfg = make_config(0, 0, 1, 3)
     q = random_grid(3, 64, rng)
     spec = eigenvalues(q, cfg, 50)
-    val = delta_from_spectrum(spec, 50, (3 * PI) ** 2)
+    val = delta_from_spectrum(spec, 50, [(3 * PI) ** 2])[0]
     assert abs(val) < 1e-12
 
 
@@ -788,7 +788,7 @@ def test_delta_from_spectrum_matches_reference_loop(alpha, beta, rng):
         batch = delta_from_spectrum(spec, n_used, lams)
         assert type(batch) is list and all(type(z) is complex for z in batch)
         bits = list(map(_bits, batch))
-        assert [_bits(delta_from_spectrum(spec, n_used, lam)) for lam in lams] == bits
+        assert [_bits(delta_from_spectrum(spec, n_used, [lam])[0]) for lam in lams] == bits
         assert list(map(_bits, delta_from_spectrum(spec, n_used, np.array(lams, dtype=complex)))) == bits
         _assert_relative(batch, _mp_delta_from_spectrum(spec, n_used, lams), 1e-13, lams)
 
@@ -799,19 +799,19 @@ def test_delta_from_spectrum_gives_one_lambda_the_bits_of_any_batch(alpha, beta,
     spec = _random_spectrum(alpha, beta, 150, rng)
     lams = _probe_lambdas(alpha, beta, spec.count, spec.count)
     full = list(map(_bits, delta_from_spectrum(spec, spec.count, lams)))
-    assert [_bits(delta_from_spectrum(spec, spec.count, lam)) for lam in lams] == full
+    assert [_bits(delta_from_spectrum(spec, spec.count, [lam])[0]) for lam in lams] == full
     assert [_bits(delta_from_spectrum(spec, spec.count, [lam, 7.0])[0]) for lam in lams] == full
 
 
 def test_delta_from_spectrum_keeps_no_asymptotes_between_calls():
     """The product at 40 truncations of a 5000-eigenvalue spectrum, then at one, leaves nothing behind."""
     spec = Spectrum(0, 1, tuple(complex(asymptotic_eigenvalue(0, 1, n) + 1.0) for n in range(1, 5001)))
-    delta_from_spectrum(spec, 1, 7.0)
+    delta_from_spectrum(spec, 1, [7.0])
 
     def calls():
         for n_used in range(400, 440):
-            delta_from_spectrum(spec, n_used, 7.0)
-        delta_from_spectrum(spec, 1, 7.0)
+            delta_from_spectrum(spec, n_used, [7.0])
+        delta_from_spectrum(spec, 1, [7.0])
 
     assert _retained_after(calls) < 100_000
 
@@ -914,12 +914,11 @@ def test_batched_zero_potential_determinant_matches_the_scalar_path(alpha, beta)
 
 
 def test_delta_from_spectrum_edge_batches():
-    # an empty batch returns an empty list, a 0-d array one complex, and a 2-D lam is refused by its shape
+    # an empty batch returns an empty list, and a number, a 0-d array or a 2-D lams is refused by its shape
     assert delta_from_spectrum(_TEN, 10, []) == []
-    got = delta_from_spectrum(_TEN, 10, np.array(7.0))
-    assert type(got) is complex and _bits(got) == _bits(delta_from_spectrum(_TEN, 10, 7.0))
-    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
-        delta_from_spectrum(_TEN, 10, [[1.0, 2.0], [3.0, 4.0]])
+    for lams, shape in ((7.0, r"\(\)"), (np.array(7.0), r"\(\)"), ([[1.0, 2.0], [3.0, 4.0]], r"\(2, 2\)")):
+        with pytest.raises(ValueError, match=rf"^lams must be a 1-D sequence, got shape {shape}$"):
+            delta_from_spectrum(_TEN, 10, lams)
 
 
 def test_delta_from_spectrum_peak_memory_stays_within_its_tables(rng):
@@ -1123,7 +1122,7 @@ def test_extract_w_input_validation():
     with pytest.raises(ValueError):
         extract_w(s, 0, 2, 16)
     with pytest.raises(ValueError):
-        delta_from_spectrum(s, 11, 1.0)
+        delta_from_spectrum(s, 11, [1.0])
     # mode m reads the eigenvalue of index m + (alpha+beta)//2, so (1,1) needs one more than modes
     ten = {flags: Spectrum(*flags, tuple(complex(asymptotic_eigenvalue(*flags, n)) for n in range(1, 11)))
            for flags in ((1, 1), (0, 1))}
@@ -1131,6 +1130,17 @@ def test_extract_w_input_validation():
     with pytest.raises(ValueError, match="need at least 11 eigenvalues for 10 modes, have 10"):
         extract_w(ten[1, 1], 10, 2, 16)
     extract_w(ten[0, 1], 10, 2, 16)
+
+
+def test_extract_w_names_the_mode_whose_product_overflows():
+    # two eigenvalues at 1.7e308 are finite, but their factors overflow every product; (1,1) reads its mean,
+    # mode 0, first
+    for flags, mode in (((0, 1), 1), ((1, 1), 0)):
+        evs = [complex(asymptotic_eigenvalue(*flags, n)) for n in range(1, 41)]
+        evs[5] = evs[6] = complex(1.7e308)
+        message = rf"^the product over the spectrum overflows double precision at mode {mode}$"
+        with pytest.raises(ArithmeticError, match=message):
+            extract_w(Spectrum(*flags, tuple(evs)), 10, 3, 16)
 
 
 _TEN = Spectrum(0, 0, tuple(complex(asymptotic_eigenvalue(0, 0, n)) for n in range(1, 11)))
@@ -1141,9 +1151,9 @@ _TEN = Spectrum(0, 0, tuple(complex(asymptotic_eigenvalue(0, 0, n)) for n in ran
     (lambda: eigenvalues(GridFunction.zeros(3, 8), make_config(0, 0, 1, 3), 0), "count"),
     (lambda: eigenvalues(GridFunction.zeros(3, 8), make_config(0, 0, 1, 3), 2.5), "^count must be >= 1$"),
     (lambda: eigenvalues(GridFunction.zeros(3, 8), make_config(0, 0, 1, 3), True), "^count must be >= 1$"),
-    (lambda: delta_from_spectrum(_TEN, 0, 1.0), "n_used"),
-    (lambda: delta_from_spectrum(_TEN, 2.5, 1.0), "^n_used must be >= 1$"),
-    (lambda: delta_from_spectrum(_TEN, True, 1.0), "^n_used must be >= 1$"),
+    (lambda: delta_from_spectrum(_TEN, 0, [1.0]), "n_used"),
+    (lambda: delta_from_spectrum(_TEN, 2.5, [1.0]), "^n_used must be >= 1$"),
+    (lambda: delta_from_spectrum(_TEN, True, [1.0]), "^n_used must be >= 1$"),
     (lambda: invert_from_spectrum(_TEN, make_config(0, 0, 1, 3), 4, 2.5, 1), "^n_used must be >= 1, got 2.5$"),
     (lambda: invert_from_spectrum(_TEN, make_config(0, 0, 1, 3), 4, True, 1), "^n_used must be >= 1, got True$"),
     (lambda: extract_w(_TEN, 4, 1, 4), "alias"),  # modes >= k*m
@@ -1166,7 +1176,7 @@ def test_delta_evaluator_modes_agree(rng):
     for lam in (-12.0, 4.4 + 0.5j, 95.0):
         d = delta_direct(q, cfg, lam)
         assert abs(delta_from_w(w, cfg.alpha, cfg.beta, lam) - d) < 1e-10 * (1 + abs(d))
-        assert abs(delta_from_spectrum(spec, 150, lam) - d) < 1e-5 * (1 + abs(d))
+        assert abs(delta_from_spectrum(spec, 150, [lam])[0] - d) < 1e-5 * (1 + abs(d))
 
 
 def test_find_root_failure_is_reported():

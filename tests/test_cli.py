@@ -14,6 +14,7 @@ from frozen_spectra import (
     GridFunction,
     Spectrum,
     cli,
+    eigenvalues,
     forward_w_direct,
     make_config,
     quadratic_profile,
@@ -197,10 +198,10 @@ def _broken_eigenvector():
 
     bad = spectrum_closed_form(3, 1, 0)[1]
 
-    def broken(z0, k, alpha, beta):  # z0 is a number or a batch of them
-        if (k, alpha, beta) == (3, 1, 0) and bad in np.atleast_1d(z0):
+    def broken(z, k, alpha, beta):  # z is a batch of eigenvalues
+        if (k, alpha, beta) == (3, 1, 0) and bad in z:
             raise ValueError(f"z0={bad} is not an eigenvalue")
-        return eigvec_j1(z0, k, alpha, beta)
+        return eigvec_j1(z, k, alpha, beta)
 
     return identities, "eigvec_j1", broken, "lemma-2/3 kernels, ranks, eigenvectors: 83 checks passed, 1 failed", f"lemma2 k=3 (1,0) z0={bad}"
 
@@ -713,4 +714,31 @@ def test_reconstruct_rejects_a_malformed_eigenvalue(bad, tmp_path, capsys):
     )
     assert code == 3 and stdout == ""
     assert json.loads(err)["error"]["type"] == "ValueError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def _sin_potential(x):
+    return _demo_potential(x) + 0.3 * np.sin(7.0 * x)
+
+
+@pytest.mark.parametrize("flags, huge, message", [
+    ((0, 1, 1, 3), (5,), "the solve overflows double precision at grid point t="),
+    ((0, 1, 1, 3), (5, 6), "the product over the spectrum overflows double precision at mode 1"),
+    ((1, 0, 1, 4), (5,), "the synthesis of W overflows double precision at x="),
+], ids=["one-huge", "two-huge", "synthesis"])
+def test_reconstruct_from_an_overflowing_spectrum_exits_4(flags, huge, message, tmp_path, capsys):
+    # eigenvalues at 1.7e308 are finite, so the spectrum loads; the product, W or the solve overflows, and
+    # the command exits 4 with no RuntimeWarning, no q file and no manifest
+    cfg = make_config(*flags)
+    spec = eigenvalues(GridFunction.from_callable(_sin_potential, cfg.k, 64), cfg, 60).to_dict()
+    for i in huge:
+        spec["eigenvalues"][i] = [1.7e308, 0.0]
+    specfile = tmp_path / "s.json"
+    specfile.write_text(json.dumps(spec))
+    argv = [f"--{key}={value}" for key, value in cfg.to_dict().items()]
+    code, stdout, err = run(capsys, "reconstruct", *argv, "--spectrum", str(specfile), "--m", "64",
+                            "--n-used", "60", "--modes", "10", "--out", str(tmp_path / "q.csv"))
+    assert code == 4 and stdout == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ArithmeticError" and error["message"].startswith(message)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]

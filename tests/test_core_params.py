@@ -67,7 +67,7 @@ _FLAG_READERS = {
     "char_poly_j1": lambda a, b: char_poly_j1(3, a, b),
     "numeric_spectrum_j1": lambda a, b: numeric_spectrum_j1(3, a, b),
     "reductions_j1": lambda a, b: next(reductions_j1(a, b, 3)),  # a generator checks on its first step
-    "eigvec_j1": lambda a, b: eigvec_j1(0j, 3, a, b),
+    "eigvec_j1": lambda a, b: eigvec_j1([0j], 3, a, b),
     "theorem1_poly": lambda a, b: theorem1_poly(3, a, b),
     "spectrum_closed_form": lambda a, b: spectrum_closed_form(3, a, b),
     "asymptotic_eigenvalue": lambda a, b: asymptotic_eigenvalue(a, b, 2),

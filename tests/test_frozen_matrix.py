@@ -164,7 +164,7 @@ def test_01_eigenvalues_pass_the_lemma2_residual():
         spectrum = numeric_spectrum_j1(k, 0, 1)
         assert len(spectrum) == k
         for z0 in spectrum:
-            eigvec_j1(z0, k, 0, 1)  # ValueError unless the residual is within 1e-9
+            eigvec_j1([z0], k, 0, 1)  # ValueError unless the residual is within 1e-9
 
 
 def test_00_spectrum_holds_the_exact_zeros_of_the_char_poly():
@@ -269,28 +269,33 @@ def test_null_vector_rejects_two_singular_blocks():
 
 
 def test_eigvec_examples():
-    v = eigvec_j1(0.0, 3, 0, 0)
-    assert np.allclose(v, [1, -1, 1])
+    v = eigvec_j1([0.0], 3, 0, 0)
+    assert np.allclose(v, [[1], [-1], [1]])
     for k in (2, 5, 9):
-        v = eigvec_j1(2.0, k, 1, 1)
-        assert np.allclose(v, np.ones(k))
-    v = eigvec_j1(1j, 3, 0, 0)
-    assert np.allclose(v, [1, -1 + 1j, -1j])
-    with pytest.raises(ValueError):
-        eigvec_j1(0.5, 3, 0, 0)  # not an eigenvalue
+        v = eigvec_j1([2.0], k, 1, 1)
+        assert np.allclose(v, np.ones((k, 1)))
+    v = eigvec_j1([1j], 3, 0, 0)
+    assert np.allclose(v, [[1], [-1 + 1j], [-1j]])
+    with pytest.raises(ValueError, match="is not an eigenvalue"):
+        eigvec_j1([0.5], 3, 0, 0)
+    # one eigenvalue is the batch of one: a number or a 2-D array is refused by its shape
+    for z in (0.0, np.zeros((1, 1))):
+        with pytest.raises(ValueError, match=r"^z must be a 1-D array of eigenvalues, got shape \("):
+            eigvec_j1(z, 3, 0, 0)
 
 
 def _j1_spectrum(k, alpha, beta):
     return numeric_spectrum_j1(k, 0, 1) if (alpha, beta) == (0, 1) else spectrum_closed_form(k, alpha, beta)
 
 
-# one recurrence run on the whole spectrum gives each column the bits of the run on its eigenvalue alone
+# one recurrence run on the whole spectrum gives each column the bits of the run on its eigenvalue alone,
+# a batch of one
 def test_eigvec_j1_on_a_spectrum_is_the_column_stack_of_scalar_calls():
     for k in range(2, 41):
         for alpha, beta in ((0, 0), (0, 1), (1, 0), (1, 1)):
             spectrum = _j1_spectrum(k, alpha, beta)
             x = eigvec_j1(spectrum, k, alpha, beta)
-            cols = np.stack([eigvec_j1(z0, k, alpha, beta) for z0 in spectrum], axis=1)
+            cols = np.concatenate([eigvec_j1([z0], k, alpha, beta) for z0 in spectrum], axis=1)
             assert x.shape == cols.shape == (k, k)
             assert x.tobytes() == cols.tobytes(), (k, alpha, beta)
 
@@ -304,7 +309,7 @@ def test_eigvec_j1_names_the_non_eigenvalue_of_a_batch():
 @pytest.mark.parametrize("z0", [float("nan"), float("inf"), complex("nan+1j")], ids=["nan", "inf", "nan+1j"])
 def test_eigvec_j1_rejects_a_non_finite_z0(z0):
     with pytest.raises(ValueError, match="is not an eigenvalue"):
-        eigvec_j1(z0, 3, 0, 0)
+        eigvec_j1([z0], 3, 0, 0)
     with pytest.raises(ValueError, match="is not an eigenvalue"):
         eigvec_j1(spectrum_closed_form(3, 0, 0) + [z0], 3, 0, 0)
 
@@ -327,7 +332,7 @@ _J1_HELPERS = {
     "spectrum_closed_form": lambda k: spectrum_closed_form(k, 1, 1),
     "reductions_j1": lambda k: next(reductions_j1(0, 0, k)),  # a generator checks k on its first step
     "reduce_to_j1": lambda k: reduce_to_j1(make_config(1, 0, 0, k)),
-    "eigvec_j1": lambda k: eigvec_j1(0j, k, 0, 0),
+    "eigvec_j1": lambda k: eigvec_j1([0j], k, 0, 0),
 }
 
 
@@ -340,7 +345,7 @@ def test_j1_helpers_reject_k_below_2(name):
 # the j = 1 helpers that read a cache keyed by the flags, where True and 1.0 hash as the 1 they equal
 _CACHED_FLAG_READERS = {
     "char_poly_j1": lambda alpha: char_poly_j1(3, alpha, 0),
-    "eigvec_j1": lambda alpha: eigvec_j1(spectrum_closed_form(3, 1, 0)[0], 3, alpha, 0),
+    "eigvec_j1": lambda alpha: eigvec_j1(spectrum_closed_form(3, 1, 0)[:1], 3, alpha, 0),
 }
 
 
@@ -459,7 +464,7 @@ def test_pair_reads_reject_a_row_of_three(monkeypatch):
     wide = FrozenMatrix(j1.config, (j1.rows[0] + ((2, 1),),) + j1.rows[1:])
     monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: wide)
     with pytest.raises(AssertionError):
-        eigvec_j1(0.0, 3, 0, 0)
+        eigvec_j1([0.0], 3, 0, 0)
     with pytest.raises(AssertionError):
         eigvec_j1([0.0, 1j], 3, 0, 0)
 
@@ -480,12 +485,12 @@ def test_eigvec_j1_matches_the_summed_residual():
     for k in range(2, 17):
         for alpha, beta in ((0, 0), (1, 0), (1, 1)):
             for z0 in spectrum_closed_form(k, alpha, beta):
-                assert np.array_equal(eigvec_j1(z0, k, alpha, beta), _sum_eigvec_j1(z0, k, alpha, beta))
+                assert np.array_equal(eigvec_j1([z0], k, alpha, beta)[:, 0], _sum_eigvec_j1(z0, k, alpha, beta))
             for z0 in (0.5, 7.0, 3j):  # never an eigenvalue of these spectra, which lie in [-2, 2] or i[-2, 2]
                 with pytest.raises(ValueError, match="is not an eigenvalue"):
                     _sum_eigvec_j1(z0, k, alpha, beta)
                 with pytest.raises(ValueError, match="is not an eigenvalue"):
-                    eigvec_j1(z0, k, alpha, beta)
+                    eigvec_j1([z0], k, alpha, beta)
 
 
 def test_zero_eigenvalue_algebraic_multiplicity_observed(capsys):

@@ -150,6 +150,24 @@ def test_degenerate_inconsistent_w_is_rejected():
         solve_inverse(w, cfg)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("flags", [(0, 1, 1, 3), (0, 0, 1, 3)], ids=["regular", "singular"])
+def test_a_non_finite_w_is_refused(flags, bad):
+    values = np.ones(24, dtype=complex)
+    values[5] = bad
+    with pytest.raises(ValueError, match="^W holds a NaN or inf sample$"):
+        solve_inverse(GridFunction(3, 8, values), make_config(*flags))
+
+
+@pytest.mark.parametrize("flags", [(0, 1, 1, 3), (0, 0, 1, 3)], ids=["regular", "singular"])
+def test_a_solve_that_overflows_names_its_grid_point(flags):
+    # a finite W near the largest double overflows once doubled into the right-hand side, without a warning
+    values = np.zeros(24, dtype=complex)
+    values[5] = 1.7e308
+    with pytest.raises(ArithmeticError, match=r"^the solve overflows double precision at grid point t=0\.229167$"):
+        solve_inverse(GridFunction(3, 8, values), make_config(*flags))
+
+
 @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), -1.0])
 def test_residual_rtol_must_be_finite_and_non_negative(rtol):
     # a NaN tolerance would accept the unattainable W = 1 above
