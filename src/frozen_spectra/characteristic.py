@@ -49,8 +49,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_params import ProblemConfig, is_int, require_flags, require_grid
-from .interval_ops import GridFunction, _allocate_grid
+from .core_params import ProblemConfig, is_int, load_json, require_flags, require_grid, require_keys
+from .interval_ops import GridFunction, _allocate_grid, require_finite
 
 RHO_SERIES_THRESHOLD = 1.0
 _SERIES_TERMS = 12
@@ -91,15 +91,10 @@ class Spectrum:
 
     @staticmethod
     def from_dict(d: dict) -> "Spectrum":
-        """Inverse of to_dict; ValueError unless alpha, beta are 0/1 and each eigenvalue a finite [re, im]."""
-        if not isinstance(d, dict):
-            raise ValueError(f"a spectrum is a JSON object, got {type(d).__name__}")
-        missing = [key for key in ("alpha", "beta", "eigenvalues") if key not in d]
-        if missing:
-            raise ValueError(f"spectrum has no {', '.join(map(repr, missing))}")
+        """Inverse of to_dict; ValueError unless require_keys and require_flags pass and each eigenvalue is finite."""
+        require_keys(d, "spectrum", ("alpha", "beta", "eigenvalues"))
         alpha, beta = d["alpha"], d["beta"]
-        if not all(type(f) is int and f in (0, 1) for f in (alpha, beta)):
-            raise ValueError(f"spectrum alpha and beta must be 0 or 1, got {alpha!r} and {beta!r}")
+        require_flags(alpha, beta)
         try:
             pairs = [(re, im) for re, im in d["eigenvalues"]]
             if any(type(part) is bool for pair in pairs for part in pair):
@@ -119,12 +114,8 @@ class Spectrum:
 
     @staticmethod
     def load(path) -> "Spectrum":
-        """from_dict of a JSON file; a ValueError, malformed JSON included, names the file."""
-        try:
-            with open(path) as fh:
-                return Spectrum.from_dict(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        """from_dict of a JSON file, read by load_json: a ValueError, malformed JSON included, names the file."""
+        return load_json(path, Spectrum.from_dict)
 
 
 def asymptotic_eigenvalue(alpha: int, beta: int, n):
@@ -512,7 +503,5 @@ def extract_w(spec: Spectrum, modes: int, k: int, m: int) -> GridFunction:
         z[p] = u * coef * phase
         z[4 * n - p] = u.conjugate() * coef * phase.conj()
         w = np.fft.ifft(z, norm="forward")[:n] + w_mean
-    finite = np.isfinite(w)
-    if not finite.all():
-        raise ArithmeticError(f"the synthesis of W overflows double precision at x={(np.argmin(finite) + 0.5) / n:.6f}")
+    require_finite(w, "the synthesis of W")
     return GridFunction(k, m, w)

@@ -29,7 +29,7 @@ from .characteristic import (
     delta_direct,
     eigenvalues,
 )
-from .core_params import ProblemConfig, classify, make_config, normalize_to_half, require_grid
+from .core_params import ProblemConfig, classify, load_json, make_config, normalize_to_half, require_grid
 from .interval_ops import GridFunction, read_csv, read_profile_csv, write_csv
 from .inverse_pipeline import (
     EXAMPLE_CASES,
@@ -84,17 +84,10 @@ class RunManifest:
 
 
 def _load_config(args) -> ProblemConfig:
-    """The --config file's config, else the flags'; every ValueError of the file names it."""
+    """The --config file's config, read by load_json so that every ValueError names the file, else the flags'."""
     if not args.config:
         return make_config(args.alpha, args.beta, args.j, args.k)
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-        return ProblemConfig.from_dict(data.get("config", data))
-    except ValueError as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
+    return load_json(args.config, lambda d: ProblemConfig.from_dict(d.get("config", d) if isinstance(d, dict) else d))
 
 
 def _check_stored_n(flag: str, n: int) -> None:

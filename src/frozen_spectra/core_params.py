@@ -9,6 +9,7 @@ degenerate / non-degenerate case split.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,11 +48,7 @@ class ProblemConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ProblemConfig":
-        if not isinstance(d, dict):
-            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-        missing = [key for key in ("alpha", "beta", "j", "k") if key not in d]
-        if missing:
-            raise ValueError(f"config has no {', '.join(map(repr, missing))}")
+        require_keys(d, "config", ("alpha", "beta", "j", "k"))
         return make_config(d["alpha"], d["beta"], d["j"], d["k"])
 
 
@@ -68,9 +65,27 @@ class Classification:
 
 
 def require_flags(alpha, beta) -> None:
-    """ValueError unless alpha and beta are each the int 0 or 1; a bool is not a flag."""
+    """ValueError naming both values unless alpha and beta are each the int 0 or 1; a bool is not a flag."""
     if not (type(alpha) is int and type(beta) is int and alpha in (0, 1) and beta in (0, 1)):
-        raise ValueError("alpha and beta must be 0 or 1")
+        raise ValueError(f"alpha and beta must be 0 or 1, got {alpha!r} and {beta!r}")
+
+
+def require_keys(d, name: str, keys: tuple[str, ...]) -> None:
+    """ValueError, naming the input, unless d is a JSON object (a dict) holding every key; it names those missing."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(d).__name__}")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ValueError(f"{name} has no {', '.join(map(repr, missing))}")
+
+
+def load_json(path, parse):
+    """parse of the JSON value in the file at path; every ValueError, malformed JSON included, names the file."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def is_int(v) -> bool:

@@ -20,7 +20,7 @@ entries per row and per column, both in column 0 at a = 0 (k = 1).  Stored
 as sparse rows, each read as its two (col, value) pairs by the Chebyshev
 step and the eigenvector residual (any other length raises
 AssertionError).  det, rank, the kernel and solve_inverse read the cycles
-of the row-column graph, walked once per matrix and kept on it.
+of the row-column graph and their sign products, walked once and kept.
 """
 
 from __future__ import annotations
@@ -82,18 +82,16 @@ class FrozenMatrix:
 
     @property
     def null_vector(self) -> tuple[int, ...]:
-        """A X = 0 on the one singular cycle block: X[c_t] = prod_{s<=t} (-a_s b_s), first nonzero +1; () if none."""
+        """A X = 0 on the one singular cycle block: X[c_t] = g_t of the walk, first nonzero +1; () if none."""
         singular = [cycle for cycle in self.cycles[1] if not cycle[4]]
         if len(singular) > 1:
             raise AssertionError(f"the matrix of {self.config} has {len(singular)} singular cycle blocks")
         if not singular:
             return ()
-        _, cols, a, b, _ = singular[0]
-        x, g = [0] * self.k, 1
-        for col, u, v in zip(cols, a, b):
-            g *= -u * v
-            x[col] = g
-        return tuple(x) if x[min(cols)] > 0 else tuple(-v for v in x)
+        _, cols, _, g, _ = singular[0]
+        x = dict(zip(cols, g))
+        first = x[min(cols)]
+        return tuple(first * x.get(col, 0) for col in range(self.k))
 
 
 @dataclass(frozen=True)
@@ -374,18 +372,19 @@ def eigvec_j1(z, k: int, alpha: int, beta: int) -> np.ndarray:
 
 
 def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
-    """sgn(sigma_a) and, per cycle of the row-column graph, its walk and block det.
+    """sgn(sigma_a) and, per cycle of the row-column graph, its walk, sign product and block det.
 
-    With exactly two nonzeros per row and per column (asserted) the
-    bipartite row-column graph is a union of even cycles, and the matrix is,
-    up to a permutation, the direct sum of one block per cycle.  Walking a
-    cycle of L rows picks the a-edge a_t in column c_t of row r_t and
-    reaches the next row by the b-edge of that column, so row r_t holds its
-    b-value b_t in column c_(t-1) (c_(-1) = c_(L-1)).  Each cycle is kept
-    as (rows, cols, a, b) in walk order and its block det: the only
-    permutations inside the block are all-a and all-b, so the det is
-    prod(a) + (-1)^(L-1) prod(b), taken relative to sigma_a, the
-    permutation that picks every a-edge.  FrozenMatrix.cycles keeps the result.
+    With exactly two +-1 entries per row (build_matrix only makes 1, c and
+    d) and two nonzeros per column, both asserted, the row-column graph is
+    a union of even cycles, and the matrix is, up to a permutation, the
+    direct sum of one block per cycle.  Walking a cycle of L rows picks the
+    a-edge a_t in column c_t of row r_t and reaches the next row by the
+    b-edge of that column, so row r_t holds b_t in column c_(t-1)
+    (c_(-1) = c_(L-1)).  The walk forms g_t = prod_{s<=t} (-a_s b_s) once
+    and keeps (rows, cols, a, g) and the block det: only the all-a and
+    all-b permutations live in the block, so relative to sigma_a, which
+    picks every a-edge, det = prod(a) + (-1)^(L-1) prod(b) = prod(a) (1 - g_(L-1)).
+    null_vector and solve_inverse read g; FrozenMatrix.cycles keeps it all.
     A row whose two entries share a column (a = 0) is a cycle of one row.
     A normalized coprime config gives one cycle through all k rows (checked
     up to k = 120): that is why its kernel vector X has no zero entry.
@@ -395,11 +394,11 @@ def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
     for i, row in enumerate(rows):
         try:
             (c1, v1), (c2, v2) = row
-            ok = v1 and v2
+            ok = v1 in (1, -1) and v2 in (1, -1)
         except ValueError:
             ok = False
         if not ok:
-            raise AssertionError(f"row {i} is {row}, expected two nonzeros")
+            raise AssertionError(f"row {i} is {row}, expected two +-1 entries")
         col_rows[c1].append(i)
         col_rows[c2].append(i)
     for col, entries in enumerate(col_rows):
@@ -410,22 +409,22 @@ def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
     for start in range(len(rows)):
         if sigma_a[start] >= 0:
             continue
-        walk_rows, cols, a, b = [], [], [], []
-        i, prev = start, rows[start][1][0]  # enter the first row by its second entry, its b-edge
+        walk_rows, cols, a, g = [], [], [], []
+        i, prev, sign = start, rows[start][1][0], 1  # enter the first row by its second entry, its b-edge
         while True:
             (c1, v1), (c2, v2) = rows[i]
             col, v, w = (c2, v2, v1) if c1 == prev else (c1, v1, v2)
             sigma_a[i] = col
+            sign *= -v * w
             walk_rows.append(i)
             cols.append(col)
             a.append(v)
-            b.append(w)
+            g.append(sign)
             r1, r2 = col_rows[col]
             i, prev = (r2 if r1 == i else r1), col
             if i == start:
                 break
-        det = math.prod(a) + (-1) ** (len(a) - 1) * math.prod(b)
-        cycles.append((tuple(walk_rows), tuple(cols), tuple(a), tuple(b), det))
+        cycles.append((tuple(walk_rows), tuple(cols), tuple(a), tuple(g), math.prod(a) * (1 - sign)))
     return _perm_sign(sigma_a), cycles
 
 

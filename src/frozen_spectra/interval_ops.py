@@ -99,6 +99,13 @@ def grid_midpoints(k: int, m: int) -> np.ndarray:
     return _allocate_grid(k, m, lambda n: (np.arange(n) + 0.5) / n)
 
 
+def require_finite(values: np.ndarray, what: str) -> None:
+    """ArithmeticError naming the first midpoint x_i of the n samples where what overflowed double precision."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ArithmeticError(f"{what} overflows double precision at x={(np.argmin(finite) + 0.5) / len(values):.6f}")
+
+
 def subinterval_midpoints(k: int, m: int) -> np.ndarray:
     """Midpoints t_i = (i + 1/2) b/m of (0, b), b = 1/k."""
     _check_grid(k, m)

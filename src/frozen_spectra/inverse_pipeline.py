@@ -22,7 +22,7 @@ import numpy as np
 from .characteristic import Spectrum, asymptotic_eigenvalue, extract_w
 from .core_params import ProblemConfig, is_int, make_config, require_grid
 from .frozen_matrix import kernel
-from .interval_ops import GridFunction, subinterval_midpoints
+from .interval_ops import GridFunction, require_finite, subinterval_midpoints
 from .main_equation import MainEqSolution, null_direction, solve_inverse
 
 
@@ -45,10 +45,15 @@ def build_isospectral_potential(q0: GridFunction, config: ProblemConfig, f) -> G
 
     Steps: take the kernel sign vector X of the frozen matrix, lift a
     nonzero profile f on (0, b) to F = X f, and add R^{-1}F to q0.  f is a
-    callable on (0, b) or its m samples; config must be degenerate.
+    callable on (0, b) or its m samples; config must be degenerate.  A sum
+    beyond double precision raises ArithmeticError naming its grid point.
     """
     require_grid(q0, config)
-    return q0 + null_direction(config, _profile_samples(f, config.k, q0.m))
+    supplement = null_direction(config, _profile_samples(f, config.k, q0.m))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by grid point
+        q = q0 + supplement
+    require_finite(q.values, "the iso-spectral potential")
+    return q
 
 
 def quadratic_profile(k: int) -> Callable[[np.ndarray], np.ndarray]:

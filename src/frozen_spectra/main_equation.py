@@ -22,7 +22,7 @@ import numpy as np
 
 from .core_params import ProblemConfig, require_grid, require_normalized, sign_pair
 from .frozen_matrix import build_matrix, kernel
-from .interval_ops import GridFunction, q_apply, q_inverse, r_apply, r_inverse
+from .interval_ops import GridFunction, q_apply, q_inverse, r_apply, r_inverse, require_finite
 
 
 class InconsistentSystemError(ValueError):
@@ -49,6 +49,7 @@ def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
              p c (q(1+a-x) + q(x-1+a))        on (1-a, 1)
     All arguments land exactly on grid midpoints, so with r the samples
     read backwards, q(1 - x_i) = r[i], each piece is two slices of q or r.
+    A W beyond double precision raises ArithmeticError naming its grid point.
     """
     _check_grid(q, config)
     s = sign_pair(config)
@@ -58,9 +59,11 @@ def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
     pref = 0.5 * (-1) ** (config.alpha * config.beta)
     v, r = q.values, q.values[::-1]
     out = np.empty(n, dtype=complex)
-    out[:jm] = pref * (v[n - jm :] + d * r[jm : 2 * jm])
-    out[jm : n - jm] = pref * (c * r[: n - 2 * jm] + d * r[2 * jm :])
-    out[n - jm :] = pref * c * (r[n - 2 * jm : n - jm] + v[:jm])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by grid point
+        out[:jm] = pref * (v[n - jm :] + d * r[jm : 2 * jm])
+        out[jm : n - jm] = pref * (c * r[: n - 2 * jm] + d * r[2 * jm :])
+        out[n - jm :] = pref * c * (r[n - 2 * jm : n - jm] + v[:jm])
+    require_finite(out, "W")
     return GridFunction(q.k, q.m, out)
 
 
@@ -99,15 +102,16 @@ def solve_inverse(
 
     All grid points t of (0, b) are solved at once on the cycles of A.  Row
     r_t of a cycle of L rows reads a_t y[c_t] + b_t y[c_(t-1)] = f_t with
-    +-1 entries, so y[c_t] = g_t (z + p_t) for g = cumprod(-a b) and
-    p = cumsum(g a f).  S = p_(L-1) closes a regular block (det != 0) with
-    z = -S/2.  On a singular block p_t - (t+1) S/L projects f onto the
-    range, |S|/L is the least-squares residual per row, and z = -mean(p)
-    gives the minimum-norm solution, returned with the kernel direction
-    R^{-1}(X * 1), X = A.null_vector.  A residual above residual_rtol *
-    ||rhs||, or NaN, raises InconsistentSystemError naming the worst grid
-    point.  residual_rtol must be finite and >= 0, W finite (ValueError); a
-    solve that overflows anyway raises ArithmeticError naming its grid point.
+    +-1 entries, so y[c_t] = g_t (z + p_t) for g = prod_{s<=t} (-a_s b_s),
+    the sign product the walk keeps, and p = cumsum(g a f).  S = p_(L-1)
+    closes a regular block (det != 0) with z = -S/2.  On a singular block
+    p_t - (t+1) S/L projects f onto the range, |S|/L is the least-squares
+    residual per row, and z = -mean(p) gives the minimum-norm solution,
+    returned with the kernel direction R^{-1}(X * 1), X = A.null_vector.
+    A residual above residual_rtol * ||rhs||, or NaN, raises
+    InconsistentSystemError naming the worst grid point.  residual_rtol
+    must be finite and >= 0, W finite (ValueError); a solve that overflows
+    anyway raises ArithmeticError naming its grid point.
     """
     if not (math.isfinite(residual_rtol) and residual_rtol >= 0):
         raise ValueError(f"residual_rtol must be finite and >= 0, got {residual_rtol}")
@@ -124,8 +128,7 @@ def solve_inverse(
         rhs = 2.0 * (-1) ** (config.alpha * config.beta) * q_apply(w)
         y, resid = np.empty_like(rhs), np.zeros(w.m)
         for *walk, det in matrix.cycles[1]:
-            rows, cols, a, b = map(np.array, walk)
-            g = np.cumprod(-a * b)
+            rows, cols, a, g = map(np.array, walk)
             p = np.cumsum((g * a)[:, None] * rhs[rows], axis=0)
             if det:  # det = prod(a) (1 - g_(L-1)), so g_(L-1) = -1
                 p -= p[-1] / 2

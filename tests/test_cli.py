@@ -452,6 +452,9 @@ def _write_inputs(d):
     (d / "truncated.json").write_text('{"alpha": 0, "beta": 1, "eigenvalues": [[2.5, 0.0], [22')
     (d / "no_k.json").write_text('{"config": {"alpha": 0, "beta": 1, "j": 1}}')
     (d / "truncated_config.json").write_text('{"config": {"alpha": 0, ')
+    (d / "list_config.json").write_text('[0, 1, 1, 3]')
+    (d / "list_spectrum.json").write_text('[[2.5, 0.0]]')
+    (d / "bool_flag.json").write_text('{"alpha": true, "beta": 1, "eigenvalues": [[2.5, 0.0], [22.0, 0.0]]}')
     (d / "huge_k.json").write_text(json.dumps({"config": {"alpha": 0, "beta": 1, "j": 1, "k": 10**30}}))
 
 
@@ -496,6 +499,13 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
      "no_k.json: config has no 'k'"),
     (["eigs", "--config", "truncated_config.json", "--q", "demo", "--m", "4", "--count", "3"], 3, "ValueError",
      "truncated_config.json: Expecting"),
+    # configs and spectra share one object check and one flag rule, and every message names the file
+    (["eigs", "--config", "list_config.json", "--q", "demo", "--m", "4", "--count", "3"], 3, "ValueError",
+     "list_config.json: config must be a JSON object, got list"),
+    (["reconstruct", *SPECTRUM_01, "list_spectrum.json", "--m", "4", "--n-used", "2", "--modes", "1", "--out",
+      "r.csv"], 3, "ValueError", "list_spectrum.json: spectrum must be a JSON object, got list"),
+    (["reconstruct", *SPECTRUM_01, "bool_flag.json", "--m", "4", "--n-used", "2", "--modes", "1", "--out",
+      "r.csv"], 3, "ValueError", "bool_flag.json: alpha and beta must be 0 or 1, got True and 1"),
     (["forward-w", "--q", "headless.csv", "--out", "w.csv"], 3, "ValueError", "missing '# k=<k> m=<m>' header"),
     (["forward-w", "--q", "short.csv", "--out", "w.csv"], 3, "ValueError", "expected 10 rows, got 1"),
     (["forward-w", "--q", "no_m.csv", "--out", "w.csv"], 3, "ValueError", "no_m.csv: header '# k=5' is not"),
@@ -568,7 +578,8 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
     (["isospectral", *A_ONE[0, 0], "--q0", "zero", "--m", "4", "--out", "iq.csv"], 3, "ValueError", NOT_NORMALIZED),
 ], ids=["eigs-collision", "potential-k-mismatch", "invert-k-mismatch", "profile-k-mismatch", "profile-m-mismatch",
         "spectrum-bool-eigenvalue", "spectrum-huge-eigenvalue", "reconstruct-n-used-above-count",
-        "spectrum-no-eigenvalues", "spectrum-truncated", "config-no-k", "config-truncated", "csv-no-header",
+        "spectrum-no-eigenvalues", "spectrum-truncated", "config-no-k", "config-truncated", "config-list",
+        "spectrum-list", "spectrum-bool-flag", "csv-no-header",
         "csv-short", "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields",
         "csv-header-m-huge",
         "delta-inf", "delta-math-range", "delta-lambdas-empty", "delta-lambdas-empty-entry",
@@ -715,6 +726,23 @@ def test_reconstruct_rejects_a_malformed_eigenvalue(bad, tmp_path, capsys):
     assert code == 3 and stdout == ""
     assert json.loads(err)["error"]["type"] == "ValueError"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward-w", "--q", "q.csv"],
+    ["isospectral", "--q0", "q.csv", "--f", "profile.csv"],
+], ids=["forward-w", "isospectral"])
+def test_a_finite_potential_whose_output_overflows_exits_4(argv, tmp_path, capsys, monkeypatch):
+    # every sample at 1.5e308 is finite, but W and q0 + R^{-1}(X f) add two of them: the command exits 4 with
+    # no RuntimeWarning, no output file and no manifest
+    monkeypatch.chdir(tmp_path)
+    write_csv(GridFunction(3, 4, np.full(12, 1.5e308)), "q.csv")
+    Path("profile.csv").write_text("# k=3 m=4\n" + "".join(f"{(i + 0.5) / 12!r},1.5e308,0.0\n" for i in range(4)))
+    code, stdout, err = run(capsys, *argv, "--alpha", "0", "--beta", "0", "--j", "1", "--k", "3", "--out", "out.csv")
+    assert code == 4 and stdout == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ArithmeticError" and error["message"].endswith("overflows double precision at x=0.041667")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.csv", "q.csv"]
 
 
 def _sin_potential(x):

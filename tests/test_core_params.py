@@ -79,7 +79,8 @@ _FLAG_READERS = {
 @pytest.mark.parametrize("flags", [(2, 0), (0, -1), (True, 0)])
 @pytest.mark.parametrize("reader", sorted(_FLAG_READERS))
 def test_bare_flags_outside_zero_and_one_are_rejected(reader, flags):
-    with pytest.raises(ValueError, match=r"^alpha and beta must be 0 or 1$"):
+    alpha, beta = flags
+    with pytest.raises(ValueError, match=rf"^alpha and beta must be 0 or 1, got {alpha!r} and {beta!r}$"):
         _FLAG_READERS[reader](*flags)
 
 

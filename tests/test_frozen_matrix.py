@@ -354,7 +354,7 @@ _CACHED_FLAG_READERS = {
 def test_cached_j1_helpers_reject_a_bool_or_float_flag_after_a_warm_call(name, flag):
     read = _CACHED_FLAG_READERS[name]
     read(1)  # holds (3, 1, 0) in the cache
-    with pytest.raises(ValueError, match=r"^alpha and beta must be 0 or 1$"):
+    with pytest.raises(ValueError, match=rf"^alpha and beta must be 0 or 1, got {flag!r} and 0$"):
         read(flag)
 
 
@@ -397,7 +397,9 @@ def test_cycle_det_and_rank_reject_other_patterns():
     a = build_matrix(make_config(0, 1, 2, 5))
     three = (a.rows[0] + ((4, 1),),) + a.rows[1:]  # a third nonzero in row 0
     lone = (((0, 1), (1, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1)))  # column 0 has one nonzero
-    for rows in (three, lone):
+    (col, _), right = a.rows[0]
+    two = (((col, 2), right),) + a.rows[1:]  # an entry 2: det = prod(a) (1 - g_(L-1)) holds for +-1 entries only
+    for rows in (three, lone, two):
         m = FrozenMatrix(a.config, rows)
         for fn in (det_exact, rank):
             with pytest.raises(AssertionError):
@@ -447,6 +449,12 @@ def test_mul_sub_matches_the_dict_step(monkeypatch):
                 for _, z in reductions_j1(alpha, beta, k):
                     assert all(len(row) == 2 for row in z)
     assert sum(rows) == 4 * sum(k * (k // 2 - 1) for k in range(2, 41))
+    # no run takes the merge of y[q]'s second column into y[p]'s first: crafted rows do, once with the merged
+    # entry cancelling (y[p] keeps column 5) and once with sub cancelling column 5 (the merged entry stays)
+    y = [((2, 1), (5, 1)), ((0, 1), (2, 1))]
+    m = [((0, 1), (1, -1)), ((0, 1), (1, 1))]
+    sub = [(), ((5, 1),)]
+    assert step(m, y, sub) == _dict_mul_sub(m, y, sub) == [((0, -1), (5, 1)), ((0, 1), (2, 2))]
 
 
 def test_pair_reads_reject_a_row_of_three(monkeypatch):

@@ -76,6 +76,15 @@ def test_isospectral_family_at_a0_is_every_reflected_profile(beta, rng):
         build_isospectral_potential(q0, make_config(1, beta, 0, 1), f)
 
 
+def test_an_isospectral_potential_that_overflows_names_its_grid_point():
+    # X = (1, -1, 1) on (0,0,1,3): the huge profile cancels q0 at samples 2 and 6 and overflows it at sample 9
+    values = np.zeros(12, dtype=complex)
+    values[[2, 6, 9]] = -1.5e308, 1.5e308, 1.5e308
+    message = r"^the iso-spectral potential overflows double precision at x=0\.791667$"
+    with pytest.raises(ArithmeticError, match=message):
+        build_isospectral_potential(GridFunction(3, 4, values), make_config(0, 0, 1, 3), np.full(4, 1.5e308))
+
+
 def test_isospectral_potential_rejects_a_grid_of_another_k():
     with pytest.raises(ValueError, match="grid has k=4 but config needs k=3"):
         build_isospectral_potential(GridFunction.zeros(4, 8), make_config(0, 0, 1, 3), np.zeros(8))

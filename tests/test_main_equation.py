@@ -168,6 +168,14 @@ def test_a_solve_that_overflows_names_its_grid_point(flags):
         solve_inverse(GridFunction(3, 8, values), make_config(*flags))
 
 
+def test_a_forward_map_that_overflows_names_its_grid_point():
+    # q(1-a+x) + d q(1-a-x) reads samples 10 and 5 at W's sample 2; each is finite, their sum is not
+    values = np.zeros(12, dtype=complex)
+    values[[5, 10]] = 1.5e308
+    with pytest.raises(ArithmeticError, match=r"^W overflows double precision at x=0\.208333$"):
+        forward_w_direct(GridFunction(3, 4, values), make_config(0, 0, 1, 3))
+
+
 @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), -1.0])
 def test_residual_rtol_must_be_finite_and_non_negative(rtol):
     # a NaN tolerance would accept the unattainable W = 1 above
