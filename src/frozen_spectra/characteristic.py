@@ -381,7 +381,8 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
 
     Roots are polished by Newton on delta_direct with its analytic slope
     (about three evaluations per root) and returned in asymptotic order;
-    non-convergence raises RootConvergenceError with the index, and two
+    non-convergence, or a Delta that overflows double precision, raises
+    RootConvergenceError with the index without a warning, and two
     indices landing on one root raise EigenvalueCollisionError (densify the
     grid or perturb the potential in that case).
     """
@@ -389,7 +390,8 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
         raise ValueError("count must be >= 1")
     f = lambda lam: delta_direct(q, config, lam, slope=True)
     seeds = asymptotic_eigenvalue(config.alpha, config.beta, np.arange(1, count + 1)).tolist()
-    roots = [_find_root(f, lam0, n) for n, lam0 in enumerate(seeds, start=1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # _find_root refuses a non-finite Delta by index
+        roots = [_find_root(f, lam0, n) for n, lam0 in enumerate(seeds, start=1)]
     order = sorted(range(count), key=lambda i: (roots[i].real, roots[i].imag))
     for u, v in zip(order, order[1:]):
         if abs(roots[u] - roots[v]) <= 1e-8 * (1.0 + abs(roots[u])):

@@ -5,7 +5,10 @@ reconstruct, isospectral, example, verify.  Structured JSON errors go to
 stderr; exit codes are 0 (ok), 2 (usage), 3 (malformed input),
 4 (numerical failure).  Every command that writes an output file also
 writes <out>.manifest.json describing the run.  A rerun writes the data
-files byte-identical; its manifests differ only in wall_time_s.
+files byte-identical; its manifests differ only in wall_time_s.  dispatch
+runs the prologue every command shares: it rejects two output flags that
+name one file, reads a command's --config or flags into args.config, and
+sets the manifest's command, config and wall time.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ _NUMERICAL_ERRORS = (
 
 @dataclass
 class RunManifest:
-    command: str = ""  # dispatch sets it, and wall_time_s
+    command: str = ""  # dispatch sets it, wall_time_s and, unless the command did, config
     config: dict | None = None
     inputs: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
@@ -93,14 +96,6 @@ def _load_config(args) -> ProblemConfig:
 def _check_stored_n(flag: str, n: int) -> None:
     if n > MAX_STORED_N:
         raise ValueError(f"{flag} must be <= {MAX_STORED_N}, got {n}: memory grows as n^3")
-
-
-def _config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with a {'config': {alpha,beta,j,k}} object")
-    p.add_argument("--alpha", type=int, choices=(0, 1))
-    p.add_argument("--beta", type=int, choices=(0, 1))
-    p.add_argument("--j", type=int)
-    p.add_argument("--k", type=int)
 
 
 def _demo_potential(x: np.ndarray) -> np.ndarray:
@@ -134,11 +129,11 @@ def _emit(text: str, out: str | None) -> list[str]:
     return []
 
 
-def _check_distinct_outputs(args, *flags: str) -> None:
+def _check_distinct_outputs(args) -> None:
     """Reject two output flags that name one file, a file's manifest included, before anything is written."""
     written: dict[str, str] = {}
-    for flag in flags:
-        path = getattr(args, flag[2:].replace("-", "_"))
+    for flag in ("--out", "--spectrum-out", "--kernel-out", "--samples-out", "--svg"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
         for name in (path, f"{path}.manifest.json") if path else ():
             first = written.setdefault(os.path.realpath(name), flag)
             if first != flag:
@@ -153,13 +148,13 @@ def _write_solution(sol, out: str, kernel_out: str | None) -> list[str]:
 
 
 def cmd_matrix(args) -> RunManifest:
-    cfg, _ = normalize_to_half(_load_config(args))
+    cfg, _ = normalize_to_half(args.config)
     entries = frozen_matrix.build_matrix(cfg).as_lists()
     return RunManifest(config=cfg.to_dict(), outputs=_emit(json.dumps(entries) + "\n", args.out))
 
 
 def cmd_classify(args) -> RunManifest:
-    cls = classify(_load_config(args))
+    cls = classify(args.config)
     print(json.dumps({"kind": cls.kind.value, "case": cls.case_label.value}))
     return RunManifest()
 
@@ -175,17 +170,14 @@ def cmd_cheb(args) -> RunManifest:
 
 
 def cmd_eigs(args) -> RunManifest:
-    _check_distinct_outputs(args, "--out", "--spectrum-out")
-    cfg = _load_config(args)
-    q = _load_potential(args.q, cfg, args.m)
-    spec = eigenvalues(q, cfg, args.count)
+    q = _load_potential(args.q, args.config, args.m)
+    spec = eigenvalues(q, args.config, args.count)
     lines = [f"{n},{z.real!r},{z.imag!r}\n" for n, z in enumerate(spec.eigenvalues, start=1)]
     outputs = _emit("".join(lines), args.out)
     if args.spectrum_out:
         spec.dump(args.spectrum_out)
         outputs.append(args.spectrum_out)
     return RunManifest(
-        config=cfg.to_dict(),
         inputs={"q": args.q, "count": args.count},
         grid={"k": q.k, "m": q.m},
         outputs=outputs,
@@ -193,8 +185,7 @@ def cmd_eigs(args) -> RunManifest:
 
 
 def cmd_delta(args) -> RunManifest:
-    cfg = _load_config(args)
-    q = _load_potential(args.q, cfg, args.m)
+    q = _load_potential(args.q, args.config, args.m)
     lams = []
     for entry in args.lambdas.split(";"):
         try:
@@ -207,14 +198,13 @@ def cmd_delta(args) -> RunManifest:
     for lam in lams:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                d = delta_direct(q, cfg, lam)
+                d = delta_direct(q, args.config, lam)
         except OverflowError:
             d = None
         if d is None or not cmath.isfinite(d):
             raise ArithmeticError(f"Delta is not finite at lambda={lam}: it overflows double precision")
         lines.append(f"{lam.real!r},{lam.imag!r},{d.real!r},{d.imag!r}\n")
     return RunManifest(
-        config=cfg.to_dict(),
         inputs={"q": args.q, "lambdas": args.lambdas},
         grid={"k": q.k, "m": q.m},
         outputs=_emit("".join(lines), args.out),
@@ -222,25 +212,16 @@ def cmd_delta(args) -> RunManifest:
 
 
 def cmd_forward_w(args) -> RunManifest:
-    cfg = _load_config(args)
-    q = _load_potential(args.q, cfg, args.m)
-    w = forward_w_direct(q, cfg)
+    q = _load_potential(args.q, args.config, args.m)
+    w = forward_w_direct(q, args.config)
     write_csv(w, args.out)
-    return RunManifest(
-        config=cfg.to_dict(),
-        inputs={"q": args.q},
-        grid={"k": w.k, "m": w.m},
-        outputs=[args.out],
-    )
+    return RunManifest(inputs={"q": args.q}, grid={"k": w.k, "m": w.m}, outputs=[args.out])
 
 
 def cmd_invert(args) -> RunManifest:
-    _check_distinct_outputs(args, "--out", "--kernel-out")
-    cfg = _load_config(args)
-    w = _read_grid(args.w, cfg)
-    sol = solve_inverse(w, cfg, residual_rtol=args.residual_rtol)
+    w = _read_grid(args.w, args.config)
+    sol = solve_inverse(w, args.config, residual_rtol=args.residual_rtol)
     return RunManifest(
-        config=cfg.to_dict(),
         inputs={"w": args.w},
         grid={"k": w.k, "m": w.m},
         tolerances={"residual_rtol": args.residual_rtol},
@@ -249,8 +230,7 @@ def cmd_invert(args) -> RunManifest:
 
 
 def cmd_reconstruct(args) -> RunManifest:
-    _check_distinct_outputs(args, "--out", "--kernel-out")
-    cfg = _load_config(args)
+    cfg = args.config
     spec = Spectrum.load(args.spectrum)
     if (spec.alpha, spec.beta) != (cfg.alpha, cfg.beta):
         raise ValueError(f"{args.spectrum}: flags {spec.alpha, spec.beta} differ from the config's {cfg.alpha, cfg.beta}")
@@ -258,7 +238,6 @@ def cmd_reconstruct(args) -> RunManifest:
         spec, cfg, args.m, args.n_used, args.modes, residual_rtol=args.residual_rtol
     )
     return RunManifest(
-        config=cfg.to_dict(),
         inputs={"spectrum": args.spectrum, "n_used": args.n_used, "modes": args.modes},
         grid={"k": cfg.k, "m": args.m},
         tolerances={"residual_rtol": args.residual_rtol},
@@ -267,7 +246,7 @@ def cmd_reconstruct(args) -> RunManifest:
 
 
 def cmd_isospectral(args) -> RunManifest:
-    cfg = _load_config(args)
+    cfg = args.config
     q0 = _load_potential(args.q0, cfg, args.m)
     if args.f == "model-profile":
         f = quadratic_profile(cfg.k)
@@ -281,12 +260,7 @@ def cmd_isospectral(args) -> RunManifest:
             raise ValueError(f"{args.f}: {exc}") from None
     q = build_isospectral_potential(q0, cfg, f)
     write_csv(q, args.out)
-    return RunManifest(
-        config=cfg.to_dict(),
-        inputs={"q0": args.q0, "f": args.f},
-        grid={"k": q.k, "m": q.m},
-        outputs=[args.out],
-    )
+    return RunManifest(inputs={"q0": args.q0, "f": args.f}, grid={"k": q.k, "m": q.m}, outputs=[args.out])
 
 
 def _render_svg(supp: GridFunction) -> str:
@@ -321,7 +295,6 @@ def _render_svg(supp: GridFunction) -> str:
 
 
 def cmd_example(args) -> RunManifest:
-    _check_distinct_outputs(args, "--out", "--samples-out", "--svg")
     report = reference_example(args.id)
     supp = report.supplement(args.m)  # validates --m before any file is written
     outputs = _emit(report.table + "\n", args.out)
@@ -361,53 +334,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+    def command(name: str, fn, help: str, config: bool = False) -> argparse.ArgumentParser:
+        """A subparser running fn; config=True adds the --config/--alpha/--beta/--j/--k flags dispatch reads."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
+        if config:
+            p.add_argument("--config", help="JSON file with a {'config': {alpha,beta,j,k}} object")
+            p.add_argument("--alpha", type=int, choices=(0, 1))
+            p.add_argument("--beta", type=int, choices=(0, 1))
+            p.add_argument("--j", type=int)
+            p.add_argument("--k", type=int)
         return p
 
-    p = command("matrix", cmd_matrix, "print the k x k main-equation matrix as JSON")
-    _config_flags(p)
+    p = command("matrix", cmd_matrix, "print the k x k main-equation matrix as JSON", config=True)
     p.add_argument("--out")
 
-    p = command("classify", cmd_classify, "degenerate/non-degenerate case of a config")
-    _config_flags(p)
+    p = command("classify", cmd_classify, "degenerate/non-degenerate case of a config", config=True)
 
     p = command("cheb", cmd_cheb, "Chebyshev coefficients as a JSON array")
     p.add_argument("--kind", choices=("T", "U"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scaled", action="store_true", help="2*T_n(x/2) resp. U_n(x/2)")
 
-    p = command("eigs", cmd_eigs, "first N eigenvalues of the boundary value problem")
-    _config_flags(p)
+    p = command("eigs", cmd_eigs, "first N eigenvalues of the boundary value problem", config=True)
     p.add_argument("--q", required=True, help="potential CSV, or 'zero'/'demo' with --m")
     p.add_argument("--m", type=int, default=512, help="samples per subinterval for builtin potentials")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", help="CSV rows n,re,im (stdout if omitted)")
     p.add_argument("--spectrum-out", help="also write the spectrum as JSON")
 
-    p = command("delta", cmd_delta, "sample the characteristic function")
-    _config_flags(p)
+    p = command("delta", cmd_delta, "sample the characteristic function", config=True)
     p.add_argument("--q", required=True)
     p.add_argument("--m", type=int, default=512)
     p.add_argument("--lambdas", required=True, help="semicolon-separated complex values")
     p.add_argument("--out")
 
-    p = command("forward-w", cmd_forward_w, "map a potential to W")
-    _config_flags(p)
+    p = command("forward-w", cmd_forward_w, "map a potential to W", config=True)
     p.add_argument("--q", required=True)
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--out", required=True)
 
-    p = command("invert", cmd_invert, "solve the main equation W -> q")
-    _config_flags(p)
+    p = command("invert", cmd_invert, "solve the main equation W -> q", config=True)
     p.add_argument("--w", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kernel-out", help="write the kernel direction (degenerate case)")
     p.add_argument("--residual-rtol", type=float, default=1e-9)
 
-    p = command("reconstruct", cmd_reconstruct, "recover the potential from a spectrum JSON")
-    _config_flags(p)
+    p = command("reconstruct", cmd_reconstruct, "recover the potential from a spectrum JSON", config=True)
     p.add_argument("--spectrum", required=True)
     p.add_argument("--m", type=int, default=512)
     p.add_argument("--n-used", type=int, default=200)
@@ -416,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel-out")
     p.add_argument("--residual-rtol", type=float, default=1e-6)
 
-    p = command("isospectral", cmd_isospectral, "build an iso-spectral potential (degenerate cases)")
-    _config_flags(p)
+    p = command("isospectral", cmd_isospectral, "build an iso-spectral potential (degenerate cases)", config=True)
     p.add_argument("--q0", required=True)
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--f", default="model-profile", help="profile CSV on (0,b), or 'model-profile'")
@@ -438,15 +410,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Run one command: time it, write its manifests, map every error to an exit code."""
+    """Run one command after the shared prologue, write its manifests, map every error to an exit code.
+
+    The manifest records args.config unless the command set a config (matrix
+    its normalized one, example the catalogue's).
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     t0 = time.monotonic()
     try:
+        _check_distinct_outputs(args)
+        if "config" in vars(args):
+            args.config = _load_config(args)
         manifest = args.fn(args)
         manifest.command, manifest.wall_time_s = args.command, time.monotonic() - t0
+        if manifest.config is None and "config" in vars(args):
+            manifest.config = args.config.to_dict()
         manifest.write()
     except (*_NUMERICAL_ERRORS, ValueError, KeyError, OSError) as exc:
         detail = {"failures": exc.args[0]} if isinstance(exc, VerifyFailure) else {"message": str(exc)}

@@ -84,9 +84,12 @@ def null_direction(config: ProblemConfig, profile: np.ndarray) -> GridFunction:
     """R^{-1}(X f) for the m samples f of a profile on (0, b), b = 1/k.
 
     X = kernel(config).generator, so the forward map sends the result to
-    zero; a config whose matrix is regular raises ValueError.  At a = 0
-    with alpha = 0, X = (1,) and the result is f(1 - x).
+    zero; a profile that is not 1-D, or a config whose matrix is regular,
+    raises ValueError.  At a = 0 with alpha = 0, X = (1,) and the result is
+    f(1 - x).
     """
+    if np.ndim(profile) != 1:
+        raise ValueError(f"profile must be a 1-D array of samples, got shape {np.shape(profile)}")
     x = kernel(config).generator
     if not x:
         raise ValueError(f"iso-spectral supplements exist only in the degenerate cases; {config} is non-degenerate")

@@ -641,27 +641,29 @@ def inputs(tmp_path, rng):
     return d
 
 
-# subcommand -> (arguments, files it writes); {i} is the input directory
+# subcommand -> (arguments, files it writes, the (alpha, beta, j, k) its manifests record); {i} is the input directory
 WRITERS = {
-    "matrix": (["--alpha", "1", "--beta", "0", "--j", "5", "--k", "7", "--out", "m.json"], ["m.json"]),
+    "matrix": (["--alpha", "1", "--beta", "0", "--j", "5", "--k", "7", "--out", "m.json"], ["m.json"], (0, 1, 2, 7)),
     "eigs": (["--config", "{i}/c3.json", "--q", "demo", "--m", "32", "--count", "10", "--out", "e.csv",
-              "--spectrum-out", "s.json"], ["e.csv", "s.json"]),
+              "--spectrum-out", "s.json"], ["e.csv", "s.json"], (0, 1, 1, 3)),
     "delta": (["--config", "{i}/c3.json", "--q", "demo", "--m", "16", "--lambdas", "1.0;2+1j",
-               "--out", "d.csv"], ["d.csv"]),
-    "forward-w": (["--config", "{i}/c3.json", "--q", "demo", "--m", "8", "--out", "w.csv"], ["w.csv"]),
+               "--out", "d.csv"], ["d.csv"], (0, 1, 1, 3)),
+    "forward-w": (["--config", "{i}/c3.json", "--q", "demo", "--m", "8", "--out", "w.csv"], ["w.csv"], (0, 1, 1, 3)),
     "invert": (["--config", "{i}/c7.json", "--w", "{i}/w7.csv", "--out", "q.csv", "--kernel-out", "k.csv"],
-               ["q.csv", "k.csv"]),
+               ["q.csv", "k.csv"], (0, 0, 3, 7)),
     "reconstruct": (["--config", "{i}/c3.json", "--spectrum", "{i}/s3.json", "--m", "16", "--n-used", "60",
-                     "--modes", "15", "--out", "r.csv"], ["r.csv"]),
-    "isospectral": (["--config", "{i}/c7.json", "--q0", "zero", "--m", "8", "--out", "iq.csv"], ["iq.csv"]),
+                     "--modes", "15", "--out", "r.csv"], ["r.csv"], (0, 1, 1, 3)),
+    "isospectral": (["--config", "{i}/c7.json", "--q0", "zero", "--m", "8", "--out", "iq.csv"], ["iq.csv"],
+                    (0, 0, 3, 7)),
     "example": (["--id", "IV", "--out", "t.txt", "--svg", "p.svg", "--samples-out", "sm.csv", "--m", "10"],
-                ["t.txt", "sm.csv", "p.svg"]),
+                ["t.txt", "sm.csv", "p.svg"], (1, 1, 3, 8)),
 }
 
 
 @pytest.mark.parametrize("command", sorted(WRITERS))
 def test_every_written_file_has_a_manifest(command, inputs, tmp_path, capsys, monkeypatch):
-    args, written = WRITERS[command]
+    # the config is the --config file's, matrix's normalized to a <= 1/2 and example's the catalogue's
+    args, written, config = WRITERS[command]
     out = tmp_path / "out"
     out.mkdir()
     monkeypatch.chdir(out)
@@ -673,30 +675,34 @@ def test_every_written_file_has_a_manifest(command, inputs, tmp_path, capsys, mo
         assert set(manifest) == {fld.name for fld in dataclasses.fields(RunManifest)}
         assert manifest["command"] == command
         assert manifest["outputs"] == written
+        assert manifest["config"] == dict(zip(("alpha", "beta", "j", "k"), config))
 
 
-# two output flags of one command that name one file, a manifest included
+# two output flags of one command that name one file, a manifest included; dispatch checks them before it reads
+# the config, so a missing --config file still reports the collision
 COLLISIONS = {
-    "invert": (["--config", "{i}/c7.json", "--w", "{i}/w7.csv", "--out", "q.csv", "--kernel-out", "q.csv"],
+    "invert": (["invert", "--config", "{i}/c7.json", "--w", "{i}/w7.csv", "--out", "q.csv", "--kernel-out", "q.csv"],
                "--out and --kernel-out both write q.csv"),
-    "reconstruct": (["--config", "{i}/c7.json", "--spectrum", "{i}/s00.json", "--m", "8", "--n-used", "60",
-                     "--modes", "15", "--out", "r.csv", "--kernel-out", "./r.csv"],
+    "reconstruct": (["reconstruct", "--config", "{i}/c7.json", "--spectrum", "{i}/s00.json", "--m", "8",
+                     "--n-used", "60", "--modes", "15", "--out", "r.csv", "--kernel-out", "./r.csv"],
                     "--out and --kernel-out both write ./r.csv"),
-    "eigs": (["--config", "{i}/c3.json", "--q", "demo", "--m", "32", "--count", "10", "--out", "e.json",
+    "eigs": (["eigs", "--config", "{i}/c3.json", "--q", "demo", "--m", "32", "--count", "10", "--out", "e.json",
               "--spectrum-out", "e.json"], "--out and --spectrum-out both write e.json"),
-    "example": (["--id", "IV", "--out", "t.txt", "--samples-out", "sm.csv", "--svg", "t.txt.manifest.json"],
+    "eigs-missing-config": (["eigs", "--config", "{i}/missing.json", "--q", "demo", "--count", "3", "--out", "e.json",
+                             "--spectrum-out", "e.json"], "--out and --spectrum-out both write e.json"),
+    "example": (["example", "--id", "IV", "--out", "t.txt", "--samples-out", "sm.csv", "--svg", "t.txt.manifest.json"],
                 "--out and --svg both write t.txt.manifest.json"),
 }
 
 
-@pytest.mark.parametrize("command", sorted(COLLISIONS))
-def test_colliding_output_paths_exit_code(command, inputs, tmp_path, capsys, monkeypatch):
-    args, message = COLLISIONS[command]
+@pytest.mark.parametrize("case", sorted(COLLISIONS))
+def test_colliding_output_paths_exit_code(case, inputs, tmp_path, capsys, monkeypatch):
+    args, message = COLLISIONS[case]
     zero_potential_spectrum(0, 0, 60).dump(inputs / "s00.json")  # (0, 0, 3, 7) is degenerate: both files are due
     out = tmp_path / "out"
     out.mkdir()
     monkeypatch.chdir(out)
-    code, stdout, err = run(capsys, command, *(a.format(i=inputs) for a in args))
+    code, stdout, err = run(capsys, *(a.format(i=inputs) for a in args))
     assert (code, stdout) == (3, "")
     assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
     assert list(out.iterdir()) == []
@@ -728,20 +734,22 @@ def test_reconstruct_rejects_a_malformed_eigenvalue(bad, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["forward-w", "--q", "q.csv"],
-    ["isospectral", "--q0", "q.csv", "--f", "profile.csv"],
-], ids=["forward-w", "isospectral"])
-def test_a_finite_potential_whose_output_overflows_exits_4(argv, tmp_path, capsys, monkeypatch):
-    # every sample at 1.5e308 is finite, but W and q0 + R^{-1}(X f) add two of them: the command exits 4 with
-    # no RuntimeWarning, no output file and no manifest
+@pytest.mark.parametrize("argv, error_type, message", [
+    (["forward-w", "--q", "q.csv"], "ArithmeticError", "W overflows double precision at x=0.041667"),
+    (["isospectral", "--q0", "q.csv", "--f", "profile.csv"], "ArithmeticError",
+     "the iso-spectral potential overflows double precision at x=0.041667"),
+    (["eigs", "--q", "q.csv", "--count", "3"], "RootConvergenceError", "eigenvalue index 1: non-finite residual"),
+], ids=["forward-w", "isospectral", "eigs"])
+def test_a_finite_potential_whose_output_overflows_exits_4(argv, error_type, message, tmp_path, capsys, monkeypatch):
+    # every sample at 1.5e308 is finite, but W, q0 + R^{-1}(X f) and Delta add two of them: the command exits 4
+    # with no RuntimeWarning, no output file and no manifest
     monkeypatch.chdir(tmp_path)
     write_csv(GridFunction(3, 4, np.full(12, 1.5e308)), "q.csv")
     Path("profile.csv").write_text("# k=3 m=4\n" + "".join(f"{(i + 0.5) / 12!r},1.5e308,0.0\n" for i in range(4)))
     code, stdout, err = run(capsys, *argv, "--alpha", "0", "--beta", "0", "--j", "1", "--k", "3", "--out", "out.csv")
     assert code == 4 and stdout == ""
     error = json.loads(err)["error"]
-    assert error["type"] == "ArithmeticError" and error["message"].endswith("overflows double precision at x=0.041667")
+    assert error["type"] == error_type and error["message"].startswith(message)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.csv", "q.csv"]
 
 

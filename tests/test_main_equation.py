@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,10 @@ def test_null_direction_maps_to_exactly_zero(rng):
         assert np.all(forward_w_direct(g, cfg).values == 0)
         assert np.all(forward_w_matrix(g, cfg).values == 0)
     assert degenerate == 80
+    for bad in (np.ones((2, 3)), 5.0):  # a 2-D array or a scalar is no sample row
+        message = f"profile must be a 1-D array of samples, got shape {np.shape(bad)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            null_direction(make_config(0, 0, 1, 3), bad)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
