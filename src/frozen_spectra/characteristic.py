@@ -152,7 +152,10 @@ def _trig_kernels(s, rho, lam):
         d/dlambda sin(rho s)/rho = (s cos(rho s) - sin(rho s)/rho)/(2 lambda),
     which cancels with an error of about eps/|lambda|, so the threshold sits
     at |rho| = 1; below it, from one Horner pass in t = (rho s)^2 over the
-    _SERIES_TERMS = 12 terms of _SERIES, for lengths s <= 1.
+    _SERIES_TERMS = 12 terms of _SERIES, for lengths s <= 1.  Past double
+    precision (|Im rho s| above about 710) numpy gives inf or nan and cmath's
+    OverflowError becomes nan, so an overflowing Delta is non-finite on every
+    route, never an exception.
     """
     x, series, trig = rho * s, abs(rho) < RHO_SERIES_THRESHOLD, np if isinstance(s, np.ndarray) else cmath
     if type(rho) is not complex:  # a lambda batch: every scalar caller passes one complex, the cheapest test
@@ -162,10 +165,13 @@ def _trig_kernels(s, rho, lam):
                 kernels[:, side] = _trig_kernels(s, rho[side], lam[side])
             return kernels
         trig, series = np, series.all()
-    cs = trig.cos(x)
-    if not series:
-        ks = trig.sin(x) / rho
-        return cs, ks, (s * cs - ks) / (2 * lam)
+    try:
+        cs = trig.cos(x)
+        if not series:
+            ks = trig.sin(x) / rho
+            return cs, ks, (s * cs - ks) / (2 * lam)
+    except OverflowError:
+        return (complex(math.nan, math.nan),) * 3
     t = x**2
     ks, dks = _SERIES[0]
     for c_ks, c_dks in _SERIES[1:]:
@@ -293,7 +299,8 @@ def delta_direct(q: GridFunction, config: ProblemConfig, lam: complex, slope: bo
     exactly (Filon's cell rule), so a piecewise-constant potential gives
     Delta up to rounding whatever rho h is.  With slope=True, returns
     (Delta, dDelta/dlambda) of the same rule, from the same kernel pass; the
-    default returns Delta alone.
+    default returns Delta alone.  A Delta or slope past double precision is
+    inf or nan, never an exception.
     """
     require_grid(q, config)
     lam = complex(lam)
@@ -381,10 +388,11 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
 
     Roots are polished by Newton on delta_direct with its analytic slope
     (about three evaluations per root) and returned in asymptotic order;
-    non-convergence, or a Delta that overflows double precision, raises
-    RootConvergenceError with the index without a warning, and two
-    indices landing on one root raise EigenvalueCollisionError (densify the
-    grid or perturb the potential in that case).
+    non-convergence, or a Delta that overflows double precision (non-finite,
+    never an exception), raises RootConvergenceError with the index without
+    a warning, and two indices landing on one root raise
+    EigenvalueCollisionError (densify the grid or perturb the potential in
+    that case).
     """
     if not is_int(count) or count < 1:
         raise ValueError("count must be >= 1")

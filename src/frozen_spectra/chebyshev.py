@@ -31,7 +31,8 @@ class IntPolynomial:
     """Exact integer-coefficient polynomial, ascending degree order.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
-    trailing coefficient is nonzero and degree == len(coeffs) - 1.
+    trailing coefficient is nonzero.  It defines only - and *, which is all
+    the exact identities need.
     """
 
     coeffs: tuple[int, ...]
@@ -41,19 +42,6 @@ class IntPolynomial:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(tuple(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return IntPolynomial(tuple(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))

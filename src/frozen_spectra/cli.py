@@ -196,12 +196,9 @@ def cmd_delta(args) -> RunManifest:
         raise ValueError(f"--lambdas {args.lambdas!r}: every lambda must be finite")
     lines = []
     for lam in lams:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = delta_direct(q, args.config, lam)
-        except OverflowError:
-            d = None
-        if d is None or not cmath.isfinite(d):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = delta_direct(q, args.config, lam)
+        if not cmath.isfinite(d):
             raise ArithmeticError(f"Delta is not finite at lambda={lam}: it overflows double precision")
         lines.append(f"{lam.real!r},{lam.imag!r},{d.real!r},{d.imag!r}\n")
     return RunManifest(

@@ -2,8 +2,13 @@
 
 Everything here runs on Python ints (arbitrary precision), never floats.
 Matrices are sequences of row sequences; results are lists of lists.
-bareiss_det and bareiss_rank work on any integer matrix; the tests hold
-frozen_matrix's cycle-decomposition det_exact and rank against them.
+Nothing in the package calls these at run time; they are the dense oracles
+of the tests.  bareiss_det and bareiss_rank work on any integer matrix, and
+the tests hold frozen_matrix's cycle-decomposition det_exact and rank
+against them; identity, mat_add, mat_scale and matmul serve
+chebyshev.matrix_poly_eval, the reference of the j > 1 reduction.  The
+benchmark's tracer times matmul, bareiss_det and bareiss_rank by name, so
+they stay in the package until it no longer does.
 """
 
 from __future__ import annotations
@@ -38,12 +43,6 @@ def matmul(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
     q = len(b[0])
     bt = [[b[i][j] for i in range(p)] for j in range(q)]  # column access
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def matvec(a: IntMatrix, x: Sequence[int]) -> list[int]:
-    if len(a[0]) != len(x):
-        raise ValueError("dimension mismatch")
-    return [sum(r * v for r, v in zip(row, x)) for row in a]
 
 
 def _eliminate_below(m: list[list[int]], r: int, c: int, prev: int) -> None:

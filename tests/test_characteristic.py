@@ -314,6 +314,18 @@ def test_blocked_kernel_matches_the_full_length_kernel(alpha, beta, j, k, m, rng
                 assert abs(g - w) <= 1e-12 * abs(w)
 
 
+def test_delta_direct_overflows_to_non_finite_values():
+    # on (0, 1, 1, 3) the endpoint kernels overflow cmath's range at -3e6 and 5e6j, and only numpy's kernel sums at
+    # 2e6j: Delta and its slope are non-finite, never an exception
+    q = read_csv(Path(__file__).parent / "fixtures" / "newton_overflow_q.csv")
+    cfg = make_config(0, 1, 1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in (-3e6, 5e6j, 2e6j):
+            value, slope = delta_direct(q, cfg, lam, slope=True)
+            assert not cmath.isfinite(value) and not cmath.isfinite(slope)
+            assert not cmath.isfinite(delta_direct(q, cfg, lam))
+
+
 # two potentials on one grid, and two j on one potential: every pair of
 # neighbouring cases differs in (q, j * m), the key of the potential-row cache
 _CACHE_CASES = """

@@ -467,6 +467,8 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
 CONFIG_0113 = ["--alpha", "0", "--beta", "1", "--j", "1", "--k", "3"]
 HUGE_M = ["--m", str(10**11)]
 TOO_LARGE = f"a grid with k=3, m={10**11} has {3 * 10**11} points, too many to allocate"
+# a real potential whose first Newton step from pi^2/4 lands at lambda = -3e6, where cos(rho (1 - a)) overflows
+NEWTON_OVERFLOW_Q = str(Path(__file__).parent / "fixtures" / "newton_overflow_q.csv")
 # beyond the platform's index range numpy refuses the size itself, before any allocation
 INDEX_M = ["--m", str(10**19)]
 BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many to allocate"
@@ -521,6 +523,11 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
      "Delta is not finite at lambda=(-700000+0j)"),
     (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "100", "--lambdas=-1e6"], 4, "ArithmeticError",
      "Delta is not finite at lambda=(-1000000+0j)"),
+    (["delta", *CONFIG_0113, "--q", NEWTON_OVERFLOW_Q, "--lambdas=-3e6"], 4, "ArithmeticError",
+     "Delta is not finite at lambda=(-3000000+0j)"),
+    # Newton's step to the same overflow names its index
+    (["eigs", *CONFIG_0113, "--q", NEWTON_OVERFLOW_Q, "--count", "1", "--out", "e.csv"], 4, "RootConvergenceError",
+     "eigenvalue index 1: non-finite residual (nan+nanj)"),
     # an empty or malformed lambda names the flag and the entry
     (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "16", "--lambdas="], 3, "ValueError",
      "--lambdas '': entry '' is not a complex number"),
@@ -582,8 +589,9 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
         "spectrum-list", "spectrum-bool-flag", "csv-no-header",
         "csv-short", "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields",
         "csv-header-m-huge",
-        "delta-inf", "delta-math-range", "delta-lambdas-empty", "delta-lambdas-empty-entry",
-        "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative", "verify-kmax-theorem1-0",
+        "delta-inf", "delta-math-range", "delta-newton-overflow", "eigs-newton-overflow", "delta-lambdas-empty",
+        "delta-lambdas-empty-entry", "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative",
+        "verify-kmax-theorem1-0",
         "verify-kmax-forward-1", "verify-kmax-theorem1-above-limit", "cheb-n-above-limit", "example-m-negative",
         "example-m-zero", "isospectral-m-negative",
         "eigs-m-negative", "reconstruct-m-zero", "reconstruct-m-negative", "eigs-m-huge", "eigs-zero-m-huge",

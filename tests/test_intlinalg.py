@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frozen_spectra.intlinalg import _eliminate_below, bareiss_det, bareiss_rank, identity, matmul, matvec
+from frozen_spectra.intlinalg import _eliminate_below, bareiss_det, bareiss_rank, identity, mat_add, matmul
 
 
 def fraction_rank(m):
@@ -65,16 +65,19 @@ def test_rank_of_structured_matrices():
 def test_det_of_singular_and_permuted():
     assert bareiss_det([[1, 2], [2, 4]]) == 0
     assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[0, 1], [0, 2]]) == 0  # no pivot in column 0
     with pytest.raises(ValueError):
         bareiss_det([[1, 2, 3], [4, 5, 6]])
 
 
-def test_matmul_and_matvec():
+def test_matmul_and_mat_add():
     a = [[1, 2], [3, 4]]
     assert matmul(a, identity(2)) == [list(r) for r in a]
-    assert matvec(a, [1, -1]) == [-1, -1]
     with pytest.raises(ValueError):
         matmul(a, [[1, 2, 3]])
+    assert mat_add(a, identity(2)) == [[2, 2], [3, 5]]
+    with pytest.raises(ValueError, match="matrix shapes differ"):
+        mat_add(a, [[1, 2, 3], [4, 5, 6]])
 
 
 def test_big_integer_growth_stays_exact():

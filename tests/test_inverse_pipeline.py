@@ -34,6 +34,8 @@ def test_quadratic_profile_values():
         assert abs(f(np.array([3 * b / 5]))[0] - 1.0) < 1e-12  # vertex
         assert abs(f(np.array([b]))[0] - 5.0 / 9.0) < 1e-12
         assert abs(f(np.array([1e-9 * b]))[0]) < 1e-6  # -> 0 at the left end
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        quadratic_profile(0)
 
 
 def test_supplement_zero_profile_is_identity(rng):
