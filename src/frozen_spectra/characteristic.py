@@ -27,7 +27,8 @@ zero-potential eigenvalues and synthesizes W with one complex FFT.
 
 All formulas are even in rho; one canonical branch of the square root
 (_sqrt_lambda) keeps the rounding of delta_direct independent of it.
-Newton in eigenvalues runs on the analytic dDelta/dlambda of the rule.
+Newton in eigenvalues runs on the analytic dDelta/dlambda of the rule,
+each step at most half the gap from lambda_n^0 to lambda_{n+1}^0 long.
 One function (_trig_kernels) gives cos(rho s), sin(rho s)/rho and its
 lambda-derivative at lengths s (at s = h/2, half the cell weight);
 below |rho| = RHO_SERIES_THRESHOLD = 1.0, where the exp form of
@@ -63,7 +64,7 @@ _NEWTON_MAX_STEPS = 60
 
 
 class RootConvergenceError(RuntimeError):
-    """Newton/secant search failed for one eigenvalue index."""
+    """Newton search failed for one eigenvalue index."""
 
 
 class EigenvalueCollisionError(RuntimeError):
@@ -344,11 +345,11 @@ def zero_potential_delta(alpha: int, beta: int, lam: complex) -> complex:
     return _boundary_det(alpha, beta, 0.0, 0.0, _sqrt_lambda(lam), lam, _NO_SUMS, _NO_SUMS)[0]
 
 
-def _find_root(f, lam0: complex, index: int) -> complex:
-    """Newton on f(lam) = (value, slope); secant fallback on stagnation.
+def _find_root(f, lam0: complex, cap: float, index: int) -> complex:
+    """Newton on f(lam) = (value, slope), each step in Newton's direction and at most cap long.
 
     Each step costs one evaluation of f, and the accepted root is the last
-    point evaluated.  A non-finite value or slope raises at once.
+    point evaluated.  A non-finite value or slope, or a zero slope, raises.
     """
 
     def evaluate(x):
@@ -361,20 +362,14 @@ def _find_root(f, lam0: complex, index: int) -> complex:
 
     x = complex(lam0)
     fx, df = evaluate(x)
-    prev_x = prev_f = None
-    stagnant = 0
     for _ in range(_NEWTON_MAX_STEPS):
-        if (stagnant >= 2 or df == 0) and prev_x is not None and fx != prev_f:
-            step = fx * (x - prev_x) / (fx - prev_f)
-        elif df != 0:
-            step = fx / df
-        else:
-            step = 1e-6 * (1.0 + abs(x))
-        x_new = x - step
-        f_new, df = evaluate(x_new)
-        stagnant = stagnant + 1 if abs(f_new) > 0.7 * abs(fx) else 0
-        prev_x, prev_f = x, fx
-        x, fx = x_new, f_new
+        if df == 0:
+            raise RootConvergenceError(f"eigenvalue index {index}: zero slope at lambda={x} (residual {fx})")
+        step = fx / df
+        if abs(step) > cap:  # Newton's direction from unit factors, which stay finite when fx/df overflows
+            step = cap * (fx / abs(fx)) * (abs(df) / df)
+        x = x - step
+        fx, df = evaluate(x)
         if abs(step) <= 1e-12 * (1.0 + abs(x)):
             return x
     raise RootConvergenceError(
@@ -387,19 +382,24 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
     """First `count` eigenvalues, seeded from the zero-potential asymptotes.
 
     Roots are polished by Newton on delta_direct with its analytic slope
-    (about three evaluations per root) and returned in asymptotic order;
-    non-convergence, or a Delta that overflows double precision (non-finite,
-    never an exception), raises RootConvergenceError with the index without
-    a warning, and two indices landing on one root raise
-    EigenvalueCollisionError (densify the grid or perturb the potential in
-    that case).
+    (about three evaluations per root), each step at most half the gap
+    lambda_{n+1}^0 - lambda_n^0 long, and returned in asymptotic order.  A
+    count too large to allocate is a ValueError; non-convergence, a zero
+    slope or an overflowing Delta (non-finite, never an exception) raises
+    RootConvergenceError with the index without a warning, and two indices
+    landing on one root raise EigenvalueCollisionError (densify the grid or
+    perturb the potential in that case).
     """
     if not is_int(count) or count < 1:
         raise ValueError("count must be >= 1")
+    try:  # index count + 1 only bounds the last step
+        lam0 = asymptotic_eigenvalue(config.alpha, config.beta, np.arange(1, count + 2))
+    except (MemoryError, ValueError):
+        raise ValueError(f"count={count} eigenvalues are too many to allocate") from None
+    seeds, caps = lam0[:-1].tolist(), (np.diff(lam0) / 2).tolist()
     f = lambda lam: delta_direct(q, config, lam, slope=True)
-    seeds = asymptotic_eigenvalue(config.alpha, config.beta, np.arange(1, count + 1)).tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # _find_root refuses a non-finite Delta by index
-        roots = [_find_root(f, lam0, n) for n, lam0 in enumerate(seeds, start=1)]
+        roots = [_find_root(f, seed, cap, n) for n, (seed, cap) in enumerate(zip(seeds, caps), start=1)]
     order = sorted(range(count), key=lambda i: (roots[i].real, roots[i].imag))
     for u, v in zip(order, order[1:]):
         if abs(roots[u] - roots[v]) <= 1e-8 * (1.0 + abs(roots[u])):

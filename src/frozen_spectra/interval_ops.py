@@ -108,8 +108,7 @@ def require_finite(values: np.ndarray, what: str) -> None:
 
 def subinterval_midpoints(k: int, m: int) -> np.ndarray:
     """Midpoints t_i = (i + 1/2) b/m of (0, b), b = 1/k."""
-    _check_grid(k, m)
-    return (np.arange(m) + 0.5) / (k * m)
+    return _allocate_grid(k, m, lambda n: (np.arange(m) + 0.5) / n)
 
 
 def _reflect_rows(grid: np.ndarray, first: int) -> np.ndarray:

@@ -1191,24 +1191,51 @@ def test_delta_evaluator_modes_agree(rng):
         assert abs(delta_from_spectrum(spec, 150, [lam])[0] - d) < 1e-5 * (1 + abs(d))
 
 
-def test_find_root_failure_is_reported():
-    with pytest.raises(RootConvergenceError, match="no convergence after 60 iterations"):
-        _find_root(lambda z: (1.0 + 0j, 0j), 0.0, index=4)
-
-
-def test_find_root_falls_back_to_the_secant_when_newton_stagnates():
-    # the slope 5 is five times too steep for f(x) = x - 3, so Newton from 0 only takes a
-    # fifth of each gap; after two stagnant steps the secant through the last two points
-    # lands on 3, and one more step confirms it
+def test_find_root_raises_at_once_on_a_zero_slope():
     calls = []
 
     def f(z):
         calls.append(z)
-        return z - 3, 5.0 + 0j
+        return 1.0 + 0j, 0j
 
-    assert abs(_find_root(f, 0.0, index=1) - 3) <= 1e-15 * 3
-    assert len(calls) == 5
-    assert abs(calls[3] - 3) <= 1e-15  # plain Newton would be at 1.464 here
+    with pytest.raises(RootConvergenceError, match=r"^eigenvalue index 4: zero slope at lambda=0j"):
+        _find_root(f, 0.0, 1.0, index=4)
+    assert calls == [0.0]
+
+
+def test_find_root_failure_is_reported():
+    # a tiny constant slope asks for a step of 1e300, or one that overflows, at every point: each moves the cap
+    for slope in (1e-300, 1e-320):
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return 1.0 + 0j, slope + 0j
+
+        with pytest.raises(RootConvergenceError, match=r"^eigenvalue index 4: no convergence after 60 iterations"):
+            _find_root(f, 0.0, 1.0, index=4)
+        assert calls == [-float(i) for i in range(61)]
+
+
+def _newton_points(root, cap):
+    """Every point _find_root evaluates on f(x) = x - root from 0 with the step cap, the accepted root last."""
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return z - root, 1.0 + 0j
+
+    assert abs(_find_root(f, 0.0, cap, index=1) - root) <= 1e-15 * abs(root)
+    return calls
+
+
+def test_find_root_caps_a_step_at_its_length_in_newton_direction():
+    # Newton asks for 100, so 50 steps move exactly the cap 2, and one more confirms the root
+    assert _newton_points(100.0, 2.0) == [2.0 * i for i in range(51)] + [100.0]
+    # a complex step keeps its direction: 3 + 4j is the cap 5 towards 30 + 40j
+    assert abs(_newton_points(30 + 40j, 5.0)[1] - (3 + 4j)) <= 1e-15 * 5
+    # a step within the cap is plain Newton
+    assert _newton_points(1.5, 2.0) == [0.0, 1.5, 1.5]
 
 
 def test_find_root_stops_on_a_non_finite_residual():
@@ -1220,7 +1247,7 @@ def test_find_root_stops_on_a_non_finite_residual():
             return (1.0 + 0j, 1.0 + 0j) if len(calls) == 1 else bad
 
         with pytest.raises(RootConvergenceError, match="non-finite"):
-            _find_root(f, 5.0, index=2)
+            _find_root(f, 5.0, 10.0, index=2)
         assert len(calls) <= 2
 
 

@@ -14,6 +14,7 @@ from frozen_spectra import (
     GridFunction,
     Spectrum,
     cli,
+    delta_direct,
     eigenvalues,
     forward_w_direct,
     make_config,
@@ -430,6 +431,20 @@ def test_reconstruct_rejects_n_used_below_one(n_used, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigs_caps_the_newton_step_that_used_to_overflow(capsys):
+    # at pi^2/4 the slope is -6.2e-7 against Delta = -1.85; capped at half the gap to lambda_2^0, Newton stays near
+    # the seed and finds the two roots where real Delta changes sign
+    code, stdout, err = run(capsys, "eigs", *CONFIG_0113, "--q", NEWTON_OVERFLOW_Q, "--count", "2")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in stdout.splitlines()]
+    assert [(n, float(im)) for n, _, im in rows] == [("1", 0.0), ("2", 0.0)]
+    q, cfg = read_csv(NEWTON_OVERFLOW_Q), make_config(0, 1, 1, 3)
+    for (_, re_, _), (lo, hi) in zip(rows, ((-5.9, -5.8), (16.7, 16.9))):
+        assert lo < float(re_) < hi
+        assert delta_direct(q, cfg, lo).real * delta_direct(q, cfg, hi).real < 0
+
+
 def _write_inputs(d):
     """Grid and profile CSVs that disagree with a k = 5 config, or are malformed."""
     write_csv(GridFunction.from_callable(lambda x: 50 * _demo_potential(x), 5, 64), d / "q50.csv")
@@ -467,7 +482,8 @@ NOT_NORMALIZED = "config must be normalized (2j <= k), got j=1, k=1; apply norma
 CONFIG_0113 = ["--alpha", "0", "--beta", "1", "--j", "1", "--k", "3"]
 HUGE_M = ["--m", str(10**11)]
 TOO_LARGE = f"a grid with k=3, m={10**11} has {3 * 10**11} points, too many to allocate"
-# a real potential whose first Newton step from pi^2/4 lands at lambda = -3e6, where cos(rho (1 - a)) overflows
+# a real potential whose uncapped first Newton step from pi^2/4 lands at lambda = -3e6, where cos(rho (1 - a))
+# overflows
 NEWTON_OVERFLOW_Q = str(Path(__file__).parent / "fixtures" / "newton_overflow_q.csv")
 # beyond the platform's index range numpy refuses the size itself, before any allocation
 INDEX_M = ["--m", str(10**19)]
@@ -525,9 +541,6 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
      "Delta is not finite at lambda=(-1000000+0j)"),
     (["delta", *CONFIG_0113, "--q", NEWTON_OVERFLOW_Q, "--lambdas=-3e6"], 4, "ArithmeticError",
      "Delta is not finite at lambda=(-3000000+0j)"),
-    # Newton's step to the same overflow names its index
-    (["eigs", *CONFIG_0113, "--q", NEWTON_OVERFLOW_Q, "--count", "1", "--out", "e.csv"], 4, "RootConvergenceError",
-     "eigenvalue index 1: non-finite residual (nan+nanj)"),
     # an empty or malformed lambda names the flag and the entry
     (["delta", *DELTA_CONFIG, "--q", "demo", "--m", "16", "--lambdas="], 3, "ValueError",
      "--lambdas '': entry '' is not a complex number"),
@@ -573,6 +586,11 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
      f"a grid with k={10**30}, m=4 has {4 * 10**30} points, too many to allocate"),
     (["reconstruct", *RECONSTRUCT_11, *INDEX_M, "--n-used", "40", "--modes", "1", "--out", "r.csv",
       "--kernel-out", "rk.csv"], 3, "ValueError", BEYOND_INDEX),
+    (["example", "--id", "I7", "--out", "t.txt", *HUGE_M], 3, "ValueError",
+     f"a grid with k=7, m={10**11} has {7 * 10**11} points, too many to allocate"),
+    # so is a count of eigenvalues too large for the seed array
+    (["eigs", "--q", "demo", "--m", "16", "--count", str(10**11), "--out", "e.csv"], 3, "ValueError",
+     f"count={10**11} eigenvalues are too many to allocate"),
     # a = 1 is outside the normalized range 2j <= k of the main equation for every flag pair
     (["forward-w", *A_ONE[0, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
     (["forward-w", *A_ONE[1, 1], "--q", "demo", "--m", "4", "--out", "w.csv"], 3, "ValueError", NOT_NORMALIZED),
@@ -589,14 +607,15 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
         "spectrum-list", "spectrum-bool-flag", "csv-no-header",
         "csv-short", "csv-header-no-m", "csv-header-bare-m", "csv-header-k-twice", "csv-row-two-fields",
         "csv-header-m-huge",
-        "delta-inf", "delta-math-range", "delta-newton-overflow", "eigs-newton-overflow", "delta-lambdas-empty",
+        "delta-inf", "delta-math-range", "delta-newton-overflow", "delta-lambdas-empty",
         "delta-lambdas-empty-entry", "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative",
         "verify-kmax-theorem1-0",
         "verify-kmax-forward-1", "verify-kmax-theorem1-above-limit", "cheb-n-above-limit", "example-m-negative",
         "example-m-zero", "isospectral-m-negative",
         "eigs-m-negative", "reconstruct-m-zero", "reconstruct-m-negative", "eigs-m-huge", "eigs-zero-m-huge",
         "delta-m-huge", "forward-w-m-huge", "isospectral-m-huge", "reconstruct-m-huge",
-        "eigs-m-beyond-index", "forward-w-zero-k-beyond-index", "reconstruct-m-beyond-index", "forward-w-a-one-01",
+        "eigs-m-beyond-index", "forward-w-zero-k-beyond-index", "reconstruct-m-beyond-index", "example-m-huge",
+        "eigs-count-huge", "forward-w-a-one-01",
         "forward-w-a-one-11",
         "invert-a-one-00", "invert-a-one-01", "invert-a-one-10", "invert-a-one-11", "reconstruct-a-one-11",
         "isospectral-a-one-00"])
