@@ -349,7 +349,8 @@ def _find_root(f, lam0: complex, cap: float, index: int) -> complex:
     """Newton on f(lam) = (value, slope), each step in Newton's direction and at most cap long.
 
     Each step costs one evaluation of f, and the accepted root is the last
-    point evaluated.  A non-finite value or slope, or a zero slope, raises.
+    point evaluated.  A non-finite value or slope, a zero slope, or a
+    residual or step too large for abs raises.
     """
 
     def evaluate(x):
@@ -362,20 +363,23 @@ def _find_root(f, lam0: complex, cap: float, index: int) -> complex:
 
     x = complex(lam0)
     fx, df = evaluate(x)
-    for _ in range(_NEWTON_MAX_STEPS):
-        if df == 0:
-            raise RootConvergenceError(f"eigenvalue index {index}: zero slope at lambda={x} (residual {fx})")
-        step = fx / df
-        if abs(step) > cap:  # Newton's direction from unit factors, which stay finite when fx/df overflows
-            step = cap * (fx / abs(fx)) * (abs(df) / df)
-        x = x - step
-        fx, df = evaluate(x)
-        if abs(step) <= 1e-12 * (1.0 + abs(x)):
-            return x
-    raise RootConvergenceError(
-        f"eigenvalue index {index}: no convergence after {_NEWTON_MAX_STEPS} iterations "
-        f"(last residual {abs(fx):.3e} at lambda={x})"
-    )
+    try:
+        for _ in range(_NEWTON_MAX_STEPS):
+            if df == 0:
+                raise RootConvergenceError(f"eigenvalue index {index}: zero slope at lambda={x} (residual {fx})")
+            step = fx / df
+            if abs(step) > cap:  # Newton's direction from unit factors, which stay finite when fx/df overflows
+                step = cap * (fx / abs(fx)) * (abs(df) / df)
+            x = x - step
+            fx, df = evaluate(x)
+            if abs(step) <= 1e-12 * (1.0 + abs(x)):
+                return x
+        raise RootConvergenceError(
+            f"eigenvalue index {index}: no convergence after {_NEWTON_MAX_STEPS} iterations "
+            f"(last residual {abs(fx):.3e} at lambda={x})"
+        )
+    except OverflowError:  # abs of a finite complex above about 1.8e308 raises instead of returning inf
+        raise RootConvergenceError(f"eigenvalue index {index}: |residual {fx}| overflows at lambda={x}") from None
 
 
 def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:

@@ -19,8 +19,10 @@ Every main-equation matrix is a signed sum of two permutations: two
 entries per row and per column, both in column 0 at a = 0 (k = 1).  Stored
 as sparse rows, each read as its two (col, value) pairs by the Chebyshev
 step and the eigenvector residual (any other length raises
-AssertionError).  det, rank, the kernel and solve_inverse read the cycles
-of the row-column graph and their sign products, walked once and kept.
+AssertionError).  On the circle Z/2k with p and 2k - 1 - p identified, row
+i holds its entries in columns fold(i - j) and fold(i + j), and the
+row-column graph of a coprime config is one closed-form orbit through all
+k rows: det, rank, the kernel and solve_inverse read it off the config.
 """
 
 from __future__ import annotations
@@ -76,22 +78,13 @@ class FrozenMatrix:
         return dense
 
     @cached_property
-    def cycles(self) -> tuple[int, list[tuple]]:
-        """_cycle_blocks of the rows, walked on first use and kept: det_exact, rank, null_vector and solve_inverse share one walk."""
-        return _cycle_blocks(self)
+    def orbit(self) -> Orbit:
+        """orbit(config), read on first use and kept: det_exact, rank and null_vector share it."""
+        return orbit(self.config)
 
     @property
     def null_vector(self) -> tuple[int, ...]:
-        """A X = 0 on the one singular cycle block: X[c_t] = g_t of the walk, first nonzero +1; () if none."""
-        singular = [cycle for cycle in self.cycles[1] if not cycle[4]]
-        if len(singular) > 1:
-            raise AssertionError(f"the matrix of {self.config} has {len(singular)} singular cycle blocks")
-        if not singular:
-            return ()
-        _, cols, _, g, _ = singular[0]
-        x = dict(zip(cols, g))
-        first = x[min(cols)]
-        return tuple(first * x.get(col, 0) for col in range(self.k))
+        return self.orbit.null_vector
 
 
 @dataclass(frozen=True)
@@ -103,33 +96,103 @@ class KernelDescriptor:
         return 1 if self.generator else 0
 
 
-def build_matrix(config: ProblemConfig) -> FrozenMatrix:
-    """Exact sparse rows of the k x k main-equation matrix, in O(k).
+def _family_rows(config: ProblemConfig) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Per row i, its fold(i - j) entry (1 if i < j, else c) and its fold(i + j) entry (d if i < k - j, else c).
 
-    The four families are
-      (i)   a[m, j-m+1] = 1   m = 1..j        (top-left antidiagonal)
-      (ii)  a[m, m+j]   = d   m = 1..k-j      (upper subdiagonal)
-      (iii) a[m, m-j]   = c   m = j+1..k      (lower subdiagonal)
-      (iv)  a[m, 2k-m-j+1] = c  m = k-j+1..k  (bottom-right antidiagonal)
-    (1-based indices).  For 0 <= j <= k/2 row m gets one entry from (i) or
-    (iii) and one from (ii) or (iv).  (ii) and (iii) share a column only at
-    j = 0, i.e. a = 0 and k = 1, where the one row holds c and d in column 0;
-    (i)/(ii) and (iii)/(iv) would need a half-integer row.  For j >= 1 two
-    distinct columns per row is asserted.  A config with 2j > k raises
-    ValueError (require_normalized).
+    fold(p) = p for p < k, else 2k - 1 - p, on p mod 2k.  2j > k raises ValueError (require_normalized).
     """
     require_normalized(config)
     j, k = config.j, config.k
     signs = sign_pair(config)
     c, d = signs.c, signs.d
-    rows = []
-    for m in range(1, k + 1):
-        left = (j - m, 1) if m <= j else (m - j - 1, c)  # (i) or (iii)
-        right = (m + j - 1, d) if m <= k - j else (2 * k - m - j, c)  # (ii) or (iv)
-        if j and left[0] == right[0]:
-            raise AssertionError(f"subdiagonal families overlap in row {m} for j={j}, k={k}")
-        rows.append((left, right) if left[0] < right[0] else (right, left))
-    return FrozenMatrix(config, tuple(rows))
+    return [
+        ((j - 1 - i, 1) if i < j else (i - j, c), (i + j, d) if i < k - j else (2 * k - 1 - i - j, c))
+        for i in range(k)
+    ]
+
+
+def build_matrix(config: ProblemConfig) -> FrozenMatrix:
+    """Exact sparse rows of the k x k main-equation matrix, in O(k): _family_rows, sorted by column.
+
+    The fold rule gives the paper's four families (1-based, m = i + 1)
+      (i)   a[m, j-m+1] = 1   m = 1..j        (top-left antidiagonal)
+      (ii)  a[m, m+j]   = d   m = 1..k-j      (upper subdiagonal)
+      (iii) a[m, m-j]   = c   m = j+1..k      (lower subdiagonal)
+      (iv)  a[m, 2k-m-j+1] = c  m = k-j+1..k  (bottom-right antidiagonal)
+    The two columns of row i agree only if 2j or 2i - 2k + 1 is 0 mod 2k,
+    so only at j = 0 (a = 0, k = 1), where the one row holds c and d in
+    column 0.
+    """
+    rows = tuple((left, right) if left[0] < right[0] else (right, left) for left, right in _family_rows(config))
+    return FrozenMatrix(config, rows)
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """The one cycle of a coprime config's matrix, t = 0..k-1 (see orbit).
+
+    Row r_t holds a_t in column c_t and b_t in column c_(t-1), c_(-1) =
+    c_(k-1); g_t = prod_{s<=t} (-a_s b_s); sign is sgn(sigma_a).
+    """
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    a: tuple[int, ...]
+    g: tuple[int, ...]
+    sign: int
+
+    @property
+    def null_vector(self) -> tuple[int, ...]:
+        """X[c_t] = +-g_t with X[0] = +1: row r_t reads a_t g_t + b_t g_(t-1) = 0; () if regular."""
+        x = dict(zip(self.cols, self.g))
+        return tuple(x[0] * x[col] for col in range(len(x))) if self.g[-1] == 1 else ()
+
+
+def orbit(config: ProblemConfig) -> Orbit:
+    """The row-column graph of a coprime config's matrix as one closed-form cycle, in O(k).
+
+    With p_t = -2jt mod 2k, row r_t = fold(p_t) holds its a-edge in column
+    c_t = fold(p_t - j): its fold(i - j) entry if p_t < k (r_t = p_t), else
+    its fold(i + j) entry (r_t = 2k - 1 - p_t, and fold(2k - 1 - q) =
+    fold(q)).  By the same identity row r_(t+1) holds its other entry, the
+    b-edge, in column fold(p_(t+1) + j) = c_t.  fold maps the k even
+    residues of Z/2k one to one onto 0..k-1, as it does the odd ones; 2j
+    generates the even residues iff gcd(j, k) = 1.  So the r_t are all k
+    rows, the c_t all k columns, and A sums the permutations sigma_a:
+    r_t -> c_t and sigma_b: r_t -> c_(t-1), which differ by one k-cycle.
+    No other permutation picks a nonzero in every row, so
+    det = sgn(sigma_a) (prod(a) + (-1)^(k-1) prod(b)) = sgn(sigma_a) prod(a) (1 - g_(k-1)),
+    and X[c_0] fixes a kernel vector row by row: rank = k - (det == 0).
+
+    sigma_a = F' tau F^-1, F and F' fold on the even residues E and on
+    E - j, tau(p) = p - j.  A shift of E by 2u is one of Z/k by u, of sign
+    (-1)^(u(k-1)).  For even j, F' = F and tau is such a shift.  For odd j,
+    tau is the shift by j - 1 and then p -> p - 1, and F' (p -> p - 1) F^-1
+    swaps 2m - 1 and 2m for m = 1..(k-1)//2 and fixes the rest.  Both give
+    sgn(sigma_a) = (-1)^((j//2)(k-1) + (j%2)((k-1)//2)).  At a = 0 (k = 1)
+    the one row holds a_0 = c and b_0 = d in column 0, det = c + d.  A
+    config built past make_config with gcd(j, k) > 1 has several cycles
+    and raises ValueError naming its reduced config.
+    """
+    entries = _family_rows(config)
+    j, k = config.j, config.k
+    if math.gcd(j, k) != 1:
+        raise ValueError(
+            f"gcd(j, k) = {math.gcd(j, k)} in {config}: only a coprime config's matrix is one orbit; "
+            f"make_config reduces it to {make_config(config.alpha, config.beta, j, k)}"
+        )
+    rows, cols, a, g = [], [], [], []
+    p, sign = 0, 1
+    for _ in range(k):
+        r = p if p < k else 2 * k - 1 - p
+        (col, at), (_, bt) = entries[r] if p < k else entries[r][::-1]
+        sign *= -at * bt
+        rows.append(r)
+        cols.append(col)
+        a.append(at)
+        g.append(sign)
+        p = (p - 2 * j) % (2 * k)
+    return Orbit(tuple(rows), tuple(cols), tuple(a), tuple(g), (-1) ** ((j // 2) * (k - 1) + (j % 2) * ((k - 1) // 2)))
 
 
 def _j1_signs(name: str, k: int, alpha: int, beta: int) -> SignPair:
@@ -334,8 +397,8 @@ def reduce_to_j1(config: ProblemConfig) -> SparseRows:
 
 
 def kernel(config: ProblemConfig) -> KernelDescriptor:
-    """Kernel of the main-equation matrix, read off its walk: FrozenMatrix.null_vector, +-1 or ()."""
-    return KernelDescriptor(build_matrix(config).null_vector)
+    """Kernel of the main-equation matrix, read off its orbit: Orbit.null_vector, +-1 or ()."""
+    return KernelDescriptor(orbit(config).null_vector)
 
 
 def eigvec_j1(z, k: int, alpha: int, beta: int) -> np.ndarray:
@@ -371,85 +434,12 @@ def eigvec_j1(z, k: int, alpha: int, beta: int) -> np.ndarray:
     return x
 
 
-def _cycle_blocks(matrix: FrozenMatrix) -> tuple[int, list[tuple]]:
-    """sgn(sigma_a) and, per cycle of the row-column graph, its walk, sign product and block det.
-
-    With exactly two +-1 entries per row (build_matrix only makes 1, c and
-    d) and two nonzeros per column, both asserted, the row-column graph is
-    a union of even cycles, and the matrix is, up to a permutation, the
-    direct sum of one block per cycle.  Walking a cycle of L rows picks the
-    a-edge a_t in column c_t of row r_t and reaches the next row by the
-    b-edge of that column, so row r_t holds b_t in column c_(t-1)
-    (c_(-1) = c_(L-1)).  The walk forms g_t = prod_{s<=t} (-a_s b_s) once
-    and keeps (rows, cols, a, g) and the block det: only the all-a and
-    all-b permutations live in the block, so relative to sigma_a, which
-    picks every a-edge, det = prod(a) + (-1)^(L-1) prod(b) = prod(a) (1 - g_(L-1)).
-    null_vector and solve_inverse read g; FrozenMatrix.cycles keeps it all.
-    A row whose two entries share a column (a = 0) is a cycle of one row.
-    A normalized coprime config gives one cycle through all k rows (checked
-    up to k = 120): that is why its kernel vector X has no zero entry.
-    """
-    rows = matrix.rows
-    col_rows: list[list[int]] = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        try:
-            (c1, v1), (c2, v2) = row
-            ok = v1 in (1, -1) and v2 in (1, -1)
-        except ValueError:
-            ok = False
-        if not ok:
-            raise AssertionError(f"row {i} is {row}, expected two +-1 entries")
-        col_rows[c1].append(i)
-        col_rows[c2].append(i)
-    for col, entries in enumerate(col_rows):
-        if len(entries) != 2:
-            raise AssertionError(f"column {col} has {len(entries)} nonzeros, expected 2")
-    sigma_a = [-1] * len(rows)
-    cycles = []
-    for start in range(len(rows)):
-        if sigma_a[start] >= 0:
-            continue
-        walk_rows, cols, a, g = [], [], [], []
-        i, prev, sign = start, rows[start][1][0], 1  # enter the first row by its second entry, its b-edge
-        while True:
-            (c1, v1), (c2, v2) = rows[i]
-            col, v, w = (c2, v2, v1) if c1 == prev else (c1, v1, v2)
-            sigma_a[i] = col
-            sign *= -v * w
-            walk_rows.append(i)
-            cols.append(col)
-            a.append(v)
-            g.append(sign)
-            r1, r2 = col_rows[col]
-            i, prev = (r2 if r1 == i else r1), col
-            if i == start:
-                break
-        cycles.append((tuple(walk_rows), tuple(cols), tuple(a), tuple(g), math.prod(a) * (1 - sign)))
-    return _perm_sign(sigma_a), cycles
-
-
-def _perm_sign(perm: list[int]) -> int:
-    """Sign of a permutation of 0..n-1: (-1)^(L-1) per cycle of L elements."""
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            sign = -sign
-        sign = -sign
-    return sign
-
-
 def rank(matrix: FrozenMatrix) -> int:
-    """Exact rank: L per cycle block with nonzero det, L - 1 per singular one."""
-    return sum(len(cols) if det else len(cols) - 1 for _, cols, _, _, det in matrix.cycles[1])
+    """Exact rank: k, less one when det = 0, i.e. g_(k-1) = +1 on the orbit."""
+    return matrix.k - (matrix.orbit.g[-1] == 1)
 
 
 def det_exact(matrix: FrozenMatrix) -> int:
-    """Exact determinant: sgn(sigma_a) times the product of the cycle-block dets."""
-    sign, cycles = matrix.cycles
-    return sign * math.prod(det for _, _, _, _, det in cycles)
+    """Exact determinant, read off the orbit: sgn(sigma_a) prod(a) (1 - g_(k-1))."""
+    o = matrix.orbit
+    return o.sign * math.prod(o.a) * (1 - o.g[-1])

@@ -108,7 +108,7 @@ def corollaries_1_3(kmax_t1: int, kmax: int, record: dict):
 
 
 def lemmas_2_3(kmax: int, record: dict):
-    """Lemma 3 (the walk's kernel is kernel_closed_form, rank k - dim) and Lemma 2 (the j = 1 eigenvectors).
+    """Lemma 3 (the orbit's kernel is kernel_closed_form, rank k - dim) and Lemma 2 (the j = 1 eigenvectors).
 
     A rank and kernel theorem2 recorded are read, not recomputed.
     """

@@ -4,7 +4,7 @@ Everything here runs on Python ints (arbitrary precision), never floats.
 Matrices are sequences of row sequences; results are lists of lists.
 Nothing in the package calls these at run time; they are the dense oracles
 of the tests.  bareiss_det and bareiss_rank work on any integer matrix, and
-the tests hold frozen_matrix's cycle-decomposition det_exact and rank
+the tests hold frozen_matrix's orbit-read det_exact and rank
 against them; identity, mat_add, mat_scale and matmul serve
 chebyshev.matrix_poly_eval, the reference of the j > 1 reduction.  The
 benchmark's tracer times matmul, bareiss_det and bareiss_rank by name, so

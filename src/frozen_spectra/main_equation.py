@@ -4,13 +4,14 @@ W is the function the spectrum determines; the potential solves
     W(x) = ((-1)^(alpha*beta)/2) Q^{-1} A R q(x)
 with A the frozen matrix.  The forward map is implemented twice (explicit
 three-branch formula and matrix form) so each can serve as the other's
-oracle; the inverse solve runs on the cycles of A, for all grid points
-of (0, b) at once.  In the degenerate cases the forward map has the null
-direction R^{-1}(X f), X the +-1 kernel vector of A and f any function on
-(0, b): it is the kernel direction of the inverse solve and the
-supplement of every iso-spectral family.  X is read off the cycle walk
-of A, the one place singularity is decided, by solve_inverse and kernel(),
-and lifted by _lift.  At a = 0, A is the 1 x 1 matrix c + d.
+oracle; the inverse solve runs on the orbit of A, its one cycle through
+all k rows, for all grid points of (0, b) at once.  In the degenerate
+cases the forward map has the null direction R^{-1}(X f), X the +-1
+kernel vector of A and f any function on (0, b): it is the kernel
+direction of the inverse solve and the supplement of every iso-spectral
+family.  X is read off the orbit, the one place singularity is decided,
+by solve_inverse and kernel(), and lifted by _lift.  At a = 0, A is the
+1 x 1 matrix c + d.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_params import ProblemConfig, require_grid, require_normalized, sign_pair
-from .frozen_matrix import build_matrix, kernel
+from .frozen_matrix import build_matrix, kernel, orbit
 from .interval_ops import GridFunction, q_apply, q_inverse, r_apply, r_inverse, require_finite
 
 
@@ -103,18 +104,19 @@ def solve_inverse(
 ) -> MainEqSolution:
     """Solve the main equation A (Rq)(t) = 2 (-1)^(alpha*beta) (QW)(t) for q.
 
-    All grid points t of (0, b) are solved at once on the cycles of A.  Row
-    r_t of a cycle of L rows reads a_t y[c_t] + b_t y[c_(t-1)] = f_t with
-    +-1 entries, so y[c_t] = g_t (z + p_t) for g = prod_{s<=t} (-a_s b_s),
-    the sign product the walk keeps, and p = cumsum(g a f).  S = p_(L-1)
-    closes a regular block (det != 0) with z = -S/2.  On a singular block
-    p_t - (t+1) S/L projects f onto the range, |S|/L is the least-squares
-    residual per row, and z = -mean(p) gives the minimum-norm solution,
-    returned with the kernel direction R^{-1}(X * 1), X = A.null_vector.
-    A residual above residual_rtol * ||rhs||, or NaN, raises
-    InconsistentSystemError naming the worst grid point.  residual_rtol
-    must be finite and >= 0, W finite (ValueError); a solve that overflows
-    anyway raises ArithmeticError naming its grid point.
+    All grid points t of (0, b) are solved at once on orbit(config), one
+    gather of the k rows and one cumsum, with no matrix built.  Row r_t
+    reads a_t y[c_t] + b_t y[c_(t-1)] = f_t with +-1 entries, so
+    y[c_t] = g_t (z + p_t) for the orbit's g and p = cumsum(g a f).
+    S = p_(k-1) closes a regular A (g_(k-1) = -1) with z = -S/2.  On a
+    singular A p_t - (t+1) S/k projects f onto the range, |S|/k is the
+    least-squares residual per row, and z = -mean(p) gives the minimum-norm
+    solution, returned with the kernel direction R^{-1}(X * 1), X =
+    Orbit.null_vector.  A residual above residual_rtol * ||rhs||, or NaN,
+    raises InconsistentSystemError naming the worst grid point.
+    residual_rtol must be finite and >= 0, W finite, the config coprime
+    (ValueError); an overflowing solve raises ArithmeticError naming its
+    grid point.
     """
     if not (math.isfinite(residual_rtol) and residual_rtol >= 0):
         raise ValueError(f"residual_rtol must be finite and >= 0, got {residual_rtol}")
@@ -126,21 +128,21 @@ def solve_inverse(
             "with a = 0 and a Dirichlet condition at 0 the forward map is "
             "identically zero, so W determines nothing about the potential"
         )
-    matrix = build_matrix(config)
+    orb = orbit(config)
+    rows, cols, a, g = map(np.array, (orb.rows, orb.cols, orb.a, orb.g))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by grid point
         rhs = 2.0 * (-1) ** (config.alpha * config.beta) * q_apply(w)
-        y, resid = np.empty_like(rhs), np.zeros(w.m)
-        for *walk, det in matrix.cycles[1]:
-            rows, cols, a, g = map(np.array, walk)
-            p = np.cumsum((g * a)[:, None] * rhs[rows], axis=0)
-            if det:  # det = prod(a) (1 - g_(L-1)), so g_(L-1) = -1
-                p -= p[-1] / 2
-            else:
-                s = p[-1] / len(rows)
-                resid = np.maximum(resid, np.abs(s))
-                p = p - np.arange(1, len(rows) + 1)[:, None] * s
-                p -= p.mean(axis=0)
-            y[cols] = g[:, None] * p
+        p = np.cumsum((g * a)[:, None] * rhs[rows], axis=0)
+        if orb.g[-1] == 1:  # det = 0
+            s = p[-1] / config.k
+            resid = np.abs(s)
+            p = p - np.arange(1, config.k + 1)[:, None] * s
+            p -= p.mean(axis=0)
+        else:
+            resid = np.zeros(w.m)
+            p -= p[-1] / 2
+        y = np.empty_like(rhs)
+        y[cols] = g[:, None] * p
         finite = np.isfinite(y).all(axis=0)
         worst = int(np.argmax(resid) if finite.all() else np.argmin(finite))
         t_worst = (worst + 0.5) / (w.k * w.m)
@@ -152,6 +154,6 @@ def solve_inverse(
                 f"W is not attainable: relative residual {resid[worst] / scale:.3e} "
                 f"at grid point t={t_worst:.6f} exceeds {residual_rtol:.1e}"
             )
-    x = matrix.null_vector
+    x = orb.null_vector
     kernel_direction = _lift(x, np.ones(w.m), config.j) if x else None
     return MainEqSolution(r_inverse(y, config.j), kernel_direction)

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1215,6 +1216,13 @@ def test_find_root_failure_is_reported():
         with pytest.raises(RootConvergenceError, match=r"^eigenvalue index 4: no convergence after 60 iterations"):
             _find_root(f, 0.0, 1.0, index=4)
         assert calls == [-float(i) for i in range(61)]
+
+
+def test_find_root_names_the_index_of_a_step_too_large_for_abs():
+    # a finite residual of modulus 2.1e308: abs of it, and of the step fx/1, raises OverflowError in Python
+    huge = re.escape("|residual (1.5e+308+1.5e+308j)| overflows at lambda=0j")
+    with pytest.raises(RootConvergenceError, match=rf"^eigenvalue index 3: {huge}$"):
+        _find_root(lambda z: (complex(1.5e308, 1.5e308), 1 + 0j), 0.0, 1.0, index=3)
 
 
 def _newton_points(root, cap):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
@@ -5,6 +7,7 @@ from numpy.polynomial.polynomial import polyval
 from conftest import coprime_configs, match_multisets
 from frozen_spectra import (
     FrozenMatrix,
+    GridFunction,
     Kind,
     ProblemConfig,
     build_matrix,
@@ -20,13 +23,15 @@ from frozen_spectra import (
     reduce_to_j1,
     reductions_j1,
     sign_pair,
+    solve_inverse,
     spectrum_closed_form,
     theorem1_poly,
 )
 from frozen_spectra import frozen_matrix
-from frozen_spectra.frozen_matrix import KernelDescriptor, kernel_closed_form
+from frozen_spectra.frozen_matrix import KernelDescriptor, kernel_closed_form, orbit
 from frozen_spectra.chebyshev import matrix_poly_eval, scaled_cheb_int, three_term
 from frozen_spectra.intlinalg import bareiss_det, bareiss_rank, identity, mat_add, mat_scale, matmul
+from dense_oracle import cycle_blocks
 
 
 def sparse(dense):
@@ -248,7 +253,7 @@ def test_kernel_and_rank_sweep():
         ker = kernel(cfg)
         a = build_matrix(cfg)
         r = rank(a)
-        assert len(a.cycles[1]) == 1, cfg  # one cycle through all k rows, so X has no zero entry
+        assert sorted(a.orbit.rows) == list(range(cfg.k)), cfg  # one cycle through all k rows, so X has no zero entry
         assert ker.generator == a.null_vector
         if deg:
             assert ker.dimension == 1
@@ -259,11 +264,37 @@ def test_kernel_and_rank_sweep():
             assert r == cfg.k
 
 
-def test_null_vector_rejects_two_singular_blocks():
-    # gcd(j, k) = 2: two cycles, both singular for (0, 0), both regular for (0, 1)
-    with pytest.raises(AssertionError, match="2 singular cycle blocks"):
-        build_matrix(ProblemConfig(0, 0, 2, 4)).null_vector
-    assert build_matrix(ProblemConfig(0, 1, 2, 4)).null_vector == ()
+# a ProblemConfig built past make_config with gcd(j, k) > 1 has several cycles (two for 2/4, both singular for (0, 0)
+# and both regular for (0, 1)); every reader of the orbit, the inverse solve included, refuses it and names the
+# reduced config
+@pytest.mark.parametrize("beta", [0, 1])
+def test_orbit_refuses_a_config_past_make_config(beta):
+    cfg = ProblemConfig(0, beta, 2, 4)
+    assert [rows for rows, *_ in cycle_blocks(build_matrix(cfg).rows)[1]] == [(0, 3), (1, 2)]
+    reduced = rf"^gcd\(j, k\) = 2 in {re.escape(repr(cfg))}: .* it to {re.escape(repr(ProblemConfig(0, beta, 1, 2)))}$"
+    readers = (
+        orbit,
+        kernel,
+        lambda c: build_matrix(c).null_vector,
+        lambda c: det_exact(build_matrix(c)),
+        lambda c: solve_inverse(GridFunction.zeros(4, 8), c),
+    )
+    for read in readers:
+        with pytest.raises(ValueError, match=reduced):
+            read(cfg)
+    with pytest.raises(ValueError, match=r"= 4 .* reduces it to ProblemConfig\(alpha=0, beta=1, j=0, k=1\)$"):
+        rank(build_matrix(ProblemConfig(0, 1, 0, 4)))  # a = 0 past make_config: four one-row cycles
+
+
+# the closed form against the generic walk of the built rows: one cycle, started at row 0 by the same edge, with the
+# same rows, columns, a, g, det and sgn(sigma_a), on every coprime config up to k = 80 and the four at a = 0
+def test_orbit_is_the_walk_of_the_built_rows():
+    a0 = [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]
+    for cfg in coprime_configs(80) + a0:
+        a = build_matrix(cfg)
+        sign, cycles = cycle_blocks(a.rows)
+        o = a.orbit
+        assert o.sign == sign and cycles == [(o.rows, o.cols, o.a, o.g, sign * det_exact(a))], cfg
 
 
 def test_eigvec_examples():
@@ -365,8 +396,8 @@ def test_a0_is_walked_as_a_one_row_cycle(alpha, beta):
     c, d = s.c, s.d
     assert sorted(a.rows[0]) == sorted(((0, c), (0, d)))
     assert a.as_lists() == [[c + d]] == [[2 * c * alpha]]
-    sign, cycles = a.cycles
-    assert sign == 1 and [(rows, cols) for rows, cols, *_ in cycles] == [((0,), (0,))]
+    o = a.orbit
+    assert o.sign == 1 and (o.rows, o.cols, o.a, o.g) == ((0,), (0,), (c,), (-c * d,))
     assert det_exact(a) == c + d == bareiss_det(a.as_lists())
     assert (det_exact(a) == 0) == (classify(cfg).kind is Kind.DEGENERATE)
     ker = kernel(cfg)
@@ -391,28 +422,28 @@ def test_cycle_det_and_rank_match_bareiss():
             assert (det_exact(a), rank(a)) == (bareiss_det(a.as_lists()), bareiss_rank(a.as_lists()))
 
 
-def test_cycle_det_and_rank_reject_other_patterns():
+# det_exact and rank read the orbit off the config, not the rows, so the rows that break the pattern are the
+# walk oracle's to refuse
+def test_walk_oracle_rejects_other_patterns():
     a = build_matrix(make_config(0, 1, 2, 5))
     three = (a.rows[0] + ((4, 1),),) + a.rows[1:]  # a third nonzero in row 0
     lone = (((0, 1), (1, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1)))  # column 0 has one nonzero
     (col, _), right = a.rows[0]
     two = (((col, 2), right),) + a.rows[1:]  # an entry 2: det = prod(a) (1 - g_(L-1)) holds for +-1 entries only
     for rows in (three, lone, two):
-        m = FrozenMatrix(a.config, rows)
-        for fn in (det_exact, rank):
-            with pytest.raises(AssertionError):
-                fn(m)
+        with pytest.raises(AssertionError):
+            cycle_blocks(rows)
 
 
 def test_cycles_are_walked_once_per_matrix(monkeypatch):
     walks = []
-    walk = frozen_matrix._cycle_blocks
-    monkeypatch.setattr(frozen_matrix, "_cycle_blocks", lambda m: walks.append(m) or walk(m))
+    walk = frozen_matrix.orbit
+    monkeypatch.setattr(frozen_matrix, "orbit", lambda cfg: walks.append(cfg) or walk(cfg))
     a = build_matrix(make_config(0, 0, 3, 8))
-    assert (det_exact(a), rank(a), det_exact(a), rank(a)) == (0, 7, 0, 7)
-    assert walks == [a]
+    assert (det_exact(a), rank(a), det_exact(a), rank(a), len(a.null_vector)) == (0, 7, 0, 7, 8)
+    assert walks == [a.config]
     b = build_matrix(make_config(0, 0, 3, 8))
-    assert rank(b) == 7 and walks == [a, b]
+    assert rank(b) == 7 and walks == [a.config, b.config]
 
 
 def _dict_mul_sub(m, y, sub):
@@ -465,9 +496,6 @@ def test_pair_reads_reject_a_row_of_three(monkeypatch):
         frozen_matrix._mul_sub(m, three, [()] * 5)
     with pytest.raises(AssertionError):  # a sub entry off the four columns of the step
         frozen_matrix._mul_sub(m, a.rows, [((3, 1), (4, 1))] * 5)
-    monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: FrozenMatrix(a.config, three))
-    with pytest.raises(AssertionError):
-        kernel(make_config(0, 1, 2, 5))
     j1 = build_matrix(make_config(0, 0, 1, 3))
     wide = FrozenMatrix(j1.config, (j1.rows[0] + ((2, 1),),) + j1.rows[1:])
     monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: wide)

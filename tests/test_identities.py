@@ -69,9 +69,9 @@ def _consume(*ranges):
 # j = 1 configs with 12 < k <= 14 are no coprime config of kmax = 12: the corollary-1 sweep builds them itself
 def test_one_sweeps_run_builds_and_walks_each_coprime_matrix_once(monkeypatch):
     built, walked = Counter(), Counter()
-    build, walk = identities.build_matrix, frozen_matrix._cycle_blocks
+    build, walk = identities.build_matrix, frozen_matrix.orbit
     monkeypatch.setattr(identities, "build_matrix", lambda cfg: built.update([cfg]) or build(cfg))
-    monkeypatch.setattr(frozen_matrix, "_cycle_blocks", lambda m: walked.update([m.config]) or walk(m))
+    monkeypatch.setattr(frozen_matrix, "orbit", lambda cfg: walked.update([cfg]) or walk(cfg))
     _consume(12, 14, 3)
     once = Counter(coprime_configs(12) + [make_config(a, b, 1, k) for k in (13, 14) for a in (0, 1) for b in (0, 1)])
     assert built == once

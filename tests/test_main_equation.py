@@ -290,26 +290,26 @@ def test_invert_and_reconstruct_run_no_dense_solve(tmp_path, monkeypatch):
     assert np.abs(back.values - read_csv(w).values).max() < 1e-12
 
 
-def test_solve_inverse_builds_once_and_reads_its_own_kernel(rng, monkeypatch):
-    builds = []
+def test_solve_inverse_reads_one_orbit_builds_nothing_and_reads_its_own_kernel(rng, monkeypatch):
+    orbits = []
 
     def counted(cfg):
-        builds.append(cfg)
-        return build_matrix(cfg)
+        orbits.append(cfg)
+        return frozen_matrix.orbit(cfg)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("solve_inverse decided the kernel a second time")
+        raise AssertionError("solve_inverse built a matrix or decided the kernel a second time")
 
-    monkeypatch.setattr(main_equation, "build_matrix", counted)
-    monkeypatch.setattr(frozen_matrix, "build_matrix", counted)
-    for module, name in ((core_params, "classify"), (frozen_matrix, "classify"), (frozen_matrix, "kernel"),
-                         (main_equation, "kernel"), (main_equation, "null_direction")):
+    monkeypatch.setattr(main_equation, "orbit", counted)
+    for module, name in ((main_equation, "build_matrix"), (frozen_matrix, "build_matrix"), (core_params, "classify"),
+                         (frozen_matrix, "classify"), (frozen_matrix, "kernel"), (main_equation, "kernel"),
+                         (main_equation, "null_direction")):
         monkeypatch.setattr(module, name, refuse)
     for cfg, degenerate in ((make_config(1, 1, 3, 8), True), (make_config(0, 1, 3, 7), False),
                             (make_config(1, 0, 0, 1), False), (make_config(1, 1, 0, 1), False)):
-        builds.clear()
+        orbits.clear()
         sol = solve_inverse(forward_w_direct(random_grid(cfg.k, 4, rng), cfg), cfg)
-        assert builds == [cfg]
+        assert orbits == [cfg]
         assert (sol.kernel_generator is not None) == degenerate
 
 
