@@ -13,16 +13,20 @@ polynomial, and in the j = 1 eigenvectors, the same recurrence run on the
 eigenvalue vector, one run per spectrum.  Every j = 1 helper enters
 through one guard, _j1_signs; the signs c, d are read from core_params
 only, and a FrozenMatrix holds no copy.  No j = 1 matrix is cached: each
-call builds the one it reads, in O(k).
+call runs the fold rule on the rows it reads, in O(k).
 
 Every main-equation matrix is a signed sum of two permutations: two
-entries per row and per column, both in column 0 at a = 0 (k = 1).  Stored
-as sparse rows, each read as its two (col, value) pairs by the Chebyshev
-step and the eigenvector residual (any other length raises
-AssertionError).  On the circle Z/2k with p and 2k - 1 - p identified, row
-i holds its entries in columns fold(i - j) and fold(i + j), and the
+entries per row and per column, both in column 0 at a = 0 (k = 1).  On the
+circle Z/2k with p and 2k - 1 - p identified, row i holds its entries in
+columns fold(i - j) and fold(i + j) (the fold rule, _fold_rule), and the
 row-column graph of a coprime config is one closed-form orbit through all
-k rows: det, rank, the kernel and solve_inverse read it off the config.
+k rows: det, rank, the kernel and solve_inverse read it off the rows.  The
+fold rule, the orbit (_orbits) and the Chebyshev step (_mul_sub) each have
+one implementation, on int64 arrays whose entries stay in [-1, 1] (2 in
+the first Chebyshev sub), asserted where a step makes new ones.  A call
+for one config is a batch of one; identities.theorem2 runs them on every
+(k, alpha, beta) at once.  A FrozenMatrix keeps each row's two entries in
+family order; its sorted tuple view, rows, is derived on first use.
 """
 
 from __future__ import annotations
@@ -49,18 +53,56 @@ from .core_params import (
 )
 
 
-# Per row, its two family entries as (col, value) pairs sorted by column; as_lists sums a shared column (a = 0).
+# Per row, its two entries as (col, value) pairs sorted by column; as_lists sums a shared column (a = 0).
 SparseRows = tuple[tuple[tuple[int, int], ...], ...]
+
+_FLAG_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the order of the flag pairs wherever all four are stacked or swept
+
+
+def _fold_rule(i, j, k, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row i, its fold(i - j) entry (lc, lv) and its fold(i + j) entry (rc, rv), as int64 arrays.
+
+    lv is 1 if i < j, else c; rv is d if i < k - j, else c.  fold(p) = p
+    for p < k, else 2k - 1 - p, on p mod 2k: on -k < t < k, fold(t) =
+    max(t, -1 - t), and on 0 <= u < 2k, fold(u) = min(u, 2k - 1 - u).
+    The arguments broadcast, so one call serves one config (i = 0..k-1)
+    or a stack of them.
+    """
+    t, u = i - j, i + j
+    return np.maximum(t, ~t), np.where(t < 0, 1, c), np.minimum(u, 2 * k - 1 - u), np.where(u < k, d, c)
+
+
+def _family(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_fold_rule on the k rows of a config; 2j > k raises ValueError (require_normalized)."""
+    require_normalized(config)
+    s = sign_pair(config)
+    return _fold_rule(np.arange(config.k), config.j, config.k, s.c, s.d)
+
+
+def _sorted_rows(lc, lv, rc, rv) -> SparseRows:
+    """Per row, its two (col, value) pairs sorted by column, as Python ints."""
+    pairs = zip(zip(lc.tolist(), lv.tolist()), zip(rc.tolist(), rv.tolist()))
+    return tuple((left, right) if left[0] < right[0] else (right, left) for left, right in pairs)
 
 
 @dataclass(frozen=True, eq=False)
 class FrozenMatrix:
+    """The k rows of a main-equation matrix, each as its two entries in family order (see build_matrix)."""
+
     config: ProblemConfig
-    rows: SparseRows
+    lc: np.ndarray  # per row, the column and value of its fold(i - j) entry
+    lv: np.ndarray
+    rc: np.ndarray  # per row, the column and value of its fold(i + j) entry
+    rv: np.ndarray
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return len(self.lc)
+
+    @cached_property
+    def rows(self) -> SparseRows:
+        """The sorted tuple view of the arrays, derived on first use: as_lists reads it."""
+        return _sorted_rows(self.lc, self.lv, self.rc, self.rv)
 
     def as_lists(self) -> list[list[int]]:
         dense = [[0] * self.k for _ in self.rows]
@@ -72,15 +114,15 @@ class FrozenMatrix:
     def as_float(self) -> np.ndarray:
         """The dense float matrix: each row's two entries added into zeros, so a shared column sums as in as_lists."""
         dense = np.zeros((self.k, self.k))
-        for out, ((c1, v1), (c2, v2)) in zip(dense, self.rows):
-            out[c1] += v1
-            out[c2] += v2
+        i = np.arange(self.k)
+        dense[i, self.lc] = self.lv
+        dense[i, self.rc] += self.rv
         return dense
 
     @cached_property
     def orbit(self) -> Orbit:
-        """orbit(config), read on first use and kept: det_exact, rank and null_vector share it."""
-        return orbit(self.config)
+        """The orbit of these rows, read on first use and kept: det_exact, rank and null_vector share it."""
+        return _orbit(self.config, self.lc, self.lv, self.rc, self.rv)
 
     @property
     def null_vector(self) -> tuple[int, ...]:
@@ -96,23 +138,8 @@ class KernelDescriptor:
         return 1 if self.generator else 0
 
 
-def _family_rows(config: ProblemConfig) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Per row i, its fold(i - j) entry (1 if i < j, else c) and its fold(i + j) entry (d if i < k - j, else c).
-
-    fold(p) = p for p < k, else 2k - 1 - p, on p mod 2k.  2j > k raises ValueError (require_normalized).
-    """
-    require_normalized(config)
-    j, k = config.j, config.k
-    signs = sign_pair(config)
-    c, d = signs.c, signs.d
-    return [
-        ((j - 1 - i, 1) if i < j else (i - j, c), (i + j, d) if i < k - j else (2 * k - 1 - i - j, c))
-        for i in range(k)
-    ]
-
-
 def build_matrix(config: ProblemConfig) -> FrozenMatrix:
-    """Exact sparse rows of the k x k main-equation matrix, in O(k): _family_rows, sorted by column.
+    """Exact rows of the k x k main-equation matrix, in O(k): _fold_rule, in family order.
 
     The fold rule gives the paper's four families (1-based, m = i + 1)
       (i)   a[m, j-m+1] = 1   m = 1..j        (top-left antidiagonal)
@@ -123,29 +150,79 @@ def build_matrix(config: ProblemConfig) -> FrozenMatrix:
     so only at j = 0 (a = 0, k = 1), where the one row holds c and d in
     column 0.
     """
-    rows = tuple((left, right) if left[0] < right[0] else (right, left) for left, right in _family_rows(config))
-    return FrozenMatrix(config, rows)
+    return FrozenMatrix(config, *_family(config))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
-    """The one cycle of a coprime config's matrix, t = 0..k-1 (see orbit).
+    """The one cycle of each coprime config's matrix in a batch, t = 0..k-1 on the last axis (see orbit).
 
     Row r_t holds a_t in column c_t and b_t in column c_(t-1), c_(-1) =
-    c_(k-1); g_t = prod_{s<=t} (-a_s b_s); sign is sgn(sigma_a).
+    c_(k-1); g_t = prod_{s<=t} (-a_s b_s); sign is sgn(sigma_a).  One
+    config's orbit is a batch of one, with 1-D arrays and a scalar sign.
     """
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    a: tuple[int, ...]
-    g: tuple[int, ...]
-    sign: int
+    rows: np.ndarray
+    cols: np.ndarray
+    a: np.ndarray
+    g: np.ndarray
+    sign: np.ndarray | int
+
+    @property
+    def singular(self) -> np.ndarray:
+        """det = 0, i.e. g_(k-1) = +1."""
+        return self.g[..., -1] == 1
+
+    @property
+    def det(self) -> np.ndarray:
+        """sgn(sigma_a) prod(a) (1 - g_(k-1)): 0 or +-2, exact in int64."""
+        return self.sign * np.prod(self.a, axis=-1) * (1 - self.g[..., -1])
+
+    @property
+    def null_vectors(self) -> np.ndarray:
+        """X[c_t] = +-g_t with X[0] = +1: row r_t reads a_t g_t + b_t g_(t-1) = 0 where singular."""
+        x = np.empty_like(self.g)
+        x[_along_last(self.cols)] = self.g
+        return x * x[..., :1]
 
     @property
     def null_vector(self) -> tuple[int, ...]:
-        """X[c_t] = +-g_t with X[0] = +1: row r_t reads a_t g_t + b_t g_(t-1) = 0; () if regular."""
-        x = dict(zip(self.cols, self.g))
-        return tuple(x[0] * x[col] for col in range(len(x))) if self.g[-1] == 1 else ()
+        """One config's null_vectors as a tuple; () if regular."""
+        return tuple(self.null_vectors.tolist()) if self.singular else ()
+
+
+def _along_last(r: np.ndarray) -> tuple:
+    """The index that reads x[..., r[..., t]] for x of r's shape, one config (1-D) or a batch (2-D)."""
+    return (r,) if r.ndim == 1 else (np.arange(len(r))[:, None], r)
+
+
+def _orbits(j, k: int, lc, lv, rc, rv) -> Orbit:
+    """The orbits of a batch of coprime configs of one k, read off the fold rule's (..., k) arrays in one pass.
+
+    j is an int, or an array of one j per config of the batch.  One gather
+    along the orbit and one cumprod: -a_t b_t is minus the product of the
+    two entries of row r_t.  The positions 2jt < 2k^2 stay in int64 for k
+    below 2^31, which is checked.
+    """
+    if k >= 2**31:
+        raise ValueError(f"k={k} is too large for the orbit's int64 positions")
+    p = np.multiply.outer(-2 * j, np.arange(k)) % (2 * k)
+    low = p < k
+    at = _along_last(np.minimum(p, 2 * k - 1 - p))
+    g = np.cumprod(-(lv * rv)[at], axis=-1)
+    odd = ((j // 2) * (k - 1) + (j % 2) * ((k - 1) // 2)) % 2
+    return Orbit(at[-1], np.where(low, lc[at], rc[at]), np.where(low, lv[at], rv[at]), g, 1 - 2 * odd)
+
+
+def _orbit(config: ProblemConfig, lc, lv, rc, rv) -> Orbit:
+    """_orbits on one config's rows; a config past make_config with gcd(j, k) > 1 raises ValueError."""
+    j, k = config.j, config.k
+    if math.gcd(j, k) != 1:
+        raise ValueError(
+            f"gcd(j, k) = {math.gcd(j, k)} in {config}: only a coprime config's matrix is one orbit; "
+            f"make_config reduces it to {make_config(config.alpha, config.beta, j, k)}"
+        )
+    return _orbits(j, k, lc, lv, rc, rv)
 
 
 def orbit(config: ProblemConfig) -> Orbit:
@@ -174,25 +251,7 @@ def orbit(config: ProblemConfig) -> Orbit:
     config built past make_config with gcd(j, k) > 1 has several cycles
     and raises ValueError naming its reduced config.
     """
-    entries = _family_rows(config)
-    j, k = config.j, config.k
-    if math.gcd(j, k) != 1:
-        raise ValueError(
-            f"gcd(j, k) = {math.gcd(j, k)} in {config}: only a coprime config's matrix is one orbit; "
-            f"make_config reduces it to {make_config(config.alpha, config.beta, j, k)}"
-        )
-    rows, cols, a, g = [], [], [], []
-    p, sign = 0, 1
-    for _ in range(k):
-        r = p if p < k else 2 * k - 1 - p
-        (col, at), (_, bt) = entries[r] if p < k else entries[r][::-1]
-        sign *= -at * bt
-        rows.append(r)
-        cols.append(col)
-        a.append(at)
-        g.append(sign)
-        p = (p - 2 * j) % (2 * k)
-    return Orbit(tuple(rows), tuple(cols), tuple(a), tuple(g), (-1) ** ((j // 2) * (k - 1) + (j % 2) * ((k - 1) // 2)))
+    return _orbit(config, *_family(config))
 
 
 def _j1_signs(name: str, k: int, alpha: int, beta: int) -> SignPair:
@@ -312,6 +371,42 @@ def numeric_spectrum_j1(k: int, alpha: int, beta: int) -> list[complex]:
     return z.tolist()
 
 
+# Per flag pair of _FLAG_PAIRS, a column: its signs c, d
+_FLAG_SIGNS = np.array([(_SIGN_PAIRS[pair].c, _SIGN_PAIRS[pair].d) for pair in _FLAG_PAIRS]).T
+
+
+def _chebyshev_table() -> np.ndarray:
+    """Per flag pair of _FLAG_PAIRS, a column: the signs c, d of B and of Z_0, M's factor and 2c alpha."""
+    columns = []
+    for alpha, beta in _FLAG_PAIRS:
+        c = _SIGN_PAIRS[alpha, beta].c
+        b = _SIGN_PAIRS[1, 1 - beta if alpha == 0 else beta]
+        z0 = _SIGN_PAIRS[0, beta] if alpha == 0 else b
+        columns.append((b.c, b.d, z0.c, z0.d, -c if alpha == 0 else c, 2 * c * alpha))
+    return np.array(columns).T
+
+
+_CHEBYSHEV_TABLE = _chebyshev_table()
+
+
+def _chebyshev_start(k, f, i, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M, Z_0 and Z_-1 of the Chebyshev reduction (see reductions_j1) on stacked blocks, per row i of a block.
+
+    The block holds the k rows of the flag pair _FLAG_PAIRS[f] and starts
+    at row base of the stack.  Each result is a (4, n) int64 array of two
+    (col, value) pairs per row, (col, value, col, value) down its axis 0:
+    in M the col is the row of y it reads, as an index into the stack, and
+    Z_-1 is 0 (alpha = 0, both values 0) or 2c I (alpha = 1, the second
+    value 0).
+    """
+    bc, bd, zc, zd, s, diag = _CHEBYSHEV_TABLE[:, f]
+    blc, blv, brc, brv = _fold_rule(i, 1, k, bc, bd)
+    m = np.stack((base + blc, s * blv, base + brc, s * brv))
+    y = np.stack(_fold_rule(i, 1, k, zc, zd))
+    sub = np.stack((i, diag, i, np.zeros_like(i)))
+    return m, y, sub
+
+
 def reductions_j1(alpha: int, beta: int, k: int):
     """Yield (j, rows) for j = 1..k/2 from one run of the Chebyshev reduction.
 
@@ -323,70 +418,62 @@ def reductions_j1(alpha: int, beta: int, k: int):
     Z_{n+1} = M Z_n - Z_{n-1}, yielding Z_{j-1} from Z_0 = A1, Z_1 = M A1
     for alpha = 0, and c Z_j from c Z_0 = 2c I, c Z_1 = B for alpha = 1
     (c Z_n obeys the same recurrence).  c does not depend on j, so every j
-    is a prefix of one sequence.  M has two nonzeros per row, so a step is
-    two scaled sparse-row adds per row; each yielded Z_n has the two-per-row
-    pattern of build_matrix, so a step costs O(k).  M is an integer matrix
-    and nothing is divided, so every Z_n stays in Z.  rows are sparse rows
-    as in FrozenMatrix.rows; for gcd(j, k) = 1 they equal those of
-    build_matrix.
+    is a prefix of one sequence.  M has two nonzeros per row, so a step
+    (_mul_sub) is two scaled gathers of two-entry rows; each yielded Z_n
+    has the two-per-row pattern of build_matrix, so a step costs O(k).  M
+    is an integer matrix and nothing is divided, so every Z_n stays in Z.
+    This is the run on one block of _chebyshev_start, rows as
+    FrozenMatrix.rows; for gcd(j, k) = 1 they equal those of build_matrix.
     """
-    c = _j1_signs("reductions_j1", k, alpha, beta).c
-    b = build_matrix(make_config(1, 1 - beta if alpha == 0 else beta, 1, k)).rows
-    s = -c if alpha == 0 else c
-    m = [((p, s * u), (q, s * t)) for (p, u), (q, t) in b]
-    if alpha == 0:
-        prev, cur = [()] * k, build_matrix(make_config(0, beta, 1, k)).rows
-    else:
-        prev, cur = [((i, 2 * c),) for i in range(k)], b
+    _j1_signs("reductions_j1", k, alpha, beta)
+    i = np.arange(k)
+    m, y, sub = _chebyshev_start(k, np.full(k, _FLAG_PAIRS.index((alpha, beta))), i, 0 * i)
     for j in range(1, k // 2 + 1):
         if j > 1:
-            prev, cur = cur, _mul_sub(m, cur, prev)
-        yield j, tuple(cur)
+            sub, y = y, _mul_sub(m, y, sub)
+        yield j, _sorted_rows(*y)
 
 
-def _mul_sub(m, y, sub) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """M @ y - sub on two-entry sparse rows, with M given as ((col, value), (col, value)) per row.
+def _mul_sub(m, y, sub) -> np.ndarray:
+    """M @ y - sub on stacked two-entry rows, each a (4, n) int64 array of two (col, value) pairs per row.
 
-    Row i is s y[p] + t y[q] - sub[i], four terms read off the pairs of
-    y[p] and y[q].  Two of them cancel: against sub[i], or, in the first
-    step (where sub[i] has no entry for alpha = 0 and one for alpha = 1),
-    at the column y[p] and y[q] share.  Exactly one term of y[p] and one
-    of y[q] must remain; that, two entries in every row of M and y, and
-    no sub entry off the four columns are asserted.
+    Row i of m holds (p, s, q, t): row i of the result is s y[p] + t y[q]
+    - sub[i], four terms, p and q indices into y inside the row's own
+    block.  The two columns of a row of y differ (so do those the fold
+    rule gives, and those of every result below).  Each sub entry is taken
+    off y[p]'s term in its column if there is one, else off y[q]'s; then
+    y[q]'s term in a column of y[p] joins that term.  So two terms cancel,
+    against sub[i] or, in the first step (where sub[i] has no entry for
+    alpha = 0 and one for alpha = 1), at the column y[p] and y[q] share.
+    Exactly one term of y[p] and one of y[q] must remain; that, no nonzero
+    sub entry off the four columns and every entry in [-1, 1], the bound
+    that keeps the run exact in int64, are asserted.  The result holds
+    y[p]'s term, then y[q]'s.
     """
-    out = []
-    try:
-        for ((p, s), (q, t)), sub_row in zip(m, sub):
-            (a1, v1), (a2, v2) = y[p]
-            (b1, w1), (b2, w2) = y[q]
-            v1, v2, w1, w2 = s * v1, s * v2, t * w1, t * w2
-            for col, v in sub_row:
-                if col == a1:
-                    v1 -= v
-                elif col == a2:
-                    v2 -= v
-                elif col == b1:
-                    w1 -= v
-                elif col == b2:
-                    w2 -= v
-                else:
-                    raise AssertionError(f"a sub entry in column {col} is off the columns of M @ y")
-            if b1 == a1:
-                v1, w1 = v1 + w1, 0
-            elif b1 == a2:
-                v2, w1 = v2 + w1, 0
-            if b2 == a1:
-                v1, w2 = v1 + w2, 0
-            elif b2 == a2:
-                v2, w2 = v2 + w2, 0
-            if (not v1) == (not v2) or (not w1) == (not w2):
-                raise AssertionError(f"M @ y - sub keeps other than one term of y[{p}] and one of y[{q}]")
-            left = (a1, v1) if v1 else (a2, v2)
-            right = (b1, w1) if w1 else (b2, w2)
-            out.append((left, right) if left < right else (right, left))
-    except ValueError:
-        raise AssertionError("every row of M and of y must hold exactly two entries") from None
-    return out
+    yp, yq = y[:, m[0]], y[:, m[2]]
+    a, b = yp[0::2], yq[0::2]  # (2, n): the columns of y[p] and of y[q]
+    v, w = m[1] * yp[1::2], m[3] * yq[1::2]
+    for col, x in zip(sub[0::2], sub[1::2]):
+        in_a = col == a
+        in_b = (col == b) & ~(in_a[0] | in_a[1])
+        off = (x != 0) & ~(in_a[0] | in_a[1] | in_b[0] | in_b[1])
+        if off.any():
+            raise AssertionError(f"a sub entry in column {col[off][0]} is off the columns of M @ y")
+        v -= in_a * x
+        w -= in_b * x
+    for u in (0, 1):
+        same = b[u] == a
+        v += same * w[u]
+        w[u] *= ~(same[0] | same[1])
+    kv, kw = v != 0, w != 0
+    one = (kv[0] != kv[1]) & (kw[0] != kw[1])
+    if not one.all():
+        row = np.argmin(one)
+        raise AssertionError(f"M @ y - sub keeps other than one term of y[{m[0, row]}] and one of y[{m[2, row]}]")
+    top = max(np.abs(v).max(), np.abs(w).max())
+    if top > 1:
+        raise AssertionError(f"M @ y - sub holds an entry {top} in modulus, above the asserted bound 1")
+    return np.stack((np.where(kv[0], a[0], a[1]), v[0] + v[1], np.where(kw[0], b[0], b[1]), w[0] + w[1]))
 
 
 def reduce_to_j1(config: ProblemConfig) -> SparseRows:
@@ -394,6 +481,70 @@ def reduce_to_j1(config: ProblemConfig) -> SparseRows:
     require_normalized(config)
     _j1_signs("reduce_to_j1", config.k, config.alpha, config.beta)
     return next(rows for jj, rows in reductions_j1(config.alpha, config.beta, config.k) if jj == config.j)
+
+
+def _first_row(k):
+    """The first row of the blocks of k in _stack: four blocks of k' rows for each k' = 2..k-1 come before."""
+    return 2 * k * (k - 1) - 4
+
+
+def _stack(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of one block of k rows per (k, alpha, beta), k = 2..kmax, ordered by k and then the flags.
+
+    Returns the block's k and flag index, the row in its block and the
+    block's first row.  The 2 kmax (kmax + 1) - 4 rows are allocated
+    first, so numpy refuses a count past its index range before anything
+    else is allocated; a count the allocator refuses is a ValueError
+    naming kmax.
+    """
+    n = 2 * kmax * (kmax + 1) - 4
+    try:
+        row = np.arange(n)
+        k = np.repeat(np.arange(2, kmax + 1), 4 * np.arange(2, kmax + 1))
+        f, i = np.divmod(row - _first_row(k), k)
+        return k, f, i, row - i
+    except (MemoryError, ValueError):
+        raise ValueError(f"kmax={kmax} stacks {n} matrix rows, too many to allocate") from None
+
+
+_SHIFT = np.array([[1], [0], [1], [0]])  # the rows of M that index the stack
+
+
+def reductions_match(kmax: int) -> np.ndarray:
+    """match[k, f, j]: the Chebyshev reduction equals the fold rule for the config (*_FLAG_PAIRS[f], j, k).
+
+    One run of the reduction (see reductions_j1) steps the blocks of
+    _stack at once: the step to j takes the blocks with k >= 2j, the rows
+    from _first_row(2j) on, and compares each row with the fold rule at j,
+    its two entries in either order.  False where k < 2j.
+    """
+    k, f, i, base = _stack(kmax)
+    m, y, sub = _chebyshev_start(k, f, i, base)
+    c, d = _FLAG_SIGNS[:, f]
+    match = np.zeros((kmax + 1, 4, kmax // 2 + 1), dtype=bool)
+    top = 0  # the first row held
+    for j in range(1, kmax // 2 + 1):
+        cut = _first_row(2 * j) - top
+        top += cut
+        k, i, c, d, y, sub = k[cut:], i[cut:], c[cut:], d[cut:], y[:, cut:], sub[:, cut:]
+        m = m[:, cut:] - _SHIFT * cut
+        if j > 1:
+            sub, y = y, _mul_sub(m, y, sub)
+        fold = np.stack(_fold_rule(i, j, k, c, d))
+        same = (y == fold).all(axis=0) | (y == fold[[2, 3, 0, 1]]).all(axis=0)
+        match[2 * j :, :, j] = np.logical_and.reduceat(same, np.flatnonzero(i == 0)).reshape(-1, 4)
+    return match
+
+
+def orbits_of(k: int, js: list[int]) -> Orbit:
+    """The orbits of the configs (alpha, beta, j, k), flag pair by flag pair of _FLAG_PAIRS and j in js, coprime to k.
+
+    One _fold_rule and one _orbits over the whole batch.
+    """
+    flag = np.repeat(np.arange(4), len(js))
+    j = np.tile(js, 4)
+    c, d = _FLAG_SIGNS[:, flag, None]
+    return _orbits(j, k, *_fold_rule(np.arange(k), j[:, None], k, c, d))
 
 
 def kernel(config: ProblemConfig) -> KernelDescriptor:
@@ -409,23 +560,19 @@ def eigvec_j1(z, k: int, alpha: int, beta: int) -> np.ndarray:
     array.  One eigenvalue is the batch [z0] (any other shape of z is a
     ValueError), so a column has the same bits alone as in any batch.  The
     residual ||A x - z_i x||_inf <= 1e-9 ||x||_inf is checked a posteriori
-    per column on the sparse rows, each read as its two entries (any other
-    length is an AssertionError); a column that fails it, a non-finite z_i
-    included, means z_i was not an eigenvalue, a ValueError naming the first.
+    per column on the two entries of each row of build_matrix; a column
+    that fails it, a non-finite z_i included, means z_i was not an
+    eigenvalue, a ValueError naming the first.
     """
     s = _j1_signs("eigvec_j1", k, alpha, beta)
-    rows = build_matrix(make_config(alpha, beta, 1, k)).rows
-    try:
-        (c1, v1), (c2, v2) = np.array(rows).transpose(1, 2, 0)  # per pair, its k columns and k values
-    except ValueError:
-        raise AssertionError(f"a row of the j = 1 matrix for k={k} does not hold exactly two entries") from None
+    a = build_matrix(make_config(alpha, beta, 1, k))
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1:
         raise ValueError(f"z must be a 1-D array of eigenvalues, got shape {z.shape}")
     with np.errstate(all="ignore"):  # a non-finite z0 fails the residual test below, silently
         x = np.array(list(islice(three_term(z, np.ones_like(z), z - 1.0, s.c * s.d), k)))
         x = s.d ** np.arange(k)[:, None] * x  # row m is d^m q_m
-        resid = np.abs(v1[:, None] * x[c1] + v2[:, None] * x[c2] - z * x).max(axis=0)
+        resid = np.abs(a.lv[:, None] * x[a.lc] + a.rv[:, None] * x[a.rc] - z * x).max(axis=0)
         scale = np.abs(x).max(axis=0)
     failed = np.flatnonzero(~(resid <= 1e-9 * scale))
     if failed.size:
@@ -436,10 +583,9 @@ def eigvec_j1(z, k: int, alpha: int, beta: int) -> np.ndarray:
 
 def rank(matrix: FrozenMatrix) -> int:
     """Exact rank: k, less one when det = 0, i.e. g_(k-1) = +1 on the orbit."""
-    return matrix.k - (matrix.orbit.g[-1] == 1)
+    return matrix.k - bool(matrix.orbit.singular)
 
 
 def det_exact(matrix: FrozenMatrix) -> int:
     """Exact determinant, read off the orbit: sgn(sigma_a) prod(a) (1 - g_(k-1))."""
-    o = matrix.orbit
-    return o.sign * math.prod(o.a) * (1 - o.g[-1])
+    return int(matrix.orbit.det)

@@ -7,14 +7,16 @@ passed check yields ("", True) and formats nothing.  The
 ranges and tolerances: exact equality for the integer identities, 1e-9 for
 the closed-form spectra, 1e-14 * max(1, |W|) for the forward-map oracle.
 
-Within one sweeps() run each coprime config's matrix is built once: the
-Theorem 2 sweep builds it anyway, and records its (det, rank, kernel) for
-the Corollary 1/3 and Lemma 3 sweeps that follow; the record is dropped
-when the run ends.  What persists between runs does so by design: the
-stored Chebyshev runs (chebyshev._cheb_run) and j = 1 char-poly runs
+Within one sweeps() run no coprime config's matrix is built on its own:
+the Theorem 2 sweep runs the fold rule, the Chebyshev step and the orbit
+of frozen_matrix on int64 arrays that stack every (k, alpha, beta) block,
+and records each config's (det, rank, kernel) for the Corollary 1/3 and
+Lemma 3 sweeps that follow; the record is dropped when the run ends.
+What persists between runs does so by design: the stored Chebyshev runs
+(chebyshev._cheb_run) and j = 1 char-poly runs
 (frozen_matrix._char_poly_run), each grown to the highest degree asked
-for.  Every matrix lives only for its (k, alpha, beta) step.  The record
-is a required argument; given an empty one, each sweep builds what it reads.
+for.  The stacked rows live only for the Theorem 2 sweep.  The record is
+a required argument; given an empty one, each sweep builds what it reads.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .core_params import Kind, ProblemConfig, classify, coprime_configs, make_config
 from .frozen_matrix import (
+    _FLAG_PAIRS,
     build_matrix,
     char_poly_j1,
     det_closed_form,
@@ -33,15 +36,15 @@ from .frozen_matrix import (
     eigvec_j1,
     kernel_closed_form,
     numeric_spectrum_j1,
+    orbits_of,
     rank,
-    reductions_j1,
+    reductions_match,
     spectrum_closed_form,
     theorem1_poly,
 )
 from .interval_ops import GridFunction
 from .main_equation import forward_w_direct, forward_w_matrix
 
-_FLAGS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _CLOSED_FORM_FLAGS = ((0, 0), (1, 0), (1, 1))  # (0, 1) has no trigonometric spectrum
 _EIGVEC_KMAX = 16  # float checks on the j = 1 eigenvectors stop here
 _SPECTRUM_KMAX = 20  # Corollary 2 stops here, not for accuracy: perfbench's verify checker counts min(kmax, 20) k values
@@ -65,7 +68,7 @@ def match_multisets(a, b) -> float:
 
 def theorem1(kmax: int):
     """Theorem 1: the recurrence char poly equals the Chebyshev closed form."""
-    for alpha, beta in _FLAGS:
+    for alpha, beta in _FLAG_PAIRS:
         for k in range(2, kmax + 1):
             ok = char_poly_j1(k, alpha, beta).coeffs == theorem1_poly(k, alpha, beta).coeffs
             yield _PASS if ok else (f"theorem1 k={k} ({alpha},{beta})", False)
@@ -74,18 +77,21 @@ def theorem1(kmax: int):
 def theorem2(kmax: int, record: dict):
     """Theorem 2: the Chebyshev reduction to j = 1 equals the direct matrix.
 
-    One recurrence run per (k, alpha, beta) serves every coprime j.  Each
-    config's (det, rank, kernel) is stored in record for the sweeps that
-    follow.
+    reductions_match runs the reduction on every (k, alpha, beta) at once,
+    one step per j, and compares it with the fold rule; orbits_of reads
+    the orbits of each k's coprime configs in one pass, and each config's
+    (det, rank, kernel) is stored in record for the sweeps that follow.
+    The checks are yielded by k, flags and j.
     """
+    match = reductions_match(kmax).tolist()
     for k in range(2, kmax + 1):
-        for alpha, beta in _FLAGS:
-            for j, rows in reductions_j1(alpha, beta, k):
-                if math.gcd(j, k) == 1:
-                    cfg = ProblemConfig(alpha, beta, j, k)
-                    a = build_matrix(cfg)
-                    record[cfg] = det_exact(a), rank(a), a.null_vector
-                    yield _PASS if rows == a.rows else (f"theorem2 {cfg}", False)
+        js = [j for j in range(1, k // 2 + 1) if math.gcd(j, k) == 1]
+        configs = [ProblemConfig(alpha, beta, j, k) for alpha, beta in _FLAG_PAIRS for j in js]
+        o = orbits_of(k, js)
+        for cfg, det, singular, x in zip(configs, o.det.tolist(), o.singular.tolist(), o.null_vectors.tolist()):
+            record[cfg] = det, k - singular, tuple(x) if singular else ()
+        for b, cfg in enumerate(configs):
+            yield _PASS if match[k][b // len(js)][cfg.j] else (f"theorem2 {cfg}", False)
 
 
 def _recorded(cfg: ProblemConfig, record: dict) -> tuple[int, int, tuple[int, ...]]:
@@ -99,7 +105,7 @@ def corollaries_1_3(kmax_t1: int, kmax: int, record: dict):
     A determinant theorem2 recorded is read, not recomputed.
     """
     for k in range(2, kmax_t1 + 1):
-        for alpha, beta in _FLAGS:
+        for alpha, beta in _FLAG_PAIRS:
             det = _recorded(make_config(alpha, beta, 1, k), record)[0]
             yield _PASS if det == det_closed_form(k, alpha, beta) else (f"corollary1 k={k} ({alpha},{beta})", False)
     for cfg in coprime_configs(kmax):

@@ -129,11 +129,11 @@ def solve_inverse(
             "identically zero, so W determines nothing about the potential"
         )
     orb = orbit(config)
-    rows, cols, a, g = map(np.array, (orb.rows, orb.cols, orb.a, orb.g))
+    rows, cols, a, g = orb.rows, orb.cols, orb.a, orb.g
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by grid point
         rhs = 2.0 * (-1) ** (config.alpha * config.beta) * q_apply(w)
         p = np.cumsum((g * a)[:, None] * rhs[rows], axis=0)
-        if orb.g[-1] == 1:  # det = 0
+        if orb.singular:
             s = p[-1] / config.k
             resid = np.abs(s)
             p = p - np.arange(1, config.k + 1)[:, None] * s

@@ -183,15 +183,19 @@ def test_verify_exits_zero(capsys):
 
 
 def _broken_reduction():
-    from frozen_spectra import identities, make_config, reductions_j1
+    from frozen_spectra import frozen_matrix, make_config
 
     bad = make_config(1, 1, 2, 5)
+    step = frozen_matrix._mul_sub
 
-    def broken(alpha, beta, k):
-        for j, rows in reductions_j1(alpha, beta, k):
-            yield j, () if make_config(alpha, beta, j, k) == bad else rows
+    # the first step, to j = 2, holds the blocks with k >= 4, ordered by k and then the flags; (1, 1) is the fourth
+    def broken(m, y, sub):
+        z = step(m, y, sub)
+        if z.shape[1] == 4 * (4 + 5 + 6):
+            z[1, 4 * 4 + 3 * 5] *= -1
+        return z
 
-    return identities, "reductions_j1", broken, "theorem-2 matrix reduction: 23 checks passed, 1 failed", f"theorem2 {bad}"
+    return frozen_matrix, "_mul_sub", broken, "theorem-2 matrix reduction: 23 checks passed, 1 failed", f"theorem2 {bad}"
 
 
 def _broken_eigenvector():
@@ -234,6 +238,16 @@ def test_verify_reports_a_wrong_closed_form_kernel(capsys, monkeypatch):
     assert code == 4
     assert "[verify] lemma-2/3 kernels, ranks, eigenvectors: 148 checks passed, 1 failed\n" in out
     assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [f"lemma3 {bad}"]}}
+
+
+# the theorem-2 sweep stacks 2 kmax (kmax + 1) - 4 rows, past numpy's index range here: refused before it allocates
+def test_verify_with_a_kmax_too_large_to_stack_exits_3(capsys):
+    code, _, err = run(capsys, "verify", "--kmax", "3000000000", "--kmax-theorem1", "4", "--kmax-forward", "2")
+    assert code == 3
+    n = 2 * 3000000000 * 3000000001 - 4
+    assert json.loads(err) == {
+        "error": {"type": "ValueError", "message": f"kmax=3000000000 stacks {n} matrix rows, too many to allocate"}
+    }
 
 
 def test_unknown_subcommand_exit_code(capsys):

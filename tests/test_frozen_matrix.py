@@ -6,7 +6,6 @@ from numpy.polynomial.polynomial import polyval
 
 from conftest import coprime_configs, match_multisets
 from frozen_spectra import (
-    FrozenMatrix,
     GridFunction,
     Kind,
     ProblemConfig,
@@ -27,7 +26,7 @@ from frozen_spectra import (
     spectrum_closed_form,
     theorem1_poly,
 )
-from frozen_spectra import frozen_matrix
+from frozen_spectra import frozen_matrix, identities
 from frozen_spectra.frozen_matrix import KernelDescriptor, kernel_closed_form, orbit
 from frozen_spectra.chebyshev import matrix_poly_eval, scaled_cheb_int, three_term
 from frozen_spectra.intlinalg import bareiss_det, bareiss_rank, identity, mat_add, mat_scale, matmul
@@ -286,15 +285,39 @@ def test_orbit_refuses_a_config_past_make_config(beta):
         rank(build_matrix(ProblemConfig(0, 1, 0, 4)))  # a = 0 past make_config: four one-row cycles
 
 
+def _orbit_tuple(o, b=...):
+    """rows, cols, a and g of orbit b of a batch (of the one orbit by default) as tuples of ints."""
+    return tuple(tuple(x[b].tolist()) for x in (o.rows, o.cols, o.a, o.g))
+
+
 # the closed form against the generic walk of the built rows: one cycle, started at row 0 by the same edge, with the
-# same rows, columns, a, g, det and sgn(sigma_a), on every coprime config up to k = 80 and the four at a = 0
-def test_orbit_is_the_walk_of_the_built_rows():
+# same rows, columns, a, g, det and sgn(sigma_a), on every coprime config up to k = 80 and the four at a = 0; the
+# theorem-2 sweep's batch orbits, one pass per k over its coprime j and the four flag pairs, are the same walks
+def test_orbit_is_the_walk_of_the_built_rows(monkeypatch):
+    batches = {}
+    read = identities.orbits_of
+
+    def kept(k, js):
+        batches[k] = js, read(k, js)
+        return batches[k][1]
+
+    monkeypatch.setattr(identities, "orbits_of", kept)
+    for _ in identities.theorem2(80, {}):
+        pass
+    batch = {}
+    for k, (js, o) in batches.items():
+        configs = [ProblemConfig(alpha, beta, j, k) for alpha in (0, 1) for beta in (0, 1) for j in js]
+        for b, cfg in enumerate(configs):
+            batch[cfg] = int(o.sign[b]), _orbit_tuple(o, b), int(o.det[b])
+    assert set(batch) == set(coprime_configs(80))
     a0 = [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]
     for cfg in coprime_configs(80) + a0:
         a = build_matrix(cfg)
         sign, cycles = cycle_blocks(a.rows)
         o = a.orbit
-        assert o.sign == sign and cycles == [(o.rows, o.cols, o.a, o.g, sign * det_exact(a))], cfg
+        assert o.sign == sign and cycles == [(*_orbit_tuple(o), sign * det_exact(a))], cfg
+        if cfg in batch:
+            assert batch[cfg] == (sign, _orbit_tuple(o), det_exact(a)), cfg
 
 
 def test_eigvec_examples():
@@ -397,7 +420,7 @@ def test_a0_is_walked_as_a_one_row_cycle(alpha, beta):
     assert sorted(a.rows[0]) == sorted(((0, c), (0, d)))
     assert a.as_lists() == [[c + d]] == [[2 * c * alpha]]
     o = a.orbit
-    assert o.sign == 1 and (o.rows, o.cols, o.a, o.g) == ((0,), (0,), (c,), (-c * d,))
+    assert o.sign == 1 and _orbit_tuple(o) == ((0,), (0,), (c,), (-c * d,))
     assert det_exact(a) == c + d == bareiss_det(a.as_lists())
     assert (det_exact(a) == 0) == (classify(cfg).kind is Kind.DEGENERATE)
     ker = kernel(cfg)
@@ -437,13 +460,13 @@ def test_walk_oracle_rejects_other_patterns():
 
 def test_cycles_are_walked_once_per_matrix(monkeypatch):
     walks = []
-    walk = frozen_matrix.orbit
-    monkeypatch.setattr(frozen_matrix, "orbit", lambda cfg: walks.append(cfg) or walk(cfg))
+    walk = frozen_matrix._orbits
+    monkeypatch.setattr(frozen_matrix, "_orbits", lambda j, k, *rows: walks.append((j, k)) or walk(j, k, *rows))
     a = build_matrix(make_config(0, 0, 3, 8))
     assert (det_exact(a), rank(a), det_exact(a), rank(a), len(a.null_vector)) == (0, 7, 0, 7, 8)
-    assert walks == [a.config]
+    assert walks == [(3, 8)]
     b = build_matrix(make_config(0, 0, 3, 8))
-    assert rank(b) == 7 and walks == [a.config, b.config]
+    assert rank(b) == 7 and walks == [(3, 8), (3, 8)]
 
 
 def _dict_mul_sub(m, y, sub):
@@ -459,50 +482,53 @@ def _dict_mul_sub(m, y, sub):
     return out
 
 
-# every step of every run up to k = 40: every j, coprime or not, including the first step, whose sub rows have
-# no entry (alpha = 0) or one (alpha = 1)
+def _pairs(rows):
+    """A (4, n) int64 array of two (col, value) pairs per row as rows of pairs, the pairs with value 0 left out."""
+    return [tuple((col, v) for col, v in ((c0, v0), (c1, v1)) if v) for c0, v0, c1, v1 in rows.T.tolist()]
+
+
+def _stacked(rows):
+    """Rows of at most two (col, value) pairs as a (4, n) int64 array, a missing pair as (0, 0)."""
+    return np.array([[x for pair in row + ((0, 0),) * (2 - len(row)) for x in pair] for row in rows]).T
+
+
+# every step of the theorem-2 sweep up to kmax = 40, over the blocks of every (alpha, beta) and k <= 40 at once:
+# every j, coprime or not, including the first step, whose sub rows have no entry (alpha = 0) or one (alpha = 1)
 def test_mul_sub_matches_the_dict_step(monkeypatch):
     step = frozen_matrix._mul_sub
     rows = []
 
     def checked(m, y, sub):
         got = step(m, y, sub)
-        assert got == _dict_mul_sub(m, y, sub)
-        rows.append(len(got))
+        assert list(frozen_matrix._sorted_rows(*got)) == _dict_mul_sub(_pairs(m), _pairs(y), _pairs(sub))
+        assert np.abs(got[1::2]).max() == 1
+        rows.append(got.shape[1])
         return got
 
     monkeypatch.setattr(frozen_matrix, "_mul_sub", checked)
-    for k in range(2, 41):
-        for alpha in (0, 1):
-            for beta in (0, 1):
-                for _, z in reductions_j1(alpha, beta, k):
-                    assert all(len(row) == 2 for row in z)
+    assert all(ok for _, ok in identities.theorem2(40, {}))
     assert sum(rows) == 4 * sum(k * (k // 2 - 1) for k in range(2, 41))
     # no run takes the merge of y[q]'s second column into y[p]'s first: crafted rows do, once with the merged
-    # entry cancelling (y[p] keeps column 5) and once with sub cancelling column 5 (the merged entry stays)
-    y = [((2, 1), (5, 1)), ((0, 1), (2, 1))]
-    m = [((0, 1), (1, -1)), ((0, 1), (1, 1))]
-    sub = [(), ((5, 1),)]
-    assert step(m, y, sub) == _dict_mul_sub(m, y, sub) == [((0, -1), (5, 1)), ((0, 1), (2, 2))]
+    # entry cancelling (y[p] keeps column 5) and once with sub cancelling column 5 and taking one off the merged
+    # entry, which stays
+    y = _stacked([((2, 1), (5, 1)), ((0, 1), (2, 1))])
+    m = _stacked([((0, 1), (1, -1)), ((0, 1), (1, 1))])
+    sub = ((), ((2, 1), (5, 1)))
+    expected = [((0, -1), (5, 1)), ((0, 1), (2, 1))]
+    assert _dict_mul_sub(_pairs(m), _pairs(y), sub) == expected
+    assert list(frozen_matrix._sorted_rows(*step(m, y, _stacked(sub)))) == expected
 
 
-def test_pair_reads_reject_a_row_of_three(monkeypatch):
-    a = build_matrix(make_config(0, 1, 2, 5))
-    three = (a.rows[0] + ((4, 1),),) + a.rows[1:]  # a third nonzero in row 0
-    m = [tuple((col, -v) for col, v in row) for row in a.rows]
-    with pytest.raises(AssertionError):
-        frozen_matrix._mul_sub(m, three, a.rows)
-    with pytest.raises(AssertionError, match="exactly two entries"):  # row 1 reads y[0]
-        frozen_matrix._mul_sub(m, three, [()] * 5)
-    with pytest.raises(AssertionError):  # a sub entry off the four columns of the step
-        frozen_matrix._mul_sub(m, a.rows, [((3, 1), (4, 1))] * 5)
-    j1 = build_matrix(make_config(0, 0, 1, 3))
-    wide = FrozenMatrix(j1.config, (j1.rows[0] + ((2, 1),),) + j1.rows[1:])
-    monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: wide)
-    with pytest.raises(AssertionError):
-        eigvec_j1([0.0], 3, 0, 0)
-    with pytest.raises(AssertionError):
-        eigvec_j1([0.0, 1j], 3, 0, 0)
+def test_mul_sub_asserts_its_pattern_and_bound():
+    y = _stacked([((2, 1), (5, 1)), ((0, 1), (2, 1))])
+    m = _stacked([((0, 1), (1, -1)), ((0, 1), (1, 1))])
+    with pytest.raises(AssertionError, match="in modulus, above the asserted bound 1"):  # column 2 holds 2
+        frozen_matrix._mul_sub(m, y, _stacked(((), ((5, 1),))))
+    with pytest.raises(AssertionError, match="a sub entry in column 3 is off the columns"):
+        frozen_matrix._mul_sub(m, y, _stacked(((), ((3, 1),))))
+    # y[q]'s column 2 joins y[p]'s and sub takes off its column 0: y[q] keeps no term
+    with pytest.raises(AssertionError, match=r"keeps other than one term of y\[0\] and one of y\[1\]"):
+        frozen_matrix._mul_sub(m, y, _stacked(((), ((0, 1),))))
 
 
 def _sum_eigvec_j1(z0, k, alpha, beta):

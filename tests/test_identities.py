@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from frozen_spectra import GridFunction, IntPolynomial, frozen_matrix, identities, make_config
@@ -10,9 +11,9 @@ from frozen_spectra.core_params import ProblemConfig, coprime_configs
 # One broken ingredient per sweep; each is used by that sweep alone.
 BROKEN = {
     "theorem-1 polynomial identity": ("theorem1_poly", lambda k, a, b: IntPolynomial((1,))),
-    "theorem-2 matrix reduction": ("reductions_j1", lambda a, b, k: ((j, ()) for j in range(1, k // 2 + 1))),
+    "theorem-2 matrix reduction": ("reductions_match", lambda kmax: np.zeros((kmax + 1, 4, kmax // 2 + 1), dtype=bool)),
     "corollary-1/3 determinants": ("det_closed_form", lambda k, a, b: 7),
-    "lemma-2/3 kernels, ranks, eigenvectors": ("rank", lambda a: -1),
+    "lemma-2/3 kernels, ranks, eigenvectors": ("kernel_closed_form", lambda cfg: ()),
     "corollary-2 closed-form spectra": ("numeric_spectrum_j1", lambda k, a, b: [9.0] * k),
     "forward-map oracle": ("forward_w_matrix", lambda q, cfg: GridFunction(q.k, q.m, q.values)),
 }
@@ -66,23 +67,72 @@ def _consume(*ranges):
             pass
 
 
+# the theorem-2 sweep reads no matrix per config: one step per j over the blocks of every (k, alpha, beta), and the
+# record of every coprime config from one orbit pass per k
+def test_theorem2_steps_once_per_j_and_builds_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("theorem2 read a matrix per config")
+
+    for module, name in ((identities, "build_matrix"), (frozen_matrix, "build_matrix"), (frozen_matrix, "orbit"),
+                         (identities, "det_exact"), (identities, "rank")):
+        monkeypatch.setattr(module, name, refuse)
+    steps, passes = [], []
+    step, read = frozen_matrix._mul_sub, identities.orbits_of
+    monkeypatch.setattr(frozen_matrix, "_mul_sub", lambda m, y, sub: steps.append(y.shape[1]) or step(m, y, sub))
+    monkeypatch.setattr(identities, "orbits_of", lambda k, js: passes.append(k) or read(k, js))
+    record = {}
+    assert all(ok for _, ok in identities.theorem2(12, record))
+    # the step to j holds the blocks with k >= 2j
+    assert steps == [4 * sum(range(2 * j, 13)) for j in range(2, 7)]
+    assert passes == list(range(2, 13))
+    assert list(record) == sorted(coprime_configs(12), key=lambda cfg: (cfg.k, cfg.alpha, cfg.beta, cfg.j))
+
+
 # j = 1 configs with 12 < k <= 14 are no coprime config of kmax = 12: the corollary-1 sweep builds them itself
-def test_one_sweeps_run_builds_and_walks_each_coprime_matrix_once(monkeypatch):
-    built, walked = Counter(), Counter()
-    build, walk = identities.build_matrix, frozen_matrix.orbit
+def test_one_sweeps_run_builds_only_the_j1_matrices_past_kmax(monkeypatch):
+    built = Counter()
+    build = identities.build_matrix
     monkeypatch.setattr(identities, "build_matrix", lambda cfg: built.update([cfg]) or build(cfg))
-    monkeypatch.setattr(frozen_matrix, "orbit", lambda cfg: walked.update([cfg]) or walk(cfg))
     _consume(12, 14, 3)
-    once = Counter(coprime_configs(12) + [make_config(a, b, 1, k) for k in (13, 14) for a in (0, 1) for b in (0, 1)])
+    once = Counter(make_config(a, b, 1, k) for k in (13, 14) for a in (0, 1) for b in (0, 1))
     assert built == once
-    assert walked == once
     _consume(12, 14, 3)  # a second run keeps nothing of the first
     assert built == once + once
-    assert walked == once + once
 
 
-# the record of one run holds two ints per coprime config and no matrix: about 0.25 MB here, where a cache of every
-# matrix built reads about 2.5 MB
+# blocks are ordered by k and then the flags, and the step to j holds the blocks with k >= 2j: the step to j = 5
+# starts at the blocks of k = 10 and is the last of k = 11, so a sign flipped in block (0, 1) of k = 11 there fails
+# (0, 1, 5, 11) alone
+def test_one_corrupted_block_fails_its_config_alone(monkeypatch):
+    step = frozen_matrix._mul_sub
+    steps = []
+
+    def corrupted(m, y, sub):
+        z = step(m, y, sub)
+        steps.append(z)
+        if len(steps) == 4:  # the step to j = 5
+            z[1, frozen_matrix._first_row(11) + 11 - frozen_matrix._first_row(10)] *= -1
+        return z
+
+    monkeypatch.setattr(frozen_matrix, "_mul_sub", corrupted)
+    failed = [label for label, ok in identities.theorem2(12, {}) if not ok]
+    assert failed == [f"theorem2 {ProblemConfig(0, 1, 5, 11)}"]
+
+
+# the record of the batch orbits holds what the per-config reads give
+def test_theorem2_records_the_per_config_det_rank_and_kernel():
+    record = {}
+    for _ in identities.theorem2(80, record):
+        pass
+    assert len(record) == len(coprime_configs(80))
+    for cfg in coprime_configs(80):
+        a = frozen_matrix.build_matrix(cfg)
+        assert record[cfg] == (frozen_matrix.det_exact(a), frozen_matrix.rank(a), a.null_vector), cfg
+
+
+# the record of one run holds two ints and a kernel per coprime config and no matrix, and the theorem-2 run holds
+# (4, n) arrays of its n = 1856 stacked rows: about 0.7 MB at the peak here, where a cache of every matrix built reads
+# about 2.5 MB
 def test_a_sweeps_run_holds_no_matrix_beyond_its_step():
     _consume(6, 6, 3)  # warm the per-process caches (stored Chebyshev and char-poly runs)
     tracemalloc.start()
