@@ -48,7 +48,6 @@ from .frozen_matrix import (
     numeric_spectrum_j1,
     rank,
     reduce_to_j1,
-    reductions_j1,
     spectrum_closed_form,
     theorem1_poly,
 )

@@ -24,9 +24,9 @@ k rows: det, rank, the kernel and solve_inverse read it off the rows.  The
 fold rule, the orbit (_orbits) and the Chebyshev step (_mul_sub) each have
 one implementation, on int64 arrays whose entries stay in [-1, 1] (2 in
 the first Chebyshev sub), asserted where a step makes new ones.  A call
-for one config is a batch of one; identities.theorem2 runs them on every
-(k, alpha, beta) at once.  A FrozenMatrix keeps each row's two entries in
-family order; its sorted tuple view, rows, is derived on first use.
+for one config is a batch of one; identities runs them on every
+(k, alpha, beta) at once.  A FrozenMatrix is its four arrays, each row's
+two entries in family order; its dense forms are built from them.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ from .core_params import (
 )
 
 
-# Per row, its two entries as (col, value) pairs sorted by column; as_lists sums a shared column (a = 0).
-SparseRows = tuple[tuple[tuple[int, int], ...], ...]
-
 _FLAG_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the order of the flag pairs wherever all four are stacked or swept
 
 
@@ -79,10 +76,14 @@ def _family(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return _fold_rule(np.arange(config.k), config.j, config.k, s.c, s.d)
 
 
-def _sorted_rows(lc, lv, rc, rv) -> SparseRows:
-    """Per row, its two (col, value) pairs sorted by column, as Python ints."""
-    pairs = zip(zip(lc.tolist(), lv.tolist()), zip(rc.tolist(), rv.tolist()))
-    return tuple((left, right) if left[0] < right[0] else (right, left) for left, right in pairs)
+def _dense(lc, lv, rc, rv, dtype=float) -> np.ndarray:
+    """The dense matrix of rows of two entries each, added into zeros: a shared column (a = 0) sums."""
+    k = len(lc)
+    dense = np.zeros((k, k), dtype)
+    i = np.arange(k)
+    dense[i, lc] = lv
+    dense[i, rc] += rv
+    return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,34 +100,18 @@ class FrozenMatrix:
     def k(self) -> int:
         return len(self.lc)
 
-    @cached_property
-    def rows(self) -> SparseRows:
-        """The sorted tuple view of the arrays, derived on first use: as_lists reads it."""
-        return _sorted_rows(self.lc, self.lv, self.rc, self.rv)
-
     def as_lists(self) -> list[list[int]]:
-        dense = [[0] * self.k for _ in self.rows]
-        for out, row in zip(dense, self.rows):
-            for col, v in row:
-                out[col] += v
-        return dense
+        """The dense matrix as rows of Python ints."""
+        return _dense(self.lc, self.lv, self.rc, self.rv, np.int64).tolist()
 
     def as_float(self) -> np.ndarray:
-        """The dense float matrix: each row's two entries added into zeros, so a shared column sums as in as_lists."""
-        dense = np.zeros((self.k, self.k))
-        i = np.arange(self.k)
-        dense[i, self.lc] = self.lv
-        dense[i, self.rc] += self.rv
-        return dense
+        """The dense matrix as float64."""
+        return _dense(self.lc, self.lv, self.rc, self.rv)
 
     @cached_property
     def orbit(self) -> Orbit:
-        """The orbit of these rows, read on first use and kept: det_exact, rank and null_vector share it."""
-        return _orbit(self.config, self.lc, self.lv, self.rc, self.rv)
-
-    @property
-    def null_vector(self) -> tuple[int, ...]:
-        return self.orbit.null_vector
+        """orbit(config), read on first use and kept: det_exact and rank share it."""
+        return orbit(self.config)
 
 
 @dataclass(frozen=True)
@@ -214,17 +199,6 @@ def _orbits(j, k: int, lc, lv, rc, rv) -> Orbit:
     return Orbit(at[-1], np.where(low, lc[at], rc[at]), np.where(low, lv[at], rv[at]), g, 1 - 2 * odd)
 
 
-def _orbit(config: ProblemConfig, lc, lv, rc, rv) -> Orbit:
-    """_orbits on one config's rows; a config past make_config with gcd(j, k) > 1 raises ValueError."""
-    j, k = config.j, config.k
-    if math.gcd(j, k) != 1:
-        raise ValueError(
-            f"gcd(j, k) = {math.gcd(j, k)} in {config}: only a coprime config's matrix is one orbit; "
-            f"make_config reduces it to {make_config(config.alpha, config.beta, j, k)}"
-        )
-    return _orbits(j, k, lc, lv, rc, rv)
-
-
 def orbit(config: ProblemConfig) -> Orbit:
     """The row-column graph of a coprime config's matrix as one closed-form cycle, in O(k).
 
@@ -251,7 +225,14 @@ def orbit(config: ProblemConfig) -> Orbit:
     config built past make_config with gcd(j, k) > 1 has several cycles
     and raises ValueError naming its reduced config.
     """
-    return _orbit(config, *_family(config))
+    rows = _family(config)
+    j, k = config.j, config.k
+    if math.gcd(j, k) != 1:
+        raise ValueError(
+            f"gcd(j, k) = {math.gcd(j, k)} in {config}: only a coprime config's matrix is one orbit; "
+            f"make_config reduces it to {make_config(config.alpha, config.beta, j, k)}"
+        )
+    return _orbits(j, k, *rows)
 
 
 def _j1_signs(name: str, k: int, alpha: int, beta: int) -> SignPair:
@@ -390,7 +371,7 @@ _CHEBYSHEV_TABLE = _chebyshev_table()
 
 
 def _chebyshev_start(k, f, i, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M, Z_0 and Z_-1 of the Chebyshev reduction (see reductions_j1) on stacked blocks, per row i of a block.
+    """M, Z_0 and Z_-1 of the Chebyshev reduction (see reduce_to_j1) on stacked blocks, per row i of a block.
 
     The block holds the k rows of the flag pair _FLAG_PAIRS[f] and starts
     at row base of the stack.  Each result is a (4, n) int64 array of two
@@ -405,33 +386,6 @@ def _chebyshev_start(k, f, i, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     y = np.stack(_fold_rule(i, 1, k, zc, zd))
     sub = np.stack((i, diag, i, np.zeros_like(i)))
     return m, y, sub
-
-
-def reductions_j1(alpha: int, beta: int, k: int):
-    """Yield (j, rows) for j = 1..k/2 from one run of the Chebyshev reduction.
-
-    Theorem 2 builds the j > 1 matrix from j = 1 matrices:
-    alpha = 0:  U_{j-1}(-(c/2) B) * A1   with B the (1, 1-beta) matrix and
-                A1 the (0, beta) one;
-    alpha = 1:  2c T_j((c/2) B)         with B the (1, beta) matrix.
-    With M = -c B resp. c B, both are the matrix three-term recurrence
-    Z_{n+1} = M Z_n - Z_{n-1}, yielding Z_{j-1} from Z_0 = A1, Z_1 = M A1
-    for alpha = 0, and c Z_j from c Z_0 = 2c I, c Z_1 = B for alpha = 1
-    (c Z_n obeys the same recurrence).  c does not depend on j, so every j
-    is a prefix of one sequence.  M has two nonzeros per row, so a step
-    (_mul_sub) is two scaled gathers of two-entry rows; each yielded Z_n
-    has the two-per-row pattern of build_matrix, so a step costs O(k).  M
-    is an integer matrix and nothing is divided, so every Z_n stays in Z.
-    This is the run on one block of _chebyshev_start, rows as
-    FrozenMatrix.rows; for gcd(j, k) = 1 they equal those of build_matrix.
-    """
-    _j1_signs("reductions_j1", k, alpha, beta)
-    i = np.arange(k)
-    m, y, sub = _chebyshev_start(k, np.full(k, _FLAG_PAIRS.index((alpha, beta))), i, 0 * i)
-    for j in range(1, k // 2 + 1):
-        if j > 1:
-            sub, y = y, _mul_sub(m, y, sub)
-        yield j, _sorted_rows(*y)
 
 
 def _mul_sub(m, y, sub) -> np.ndarray:
@@ -476,11 +430,32 @@ def _mul_sub(m, y, sub) -> np.ndarray:
     return np.stack((np.where(kv[0], a[0], a[1]), v[0] + v[1], np.where(kw[0], b[0], b[1]), w[0] + w[1]))
 
 
-def reduce_to_j1(config: ProblemConfig) -> SparseRows:
-    """Sparse rows of the j > 1 matrix by the Chebyshev reduction (see reductions_j1)."""
+def reduce_to_j1(config: ProblemConfig) -> list[list[int]]:
+    """The dense rows of the j > 1 matrix by the Chebyshev reduction to j = 1, as FrozenMatrix.as_lists.
+
+    Theorem 2 builds the j > 1 matrix from j = 1 matrices:
+    alpha = 0:  U_{j-1}(-(c/2) B) * A1   with B the (1, 1-beta) matrix and
+                A1 the (0, beta) one;
+    alpha = 1:  2c T_j((c/2) B)         with B the (1, beta) matrix.
+    With M = -c B resp. c B, both are the matrix three-term recurrence
+    Z_{n+1} = M Z_n - Z_{n-1}, giving Z_{j-1} from Z_0 = A1, Z_1 = M A1
+    for alpha = 0, and c Z_j from c Z_0 = 2c I, c Z_1 = B for alpha = 1
+    (c Z_n obeys the same recurrence).  c does not depend on j, so every j
+    is a prefix of one sequence: _chebyshev_start and then j - 1 steps
+    (_mul_sub) on one block.  M has two nonzeros per row, so a step is two
+    scaled gathers of two-entry rows; each Z_n has the two-per-row pattern
+    of build_matrix, so a step costs O(k).  M is an integer matrix and
+    nothing is divided, so every Z_n stays in Z.  A step leaves each row's
+    entries in step order, not family order, so only the dense rows are
+    returned: an orbit read off them as a FrozenMatrix would be wrong.
+    """
     require_normalized(config)
     _j1_signs("reduce_to_j1", config.k, config.alpha, config.beta)
-    return next(rows for jj, rows in reductions_j1(config.alpha, config.beta, config.k) if jj == config.j)
+    k, i = config.k, np.arange(config.k)
+    m, y, sub = _chebyshev_start(k, np.full(k, _FLAG_PAIRS.index((config.alpha, config.beta))), i, 0 * i)
+    for _ in range(config.j - 1):
+        sub, y = y, _mul_sub(m, y, sub)
+    return _dense(*y, np.int64).tolist()
 
 
 def _first_row(k):
@@ -513,7 +488,7 @@ _SHIFT = np.array([[1], [0], [1], [0]])  # the rows of M that index the stack
 def reductions_match(kmax: int) -> np.ndarray:
     """match[k, f, j]: the Chebyshev reduction equals the fold rule for the config (*_FLAG_PAIRS[f], j, k).
 
-    One run of the reduction (see reductions_j1) steps the blocks of
+    One run of the reduction (see reduce_to_j1) steps the blocks of
     _stack at once: the step to j takes the blocks with k >= 2j, the rows
     from _first_row(2j) on, and compares each row with the fold rule at j,
     its two entries in either order.  False where k < 2j.

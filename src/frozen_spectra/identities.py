@@ -7,16 +7,18 @@ passed check yields ("", True) and formats nothing.  The
 ranges and tolerances: exact equality for the integer identities, 1e-9 for
 the closed-form spectra, 1e-14 * max(1, |W|) for the forward-map oracle.
 
-Within one sweeps() run no coprime config's matrix is built on its own:
-the Theorem 2 sweep runs the fold rule, the Chebyshev step and the orbit
-of frozen_matrix on int64 arrays that stack every (k, alpha, beta) block,
-and records each config's (det, rank, kernel) for the Corollary 1/3 and
-Lemma 3 sweeps that follow; the record is dropped when the run ends.
-What persists between runs does so by design: the stored Chebyshev runs
-(chebyshev._cheb_run) and j = 1 char-poly runs
+Within one sweeps() run no matrix is built for an exact check: the
+Theorem 2 sweep runs the fold rule and the Chebyshev step of
+frozen_matrix on int64 arrays that stack every (k, alpha, beta) block,
+and exact_record reads each config's (det, rank, kernel) off one orbit
+pass per k for the Corollary 1/3 and Lemma 3 sweeps, which require it;
+the record is dropped when the run ends.  The stacked rows live only
+while theorem2 is called, and sweeps() calls it before it builds the
+record, so a kmax too large to stack fails before anything is built or
+printed.  What persists between runs does so by design: the stored
+Chebyshev runs (chebyshev._cheb_run) and j = 1 char-poly runs
 (frozen_matrix._char_poly_run), each grown to the highest degree asked
-for.  The stacked rows live only for the Theorem 2 sweep.  The record is
-a required argument; given an empty one, each sweep builds what it reads.
+for.
 """
 
 from __future__ import annotations
@@ -29,15 +31,12 @@ import numpy as np
 from .core_params import Kind, ProblemConfig, classify, coprime_configs, make_config
 from .frozen_matrix import (
     _FLAG_PAIRS,
-    build_matrix,
     char_poly_j1,
     det_closed_form,
-    det_exact,
     eigvec_j1,
     kernel_closed_form,
     numeric_spectrum_j1,
     orbits_of,
-    rank,
     reductions_match,
     spectrum_closed_form,
     theorem1_poly,
@@ -74,52 +73,56 @@ def theorem1(kmax: int):
             yield _PASS if ok else (f"theorem1 k={k} ({alpha},{beta})", False)
 
 
-def theorem2(kmax: int, record: dict):
+def theorem2(kmax: int):
     """Theorem 2: the Chebyshev reduction to j = 1 equals the direct matrix.
 
     reductions_match runs the reduction on every (k, alpha, beta) at once,
-    one step per j, and compares it with the fold rule; orbits_of reads
-    the orbits of each k's coprime configs in one pass, and each config's
-    (det, rank, kernel) is stored in record for the sweeps that follow.
-    The checks are yielded by k, flags and j.
+    one step per j, and compares it with the fold rule.  It runs at the
+    call, so a kmax too large to stack raises here; the checks it returns
+    are yielded by k, flags and j.
     """
     match = reductions_match(kmax).tolist()
-    for k in range(2, kmax + 1):
-        js = [j for j in range(1, k // 2 + 1) if math.gcd(j, k) == 1]
+    return (
+        _PASS if match[k][f][j] else (f"theorem2 {ProblemConfig(*_FLAG_PAIRS[f], j, k)}", False)
+        for k in range(2, kmax + 1)
+        for f in range(4)
+        for j in range(1, k // 2 + 1)
+        if math.gcd(j, k) == 1
+    )
+
+
+def exact_record(kmax: int, kmax_t1: int) -> dict[ProblemConfig, tuple[int, int, tuple[int, ...]]]:
+    """(det, rank, kernel) of every coprime config with k <= kmax and every j = 1 config with k <= kmax_t1.
+
+    orbits_of reads the orbits of each k's configs in one pass, flags and
+    then j; the rank is k less one where the orbit is singular, and the
+    kernel its null vector, () if regular.
+    """
+    record = {}
+    for k in range(2, max(kmax, kmax_t1) + 1):
+        js = [j for j in range(1, k // 2 + 1) if math.gcd(j, k) == 1] if k <= kmax else [1]
         configs = [ProblemConfig(alpha, beta, j, k) for alpha, beta in _FLAG_PAIRS for j in js]
         o = orbits_of(k, js)
         for cfg, det, singular, x in zip(configs, o.det.tolist(), o.singular.tolist(), o.null_vectors.tolist()):
             record[cfg] = det, k - singular, tuple(x) if singular else ()
-        for b, cfg in enumerate(configs):
-            yield _PASS if match[k][b // len(js)][cfg.j] else (f"theorem2 {cfg}", False)
-
-
-def _recorded(cfg: ProblemConfig, record: dict) -> tuple[int, int, tuple[int, ...]]:
-    a = None if cfg in record else build_matrix(cfg)
-    return record[cfg] if a is None else (det_exact(a), rank(a), a.null_vector)
+    return record
 
 
 def corollaries_1_3(kmax_t1: int, kmax: int, record: dict):
-    """Corollary 1 (closed-form j = 1 determinants) and Corollary 3 (det = 0 iff degenerate).
-
-    A determinant theorem2 recorded is read, not recomputed.
-    """
+    """Corollary 1 (closed-form j = 1 determinants) and Corollary 3 (det = 0 iff degenerate), on exact_record's dets."""
     for k in range(2, kmax_t1 + 1):
         for alpha, beta in _FLAG_PAIRS:
-            det = _recorded(make_config(alpha, beta, 1, k), record)[0]
+            det = record[make_config(alpha, beta, 1, k)][0]
             yield _PASS if det == det_closed_form(k, alpha, beta) else (f"corollary1 k={k} ({alpha},{beta})", False)
     for cfg in coprime_configs(kmax):
         deg = classify(cfg).kind is Kind.DEGENERATE
-        yield _PASS if (_recorded(cfg, record)[0] == 0) == deg else (f"corollary3 {cfg}", False)
+        yield _PASS if (record[cfg][0] == 0) == deg else (f"corollary3 {cfg}", False)
 
 
 def lemmas_2_3(kmax: int, record: dict):
-    """Lemma 3 (the orbit's kernel is kernel_closed_form, rank k - dim) and Lemma 2 (the j = 1 eigenvectors).
-
-    A rank and kernel theorem2 recorded are read, not recomputed.
-    """
+    """Lemma 3 (exact_record's kernel is kernel_closed_form, rank k - dim) and Lemma 2 (the j = 1 eigenvectors)."""
     for cfg in coprime_configs(kmax):
-        _, r, x = _recorded(cfg, record)
+        _, r, x = record[cfg]
         ok = x == kernel_closed_form(cfg) and r == cfg.k - bool(x)
         yield _PASS if ok else (f"lemma3 {cfg}", False)
     for k in range(2, min(kmax, _EIGVEC_KMAX) + 1):
@@ -172,13 +175,15 @@ def forward_oracle(kmax: int):
 def sweeps(kmax: int, kmax_t1: int, kmax_fwd: int):
     """The `verify` blocks in print order, as (name, sweep) pairs.
 
-    The theorem-2 sweep records (det, rank, kernel) per coprime config in a
-    dict of this run, which the determinant and kernel sweeps read.
+    theorem2 is called first, so a kmax too large to stack raises before
+    the record is built; exact_record then builds the (det, rank, kernel)
+    record of this run, which the determinant and kernel sweeps read.
     """
-    record: dict[ProblemConfig, tuple[int, int, tuple[int, ...]]] = {}
+    reduction = theorem2(kmax)
+    record = exact_record(kmax, kmax_t1)
     return [
         ("theorem-1 polynomial identity", theorem1(kmax_t1)),
-        ("theorem-2 matrix reduction", theorem2(kmax, record)),
+        ("theorem-2 matrix reduction", reduction),
         ("corollary-1/3 determinants", corollaries_1_3(kmax_t1, kmax, record)),
         ("lemma-2/3 kernels, ranks, eigenvectors", lemmas_2_3(kmax, record)),
         ("corollary-2 closed-form spectra", corollary2(kmax)),

@@ -1,7 +1,8 @@
 """Generic oracles of the test suite, written without the structure they check.
 
 cycle_blocks walks the row-column graph of any sparse +-1 matrix with two
-entries per row and per column; frozen_matrix.orbit is held against it.
+entries per row and per column, given per row as (col, value) pairs;
+frozen_matrix.orbit is held against it.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ import math
 
 import numpy as np
 
-from frozen_spectra.frozen_matrix import SparseRows
-
 
 def inversion_sign(perm: list[int]) -> int:
     """Sign of a permutation of 0..n-1 as (-1)^(number of inversions), in O(n^2)."""
@@ -19,7 +18,7 @@ def inversion_sign(perm: list[int]) -> int:
     return -1 if np.triu(p[:, None] > p[None, :], 1).sum() % 2 else 1
 
 
-def cycle_blocks(rows: SparseRows) -> tuple[int, list[tuple]]:
+def cycle_blocks(rows) -> tuple[int, list[tuple]]:
     """sgn(sigma_a) and, per cycle of the row-column graph, its walk, sign product and block det.
 
     With exactly two +-1 entries per row and two nonzeros per column, both

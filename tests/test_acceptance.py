@@ -68,7 +68,7 @@ def test_criterion_01_theorem1_exactness():
 
 def test_criterion_02_theorem2_exactness():
     t0 = time.monotonic()
-    checks = _passed(identities.theorem2(24, {}))
+    checks = _passed(identities.theorem2(24))
     for cfg in coprime_configs(24):
         if cfg.j == 2:
             # the shared j = 2 identity: d A1^{(1,gamma)} A1 - 2 alpha c I
@@ -88,12 +88,12 @@ def test_criterion_02_theorem2_exactness():
 
 
 def test_criterion_03_corollaries_1_and_3():
-    checks = _passed(identities.corollaries_1_3(40, 24, {}))
+    checks = _passed(identities.corollaries_1_3(40, 24, identities.exact_record(24, 40)))
     _report(3, f"{checks} exact determinant checks")
 
 
 def test_criterion_04_lemmas_2_and_3():
-    checks = _passed(identities.lemmas_2_3(24, {}))
+    checks = _passed(identities.lemmas_2_3(24, identities.exact_record(24, 24)))
     for cfg in coprime_configs(24):
         if classify(cfg).kind is Kind.DEGENERATE:
             a = build_matrix(cfg).as_lists()

@@ -242,8 +242,8 @@ def test_verify_reports_a_wrong_closed_form_kernel(capsys, monkeypatch):
 
 # the theorem-2 sweep stacks 2 kmax (kmax + 1) - 4 rows, past numpy's index range here: refused before it allocates
 def test_verify_with_a_kmax_too_large_to_stack_exits_3(capsys):
-    code, _, err = run(capsys, "verify", "--kmax", "3000000000", "--kmax-theorem1", "4", "--kmax-forward", "2")
-    assert code == 3
+    code, out, err = run(capsys, "verify", "--kmax", "3000000000", "--kmax-theorem1", "4", "--kmax-forward", "2")
+    assert (code, out) == (3, "")  # refused before any block prints
     n = 2 * 3000000000 * 3000000001 - 4
     assert json.loads(err) == {
         "error": {"type": "ValueError", "message": f"kmax=3000000000 stacks {n} matrix rows, too many to allocate"}

@@ -21,7 +21,6 @@ from frozen_spectra import (
     make_config,
     normalize_to_half,
     numeric_spectrum_j1,
-    reductions_j1,
     sign_pair,
     spectrum_closed_form,
     theorem1_poly,
@@ -66,7 +65,6 @@ _FLAG_READERS = {
     "det_closed_form": lambda a, b: det_closed_form(3, a, b),
     "char_poly_j1": lambda a, b: char_poly_j1(3, a, b),
     "numeric_spectrum_j1": lambda a, b: numeric_spectrum_j1(3, a, b),
-    "reductions_j1": lambda a, b: next(reductions_j1(a, b, 3)),  # a generator checks on its first step
     "eigvec_j1": lambda a, b: eigvec_j1([0j], 3, a, b),
     "theorem1_poly": lambda a, b: theorem1_poly(3, a, b),
     "spectrum_closed_form": lambda a, b: spectrum_closed_form(3, a, b),

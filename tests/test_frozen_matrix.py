@@ -20,7 +20,6 @@ from frozen_spectra import (
     numeric_spectrum_j1,
     rank,
     reduce_to_j1,
-    reductions_j1,
     sign_pair,
     solve_inverse,
     spectrum_closed_form,
@@ -33,9 +32,13 @@ from frozen_spectra.intlinalg import bareiss_det, bareiss_rank, identity, mat_ad
 from dense_oracle import cycle_blocks
 
 
-def sparse(dense):
-    """Sparse rows of a dense integer matrix, as in FrozenMatrix.rows."""
-    return tuple(tuple((col, v) for col, v in enumerate(row) if v) for row in dense)
+def sorted_pairs(a):
+    """Per row of a FrozenMatrix, its two (col, value) pairs sorted by column, the fold(i + j) entry first on a tie.
+
+    The rows the walk oracle reads: at a = 0 the one row holds d, then c, so the walk's a-edge is c.
+    """
+    pairs = zip(zip(a.lc.tolist(), a.lv.tolist()), zip(a.rc.tolist(), a.rv.tolist()))
+    return tuple((left, right) if left[0] < right[0] else (right, left) for left, right in pairs)
 
 
 def test_build_matrix_displayed_pattern_3_7():
@@ -182,7 +185,7 @@ def test_reduce_to_j1_base_case_and_j2_identity():
         for a in (0, 1):
             for b in (0, 1):
                 cfg = make_config(a, b, 1, k)
-                assert reduce_to_j1(cfg) == build_matrix(cfg).rows
+                assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
     # j = 2: common form d A1^{(1,gamma)} A1^{(alpha,beta)} - 2 alpha c I
     for k in (5, 7, 9, 11):
         for a in (0, 1):
@@ -197,12 +200,12 @@ def test_reduce_to_j1_base_case_and_j2_identity():
                     mat_scale(d, matmul(m1, m2)), mat_scale(-2 * a * c, identity(k))
                 )
                 assert build_matrix(cfg).as_lists() == expected
-                assert reduce_to_j1(cfg) == sparse(expected)
+                assert reduce_to_j1(cfg) == expected
 
 
 def test_reduce_to_j1_full_sweep_k12():
     for cfg in coprime_configs(12):
-        assert reduce_to_j1(cfg) == build_matrix(cfg).rows
+        assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
 
 
 def test_reduce_to_j1_matches_monomial_horner_k16():
@@ -216,24 +219,23 @@ def test_reduce_to_j1_matches_monomial_horner_k16():
         else:
             b = build_matrix(make_config(1, cfg.beta, 1, cfg.k)).as_lists()
             expected = mat_scale(c, matrix_poly_eval(scaled_cheb_int("T", cfg.j), mat_scale(c, b)))
-        assert reduce_to_j1(cfg) == sparse(expected), cfg
+        assert reduce_to_j1(cfg) == expected, cfg
 
 
 @pytest.mark.parametrize("j", [2, 50])
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_reduce_to_j1_large_k(j, alpha, beta):
     cfg = make_config(alpha, beta, j, 101)
-    assert reduce_to_j1(cfg) == build_matrix(cfg).rows
+    assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
 
 
+# the one-block run of reduce_to_j1 and the stacked run of the theorem-2 sweep agree with the fold rule at every j
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_reductions_j1_one_run_serves_every_j_k101(alpha, beta):
-    yielded = list(reductions_j1(alpha, beta, 101))
-    assert [j for j, _ in yielded] == list(range(1, 51))
-    for j, rows in yielded:  # 101 is prime: every j is coprime
+def test_reduce_to_j1_serves_every_j_k101(alpha, beta):
+    for j in range(1, 51):  # 101 is prime: every j is coprime
         cfg = ProblemConfig(alpha, beta, j, 101)
-        assert rows == build_matrix(cfg).rows
-        assert reduce_to_j1(cfg) == rows
+        assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists(), j
+    assert frozen_matrix.reductions_match(101)[101, :, 1:].all()
 
 
 def test_kernel_vectors():
@@ -253,7 +255,7 @@ def test_kernel_and_rank_sweep():
         a = build_matrix(cfg)
         r = rank(a)
         assert sorted(a.orbit.rows) == list(range(cfg.k)), cfg  # one cycle through all k rows, so X has no zero entry
-        assert ker.generator == a.null_vector
+        assert ker.generator == a.orbit.null_vector
         if deg:
             assert ker.dimension == 1
             assert r == cfg.k - 1
@@ -269,12 +271,12 @@ def test_kernel_and_rank_sweep():
 @pytest.mark.parametrize("beta", [0, 1])
 def test_orbit_refuses_a_config_past_make_config(beta):
     cfg = ProblemConfig(0, beta, 2, 4)
-    assert [rows for rows, *_ in cycle_blocks(build_matrix(cfg).rows)[1]] == [(0, 3), (1, 2)]
+    assert [rows for rows, *_ in cycle_blocks(sorted_pairs(build_matrix(cfg)))[1]] == [(0, 3), (1, 2)]
     reduced = rf"^gcd\(j, k\) = 2 in {re.escape(repr(cfg))}: .* it to {re.escape(repr(ProblemConfig(0, beta, 1, 2)))}$"
     readers = (
         orbit,
         kernel,
-        lambda c: build_matrix(c).null_vector,
+        lambda c: build_matrix(c).orbit.null_vector,
         lambda c: det_exact(build_matrix(c)),
         lambda c: solve_inverse(GridFunction.zeros(4, 8), c),
     )
@@ -292,7 +294,7 @@ def _orbit_tuple(o, b=...):
 
 # the closed form against the generic walk of the built rows: one cycle, started at row 0 by the same edge, with the
 # same rows, columns, a, g, det and sgn(sigma_a), on every coprime config up to k = 80 and the four at a = 0; the
-# theorem-2 sweep's batch orbits, one pass per k over its coprime j and the four flag pairs, are the same walks
+# record's batch orbits, one pass per k over its coprime j and the four flag pairs, are the same walks
 def test_orbit_is_the_walk_of_the_built_rows(monkeypatch):
     batches = {}
     read = identities.orbits_of
@@ -302,8 +304,7 @@ def test_orbit_is_the_walk_of_the_built_rows(monkeypatch):
         return batches[k][1]
 
     monkeypatch.setattr(identities, "orbits_of", kept)
-    for _ in identities.theorem2(80, {}):
-        pass
+    identities.exact_record(80, 2)
     batch = {}
     for k, (js, o) in batches.items():
         configs = [ProblemConfig(alpha, beta, j, k) for alpha in (0, 1) for beta in (0, 1) for j in js]
@@ -313,7 +314,7 @@ def test_orbit_is_the_walk_of_the_built_rows(monkeypatch):
     a0 = [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]
     for cfg in coprime_configs(80) + a0:
         a = build_matrix(cfg)
-        sign, cycles = cycle_blocks(a.rows)
+        sign, cycles = cycle_blocks(sorted_pairs(a))
         o = a.orbit
         assert o.sign == sign and cycles == [(*_orbit_tuple(o), sign * det_exact(a))], cfg
         if cfg in batch:
@@ -382,7 +383,6 @@ _J1_HELPERS = {
     "numeric_spectrum_j1": lambda k: numeric_spectrum_j1(k, 0, 1),
     "theorem1_poly": lambda k: theorem1_poly(k, 0, 1),
     "spectrum_closed_form": lambda k: spectrum_closed_form(k, 1, 1),
-    "reductions_j1": lambda k: next(reductions_j1(0, 0, k)),  # a generator checks k on its first step
     "reduce_to_j1": lambda k: reduce_to_j1(make_config(1, 0, 0, k)),
     "eigvec_j1": lambda k: eigvec_j1([0j], k, 0, 0),
 }
@@ -417,14 +417,14 @@ def test_a0_is_walked_as_a_one_row_cycle(alpha, beta):
     a = build_matrix(cfg)
     s = sign_pair(cfg)
     c, d = s.c, s.d
-    assert sorted(a.rows[0]) == sorted(((0, c), (0, d)))
+    assert (a.lc.tolist(), a.lv.tolist(), a.rc.tolist(), a.rv.tolist()) == ([0], [c], [0], [d])
     assert a.as_lists() == [[c + d]] == [[2 * c * alpha]]
     o = a.orbit
     assert o.sign == 1 and _orbit_tuple(o) == ((0,), (0,), (c,), (-c * d,))
     assert det_exact(a) == c + d == bareiss_det(a.as_lists())
     assert (det_exact(a) == 0) == (classify(cfg).kind is Kind.DEGENERATE)
     ker = kernel(cfg)
-    assert ker.generator == a.null_vector == kernel_closed_form(cfg) == ((1,) if alpha == 0 else ())
+    assert ker.generator == o.null_vector == kernel_closed_form(cfg) == ((1,) if alpha == 0 else ())
     assert rank(a) == 1 - ker.dimension == bareiss_rank(a.as_lists())
 
 
@@ -448,11 +448,11 @@ def test_cycle_det_and_rank_match_bareiss():
 # det_exact and rank read the orbit off the config, not the rows, so the rows that break the pattern are the
 # walk oracle's to refuse
 def test_walk_oracle_rejects_other_patterns():
-    a = build_matrix(make_config(0, 1, 2, 5))
-    three = (a.rows[0] + ((4, 1),),) + a.rows[1:]  # a third nonzero in row 0
+    rows = sorted_pairs(build_matrix(make_config(0, 1, 2, 5)))
+    three = (rows[0] + ((4, 1),),) + rows[1:]  # a third nonzero in row 0
     lone = (((0, 1), (1, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1)))  # column 0 has one nonzero
-    (col, _), right = a.rows[0]
-    two = (((col, 2), right),) + a.rows[1:]  # an entry 2: det = prod(a) (1 - g_(L-1)) holds for +-1 entries only
+    (col, _), right = rows[0]
+    two = (((col, 2), right),) + rows[1:]  # an entry 2: det = prod(a) (1 - g_(L-1)) holds for +-1 entries only
     for rows in (three, lone, two):
         with pytest.raises(AssertionError):
             cycle_blocks(rows)
@@ -463,7 +463,7 @@ def test_cycles_are_walked_once_per_matrix(monkeypatch):
     walk = frozen_matrix._orbits
     monkeypatch.setattr(frozen_matrix, "_orbits", lambda j, k, *rows: walks.append((j, k)) or walk(j, k, *rows))
     a = build_matrix(make_config(0, 0, 3, 8))
-    assert (det_exact(a), rank(a), det_exact(a), rank(a), len(a.null_vector)) == (0, 7, 0, 7, 8)
+    assert (det_exact(a), rank(a), det_exact(a), rank(a), len(a.orbit.null_vector)) == (0, 7, 0, 7, 8)
     assert walks == [(3, 8)]
     b = build_matrix(make_config(0, 0, 3, 8))
     assert rank(b) == 7 and walks == [(3, 8), (3, 8)]
@@ -500,13 +500,13 @@ def test_mul_sub_matches_the_dict_step(monkeypatch):
 
     def checked(m, y, sub):
         got = step(m, y, sub)
-        assert list(frozen_matrix._sorted_rows(*got)) == _dict_mul_sub(_pairs(m), _pairs(y), _pairs(sub))
+        assert [tuple(sorted(row)) for row in _pairs(got)] == _dict_mul_sub(_pairs(m), _pairs(y), _pairs(sub))
         assert np.abs(got[1::2]).max() == 1
         rows.append(got.shape[1])
         return got
 
     monkeypatch.setattr(frozen_matrix, "_mul_sub", checked)
-    assert all(ok for _, ok in identities.theorem2(40, {}))
+    assert all(ok for _, ok in identities.theorem2(40))
     assert sum(rows) == 4 * sum(k * (k // 2 - 1) for k in range(2, 41))
     # no run takes the merge of y[q]'s second column into y[p]'s first: crafted rows do, once with the merged
     # entry cancelling (y[p] keeps column 5) and once with sub cancelling column 5 and taking one off the merged
@@ -516,7 +516,7 @@ def test_mul_sub_matches_the_dict_step(monkeypatch):
     sub = ((), ((2, 1), (5, 1)))
     expected = [((0, -1), (5, 1)), ((0, 1), (2, 1))]
     assert _dict_mul_sub(_pairs(m), _pairs(y), sub) == expected
-    assert list(frozen_matrix._sorted_rows(*step(m, y, _stacked(sub)))) == expected
+    assert [tuple(sorted(row)) for row in _pairs(step(m, y, _stacked(sub)))] == expected
 
 
 def test_mul_sub_asserts_its_pattern_and_bound():
@@ -536,7 +536,7 @@ def _sum_eigvec_j1(z0, k, alpha, beta):
     a = build_matrix(make_config(alpha, beta, 1, k))
     z, s = complex(z0), sign_pair(a.config)
     x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
-    resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(a.rows, x))
+    resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(sorted_pairs(a), x))
     scale = max(map(abs, x))
     if resid > 1e-9 * scale:
         raise ValueError(f"z0={z0} is not an eigenvalue: residual {resid:.3e} vs scale {scale:.3e}")

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -67,37 +66,54 @@ def _consume(*ranges):
             pass
 
 
-# the theorem-2 sweep reads no matrix per config: one step per j over the blocks of every (k, alpha, beta), and the
-# record of every coprime config from one orbit pass per k
-def test_theorem2_steps_once_per_j_and_builds_no_matrix(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("theorem2 read a matrix per config")
+def _refuse(*args):
+    raise AssertionError("a sweep read a matrix or an orbit it should not")
 
+
+# the theorem-2 sweep reads no matrix and no orbit: one step per j over the blocks of every (k, alpha, beta)
+def test_theorem2_steps_once_per_j_and_builds_no_matrix(monkeypatch):
     for module, name in ((identities, "build_matrix"), (frozen_matrix, "build_matrix"), (frozen_matrix, "orbit"),
-                         (identities, "det_exact"), (identities, "rank")):
-        monkeypatch.setattr(module, name, refuse)
-    steps, passes = [], []
-    step, read = frozen_matrix._mul_sub, identities.orbits_of
+                         (identities, "det_exact"), (identities, "rank"), (identities, "orbits_of")):
+        monkeypatch.setattr(module, name, _refuse, raising=False)
+    steps = []
+    step = frozen_matrix._mul_sub
     monkeypatch.setattr(frozen_matrix, "_mul_sub", lambda m, y, sub: steps.append(y.shape[1]) or step(m, y, sub))
-    monkeypatch.setattr(identities, "orbits_of", lambda k, js: passes.append(k) or read(k, js))
-    record = {}
-    assert all(ok for _, ok in identities.theorem2(12, record))
+    checks = list(identities.theorem2(12))
+    assert checks == [("", True)] * len(coprime_configs(12))
     # the step to j holds the blocks with k >= 2j
     assert steps == [4 * sum(range(2 * j, 13)) for j in range(2, 7)]
-    assert passes == list(range(2, 13))
-    assert list(record) == sorted(coprime_configs(12), key=lambda cfg: (cfg.k, cfg.alpha, cfg.beta, cfg.j))
 
 
-# j = 1 configs with 12 < k <= 14 are no coprime config of kmax = 12: the corollary-1 sweep builds them itself
-def test_one_sweeps_run_builds_only_the_j1_matrices_past_kmax(monkeypatch):
-    built = Counter()
-    build = identities.build_matrix
-    monkeypatch.setattr(identities, "build_matrix", lambda cfg: built.update([cfg]) or build(cfg))
-    _consume(12, 14, 3)
-    once = Counter(make_config(a, b, 1, k) for k in (13, 14) for a in (0, 1) for b in (0, 1))
-    assert built == once
-    _consume(12, 14, 3)  # a second run keeps nothing of the first
-    assert built == once + once
+# a sweeps run reads det, rank and kernel off one orbits_of pass per k, up to the larger of kmax and kmax_t1, and
+# builds no matrix for them: frozen_matrix.build_matrix, counted and not refused, serves only the float j = 1 checks
+# (Lemma 2's residual and Corollary 2's eigvals) of the three closed-form flag pairs up to kmax
+@pytest.mark.parametrize("kmax,kmax_t1", [(12, 14), (14, 12)])
+def test_a_sweeps_run_builds_no_matrix(monkeypatch, kmax, kmax_t1):
+    for module, name in ((identities, "build_matrix"), (identities, "det_exact"), (identities, "rank"),
+                         (frozen_matrix, "det_exact"), (frozen_matrix, "rank"), (frozen_matrix, "orbit")):
+        monkeypatch.setattr(module, name, _refuse, raising=False)
+    built, passes = [], []
+    build, read = frozen_matrix.build_matrix, identities.orbits_of
+    monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: built.append(cfg) or build(cfg))
+    monkeypatch.setattr(identities, "orbits_of", lambda k, js: passes.append(k) or read(k, js))
+    _consume(kmax, kmax_t1, 3)
+    assert passes == list(range(2, 15))
+    assert set(built) == {ProblemConfig(a, b, 1, k) for k in range(2, kmax + 1) for a, b in ((0, 0), (1, 0), (1, 1))}
+
+
+# a kmax too large to stack is refused when sweeps() is called, before the record reads an orbit: orbits_of is
+# refused here, so a record built first fails at k = 2 instead of running toward k = 3e9
+def test_sweeps_runs_the_stack_guard_before_the_record(monkeypatch):
+    monkeypatch.setattr(identities, "orbits_of", _refuse)
+    with pytest.raises(ValueError, match=r"^kmax=3000000000 stacks 18000000005999999996 matrix rows, too many to"):
+        identities.sweeps(3_000_000_000, 4, 2)
+
+
+@pytest.mark.parametrize("kmax,kmax_t1", [(12, 14), (14, 12), (2, 2)])
+def test_exact_record_holds_the_coprime_and_j1_configs(kmax, kmax_t1):
+    j1 = [ProblemConfig(a, b, 1, k) for k in range(kmax + 1, kmax_t1 + 1) for a in (0, 1) for b in (0, 1)]
+    expected = sorted(coprime_configs(kmax) + j1, key=lambda cfg: (cfg.k, cfg.alpha, cfg.beta, cfg.j))
+    assert list(identities.exact_record(kmax, kmax_t1)) == expected
 
 
 # blocks are ordered by k and then the flags, and the step to j holds the blocks with k >= 2j: the step to j = 5
@@ -115,19 +131,18 @@ def test_one_corrupted_block_fails_its_config_alone(monkeypatch):
         return z
 
     monkeypatch.setattr(frozen_matrix, "_mul_sub", corrupted)
-    failed = [label for label, ok in identities.theorem2(12, {}) if not ok]
+    failed = [label for label, ok in identities.theorem2(12) if not ok]
     assert failed == [f"theorem2 {ProblemConfig(0, 1, 5, 11)}"]
 
 
 # the record of the batch orbits holds what the per-config reads give
-def test_theorem2_records_the_per_config_det_rank_and_kernel():
-    record = {}
-    for _ in identities.theorem2(80, record):
-        pass
-    assert len(record) == len(coprime_configs(80))
-    for cfg in coprime_configs(80):
+def test_exact_record_holds_the_per_config_det_rank_and_kernel():
+    record = identities.exact_record(80, 90)
+    j1 = [make_config(a, b, 1, k) for k in range(81, 91) for a in (0, 1) for b in (0, 1)]
+    assert len(record) == len(coprime_configs(80)) + len(j1)
+    for cfg in coprime_configs(80) + j1:
         a = frozen_matrix.build_matrix(cfg)
-        assert record[cfg] == (frozen_matrix.det_exact(a), frozen_matrix.rank(a), a.null_vector), cfg
+        assert record[cfg] == (frozen_matrix.det_exact(a), frozen_matrix.rank(a), a.orbit.null_vector), cfg
 
 
 # the record of one run holds two ints and a kernel per coprime config and no matrix, and the theorem-2 run holds
