@@ -1,9 +1,10 @@
 """Chebyshev polynomials and the library's one three-term recurrence.
 
-three_term runs y_{n+1} = z y_n - c y_{n-1}, z a polynomial or a number; a
-StoredRun keeps one run's terms and reads them by index, one step per new
-degree.  T_n and U_n are one run each of Y_{n+1} = 2z Y_n - Y_{n-1} from
-Y_0 = 1, Y_1 = z (T) or 2z (U), in Python ints that never touch floats.
+three_term runs y_{n+1} = z y_n - c y_{n-1}, z a polynomial, a number or
+an array; a StoredRun keeps one run's terms and reads them by index, one
+step per new degree.  T_n and U_n are one run each of
+Y_{n+1} = 2z Y_n - Y_{n-1} from Y_0 = 1, Y_1 = z (T) or 2z (U), in Python
+ints that never touch floats.
 The rescaled variants 2*T_n(x/2), U_n(x/2) divide coefficient m by 2^m, and
 their imaginary-argument counterparts i^n*U_n(x/(2i)), 2*i^n*T_n(x/(2i))
 multiply that by i^(n-m); all have integer coefficients, which is what
@@ -15,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, zip_longest
+
+import numpy as np
 
 from .intlinalg import IntMatrix, identity, mat_add, mat_scale, matmul
 
@@ -62,17 +65,24 @@ ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
 
 
-def three_term(z, y0, y1, c: int):
-    """y_0, y_1, ... of y_{n+1} = z y_n - c y_{n-1}, each computed when read; z is X, 2X or a number.
+def three_term(z, y0, y1, c):
+    """y_0, y_1, ... of y_{n+1} = z y_n - c y_{n-1}, each computed when read; z is X, 2X, a number or an array.
 
-    With c = 1 (the Chebyshev runs) y_{n-1} is subtracted as it is, not
-    through a copy scaled by 1.
+    c is an int, or an int array of one c per row of stacked runs.  Where
+    c = 1 (the Chebyshev runs) y_{n-1} is subtracted as it is, not through
+    a copy scaled by 1, which on complex floats can flip a zero's sign or
+    turn an infinity into nan: a stacked row keeps the bits of its run alone.
     """
+    if isinstance(c, np.ndarray):
+        one = c == 1
+        scaled = lambda y: np.where(one, y, c * y)
+    else:
+        scaled = (lambda y: y) if c == 1 else (lambda y: c * y)
     prev, cur = y0, y1
     yield prev
     while True:
         yield cur
-        prev, cur = cur, z * cur - (prev if c == 1 else c * prev)
+        prev, cur = cur, z * cur - scaled(prev)
 
 
 class StoredRun:

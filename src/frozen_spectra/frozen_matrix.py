@@ -8,12 +8,16 @@ from one stored run of the tridiagonal j = 1 recurrence per (alpha, beta),
 which steps only past the largest k read so far, closed-form
 determinants and kernel vectors, and the Chebyshev reduction of j > 1 to
 j = 1.  Floats appear only in the j = 1 eigenvalues, LAPACK's eigvals of
-the built matrix with the zero count read exactly off the characteristic
-polynomial, and in the j = 1 eigenvectors, the same recurrence run on the
-eigenvalue vector, one run per spectrum.  Every j = 1 helper enters
-through one guard, _j1_signs; the signs c, d are read from core_params
-only, and a FrozenMatrix holds no copy.  No j = 1 matrix is cached: each
-call runs the fold rule on the rows it reads, in O(k).
+the fold rule's dense rows with the zero count read exactly off the
+characteristic polynomial, and in the j = 1 eigenvectors, the same
+recurrence run on the eigenvalue array.  Each runs on several flag pairs
+at once (numeric_spectra_j1, eigvecs_j1): one fold rule, one eigvals call
+or one recurrence pass, with the signs as a column per pair, and each row
+has the bits of its pair alone.  numeric_spectrum_j1 and eigvec_j1 are
+their batch of one, behind one guard, _j1_signs, as every public j = 1
+helper is; the signs c, d are read from core_params only, and a
+FrozenMatrix holds no copy.  No j = 1 matrix is cached or built as a
+FrozenMatrix: each call runs the fold rule on the rows it reads, in O(k).
 
 Every main-equation matrix is a signed sum of two permutations: two
 entries per row and per column, both in column 0 at a = 0 (k = 1).  On the
@@ -54,6 +58,8 @@ from .core_params import (
 
 
 _FLAG_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the order of the flag pairs wherever all four are stacked or swept
+# Per flag pair of _FLAG_PAIRS, a column: its signs c, d
+_FLAG_SIGNS = np.array([(_SIGN_PAIRS[pair].c, _SIGN_PAIRS[pair].d) for pair in _FLAG_PAIRS]).T
 
 
 def _fold_rule(i, j, k, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -77,13 +83,22 @@ def _family(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def _dense(lc, lv, rc, rv, dtype=float) -> np.ndarray:
-    """The dense matrix of rows of two entries each, added into zeros: a shared column (a = 0) sums."""
-    k = len(lc)
-    dense = np.zeros((k, k), dtype)
+    """The dense matrix of k rows of two entries each, added into zeros: a shared column (a = 0) sums.
+
+    (n, k) values give a stack of n matrices, their columns (n, k) or one (k,) for all.
+    """
+    k = lv.shape[-1]
     i = np.arange(k)
-    dense[i, lc] = lv
-    dense[i, rc] += rv
+    at = (i,) if lv.ndim == 1 else (np.arange(len(lv))[:, None], i)
+    dense = np.zeros(lv.shape + (k,), dtype)
+    dense[(*at, lc)] = lv
+    dense[(*at, rc)] += rv
     return dense
+
+
+def _pair_signs(pairs) -> np.ndarray:
+    """The signs c, d of each flag pair of pairs, as two (len(pairs), 1) columns of _FLAG_SIGNS."""
+    return _FLAG_SIGNS[:, [_FLAG_PAIRS.index(pair) for pair in pairs], None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,28 +347,35 @@ def spectrum_closed_form(k: int, alpha: int, beta: int) -> list[complex]:
 
 
 def numeric_spectrum_j1(k: int, alpha: int, beta: int) -> list[complex]:
-    """Numeric eigenvalues of the j = 1 matrix: LAPACK's eigvals of the built matrix, exact zeros.
+    """Numeric eigenvalues of the j = 1 matrix, exact zeros: numeric_spectra_j1 on the batch of one flag pair.
 
     The tridiagonal +-1 matrix is well conditioned where the monomial
     coefficients of its characteristic polynomial are not (they reach 6e40
-    at k = 200, so roots taken from them drift by O(1)).  The multiplicity
-    of the zero eigenvalue is read exactly from the vanishing low-order
-    coefficients of char_poly_j1, and that many eigenvalues of smallest
-    modulus are set to 0j: the (0,0) double zero of even k is a Jordan
-    block, which eigvals alone returns as a pair near +-1e-8.  Tested
-    within 1e-12 of the closed forms for k <= 40 and k in {60, 120, 200},
-    and against the Lemma 2 residual of eigvec_j1 for (0,1).
+    at k = 200, so roots taken from them drift by O(1)).  Tested within
+    1e-12 of the closed forms for k <= 40 and k in {60, 120, 200}, and
+    against the Lemma 2 residual of eigvec_j1 for (0,1).
     """
     _j1_signs("numeric_spectrum_j1", k, alpha, beta)
-    p = char_poly_j1(k, alpha, beta)
-    zero_mult = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    z = np.linalg.eigvals(build_matrix(make_config(alpha, beta, 1, k)).as_float()).astype(complex)
-    z[np.argsort(np.abs(z))[:zero_mult]] = 0j
-    return z.tolist()
+    return numeric_spectra_j1(k, [(alpha, beta)])[0].tolist()
 
 
-# Per flag pair of _FLAG_PAIRS, a column: its signs c, d
-_FLAG_SIGNS = np.array([(_SIGN_PAIRS[pair].c, _SIGN_PAIRS[pair].d) for pair in _FLAG_PAIRS]).T
+def numeric_spectra_j1(k: int, pairs) -> np.ndarray:
+    """The numeric j = 1 spectra of the flag pairs in pairs, a row each: one eigvals call on their dense stack.
+
+    One _fold_rule call gives the rows of every pair, one scatter their
+    (len(pairs), k, k) stack, and LAPACK's eigvals runs on each matrix of
+    it, with the bits it gives that matrix alone.  The multiplicity of the
+    zero eigenvalue is read exactly from the vanishing low-order
+    coefficients of char_poly_j1, which guards k and the flags, and that
+    many eigenvalues of smallest modulus in the row are set to 0j: the
+    (0,0) double zero of even k is a Jordan block, which eigvals alone
+    returns as a pair near +-1e-8.
+    """
+    zero_mults = [next(i for i, c in enumerate(char_poly_j1(k, *pair).coeffs) if c) for pair in pairs]
+    z = np.linalg.eigvals(_dense(*_fold_rule(np.arange(k), 1, k, *_pair_signs(pairs)))).astype(complex)
+    for row, order, zero_mult in zip(z, np.argsort(np.abs(z), axis=-1), zero_mults):
+        row[order[:zero_mult]] = 0j
+    return z
 
 
 def _chebyshev_table() -> np.ndarray:
@@ -530,30 +552,45 @@ def kernel(config: ProblemConfig) -> KernelDescriptor:
 def eigvec_j1(z, k: int, alpha: int, beta: int) -> np.ndarray:
     """Eigenvectors of the j = 1 matrix: the (k, L) columns for a 1-D array z of L eigenvalues.
 
-    Component m is d^(m-1) q_{m-1}(z_i): the minors q_n of _char_poly_run,
-    their three_term run on the eigenvalue vector, one run for the whole
-    array.  One eigenvalue is the batch [z0] (any other shape of z is a
-    ValueError), so a column has the same bits alone as in any batch.  The
-    residual ||A x - z_i x||_inf <= 1e-9 ||x||_inf is checked a posteriori
-    per column on the two entries of each row of build_matrix; a column
-    that fails it, a non-finite z_i included, means z_i was not an
-    eigenvalue, a ValueError naming the first.
+    eigvecs_j1 on the batch of one flag pair.  One eigenvalue is the batch
+    [z0] (any other shape of z is a ValueError), so a column has the same
+    bits alone as in any batch.  A column that fails the residual test, a
+    non-finite z_i included, means z_i was not an eigenvalue, a ValueError
+    naming the first.
     """
-    s = _j1_signs("eigvec_j1", k, alpha, beta)
-    a = build_matrix(make_config(alpha, beta, 1, k))
+    _j1_signs("eigvec_j1", k, alpha, beta)
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1:
         raise ValueError(f"z must be a 1-D array of eigenvalues, got shape {z.shape}")
-    with np.errstate(all="ignore"):  # a non-finite z0 fails the residual test below, silently
-        x = np.array(list(islice(three_term(z, np.ones_like(z), z - 1.0, s.c * s.d), k)))
-        x = s.d ** np.arange(k)[:, None] * x  # row m is d^m q_m
-        resid = np.abs(a.lv[:, None] * x[a.lc] + a.rv[:, None] * x[a.rc] - z * x).max(axis=0)
-        scale = np.abs(x).max(axis=0)
-    failed = np.flatnonzero(~(resid <= 1e-9 * scale))
+    x, ok, resid, scale = eigvecs_j1(z[None], k, [(alpha, beta)])
+    failed = np.flatnonzero(~ok[0])
     if failed.size:
         i = failed[0]
-        raise ValueError(f"z0={z[i]} is not an eigenvalue: residual {resid[i]:.3e} vs scale {scale[i]:.3e}")
-    return x
+        raise ValueError(f"z0={z[i]} is not an eigenvalue: residual {resid[0, i]:.3e} vs scale {scale[0, i]:.3e}")
+    return x[0]
+
+
+def eigvecs_j1(z: np.ndarray, k: int, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The j = 1 eigenvectors of the flag pairs in pairs, in one recurrence pass: x, ok, resid and scale.
+
+    Row n of the (len(pairs), L) array z holds eigenvalues of the pair
+    pairs[n], and x[n] is their (k, L) columns.  Component m is d^(m-1)
+    q_{m-1}(z_i): the minors q_n of _char_poly_run, one three_term run on
+    the whole array with c d as a column per pair.  The residual
+    ||A x - z_i x||_inf and the scale ||x||_inf are read per column on the
+    two entries of each row of the pair's fold rule; ok is
+    resid <= 1e-9 scale, False for a non-finite z_i.  The caller checks k
+    and the flags.
+    """
+    c, d = _pair_signs(pairs)
+    lc, lv, rc, rv = _fold_rule(np.arange(k), 1, k, c, d)
+    with np.errstate(all="ignore"):  # a non-finite z_i fails the residual test below, silently
+        x = np.stack(list(islice(three_term(z, np.ones_like(z), z - 1.0, c * d), k)), axis=1)
+        x = d[:, :, None] ** np.arange(k)[:, None] * x  # row m of x[n] is d^m q_m
+        n = np.arange(len(x))[:, None]
+        resid = np.abs(lv[..., None] * x[n, lc] + rv[..., None] * x[n, rc] - z[:, None] * x).max(axis=1)
+        scale = np.abs(x).max(axis=1)
+    return x, resid <= 1e-9 * scale, resid, scale
 
 
 def rank(matrix: FrozenMatrix) -> int:

@@ -7,24 +7,26 @@ passed check yields ("", True) and formats nothing.  The
 ranges and tolerances: exact equality for the integer identities, 1e-9 for
 the closed-form spectra, 1e-14 * max(1, |W|) for the forward-map oracle.
 
-Within one sweeps() run no matrix is built for an exact check: the
-Theorem 2 sweep runs the fold rule and the Chebyshev step of
-frozen_matrix on int64 arrays that stack every (k, alpha, beta) block,
-and exact_record reads each config's (det, rank, kernel) off one orbit
-pass per k for the Corollary 1/3 and Lemma 3 sweeps, which require it;
-the record is dropped when the run ends.  The stacked rows live only
-while theorem2 is called, and sweeps() calls it before it builds the
-record, so a kmax too large to stack fails before anything is built or
-printed.  What persists between runs does so by design: the stored
-Chebyshev runs (chebyshev._cheb_run) and j = 1 char-poly runs
-(frozen_matrix._char_poly_run), each grown to the highest degree asked
-for.
+Within one sweeps() run only the forward-map oracle builds a matrix
+(forward_w_matrix).  The Theorem 2 sweep runs the fold rule and the
+Chebyshev step of frozen_matrix on int64 arrays that stack every
+(k, alpha, beta) block, and exact_record reads each config's (det, rank,
+kernel) off one orbit pass per k for the Corollary 1/3 and Lemma 3
+sweeps, which require it; the record is dropped when the run ends.  The
+float j = 1 checks run once per k over the three closed-form flag pairs:
+Corollary 2 on one eigvals call (numeric_spectra_j1) and Lemma 2 on one
+recurrence pass whose residual test gives each eigenvalue its pass or
+fail (eigvecs_j1).  The stacked rows live only while theorem2 is called,
+and sweeps() calls it before it builds the record, so a kmax too large to
+stack fails before anything is built or printed.  What persists between
+runs does so by design: the stored Chebyshev runs (chebyshev._cheb_run)
+and j = 1 char-poly runs (frozen_matrix._char_poly_run), each grown to
+the highest degree asked for.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -33,9 +35,9 @@ from .frozen_matrix import (
     _FLAG_PAIRS,
     char_poly_j1,
     det_closed_form,
-    eigvec_j1,
+    eigvecs_j1,
     kernel_closed_form,
-    numeric_spectrum_j1,
+    numeric_spectra_j1,
     orbits_of,
     reductions_match,
     spectrum_closed_form,
@@ -126,35 +128,24 @@ def lemmas_2_3(kmax: int, record: dict):
         ok = x == kernel_closed_form(cfg) and r == cfg.k - bool(x)
         yield _PASS if ok else (f"lemma3 {cfg}", False)
     for k in range(2, min(kmax, _EIGVEC_KMAX) + 1):
-        for alpha, beta in _CLOSED_FORM_FLAGS:
-            spectrum = spectrum_closed_form(k, alpha, beta)
-            try:
-                eigvec_j1(spectrum, k, alpha, beta)  # every column residual-checked inside
-            except ValueError:
-                yield from _lemma2_labels(spectrum, k, alpha, beta)
-            else:
-                yield from repeat(_PASS, len(spectrum))
-
-
-def _lemma2_labels(spectrum: list[complex], k: int, alpha: int, beta: int):
-    """One check per eigenvalue, each alone: a failed batch names every eigenvalue that fails."""
-    for z0 in spectrum:
-        try:
-            eigvec_j1([z0], k, alpha, beta)
-        except ValueError:
-            yield f"lemma2 k={k} ({alpha},{beta}) z0={z0}", False
-        else:
-            yield _PASS
+        spectra = [spectrum_closed_form(k, alpha, beta) for alpha, beta in _CLOSED_FORM_FLAGS]
+        ok = eigvecs_j1(np.array(spectra), k, _CLOSED_FORM_FLAGS)[1].tolist()
+        for (alpha, beta), spectrum, passed in zip(_CLOSED_FORM_FLAGS, spectra, ok):
+            for z0, p in zip(spectrum, passed):
+                yield _PASS if p else (f"lemma2 k={k} ({alpha},{beta}) z0={z0}", False)
 
 
 def corollary2(kmax: int):
-    """Corollary 2: eigenvalues of the built j = 1 matrix match the trigonometric spectra; 0 is no (0,1) root."""
+    """Corollary 2: the j = 1 eigenvalues match the trigonometric spectra; 0 is no (0,1) root.
+
+    numeric_spectra_j1 gives the spectra of the three closed-form flag
+    pairs of each k in one eigvals call.
+    """
     ks = range(2, min(kmax, _SPECTRUM_KMAX) + 1)
     for k in ks:
-        for alpha, beta in _CLOSED_FORM_FLAGS:
-            worst = match_multisets(
-                numeric_spectrum_j1(k, alpha, beta), spectrum_closed_form(k, alpha, beta)
-            )
+        spectra = numeric_spectra_j1(k, _CLOSED_FORM_FLAGS).tolist()
+        for (alpha, beta), spectrum in zip(_CLOSED_FORM_FLAGS, spectra):
+            worst = match_multisets(spectrum, spectrum_closed_form(k, alpha, beta))
             yield _PASS if worst < 1e-9 else (f"corollary2 k={k} ({alpha},{beta}) dist={worst:.2e}", False)
     for k in ks:
         ok = abs(char_poly_j1(k, 0, 1).coeffs[0]) >= 1

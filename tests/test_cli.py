@@ -182,6 +182,13 @@ def test_verify_exits_zero(capsys):
     assert blocks and all(re.fullmatch(r"\[verify\] .+: \d+ checks passed", line) for line in blocks)
 
 
+# the benchmark's exact ranges print the golden report, byte for byte
+def test_verify_at_the_exact_ranges_prints_the_golden_report(capsys):
+    code, out, _ = run(capsys, "verify", "--kmax", "20", "--kmax-theorem1", "20", "--kmax-forward", "8")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "verify_exact.txt").read_bytes()
+
+
 def _broken_reduction():
     from frozen_spectra import frozen_matrix, make_config
 
@@ -199,16 +206,18 @@ def _broken_reduction():
 
 
 def _broken_eigenvector():
-    from frozen_spectra import eigvec_j1, identities, spectrum_closed_form
+    from frozen_spectra import identities, spectrum_closed_form
+    from frozen_spectra.frozen_matrix import eigvecs_j1
 
     bad = spectrum_closed_form(3, 1, 0)[1]
 
-    def broken(z, k, alpha, beta):  # z is a batch of eigenvalues
-        if (k, alpha, beta) == (3, 1, 0) and bad in z:
-            raise ValueError(f"z0={bad} is not an eigenvalue")
-        return eigvec_j1(z, k, alpha, beta)
+    def broken(z, k, pairs):  # row n of z is the spectrum of pairs[n]
+        x, ok, resid, scale = eigvecs_j1(z, k, pairs)
+        if k == 3:
+            ok[list(pairs).index((1, 0)), 1] = False
+        return x, ok, resid, scale
 
-    return identities, "eigvec_j1", broken, "lemma-2/3 kernels, ranks, eigenvectors: 83 checks passed, 1 failed", f"lemma2 k=3 (1,0) z0={bad}"
+    return identities, "eigvecs_j1", broken, "lemma-2/3 kernels, ranks, eigenvectors: 83 checks passed, 1 failed", f"lemma2 k=3 (1,0) z0={bad}"
 
 
 @pytest.mark.parametrize("breakage", [_broken_reduction, _broken_eigenvector], ids=["theorem2", "lemma2"])

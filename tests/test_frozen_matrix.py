@@ -367,6 +367,34 @@ def test_eigvec_j1_rejects_a_non_finite_z0(z0):
         eigvec_j1(spectrum_closed_form(3, 0, 0) + [z0], 3, 0, 0)
 
 
+# one eigvals call on the stack of every flag pair gives each row the bits of the batch of one, exact zeros included
+def test_stacked_spectra_are_the_per_pair_spectra_bit_for_bit():
+    for k in range(2, 41):
+        for pairs in (frozen_matrix._FLAG_PAIRS, identities._CLOSED_FORM_FLAGS):
+            spectra = frozen_matrix.numeric_spectra_j1(k, pairs)
+            assert spectra.shape == (len(pairs), k)
+            for (alpha, beta), row in zip(pairs, spectra):
+                assert row.tobytes() == np.array(numeric_spectrum_j1(k, alpha, beta)).tobytes(), (k, alpha, beta)
+
+
+# one recurrence pass over every flag pair gives eigvec_j1's columns, and its pass mask eigvec_j1's pass or fail; a
+# column of a non-finite or wrong z0 has the bits of its batch of one
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex("nan+1j"), 0.5], ids=["nan", "inf", "nan+1j", "0.5"])
+def test_stacked_eigvecs_are_the_per_pair_eigvecs_bit_for_bit(bad):
+    pairs = frozen_matrix._FLAG_PAIRS
+    for k in range(2, 17):
+        z = np.array([_j1_spectrum(k, alpha, beta) + [bad] for alpha, beta in pairs])
+        x, ok, _, _ = frozen_matrix.eigvecs_j1(z, k, pairs)
+        assert x.shape == (4, k, k + 1)
+        assert ok.tolist() == [[True] * k + [False]] * 4, k
+        for n, (alpha, beta) in enumerate(pairs):
+            assert x[n, :, :k].tobytes() == eigvec_j1(z[n, :k], k, alpha, beta).tobytes(), (k, alpha, beta)
+            with pytest.raises(ValueError, match=f"^z0={re.escape(str(z[n, k]))} is not an eigenvalue"):
+                eigvec_j1(z[n], k, alpha, beta)
+            alone = frozen_matrix.eigvecs_j1(z[n:n + 1, k:], k, [(alpha, beta)])[0]
+            assert x[n, :, k:].tobytes() == alone[0].tobytes(), (k, alpha, beta)
+
+
 def test_as_float_is_the_dense_matrix():
     a0 = [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]  # one row, both entries in column 0
     for cfg in coprime_configs(30) + a0:

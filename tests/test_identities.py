@@ -13,7 +13,7 @@ BROKEN = {
     "theorem-2 matrix reduction": ("reductions_match", lambda kmax: np.zeros((kmax + 1, 4, kmax // 2 + 1), dtype=bool)),
     "corollary-1/3 determinants": ("det_closed_form", lambda k, a, b: 7),
     "lemma-2/3 kernels, ranks, eigenvectors": ("kernel_closed_form", lambda cfg: ()),
-    "corollary-2 closed-form spectra": ("numeric_spectrum_j1", lambda k, a, b: [9.0] * k),
+    "corollary-2 closed-form spectra": ("numeric_spectra_j1", lambda k, pairs: np.full((len(pairs), k), 9.0)),
     "forward-map oracle": ("forward_w_matrix", lambda q, cfg: GridFunction(q.k, q.m, q.values)),
 }
 
@@ -28,7 +28,7 @@ def test_sweeps_pass_on_the_library():
 
 
 # max(0.0, nan) is 0.0: a NaN spectrum must not read as a perfect match
-NAN_SPECTRUM = ("corollary-2 closed-form spectra", ("numeric_spectrum_j1", lambda k, a, b: [math.nan] * k))
+NAN_SPECTRUM = ("corollary-2 closed-form spectra", ("numeric_spectra_j1", lambda k, pairs: np.full((len(pairs), k), math.nan)))
 
 
 @pytest.mark.parametrize("block,broken", [*BROKEN.items(), NAN_SPECTRUM], ids=[*BROKEN, "corollary-2 NaN spectrum"])
@@ -85,8 +85,9 @@ def test_theorem2_steps_once_per_j_and_builds_no_matrix(monkeypatch):
 
 
 # a sweeps run reads det, rank and kernel off one orbits_of pass per k, up to the larger of kmax and kmax_t1, and
-# builds no matrix for them: frozen_matrix.build_matrix, counted and not refused, serves only the float j = 1 checks
-# (Lemma 2's residual and Corollary 2's eigvals) of the three closed-form flag pairs up to kmax
+# builds no matrix: the float j = 1 checks (Lemma 2's residual and Corollary 2's eigvals) read the fold rule of the
+# three closed-form flag pairs of each k at once; frozen_matrix.build_matrix is counted, not refused, so the count
+# names any build
 @pytest.mark.parametrize("kmax,kmax_t1", [(12, 14), (14, 12)])
 def test_a_sweeps_run_builds_no_matrix(monkeypatch, kmax, kmax_t1):
     for module, name in ((identities, "build_matrix"), (identities, "det_exact"), (identities, "rank"),
@@ -98,7 +99,29 @@ def test_a_sweeps_run_builds_no_matrix(monkeypatch, kmax, kmax_t1):
     monkeypatch.setattr(identities, "orbits_of", lambda k, js: passes.append(k) or read(k, js))
     _consume(kmax, kmax_t1, 3)
     assert passes == list(range(2, 15))
-    assert set(built) == {ProblemConfig(a, b, 1, k) for k in range(2, kmax + 1) for a, b in ((0, 0), (1, 0), (1, 1))}
+    assert built == []
+
+
+# one recurrence pass per k gives the Lemma 2 mask: a bad z0 in each of two flag pairs of one k gets its own label,
+# the first a non-finite z0, and every other eigenvalue passes
+def test_lemma2_labels_each_failed_eigenvalue_of_the_mask(monkeypatch):
+    bad = {(1, 0): (1, math.nan), (1, 1): (3, 0.5)}  # flag pair: (index in the spectrum, bad z0)
+    closed = frozen_matrix.spectrum_closed_form
+
+    def spectrum(k, alpha, beta):
+        z = closed(k, alpha, beta)
+        if k == 5 and (alpha, beta) in bad:
+            i, z0 = bad[alpha, beta]
+            z[i] = complex(z0)
+        return z
+
+    monkeypatch.setattr(identities, "spectrum_closed_form", spectrum)
+    checks = list(identities.lemmas_2_3(6, identities.exact_record(6, 6)))
+    assert [label for label, ok in checks if not ok] == [
+        "lemma2 k=5 (1,0) z0=(nan+0j)",
+        "lemma2 k=5 (1,1) z0=(0.5+0j)",
+    ]
+    assert len(checks) == len(coprime_configs(6)) + sum(3 * k for k in range(2, 7))
 
 
 # a kmax too large to stack is refused when sweeps() is called, before the record reads an orbit: orbits_of is
