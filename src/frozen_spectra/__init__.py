@@ -37,7 +37,6 @@ from .core_params import (
     sign_pair,
 )
 from .frozen_matrix import (
-    FrozenMatrix,
     KernelDescriptor,
     build_matrix,
     char_poly_j1,

@@ -149,7 +149,7 @@ def _write_solution(sol, out: str, kernel_out: str | None) -> list[str]:
 
 def cmd_matrix(args) -> RunManifest:
     cfg, _ = normalize_to_half(args.config)
-    entries = frozen_matrix.build_matrix(cfg).as_lists()
+    entries = frozen_matrix.build_matrix(cfg).tolist()
     return RunManifest(config=cfg.to_dict(), outputs=_emit(json.dumps(entries) + "\n", args.out))
 
 

@@ -15,9 +15,8 @@ at once (numeric_spectra_j1, eigvecs_j1): one fold rule, one eigvals call
 or one recurrence pass, with the signs as a column per pair, and each row
 has the bits of its pair alone.  numeric_spectrum_j1 and eigvec_j1 are
 their batch of one, behind one guard, _j1_signs, as every public j = 1
-helper is; the signs c, d are read from core_params only, and a
-FrozenMatrix holds no copy.  No j = 1 matrix is cached or built as a
-FrozenMatrix: each call runs the fold rule on the rows it reads, in O(k).
+helper is; the signs c, d are read from core_params only.  No j = 1
+matrix is cached: each call runs the fold rule on the rows it reads.
 
 Every main-equation matrix is a signed sum of two permutations: two
 entries per row and per column, both in column 0 at a = 0 (k = 1).  On the
@@ -29,15 +28,16 @@ fold rule, the orbit (_orbits) and the Chebyshev step (_mul_sub) each have
 one implementation, on int64 arrays whose entries stay in [-1, 1] (2 in
 the first Chebyshev sub), asserted where a step makes new ones.  A call
 for one config is a batch of one; identities runs them on every
-(k, alpha, beta) at once.  A FrozenMatrix is its four arrays, each row's
-two entries in family order; its dense forms are built from them.
+(k, alpha, beta) at once.  A matrix has one sparse form, the fold rule's
+four arrays (lc, lv, rc, rv), each row's two entries in family order, and
+one dense form, the int64 (k, k) array _dense scatters them into.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -82,15 +82,18 @@ def _family(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return _fold_rule(np.arange(config.k), config.j, config.k, s.c, s.d)
 
 
-def _dense(lc, lv, rc, rv, dtype=float) -> np.ndarray:
-    """The dense matrix of k rows of two entries each, added into zeros: a shared column (a = 0) sums.
+def _dense(lc, lv, rc, rv) -> np.ndarray:
+    """The int64 dense matrix of k rows of two entries each, added into zeros: a shared column (a = 0) sums.
 
-    (n, k) values give a stack of n matrices, their columns (n, k) or one (k,) for all.
+    (n, k) values give a stack of n matrices, their columns (n, k) or one
+    (k,) for all.  A size the allocator refuses is a ValueError naming k.
     """
     k = lv.shape[-1]
-    i = np.arange(k)
-    at = (i,) if lv.ndim == 1 else (np.arange(len(lv))[:, None], i)
-    dense = np.zeros(lv.shape + (k,), dtype)
+    try:
+        dense = np.zeros(lv.shape + (k,), np.int64)
+    except (MemoryError, ValueError):
+        raise ValueError(f"a dense matrix with k={k} has {k * k} entries, too many to allocate") from None
+    at = (*_along_last(lv)[:-1], np.arange(k))  # the batch index of a stack, then the row
     dense[(*at, lc)] = lv
     dense[(*at, rc)] += rv
     return dense
@@ -99,34 +102,6 @@ def _dense(lc, lv, rc, rv, dtype=float) -> np.ndarray:
 def _pair_signs(pairs) -> np.ndarray:
     """The signs c, d of each flag pair of pairs, as two (len(pairs), 1) columns of _FLAG_SIGNS."""
     return _FLAG_SIGNS[:, [_FLAG_PAIRS.index(pair) for pair in pairs], None]
-
-
-@dataclass(frozen=True, eq=False)
-class FrozenMatrix:
-    """The k rows of a main-equation matrix, each as its two entries in family order (see build_matrix)."""
-
-    config: ProblemConfig
-    lc: np.ndarray  # per row, the column and value of its fold(i - j) entry
-    lv: np.ndarray
-    rc: np.ndarray  # per row, the column and value of its fold(i + j) entry
-    rv: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return len(self.lc)
-
-    def as_lists(self) -> list[list[int]]:
-        """The dense matrix as rows of Python ints."""
-        return _dense(self.lc, self.lv, self.rc, self.rv, np.int64).tolist()
-
-    def as_float(self) -> np.ndarray:
-        """The dense matrix as float64."""
-        return _dense(self.lc, self.lv, self.rc, self.rv)
-
-    @cached_property
-    def orbit(self) -> Orbit:
-        """orbit(config), read on first use and kept: det_exact and rank share it."""
-        return orbit(self.config)
 
 
 @dataclass(frozen=True)
@@ -138,8 +113,8 @@ class KernelDescriptor:
         return 1 if self.generator else 0
 
 
-def build_matrix(config: ProblemConfig) -> FrozenMatrix:
-    """Exact rows of the k x k main-equation matrix, in O(k): _fold_rule, in family order.
+def build_matrix(config: ProblemConfig) -> np.ndarray:
+    """The k x k main-equation matrix as an int64 array, in O(k^2): _dense of _fold_rule's rows.
 
     The fold rule gives the paper's four families (1-based, m = i + 1)
       (i)   a[m, j-m+1] = 1   m = 1..j        (top-left antidiagonal)
@@ -148,9 +123,10 @@ def build_matrix(config: ProblemConfig) -> FrozenMatrix:
       (iv)  a[m, 2k-m-j+1] = c  m = k-j+1..k  (bottom-right antidiagonal)
     The two columns of row i agree only if 2j or 2i - 2k + 1 is 0 mod 2k,
     so only at j = 0 (a = 0, k = 1), where the one row holds c and d in
-    column 0.
+    column 0.  Every exact question about the matrix is read in O(k) off
+    its orbit instead (see orbit).
     """
-    return FrozenMatrix(config, *_family(config))
+    return _dense(*_family(config))
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,8 +347,9 @@ def numeric_spectra_j1(k: int, pairs) -> np.ndarray:
     (0,0) double zero of even k is a Jordan block, which eigvals alone
     returns as a pair near +-1e-8.
     """
+    dense = _dense(*_fold_rule(np.arange(k), 1, k, *_pair_signs(pairs)))  # refuses a k too large first
     zero_mults = [next(i for i, c in enumerate(char_poly_j1(k, *pair).coeffs) if c) for pair in pairs]
-    z = np.linalg.eigvals(_dense(*_fold_rule(np.arange(k), 1, k, *_pair_signs(pairs)))).astype(complex)
+    z = np.linalg.eigvals(dense).astype(complex)
     for row, order, zero_mult in zip(z, np.argsort(np.abs(z), axis=-1), zero_mults):
         row[order[:zero_mult]] = 0j
     return z
@@ -452,8 +429,8 @@ def _mul_sub(m, y, sub) -> np.ndarray:
     return np.stack((np.where(kv[0], a[0], a[1]), v[0] + v[1], np.where(kw[0], b[0], b[1]), w[0] + w[1]))
 
 
-def reduce_to_j1(config: ProblemConfig) -> list[list[int]]:
-    """The dense rows of the j > 1 matrix by the Chebyshev reduction to j = 1, as FrozenMatrix.as_lists.
+def reduce_to_j1(config: ProblemConfig) -> np.ndarray:
+    """The j > 1 matrix by the Chebyshev reduction to j = 1, as build_matrix's int64 array.
 
     Theorem 2 builds the j > 1 matrix from j = 1 matrices:
     alpha = 0:  U_{j-1}(-(c/2) B) * A1   with B the (1, 1-beta) matrix and
@@ -467,9 +444,7 @@ def reduce_to_j1(config: ProblemConfig) -> list[list[int]]:
     (_mul_sub) on one block.  M has two nonzeros per row, so a step is two
     scaled gathers of two-entry rows; each Z_n has the two-per-row pattern
     of build_matrix, so a step costs O(k).  M is an integer matrix and
-    nothing is divided, so every Z_n stays in Z.  A step leaves each row's
-    entries in step order, not family order, so only the dense rows are
-    returned: an orbit read off them as a FrozenMatrix would be wrong.
+    nothing is divided, so every Z_n stays in Z.
     """
     require_normalized(config)
     _j1_signs("reduce_to_j1", config.k, config.alpha, config.beta)
@@ -477,7 +452,7 @@ def reduce_to_j1(config: ProblemConfig) -> list[list[int]]:
     m, y, sub = _chebyshev_start(k, np.full(k, _FLAG_PAIRS.index((config.alpha, config.beta))), i, 0 * i)
     for _ in range(config.j - 1):
         sub, y = y, _mul_sub(m, y, sub)
-    return _dense(*y, np.int64).tolist()
+    return _dense(*y)
 
 
 def _first_row(k):
@@ -593,11 +568,11 @@ def eigvecs_j1(z: np.ndarray, k: int, pairs) -> tuple[np.ndarray, np.ndarray, np
     return x, resid <= 1e-9 * scale, resid, scale
 
 
-def rank(matrix: FrozenMatrix) -> int:
-    """Exact rank: k, less one when det = 0, i.e. g_(k-1) = +1 on the orbit."""
-    return matrix.k - bool(matrix.orbit.singular)
+def rank(config: ProblemConfig) -> int:
+    """Exact rank of the config's matrix: k, less one when det = 0, i.e. g_(k-1) = +1 on its orbit."""
+    return config.k - bool(orbit(config).singular)
 
 
-def det_exact(matrix: FrozenMatrix) -> int:
-    """Exact determinant, read off the orbit: sgn(sigma_a) prod(a) (1 - g_(k-1))."""
-    return int(matrix.orbit.det)
+def det_exact(config: ProblemConfig) -> int:
+    """Exact determinant of the config's matrix, read off its orbit: sgn(sigma_a) prod(a) (1 - g_(k-1))."""
+    return int(orbit(config).det)

@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core_params import is_int
+
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -75,8 +77,8 @@ class GridFunction:
 
 
 def _check_grid(k: int, m: int) -> None:
-    """Reject a grid shape before anything is allocated for it."""
-    if k < 1 or m < 1:
+    """Reject a grid shape before anything is allocated for it: k and m must be integers >= 1 (is_int)."""
+    if not (is_int(k) and is_int(m) and k >= 1 and m >= 1):
         raise ValueError(f"a grid needs k >= 1 and m >= 1, got k={k}, m={m}")
 
 

@@ -71,7 +71,7 @@ def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
 def forward_w_matrix(q: GridFunction, config: ProblemConfig) -> GridFunction:
     """W from q via the matrix form p Q^{-1} A R q."""
     _check_grid(q, config)
-    a = build_matrix(config).as_float()
+    a = build_matrix(config)
     pref = 0.5 * (-1) ** (config.alpha * config.beta)
     return q_inverse(pref * (a @ r_apply(q, config.j)))
 

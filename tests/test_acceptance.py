@@ -76,11 +76,11 @@ def test_criterion_02_theorem2_exactness():
             d = (-1) ** (cfg.alpha + cfg.beta)
             gamma = 1 - cfg.beta if cfg.alpha == 0 else cfg.beta
             prod = matmul(
-                build_matrix(make_config(1, gamma, 1, cfg.k)).as_lists(),
-                build_matrix(make_config(cfg.alpha, cfg.beta, 1, cfg.k)).as_lists(),
+                build_matrix(make_config(1, gamma, 1, cfg.k)).tolist(),
+                build_matrix(make_config(cfg.alpha, cfg.beta, 1, cfg.k)).tolist(),
             )
             expected = mat_add(mat_scale(d, prod), mat_scale(-2 * cfg.alpha * c, identity(cfg.k)))
-            assert build_matrix(cfg).as_lists() == expected
+            assert build_matrix(cfg).tolist() == expected
             checks += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -96,13 +96,13 @@ def test_criterion_04_lemmas_2_and_3():
     checks = _passed(identities.lemmas_2_3(24, identities.exact_record(24, 24)))
     for cfg in coprime_configs(24):
         if classify(cfg).kind is Kind.DEGENERATE:
-            a = build_matrix(cfg).as_lists()
+            a = build_matrix(cfg).tolist()
             assert matmul(a, [[v] for v in kernel(cfg).generator]) == [[0]] * cfg.k
             checks += 1
     # geometric multiplicity one for every closed-form eigenvalue, k <= 20
     for k in range(2, 21):
         for alpha, beta in [(0, 0), (1, 0), (1, 1)]:
-            a = np.array(build_matrix(make_config(alpha, beta, 1, k)).as_lists(), dtype=complex)
+            a = build_matrix(make_config(alpha, beta, 1, k))
             for z0 in spectrum_closed_form(k, alpha, beta):
                 sv = np.linalg.svd(z0 * np.eye(k) - a, compute_uv=False)
                 assert int(np.sum(sv > 1e-6)) == k - 1

@@ -42,6 +42,25 @@ def test_matrix_matches_displayed_pattern(capsys):
     assert rows[6] == [0, 0, 0, -1, -1, 0, 0]
 
 
+# stdout byte for byte on the degenerate 3/8, the reflected 5/7 (printed as 2/7) and a = 0
+def test_matrix_prints_the_golden_bytes(capsys):
+    out = ""
+    for cfg in ("1 1 3 8", "0 1 5 7", "0 1 0 1"):
+        alpha, beta, j, k = cfg.split()
+        code, text, _ = run(capsys, "matrix", "--alpha", alpha, "--beta", beta, "--j", j, "--k", k)
+        assert code == 0, cfg
+        out += text
+    assert out.encode() == (GOLDEN / "matrix.txt").read_bytes()
+
+
+# the dense matrix of k = 10^6 holds 10^12 int64 entries, which the allocator refuses: exit 3 and nothing printed
+def test_matrix_too_large_to_allocate_exits_3(capsys):
+    code, out, err = run(capsys, "matrix", "--alpha", "0", "--beta", "0", "--j", "1", "--k", "1000000")
+    assert (code, out) == (3, "")
+    message = "a dense matrix with k=1000000 has 1000000000000 entries, too many to allocate"
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
 def test_classify_output(capsys):
     code, out, _ = run(capsys, "classify", "--alpha", "1", "--beta", "0", "--j", "3", "--k", "7")
     assert code == 0

@@ -15,6 +15,7 @@ from frozen_spectra import (
     det_closed_form,
     det_exact,
     eigvec_j1,
+    forward_w_matrix,
     kernel,
     make_config,
     numeric_spectrum_j1,
@@ -32,18 +33,20 @@ from frozen_spectra.intlinalg import bareiss_det, bareiss_rank, identity, mat_ad
 from dense_oracle import cycle_blocks
 
 
-def sorted_pairs(a):
-    """Per row of a FrozenMatrix, its two (col, value) pairs sorted by column, the fold(i + j) entry first on a tie.
+def sorted_pairs(cfg):
+    """Per row of cfg's matrix, its two (col, value) pairs sorted by column, the fold(i + j) entry first on a tie.
 
     The rows the walk oracle reads: at a = 0 the one row holds d, then c, so the walk's a-edge is c.
     """
-    pairs = zip(zip(a.lc.tolist(), a.lv.tolist()), zip(a.rc.tolist(), a.rv.tolist()))
+    lc, lv, rc, rv = (x.tolist() for x in frozen_matrix._family(cfg))
+    pairs = zip(zip(lc, lv), zip(rc, rv))
     return tuple((left, right) if left[0] < right[0] else (right, left) for left, right in pairs)
 
 
 def test_build_matrix_displayed_pattern_3_7():
-    a = build_matrix(make_config(0, 0, 3, 7))
-    s = sign_pair(a.config)
+    cfg = make_config(0, 0, 3, 7)
+    a = build_matrix(cfg)
+    s = sign_pair(cfg)
     c, d = s.c, s.d
     assert (c, d) == (-1, 1)
     expected = [
@@ -55,16 +58,16 @@ def test_build_matrix_displayed_pattern_3_7():
         [0, 0, c, 0, 0, c, 0],
         [0, 0, 0, c, c, 0, 0],
     ]
-    assert a.as_lists() == expected
+    assert a.tolist() == expected
 
 
 def test_build_matrix_examples():
     a = build_matrix(make_config(0, 1, 1, 4))
-    assert a.as_lists() == [[1, -1, 0, 0], [1, 0, -1, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
+    assert a.tolist() == [[1, -1, 0, 0], [1, 0, -1, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
     for beta in (0, 1):
         single = build_matrix(make_config(1, beta, 0, 1))
-        assert single.as_lists() == [[2 * (-1) ** (beta + 1)]]
-        assert build_matrix(make_config(0, beta, 0, 1)).as_lists() == [[0]]
+        assert single.tolist() == [[2 * (-1) ** (beta + 1)]]
+        assert build_matrix(make_config(0, beta, 0, 1)).tolist() == [[0]]
 
 
 def test_build_matrix_has_two_unit_entries_per_row_and_column():
@@ -73,7 +76,7 @@ def test_build_matrix_has_two_unit_entries_per_row_and_column():
         for j in range(1, k // 2 + 1):
             for alpha in (0, 1):
                 for beta in (0, 1):
-                    a = np.array(build_matrix(make_config(alpha, beta, j, k)).as_lists())
+                    a = build_matrix(make_config(alpha, beta, j, k))
                     assert set(np.abs(a).ravel()) <= {0, 1}
                     nz = a != 0
                     assert (nz.sum(axis=0) == 2).all() and (nz.sum(axis=1) == 2).all(), (alpha, beta, j, k)
@@ -84,6 +87,19 @@ def test_build_matrix_rejects_unnormalized():
         build_matrix(make_config(0, 0, 5, 7))
 
 
+# every dense matrix is built by one builder, which names a k whose matrix the allocator refuses (10^12 entries)
+def test_a_dense_matrix_too_large_to_allocate_is_named():
+    cfg = make_config(0, 1, 1, 10**6)
+    builders = (
+        lambda: build_matrix(cfg),
+        lambda: forward_w_matrix(GridFunction.zeros(cfg.k, 1), cfg),
+        lambda: numeric_spectrum_j1(cfg.k, 0, 1),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match=r"^a dense matrix with k=1000000 has 1000000000000 entries, too many to"):
+            build()
+
+
 def test_char_poly_examples():
     assert char_poly_j1(3, 0, 0).coeffs == (0, 1, 0, 1)  # z^3 + z
     assert char_poly_j1(2, 1, 1).coeffs == (0, -2, 1)  # z^2 - 2z
@@ -92,7 +108,7 @@ def test_char_poly_examples():
         for a in (0, 1):
             for b in (0, 1):
                 p = char_poly_j1(k, a, b)
-                det = det_exact(build_matrix(make_config(a, b, 1, k)))
+                det = det_exact(make_config(a, b, 1, k))
                 const = p.coeffs[0] if p.coeffs else 0
                 assert const == (-1) ** k * det
 
@@ -103,7 +119,7 @@ def test_char_poly_j1_is_det_zi_minus_a():
         for beta in (0, 1):
             for k in range(2, 13):
                 p = char_poly_j1(k, alpha, beta)
-                a = build_matrix(make_config(alpha, beta, 1, k)).as_lists()
+                a = build_matrix(make_config(alpha, beta, 1, k)).tolist()
                 for z in range(-k // 2, k // 2 + 2):
                     zi_a = [[z * (r == c) - v for c, v in enumerate(row)] for r, row in enumerate(a)]
                     assert polyval(z, np.array(p.coeffs, dtype=object)) == bareiss_det(zi_a), (alpha, beta, k, z)
@@ -185,7 +201,8 @@ def test_reduce_to_j1_base_case_and_j2_identity():
         for a in (0, 1):
             for b in (0, 1):
                 cfg = make_config(a, b, 1, k)
-                assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
+                assert reduce_to_j1(cfg).dtype == build_matrix(cfg).dtype == np.int64
+                assert np.array_equal(reduce_to_j1(cfg), build_matrix(cfg))
     # j = 2: common form d A1^{(1,gamma)} A1^{(alpha,beta)} - 2 alpha c I
     for k in (5, 7, 9, 11):
         for a in (0, 1):
@@ -194,18 +211,18 @@ def test_reduce_to_j1_base_case_and_j2_identity():
                 c = (-1) ** (b + 1)
                 d = (-1) ** (a + b)
                 gamma = 1 - b if a == 0 else b
-                m1 = build_matrix(make_config(1, gamma, 1, k)).as_lists()
-                m2 = build_matrix(make_config(a, b, 1, k)).as_lists()
+                m1 = build_matrix(make_config(1, gamma, 1, k)).tolist()
+                m2 = build_matrix(make_config(a, b, 1, k)).tolist()
                 expected = mat_add(
                     mat_scale(d, matmul(m1, m2)), mat_scale(-2 * a * c, identity(k))
                 )
-                assert build_matrix(cfg).as_lists() == expected
-                assert reduce_to_j1(cfg) == expected
+                assert build_matrix(cfg).tolist() == expected
+                assert reduce_to_j1(cfg).tolist() == expected
 
 
 def test_reduce_to_j1_full_sweep_k12():
     for cfg in coprime_configs(12):
-        assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
+        assert np.array_equal(reduce_to_j1(cfg), build_matrix(cfg)), cfg
 
 
 def test_reduce_to_j1_matches_monomial_horner_k16():
@@ -213,20 +230,20 @@ def test_reduce_to_j1_matches_monomial_horner_k16():
     for cfg in coprime_configs(16):
         c = (-1) ** (cfg.beta + 1)
         if cfg.alpha == 0:
-            b = build_matrix(make_config(1, 1 - cfg.beta, 1, cfg.k)).as_lists()
-            a1 = build_matrix(make_config(0, cfg.beta, 1, cfg.k)).as_lists()
+            b = build_matrix(make_config(1, 1 - cfg.beta, 1, cfg.k)).tolist()
+            a1 = build_matrix(make_config(0, cfg.beta, 1, cfg.k)).tolist()
             expected = matmul(matrix_poly_eval(scaled_cheb_int("U", cfg.j - 1), mat_scale(-c, b)), a1)
         else:
-            b = build_matrix(make_config(1, cfg.beta, 1, cfg.k)).as_lists()
+            b = build_matrix(make_config(1, cfg.beta, 1, cfg.k)).tolist()
             expected = mat_scale(c, matrix_poly_eval(scaled_cheb_int("T", cfg.j), mat_scale(c, b)))
-        assert reduce_to_j1(cfg) == expected, cfg
+        assert reduce_to_j1(cfg).tolist() == expected, cfg
 
 
 @pytest.mark.parametrize("j", [2, 50])
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_reduce_to_j1_large_k(j, alpha, beta):
     cfg = make_config(alpha, beta, j, 101)
-    assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists()
+    assert np.array_equal(reduce_to_j1(cfg), build_matrix(cfg))
 
 
 # the one-block run of reduce_to_j1 and the stacked run of the theorem-2 sweep agree with the fold rule at every j
@@ -234,7 +251,7 @@ def test_reduce_to_j1_large_k(j, alpha, beta):
 def test_reduce_to_j1_serves_every_j_k101(alpha, beta):
     for j in range(1, 51):  # 101 is prime: every j is coprime
         cfg = ProblemConfig(alpha, beta, j, 101)
-        assert reduce_to_j1(cfg) == build_matrix(cfg).as_lists(), j
+        assert np.array_equal(reduce_to_j1(cfg), build_matrix(cfg)), j
     assert frozen_matrix.reductions_match(101)[101, :, 1:].all()
 
 
@@ -252,10 +269,10 @@ def test_kernel_and_rank_sweep():
     for cfg in coprime_configs(60):
         deg = classify(cfg).kind is Kind.DEGENERATE
         ker = kernel(cfg)
-        a = build_matrix(cfg)
-        r = rank(a)
-        assert sorted(a.orbit.rows) == list(range(cfg.k)), cfg  # one cycle through all k rows, so X has no zero entry
-        assert ker.generator == a.orbit.null_vector
+        o = orbit(cfg)
+        r = rank(cfg)
+        assert sorted(o.rows) == list(range(cfg.k)), cfg  # one cycle through all k rows, so X has no zero entry
+        assert ker.generator == o.null_vector
         if deg:
             assert ker.dimension == 1
             assert r == cfg.k - 1
@@ -271,20 +288,20 @@ def test_kernel_and_rank_sweep():
 @pytest.mark.parametrize("beta", [0, 1])
 def test_orbit_refuses_a_config_past_make_config(beta):
     cfg = ProblemConfig(0, beta, 2, 4)
-    assert [rows for rows, *_ in cycle_blocks(sorted_pairs(build_matrix(cfg)))[1]] == [(0, 3), (1, 2)]
+    assert [rows for rows, *_ in cycle_blocks(sorted_pairs(cfg))[1]] == [(0, 3), (1, 2)]
     reduced = rf"^gcd\(j, k\) = 2 in {re.escape(repr(cfg))}: .* it to {re.escape(repr(ProblemConfig(0, beta, 1, 2)))}$"
     readers = (
         orbit,
         kernel,
-        lambda c: build_matrix(c).orbit.null_vector,
-        lambda c: det_exact(build_matrix(c)),
+        det_exact,
+        rank,
         lambda c: solve_inverse(GridFunction.zeros(4, 8), c),
     )
     for read in readers:
         with pytest.raises(ValueError, match=reduced):
             read(cfg)
     with pytest.raises(ValueError, match=r"= 4 .* reduces it to ProblemConfig\(alpha=0, beta=1, j=0, k=1\)$"):
-        rank(build_matrix(ProblemConfig(0, 1, 0, 4)))  # a = 0 past make_config: four one-row cycles
+        rank(ProblemConfig(0, 1, 0, 4))  # a = 0 past make_config: four one-row cycles
 
 
 def _orbit_tuple(o, b=...):
@@ -313,12 +330,11 @@ def test_orbit_is_the_walk_of_the_built_rows(monkeypatch):
     assert set(batch) == set(coprime_configs(80))
     a0 = [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]
     for cfg in coprime_configs(80) + a0:
-        a = build_matrix(cfg)
-        sign, cycles = cycle_blocks(sorted_pairs(a))
-        o = a.orbit
-        assert o.sign == sign and cycles == [(*_orbit_tuple(o), sign * det_exact(a))], cfg
+        sign, cycles = cycle_blocks(sorted_pairs(cfg))
+        o = orbit(cfg)
+        assert o.sign == sign and cycles == [(*_orbit_tuple(o), sign * det_exact(cfg))], cfg
         if cfg in batch:
-            assert batch[cfg] == (sign, _orbit_tuple(o), det_exact(a)), cfg
+            assert batch[cfg] == (sign, _orbit_tuple(o), det_exact(cfg)), cfg
 
 
 def test_eigvec_examples():
@@ -395,13 +411,24 @@ def test_stacked_eigvecs_are_the_per_pair_eigvecs_bit_for_bit(bad):
             assert x[n, :, k:].tobytes() == alone[0].tobytes(), (k, alpha, beta)
 
 
-def test_as_float_is_the_dense_matrix():
+# the one dense form: an int64 (k, k) array holding each row's two entries, summed where they share a column (a = 0);
+# a stack of the j = 1 flag pairs, as numeric_spectra_j1 builds it, holds the matrix of each pair
+def test_build_matrix_is_the_int64_array_of_the_rows():
     a0 = [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]  # one row, both entries in column 0
     for cfg in coprime_configs(30) + a0:
         a = build_matrix(cfg)
-        dense = a.as_float()
-        assert dense.dtype == np.float64
-        assert np.array_equal(dense, np.array(a.as_lists(), dtype=float)), cfg
+        assert a.dtype == np.int64 and a.shape == (cfg.k, cfg.k), cfg
+        expected = [[0] * cfg.k for _ in range(cfg.k)]
+        for i, row in enumerate(sorted_pairs(cfg)):
+            for col, v in row:
+                expected[i][col] += v
+        assert a.tolist() == expected, cfg
+    for k in range(2, 31):
+        pairs = frozen_matrix._FLAG_PAIRS
+        stack = frozen_matrix._dense(*frozen_matrix._fold_rule(np.arange(k), 1, k, *frozen_matrix._pair_signs(pairs)))
+        assert stack.dtype == np.int64 and stack.shape == (4, k, k)
+        for (alpha, beta), a in zip(pairs, stack):
+            assert np.array_equal(a, build_matrix(make_config(alpha, beta, 1, k))), (k, alpha, beta)
 
 
 # each j = 1 helper at k, for the k >= 2 guard
@@ -442,41 +469,37 @@ def test_cached_j1_helpers_reject_a_bool_or_float_flag_after_a_warm_call(name, f
 def test_a0_is_walked_as_a_one_row_cycle(alpha, beta):
     # (j, k) = (0, 1): families (ii) and (iii) put d and c into the one entry, c + d = 2 c alpha
     cfg = make_config(alpha, beta, 0, 1)
-    a = build_matrix(cfg)
+    a = build_matrix(cfg).tolist()
     s = sign_pair(cfg)
     c, d = s.c, s.d
-    assert (a.lc.tolist(), a.lv.tolist(), a.rc.tolist(), a.rv.tolist()) == ([0], [c], [0], [d])
-    assert a.as_lists() == [[c + d]] == [[2 * c * alpha]]
-    o = a.orbit
+    assert [x.tolist() for x in frozen_matrix._family(cfg)] == [[0], [c], [0], [d]]
+    assert a == [[c + d]] == [[2 * c * alpha]]
+    o = orbit(cfg)
     assert o.sign == 1 and _orbit_tuple(o) == ((0,), (0,), (c,), (-c * d,))
-    assert det_exact(a) == c + d == bareiss_det(a.as_lists())
-    assert (det_exact(a) == 0) == (classify(cfg).kind is Kind.DEGENERATE)
+    assert det_exact(cfg) == c + d == bareiss_det(a)
+    assert (det_exact(cfg) == 0) == (classify(cfg).kind is Kind.DEGENERATE)
     ker = kernel(cfg)
     assert ker.generator == o.null_vector == kernel_closed_form(cfg) == ((1,) if alpha == 0 else ())
-    assert rank(a) == 1 - ker.dimension == bareiss_rank(a.as_lists())
+    assert rank(cfg) == 1 - ker.dimension == bareiss_rank(a)
 
 
 def test_rank_examples():
-    assert rank(build_matrix(make_config(0, 0, 3, 7))) == 6
-    assert rank(build_matrix(make_config(0, 1, 1, 3))) == 3
+    assert rank(make_config(0, 0, 3, 7)) == 6
+    assert rank(make_config(0, 1, 1, 3)) == 3
 
 
 def test_cycle_det_and_rank_match_bareiss():
     j1 = [make_config(a, b, 1, k) for k in range(31, 41) for a in (0, 1) for b in (0, 1)]
-    for cfg in coprime_configs(30) + j1:
-        a = build_matrix(cfg)
-        dense = a.as_lists()
-        assert (det_exact(a), rank(a)) == (bareiss_det(dense), bareiss_rank(dense)), cfg
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            a = build_matrix(make_config(alpha, beta, 0, 1))
-            assert (det_exact(a), rank(a)) == (bareiss_det(a.as_lists()), bareiss_rank(a.as_lists()))
+    a0 = [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]
+    for cfg in coprime_configs(30) + j1 + a0:
+        dense = build_matrix(cfg).tolist()
+        assert (det_exact(cfg), rank(cfg)) == (bareiss_det(dense), bareiss_rank(dense)), cfg
 
 
 # det_exact and rank read the orbit off the config, not the rows, so the rows that break the pattern are the
 # walk oracle's to refuse
 def test_walk_oracle_rejects_other_patterns():
-    rows = sorted_pairs(build_matrix(make_config(0, 1, 2, 5)))
+    rows = sorted_pairs(make_config(0, 1, 2, 5))
     three = (rows[0] + ((4, 1),),) + rows[1:]  # a third nonzero in row 0
     lone = (((0, 1), (1, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 1)))  # column 0 has one nonzero
     (col, _), right = rows[0]
@@ -486,15 +509,19 @@ def test_walk_oracle_rejects_other_patterns():
             cycle_blocks(rows)
 
 
-def test_cycles_are_walked_once_per_matrix(monkeypatch):
+def _refuse(*args):
+    raise AssertionError("det_exact or rank built a dense matrix")
+
+
+def test_det_and_rank_each_read_one_orbit_and_build_no_matrix(monkeypatch):
     walks = []
     walk = frozen_matrix._orbits
     monkeypatch.setattr(frozen_matrix, "_orbits", lambda j, k, *rows: walks.append((j, k)) or walk(j, k, *rows))
-    a = build_matrix(make_config(0, 0, 3, 8))
-    assert (det_exact(a), rank(a), det_exact(a), rank(a), len(a.orbit.null_vector)) == (0, 7, 0, 7, 8)
-    assert walks == [(3, 8)]
-    b = build_matrix(make_config(0, 0, 3, 8))
-    assert rank(b) == 7 and walks == [(3, 8), (3, 8)]
+    for name in ("build_matrix", "_dense"):
+        monkeypatch.setattr(frozen_matrix, name, _refuse)
+    cfg = make_config(0, 0, 3, 8)
+    assert det_exact(cfg) == 0 and walks == [(3, 8)]
+    assert rank(cfg) == 7 and walks == [(3, 8), (3, 8)]
 
 
 def _dict_mul_sub(m, y, sub):
@@ -561,10 +588,10 @@ def test_mul_sub_asserts_its_pattern_and_bound():
 
 def _sum_eigvec_j1(z0, k, alpha, beta):
     """eigvec_j1 with the residual summed over a generator per row: the oracle of the two-entry residual."""
-    a = build_matrix(make_config(alpha, beta, 1, k))
-    z, s = complex(z0), sign_pair(a.config)
+    cfg = make_config(alpha, beta, 1, k)
+    z, s = complex(z0), sign_pair(cfg)
     x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
-    resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(sorted_pairs(a), x))
+    resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(sorted_pairs(cfg), x))
     scale = max(map(abs, x))
     if resid > 1e-9 * scale:
         raise ValueError(f"z0={z0} is not an eigenvalue: residual {resid:.3e} vs scale {scale:.3e}")

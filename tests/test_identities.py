@@ -164,8 +164,8 @@ def test_exact_record_holds_the_per_config_det_rank_and_kernel():
     j1 = [make_config(a, b, 1, k) for k in range(81, 91) for a in (0, 1) for b in (0, 1)]
     assert len(record) == len(coprime_configs(80)) + len(j1)
     for cfg in coprime_configs(80) + j1:
-        a = frozen_matrix.build_matrix(cfg)
-        assert record[cfg] == (frozen_matrix.det_exact(a), frozen_matrix.rank(a), a.orbit.null_vector), cfg
+        o = frozen_matrix.orbit(cfg)
+        assert record[cfg] == (frozen_matrix.det_exact(cfg), frozen_matrix.rank(cfg), o.null_vector), cfg
 
 
 # the record of one run holds two ints and a kernel per coprime config and no matrix, and the theorem-2 run holds

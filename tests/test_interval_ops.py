@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from frozen_spectra import (
     GridFunction,
+    Spectrum,
+    extract_w,
     q_apply,
     q_inverse,
     r_apply,
@@ -230,6 +233,23 @@ def test_grid_validation():
                 make(k, m)
     with pytest.raises(ValueError):
         GridFunction.zeros(2, 4) + GridFunction.zeros(4, 2)
+    assert GridFunction(np.int64(2), np.int32(2), np.ones(4)).values.shape == (4,)  # numpy integers are integers
+
+
+# a grid shape is two integers >= 1: a float or a bool is refused by every grid builder
+_GRID_BUILDERS = {
+    "GridFunction": lambda k, m: GridFunction(k, m, np.ones(4)),
+    "GridFunction.zeros": GridFunction.zeros,
+    "grid_midpoints": grid_midpoints,
+    "extract_w": lambda k, m: extract_w(Spectrum(0, 0, (1 + 0j,)), 1, k, m),
+}
+
+
+@pytest.mark.parametrize("k, m", [(2.0, 2), (2, 2.0), (2.5, 2), (True, 4), (4, True)])
+@pytest.mark.parametrize("name", list(_GRID_BUILDERS))
+def test_a_grid_shape_that_is_not_an_integer_is_refused(name, k, m):
+    with pytest.raises(ValueError, match=re.escape(f"a grid needs k >= 1 and m >= 1, got k={k}, m={m}")):
+        _GRID_BUILDERS[name](k, m)
 
 
 @pytest.mark.parametrize("k, m", [(3, 10**11), (3, 10**19), (10**30, 4)], ids=["memory", "index", "index-k"])

@@ -87,7 +87,7 @@ def test_nondegenerate_unique_solution_two_solvers(rng):
 
     cfg = make_config(1, 0, 1, 4)
     w = forward_w_direct(random_grid(4, 16, rng), cfg)
-    a = np.array(build_matrix(cfg).as_lists(), dtype=float)
+    a = build_matrix(cfg)
     rhs = 2.0 * q_apply(w)
     lu = np.linalg.solve(a, rhs)
     ls, *_ = np.linalg.lstsq(a, rhs, rcond=None)
@@ -208,7 +208,7 @@ def _dense_solve(w, cfg):
 
     Returns the potential's values and lstsq's max-abs residual per grid point, relative to max |rhs|.
     """
-    a = np.array(build_matrix(cfg).as_lists(), dtype=float)
+    a = build_matrix(cfg)
     rhs = 2.0 * (-1) ** (cfg.alpha * cfg.beta) * q_apply(w)
     if classify(cfg).kind is Kind.DEGENERATE:
         sol = np.linalg.lstsq(a, rhs, rcond=None)[0]
