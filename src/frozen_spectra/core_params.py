@@ -153,11 +153,23 @@ def require_grid(f, config: ProblemConfig) -> None:
 _SIGN_PAIRS = {(a, b): SignPair((-1) ** (b + 1), (-1) ** (a + b)) for a in (0, 1) for b in (0, 1)}
 _I, _II, _III, _IV = (Classification(Kind.DEGENERATE, case) for case in (Case.I, Case.II, Case.III, Case.IV))
 _V, _VI, _VII = (Classification(Kind.NON_DEGENERATE, case) for case in (Case.V, Case.VI, Case.VII))
+_DEGENERATE_CASES = {(0, 0): _I, (0, 1): _II, (1, 0): _III, (1, 1): _IV}
+_NON_DEGENERATE_CASES = {(0, 1): _V, (1, 0): _VI, (1, 1): _VII}
 
 
 def sign_pair(config: ProblemConfig) -> SignPair:
     """The sign constants c = (-1)^(beta+1), d = (-1)^(alpha+beta), as the one shared SignPair of the flag pair."""
     return _SIGN_PAIRS[config.alpha, config.beta]
+
+
+def degenerate(alpha, beta, j, k):
+    """The parity rule of classify: degenerate iff alpha k + (alpha xor beta) j is even.
+
+    Per flag pair that is: always for (0,0), j even for (0,1), k + j even
+    for (1,0), k even for (1,1).  Ints give a bool; int arrays broadcast
+    and give a bool array, one entry per config.
+    """
+    return (alpha * k + (alpha ^ beta) * j) % 2 == 0
 
 
 def classify(config: ProblemConfig) -> Classification:
@@ -169,19 +181,8 @@ def classify(config: ProblemConfig) -> Classification:
       (III) alpha = 1, beta = 0, k + j even
       (IV)  alpha = beta = 1, k even
     Non-degenerate: the complementary cases (V)-(VII).  The parity rules
-    are valid for every relevant j in {0, ..., k}, not only j <= k/2.
+    (degenerate) are valid for every relevant j in {0, ..., k}, not only
+    j <= k/2.
     """
-    a, b, j, k = config.alpha, config.beta, config.j, config.k
-    if a == 0 and b == 0:
-        return _I
-    if a == 0 and b == 1:
-        if j % 2 == 0:
-            return _II
-        return _V
-    if a == 1 and b == 0:
-        if (k + j) % 2 == 0:
-            return _III
-        return _VI
-    if k % 2 == 0:
-        return _IV
-    return _VII
+    a, b = config.alpha, config.beta
+    return (_DEGENERATE_CASES if degenerate(a, b, config.j, config.k) else _NON_DEGENERATE_CASES)[a, b]

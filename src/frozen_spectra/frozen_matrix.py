@@ -13,7 +13,8 @@ characteristic polynomial, and in the j = 1 eigenvectors, the same
 recurrence run on the eigenvalue array.  Each runs on several flag pairs
 at once (numeric_spectra_j1, eigvecs_j1): one fold rule, one eigvals call
 or one recurrence pass, with the signs as a column per pair, and each row
-has the bits of its pair alone.  numeric_spectrum_j1 and eigvec_j1 are
+has the bits of its pair alone; eigvecs_j1 also takes a k per column, so
+one pass serves every k.  numeric_spectrum_j1 and eigvec_j1 are
 their batch of one, behind one guard, _j1_signs, as every public j = 1
 helper is; the signs c, d are read from core_params only.  No j = 1
 matrix is cached: each call runs the fold rule on the rows it reads.
@@ -23,7 +24,8 @@ entries per row and per column, both in column 0 at a = 0 (k = 1).  On the
 circle Z/2k with p and 2k - 1 - p identified, row i holds its entries in
 columns fold(i - j) and fold(i + j) (the fold rule, _fold_rule), and the
 row-column graph of a coprime config is one closed-form orbit through all
-k rows: det, rank, the kernel and solve_inverse read it off the rows.  The
+k rows: det, rank, the kernel and solve_inverse read it off the rows.  A
+k of 2^31 or more is refused before its rows are allocated.  The
 fold rule, the orbit (_orbits) and the Chebyshev step (_mul_sub) each have
 one implementation, on int64 arrays whose entries stay in [-1, 1] (2 in
 the first Chebyshev sub), asserted where a step makes new ones.  A call
@@ -45,10 +47,9 @@ import numpy as np
 from .chebyshev import IntPolynomial, StoredRun, X, imag_scaled_cheb_int, scaled_cheb_int, three_term
 from .core_params import (
     _SIGN_PAIRS,
-    Kind,
     ProblemConfig,
     SignPair,
-    classify,
+    degenerate,
     is_int,
     make_config,
     require_flags,
@@ -75,9 +76,21 @@ def _fold_rule(i, j, k, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return np.maximum(t, ~t), np.where(t < 0, 1, c), np.minimum(u, 2 * k - 1 - u), np.where(u < k, d, c)
 
 
+def _require_rows(k: int) -> None:
+    """ValueError naming k unless k < 2^31, checked before k rows are allocated.
+
+    Below it the orbit's positions 2jt < 2k^2 stay in int64.  Past it
+    np.arange(k) would ask for tens of GiB (745 GiB at k = 10^11), or give
+    an empty float64 range (k = 2^63).
+    """
+    if k >= 2**31:
+        raise ValueError(f"k={k} is too large: the fold rule and the orbit take fewer than 2^31 rows")
+
+
 def _family(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """_fold_rule on the k rows of a config; 2j > k raises ValueError (require_normalized)."""
+    """_fold_rule on the k rows of a config; 2j > k (require_normalized) or k >= 2^31 (_require_rows): ValueError."""
     require_normalized(config)
+    _require_rows(config.k)
     s = sign_pair(config)
     return _fold_rule(np.arange(config.k), config.j, config.k, s.c, s.d)
 
@@ -178,10 +191,9 @@ def _orbits(j, k: int, lc, lv, rc, rv) -> Orbit:
     j is an int, or an array of one j per config of the batch.  One gather
     along the orbit and one cumprod: -a_t b_t is minus the product of the
     two entries of row r_t.  The positions 2jt < 2k^2 stay in int64 for k
-    below 2^31, which is checked.
+    below 2^31, which _require_rows checks.
     """
-    if k >= 2**31:
-        raise ValueError(f"k={k} is too large for the orbit's int64 positions")
+    _require_rows(k)
     p = np.multiply.outer(-2 * j, np.arange(k)) % (2 * k)
     low = p < k
     at = _along_last(np.minimum(p, 2 * k - 1 - p))
@@ -268,19 +280,23 @@ def det_closed_form(k: int, alpha: int, beta: int) -> int:
     return c * (-c * d) ** (k // 2 - 1) * (1 - d)
 
 
-_KERNEL_SIGNS = {
-    (0, 0): lambda v: (-1) ** (v - 1),
-    (0, 1): lambda v: (-1) ** (v // 2),
-    (1, 0): lambda v: (-1) ** ((v - 1) // 2),
-    (1, 1): lambda v: (-1) ** (v // 2),
-}
+def kernel_signs(k: int, pairs) -> np.ndarray:
+    """The paper's +-1 kernel vector X_v, v = 1..k, of each flag pair in pairs: a (len(pairs), k) int64 array.
+
+    X_v = (-1)^((v - 1 + beta) // (1 + (alpha or beta))), which per pair
+    is (0,0): (-1)^(v-1), (0,1): (-1)^(v//2), (1,0): (-1)^((v-1)//2) and
+    (1,1): (-1)^(v//2).  A row does not depend on j: it is the kernel of
+    every degenerate config of its pair and this k, and of no other.
+    """
+    alpha, beta = np.array(pairs).T[:, :, None]
+    return 1 - 2 * ((np.arange(k) + beta) // (1 + (alpha | beta)) % 2)
 
 
 def kernel_closed_form(config: ProblemConfig) -> tuple[int, ...]:
-    """The paper's +-1 kernel vector X, X_v for v = 1..k, in the four degenerate cases; () otherwise."""
-    if classify(config).kind is Kind.NON_DEGENERATE:
+    """kernel_signs on the batch of one config, as a tuple, if it is degenerate; () otherwise."""
+    if not degenerate(config.alpha, config.beta, config.j, config.k):
         return ()
-    return tuple(map(_KERNEL_SIGNS[(config.alpha, config.beta)], range(1, config.k + 1)))
+    return tuple(kernel_signs(config.k, [(config.alpha, config.beta)])[0].tolist())
 
 
 def theorem1_poly(k: int, alpha: int, beta: int) -> IntPolynomial:
@@ -545,26 +561,32 @@ def eigvec_j1(z, k: int, alpha: int, beta: int) -> np.ndarray:
     return x[0]
 
 
-def eigvecs_j1(z: np.ndarray, k: int, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def eigvecs_j1(z: np.ndarray, k, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The j = 1 eigenvectors of the flag pairs in pairs, in one recurrence pass: x, ok, resid and scale.
 
     Row n of the (len(pairs), L) array z holds eigenvalues of the pair
-    pairs[n], and x[n] is their (k, L) columns.  Component m is d^(m-1)
-    q_{m-1}(z_i): the minors q_n of _char_poly_run, one three_term run on
-    the whole array with c d as a column per pair.  The residual
+    pairs[n], and k is one k for every column or an (L,) array of one k
+    per column.  x[n] holds their (K, L) columns, K the largest k:
+    component m is d^m q_m(z_i), the minors q_m of _char_poly_run, which
+    do not depend on k, so one three_term run of K steps on the whole
+    array serves every k, with c d as a column per pair.  The residual
     ||A x - z_i x||_inf and the scale ||x||_inf are read per column on the
-    two entries of each row of the pair's fold rule; ok is
-    resid <= 1e-9 scale, False for a non-finite z_i.  The caller checks k
-    and the flags.
+    two entries of each row of the fold rule of the pair and the column's
+    own k, over its first k rows only; ok is resid <= 1e-9 scale, False
+    for a non-finite z_i.  A column has the bits it has alone, and in its
+    first k rows those of a run to its own k.  The caller checks k and
+    the flags.
     """
     c, d = _pair_signs(pairs)
-    lc, lv, rc, rv = _fold_rule(np.arange(k), 1, k, c, d)
+    row = np.arange(np.max(k))[:, None]
+    lc, lv, rc, rv = _fold_rule(row, 1, k, c[..., None], d[..., None])  # rows past a column's k read other rows
     with np.errstate(all="ignore"):  # a non-finite z_i fails the residual test below, silently
-        x = np.stack(list(islice(three_term(z, np.ones_like(z), z - 1.0, c * d), k)), axis=1)
-        x = d[:, :, None] ** np.arange(k)[:, None] * x  # row m of x[n] is d^m q_m
-        n = np.arange(len(x))[:, None]
-        resid = np.abs(lv[..., None] * x[n, lc] + rv[..., None] * x[n, rc] - z[:, None] * x).max(axis=1)
-        scale = np.abs(x).max(axis=1)
+        x = np.stack(list(islice(three_term(z, np.ones_like(z), z - 1.0, c * d), len(row))), axis=1)
+        x = d[..., None] ** row * x  # row m of x[n] is d^m q_m
+        n, col = np.arange(len(x))[:, None, None], np.arange(x.shape[-1])
+        valid = row < k
+        resid = np.where(valid, np.abs(lv * x[n, lc, col] + rv * x[n, rc, col] - z[:, None] * x), 0).max(axis=1)
+        scale = np.where(valid, np.abs(x), 0).max(axis=1)
     return x, resid <= 1e-9 * scale, resid, scale
 
 

@@ -10,33 +10,41 @@ the closed-form spectra, 1e-14 * max(1, |W|) for the forward-map oracle.
 Within one sweeps() run only the forward-map oracle builds a matrix
 (forward_w_matrix).  The Theorem 2 sweep runs the fold rule and the
 Chebyshev step of frozen_matrix on int64 arrays that stack every
-(k, alpha, beta) block, and exact_record reads each config's (det, rank,
-kernel) off one orbit pass per k for the Corollary 1/3 and Lemma 3
-sweeps, which require it; the record is dropped when the run ends.  The
-float j = 1 checks run once per k over the three closed-form flag pairs:
-Corollary 2 on one eigvals call (numeric_spectra_j1) and Lemma 2 on one
-recurrence pass whose residual test gives each eigenvalue its pass or
-fail (eigvecs_j1).  The stacked rows live only while theorem2 is called,
-and sweeps() calls it before it builds the record, so a kmax too large to
-stack fails before anything is built or printed.  What persists between
-runs does so by design: the stored Chebyshev runs (chebyshev._cheb_run)
-and j = 1 char-poly runs (frozen_matrix._char_poly_run), each grown to
-the highest degree asked for.
+(k, alpha, beta) block.  orbit_checks reads one orbit pass per k and
+keeps only the booleans of the checks that read it: Corollary 1 (the
+j = 1 dets against det_closed_form), Corollary 3 (det = 0 against the
+parity rule, core_params.degenerate) and Lemma 3 (the null vector
+against the sign rule, kernel_signs), each a flat array in its sweep's
+order.  The three closed-form spectra of each k are built once per run
+and read by both float j = 1 checks: Lemma 2 as one recurrence pass over
+the spectra of every k side by side, whose residual test gives each
+eigenvalue its pass or fail (eigvecs_j1), and Corollary 2 as one eigvals
+call per k (numeric_spectra_j1) and one batched greedy match
+(greedy_matches).  A label is formatted only where a check fails.
+sweeps() counts the forward oracle's pairs and stacks the Theorem 2 rows
+before it reads an orbit, so a --kmax-forward or a kmax too large fails
+before anything is built or printed.  What persists between runs does so
+by design: the stored Chebyshev runs (chebyshev._cheb_run) and j = 1
+char-poly runs (frozen_matrix._char_poly_run), each grown to the highest
+degree asked for.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .core_params import Kind, ProblemConfig, classify, coprime_configs, make_config
+from .core_params import ProblemConfig, coprime_configs, degenerate
 from .frozen_matrix import (
     _FLAG_PAIRS,
     char_poly_j1,
     det_closed_form,
     eigvecs_j1,
-    kernel_closed_form,
+    kernel_signs,
     numeric_spectra_j1,
     orbits_of,
     reductions_match,
@@ -50,21 +58,62 @@ _CLOSED_FORM_FLAGS = ((0, 0), (1, 0), (1, 1))  # (0, 1) has no trigonometric spe
 _EIGVEC_KMAX = 16  # float checks on the j = 1 eigenvectors stop here
 _SPECTRUM_KMAX = 20  # Corollary 2 stops here, not for accuracy: perfbench's verify checker counts min(kmax, 20) k values
 _PASS = ("", True)  # a passed check: its label is never read, so none is built
+_FLAG_COLUMNS = np.array(_FLAG_PAIRS).T[:, :, None]  # alpha and beta of _FLAG_PAIRS, a (4, 1) column each
+
+
+def greedy_matches(a, b) -> np.ndarray:
+    """Per pair (a[n], b[n]) of multisets, the worst distance of a greedy nearest matching; match_multisets on each.
+
+    The multisets are padded to one size and their distances |a_p - b_q|
+    (np.hypot of the parts, the bits of Python's abs of a complex) taken
+    in one (N, n, n) array.  One pass over the positions p then gives each
+    a_p, of every pair at once, the b_q that Python's min and index pick
+    among the unused ones: the first nearest of those not NaN, or the
+    first unused one if its distance is NaN or none is below inf.  The
+    worst is inf for unequal sizes and NaN if any matched distance is.
+    """
+    sizes = np.array([len(x) for x in a])
+    n = max(sizes.max(initial=0), max((len(y) for y in b), default=0))
+    za, zb = np.zeros((2, len(sizes), n), complex)
+    for x, y, ra, rb in zip(a, b, za, zb):
+        ra[: len(x)], rb[: len(y)] = x, y
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance, as in Python, silently
+        diff = za[:, :, None] - zb[:, None, :]
+    dist = np.hypot(diff.real, diff.imag)
+    nan = np.isnan(dist)
+    free = np.where(nan, np.inf, dist)
+    rows = np.arange(len(sizes))
+    used = np.arange(n) >= sizes[:, None]  # a padded column is never free
+    nearest = np.zeros((len(sizes), n))
+    for p in range(n):
+        masked = np.where(used, np.inf, free[:, p])
+        q = np.argmin(masked, axis=1)
+        first = np.argmin(used, axis=1)
+        q = np.where(nan[rows, p, first] | (masked[rows, q] == np.inf), first, q)
+        nearest[:, p] = dist[rows, p, q]
+        used[rows, q] = True
+    worst = np.where(np.arange(n) < sizes[:, None], nearest, 0.0).max(axis=1, initial=0.0)
+    worst[np.isnan(worst)] = np.nan  # one NaN, whatever the sign the subtraction gave it
+    worst[sizes != [len(y) for y in b]] = np.inf
+    return worst
 
 
 def match_multisets(a, b) -> float:
-    """Worst distance of a greedy nearest matching, the first nearest on a tie; inf on unequal sizes, nan on a NaN."""
-    if len(a) != len(b):
-        return math.inf
-    b = [complex(z) for z in b]
-    worst = 0.0
-    for z in a:
-        z = complex(z)
-        dist = [abs(z - w) for w in b]
-        i = dist.index(min(dist))
-        del b[i]
-        worst = max(worst, dist[i]) if dist[i] == dist[i] else math.nan  # max keeps a NaN worst, never takes one
-    return worst
+    """Worst distance of a greedy nearest matching, the first nearest on a tie; inf on unequal sizes, nan on a NaN.
+
+    greedy_matches on the batch of one pair.
+    """
+    return float(greedy_matches([a], [b])[0])
+
+
+def _checks(ok: np.ndarray, label):
+    """One check per entry of the 1-D bool array ok, in order: _PASS, or (label(i), False) where ok[i] fails."""
+    done = 0
+    for i in np.flatnonzero(~ok).tolist():
+        yield from repeat(_PASS, i - done)
+        yield label(i), False
+        done = i + 1
+    yield from repeat(_PASS, len(ok) - done)
 
 
 def theorem1(kmax: int):
@@ -93,90 +142,151 @@ def theorem2(kmax: int):
     )
 
 
-def exact_record(kmax: int, kmax_t1: int) -> dict[ProblemConfig, tuple[int, int, tuple[int, ...]]]:
-    """(det, rank, kernel) of every coprime config with k <= kmax and every j = 1 config with k <= kmax_t1.
+class OrbitChecks(NamedTuple):
+    """The booleans of the checks read off the orbits, flat in their sweeps' order (see orbit_checks)."""
 
-    orbits_of reads the orbits of each k's configs in one pass, flags and
-    then j; the rank is k less one where the orbit is singular, and the
-    kernel its null vector, () if regular.
+    corollary1: np.ndarray
+    corollary3: np.ndarray
+    lemma3: np.ndarray
+
+
+def orbit_checks(kmax: int, kmax_t1: int) -> OrbitChecks:
+    """Corollaries 1 and 3 and Lemma 3 as bool arrays, read off one orbits_of pass per k <= max(kmax, kmax_t1).
+
+    Each pass reads the orbits of the coprime configs of k (of j = 1 alone
+    for k > kmax), flag pair by flag pair and then j, and keeps only the
+    checks' booleans:
+      Corollary 1, per k <= kmax_t1 and flag pair: the j = 1 det equals
+        det_closed_form;
+      Corollary 3, per coprime config of k <= kmax: det = 0 iff the
+        parity rule says degenerate;
+      Lemma 3, per the same config: the orbit is singular iff degenerate,
+        and then its null vector is the pair's kernel_signs row.  The rank
+        k - dim follows, as the rank is k less one where singular.
+    Corollary 1 is in (k, flag pair) order, the other two in
+    coprime_configs order (k, j, flag pair).
     """
-    record = {}
+    cor1, cor3, lem3 = [], [], []
     for k in range(2, max(kmax, kmax_t1) + 1):
         js = [j for j in range(1, k // 2 + 1) if math.gcd(j, k) == 1] if k <= kmax else [1]
-        configs = [ProblemConfig(alpha, beta, j, k) for alpha, beta in _FLAG_PAIRS for j in js]
         o = orbits_of(k, js)
-        for cfg, det, singular, x in zip(configs, o.det.tolist(), o.singular.tolist(), o.null_vectors.tolist()):
-            record[cfg] = det, k - singular, tuple(x) if singular else ()
-    return record
+        det = o.det.reshape(4, len(js))
+        if k <= kmax_t1:
+            cor1.append(det[:, 0] == [det_closed_form(k, *pair) for pair in _FLAG_PAIRS])
+        if k <= kmax:
+            deg = degenerate(*_FLAG_COLUMNS, np.array(js), k)
+            kernel = (o.null_vectors.reshape(4, len(js), k) == kernel_signs(k, _FLAG_PAIRS)[:, None]).all(axis=-1)
+            cor3.append(((det == 0) == deg).T.ravel())
+            lem3.append(((o.singular.reshape(4, len(js)) == deg) & (kernel | ~deg)).T.ravel())
+    return OrbitChecks(*(np.concatenate(checks) if checks else np.zeros(0, bool) for checks in (cor1, cor3, lem3)))
 
 
-def corollaries_1_3(kmax_t1: int, kmax: int, record: dict):
-    """Corollary 1 (closed-form j = 1 determinants) and Corollary 3 (det = 0 iff degenerate), on exact_record's dets."""
-    for k in range(2, kmax_t1 + 1):
-        for alpha, beta in _FLAG_PAIRS:
-            det = record[make_config(alpha, beta, 1, k)][0]
-            yield _PASS if det == det_closed_form(k, alpha, beta) else (f"corollary1 k={k} ({alpha},{beta})", False)
-    for cfg in coprime_configs(kmax):
-        deg = classify(cfg).kind is Kind.DEGENERATE
-        yield _PASS if (record[cfg][0] == 0) == deg else (f"corollary3 {cfg}", False)
+def corollaries_1_3(kmax: int, checks: OrbitChecks):
+    """Corollary 1 (closed-form j = 1 determinants) and Corollary 3 (det = 0 iff degenerate), from orbit_checks."""
+    label = "corollary1 k={} ({},{})"
+    yield from _checks(checks.corollary1, lambda i: label.format(i // 4 + 2, *_FLAG_PAIRS[i % 4]))
+    configs = cache(lambda: coprime_configs(kmax))  # listed at the first failure, if any
+    yield from _checks(checks.corollary3, lambda i: f"corollary3 {configs()[i]}")
 
 
-def lemmas_2_3(kmax: int, record: dict):
-    """Lemma 3 (exact_record's kernel is kernel_closed_form, rank k - dim) and Lemma 2 (the j = 1 eigenvectors)."""
-    for cfg in coprime_configs(kmax):
-        _, r, x = record[cfg]
-        ok = x == kernel_closed_form(cfg) and r == cfg.k - bool(x)
-        yield _PASS if ok else (f"lemma3 {cfg}", False)
-    for k in range(2, min(kmax, _EIGVEC_KMAX) + 1):
-        spectra = [spectrum_closed_form(k, alpha, beta) for alpha, beta in _CLOSED_FORM_FLAGS]
-        ok = eigvecs_j1(np.array(spectra), k, _CLOSED_FORM_FLAGS)[1].tolist()
-        for (alpha, beta), spectrum, passed in zip(_CLOSED_FORM_FLAGS, spectra, ok):
-            for z0, p in zip(spectrum, passed):
-                yield _PASS if p else (f"lemma2 k={k} ({alpha},{beta}) z0={z0}", False)
+def closed_form_spectra(kmax: int) -> dict[int, list[list[complex]]]:
+    """The spectrum_closed_form lists of the three closed-form flag pairs of each k <= min(kmax, 20), per k."""
+    ks = range(2, min(kmax, _SPECTRUM_KMAX) + 1)
+    return {k: [spectrum_closed_form(k, *pair) for pair in _CLOSED_FORM_FLAGS] for k in ks}
 
 
-def corollary2(kmax: int):
+def lemmas_2_3(kmax: int, checks: OrbitChecks, spectra: dict):
+    """Lemma 3 (the kernel is kernel_signs' row, rank k - dim), from orbit_checks, and Lemma 2 (the j = 1 eigenvectors).
+
+    Lemma 2 runs one eigvecs_j1 pass over the closed-form spectra of every
+    k <= min(kmax, 16) side by side, a column per eigenvalue with its own
+    k, and yields by k, flag pair and eigenvalue.
+    """
+    configs = cache(lambda: coprime_configs(kmax))
+    yield from _checks(checks.lemma3, lambda i: f"lemma3 {configs()[i]}")
+    ks = range(2, min(kmax, _EIGVEC_KMAX) + 1)
+    z = np.concatenate([spectra[k] for k in ks], axis=1)
+    ok = eigvecs_j1(z, np.repeat(ks, ks), _CLOSED_FORM_FLAGS)[1]
+    ok = np.concatenate([block.ravel() for block in np.split(ok, np.cumsum(ks)[:-1], axis=1)])  # k, pair, then z0
+    eigenvalues = cache(lambda: [(k, *pair, z0) for k in ks for pair, zs in zip(_CLOSED_FORM_FLAGS, spectra[k])
+                                 for z0 in zs])
+    yield from _checks(ok, lambda i: "lemma2 k={} ({},{}) z0={}".format(*eigenvalues()[i]))
+
+
+def corollary2(kmax: int, spectra: dict):
     """Corollary 2: the j = 1 eigenvalues match the trigonometric spectra; 0 is no (0,1) root.
 
     numeric_spectra_j1 gives the spectra of the three closed-form flag
-    pairs of each k in one eigvals call.
+    pairs of each k in one eigvals call, and one greedy_matches call
+    matches them all with the closed forms of this run.
     """
     ks = range(2, min(kmax, _SPECTRUM_KMAX) + 1)
-    for k in ks:
-        spectra = numeric_spectra_j1(k, _CLOSED_FORM_FLAGS).tolist()
-        for (alpha, beta), spectrum in zip(_CLOSED_FORM_FLAGS, spectra):
-            worst = match_multisets(spectrum, spectrum_closed_form(k, alpha, beta))
-            yield _PASS if worst < 1e-9 else (f"corollary2 k={k} ({alpha},{beta}) dist={worst:.2e}", False)
+    numeric = [row for k in ks for row in numeric_spectra_j1(k, _CLOSED_FORM_FLAGS)]
+    worst = greedy_matches(numeric, [s for k in ks for s in spectra[k]])
+    label = "corollary2 k={} ({},{}) dist={:.2e}"
+    yield from _checks(worst < 1e-9, lambda i: label.format(i // 3 + 2, *_CLOSED_FORM_FLAGS[i % 3], worst[i]))
     for k in ks:
         ok = abs(char_poly_j1(k, 0, 1).coeffs[0]) >= 1
         yield _PASS if ok else (f"corollary2 (0,1) k={k} zero in spectrum", False)
 
 
 def forward_oracle(kmax: int):
-    """The direct forward map equals Q^{-1} A R q on seeded random potentials, m = 16."""
+    """The direct forward map equals Q^{-1} A R q on seeded random potentials, m = 16.
+
+    The (j, k) pairs with j <= k/2 and k <= kmax are counted, kmax^2 // 4
+    of them, and allocated at the call, so a kmax whose pairs overflow
+    numpy's index range, or that the allocator refuses, raises a
+    ValueError naming --kmax-forward here, before anything is drawn.  The
+    count is compared with the index range first: near 2^63, np.arange
+    gives an empty range instead of refusing.  The coprime pairs are then
+    checked in coprime_configs order.
+    """
+    n = kmax * kmax // 4
+    too_many = f"--kmax-forward {kmax} lists {n} (j, k) pairs, too many to allocate"
+    if n > np.iinfo(np.intp).max // 8:
+        raise ValueError(too_many)
+    try:
+        pair = np.arange(n)
+        ks = np.arange(2, kmax + 1)
+        k = np.repeat(ks, ks // 2)
+    except MemoryError:
+        raise ValueError(too_many) from None
+    j = pair - (k - 1) ** 2 // 4 + 1  # the pairs of each k' < k come first, (k - 1)^2 // 4 of them
+    coprime = np.gcd(j, k) == 1
+    return _forward_checks(zip(j[coprime].tolist(), k[coprime].tolist()))
+
+
+def _forward_checks(pairs):
+    """The forward-map oracle on the four flag pairs of each coprime (j, k) of pairs, in turn."""
     rng = np.random.default_rng(20240815)
-    for cfg in coprime_configs(kmax):
-        q = GridFunction(cfg.k, 16, rng.normal(size=16 * cfg.k) + 1j * rng.normal(size=16 * cfg.k))
-        w1 = forward_w_direct(q, cfg)
-        w2 = forward_w_matrix(q, cfg)
-        err = np.abs(w1.values - w2.values).max()
-        yield _PASS if err <= 1e-14 * max(1.0, np.abs(w1.values).max()) else (f"forward oracle {cfg}", False)
+    for j, k in pairs:
+        for alpha, beta in _FLAG_PAIRS:
+            cfg = ProblemConfig(alpha, beta, j, k)
+            q = GridFunction(k, 16, rng.normal(size=16 * k) + 1j * rng.normal(size=16 * k))
+            w1 = forward_w_direct(q, cfg)
+            w2 = forward_w_matrix(q, cfg)
+            err = np.abs(w1.values - w2.values).max()
+            yield _PASS if err <= 1e-14 * max(1.0, np.abs(w1.values).max()) else (f"forward oracle {cfg}", False)
 
 
 def sweeps(kmax: int, kmax_t1: int, kmax_fwd: int):
     """The `verify` blocks in print order, as (name, sweep) pairs.
 
-    theorem2 is called first, so a kmax too large to stack raises before
-    the record is built; exact_record then builds the (det, rank, kernel)
-    record of this run, which the determinant and kernel sweeps read.
+    forward_oracle counts its pairs and theorem2 its stack at the call, so
+    a --kmax-forward or a kmax too large raises before any orbit is read
+    or any block prints.  orbit_checks then reads the determinant and
+    kernel checks off one orbit pass per k, and the closed-form spectra
+    that Lemma 2 and Corollary 2 share are built.
     """
+    forward = forward_oracle(kmax_fwd)
     reduction = theorem2(kmax)
-    record = exact_record(kmax, kmax_t1)
+    checks = orbit_checks(kmax, kmax_t1)
+    spectra = closed_form_spectra(kmax)
     return [
         ("theorem-1 polynomial identity", theorem1(kmax_t1)),
         ("theorem-2 matrix reduction", reduction),
-        ("corollary-1/3 determinants", corollaries_1_3(kmax_t1, kmax, record)),
-        ("lemma-2/3 kernels, ranks, eigenvectors", lemmas_2_3(kmax, record)),
-        ("corollary-2 closed-form spectra", corollary2(kmax)),
-        ("forward-map oracle", forward_oracle(kmax_fwd)),
+        ("corollary-1/3 determinants", corollaries_1_3(kmax, checks)),
+        ("lemma-2/3 kernels, ranks, eigenvectors", lemmas_2_3(kmax, checks, spectra)),
+        ("corollary-2 closed-form spectra", corollary2(kmax, spectra)),
+        ("forward-map oracle", forward),
     ]

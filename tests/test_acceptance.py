@@ -88,12 +88,12 @@ def test_criterion_02_theorem2_exactness():
 
 
 def test_criterion_03_corollaries_1_and_3():
-    checks = _passed(identities.corollaries_1_3(40, 24, identities.exact_record(24, 40)))
+    checks = _passed(identities.corollaries_1_3(24, identities.orbit_checks(24, 40)))
     _report(3, f"{checks} exact determinant checks")
 
 
 def test_criterion_04_lemmas_2_and_3():
-    checks = _passed(identities.lemmas_2_3(24, identities.exact_record(24, 24)))
+    checks = _passed(identities.lemmas_2_3(24, identities.orbit_checks(24, 24), identities.closed_form_spectra(24)))
     for cfg in coprime_configs(24):
         if classify(cfg).kind is Kind.DEGENERATE:
             a = build_matrix(cfg).tolist()
@@ -111,7 +111,7 @@ def test_criterion_04_lemmas_2_and_3():
 
 
 def test_criterion_05_corollary2_spectra():
-    _passed(identities.corollary2(20))
+    _passed(identities.corollary2(20, identities.closed_form_spectra(20)))
     _report(5, "closed-form spectra matched to 1e-9, (0,1) constant term >= 1")
 
 

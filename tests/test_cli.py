@@ -230,10 +230,9 @@ def _broken_eigenvector():
 
     bad = spectrum_closed_form(3, 1, 0)[1]
 
-    def broken(z, k, pairs):  # row n of z is the spectrum of pairs[n]
+    def broken(z, k, pairs):  # row n of z holds the spectra of pairs[n], a column per eigenvalue with its k
         x, ok, resid, scale = eigvecs_j1(z, k, pairs)
-        if k == 3:
-            ok[list(pairs).index((1, 0)), 1] = False
+        ok[list(pairs).index((1, 0)), np.flatnonzero(k == 3)[1]] = False
         return x, ok, resid, scale
 
     return identities, "eigvecs_j1", broken, "lemma-2/3 kernels, ranks, eigenvectors: 83 checks passed, 1 failed", f"lemma2 k=3 (1,0) z0={bad}"
@@ -250,22 +249,25 @@ def test_verify_reports_a_failed_identity(breakage, capsys, monkeypatch):
     assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [label]}}
 
 
+# the sign rule gives one row per k and flag pair, the kernel of each degenerate config of that pair and k: a sign
+# flipped in the (1, 1) row of k = 8 fails both (1, 1) configs of k = 8, j = 1 and 3, in coprime_configs order
 def test_verify_reports_a_wrong_closed_form_kernel(capsys, monkeypatch):
     from frozen_spectra import identities
     from frozen_spectra.core_params import ProblemConfig
-    from frozen_spectra.frozen_matrix import kernel_closed_form
+    from frozen_spectra.frozen_matrix import kernel_signs
 
-    bad = ProblemConfig(1, 1, 3, 8)
+    def flipped(k, pairs):
+        x = kernel_signs(k, pairs)
+        if k == 8:
+            x[list(pairs).index((1, 1)), 0] *= -1
+        return x
 
-    def flipped(cfg):
-        x = kernel_closed_form(cfg)
-        return (-x[0],) + x[1:] if cfg == bad else x
-
-    monkeypatch.setattr(identities, "kernel_closed_form", flipped)
+    monkeypatch.setattr(identities, "kernel_signs", flipped)
     code, out, err = run(capsys, "verify", "--kmax", "8", "--kmax-theorem1", "4", "--kmax-forward", "2")
     assert code == 4
-    assert "[verify] lemma-2/3 kernels, ranks, eigenvectors: 148 checks passed, 1 failed\n" in out
-    assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [f"lemma3 {bad}"]}}
+    assert "[verify] lemma-2/3 kernels, ranks, eigenvectors: 147 checks passed, 2 failed\n" in out
+    failures = [f"lemma3 {ProblemConfig(1, 1, j, 8)}" for j in (1, 3)]
+    assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": failures}}
 
 
 # the theorem-2 sweep stacks 2 kmax (kmax + 1) - 4 rows, past numpy's index range here: refused before it allocates
@@ -276,6 +278,29 @@ def test_verify_with_a_kmax_too_large_to_stack_exits_3(capsys):
     assert json.loads(err) == {
         "error": {"type": "ValueError", "message": f"kmax=3000000000 stacks {n} matrix rows, too many to allocate"}
     }
+
+
+# the forward oracle's (j, k) pairs, kmax^2 // 4 of them, are counted and allocated before any block prints: past
+# numpy's index range here
+@pytest.mark.parametrize("kmax_fwd", [10**11, 2**63])
+def test_verify_with_a_kmax_forward_too_large_to_list_exits_3(capsys, kmax_fwd):
+    code, out, err = run(capsys, "verify", "--kmax", "4", "--kmax-theorem1", "4", "--kmax-forward", str(kmax_fwd))
+    assert (code, out) == (3, "")
+    message = f"--kmax-forward {kmax_fwd} lists {kmax_fwd**2 // 4} (j, k) pairs, too many to allocate"
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
+# k rows are counted before they are allocated: np.arange(2^63) is an empty float64 range, and np.arange(10^11) asks
+# for 745 GiB; from the flags and from a --config file alike, matrix exits 3 and prints nothing
+@pytest.mark.parametrize("k", [10**11, 2**63])
+def test_matrix_with_too_many_rows_exits_3(capsys, tmp_path, k):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": 0, "beta": 0, "j": 1, "k": k}))
+    for argv in (["--alpha", "0", "--beta", "0", "--j", "1", "--k", str(k)], ["--config", str(config)]):
+        code, out, err = run(capsys, "matrix", *argv)
+        assert (code, out) == (3, ""), argv
+        message = f"k={k} is too large: the fold rule and the orbit take fewer than 2^31 rows"
+        assert json.loads(err)["error"]["message"].endswith(message), argv
 
 
 def test_unknown_subcommand_exit_code(capsys):

@@ -311,7 +311,7 @@ def _orbit_tuple(o, b=...):
 
 # the closed form against the generic walk of the built rows: one cycle, started at row 0 by the same edge, with the
 # same rows, columns, a, g, det and sgn(sigma_a), on every coprime config up to k = 80 and the four at a = 0; the
-# record's batch orbits, one pass per k over its coprime j and the four flag pairs, are the same walks
+# batch orbits that orbit_checks reads, one pass per k over its coprime j and the four flag pairs, are the same walks
 def test_orbit_is_the_walk_of_the_built_rows(monkeypatch):
     batches = {}
     read = identities.orbits_of
@@ -321,7 +321,7 @@ def test_orbit_is_the_walk_of_the_built_rows(monkeypatch):
         return batches[k][1]
 
     monkeypatch.setattr(identities, "orbits_of", kept)
-    identities.exact_record(80, 2)
+    identities.orbit_checks(80, 2)
     batch = {}
     for k, (js, o) in batches.items():
         configs = [ProblemConfig(alpha, beta, j, k) for alpha in (0, 1) for beta in (0, 1) for j in js]
@@ -381,6 +381,55 @@ def test_eigvec_j1_rejects_a_non_finite_z0(z0):
         eigvec_j1([z0], 3, 0, 0)
     with pytest.raises(ValueError, match="is not an eigenvalue"):
         eigvec_j1(spectrum_closed_form(3, 0, 0) + [z0], 3, 0, 0)
+
+
+# one recurrence pass over the concatenated spectra of every k <= 40, a k per column, gives each k the bits of
+# eigvecs_j1 run on that k alone: x in the column's first k rows, resid and scale, and the pass mask
+def test_one_pass_eigvecs_over_every_k_are_the_per_k_eigvecs_bit_for_bit():
+    pairs = frozen_matrix._FLAG_PAIRS
+    ks = range(2, 41)
+    spectra = {k: np.array([_j1_spectrum(k, alpha, beta) for alpha, beta in pairs]) for k in ks}
+    spectra[7][1, 2] = 0.5  # not an eigenvalue: it fails in both runs
+    z = np.concatenate(list(spectra.values()), axis=1)
+    x, ok, resid, scale = frozen_matrix.eigvecs_j1(z, np.repeat(ks, ks), pairs)
+    assert x.shape == (4, 40, sum(ks))
+    at = 0
+    for k in ks:
+        alone = frozen_matrix.eigvecs_j1(spectra[k], k, pairs)
+        cols = slice(at, at + k)
+        assert x[:, :k, cols].tobytes() == alone[0].tobytes(), k
+        for got, expected in zip((ok, resid, scale), alone[1:]):
+            assert got[:, cols].tobytes() == expected.tobytes(), k
+        at += k
+    assert np.flatnonzero(~ok).tolist() == [sum(range(2, 7)) + 2 + sum(ks)]  # (0, 1) is row 1 of the flattened mask
+
+
+# the one kernel sign rule gives the paper's four sign tables, and kernel_closed_form is its batch of one config
+def test_kernel_signs_are_the_paper_tables():
+    tables = {
+        (0, 0): lambda v: (-1) ** (v - 1),
+        (0, 1): lambda v: (-1) ** (v // 2),
+        (1, 0): lambda v: (-1) ** ((v - 1) // 2),
+        (1, 1): lambda v: (-1) ** (v // 2),
+    }
+    for k in range(1, 41):
+        signs = frozen_matrix.kernel_signs(k, frozen_matrix._FLAG_PAIRS)
+        assert signs.dtype == np.int64
+        assert signs.tolist() == [[tables[pair](v) for v in range(1, k + 1)] for pair in frozen_matrix._FLAG_PAIRS]
+    for cfg in coprime_configs(40):
+        deg = classify(cfg).kind is Kind.DEGENERATE
+        expected = tuple(tables[cfg.alpha, cfg.beta](v) for v in range(1, cfg.k + 1)) if deg else ()
+        assert kernel_closed_form(cfg) == expected, cfg
+
+
+# the rows are counted before they are allocated: at k = 2^63 np.arange gives an empty float64 range, and at k = 10^11
+# it asks for 745 GiB
+@pytest.mark.parametrize("k", [2**31, 10**11, 2**63])
+def test_a_matrix_with_too_many_rows_is_refused_before_its_rows_are_allocated(k):
+    message = rf"^k={k} is too large: the fold rule and the orbit take fewer than 2\^31 rows$"
+    for read in (build_matrix, orbit, rank, det_exact, kernel):
+        with pytest.raises(ValueError, match=message):
+            read(make_config(0, 0, 1, k))
 
 
 # one eigvals call on the stack of every flag pair gives each row the bits of the batch of one, exact zeros included

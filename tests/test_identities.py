@@ -1,18 +1,22 @@
 import math
+from itertools import islice
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frozen_spectra import GridFunction, IntPolynomial, frozen_matrix, identities, make_config
-from frozen_spectra.core_params import ProblemConfig, coprime_configs
+from frozen_spectra import GridFunction, IntPolynomial, frozen_matrix, identities
+from frozen_spectra.core_params import Kind, ProblemConfig, classify, coprime_configs
 
 # One broken ingredient per sweep; each is used by that sweep alone.
 BROKEN = {
     "theorem-1 polynomial identity": ("theorem1_poly", lambda k, a, b: IntPolynomial((1,))),
     "theorem-2 matrix reduction": ("reductions_match", lambda kmax: np.zeros((kmax + 1, 4, kmax // 2 + 1), dtype=bool)),
     "corollary-1/3 determinants": ("det_closed_form", lambda k, a, b: 7),
-    "lemma-2/3 kernels, ranks, eigenvectors": ("kernel_closed_form", lambda cfg: ()),
+    "lemma-2/3 kernels, ranks, eigenvectors": ("kernel_signs", lambda k, pairs: np.zeros((len(pairs), k), np.int64)),
     "corollary-2 closed-form spectra": ("numeric_spectra_j1", lambda k, pairs: np.full((len(pairs), k), 9.0)),
     "forward-map oracle": ("forward_w_matrix", lambda q, cfg: GridFunction(q.k, q.m, q.values)),
 }
@@ -45,6 +49,40 @@ def test_a_passed_check_formats_no_label(monkeypatch):
     monkeypatch.setattr(ProblemConfig, "__repr__", no_repr)
     for name, checks in identities.sweeps(12, 12, 4):
         assert set(checks) == {("", True)}, name
+
+
+def _greedy_match(a, b) -> float:
+    """The greedy match in Python, the oracle of greedy_matches: each a_p in turn takes its nearest remaining b_q."""
+    if len(a) != len(b):
+        return math.inf
+    b = [complex(z) for z in b]
+    worst = 0.0
+    for z in a:
+        z = complex(z)
+        dist = [abs(z - w) for w in b]
+        i = dist.index(min(dist))  # min keeps a first NaN, and skips every later one
+        del b[i]
+        worst = max(worst, dist[i]) if dist[i] == dist[i] else math.nan  # max keeps a NaN worst, never takes one
+    return worst
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+# a small pool makes ties, and NaN and +-inf in either part make NaN and inf distances
+_POINTS = st.sampled_from([0, 1, -1, 1j, -1j, 0.5, 1 + 1j, math.nan, math.inf, -math.inf,
+                           complex(math.inf, 1), complex(1, math.nan), complex(-math.inf, math.inf)])
+_MULTISETS = st.lists(st.one_of(_POINTS, st.complex_numbers(max_magnitude=4)), max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_MULTISETS, _MULTISETS) | _MULTISETS.map(lambda a: (a, a[::-1])), min_size=1, max_size=6))
+def test_greedy_matches_give_the_bits_of_the_python_greedy(pairs):
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    expected = [_bits(_greedy_match(x, y)) for x, y in pairs]
+    assert [_bits(w) for w in identities.greedy_matches(a, b).tolist()] == expected
+    assert [_bits(identities.match_multisets(x, y)) for x, y in pairs] == expected
 
 
 def test_match_multisets_sizes_and_distance():
@@ -102,8 +140,8 @@ def test_a_sweeps_run_builds_no_matrix(monkeypatch, kmax, kmax_t1):
     assert built == []
 
 
-# one recurrence pass per k gives the Lemma 2 mask: a bad z0 in each of two flag pairs of one k gets its own label,
-# the first a non-finite z0, and every other eigenvalue passes
+# one recurrence pass over every k gives the Lemma 2 mask: a bad z0 in each of two flag pairs of one k gets its own
+# label, the first a non-finite z0, and every other eigenvalue passes
 def test_lemma2_labels_each_failed_eigenvalue_of_the_mask(monkeypatch):
     bad = {(1, 0): (1, math.nan), (1, 1): (3, 0.5)}  # flag pair: (index in the spectrum, bad z0)
     closed = frozen_matrix.spectrum_closed_form
@@ -116,7 +154,7 @@ def test_lemma2_labels_each_failed_eigenvalue_of_the_mask(monkeypatch):
         return z
 
     monkeypatch.setattr(identities, "spectrum_closed_form", spectrum)
-    checks = list(identities.lemmas_2_3(6, identities.exact_record(6, 6)))
+    checks = list(identities.lemmas_2_3(6, identities.orbit_checks(6, 6), identities.closed_form_spectra(6)))
     assert [label for label, ok in checks if not ok] == [
         "lemma2 k=5 (1,0) z0=(nan+0j)",
         "lemma2 k=5 (1,1) z0=(0.5+0j)",
@@ -124,19 +162,40 @@ def test_lemma2_labels_each_failed_eigenvalue_of_the_mask(monkeypatch):
     assert len(checks) == len(coprime_configs(6)) + sum(3 * k for k in range(2, 7))
 
 
-# a kmax too large to stack is refused when sweeps() is called, before the record reads an orbit: orbits_of is
-# refused here, so a record built first fails at k = 2 instead of running toward k = 3e9
-def test_sweeps_runs_the_stack_guard_before_the_record(monkeypatch):
+# a kmax too large to stack is refused when sweeps() is called, before any orbit is read: orbits_of is refused here,
+# so orbit checks run first would fail at k = 2 instead of running toward k = 3e9
+def test_sweeps_runs_the_stack_guard_before_any_orbit(monkeypatch):
     monkeypatch.setattr(identities, "orbits_of", _refuse)
     with pytest.raises(ValueError, match=r"^kmax=3000000000 stacks 18000000005999999996 matrix rows, too many to"):
         identities.sweeps(3_000_000_000, 4, 2)
 
 
+# a --kmax-forward whose (j, k) pairs numpy refuses is refused when sweeps() is called, before the Theorem 2 stack
+# or any orbit is built
+@pytest.mark.parametrize("kmax_fwd", [10**11, 2**63])
+def test_sweeps_runs_the_forward_guard_first(monkeypatch, kmax_fwd):
+    monkeypatch.setattr(identities, "orbits_of", _refuse)
+    monkeypatch.setattr(identities, "reductions_match", _refuse)
+    message = rf"^--kmax-forward {kmax_fwd} lists {kmax_fwd**2 // 4} \(j, k\) pairs, too many to allocate$"
+    with pytest.raises(ValueError, match=message):
+        identities.sweeps(4, 4, kmax_fwd)
+
+
+# the forward oracle checks the configs of coprime_configs, in that order
+@pytest.mark.parametrize("kmax_fwd", [2, 3, 8, 13])
+def test_forward_oracle_checks_the_coprime_configs_in_order(monkeypatch, kmax_fwd):
+    seen = []
+    direct = identities.forward_w_direct
+    monkeypatch.setattr(identities, "forward_w_direct", lambda q, cfg: seen.append(cfg) or direct(q, cfg))
+    assert set(identities.forward_oracle(kmax_fwd)) == {("", True)}
+    assert seen == coprime_configs(kmax_fwd)
+
+
 @pytest.mark.parametrize("kmax,kmax_t1", [(12, 14), (14, 12), (2, 2)])
-def test_exact_record_holds_the_coprime_and_j1_configs(kmax, kmax_t1):
-    j1 = [ProblemConfig(a, b, 1, k) for k in range(kmax + 1, kmax_t1 + 1) for a in (0, 1) for b in (0, 1)]
-    expected = sorted(coprime_configs(kmax) + j1, key=lambda cfg: (cfg.k, cfg.alpha, cfg.beta, cfg.j))
-    assert list(identities.exact_record(kmax, kmax_t1)) == expected
+def test_orbit_checks_hold_one_check_per_j1_and_coprime_config(kmax, kmax_t1):
+    cor1, cor3, lem3 = identities.orbit_checks(kmax, kmax_t1)
+    assert cor1.tolist() == [True] * 4 * (kmax_t1 - 1)
+    assert cor3.tolist() == lem3.tolist() == [True] * len(coprime_configs(kmax))
 
 
 # blocks are ordered by k and then the flags, and the step to j holds the blocks with k >= 2j: the step to j = 5
@@ -158,19 +217,39 @@ def test_one_corrupted_block_fails_its_config_alone(monkeypatch):
     assert failed == [f"theorem2 {ProblemConfig(0, 1, 5, 11)}"]
 
 
-# the record of the batch orbits holds what the per-config reads give
-def test_exact_record_holds_the_per_config_det_rank_and_kernel():
-    record = identities.exact_record(80, 90)
-    j1 = [make_config(a, b, 1, k) for k in range(81, 91) for a in (0, 1) for b in (0, 1)]
-    assert len(record) == len(coprime_configs(80)) + len(j1)
-    for cfg in coprime_configs(80) + j1:
-        o = frozen_matrix.orbit(cfg)
-        assert record[cfg] == (frozen_matrix.det_exact(cfg), frozen_matrix.rank(cfg), o.null_vector), cfg
+# each config's checks read its own orbit in the batch of its k: one sign flipped in one orbit's running product
+# fails that config's checks alone.  Flipped at the last step it turns det = 0 over, which Corollaries 1 (j = 1) and 3
+# and Lemma 3 report; flipped at t = 1 it changes the null vector alone, which Lemma 3 reports if the config is
+# degenerate, and no check reads otherwise
+@pytest.mark.parametrize("cfg", [ProblemConfig(1, 1, 3, 8), ProblemConfig(0, 1, 3, 7), ProblemConfig(0, 0, 1, 9),
+                                 ProblemConfig(1, 0, 1, 85), ProblemConfig(0, 1, 37, 80)], ids=repr)
+@pytest.mark.parametrize("t", [-1, 1])
+def test_orbit_checks_read_each_config_at_its_own_place(monkeypatch, cfg, t):
+    read = identities.orbits_of
+
+    def flipped(k, js):
+        o = read(k, js)
+        if k != cfg.k:
+            return o
+        g = o.g.copy()
+        g[frozen_matrix._FLAG_PAIRS.index((cfg.alpha, cfg.beta)) * len(js) + js.index(cfg.j), t] *= -1
+        return frozen_matrix.Orbit(o.rows, o.cols, o.a, g, o.sign)
+
+    monkeypatch.setattr(identities, "orbits_of", flipped)
+    checks = identities.orbit_checks(80, 90)
+    failed = [label for label, ok in identities.corollaries_1_3(80, checks) if not ok]
+    failed += [label for label, ok in islice(identities.lemmas_2_3(80, checks, {}), len(checks.lemma3)) if not ok]
+    deg = classify(cfg).kind is Kind.DEGENERATE
+    if t == -1:
+        expected = [f"corollary1 k={cfg.k} ({cfg.alpha},{cfg.beta})"] if cfg.j == 1 else []
+        expected += [f"corollary3 {cfg}", f"lemma3 {cfg}"] if cfg.k <= 80 else []
+    else:
+        expected = [f"lemma3 {cfg}"] if deg and cfg.k <= 80 else []
+    assert failed == expected
 
 
-# the record of one run holds two ints and a kernel per coprime config and no matrix, and the theorem-2 run holds
-# (4, n) arrays of its n = 1856 stacked rows: about 0.7 MB at the peak here, where a cache of every matrix built reads
-# about 2.5 MB
+# a run keeps three booleans per coprime config and no matrix, and the theorem-2 run holds (4, n) arrays of its
+# n = 1856 stacked rows: about 0.7 MB at the peak here, where a cache of every matrix built reads about 2.5 MB
 def test_a_sweeps_run_holds_no_matrix_beyond_its_step():
     _consume(6, 6, 3)  # warm the per-process caches (stored Chebyshev and char-poly runs)
     tracemalloc.start()
