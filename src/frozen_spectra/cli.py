@@ -304,18 +304,17 @@ def cmd_example(args) -> RunManifest:
 
 
 def cmd_verify(args) -> RunManifest:
-    """Run the identity sweeps, print per block how many checks passed and failed; raise VerifyFailure if any fails."""
+    """Run the identity blocks, print per block how many checks passed and failed; raise VerifyFailure if any fails."""
     for flag in ("kmax", "kmax_theorem1", "kmax_forward"):  # below 2 a block would check nothing
         if getattr(args, flag) < 2:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 2, got {getattr(args, flag)}")
     _check_stored_n("--kmax-theorem1", args.kmax_theorem1)
     failures: list[str] = []
-    for name, checks in identities.sweeps(args.kmax, args.kmax_theorem1, args.kmax_forward):
-        results = list(checks)
-        failed = [label for label, ok in results if not ok]
+    for block in identities.sweeps(args.kmax, args.kmax_theorem1, args.kmax_forward):
+        failed = block.failures()
         failures += failed
-        tally = f"{len(results) - len(failed)} checks passed" + (f", {len(failed)} failed" if failed else "")
-        print(f"[verify] {name}: {tally}")
+        tally = f"{block.ok.size - len(failed)} checks passed" + (f", {len(failed)} failed" if failed else "")
+        print(f"[verify] {block.name}: {tally}")
     if failures:
         raise VerifyFailure(failures)
     print(f"[verify] all blocks passed (kmax={args.kmax})")

@@ -25,10 +25,11 @@ circle Z/2k with p and 2k - 1 - p identified, row i holds its entries in
 columns fold(i - j) and fold(i + j) (the fold rule, _fold_rule), and the
 row-column graph of a coprime config is one closed-form orbit through all
 k rows: det, rank, the kernel and solve_inverse read it off the rows.  A
-k of 2^31 or more is refused before its rows are allocated.  The
-fold rule, the orbit (_orbits) and the Chebyshev step (_mul_sub) each have
-one implementation, on int64 arrays whose entries stay in [-1, 1] (2 in
-the first Chebyshev sub), asserted where a step makes new ones.  A call
+k of 2^31 or more is refused before its rows are allocated, and so is a
+dense matrix the allocator refuses (_zeros).  The fold rule, the orbit
+(_orbits) and the Chebyshev step (_mul_sub) each have one
+implementation, on int64 arrays whose entries stay in [-1, 1] (2 in the
+first Chebyshev sub), asserted where a step makes new ones.  A call
 for one config is a batch of one; identities runs them on every
 (k, alpha, beta) at once.  A matrix has one sparse form, the fold rule's
 four arrays (lc, lv, rc, rv), each row's two entries in family order, and
@@ -95,18 +96,26 @@ def _family(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return _fold_rule(np.arange(config.k), config.j, config.k, s.c, s.d)
 
 
-def _dense(lc, lv, rc, rv) -> np.ndarray:
-    """The int64 dense matrix of k rows of two entries each, added into zeros: a shared column (a = 0) sums.
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """The int64 zeros of a dense (k, k) matrix or (n, k, k) stack, allocated before its rows.
 
-    (n, k) values give a stack of n matrices, their columns (n, k) or one
-    (k,) for all.  A size the allocator refuses is a ValueError naming k.
+    A size the allocator refuses is a ValueError naming k, so it is
+    refused before the fold rule allocates its k-length arrays.
     """
-    k = lv.shape[-1]
+    k = shape[-1]
     try:
-        dense = np.zeros(lv.shape + (k,), np.int64)
+        return np.zeros(shape, np.int64)
     except (MemoryError, ValueError):
         raise ValueError(f"a dense matrix with k={k} has {k * k} entries, too many to allocate") from None
-    at = (*_along_last(lv)[:-1], np.arange(k))  # the batch index of a stack, then the row
+
+
+def _dense(dense, lc, lv, rc, rv) -> np.ndarray:
+    """The int64 dense matrix of k rows of two entries each, added into the zeros dense: a shared column (a = 0) sums.
+
+    (n, k) values give a stack of n matrices, their columns (n, k) or one
+    (k,) for all.
+    """
+    at = (*_along_last(lv)[:-1], np.arange(lv.shape[-1]))  # the batch index of a stack, then the row
     dense[(*at, lc)] = lv
     dense[(*at, rc)] += rv
     return dense
@@ -139,7 +148,9 @@ def build_matrix(config: ProblemConfig) -> np.ndarray:
     column 0.  Every exact question about the matrix is read in O(k) off
     its orbit instead (see orbit).
     """
-    return _dense(*_family(config))
+    require_normalized(config)
+    _require_rows(config.k)  # a k past the fold rule is named before the dense size
+    return _dense(_zeros((config.k, config.k)), *_family(config))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +374,7 @@ def numeric_spectra_j1(k: int, pairs) -> np.ndarray:
     (0,0) double zero of even k is a Jordan block, which eigvals alone
     returns as a pair near +-1e-8.
     """
-    dense = _dense(*_fold_rule(np.arange(k), 1, k, *_pair_signs(pairs)))  # refuses a k too large first
+    dense = _dense(_zeros((len(pairs), k, k)), *_fold_rule(np.arange(k), 1, k, *_pair_signs(pairs)))
     zero_mults = [next(i for i, c in enumerate(char_poly_j1(k, *pair).coeffs) if c) for pair in pairs]
     z = np.linalg.eigvals(dense).astype(complex)
     for row, order, zero_mult in zip(z, np.argsort(np.abs(z), axis=-1), zero_mults):
@@ -464,11 +475,12 @@ def reduce_to_j1(config: ProblemConfig) -> np.ndarray:
     """
     require_normalized(config)
     _j1_signs("reduce_to_j1", config.k, config.alpha, config.beta)
+    dense = _zeros((config.k, config.k))
     k, i = config.k, np.arange(config.k)
     m, y, sub = _chebyshev_start(k, np.full(k, _FLAG_PAIRS.index((config.alpha, config.beta))), i, 0 * i)
     for _ in range(config.j - 1):
         sub, y = y, _mul_sub(m, y, sub)
-    return _dense(*y)
+    return _dense(dense, *y)
 
 
 def _first_row(k):

@@ -1,9 +1,11 @@
-"""The paper's exact identities as sweeps of named checks.
+"""The paper's exact identities as blocks of named checks.
 
-Each generator yields one (label, ok) pair per check.  A failed check's
-label names the identity and the case, so it reads as a report line; a
-passed check yields ("", True) and formats nothing.  The
-`verify` command and the acceptance gate run the same sweeps, with the same
+Each block is one Block(name, ok, label): ok holds a bool per check, in
+the block's order, and label(i) names check i, the identity and the case,
+so it reads as a report line.  label is called only where ok[i] is False,
+and a label's source, such as the coprime_configs list, is built once per
+block and only if a check of it fails; a passed check formats nothing.  The
+`verify` command and the acceptance gate run the same blocks, with the same
 ranges and tolerances: exact equality for the integer identities, 1e-9 for
 the closed-form spectra, 1e-14 * max(1, |W|) for the forward-map oracle.
 
@@ -20,21 +22,19 @@ and read by both float j = 1 checks: Lemma 2 as one recurrence pass over
 the spectra of every k side by side, whose residual test gives each
 eigenvalue its pass or fail (eigvecs_j1), and Corollary 2 as one eigvals
 call per k (numeric_spectra_j1) and one batched greedy match
-(greedy_matches).  A label is formatted only where a check fails.
-sweeps() counts the forward oracle's pairs and stacks the Theorem 2 rows
+(greedy_matches).  sweeps() computes every block before verify prints
+one: it counts the forward oracle's pairs and stacks the Theorem 2 rows
 before it reads an orbit, so a --kmax-forward or a kmax too large fails
-before anything is built or printed.  What persists between runs does so
-by design: the stored Chebyshev runs (chebyshev._cheb_run) and j = 1
-char-poly runs (frozen_matrix._char_poly_run), each grown to the highest
-degree asked for.
+before anything is printed.  What persists between
+runs does so by design: the stored Chebyshev runs (chebyshev._cheb_run)
+and j = 1 char-poly runs (frozen_matrix._char_poly_run), each grown to
+the highest degree asked for.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
-from itertools import repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .main_equation import forward_w_direct, forward_w_matrix
 _CLOSED_FORM_FLAGS = ((0, 0), (1, 0), (1, 1))  # (0, 1) has no trigonometric spectrum
 _EIGVEC_KMAX = 16  # float checks on the j = 1 eigenvectors stop here
 _SPECTRUM_KMAX = 20  # Corollary 2 stops here, not for accuracy: perfbench's verify checker counts min(kmax, 20) k values
-_PASS = ("", True)  # a passed check: its label is never read, so none is built
 _FLAG_COLUMNS = np.array(_FLAG_PAIRS).T[:, :, None]  # alpha and beta of _FLAG_PAIRS, a (4, 1) column each
 
 
@@ -106,51 +105,43 @@ def match_multisets(a, b) -> float:
     return float(greedy_matches([a], [b])[0])
 
 
-def _checks(ok: np.ndarray, label):
-    """One check per entry of the 1-D bool array ok, in order: _PASS, or (label(i), False) where ok[i] fails."""
-    done = 0
-    for i in np.flatnonzero(~ok).tolist():
-        yield from repeat(_PASS, i - done)
-        yield label(i), False
-        done = i + 1
-    yield from repeat(_PASS, len(ok) - done)
+class Block(NamedTuple):
+    """One `verify` block: ok[i] is whether check i passed; label(i) names check i, read only where ok[i] is False."""
+
+    name: str
+    ok: np.ndarray
+    label: Callable[[int], str]
+
+    def failures(self) -> list[str]:
+        """The labels of the failed checks, in order."""
+        return [self.label(i) for i in np.flatnonzero(~self.ok).tolist()]
 
 
-def theorem1(kmax: int):
-    """Theorem 1: the recurrence char poly equals the Chebyshev closed form."""
-    for alpha, beta in _FLAG_PAIRS:
-        for k in range(2, kmax + 1):
-            ok = char_poly_j1(k, alpha, beta).coeffs == theorem1_poly(k, alpha, beta).coeffs
-            yield _PASS if ok else (f"theorem1 k={k} ({alpha},{beta})", False)
+def theorem1(kmax: int) -> Block:
+    """Theorem 1: the recurrence char poly equals the Chebyshev closed form, by flag pair and then k."""
+    ks = range(2, kmax + 1)
+    ok = [char_poly_j1(k, a, b).coeffs == theorem1_poly(k, a, b).coeffs for a, b in _FLAG_PAIRS for k in ks]
+    return Block("theorem-1 polynomial identity", np.array(ok, bool),
+                 lambda i: "theorem1 k={} ({},{})".format(ks[i % len(ks)], *_FLAG_PAIRS[i // len(ks)]))
 
 
-def theorem2(kmax: int):
+def theorem2(kmax: int) -> Block:
     """Theorem 2: the Chebyshev reduction to j = 1 equals the direct matrix.
 
     reductions_match runs the reduction on every (k, alpha, beta) at once,
-    one step per j, and compares it with the fold rule.  It runs at the
-    call, so a kmax too large to stack raises here; the checks it returns
-    are yielded by k, flags and j.
+    one step per j, and compares it with the fold rule, so a kmax too
+    large to stack raises first.  The checks are its coprime configs, by
+    k, flags and j.
     """
-    match = reductions_match(kmax).tolist()
-    return (
-        _PASS if match[k][f][j] else (f"theorem2 {ProblemConfig(*_FLAG_PAIRS[f], j, k)}", False)
-        for k in range(2, kmax + 1)
-        for f in range(4)
-        for j in range(1, k // 2 + 1)
-        if math.gcd(j, k) == 1
-    )
+    match = reductions_match(kmax)
+    k, _, j = np.ogrid[: kmax + 1, :4, : kmax // 2 + 1]
+    coprime = np.broadcast_to((j >= 1) & (2 * j <= k) & (np.gcd(j, k) == 1), match.shape)
+    ok = match[coprime]
+    configs = None if ok.all() else [ProblemConfig(*_FLAG_PAIRS[f], j, k) for k, f, j in np.argwhere(coprime).tolist()]
+    return Block("theorem-2 matrix reduction", ok, lambda i: f"theorem2 {configs[i]}")
 
 
-class OrbitChecks(NamedTuple):
-    """The booleans of the checks read off the orbits, flat in their sweeps' order (see orbit_checks)."""
-
-    corollary1: np.ndarray
-    corollary3: np.ndarray
-    lemma3: np.ndarray
-
-
-def orbit_checks(kmax: int, kmax_t1: int) -> OrbitChecks:
+def orbit_checks(kmax: int, kmax_t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corollaries 1 and 3 and Lemma 3 as bool arrays, read off one orbits_of pass per k <= max(kmax, kmax_t1).
 
     Each pass reads the orbits of the coprime configs of k (of j = 1 alone
@@ -178,15 +169,15 @@ def orbit_checks(kmax: int, kmax_t1: int) -> OrbitChecks:
             kernel = (o.null_vectors.reshape(4, len(js), k) == kernel_signs(k, _FLAG_PAIRS)[:, None]).all(axis=-1)
             cor3.append(((det == 0) == deg).T.ravel())
             lem3.append(((o.singular.reshape(4, len(js)) == deg) & (kernel | ~deg)).T.ravel())
-    return OrbitChecks(*(np.concatenate(checks) if checks else np.zeros(0, bool) for checks in (cor1, cor3, lem3)))
+    return tuple(np.concatenate(checks) if checks else np.zeros(0, bool) for checks in (cor1, cor3, lem3))
 
 
-def corollaries_1_3(kmax: int, checks: OrbitChecks):
+def corollaries_1_3(kmax: int, cor1: np.ndarray, cor3: np.ndarray) -> Block:
     """Corollary 1 (closed-form j = 1 determinants) and Corollary 3 (det = 0 iff degenerate), from orbit_checks."""
-    label = "corollary1 k={} ({},{})"
-    yield from _checks(checks.corollary1, lambda i: label.format(i // 4 + 2, *_FLAG_PAIRS[i % 4]))
-    configs = cache(lambda: coprime_configs(kmax))  # listed at the first failure, if any
-    yield from _checks(checks.corollary3, lambda i: f"corollary3 {configs()[i]}")
+    configs = None if cor3.all() else coprime_configs(kmax)  # listed for a failure only
+    return Block("corollary-1/3 determinants", np.concatenate((cor1, cor3)),
+                 lambda i: "corollary1 k={} ({},{})".format(i // 4 + 2, *_FLAG_PAIRS[i % 4]) if i < len(cor1)
+                 else f"corollary3 {configs[i - len(cor1)]}")
 
 
 def closed_form_spectra(kmax: int) -> dict[int, list[list[complex]]]:
@@ -195,51 +186,50 @@ def closed_form_spectra(kmax: int) -> dict[int, list[list[complex]]]:
     return {k: [spectrum_closed_form(k, *pair) for pair in _CLOSED_FORM_FLAGS] for k in ks}
 
 
-def lemmas_2_3(kmax: int, checks: OrbitChecks, spectra: dict):
+def lemmas_2_3(kmax: int, lem3: np.ndarray, spectra: dict) -> Block:
     """Lemma 3 (the kernel is kernel_signs' row, rank k - dim), from orbit_checks, and Lemma 2 (the j = 1 eigenvectors).
 
     Lemma 2 runs one eigvecs_j1 pass over the closed-form spectra of every
     k <= min(kmax, 16) side by side, a column per eigenvalue with its own
-    k, and yields by k, flag pair and eigenvalue.
+    k, and checks by k, flag pair and eigenvalue.
     """
-    configs = cache(lambda: coprime_configs(kmax))
-    yield from _checks(checks.lemma3, lambda i: f"lemma3 {configs()[i]}")
     ks = range(2, min(kmax, _EIGVEC_KMAX) + 1)
     z = np.concatenate([spectra[k] for k in ks], axis=1)
     ok = eigvecs_j1(z, np.repeat(ks, ks), _CLOSED_FORM_FLAGS)[1]
-    ok = np.concatenate([block.ravel() for block in np.split(ok, np.cumsum(ks)[:-1], axis=1)])  # k, pair, then z0
-    eigenvalues = cache(lambda: [(k, *pair, z0) for k in ks for pair, zs in zip(_CLOSED_FORM_FLAGS, spectra[k])
-                                 for z0 in zs])
-    yield from _checks(ok, lambda i: "lemma2 k={} ({},{}) z0={}".format(*eigenvalues()[i]))
+    lem2 = np.concatenate([block.ravel() for block in np.split(ok, np.cumsum(ks)[:-1], axis=1)])  # k, pair, then z0
+    configs = None if lem3.all() else coprime_configs(kmax)  # each listed for a failure only
+    eigenvalues = None if lem2.all() else [
+        (k, *pair, z0) for k in ks for pair, zs in zip(_CLOSED_FORM_FLAGS, spectra[k]) for z0 in zs]
+    return Block("lemma-2/3 kernels, ranks, eigenvectors", np.concatenate((lem3, lem2)),
+                 lambda i: f"lemma3 {configs[i]}" if i < len(lem3)
+                 else "lemma2 k={} ({},{}) z0={}".format(*eigenvalues[i - len(lem3)]))
 
 
-def corollary2(kmax: int, spectra: dict):
+def corollary2(kmax: int, spectra: dict) -> Block:
     """Corollary 2: the j = 1 eigenvalues match the trigonometric spectra; 0 is no (0,1) root.
 
     numeric_spectra_j1 gives the spectra of the three closed-form flag
     pairs of each k in one eigvals call, and one greedy_matches call
-    matches them all with the closed forms of this run.
+    matches them all with the closed forms of this run.  The (0,1) checks
+    follow, one per k.
     """
     ks = range(2, min(kmax, _SPECTRUM_KMAX) + 1)
     numeric = [row for k in ks for row in numeric_spectra_j1(k, _CLOSED_FORM_FLAGS)]
     worst = greedy_matches(numeric, [s for k in ks for s in spectra[k]])
-    label = "corollary2 k={} ({},{}) dist={:.2e}"
-    yield from _checks(worst < 1e-9, lambda i: label.format(i // 3 + 2, *_CLOSED_FORM_FLAGS[i % 3], worst[i]))
-    for k in ks:
-        ok = abs(char_poly_j1(k, 0, 1).coeffs[0]) >= 1
-        yield _PASS if ok else (f"corollary2 (0,1) k={k} zero in spectrum", False)
+    nonzero = np.array([abs(char_poly_j1(k, 0, 1).coeffs[0]) >= 1 for k in ks], bool)
+    return Block("corollary-2 closed-form spectra", np.concatenate((worst < 1e-9, nonzero)),
+                 lambda i: f"corollary2 (0,1) k={i - len(worst) + 2} zero in spectrum" if i >= len(worst)
+                 else "corollary2 k={} ({},{}) dist={:.2e}".format(i // 3 + 2, *_CLOSED_FORM_FLAGS[i % 3], worst[i]))
 
 
-def forward_oracle(kmax: int):
-    """The direct forward map equals Q^{-1} A R q on seeded random potentials, m = 16.
+def forward_configs(kmax: int) -> list[ProblemConfig]:
+    """The configs of the forward-map oracle: the coprime configs of k <= kmax, in coprime_configs order.
 
     The (j, k) pairs with j <= k/2 and k <= kmax are counted, kmax^2 // 4
-    of them, and allocated at the call, so a kmax whose pairs overflow
-    numpy's index range, or that the allocator refuses, raises a
-    ValueError naming --kmax-forward here, before anything is drawn.  The
-    count is compared with the index range first: near 2^63, np.arange
-    gives an empty range instead of refusing.  The coprime pairs are then
-    checked in coprime_configs order.
+    of them, and allocated first, so a kmax whose pairs overflow numpy's
+    index range, or that the allocator refuses, raises a ValueError naming
+    --kmax-forward here.  The count is compared with the index range
+    first: near 2^63, np.arange gives an empty range instead of refusing.
     """
     n = kmax * kmax // 4
     too_many = f"--kmax-forward {kmax} lists {n} (j, k) pairs, too many to allocate"
@@ -253,40 +243,36 @@ def forward_oracle(kmax: int):
         raise ValueError(too_many) from None
     j = pair - (k - 1) ** 2 // 4 + 1  # the pairs of each k' < k come first, (k - 1)^2 // 4 of them
     coprime = np.gcd(j, k) == 1
-    return _forward_checks(zip(j[coprime].tolist(), k[coprime].tolist()))
+    pairs = zip(j[coprime].tolist(), k[coprime].tolist())
+    return [ProblemConfig(*flags, j, k) for j, k in pairs for flags in _FLAG_PAIRS]
 
 
-def _forward_checks(pairs):
-    """The forward-map oracle on the four flag pairs of each coprime (j, k) of pairs, in turn."""
+def forward_oracle(configs: list[ProblemConfig]) -> Block:
+    """The direct forward map equals Q^{-1} A R q on seeded random potentials, m = 16, on each of configs in turn."""
     rng = np.random.default_rng(20240815)
-    for j, k in pairs:
-        for alpha, beta in _FLAG_PAIRS:
-            cfg = ProblemConfig(alpha, beta, j, k)
-            q = GridFunction(k, 16, rng.normal(size=16 * k) + 1j * rng.normal(size=16 * k))
-            w1 = forward_w_direct(q, cfg)
-            w2 = forward_w_matrix(q, cfg)
-            err = np.abs(w1.values - w2.values).max()
-            yield _PASS if err <= 1e-14 * max(1.0, np.abs(w1.values).max()) else (f"forward oracle {cfg}", False)
+    ok = []
+    for cfg in configs:
+        q = GridFunction(cfg.k, 16, rng.normal(size=16 * cfg.k) + 1j * rng.normal(size=16 * cfg.k))
+        w1 = forward_w_direct(q, cfg)
+        w2 = forward_w_matrix(q, cfg)
+        ok.append(np.abs(w1.values - w2.values).max() <= 1e-14 * max(1.0, np.abs(w1.values).max()))
+    return Block("forward-map oracle", np.array(ok, bool), lambda i: f"forward oracle {configs[i]}")
 
 
-def sweeps(kmax: int, kmax_t1: int, kmax_fwd: int):
-    """The `verify` blocks in print order, as (name, sweep) pairs.
+def sweeps(kmax: int, kmax_t1: int, kmax_fwd: int) -> list[Block]:
+    """The `verify` blocks in print order.
 
-    forward_oracle counts its pairs and theorem2 its stack at the call, so
-    a --kmax-forward or a kmax too large raises before any orbit is read
-    or any block prints.  orbit_checks then reads the determinant and
-    kernel checks off one orbit pass per k, and the closed-form spectra
-    that Lemma 2 and Corollary 2 share are built.
+    forward_configs counts the forward oracle's pairs first and theorem2
+    its stack, so a --kmax-forward or a kmax too large raises before any
+    orbit is read or any block prints.  orbit_checks then reads the
+    determinant and kernel checks off one orbit pass per k, and the
+    closed-form spectra that Lemma 2 and Corollary 2 share are built.
+    The oracle runs last, so the numpy modules it loads on first use do
+    not add to the memory peak, the Theorem 2 stack.
     """
-    forward = forward_oracle(kmax_fwd)
+    configs = forward_configs(kmax_fwd)
     reduction = theorem2(kmax)
-    checks = orbit_checks(kmax, kmax_t1)
+    cor1, cor3, lem3 = orbit_checks(kmax, kmax_t1)
     spectra = closed_form_spectra(kmax)
-    return [
-        ("theorem-1 polynomial identity", theorem1(kmax_t1)),
-        ("theorem-2 matrix reduction", reduction),
-        ("corollary-1/3 determinants", corollaries_1_3(kmax, checks)),
-        ("lemma-2/3 kernels, ranks, eigenvectors", lemmas_2_3(kmax, checks, spectra)),
-        ("corollary-2 closed-form spectra", corollary2(kmax, spectra)),
-        ("forward-map oracle", forward),
-    ]
+    return [theorem1(kmax_t1), reduction, corollaries_1_3(kmax, cor1, cor3), lemmas_2_3(kmax, lem3, spectra),
+            corollary2(kmax, spectra), forward_oracle(configs)]

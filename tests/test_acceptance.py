@@ -51,11 +51,10 @@ def _lambda_grid():
     return base + offsets
 
 
-def _passed(sweep):
-    """Number of checks in an identity sweep, after asserting that none failed."""
-    results = list(sweep)
-    assert [label for label, ok in results if not ok] == []
-    return len(results)
+def _passed(block):
+    """Number of checks in an identity block, after asserting that none failed."""
+    assert block.failures() == []
+    return block.ok.size
 
 
 def test_criterion_01_theorem1_exactness():
@@ -88,12 +87,12 @@ def test_criterion_02_theorem2_exactness():
 
 
 def test_criterion_03_corollaries_1_and_3():
-    checks = _passed(identities.corollaries_1_3(24, identities.orbit_checks(24, 40)))
+    checks = _passed(identities.corollaries_1_3(24, *identities.orbit_checks(24, 40)[:2]))
     _report(3, f"{checks} exact determinant checks")
 
 
 def test_criterion_04_lemmas_2_and_3():
-    checks = _passed(identities.lemmas_2_3(24, identities.orbit_checks(24, 24), identities.closed_form_spectra(24)))
+    checks = _passed(identities.lemmas_2_3(24, identities.orbit_checks(24, 24)[2], identities.closed_form_spectra(24)))
     for cfg in coprime_configs(24):
         if classify(cfg).kind is Kind.DEGENERATE:
             a = build_matrix(cfg).tolist()

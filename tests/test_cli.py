@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,19 @@ def test_matrix_too_large_to_allocate_exits_3(capsys):
     assert (code, out) == (3, "")
     message = "a dense matrix with k=1000000 has 1000000000000 entries, too many to allocate"
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
+# the dense size is refused before the fold rule allocates its four k-length arrays (763 MiB each at k = 10^8): in a
+# child limited to 1.5 GB of address space, matrix exits 3 with the dense matrix's message and prints nothing
+def test_matrix_refuses_the_dense_size_before_its_rows_under_an_address_space_limit():
+    limit = 1_500_000_000
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = ["matrix", "--alpha", "0", "--beta", "0", "--j", "1", "--k", str(10**8)]
+    p = subprocess.run([sys.executable, "-m", "frozen_spectra.cli", *argv], env=env, capture_output=True, text=True,
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (p.returncode, p.stdout) == (3, "")
+    message = f"a dense matrix with k={10**8} has {10**16} entries, too many to allocate"
+    assert json.loads(p.stderr) == {"error": {"type": "ValueError", "message": message}}
 
 
 def test_classify_output(capsys):
@@ -268,6 +282,22 @@ def test_verify_reports_a_wrong_closed_form_kernel(capsys, monkeypatch):
     assert "[verify] lemma-2/3 kernels, ranks, eigenvectors: 147 checks passed, 2 failed\n" in out
     failures = [f"lemma3 {ProblemConfig(1, 1, j, 8)}" for j in (1, 3)]
     assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": failures}}
+
+
+# a kernel rule of zeros fails Lemma 3 on every degenerate config, each labelled in coprime_configs order from one
+# listing of the configs
+def test_verify_lists_the_configs_once_for_a_block_of_failures(capsys, monkeypatch):
+    from frozen_spectra import identities
+    from frozen_spectra.core_params import Kind, classify, coprime_configs
+
+    listed = []
+    monkeypatch.setattr(identities, "kernel_signs", lambda k, pairs: np.zeros((len(pairs), k), np.int64))
+    monkeypatch.setattr(identities, "coprime_configs", lambda kmax: listed.append(kmax) or coprime_configs(kmax))
+    code, _, err = run(capsys, "verify", "--kmax", "40", "--kmax-theorem1", "4", "--kmax-forward", "2")
+    assert code == 4
+    failures = [f"lemma3 {cfg}" for cfg in coprime_configs(40) if classify(cfg).kind is Kind.DEGENERATE]
+    assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": failures}}
+    assert listed == [40]
 
 
 # the theorem-2 sweep stacks 2 kmax (kmax + 1) - 4 rows, past numpy's index range here: refused before it allocates

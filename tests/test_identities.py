@@ -1,5 +1,4 @@
 import math
-from itertools import islice
 import struct
 import tracemalloc
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frozen_spectra import GridFunction, IntPolynomial, frozen_matrix, identities
+from frozen_spectra import GridFunction, IntPolynomial, cli, frozen_matrix, identities
 from frozen_spectra.core_params import Kind, ProblemConfig, classify, coprime_configs
 
 # One broken ingredient per sweep; each is used by that sweep alone.
@@ -24,7 +23,7 @@ BROKEN = {
 
 def _failed():
     """Failed labels per verify block, over small ranges."""
-    return {name: [label for label, ok in checks if not ok] for name, checks in identities.sweeps(6, 6, 3)}
+    return {block.name: block.failures() for block in identities.sweeps(6, 6, 3)}
 
 
 def test_sweeps_pass_on_the_library():
@@ -42,13 +41,17 @@ def test_a_broken_identity_fails_its_sweep_only(block, broken, monkeypatch):
     assert [b for b, labels in failed.items() if labels] == [block]
 
 
+# a passing verify formats no config and lists no label source
 def test_a_passed_check_formats_no_label(monkeypatch):
     def no_repr(cfg):
         raise AssertionError("a passed check formatted its config")
 
+    def unlisted(kmax):
+        raise AssertionError("a passed block listed its configs")
+
     monkeypatch.setattr(ProblemConfig, "__repr__", no_repr)
-    for name, checks in identities.sweeps(12, 12, 4):
-        assert set(checks) == {("", True)}, name
+    monkeypatch.setattr(identities, "coprime_configs", unlisted)
+    assert cli.dispatch(["verify", "--kmax", "12", "--kmax-theorem1", "12", "--kmax-forward", "4"]) == cli.EXIT_OK
 
 
 def _greedy_match(a, b) -> float:
@@ -98,12 +101,6 @@ def test_match_multisets_reads_nan_on_a_nan():
         assert math.isnan(identities.match_multisets(b, a)), (b, a)
 
 
-def _consume(*ranges):
-    for _, checks in identities.sweeps(*ranges):
-        for _ in checks:
-            pass
-
-
 def _refuse(*args):
     raise AssertionError("a sweep read a matrix or an orbit it should not")
 
@@ -116,8 +113,7 @@ def test_theorem2_steps_once_per_j_and_builds_no_matrix(monkeypatch):
     steps = []
     step = frozen_matrix._mul_sub
     monkeypatch.setattr(frozen_matrix, "_mul_sub", lambda m, y, sub: steps.append(y.shape[1]) or step(m, y, sub))
-    checks = list(identities.theorem2(12))
-    assert checks == [("", True)] * len(coprime_configs(12))
+    assert identities.theorem2(12).ok.tolist() == [True] * len(coprime_configs(12))
     # the step to j holds the blocks with k >= 2j
     assert steps == [4 * sum(range(2 * j, 13)) for j in range(2, 7)]
 
@@ -135,7 +131,7 @@ def test_a_sweeps_run_builds_no_matrix(monkeypatch, kmax, kmax_t1):
     build, read = frozen_matrix.build_matrix, identities.orbits_of
     monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: built.append(cfg) or build(cfg))
     monkeypatch.setattr(identities, "orbits_of", lambda k, js: passes.append(k) or read(k, js))
-    _consume(kmax, kmax_t1, 3)
+    identities.sweeps(kmax, kmax_t1, 3)
     assert passes == list(range(2, 15))
     assert built == []
 
@@ -154,12 +150,12 @@ def test_lemma2_labels_each_failed_eigenvalue_of_the_mask(monkeypatch):
         return z
 
     monkeypatch.setattr(identities, "spectrum_closed_form", spectrum)
-    checks = list(identities.lemmas_2_3(6, identities.orbit_checks(6, 6), identities.closed_form_spectra(6)))
-    assert [label for label, ok in checks if not ok] == [
+    block = identities.lemmas_2_3(6, identities.orbit_checks(6, 6)[2], identities.closed_form_spectra(6))
+    assert block.failures() == [
         "lemma2 k=5 (1,0) z0=(nan+0j)",
         "lemma2 k=5 (1,1) z0=(0.5+0j)",
     ]
-    assert len(checks) == len(coprime_configs(6)) + sum(3 * k for k in range(2, 7))
+    assert block.ok.size == len(coprime_configs(6)) + sum(3 * k for k in range(2, 7))
 
 
 # a kmax too large to stack is refused when sweeps() is called, before any orbit is read: orbits_of is refused here,
@@ -181,13 +177,24 @@ def test_sweeps_runs_the_forward_guard_first(monkeypatch, kmax_fwd):
         identities.sweeps(4, 4, kmax_fwd)
 
 
+# the forward oracle runs after the Theorem 2 stack, the memory peak, so the modules it loads first do not add to it
+def test_sweeps_runs_the_forward_oracle_after_theorem2(monkeypatch):
+    calls = []
+    match, direct = identities.reductions_match, identities.forward_w_direct
+    monkeypatch.setattr(identities, "reductions_match", lambda kmax: calls.append("theorem2") or match(kmax))
+    monkeypatch.setattr(identities, "forward_w_direct", lambda q, cfg: calls.append("forward") or direct(q, cfg))
+    identities.sweeps(6, 6, 3)
+    assert calls == ["theorem2"] + ["forward"] * len(coprime_configs(3))
+
+
 # the forward oracle checks the configs of coprime_configs, in that order
 @pytest.mark.parametrize("kmax_fwd", [2, 3, 8, 13])
 def test_forward_oracle_checks_the_coprime_configs_in_order(monkeypatch, kmax_fwd):
     seen = []
     direct = identities.forward_w_direct
     monkeypatch.setattr(identities, "forward_w_direct", lambda q, cfg: seen.append(cfg) or direct(q, cfg))
-    assert set(identities.forward_oracle(kmax_fwd)) == {("", True)}
+    block = identities.forward_oracle(identities.forward_configs(kmax_fwd))
+    assert block.ok.tolist() == [True] * len(coprime_configs(kmax_fwd))
     assert seen == coprime_configs(kmax_fwd)
 
 
@@ -213,7 +220,7 @@ def test_one_corrupted_block_fails_its_config_alone(monkeypatch):
         return z
 
     monkeypatch.setattr(frozen_matrix, "_mul_sub", corrupted)
-    failed = [label for label, ok in identities.theorem2(12) if not ok]
+    failed = identities.theorem2(12).failures()
     assert failed == [f"theorem2 {ProblemConfig(0, 1, 5, 11)}"]
 
 
@@ -236,9 +243,9 @@ def test_orbit_checks_read_each_config_at_its_own_place(monkeypatch, cfg, t):
         return frozen_matrix.Orbit(o.rows, o.cols, o.a, g, o.sign)
 
     monkeypatch.setattr(identities, "orbits_of", flipped)
-    checks = identities.orbit_checks(80, 90)
-    failed = [label for label, ok in identities.corollaries_1_3(80, checks) if not ok]
-    failed += [label for label, ok in islice(identities.lemmas_2_3(80, checks, {}), len(checks.lemma3)) if not ok]
+    cor1, cor3, lem3 = identities.orbit_checks(80, 90)
+    failed = identities.corollaries_1_3(80, cor1, cor3).failures()
+    failed += identities.lemmas_2_3(80, lem3, identities.closed_form_spectra(80)).failures()
     deg = classify(cfg).kind is Kind.DEGENERATE
     if t == -1:
         expected = [f"corollary1 k={cfg.k} ({cfg.alpha},{cfg.beta})"] if cfg.j == 1 else []
@@ -251,10 +258,10 @@ def test_orbit_checks_read_each_config_at_its_own_place(monkeypatch, cfg, t):
 # a run keeps three booleans per coprime config and no matrix, and the theorem-2 run holds (4, n) arrays of its
 # n = 1856 stacked rows: about 0.7 MB at the peak here, where a cache of every matrix built reads about 2.5 MB
 def test_a_sweeps_run_holds_no_matrix_beyond_its_step():
-    _consume(6, 6, 3)  # warm the per-process caches (stored Chebyshev and char-poly runs)
+    identities.sweeps(6, 6, 3)  # warm the per-process caches (stored Chebyshev and char-poly runs)
     tracemalloc.start()
     try:
-        _consume(30, 10, 3)
+        identities.sweeps(30, 10, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
