@@ -30,11 +30,10 @@ from .core_params import (
     Classification,
     Kind,
     ProblemConfig,
-    SignPair,
     classify,
     make_config,
     normalize_to_half,
-    sign_pair,
+    signs,
 )
 from .frozen_matrix import (
     KernelDescriptor,

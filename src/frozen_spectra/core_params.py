@@ -3,8 +3,10 @@
 A problem instance is determined by two boundary flags alpha, beta in {0,1}
 (value vs. derivative condition at the endpoints) and a rational frozen
 argument a = j/k in lowest terms.  This module owns the validated config,
-the sign constants c = (-1)^(beta+1), d = (-1)^(alpha+beta), and the exact
-degenerate / non-degenerate case split.
+the sign constants c = (-1)^(beta+1), d = (-1)^(alpha+beta) (signs), and
+the exact degenerate / non-degenerate case split (degenerate, classify).
+signs and degenerate are formulas on the flags: ints give ints, and int
+arrays broadcast, so one call serves a config or a stack of flag pairs.
 """
 
 from __future__ import annotations
@@ -50,12 +52,6 @@ class ProblemConfig:
     def from_dict(d: dict) -> "ProblemConfig":
         require_keys(d, "config", ("alpha", "beta", "j", "k"))
         return make_config(d["alpha"], d["beta"], d["j"], d["k"])
-
-
-@dataclass(frozen=True)
-class SignPair:
-    c: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -150,16 +146,19 @@ def require_grid(f, config: ProblemConfig) -> None:
         raise ValueError(f"grid has k={f.k} but config needs k={config.k}")
 
 
-_SIGN_PAIRS = {(a, b): SignPair((-1) ** (b + 1), (-1) ** (a + b)) for a in (0, 1) for b in (0, 1)}
 _I, _II, _III, _IV = (Classification(Kind.DEGENERATE, case) for case in (Case.I, Case.II, Case.III, Case.IV))
 _V, _VI, _VII = (Classification(Kind.NON_DEGENERATE, case) for case in (Case.V, Case.VI, Case.VII))
 _DEGENERATE_CASES = {(0, 0): _I, (0, 1): _II, (1, 0): _III, (1, 1): _IV}
 _NON_DEGENERATE_CASES = {(0, 1): _V, (1, 0): _VI, (1, 1): _VII}
 
 
-def sign_pair(config: ProblemConfig) -> SignPair:
-    """The sign constants c = (-1)^(beta+1), d = (-1)^(alpha+beta), as the one shared SignPair of the flag pair."""
-    return _SIGN_PAIRS[config.alpha, config.beta]
+def signs(alpha, beta):
+    """The sign constants (c, d): c = (-1)^(beta+1) = 2 beta - 1, d = (-1)^(alpha+beta) = 1 - 2 (alpha xor beta).
+
+    Ints give two ints; int arrays broadcast and give two int arrays, one
+    entry per flag pair.
+    """
+    return 2 * beta - 1, 1 - 2 * (alpha ^ beta)
 
 
 def degenerate(alpha, beta, j, k):

@@ -16,8 +16,9 @@ or one recurrence pass, with the signs as a column per pair, and each row
 has the bits of its pair alone; eigvecs_j1 also takes a k per column, so
 one pass serves every k.  numeric_spectrum_j1 and eigvec_j1 are
 their batch of one, behind one guard, _j1_signs, as every public j = 1
-helper is; the signs c, d are read from core_params only.  No j = 1
-matrix is cached: each call runs the fold rule on the rows it reads.
+helper is.  Every sign, the Chebyshev start's included, is
+core_params.signs of the flags: ints, or flag columns (_flag_columns).
+No j = 1 matrix is cached: each call runs the fold rule on the rows it reads.
 
 Every main-equation matrix is a signed sum of two permutations: two
 entries per row and per column, both in column 0 at a = 0 (k = 1).  On the
@@ -46,22 +47,16 @@ from itertools import islice
 import numpy as np
 
 from .chebyshev import IntPolynomial, StoredRun, X, imag_scaled_cheb_int, scaled_cheb_int, three_term
-from .core_params import (
-    _SIGN_PAIRS,
-    ProblemConfig,
-    SignPair,
-    degenerate,
-    is_int,
-    make_config,
-    require_flags,
-    require_normalized,
-    sign_pair,
-)
+from .core_params import ProblemConfig, is_int, make_config, require_flags, require_normalized, signs
+
+
+def _flag_columns(pairs) -> np.ndarray:
+    """alpha and beta of each flag pair of pairs, a (len(pairs), 1) int64 column each."""
+    return np.array(pairs).T[:, :, None]
 
 
 _FLAG_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the order of the flag pairs wherever all four are stacked or swept
-# Per flag pair of _FLAG_PAIRS, a column: its signs c, d
-_FLAG_SIGNS = np.array([(_SIGN_PAIRS[pair].c, _SIGN_PAIRS[pair].d) for pair in _FLAG_PAIRS]).T
+_FLAGS = _flag_columns(_FLAG_PAIRS)  # alpha and beta of _FLAG_PAIRS, a (4, 1) column each
 
 
 def _fold_rule(i, j, k, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -92,8 +87,7 @@ def _family(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     """_fold_rule on the k rows of a config; 2j > k (require_normalized) or k >= 2^31 (_require_rows): ValueError."""
     require_normalized(config)
     _require_rows(config.k)
-    s = sign_pair(config)
-    return _fold_rule(np.arange(config.k), config.j, config.k, s.c, s.d)
+    return _fold_rule(np.arange(config.k), config.j, config.k, *signs(config.alpha, config.beta))
 
 
 def _zeros(shape: tuple[int, ...]) -> np.ndarray:
@@ -119,11 +113,6 @@ def _dense(dense, lc, lv, rc, rv) -> np.ndarray:
     dense[(*at, lc)] = lv
     dense[(*at, rc)] += rv
     return dense
-
-
-def _pair_signs(pairs) -> np.ndarray:
-    """The signs c, d of each flag pair of pairs, as two (len(pairs), 1) columns of _FLAG_SIGNS."""
-    return _FLAG_SIGNS[:, [_FLAG_PAIRS.index(pair) for pair in pairs], None]
 
 
 @dataclass(frozen=True)
@@ -249,12 +238,12 @@ def orbit(config: ProblemConfig) -> Orbit:
     return _orbits(j, k, *rows)
 
 
-def _j1_signs(name: str, k: int, alpha: int, beta: int) -> SignPair:
-    """The j = 1 entry check, an integer k >= 2 and then the flags before a cache takes True as 1; their SignPair."""
+def _j1_signs(name: str, k: int, alpha: int, beta: int) -> tuple[int, int]:
+    """The j = 1 entry check, an integer k >= 2 and then the flags before a cache takes True as 1; their signs c, d."""
     if not is_int(k) or k < 2:
         raise ValueError(f"{name} needs k >= 2")
     require_flags(alpha, beta)
-    return _SIGN_PAIRS[alpha, beta]
+    return signs(alpha, beta)
 
 
 @lru_cache(maxsize=None)
@@ -269,8 +258,8 @@ def _char_poly_run(alpha: int, beta: int) -> StoredRun:
     minors and obeys their recurrence p_{k+1} = z p_k - cd p_{k-1}; run
     back from p_2 and p_3 it starts at p_0 = 1 - d, p_1 = z - 1 - c.
     """
-    s = _SIGN_PAIRS[alpha, beta]
-    return StoredRun(X, IntPolynomial((1 - s.d,)), X - IntPolynomial((1 + s.c,)), s.c * s.d)
+    c, d = signs(alpha, beta)
+    return StoredRun(X, IntPolynomial((1 - d,)), X - IntPolynomial((1 + c,)), c * d)
 
 
 def char_poly_j1(k: int, alpha: int, beta: int) -> IntPolynomial:
@@ -284,8 +273,7 @@ def det_closed_form(k: int, alpha: int, beta: int) -> int:
 
     (-cd)^((k-1)/2) (1 + c) for odd k, c (-cd)^(k/2-1) (1 - d) for even k.
     """
-    s = _j1_signs("det_closed_form", k, alpha, beta)
-    c, d = s.c, s.d
+    c, d = _j1_signs("det_closed_form", k, alpha, beta)
     if k % 2:
         return (-c * d) ** ((k - 1) // 2) * (1 + c)
     return c * (-c * d) ** (k // 2 - 1) * (1 - d)
@@ -299,15 +287,8 @@ def kernel_signs(k: int, pairs) -> np.ndarray:
     (1,1): (-1)^(v//2).  A row does not depend on j: it is the kernel of
     every degenerate config of its pair and this k, and of no other.
     """
-    alpha, beta = np.array(pairs).T[:, :, None]
+    alpha, beta = _flag_columns(pairs)
     return 1 - 2 * ((np.arange(k) + beta) // (1 + (alpha | beta)) % 2)
-
-
-def kernel_closed_form(config: ProblemConfig) -> tuple[int, ...]:
-    """kernel_signs on the batch of one config, as a tuple, if it is degenerate; () otherwise."""
-    if not degenerate(config.alpha, config.beta, config.j, config.k):
-        return ()
-    return tuple(kernel_signs(config.k, [(config.alpha, config.beta)])[0].tolist())
 
 
 def theorem1_poly(k: int, alpha: int, beta: int) -> IntPolynomial:
@@ -374,7 +355,7 @@ def numeric_spectra_j1(k: int, pairs) -> np.ndarray:
     (0,0) double zero of even k is a Jordan block, which eigvals alone
     returns as a pair near +-1e-8.
     """
-    dense = _dense(_zeros((len(pairs), k, k)), *_fold_rule(np.arange(k), 1, k, *_pair_signs(pairs)))
+    dense = _dense(_zeros((len(pairs), k, k)), *_fold_rule(np.arange(k), 1, k, *signs(*_flag_columns(pairs))))
     zero_mults = [next(i for i, c in enumerate(char_poly_j1(k, *pair).coeffs) if c) for pair in pairs]
     z = np.linalg.eigvals(dense).astype(complex)
     for row, order, zero_mult in zip(z, np.argsort(np.abs(z), axis=-1), zero_mults):
@@ -382,35 +363,23 @@ def numeric_spectra_j1(k: int, pairs) -> np.ndarray:
     return z
 
 
-def _chebyshev_table() -> np.ndarray:
-    """Per flag pair of _FLAG_PAIRS, a column: the signs c, d of B and of Z_0, M's factor and 2c alpha."""
-    columns = []
-    for alpha, beta in _FLAG_PAIRS:
-        c = _SIGN_PAIRS[alpha, beta].c
-        b = _SIGN_PAIRS[1, 1 - beta if alpha == 0 else beta]
-        z0 = _SIGN_PAIRS[0, beta] if alpha == 0 else b
-        columns.append((b.c, b.d, z0.c, z0.d, -c if alpha == 0 else c, 2 * c * alpha))
-    return np.array(columns).T
-
-
-_CHEBYSHEV_TABLE = _chebyshev_table()
-
-
 def _chebyshev_start(k, f, i, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M, Z_0 and Z_-1 of the Chebyshev reduction (see reduce_to_j1) on stacked blocks, per row i of a block.
 
     The block holds the k rows of the flag pair _FLAG_PAIRS[f] and starts
     at row base of the stack.  Each result is a (4, n) int64 array of two
-    (col, value) pairs per row, (col, value, col, value) down its axis 0:
-    in M the col is the row of y it reads, as an index into the stack, and
-    Z_-1 is 0 (alpha = 0, both values 0) or 2c I (alpha = 1, the second
-    value 0).
+    (col, value) pairs per row, (col, value, col, value) down its axis 0.
+    With c, d the signs of the pair: M = d B, B the j = 1 fold rule with
+    both signs d, its col the row of y it reads, as an index into the
+    stack; Z_0 the pair's own j = 1 matrix; Z_-1 = 2c alpha I, its second
+    value 0.
     """
-    bc, bd, zc, zd, s, diag = _CHEBYSHEV_TABLE[:, f]
-    blc, blv, brc, brv = _fold_rule(i, 1, k, bc, bd)
-    m = np.stack((base + blc, s * blv, base + brc, s * brv))
-    y = np.stack(_fold_rule(i, 1, k, zc, zd))
-    sub = np.stack((i, diag, i, np.zeros_like(i)))
+    alpha, beta = _FLAGS[:, f, 0]
+    c, d = signs(alpha, beta)
+    blc, blv, brc, brv = _fold_rule(i, 1, k, d, d)
+    m = np.stack((base + blc, d * blv, base + brc, d * brv))
+    y = np.stack(_fold_rule(i, 1, k, c, d))
+    sub = np.stack((i, 2 * c * alpha, i, np.zeros_like(i)))
     return m, y, sub
 
 
@@ -466,12 +435,17 @@ def reduce_to_j1(config: ProblemConfig) -> np.ndarray:
     With M = -c B resp. c B, both are the matrix three-term recurrence
     Z_{n+1} = M Z_n - Z_{n-1}, giving Z_{j-1} from Z_0 = A1, Z_1 = M A1
     for alpha = 0, and c Z_j from c Z_0 = 2c I, c Z_1 = B for alpha = 1
-    (c Z_n obeys the same recurrence).  c does not depend on j, so every j
-    is a prefix of one sequence: _chebyshev_start and then j - 1 steps
-    (_mul_sub) on one block.  M has two nonzeros per row, so a step is two
-    scaled gathers of two-entry rows; each Z_n has the two-per-row pattern
-    of build_matrix, so a step costs O(k).  M is an integer matrix and
-    nothing is divided, so every Z_n stays in Z.
+    (c Z_n obeys the same recurrence).  The start is read off the signs
+    c, d of the config's own pair.  For alpha = 0, B's pair (1, 1-beta)
+    has the signs (-c, d) and -c = d = 1 - 2 beta; for alpha = 1, B is the
+    pair's own matrix and c = d.  So B's signs are (d, d) and M = d B, the
+    start (A1, resp. c Z_1 = B) is the pair's own j = 1 matrix, and the
+    one before it (0, resp. c Z_0 = 2c I) is Z_-1 = 2c alpha I.  c does not
+    depend on j, so every j is a prefix of one sequence: _chebyshev_start
+    and then j - 1 steps (_mul_sub) on one block.  M has two nonzeros per
+    row, so a step is two scaled gathers of two-entry rows; each Z_n has
+    the two-per-row pattern of build_matrix, so a step costs O(k).  M is
+    an integer matrix and nothing is divided, so every Z_n stays in Z.
     """
     require_normalized(config)
     _j1_signs("reduce_to_j1", config.k, config.alpha, config.beta)
@@ -520,7 +494,7 @@ def reductions_match(kmax: int) -> np.ndarray:
     """
     k, f, i, base = _stack(kmax)
     m, y, sub = _chebyshev_start(k, f, i, base)
-    c, d = _FLAG_SIGNS[:, f]
+    c, d = signs(*_FLAGS[:, f, 0])
     match = np.zeros((kmax + 1, 4, kmax // 2 + 1), dtype=bool)
     top = 0  # the first row held
     for j in range(1, kmax // 2 + 1):
@@ -543,7 +517,7 @@ def orbits_of(k: int, js: list[int]) -> Orbit:
     """
     flag = np.repeat(np.arange(4), len(js))
     j = np.tile(js, 4)
-    c, d = _FLAG_SIGNS[:, flag, None]
+    c, d = signs(*_FLAGS[:, flag])
     return _orbits(j, k, *_fold_rule(np.arange(k), j[:, None], k, c, d))
 
 
@@ -589,7 +563,7 @@ def eigvecs_j1(z: np.ndarray, k, pairs) -> tuple[np.ndarray, np.ndarray, np.ndar
     first k rows those of a run to its own k.  The caller checks k and
     the flags.
     """
-    c, d = _pair_signs(pairs)
+    c, d = signs(*_flag_columns(pairs))
     row = np.arange(np.max(k))[:, None]
     lc, lv, rc, rv = _fold_rule(row, 1, k, c[..., None], d[..., None])  # rows past a column's k read other rows
     with np.errstate(all="ignore"):  # a non-finite z_i fails the residual test below, silently

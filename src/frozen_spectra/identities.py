@@ -41,6 +41,7 @@ import numpy as np
 from .core_params import ProblemConfig, coprime_configs, degenerate
 from .frozen_matrix import (
     _FLAG_PAIRS,
+    _FLAGS,
     char_poly_j1,
     det_closed_form,
     eigvecs_j1,
@@ -57,11 +58,10 @@ from .main_equation import forward_w_direct, forward_w_matrix
 _CLOSED_FORM_FLAGS = ((0, 0), (1, 0), (1, 1))  # (0, 1) has no trigonometric spectrum
 _EIGVEC_KMAX = 16  # float checks on the j = 1 eigenvectors stop here
 _SPECTRUM_KMAX = 20  # Corollary 2 stops here, not for accuracy: perfbench's verify checker counts min(kmax, 20) k values
-_FLAG_COLUMNS = np.array(_FLAG_PAIRS).T[:, :, None]  # alpha and beta of _FLAG_PAIRS, a (4, 1) column each
 
 
 def greedy_matches(a, b) -> np.ndarray:
-    """Per pair (a[n], b[n]) of multisets, the worst distance of a greedy nearest matching; match_multisets on each.
+    """Per pair (a[n], b[n]) of multisets, the worst distance of a greedy nearest matching, the first nearest on a tie.
 
     The multisets are padded to one size and their distances |a_p - b_q|
     (np.hypot of the parts, the bits of Python's abs of a complex) taken
@@ -95,14 +95,6 @@ def greedy_matches(a, b) -> np.ndarray:
     worst[np.isnan(worst)] = np.nan  # one NaN, whatever the sign the subtraction gave it
     worst[sizes != [len(y) for y in b]] = np.inf
     return worst
-
-
-def match_multisets(a, b) -> float:
-    """Worst distance of a greedy nearest matching, the first nearest on a tie; inf on unequal sizes, nan on a NaN.
-
-    greedy_matches on the batch of one pair.
-    """
-    return float(greedy_matches([a], [b])[0])
 
 
 class Block(NamedTuple):
@@ -165,7 +157,7 @@ def orbit_checks(kmax: int, kmax_t1: int) -> tuple[np.ndarray, np.ndarray, np.nd
         if k <= kmax_t1:
             cor1.append(det[:, 0] == [det_closed_form(k, *pair) for pair in _FLAG_PAIRS])
         if k <= kmax:
-            deg = degenerate(*_FLAG_COLUMNS, np.array(js), k)
+            deg = degenerate(*_FLAGS, np.array(js), k)
             kernel = (o.null_vectors.reshape(4, len(js), k) == kernel_signs(k, _FLAG_PAIRS)[:, None]).all(axis=-1)
             cor3.append(((det == 0) == deg).T.ravel())
             lem3.append(((o.singular.reshape(4, len(js)) == deg) & (kernel | ~deg)).T.ravel())

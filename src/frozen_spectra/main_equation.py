@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_params import ProblemConfig, require_grid, require_normalized, sign_pair
+from .core_params import ProblemConfig, require_grid, require_normalized, signs
 from .frozen_matrix import build_matrix, kernel, orbit
 from .interval_ops import GridFunction, q_apply, q_inverse, r_apply, r_inverse, require_finite
 
@@ -53,8 +53,7 @@ def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
     A W beyond double precision raises ArithmeticError naming its grid point.
     """
     _check_grid(q, config)
-    s = sign_pair(config)
-    c, d = s.c, s.d
+    c, d = signs(config.alpha, config.beta)
     jm = config.j * q.m
     n = q.k * q.m
     pref = 0.5 * (-1) ** (config.alpha * config.beta)

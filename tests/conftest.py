@@ -4,7 +4,6 @@ import pytest
 from frozen_spectra import GridFunction
 # re-exported to the test modules
 from frozen_spectra.core_params import coprime_configs  # noqa: F401
-from frozen_spectra.identities import match_multisets  # noqa: F401
 
 
 def smooth_potential(x):

@@ -12,7 +12,7 @@ from frozen_spectra import (
     scaled_cheb_int,
 )
 from frozen_spectra import chebyshev, frozen_matrix
-from frozen_spectra.core_params import make_config, sign_pair
+from frozen_spectra.core_params import signs
 
 
 def cheb_closed_form(kind, n, z):
@@ -153,8 +153,8 @@ def test_stored_runs_match_the_per_degree_loop():
         assert [read(n).coeffs for n in range(NMAX + 1)] == ref, kind
     for alpha in (0, 1):
         for beta in (0, 1):
-            s = sign_pair(make_config(alpha, beta, 1, 2))
-            ref = reference_run(1, (1 - s.d,), (-1 - s.c, 1), s.c * s.d, NMAX)
+            c, d = signs(alpha, beta)
+            ref = reference_run(1, (1 - d,), (-1 - c, 1), c * d, NMAX)
             got = [frozen_matrix.char_poly_j1(k, alpha, beta).coeffs for k in range(2, NMAX + 1)]
             assert got == ref[2:], (alpha, beta)
 

@@ -902,3 +902,33 @@ def test_reconstruct_from_an_overflowing_spectrum_exits_4(flags, huge, message, 
     error = json.loads(err)["error"]
     assert error["type"] == "ArithmeticError" and error["message"].startswith(message)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+_CLASSIFY = [("classify 01_1_3", ["classify", "--alpha", "0", "--beta", "1", "--j", "1", "--k", "3"])]
+
+
+# tree paths relative to the working directory name the same trees from the temporary directory each command runs in
+def test_compare_trees_runs_relative_trees(capsys, monkeypatch):
+    import compare_trees
+
+    monkeypatch.setattr(compare_trees, "commands", lambda: _CLASSIFY)
+    monkeypatch.chdir(Path(__file__).parents[1])
+    assert compare_trees.main([".", "."]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["classify 01_1_3: exit 0, 0 files, same", "0 of 1 commands differ or exit outside 0, 2, 3 and 4"]
+
+
+# exit 1, a crash outside the CLI's exit codes, fails a command even where both trees crash alike
+def test_compare_trees_fails_a_crash_both_trees_share(tmp_path, capsys, monkeypatch):
+    import compare_trees
+
+    package = tmp_path / "crashing" / "frozen_spectra"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("raise RuntimeError('crash')\n")
+    monkeypatch.setattr(compare_trees, "commands", lambda: _CLASSIFY)
+    monkeypatch.chdir(tmp_path)
+    assert compare_trees.main(["crashing", "crashing"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["classify 01_1_3: exit 1, 0 files, same; FAIL: exit 1",
+                     "1 of 1 commands differ or exit outside 0, 2, 3 and 4"]

@@ -21,7 +21,7 @@ from frozen_spectra import (
     make_config,
     normalize_to_half,
     numeric_spectrum_j1,
-    sign_pair,
+    signs,
     spectrum_closed_form,
     theorem1_poly,
     zero_potential_delta,
@@ -129,10 +129,24 @@ def test_reflection_is_an_involution(alpha, beta, j, k):
     "alpha,beta,c,d",
     [(0, 0, -1, 1), (0, 1, 1, -1), (1, 0, -1, -1), (1, 1, 1, 1)],
 )
-def test_sign_pair(alpha, beta, c, d):
-    s = sign_pair(make_config(alpha, beta, 1, 3))
-    assert (s.c, s.d) == (c, d)
-    assert s.c * s.d == (-1) ** (alpha + 1)
+def test_signs(alpha, beta, c, d):
+    got = signs(alpha, beta)
+    assert got == (c, d) and all(type(x) is int for x in got)
+    assert got == ((-1) ** (beta + 1), (-1) ** (alpha + beta))
+    assert c * d == (-1) ** (alpha + 1)
+
+
+# the (4, 1) flag columns of the four pairs give each pair's int signs, and so do per-row arrays of the flags, as a
+# stack of blocks holds them
+def test_signs_broadcast_over_flag_columns_and_per_row_arrays():
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    columns = np.array(pairs).T[:, :, None]
+    c, d = signs(*columns)
+    assert c.shape == d.shape == (4, 1) and c.dtype == d.dtype == np.int64
+    assert list(zip(c[:, 0].tolist(), d[:, 0].tolist())) == [signs(*pair) for pair in pairs]
+    f = np.array([3, 0, 2, 1, 1, 0, 3])  # the flag pair of each row
+    rows = signs(*columns[:, f, 0])
+    assert [x.tolist() for x in rows] == [c[f, 0].tolist(), d[f, 0].tolist()]
 
 
 @pytest.mark.parametrize(
@@ -153,11 +167,8 @@ def test_classify(alpha, beta, j, k, kind, case):
     assert cls.case_label is case
 
 
-def test_sign_pair_and_classify_return_shared_frozen_constants():
-    assert sign_pair(make_config(1, 0, 1, 3)) is sign_pair(make_config(1, 0, 2, 7))
+def test_classify_returns_shared_frozen_constants():
     assert classify(make_config(0, 1, 3, 7)) is classify(make_config(0, 1, 1, 9))
-    with pytest.raises(FrozenInstanceError):
-        sign_pair(make_config(1, 0, 1, 3)).c = 1
     with pytest.raises(FrozenInstanceError):
         classify(make_config(0, 0, 1, 3)).kind = Kind.NON_DEGENERATE
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
-from conftest import coprime_configs, match_multisets
+from conftest import coprime_configs
 from frozen_spectra import (
     GridFunction,
     Kind,
@@ -21,13 +21,14 @@ from frozen_spectra import (
     numeric_spectrum_j1,
     rank,
     reduce_to_j1,
-    sign_pair,
+    signs,
     solve_inverse,
     spectrum_closed_form,
     theorem1_poly,
 )
 from frozen_spectra import frozen_matrix, identities
-from frozen_spectra.frozen_matrix import KernelDescriptor, kernel_closed_form, orbit
+from frozen_spectra.core_params import degenerate
+from frozen_spectra.frozen_matrix import KernelDescriptor, kernel_signs, orbit
 from frozen_spectra.chebyshev import matrix_poly_eval, scaled_cheb_int, three_term
 from frozen_spectra.intlinalg import bareiss_det, bareiss_rank, identity, mat_add, mat_scale, matmul
 from dense_oracle import cycle_blocks
@@ -46,8 +47,7 @@ def sorted_pairs(cfg):
 def test_build_matrix_displayed_pattern_3_7():
     cfg = make_config(0, 0, 3, 7)
     a = build_matrix(cfg)
-    s = sign_pair(cfg)
-    c, d = s.c, s.d
+    c, d = signs(cfg.alpha, cfg.beta)
     assert (c, d) == (-1, 1)
     expected = [
         [0, 0, 1, d, 0, 0, 0],
@@ -150,11 +150,11 @@ def test_theorem1_expansions():
 
 def test_spectrum_closed_form_examples():
     s = spectrum_closed_form(3, 0, 0)
-    assert match_multisets(s, [0j, 1j, -1j]) < 1e-15
+    assert identities.greedy_matches([s], [[0j, 1j, -1j]])[0] < 1e-15
     s = spectrum_closed_form(2, 1, 1)
-    assert match_multisets(s, [2.0, 0.0]) < 1e-15
+    assert identities.greedy_matches([s], [[2.0, 0.0]])[0] < 1e-15
     s = spectrum_closed_form(2, 1, 0)
-    assert match_multisets(s, [np.sqrt(2), -np.sqrt(2)]) < 1e-15
+    assert identities.greedy_matches([s], [[np.sqrt(2), -np.sqrt(2)]])[0] < 1e-15
     with pytest.raises(ValueError):
         spectrum_closed_form(5, 0, 1)
 
@@ -163,9 +163,9 @@ def test_spectrum_closed_form_examples():
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 0), (1, 1)])
 def test_numeric_roots_match_closed_forms(alpha, beta):
     for k in list(range(2, 41)) + [60, 120, 200]:
-        worst = match_multisets(
-            numeric_spectrum_j1(k, alpha, beta), spectrum_closed_form(k, alpha, beta)
-        )
+        worst = identities.greedy_matches(
+            [numeric_spectrum_j1(k, alpha, beta)], [spectrum_closed_form(k, alpha, beta)]
+        )[0]
         assert worst < 1e-12, k
 
 
@@ -255,6 +255,28 @@ def test_reduce_to_j1_serves_every_j_k101(alpha, beta):
     assert frozen_matrix.reductions_match(101)[101, :, 1:].all()
 
 
+# the start of the stacked Chebyshev run read off Theorem 2's statement, block by block of the theorem-2 stack:
+# alpha = 0: M = -c B with B the (1, 1-beta) matrix, Z_0 the (0, beta) one, Z_-1 = 0;
+# alpha = 1: M = c B with B the (1, beta) matrix, Z_0 = B, Z_-1 = 2c I
+def test_chebyshev_start_is_theorem2s_start_for_every_flag_pair():
+    k, f, i, base = frozen_matrix._stack(30)
+    m, y, sub = frozen_matrix._chebyshev_start(k, f, i, base)
+    m = m - [[1], [0], [1], [0]] * base  # M's cols index the stack; the block's own rows from here
+    for first in np.flatnonzero(i == 0).tolist():
+        kb, (alpha, beta) = int(k[first]), frozen_matrix._FLAG_PAIRS[f[first]]
+        rows = slice(first, first + kb)
+        c = (-1) ** (beta + 1)
+        if alpha == 0:
+            expected = (-c * build_matrix(make_config(1, 1 - beta, 1, kb)), build_matrix(make_config(0, beta, 1, kb)),
+                        np.zeros((kb, kb), np.int64))
+        else:
+            b = build_matrix(make_config(1, beta, 1, kb))
+            expected = (c * b, b, 2 * c * np.eye(kb, dtype=np.int64))
+        for got, want in zip((m, y, sub), expected):
+            dense = frozen_matrix._dense(frozen_matrix._zeros((kb, kb)), *got[:, rows])
+            assert np.array_equal(dense, want), (kb, alpha, beta)
+
+
 def test_kernel_vectors():
     assert kernel(make_config(0, 0, 1, 3)).generator == (1, -1, 1)
     assert kernel(make_config(0, 1, 2, 7)).generator == (1, -1, -1, 1, 1, -1, -1)
@@ -276,7 +298,7 @@ def test_kernel_and_rank_sweep():
         if deg:
             assert ker.dimension == 1
             assert r == cfg.k - 1
-            assert ker.generator == kernel_closed_form(cfg), cfg
+            assert ker.generator == tuple(kernel_signs(cfg.k, [(cfg.alpha, cfg.beta)])[0].tolist()), cfg
         else:
             assert ker.dimension == 0
             assert r == cfg.k
@@ -404,7 +426,7 @@ def test_one_pass_eigvecs_over_every_k_are_the_per_k_eigvecs_bit_for_bit():
     assert np.flatnonzero(~ok).tolist() == [sum(range(2, 7)) + 2 + sum(ks)]  # (0, 1) is row 1 of the flattened mask
 
 
-# the one kernel sign rule gives the paper's four sign tables, and kernel_closed_form is its batch of one config
+# the one kernel sign rule gives the paper's four sign tables, the kernel of each config that is degenerate by parity
 def test_kernel_signs_are_the_paper_tables():
     tables = {
         (0, 0): lambda v: (-1) ** (v - 1),
@@ -413,13 +435,15 @@ def test_kernel_signs_are_the_paper_tables():
         (1, 1): lambda v: (-1) ** (v // 2),
     }
     for k in range(1, 41):
-        signs = frozen_matrix.kernel_signs(k, frozen_matrix._FLAG_PAIRS)
-        assert signs.dtype == np.int64
-        assert signs.tolist() == [[tables[pair](v) for v in range(1, k + 1)] for pair in frozen_matrix._FLAG_PAIRS]
+        rows = kernel_signs(k, frozen_matrix._FLAG_PAIRS)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[tables[pair](v) for v in range(1, k + 1)] for pair in frozen_matrix._FLAG_PAIRS]
     for cfg in coprime_configs(40):
         deg = classify(cfg).kind is Kind.DEGENERATE
-        expected = tuple(tables[cfg.alpha, cfg.beta](v) for v in range(1, cfg.k + 1)) if deg else ()
-        assert kernel_closed_form(cfg) == expected, cfg
+        assert degenerate(cfg.alpha, cfg.beta, cfg.j, cfg.k) == deg, cfg
+        if deg:
+            expected = [tables[cfg.alpha, cfg.beta](v) for v in range(1, cfg.k + 1)]
+            assert kernel_signs(cfg.k, [(cfg.alpha, cfg.beta)]).tolist() == [expected], cfg
 
 
 # the rows are counted before they are allocated: at k = 2^63 np.arange gives an empty float64 range, and at k = 10^11
@@ -474,7 +498,7 @@ def test_build_matrix_is_the_int64_array_of_the_rows():
         assert a.tolist() == expected, cfg
     for k in range(2, 31):
         pairs = frozen_matrix._FLAG_PAIRS
-        rows = frozen_matrix._fold_rule(np.arange(k), 1, k, *frozen_matrix._pair_signs(pairs))
+        rows = frozen_matrix._fold_rule(np.arange(k), 1, k, *signs(*frozen_matrix._flag_columns(pairs)))
         stack = frozen_matrix._dense(frozen_matrix._zeros((len(pairs), k, k)), *rows)
         assert stack.dtype == np.int64 and stack.shape == (4, k, k)
         for (alpha, beta), a in zip(pairs, stack):
@@ -520,8 +544,7 @@ def test_a0_is_walked_as_a_one_row_cycle(alpha, beta):
     # (j, k) = (0, 1): families (ii) and (iii) put d and c into the one entry, c + d = 2 c alpha
     cfg = make_config(alpha, beta, 0, 1)
     a = build_matrix(cfg).tolist()
-    s = sign_pair(cfg)
-    c, d = s.c, s.d
+    c, d = signs(alpha, beta)
     assert [x.tolist() for x in frozen_matrix._family(cfg)] == [[0], [c], [0], [d]]
     assert a == [[c + d]] == [[2 * c * alpha]]
     o = orbit(cfg)
@@ -529,7 +552,8 @@ def test_a0_is_walked_as_a_one_row_cycle(alpha, beta):
     assert det_exact(cfg) == c + d == bareiss_det(a)
     assert (det_exact(cfg) == 0) == (classify(cfg).kind is Kind.DEGENERATE)
     ker = kernel(cfg)
-    assert ker.generator == o.null_vector == kernel_closed_form(cfg) == ((1,) if alpha == 0 else ())
+    assert ker.generator == o.null_vector == ((1,) if alpha == 0 else ())
+    assert degenerate(alpha, beta, 0, 1) == (alpha == 0) and kernel_signs(1, [(alpha, beta)]).tolist() == [[1]]
     assert rank(cfg) == 1 - ker.dimension == bareiss_rank(a)
 
 
@@ -639,8 +663,8 @@ def test_mul_sub_asserts_its_pattern_and_bound():
 def _sum_eigvec_j1(z0, k, alpha, beta):
     """eigvec_j1 with the residual summed over a generator per row: the oracle of the two-entry residual."""
     cfg = make_config(alpha, beta, 1, k)
-    z, s = complex(z0), sign_pair(cfg)
-    x = [s.d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, s.c * s.d))]
+    z, (c, d) = complex(z0), signs(alpha, beta)
+    x = [d**m * q for m, q in zip(range(k), three_term(z, 1.0 + 0j, z - 1.0, c * d))]
     resid = max(abs(sum(v * x[col] for col, v in row) - z * xi) for row, xi in zip(sorted_pairs(cfg), x))
     scale = max(map(abs, x))
     if resid > 1e-9 * scale:

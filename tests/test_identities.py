@@ -85,20 +85,20 @@ def test_greedy_matches_give_the_bits_of_the_python_greedy(pairs):
     a, b = [x for x, _ in pairs], [y for _, y in pairs]
     expected = [_bits(_greedy_match(x, y)) for x, y in pairs]
     assert [_bits(w) for w in identities.greedy_matches(a, b).tolist()] == expected
-    assert [_bits(identities.match_multisets(x, y)) for x, y in pairs] == expected
+    assert [_bits(identities.greedy_matches([x], [y])[0]) for x, y in pairs] == expected  # a batch of one
 
 
-def test_match_multisets_sizes_and_distance():
-    assert identities.match_multisets([1, 2j], [2j + 1e-3, 1]) == pytest.approx(1e-3)
-    assert identities.match_multisets([1], [1, 1]) == float("inf")
-    assert identities.match_multisets([0, 1], [1, -1]) == 2.0  # 0 takes the first of its two nearest, so 1 gets -1
+def test_greedy_match_sizes_and_distance():
+    assert identities.greedy_matches([[1, 2j]], [[2j + 1e-3, 1]])[0] == pytest.approx(1e-3)
+    assert identities.greedy_matches([[1]], [[1, 1]])[0] == float("inf")
+    assert identities.greedy_matches([[0, 1]], [[1, -1]])[0] == 2.0  # 0 takes the first of its two nearest; 1 gets -1
 
 
-def test_match_multisets_reads_nan_on_a_nan():
+def test_greedy_match_reads_nan_on_a_nan():
     nan = math.nan
     for a, b in (([nan], [1.0]), ([1.0, 2.0], [nan, 2.0]), ([nan, 1.0], [1.0, 1.0]), ([1.0, 2.0], [2.0, nan])):
-        assert math.isnan(identities.match_multisets(a, b)), (a, b)
-        assert math.isnan(identities.match_multisets(b, a)), (b, a)
+        assert math.isnan(identities.greedy_matches([a], [b])[0]), (a, b)
+        assert math.isnan(identities.greedy_matches([b], [a])[0]), (b, a)
 
 
 def _refuse(*args):
