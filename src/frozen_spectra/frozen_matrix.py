@@ -32,9 +32,11 @@ dense matrix the allocator refuses (_zeros).  The fold rule, the orbit
 implementation, on int64 arrays whose entries stay in [-1, 1] (2 in the
 first Chebyshev sub), asserted where a step makes new ones.  A call
 for one config is a batch of one; identities runs them on every
-(k, alpha, beta) at once.  A matrix has one sparse form, the fold rule's
-four arrays (lc, lv, rc, rv), each row's two entries in family order, and
-one dense form, the int64 (k, k) array _dense scatters them into.
+(k, alpha, beta) at once, and the orbits of several k in one pass, each
+padded by fixed points to the largest k of the pass (orbits_of).  A
+matrix has one sparse form, the fold rule's four arrays (lc, lv, rc,
+rv), each row's two entries in family order, and one dense form, the
+int64 (k, k) array _dense scatters them into.
 """
 
 from __future__ import annotations
@@ -149,6 +151,12 @@ class Orbit:
     Row r_t holds a_t in column c_t and b_t in column c_(t-1), c_(-1) =
     c_(k-1); g_t = prod_{s<=t} (-a_s b_s); sign is sgn(sigma_a).  One
     config's orbit is a batch of one, with 1-D arrays and a scalar sign.
+    In a batch of several k the last axis runs to the largest, K, and an
+    orbit of k < K is padded by fixed points: r_t = c_t = t, a_t = 1 and
+    -a_t b_t = 1 for k <= t < K.  So g_t = g_(k-1) and the product of a
+    is unchanged there, and det, singular and null_vectors read the same
+    on its first k entries as on the orbit alone; null_vectors past k
+    is padding, no entry of a kernel.
     """
 
     rows: np.ndarray
@@ -185,21 +193,35 @@ def _along_last(r: np.ndarray) -> tuple:
     return (r,) if r.ndim == 1 else (np.arange(len(r))[:, None], r)
 
 
-def _orbits(j, k: int, lc, lv, rc, rv) -> Orbit:
-    """The orbits of a batch of coprime configs of one k, read off the fold rule's (..., k) arrays in one pass.
+def _orbits(j, k, lc, lv, rc, rv) -> Orbit:
+    """The orbits of a batch of coprime configs, read off the fold rule's (..., K) arrays in one pass.
 
-    j is an int, or an array of one j per config of the batch.  One gather
-    along the orbit and one cumprod: -a_t b_t is minus the product of the
-    two entries of row r_t.  The positions 2jt < 2k^2 stay in int64 for k
-    below 2^31, which _require_rows checks.
+    j is an int, or an array of one j per config of the batch; k is an int
+    K, or an array of one k <= K per config, K the length of the rows.
+    One gather along the orbit, a take of the flattened batch at r_t, and
+    one cumprod: -a_t b_t is minus the product of the two entries of row
+    r_t.  Past its own k an orbit is padded by fixed points, r_t = c_t = t
+    with a_t = 1 and -a_t b_t = 1, so g stays g_(k-1) there (see Orbit).
+    The positions 2jt < 2k^2 stay in int64 for K below 2^31, which
+    _require_rows checks.
     """
-    _require_rows(k)
-    p = np.multiply.outer(-2 * j, np.arange(k)) % (2 * k)
-    low = p < k
-    at = _along_last(np.minimum(p, 2 * k - 1 - p))
-    g = np.cumprod(-(lv * rv)[at], axis=-1)
+    top = lv.shape[-1]
+    _require_rows(top)
+    t = np.arange(top)
+    kc = np.asarray(k)[:, None] if np.ndim(k) else k  # a column of the batch's k, or one k for all
+    p = np.multiply.outer(-2 * j, t) % (2 * kc)
+    low = p < kc
+    rows = np.minimum(p, 2 * kc - 1 - p)
+    del p  # the (..., K) arrays of a band are its memory peak: p is dropped once read, the padding written in place
+    at = rows if rows.ndim == 1 else rows + top * np.arange(len(rows))[:, None]  # r_t in the flattened batch
+    cols, a, g = np.where(low, lc.take(at), rc.take(at)), np.where(low, lv.take(at), rv.take(at)), -(lv * rv).take(at)
+    if np.ndim(k):
+        pad = t >= kc
+        for x, fixed in ((rows, t), (cols, t), (a, 1), (g, 1)):
+            np.copyto(x, fixed, where=pad)
+    np.cumprod(g, axis=-1, out=g)
     odd = ((j // 2) * (k - 1) + (j % 2) * ((k - 1) // 2)) % 2
-    return Orbit(at[-1], np.where(low, lc[at], rc[at]), np.where(low, lv[at], rv[at]), g, 1 - 2 * odd)
+    return Orbit(rows, cols, a, g, 1 - 2 * odd)
 
 
 def orbit(config: ProblemConfig) -> Orbit:
@@ -510,15 +532,19 @@ def reductions_match(kmax: int) -> np.ndarray:
     return match
 
 
-def orbits_of(k: int, js: list[int]) -> Orbit:
-    """The orbits of the configs (alpha, beta, j, k), flag pair by flag pair of _FLAG_PAIRS and j in js, coprime to k.
+def orbits_of(ks: list[int], js: list[int]) -> Orbit:
+    """The orbits of the configs (alpha, beta, j, k), flag pair by flag pair of _FLAG_PAIRS and then (j, k) in zip(js, ks).
 
-    One _fold_rule and one _orbits over the whole batch.
+    Each j is coprime to its k.  One _fold_rule and one _orbits over the
+    whole batch, on rows of the largest k, K: if ks holds several k, each
+    orbit is padded to K by fixed points past its own k (see _orbits).
     """
     flag = np.repeat(np.arange(4), len(js))
     j = np.tile(js, 4)
+    top = max(ks)
+    k = top if min(ks) == top else np.tile(ks, 4)
     c, d = signs(*_FLAGS[:, flag])
-    return _orbits(j, k, *_fold_rule(np.arange(k), j[:, None], k, c, d))
+    return _orbits(j, k, *_fold_rule(np.arange(top), j[:, None], np.reshape(k, (-1, 1)), c, d))
 
 
 def kernel(config: ProblemConfig) -> KernelDescriptor:

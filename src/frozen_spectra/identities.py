@@ -9,13 +9,16 @@ block and only if a check of it fails; a passed check formats nothing.  The
 ranges and tolerances: exact equality for the integer identities, 1e-9 for
 the closed-form spectra, 1e-14 * max(1, |W|) for the forward-map oracle.
 
-Within one sweeps() run only the forward-map oracle builds a matrix
-(forward_w_matrix).  The Theorem 2 sweep runs the fold rule and the
-Chebyshev step of frozen_matrix on int64 arrays that stack every
-(k, alpha, beta) block.  orbit_checks reads one orbit pass per k and
-keeps only the booleans of the checks that read it: Corollary 1 (the
-j = 1 dets against det_closed_form), Corollary 3 (det = 0 against the
-parity rule, core_params.degenerate) and Lemma 3 (the null vector
+Within one sweeps() run only the forward-map oracle builds matrices:
+the matrix core of main_equation scatters one (4, k, k) stack per
+(j, k), the four flag pairs of the config side by side, and the direct
+core reads the same batch.  The Theorem 2 sweep runs the fold rule and
+the Chebyshev step of frozen_matrix on int64 arrays that stack every
+(k, alpha, beta) block.  orbit_checks reads one orbit pass per band of
+consecutive k, each orbit padded by fixed points to the band's largest
+k, and keeps only the booleans of the checks that read it: Corollary 1
+(the j = 1 dets against det_closed_form), Corollary 3 (det = 0 against
+the parity rule, core_params.degenerate) and Lemma 3 (the null vector
 against the sign rule, kernel_signs), each a flat array in its sweep's
 order.  The three closed-form spectra of each k are built once per run
 and read by both float j = 1 checks: Lemma 2 as one recurrence pass over
@@ -33,6 +36,8 @@ the highest degree asked for.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from typing import Callable, NamedTuple
 
@@ -52,12 +57,12 @@ from .frozen_matrix import (
     spectrum_closed_form,
     theorem1_poly,
 )
-from .interval_ops import GridFunction
-from .main_equation import forward_w_direct, forward_w_matrix
+from .main_equation import _direct_rows, _matrix_rows
 
 _CLOSED_FORM_FLAGS = ((0, 0), (1, 0), (1, 1))  # (0, 1) has no trigonometric spectrum
 _EIGVEC_KMAX = 16  # float checks on the j = 1 eigenvectors stop here
 _SPECTRUM_KMAX = 20  # Corollary 2 stops here, not for accuracy: perfbench's verify checker counts min(kmax, 20) k values
+_BAND_ENTRIES = 2**13  # padded orbit entries per orbits_of pass; 2^14 lifts a sweeps run's traced peak past 1 MB
 
 
 def greedy_matches(a, b) -> np.ndarray:
@@ -133,34 +138,60 @@ def theorem2(kmax: int) -> Block:
     return Block("theorem-2 matrix reduction", ok, lambda i: f"theorem2 {configs[i]}")
 
 
-def orbit_checks(kmax: int, kmax_t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corollaries 1 and 3 and Lemma 3 as bool arrays, read off one orbits_of pass per k <= max(kmax, kmax_t1).
+def _bands(kmax: int, kmax_t1: int):
+    """The (k, j) pairs orbit_checks reads, k = 2..max(kmax, kmax_t1), as (ks, js) lists per band of consecutive k.
 
-    Each pass reads the orbits of the coprime configs of k (of j = 1 alone
-    for k > kmax), flag pair by flag pair and then j, and keeps only the
-    checks' booleans:
+    The pairs of k are its coprime j, or j = 1 alone for k > kmax, in
+    order.  A band grows while its padded orbit entries, four flag pairs
+    times its pairs times its largest k, stay within _BAND_ENTRIES; a k
+    past that alone is a band of its own.
+    """
+    ks, js = [], []
+    for k in range(2, max(kmax, kmax_t1) + 1):
+        pairs = [j for j in range(1, k // 2 + 1) if math.gcd(j, k) == 1] if k <= kmax else [1]
+        if ks and 4 * (len(js) + len(pairs)) * k > _BAND_ENTRIES:
+            yield ks, js
+            ks, js = [], []
+        ks += [k] * len(pairs)
+        js += pairs
+    if ks:
+        yield ks, js
+
+
+def orbit_checks(kmax: int, kmax_t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corollaries 1 and 3 and Lemma 3 as bool arrays, read off one orbits_of pass per band of k (_bands).
+
+    Each pass reads the orbits of the band's (j, k) pairs, flag pair by
+    flag pair and then pair, padded to the band's largest k, K, and keeps
+    only the checks' booleans:
       Corollary 1, per k <= kmax_t1 and flag pair: the j = 1 det equals
         det_closed_form;
       Corollary 3, per coprime config of k <= kmax: det = 0 iff the
         parity rule says degenerate;
       Lemma 3, per the same config: the orbit is singular iff degenerate,
-        and then its null vector is the pair's kernel_signs row.  The rank
-        k - dim follows, as the rank is k less one where singular.
+        and then its null vector is the pair's kernel_signs row.  The sign
+        rule does not depend on k: the row of k is the first k entries of
+        the row of K, and each null vector is compared on its first k
+        entries.  The rank k - dim follows, as the rank is k less one
+        where singular.
     Corollary 1 is in (k, flag pair) order, the other two in
     coprime_configs order (k, j, flag pair).
     """
     cor1, cor3, lem3 = [], [], []
-    for k in range(2, max(kmax, kmax_t1) + 1):
-        js = [j for j in range(1, k // 2 + 1) if math.gcd(j, k) == 1] if k <= kmax else [1]
-        o = orbits_of(k, js)
+    for ks, js in _bands(kmax, kmax_t1):
+        o = orbits_of(ks, js)
+        k, j, top = np.array(ks), np.array(js), ks[-1]
         det = o.det.reshape(4, len(js))
-        if k <= kmax_t1:
-            cor1.append(det[:, 0] == [det_closed_form(k, *pair) for pair in _FLAG_PAIRS])
-        if k <= kmax:
-            deg = degenerate(*_FLAGS, np.array(js), k)
-            kernel = (o.null_vectors.reshape(4, len(js), k) == kernel_signs(k, _FLAG_PAIRS)[:, None]).all(axis=-1)
-            cor3.append(((det == 0) == deg).T.ravel())
-            lem3.append(((o.singular.reshape(4, len(js)) == deg) & (kernel | ~deg)).T.ravel())
+        j1 = (j == 1) & (k <= kmax_t1)
+        closed = [det_closed_form(k1, *pair) for k1 in k[j1].tolist() for pair in _FLAG_PAIRS]
+        cor1.append(det[:, j1].T.ravel() == closed)
+        n = bisect.bisect_right(ks, kmax)  # the pairs of k <= kmax come first
+        deg = degenerate(*_FLAGS, j[:n], k[:n])
+        kernel = o.null_vectors.reshape(4, len(js), top)[:, :n] == kernel_signs(top, _FLAG_PAIRS)[:, None]
+        if ks[0] < top:  # padded: each null vector is compared on its first k entries
+            kernel |= np.arange(top) >= k[:n, None]
+        cor3.append(((det[:, :n] == 0) == deg).T.ravel())
+        lem3.append(((o.singular.reshape(4, len(js))[:, :n] == deg) & (kernel.all(axis=-1) | ~deg)).T.ravel())
     return tuple(np.concatenate(checks) if checks else np.zeros(0, bool) for checks in (cor1, cor3, lem3))
 
 
@@ -240,15 +271,25 @@ def forward_configs(kmax: int) -> list[ProblemConfig]:
 
 
 def forward_oracle(configs: list[ProblemConfig]) -> Block:
-    """The direct forward map equals Q^{-1} A R q on seeded random potentials, m = 16, on each of configs in turn."""
+    """The direct forward map equals Q^{-1} A R q on seeded random potentials, m = 16, on each of configs in turn.
+
+    Each run of consecutive configs of one (j, k), the four flag pairs of
+    forward_configs, is one batch: one draw of its potentials, the real
+    and then the imaginary samples of each config in turn, as per-config
+    draws would give them, and one call of each forward-map core
+    (_direct_rows and _matrix_rows of main_equation).
+    """
     rng = np.random.default_rng(20240815)
     ok = []
-    for cfg in configs:
-        q = GridFunction(cfg.k, 16, rng.normal(size=16 * cfg.k) + 1j * rng.normal(size=16 * cfg.k))
-        w1 = forward_w_direct(q, cfg)
-        w2 = forward_w_matrix(q, cfg)
-        ok.append(np.abs(w1.values - w2.values).max() <= 1e-14 * max(1.0, np.abs(w1.values).max()))
-    return Block("forward-map oracle", np.array(ok, bool), lambda i: f"forward oracle {configs[i]}")
+    for (j, k), batch in itertools.groupby(configs, lambda cfg: (cfg.j, cfg.k)):
+        pairs = [(cfg.alpha, cfg.beta) for cfg in batch]
+        z = rng.normal(size=(len(pairs), 2, 16 * k))
+        q = z[:, 0] + 1j * z[:, 1]
+        w1 = _direct_rows(q, pairs, j, 16)
+        w2 = _matrix_rows(q, pairs, j, k, 16)
+        ok.append(np.abs(w1 - w2).max(axis=1) <= 1e-14 * np.maximum(1.0, np.abs(w1).max(axis=1)))
+    return Block("forward-map oracle", np.concatenate(ok) if ok else np.zeros(0, bool),
+                 lambda i: f"forward oracle {configs[i]}")
 
 
 def sweeps(kmax: int, kmax_t1: int, kmax_fwd: int) -> list[Block]:
@@ -257,8 +298,8 @@ def sweeps(kmax: int, kmax_t1: int, kmax_fwd: int) -> list[Block]:
     forward_configs counts the forward oracle's pairs first and theorem2
     its stack, so a --kmax-forward or a kmax too large raises before any
     orbit is read or any block prints.  orbit_checks then reads the
-    determinant and kernel checks off one orbit pass per k, and the
-    closed-form spectra that Lemma 2 and Corollary 2 share are built.
+    determinant and kernel checks off one orbit pass per band of k, and
+    the closed-form spectra that Lemma 2 and Corollary 2 share are built.
     The oracle runs last, so the numpy modules it loads on first use do
     not add to the memory peak, the Theorem 2 stack.
     """

@@ -114,13 +114,13 @@ def subinterval_midpoints(k: int, m: int) -> np.ndarray:
 
 
 def _reflect_rows(grid: np.ndarray, first: int) -> np.ndarray:
-    """A C-contiguous copy of the (k, m) grid with rows first, first + 2, ... reversed.
+    """A C-contiguous copy of the (k, m) grid, or of each grid of a (..., k, m) stack, with rows first, first + 2, ... reversed.
 
     Reversing the same rows twice gives the grid back, so the helper is its
     own inverse: each chop and its inverse call it with the same rows.
     """
     out = np.array(grid, order="C")
-    out[first::2] = grid[first::2, ::-1]
+    out[..., first::2, :] = grid[..., first::2, ::-1]
     return out
 
 

@@ -4,8 +4,13 @@ W is the function the spectrum determines; the potential solves
     W(x) = ((-1)^(alpha*beta)/2) Q^{-1} A R q(x)
 with A the frozen matrix.  The forward map is implemented twice (explicit
 three-branch formula and matrix form) so each can serve as the other's
-oracle; the inverse solve runs on the orbit of A, its one cycle through
-all k rows, for all grid points of (0, b) at once.  In the degenerate
+oracle.  Each has one array core over a stack of potentials on one
+(j, k) grid, a flag pair per row (_direct_rows, _matrix_rows), which
+the verify oracle calls on the four flag pairs of a (j, k) at once; the
+public maps check their grid and config and run their core on the
+batch of one, and a row has the same bits in any batch.  The inverse
+solve runs on the orbit of A, its one cycle through all k rows, for all
+grid points of (0, b) at once.  In the degenerate
 cases the forward map has the null direction R^{-1}(X f), X the +-1
 kernel vector of A and f any function on (0, b): it is the kernel
 direction of the inverse solve and the supplement of every iso-spectral
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_params import ProblemConfig, require_grid, require_normalized, signs
-from .frozen_matrix import build_matrix, kernel, orbit
-from .interval_ops import GridFunction, q_apply, q_inverse, r_apply, r_inverse, require_finite
+from .frozen_matrix import _dense, _flag_columns, _fold_rule, _require_rows, _zeros, kernel, orbit
+from .interval_ops import GridFunction, _reflect_rows, q_apply, r_inverse, require_finite
 
 
 class InconsistentSystemError(ValueError):
@@ -42,7 +47,7 @@ def _check_grid(f: GridFunction, config: ProblemConfig) -> None:
 
 
 def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
-    """W from q by the explicit piecewise formula.
+    """W from q by the explicit piecewise formula: _direct_rows on the batch of one.
 
     With a = j/k, prefactor p = (-1)^(alpha*beta)/2:
       W(x) = p (q(1-a+x) + d q(1-a-x))        on (0, a)
@@ -53,26 +58,54 @@ def forward_w_direct(q: GridFunction, config: ProblemConfig) -> GridFunction:
     A W beyond double precision raises ArithmeticError naming its grid point.
     """
     _check_grid(q, config)
-    c, d = signs(config.alpha, config.beta)
-    jm = config.j * q.m
-    n = q.k * q.m
-    pref = 0.5 * (-1) ** (config.alpha * config.beta)
-    v, r = q.values, q.values[::-1]
-    out = np.empty(n, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by grid point
-        out[:jm] = pref * (v[n - jm :] + d * r[jm : 2 * jm])
-        out[jm : n - jm] = pref * (c * r[: n - 2 * jm] + d * r[2 * jm :])
-        out[n - jm :] = pref * c * (r[n - 2 * jm : n - jm] + v[:jm])
+    out = _direct_rows(q.values[None], [(config.alpha, config.beta)], config.j, q.m)[0]
     require_finite(out, "W")
     return GridFunction(q.k, q.m, out)
 
 
+def _direct_rows(v: np.ndarray, pairs, j: int, m: int) -> np.ndarray:
+    """The piecewise formula of forward_w_direct on the (B, n) rows v, one potential each on one grid of m per piece.
+
+    Row b is read with the flag pair pairs[b]; c, d and the prefactor are a
+    column per row, so each piece is two slices of the (B, n) stack, and a
+    row has the bits it has alone.  An overflow is left in the rows; the
+    caller checks the grid and the config.
+    """
+    alpha, beta = _flag_columns(pairs)
+    c, d = signs(alpha, beta)
+    pref = 0.5 * (-1) ** (alpha * beta)
+    n = v.shape[-1]
+    jm = j * m
+    r = v[:, ::-1]
+    out = np.empty(v.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # forward_w_direct refuses an overflow, by grid point
+        out[:, :jm] = pref * (v[:, n - jm :] + d * r[:, jm : 2 * jm])
+        out[:, jm : n - jm] = pref * (c * r[:, : n - 2 * jm] + d * r[:, 2 * jm :])
+        out[:, n - jm :] = pref * c * (r[:, n - 2 * jm : n - jm] + v[:, :jm])
+    return out
+
+
 def forward_w_matrix(q: GridFunction, config: ProblemConfig) -> GridFunction:
-    """W from q via the matrix form p Q^{-1} A R q."""
+    """W from q via the matrix form p Q^{-1} A R q: _matrix_rows on the batch of one."""
     _check_grid(q, config)
-    a = build_matrix(config)
-    pref = 0.5 * (-1) ** (config.alpha * config.beta)
-    return q_inverse(pref * (a @ r_apply(q, config.j)))
+    return GridFunction(q.k, q.m, _matrix_rows(q.values[None], [(config.alpha, config.beta)], config.j, q.k, q.m)[0])
+
+
+def _matrix_rows(v: np.ndarray, pairs, j: int, k: int, m: int) -> np.ndarray:
+    """p Q^{-1} A R q on the (B, k m) rows v, one potential each on the grid (k, m), row b with the flag pair pairs[b].
+
+    One _fold_rule call gives the rows of every pair's A, one scatter
+    their (B, k, k) int64 stack (the zeros first, so a size the allocator
+    refuses is named, see build_matrix), and R, the product and Q^{-1}
+    run on (B, k, m) stacks, the chops of r_apply and q_inverse.  A row
+    has the bits it has alone.  The caller checks the grid and the config.
+    """
+    _require_rows(k)
+    alpha, beta = _flag_columns(pairs)
+    a = _dense(_zeros((len(v), k, k)), *_fold_rule(np.arange(k), j, k, *signs(alpha, beta)))
+    rq = _reflect_rows(v.reshape(len(v), k, m)[:, ::-1], j % 2)
+    pref = 0.5 * (-1) ** (alpha * beta)
+    return _reflect_rows(pref[..., None] * (a @ rq), 1).reshape(len(v), k * m)
 
 
 def _lift(x: tuple[int, ...], profile: np.ndarray, j: int) -> GridFunction:

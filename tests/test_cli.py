@@ -263,8 +263,9 @@ def test_verify_reports_a_failed_identity(breakage, capsys, monkeypatch):
     assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": [label]}}
 
 
-# the sign rule gives one row per k and flag pair, the kernel of each degenerate config of that pair and k: a sign
-# flipped in the (1, 1) row of k = 8 fails both (1, 1) configs of k = 8, j = 1 and 3, in coprime_configs order
+# the sign rule gives one row per flag pair, the kernel of each degenerate config of that pair and each k, read on its
+# first k entries: a sign flipped at v = 8 in the (1, 1) row fails both (1, 1) configs of k = 8, j = 1 and 3, in
+# coprime_configs order, and no config of a smaller k
 def test_verify_reports_a_wrong_closed_form_kernel(capsys, monkeypatch):
     from frozen_spectra import identities
     from frozen_spectra.core_params import ProblemConfig
@@ -272,8 +273,8 @@ def test_verify_reports_a_wrong_closed_form_kernel(capsys, monkeypatch):
 
     def flipped(k, pairs):
         x = kernel_signs(k, pairs)
-        if k == 8:
-            x[list(pairs).index((1, 1)), 0] *= -1
+        if k >= 8:
+            x[list(pairs).index((1, 1)), 7] *= -1
         return x
 
     monkeypatch.setattr(identities, "kernel_signs", flipped)

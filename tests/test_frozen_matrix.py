@@ -326,29 +326,32 @@ def test_orbit_refuses_a_config_past_make_config(beta):
         rank(ProblemConfig(0, 1, 0, 4))  # a = 0 past make_config: four one-row cycles
 
 
-def _orbit_tuple(o, b=...):
-    """rows, cols, a and g of orbit b of a batch (of the one orbit by default) as tuples of ints."""
-    return tuple(tuple(x[b].tolist()) for x in (o.rows, o.cols, o.a, o.g))
+def _orbit_tuple(o, b=..., k=None):
+    """rows, cols, a and g of orbit b of a batch (of the one orbit by default), their first k entries, as tuples of ints."""
+    return tuple(tuple(x[b][:k].tolist()) for x in (o.rows, o.cols, o.a, o.g))
 
 
 # the closed form against the generic walk of the built rows: one cycle, started at row 0 by the same edge, with the
 # same rows, columns, a, g, det and sgn(sigma_a), on every coprime config up to k = 80 and the four at a = 0; the
-# batch orbits that orbit_checks reads, one pass per k over its coprime j and the four flag pairs, are the same walks
+# batch orbits that orbit_checks reads, one pass per band of k over its (j, k) pairs and the four flag pairs, are the
+# same walks on the first k entries, padded to the band's largest k by fixed points: r_t = c_t = t, a_t = 1 and
+# g_t = g_(k-1)
 def test_orbit_is_the_walk_of_the_built_rows(monkeypatch):
-    batches = {}
+    batches = []
     read = identities.orbits_of
-
-    def kept(k, js):
-        batches[k] = js, read(k, js)
-        return batches[k][1]
-
-    monkeypatch.setattr(identities, "orbits_of", kept)
+    monkeypatch.setattr(identities, "orbits_of", lambda ks, js: batches.append((ks, js, read(ks, js))) or batches[-1][2])
     identities.orbit_checks(80, 2)
+    assert any(ks[0] < ks[-1] for ks, _, _ in batches)  # some bands are padded
     batch = {}
-    for k, (js, o) in batches.items():
-        configs = [ProblemConfig(alpha, beta, j, k) for alpha in (0, 1) for beta in (0, 1) for j in js]
+    for ks, js, o in batches:
+        configs = [ProblemConfig(alpha, beta, j, k) for alpha in (0, 1) for beta in (0, 1) for j, k in zip(js, ks)]
+        top = max(ks)
         for b, cfg in enumerate(configs):
-            batch[cfg] = int(o.sign[b]), _orbit_tuple(o, b), int(o.det[b])
+            batch[cfg] = int(o.sign[b]), _orbit_tuple(o, b, cfg.k), int(o.det[b])
+            pad = list(range(cfg.k, top))
+            assert o.rows[b, cfg.k :].tolist() == o.cols[b, cfg.k :].tolist() == pad, cfg
+            assert o.a[b, cfg.k :].tolist() == [1] * len(pad), cfg
+            assert o.g[b, cfg.k :].tolist() == [o.g[b, cfg.k - 1]] * len(pad), cfg
     assert set(batch) == set(coprime_configs(80))
     a0 = [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]
     for cfg in coprime_configs(80) + a0:

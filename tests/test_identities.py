@@ -1,14 +1,15 @@
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frozen_spectra import GridFunction, IntPolynomial, cli, frozen_matrix, identities
-from frozen_spectra.core_params import Kind, ProblemConfig, classify, coprime_configs
+from frozen_spectra import IntPolynomial, cli, frozen_matrix, identities
+from frozen_spectra.core_params import Kind, ProblemConfig, classify, coprime_configs, degenerate
 
 # One broken ingredient per sweep; each is used by that sweep alone.
 BROKEN = {
@@ -17,7 +18,7 @@ BROKEN = {
     "corollary-1/3 determinants": ("det_closed_form", lambda k, a, b: 7),
     "lemma-2/3 kernels, ranks, eigenvectors": ("kernel_signs", lambda k, pairs: np.zeros((len(pairs), k), np.int64)),
     "corollary-2 closed-form spectra": ("numeric_spectra_j1", lambda k, pairs: np.full((len(pairs), k), 9.0)),
-    "forward-map oracle": ("forward_w_matrix", lambda q, cfg: GridFunction(q.k, q.m, q.values)),
+    "forward-map oracle": ("_matrix_rows", lambda v, pairs, j, k, m: v),
 }
 
 
@@ -32,9 +33,12 @@ def test_sweeps_pass_on_the_library():
 
 # max(0.0, nan) is 0.0: a NaN spectrum must not read as a perfect match
 NAN_SPECTRUM = ("corollary-2 closed-form spectra", ("numeric_spectra_j1", lambda k, pairs: np.full((len(pairs), k), math.nan)))
+# the oracle's other side: a broken direct core against the matrix core
+BROKEN_DIRECT = ("forward-map oracle", ("_direct_rows", lambda v, pairs, j, m: v))
 
 
-@pytest.mark.parametrize("block,broken", [*BROKEN.items(), NAN_SPECTRUM], ids=[*BROKEN, "corollary-2 NaN spectrum"])
+@pytest.mark.parametrize("block,broken", [*BROKEN.items(), NAN_SPECTRUM, BROKEN_DIRECT],
+                         ids=[*BROKEN, "corollary-2 NaN spectrum", "forward-map oracle direct core"])
 def test_a_broken_identity_fails_its_sweep_only(block, broken, monkeypatch):
     monkeypatch.setattr(identities, *broken)
     failed = _failed()
@@ -118,10 +122,11 @@ def test_theorem2_steps_once_per_j_and_builds_no_matrix(monkeypatch):
     assert steps == [4 * sum(range(2 * j, 13)) for j in range(2, 7)]
 
 
-# a sweeps run reads det, rank and kernel off one orbits_of pass per k, up to the larger of kmax and kmax_t1, and
-# builds no matrix: the float j = 1 checks (Lemma 2's residual and Corollary 2's eigvals) read the fold rule of the
-# three closed-form flag pairs of each k at once; frozen_matrix.build_matrix is counted, not refused, so the count
-# names any build
+# a sweeps run reads det, rank and kernel off one orbits_of pass per band of k, whose bands cover 2 up to the larger
+# of kmax and kmax_t1 once and in order, here in one band, and builds no matrix: the float j = 1 checks (Lemma 2's
+# residual and Corollary 2's eigvals) read the fold rule of the three closed-form flag pairs of each k at once, and
+# the forward oracle's matrix core scatters its own stack; frozen_matrix.build_matrix is counted, not refused, so the
+# count names any build
 @pytest.mark.parametrize("kmax,kmax_t1", [(12, 14), (14, 12)])
 def test_a_sweeps_run_builds_no_matrix(monkeypatch, kmax, kmax_t1):
     for module, name in ((identities, "build_matrix"), (identities, "det_exact"), (identities, "rank"),
@@ -130,9 +135,10 @@ def test_a_sweeps_run_builds_no_matrix(monkeypatch, kmax, kmax_t1):
     built, passes = [], []
     build, read = frozen_matrix.build_matrix, identities.orbits_of
     monkeypatch.setattr(frozen_matrix, "build_matrix", lambda cfg: built.append(cfg) or build(cfg))
-    monkeypatch.setattr(identities, "orbits_of", lambda k, js: passes.append(k) or read(k, js))
+    monkeypatch.setattr(identities, "orbits_of", lambda ks, js: passes.append(ks) or read(ks, js))
     identities.sweeps(kmax, kmax_t1, 3)
-    assert passes == list(range(2, 15))
+    assert [list(dict.fromkeys(ks)) for ks in passes] == [list(range(2, 15))]
+    assert passes[0] == sorted(passes[0])
     assert built == []
 
 
@@ -177,25 +183,70 @@ def test_sweeps_runs_the_forward_guard_first(monkeypatch, kmax_fwd):
         identities.sweeps(4, 4, kmax_fwd)
 
 
-# the forward oracle runs after the Theorem 2 stack, the memory peak, so the modules it loads first do not add to it
+# the forward oracle runs after the Theorem 2 stack, the memory peak, so the modules it loads first do not add to it;
+# it calls the direct core once per (j, k), here (1, 2) and (1, 3)
 def test_sweeps_runs_the_forward_oracle_after_theorem2(monkeypatch):
     calls = []
-    match, direct = identities.reductions_match, identities.forward_w_direct
+    match, direct = identities.reductions_match, identities._direct_rows
     monkeypatch.setattr(identities, "reductions_match", lambda kmax: calls.append("theorem2") or match(kmax))
-    monkeypatch.setattr(identities, "forward_w_direct", lambda q, cfg: calls.append("forward") or direct(q, cfg))
+    monkeypatch.setattr(identities, "_direct_rows", lambda *args: calls.append("forward") or direct(*args))
     identities.sweeps(6, 6, 3)
-    assert calls == ["theorem2"] + ["forward"] * len(coprime_configs(3))
+    assert calls == ["theorem2", "forward", "forward"]
 
 
-# the forward oracle checks the configs of coprime_configs, in that order
+def _batches(seen):
+    """The configs of the (v, pairs, j, k, m) batches a forward core saw, in order."""
+    return [ProblemConfig(*pair, j, k) for _, pairs, j, k, _ in seen for pair in pairs]
+
+
+# the forward oracle checks the configs of coprime_configs, in that order: each (j, k) is one batch of its four flag
+# pairs, which both cores see, with one potential per config on the (k, 16) grid
 @pytest.mark.parametrize("kmax_fwd", [2, 3, 8, 13])
 def test_forward_oracle_checks_the_coprime_configs_in_order(monkeypatch, kmax_fwd):
-    seen = []
-    direct = identities.forward_w_direct
-    monkeypatch.setattr(identities, "forward_w_direct", lambda q, cfg: seen.append(cfg) or direct(q, cfg))
+    direct_seen, matrix_seen = [], []
+    direct, matrix = identities._direct_rows, identities._matrix_rows
+
+    def seen_direct(v, pairs, j, m):
+        direct_seen.append((v, pairs, j, v.shape[1] // m, m))
+        return direct(v, pairs, j, m)
+
+    def seen_matrix(v, pairs, j, k, m):
+        matrix_seen.append((v, pairs, j, k, m))
+        return matrix(v, pairs, j, k, m)
+
+    monkeypatch.setattr(identities, "_direct_rows", seen_direct)
+    monkeypatch.setattr(identities, "_matrix_rows", seen_matrix)
     block = identities.forward_oracle(identities.forward_configs(kmax_fwd))
     assert block.ok.tolist() == [True] * len(coprime_configs(kmax_fwd))
-    assert seen == coprime_configs(kmax_fwd)
+    assert _batches(direct_seen) == _batches(matrix_seen) == coprime_configs(kmax_fwd)
+    for (v, pairs, j, k, m), (w, *rest) in zip(direct_seen, matrix_seen):
+        assert pairs == list(frozen_matrix._FLAG_PAIRS) and v.shape == (4, 16 * k) and m == 16
+        assert w is v and rest == [pairs, j, k, m]
+
+
+def _orbit_checks_per_config(kmax, kmax_t1):
+    """orbit_checks off one orbit per config: the reference of the banded passes."""
+    cor1 = [int(frozen_matrix.orbit(ProblemConfig(*pair, 1, k)).det) == frozen_matrix.det_closed_form(k, *pair)
+            for k in range(2, kmax_t1 + 1) for pair in frozen_matrix._FLAG_PAIRS]
+    cor3, lem3 = [], []
+    for cfg in coprime_configs(kmax):
+        o = frozen_matrix.orbit(cfg)
+        deg = bool(degenerate(cfg.alpha, cfg.beta, cfg.j, cfg.k))
+        signs = tuple(frozen_matrix.kernel_signs(cfg.k, [(cfg.alpha, cfg.beta)])[0].tolist())
+        cor3.append((int(o.det) == 0) == deg)
+        lem3.append(bool(o.singular) == deg and (not deg or o.null_vector == signs))
+    return cor1, cor3, lem3
+
+
+# the banded passes give the checks of one orbit per config, with one k per band (1), the default bands, and the
+# whole sweep in one band (2^30)
+@pytest.mark.parametrize("band", [1, identities._BAND_ENTRIES, 2**30])
+@settings(max_examples=25, deadline=None)
+@given(kmax=st.integers(2, 40), kmax_t1=st.integers(2, 40))
+def test_orbit_checks_equal_the_per_config_checks_in_any_bands(band, kmax, kmax_t1):
+    with mock.patch.object(identities, "_BAND_ENTRIES", band):
+        checks = identities.orbit_checks(kmax, kmax_t1)
+    assert [x.tolist() for x in checks] == list(_orbit_checks_per_config(kmax, kmax_t1))
 
 
 @pytest.mark.parametrize("kmax,kmax_t1", [(12, 14), (14, 12), (2, 2)])
@@ -224,22 +275,29 @@ def test_one_corrupted_block_fails_its_config_alone(monkeypatch):
     assert failed == [f"theorem2 {ProblemConfig(0, 1, 5, 11)}"]
 
 
-# each config's checks read its own orbit in the batch of its k: one sign flipped in one orbit's running product
-# fails that config's checks alone.  Flipped at the last step it turns det = 0 over, which Corollaries 1 (j = 1) and 3
-# and Lemma 3 report; flipped at t = 1 it changes the null vector alone, which Lemma 3 reports if the config is
-# degenerate, and no check reads otherwise
+# each config's checks read its own orbit in the batch of its band: one sign flipped in one orbit's running product
+# fails that config's checks alone.  Flipped at its own last step, t = k - 1, and so on the padding that holds g_(k-1)
+# (a flip of -a_t b_t there), it turns det = 0 over, which Corollaries 1 (j = 1) and 3 and Lemma 3 report; flipped at
+# t = 1 it changes the null vector alone, which Lemma 3 reports if the config is degenerate, and no check reads
+# otherwise
 @pytest.mark.parametrize("cfg", [ProblemConfig(1, 1, 3, 8), ProblemConfig(0, 1, 3, 7), ProblemConfig(0, 0, 1, 9),
                                  ProblemConfig(1, 0, 1, 85), ProblemConfig(0, 1, 37, 80)], ids=repr)
 @pytest.mark.parametrize("t", [-1, 1])
 def test_orbit_checks_read_each_config_at_its_own_place(monkeypatch, cfg, t):
     read = identities.orbits_of
+    flips = []
 
-    def flipped(k, js):
-        o = read(k, js)
-        if k != cfg.k:
+    def flipped(ks, js):
+        o = read(ks, js)
+        if (cfg.j, cfg.k) not in zip(js, ks):
             return o
+        flips.append(ks)
         g = o.g.copy()
-        g[frozen_matrix._FLAG_PAIRS.index((cfg.alpha, cfg.beta)) * len(js) + js.index(cfg.j), t] *= -1
+        row = frozen_matrix._FLAG_PAIRS.index((cfg.alpha, cfg.beta)) * len(js) + list(zip(js, ks)).index((cfg.j, cfg.k))
+        if t > 0:
+            g[row, t] *= -1
+        else:
+            g[row, cfg.k - 1 :] *= -1
         return frozen_matrix.Orbit(o.rows, o.cols, o.a, g, o.sign)
 
     monkeypatch.setattr(identities, "orbits_of", flipped)
@@ -253,6 +311,7 @@ def test_orbit_checks_read_each_config_at_its_own_place(monkeypatch, cfg, t):
     else:
         expected = [f"lemma3 {cfg}"] if deg and cfg.k <= 80 else []
     assert failed == expected
+    assert len(flips) == 1
 
 
 # a run keeps three booleans per coprime config and no matrix, and the theorem-2 run holds (4, n) arrays of its

@@ -46,6 +46,25 @@ def test_forward_routes_agree(rng):
         assert np.abs(w1.values - w2.values).max() < 1e-14
 
 
+# the forward oracle's cores on a batch of every flag pair of one (j, k), and of the pairs in another order, give each
+# row the bits of the public map, its batch of one, on every coprime config of k <= 13 and at a = 0
+def test_forward_cores_give_each_row_the_bits_of_the_public_maps(rng):
+    groups = {}
+    for cfg in coprime_configs(13) + [make_config(alpha, beta, 0, 1) for alpha in (0, 1) for beta in (0, 1)]:
+        groups.setdefault((cfg.j, cfg.k), []).append(cfg)
+    m = 5
+    for (j, k), configs in groups.items():
+        for batch in (configs, configs[::-1]):
+            pairs = [(cfg.alpha, cfg.beta) for cfg in batch]
+            q = rng.normal(size=(len(batch), k * m)) + 1j * rng.normal(size=(len(batch), k * m))
+            direct = main_equation._direct_rows(q, pairs, j, m)
+            matrix = main_equation._matrix_rows(q, pairs, j, k, m)
+            for b, cfg in enumerate(batch):
+                g = GridFunction(k, m, q[b])
+                assert direct[b].tobytes() == forward_w_direct(g, cfg).values.tobytes(), cfg
+                assert matrix[b].tobytes() == forward_w_matrix(g, cfg).values.tobytes(), cfg
+
+
 def test_forward_k1_single_entry_path(rng):
     # a = 0: the 1x1 matrix gives W(x) = -q(1-x) for alpha = 1, W = 0 for alpha = 0
     q = random_grid(1, 16, rng)
@@ -301,7 +320,7 @@ def test_solve_inverse_reads_one_orbit_builds_nothing_and_reads_its_own_kernel(r
         raise AssertionError("solve_inverse built a matrix or decided the kernel a second time")
 
     monkeypatch.setattr(main_equation, "orbit", counted)
-    for module, name in ((main_equation, "build_matrix"), (frozen_matrix, "build_matrix"), (core_params, "classify"),
+    for module, name in ((main_equation, "_dense"), (frozen_matrix, "build_matrix"), (core_params, "classify"),
                          (core_params, "degenerate"), (frozen_matrix, "kernel"), (main_equation, "kernel"),
                          (main_equation, "null_direction")):
         monkeypatch.setattr(module, name, refuse)
