@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_params import ProblemConfig, is_int, load_json, require_flags, require_grid, require_keys
+from .core_params import ProblemConfig, allocate, is_int, load_json, require_flags, require_grid, require_keys
 from .interval_ops import GridFunction, _allocate_grid, require_finite
 
 RHO_SERIES_THRESHOLD = 1.0
@@ -396,10 +396,8 @@ def eigenvalues(q: GridFunction, config: ProblemConfig, count: int) -> Spectrum:
     """
     if not is_int(count) or count < 1:
         raise ValueError("count must be >= 1")
-    try:  # index count + 1 only bounds the last step
-        lam0 = asymptotic_eigenvalue(config.alpha, config.beta, np.arange(1, count + 2))
-    except (MemoryError, ValueError):
-        raise ValueError(f"count={count} eigenvalues are too many to allocate") from None
+    lam0 = allocate(lambda: asymptotic_eigenvalue(config.alpha, config.beta, np.arange(1, count + 2)),
+                    f"count={count} eigenvalues are too many to allocate")  # index count + 1 only bounds the last step
     seeds, caps = lam0[:-1].tolist(), (np.diff(lam0) / 2).tolist()
     f = lambda lam: delta_direct(q, config, lam, slope=True)
     with np.errstate(over="ignore", invalid="ignore"):  # _find_root refuses a non-finite Delta by index

@@ -9,6 +9,15 @@ files byte-identical; its manifests differ only in wall_time_s.  dispatch
 runs the prologue every command shares: it rejects two output flags that
 name one file, reads a command's --config or flags into args.config, and
 sets the manifest's command, config and wall time.
+
+A size is refused by one of two rules, each with one implementation.  A
+range whose work grows faster than its memory, cheb --n and verify's
+three ranges, is a count checked against MAX_RANGE before any work
+starts.  A size whose work is linear in its memory, a grid, a dense
+matrix or a count of eigenvalues, is an allocation probe
+(core_params.allocate): the allocation runs first, and a size the
+allocator refuses is a ValueError naming it.  A MemoryError that
+neither rule catches exits 3 as well, with the error type MemoryError.
 """
 
 from __future__ import annotations
@@ -49,10 +58,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 EXIT_NUMERICAL = 4
-# cheb --n and verify --kmax-theorem1 keep every term of a stored Chebyshev or
-# characteristic-polynomial run: n terms of up to n coefficients of up to n
-# bits, so memory grows as n^3 (about 240 MB for verify at the limit)
-MAX_STORED_N = 1000
+# the one upper bound of cheb --n and verify's ranges, checked before any work; per flag the cost grows as
+#   --n: a stored Chebyshev run of n terms of up to n coefficients of up to n bits, memory n^3
+#   --kmax: Theorem 2 steps 4k rows per j for every k, time K^3; its stack of 2K(K + 1) rows, memory K^2
+#   --kmax-theorem1: a stored char-poly run per flag pair, memory K^3 (about 240 MB at the bound)
+#   --kmax-forward: the forward oracle builds a (4, k, k) stack for each coprime (j, k), time K^4
+MAX_RANGE = 1000
 
 
 class VerifyFailure(Exception):
@@ -93,9 +104,9 @@ def _load_config(args) -> ProblemConfig:
     return load_json(args.config, lambda d: ProblemConfig.from_dict(d.get("config", d) if isinstance(d, dict) else d))
 
 
-def _check_stored_n(flag: str, n: int) -> None:
-    if n > MAX_STORED_N:
-        raise ValueError(f"{flag} must be <= {MAX_STORED_N}, got {n}: memory grows as n^3")
+def _check_range(flag: str, n: int) -> None:
+    if n > MAX_RANGE:
+        raise ValueError(f"{flag} must be <= {MAX_RANGE}, got {n}")
 
 
 def _demo_potential(x: np.ndarray) -> np.ndarray:
@@ -160,7 +171,7 @@ def cmd_classify(args) -> RunManifest:
 
 
 def cmd_cheb(args) -> RunManifest:
-    _check_stored_n("--n", args.n)
+    _check_range("--n", args.n)
     if args.scaled:
         poly = chebyshev.scaled_cheb_int(args.kind, args.n)
     else:
@@ -305,10 +316,11 @@ def cmd_example(args) -> RunManifest:
 
 def cmd_verify(args) -> RunManifest:
     """Run the identity blocks, print per block how many checks passed and failed; raise VerifyFailure if any fails."""
-    for flag in ("kmax", "kmax_theorem1", "kmax_forward"):  # below 2 a block would check nothing
-        if getattr(args, flag) < 2:
-            raise ValueError(f"--{flag.replace('_', '-')} must be >= 2, got {getattr(args, flag)}")
-    _check_stored_n("--kmax-theorem1", args.kmax_theorem1)
+    for flag in ("--kmax", "--kmax-theorem1", "--kmax-forward"):
+        n = getattr(args, flag[2:].replace("-", "_"))
+        if n < 2:  # below 2 a block would check nothing
+            raise ValueError(f"{flag} must be >= 2, got {n}")
+        _check_range(flag, n)
     failures: list[str] = []
     for block in identities.sweeps(args.kmax, args.kmax_theorem1, args.kmax_forward):
         failed = block.failures()
@@ -425,9 +437,10 @@ def dispatch(argv) -> int:
         if manifest.config is None and "config" in vars(args):
             manifest.config = args.config.to_dict()
         manifest.write()
-    except (*_NUMERICAL_ERRORS, ValueError, KeyError, OSError) as exc:
+    except (*_NUMERICAL_ERRORS, ValueError, KeyError, OSError, MemoryError) as exc:
         detail = {"failures": exc.args[0]} if isinstance(exc, VerifyFailure) else {"message": str(exc)}
-        print(json.dumps({"error": {"type": type(exc).__name__, **detail}}), file=sys.stderr)
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__  # not numpy's _ArrayMemoryError
+        print(json.dumps({"error": {"type": kind, **detail}}), file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, _NUMERICAL_ERRORS) else EXIT_BAD_INPUT
     return EXIT_OK
 

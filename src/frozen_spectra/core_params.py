@@ -84,6 +84,18 @@ def load_json(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def allocate(make, refusal: str):
+    """make(), a call that only allocates; a size the allocator refuses is a ValueError with the message refusal.
+
+    make's one failure is the allocator's: a MemoryError when the memory is
+    missing, a ValueError when the size is beyond the platform's index range.
+    """
+    try:
+        return make()
+    except (MemoryError, ValueError):
+        raise ValueError(refusal) from None
+
+
 def is_int(v) -> bool:
     """True for an int or a numpy integer; a bool is not an index, a count or a size."""
     return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))

@@ -49,7 +49,7 @@ from itertools import islice
 import numpy as np
 
 from .chebyshev import IntPolynomial, StoredRun, X, imag_scaled_cheb_int, scaled_cheb_int, three_term
-from .core_params import ProblemConfig, is_int, make_config, require_flags, require_normalized, signs
+from .core_params import ProblemConfig, allocate, is_int, make_config, require_flags, require_normalized, signs
 
 
 def _flag_columns(pairs) -> np.ndarray:
@@ -95,25 +95,29 @@ def _family(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 def _zeros(shape: tuple[int, ...]) -> np.ndarray:
     """The int64 zeros of a dense (k, k) matrix or (n, k, k) stack, allocated before its rows.
 
-    A size the allocator refuses is a ValueError naming k, so it is
-    refused before the fold rule allocates its k-length arrays.
+    A size the allocator refuses is a ValueError naming k (core_params.allocate),
+    so it is refused before the fold rule allocates its k-length arrays.
     """
     k = shape[-1]
-    try:
-        return np.zeros(shape, np.int64)
-    except (MemoryError, ValueError):
-        raise ValueError(f"a dense matrix with k={k} has {k * k} entries, too many to allocate") from None
+    refusal = f"a dense matrix with k={k} has {k * k} entries, too many to allocate"
+    return allocate(lambda: np.zeros(shape, np.int64), refusal)
+
+
+def _row_starts(shape: tuple[int, ...], width: int) -> np.ndarray:
+    """The flat position of entry 0 of each row of width entries in a C-ordered batch, the rows laid out in shape."""
+    return width * np.arange(math.prod(shape)).reshape(shape)
 
 
 def _dense(dense, lc, lv, rc, rv) -> np.ndarray:
     """The int64 dense matrix of k rows of two entries each, added into the zeros dense: a shared column (a = 0) sums.
 
     (n, k) values give a stack of n matrices, their columns (n, k) or one
-    (k,) for all.
+    (k,) for all.  Both entries are scattered to flat positions of the
+    C-contiguous zeros, entry (b, i) of the values into row b k + i.
     """
-    at = (*_along_last(lv)[:-1], np.arange(lv.shape[-1]))  # the batch index of a stack, then the row
-    dense[(*at, lc)] = lv
-    dense[(*at, rc)] += rv
+    flat, at = dense.reshape(-1), _row_starts(lv.shape, lv.shape[-1])
+    flat[at + lc] = lv
+    flat[at + rc] += rv
     return dense
 
 
@@ -178,19 +182,14 @@ class Orbit:
     @property
     def null_vectors(self) -> np.ndarray:
         """X[c_t] = +-g_t with X[0] = +1: row r_t reads a_t g_t + b_t g_(t-1) = 0 where singular."""
-        x = np.empty_like(self.g)
-        x[_along_last(self.cols)] = self.g
+        x = np.empty(self.g.shape, self.g.dtype)
+        x.reshape(-1)[self.cols + _row_starts((*self.cols.shape[:-1], 1), self.cols.shape[-1])] = self.g
         return x * x[..., :1]
 
     @property
     def null_vector(self) -> tuple[int, ...]:
         """One config's null_vectors as a tuple; () if regular."""
         return tuple(self.null_vectors.tolist()) if self.singular else ()
-
-
-def _along_last(r: np.ndarray) -> tuple:
-    """The index that reads x[..., r[..., t]] for x of r's shape, one config (1-D) or a batch (2-D)."""
-    return (r,) if r.ndim == 1 else (np.arange(len(r))[:, None], r)
 
 
 def _orbits(j, k, lc, lv, rc, rv) -> Orbit:
@@ -213,7 +212,7 @@ def _orbits(j, k, lc, lv, rc, rv) -> Orbit:
     low = p < kc
     rows = np.minimum(p, 2 * kc - 1 - p)
     del p  # the (..., K) arrays of a band are its memory peak: p is dropped once read, the padding written in place
-    at = rows if rows.ndim == 1 else rows + top * np.arange(len(rows))[:, None]  # r_t in the flattened batch
+    at = rows + _row_starts((*rows.shape[:-1], 1), top)  # r_t in the flattened batch
     cols, a, g = np.where(low, lc.take(at), rc.take(at)), np.where(low, lv.take(at), rv.take(at)), -(lv * rv).take(at)
     if np.ndim(k):
         pad = t >= kc
@@ -488,19 +487,13 @@ def _stack(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per row of one block of k rows per (k, alpha, beta), k = 2..kmax, ordered by k and then the flags.
 
     Returns the block's k and flag index, the row in its block and the
-    block's first row.  The 2 kmax (kmax + 1) - 4 rows are allocated
-    first, so numpy refuses a count past its index range before anything
-    else is allocated; a count the allocator refuses is a ValueError
-    naming kmax.
+    block's first row: 2 kmax (kmax + 1) - 4 rows.  It holds no size
+    guard; `verify` bounds kmax before its sweeps run (cli.MAX_RANGE).
     """
-    n = 2 * kmax * (kmax + 1) - 4
-    try:
-        row = np.arange(n)
-        k = np.repeat(np.arange(2, kmax + 1), 4 * np.arange(2, kmax + 1))
-        f, i = np.divmod(row - _first_row(k), k)
-        return k, f, i, row - i
-    except (MemoryError, ValueError):
-        raise ValueError(f"kmax={kmax} stacks {n} matrix rows, too many to allocate") from None
+    row = np.arange(2 * kmax * (kmax + 1) - 4)
+    k = np.repeat(np.arange(2, kmax + 1), 4 * np.arange(2, kmax + 1))
+    f, i = np.divmod(row - _first_row(k), k)
+    return k, f, i, row - i
 
 
 _SHIFT = np.array([[1], [0], [1], [0]])  # the rows of M that index the stack

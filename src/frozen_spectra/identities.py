@@ -26,12 +26,12 @@ the spectra of every k side by side, whose residual test gives each
 eigenvalue its pass or fail (eigvecs_j1), and Corollary 2 as one eigvals
 call per k (numeric_spectra_j1) and one batched greedy match
 (greedy_matches).  sweeps() computes every block before verify prints
-one: it counts the forward oracle's pairs and stacks the Theorem 2 rows
-before it reads an orbit, so a --kmax-forward or a kmax too large fails
-before anything is printed.  What persists between
-runs does so by design: the stored Chebyshev runs (chebyshev._cheb_run)
-and j = 1 char-poly runs (frozen_matrix._char_poly_run), each grown to
-the highest degree asked for.
+one.  It holds no size guard: the sweeps cost about K^3, and `verify`
+bounds its three ranges by one count before they run (cli.MAX_RANGE).
+What persists between runs does so by design: the stored Chebyshev
+runs (chebyshev._cheb_run) and j = 1 char-poly runs
+(frozen_matrix._char_poly_run), each grown to the highest degree asked
+for.
 """
 
 from __future__ import annotations
@@ -126,9 +126,8 @@ def theorem2(kmax: int) -> Block:
     """Theorem 2: the Chebyshev reduction to j = 1 equals the direct matrix.
 
     reductions_match runs the reduction on every (k, alpha, beta) at once,
-    one step per j, and compares it with the fold rule, so a kmax too
-    large to stack raises first.  The checks are its coprime configs, by
-    k, flags and j.
+    one step per j, and compares it with the fold rule.  The checks are
+    its coprime configs, by k, flags and j.
     """
     match = reductions_match(kmax)
     k, _, j = np.ogrid[: kmax + 1, :4, : kmax // 2 + 1]
@@ -245,36 +244,11 @@ def corollary2(kmax: int, spectra: dict) -> Block:
                  else "corollary2 k={} ({},{}) dist={:.2e}".format(i // 3 + 2, *_CLOSED_FORM_FLAGS[i % 3], worst[i]))
 
 
-def forward_configs(kmax: int) -> list[ProblemConfig]:
-    """The configs of the forward-map oracle: the coprime configs of k <= kmax, in coprime_configs order.
-
-    The (j, k) pairs with j <= k/2 and k <= kmax are counted, kmax^2 // 4
-    of them, and allocated first, so a kmax whose pairs overflow numpy's
-    index range, or that the allocator refuses, raises a ValueError naming
-    --kmax-forward here.  The count is compared with the index range
-    first: near 2^63, np.arange gives an empty range instead of refusing.
-    """
-    n = kmax * kmax // 4
-    too_many = f"--kmax-forward {kmax} lists {n} (j, k) pairs, too many to allocate"
-    if n > np.iinfo(np.intp).max // 8:
-        raise ValueError(too_many)
-    try:
-        pair = np.arange(n)
-        ks = np.arange(2, kmax + 1)
-        k = np.repeat(ks, ks // 2)
-    except MemoryError:
-        raise ValueError(too_many) from None
-    j = pair - (k - 1) ** 2 // 4 + 1  # the pairs of each k' < k come first, (k - 1)^2 // 4 of them
-    coprime = np.gcd(j, k) == 1
-    pairs = zip(j[coprime].tolist(), k[coprime].tolist())
-    return [ProblemConfig(*flags, j, k) for j, k in pairs for flags in _FLAG_PAIRS]
-
-
 def forward_oracle(configs: list[ProblemConfig]) -> Block:
     """The direct forward map equals Q^{-1} A R q on seeded random potentials, m = 16, on each of configs in turn.
 
     Each run of consecutive configs of one (j, k), the four flag pairs of
-    forward_configs, is one batch: one draw of its potentials, the real
+    coprime_configs, is one batch: one draw of its potentials, the real
     and then the imaginary samples of each config in turn, as per-config
     draws would give them, and one call of each forward-map core
     (_direct_rows and _matrix_rows of main_equation).
@@ -295,17 +269,14 @@ def forward_oracle(configs: list[ProblemConfig]) -> Block:
 def sweeps(kmax: int, kmax_t1: int, kmax_fwd: int) -> list[Block]:
     """The `verify` blocks in print order.
 
-    forward_configs counts the forward oracle's pairs first and theorem2
-    its stack, so a --kmax-forward or a kmax too large raises before any
-    orbit is read or any block prints.  orbit_checks then reads the
-    determinant and kernel checks off one orbit pass per band of k, and
-    the closed-form spectra that Lemma 2 and Corollary 2 share are built.
-    The oracle runs last, so the numpy modules it loads on first use do
-    not add to the memory peak, the Theorem 2 stack.
+    theorem2 stacks its rows first, the memory peak; orbit_checks then
+    reads the determinant and kernel checks off one orbit pass per band
+    of k, and the closed-form spectra that Lemma 2 and Corollary 2 share
+    are built.  The oracle runs last, on coprime_configs(kmax_fwd), so
+    the numpy modules it loads on first use do not add to the peak.
     """
-    configs = forward_configs(kmax_fwd)
     reduction = theorem2(kmax)
     cor1, cor3, lem3 = orbit_checks(kmax, kmax_t1)
     spectra = closed_form_spectra(kmax)
     return [theorem1(kmax_t1), reduction, corollaries_1_3(kmax, cor1, cor3), lemmas_2_3(kmax, lem3, spectra),
-            corollary2(kmax, spectra), forward_oracle(configs)]
+            corollary2(kmax, spectra), forward_oracle(coprime_configs(kmax_fwd))]

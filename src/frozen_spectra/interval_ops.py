@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core_params import is_int
+from .core_params import allocate, is_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,17 +83,9 @@ def _check_grid(k: int, m: int) -> None:
 
 
 def _allocate_grid(k: int, m: int, make: Callable[[int], np.ndarray]) -> np.ndarray:
-    """make(k*m) for a valid grid shape; a grid the allocator refuses is a ValueError naming it.
-
-    make only allocates, so its one failure is the allocator's: a MemoryError
-    when the memory is missing, a ValueError when the size is beyond the
-    platform's index range.
-    """
+    """make(k*m) for a valid grid shape; a grid the allocator refuses is a ValueError naming it (allocate)."""
     _check_grid(k, m)
-    try:
-        return make(k * m)
-    except (MemoryError, ValueError):
-        raise ValueError(f"a grid with k={k}, m={m} has {k * m} points, too many to allocate") from None
+    return allocate(lambda: make(k * m), f"a grid with k={k}, m={m} has {k * m} points, too many to allocate")
 
 
 def grid_midpoints(k: int, m: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from frozen_spectra import (
     write_csv,
 )
 from frozen_spectra.characteristic import asymptotic_eigenvalue
-from frozen_spectra.cli import MAX_STORED_N, RunManifest, _demo_potential, dispatch
+from frozen_spectra.cli import MAX_RANGE, RunManifest, _demo_potential, dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -286,7 +286,7 @@ def test_verify_reports_a_wrong_closed_form_kernel(capsys, monkeypatch):
 
 
 # a kernel rule of zeros fails Lemma 3 on every degenerate config, each labelled in coprime_configs order from one
-# listing of the configs
+# listing of the configs; the forward oracle lists its own configs of k <= 2 once
 def test_verify_lists_the_configs_once_for_a_block_of_failures(capsys, monkeypatch):
     from frozen_spectra import identities
     from frozen_spectra.core_params import Kind, classify, coprime_configs
@@ -298,27 +298,53 @@ def test_verify_lists_the_configs_once_for_a_block_of_failures(capsys, monkeypat
     assert code == 4
     failures = [f"lemma3 {cfg}" for cfg in coprime_configs(40) if classify(cfg).kind is Kind.DEGENERATE]
     assert json.loads(err) == {"error": {"type": "VerifyFailure", "failures": failures}}
-    assert listed == [40]
+    assert listed == [40, 2]
 
 
-# the theorem-2 sweep stacks 2 kmax (kmax + 1) - 4 rows, past numpy's index range here: refused before it allocates
+# the theorem-2 sweep would stack 2 kmax (kmax + 1) - 4 rows, past numpy's index range here: the bound refuses it
+# before any block runs
 def test_verify_with_a_kmax_too_large_to_stack_exits_3(capsys):
     code, out, err = run(capsys, "verify", "--kmax", "3000000000", "--kmax-theorem1", "4", "--kmax-forward", "2")
     assert (code, out) == (3, "")  # refused before any block prints
-    n = 2 * 3000000000 * 3000000001 - 4
-    assert json.loads(err) == {
-        "error": {"type": "ValueError", "message": f"kmax=3000000000 stacks {n} matrix rows, too many to allocate"}
-    }
+    message = f"--kmax must be <= {MAX_RANGE}, got 3000000000"
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 
-# the forward oracle's (j, k) pairs, kmax^2 // 4 of them, are counted and allocated before any block prints: past
-# numpy's index range here
+# the forward oracle would list kmax^2 // 4 (j, k) pairs, past numpy's index range here: the bound refuses it before
+# any block runs
 @pytest.mark.parametrize("kmax_fwd", [10**11, 2**63])
 def test_verify_with_a_kmax_forward_too_large_to_list_exits_3(capsys, kmax_fwd):
     code, out, err = run(capsys, "verify", "--kmax", "4", "--kmax-theorem1", "4", "--kmax-forward", str(kmax_fwd))
     assert (code, out) == (3, "")
-    message = f"--kmax-forward {kmax_fwd} lists {kmax_fwd**2 // 4} (j, k) pairs, too many to allocate"
+    message = f"--kmax-forward must be <= {MAX_RANGE}, got {kmax_fwd}"
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
+# each of verify's ranges at the bound reaches the sweeps, and one past it is refused before they are called
+@pytest.mark.parametrize("flag", ["--kmax", "--kmax-theorem1", "--kmax-forward"])
+def test_verify_checks_each_range_against_the_bound_before_the_sweeps(capsys, monkeypatch, flag):
+    from frozen_spectra import identities
+
+    calls = []
+    monkeypatch.setattr(identities, "sweeps", lambda *ranges: calls.append(ranges) or [])
+    base = {"--kmax": 4, "--kmax-theorem1": 4, "--kmax-forward": 2}
+    for n, code in ((MAX_RANGE, 0), (MAX_RANGE + 1, 3)):
+        argv = [str(arg) for item in {**base, flag: n}.items() for arg in item]
+        assert run(capsys, "verify", *argv)[0] == code, (flag, n)
+    assert calls == [tuple({**base, flag: MAX_RANGE}.values())]
+
+
+# a MemoryError that no size guard catches, here the theorem-2 stack of kmax 1000 in a child limited to 500 MB of
+# address space, exits 3 with one JSON error line of type MemoryError and prints nothing
+def test_verify_out_of_memory_within_the_bound_exits_3_under_an_address_space_limit():
+    limit = 500_000_000
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = ["verify", "--kmax", str(MAX_RANGE), "--kmax-theorem1", "4", "--kmax-forward", "2"]
+    p = subprocess.run([sys.executable, "-m", "frozen_spectra.cli", *argv], env=env, capture_output=True, text=True,
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)), timeout=60)
+    assert (p.returncode, p.stdout) == (3, "")
+    assert len(p.stderr.splitlines()) == 1
+    assert json.loads(p.stderr)["error"]["type"] == "MemoryError"
 
 
 # k rows are counted before they are allocated: np.arange(2^63) is an empty float64 range, and np.arange(10^11) asks
@@ -586,6 +612,8 @@ NEWTON_OVERFLOW_Q = str(Path(__file__).parent / "fixtures" / "newton_overflow_q.
 # beyond the platform's index range numpy refuses the size itself, before any allocation
 INDEX_M = ["--m", str(10**19)]
 BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many to allocate"
+# verify ranges past the bound: one past it, a theorem-2 stack past numpy's index range, and two forward-pair counts
+VERIFY_ABOVE_BOUND = (MAX_RANGE + 1, 3 * 10**9, 10**11, 2**63)
 
 
 # 50x the demo potential on (1, 0, 2, 5) sends indices 1 and 2 to one root
@@ -651,11 +679,13 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
     (["verify", "--kmax=-3"], 3, "ValueError", "--kmax must be >= 2, got -3"),
     (["verify", "--kmax-theorem1", "0"], 3, "ValueError", "--kmax-theorem1 must be >= 2, got 0"),
     (["verify", "--kmax-forward", "1"], 3, "ValueError", "--kmax-forward must be >= 2, got 1"),
-    # a stored run above the limit would hold n^3 bits; it is refused before any term is computed
-    (["verify", "--kmax-theorem1", str(MAX_STORED_N + 1)], 3, "ValueError",
-     f"--kmax-theorem1 must be <= {MAX_STORED_N}, got {MAX_STORED_N + 1}"),
-    (["cheb", "--kind", "U", "--n", str(MAX_STORED_N + 1), "--scaled"], 3, "ValueError",
-     f"--n must be <= {MAX_STORED_N}, got {MAX_STORED_N + 1}"),
+    # a range above the bound is refused before any work: a stored run would hold n^3 bits, a sweep take K^3 steps
+    (["verify", "--kmax-theorem1", str(MAX_RANGE + 1)], 3, "ValueError",
+     f"--kmax-theorem1 must be <= {MAX_RANGE}, got {MAX_RANGE + 1}"),
+    (["cheb", "--kind", "U", "--n", str(MAX_RANGE + 1), "--scaled"], 3, "ValueError",
+     f"--n must be <= {MAX_RANGE}, got {MAX_RANGE + 1}"),
+    *((["verify", flag, str(n)], 3, "ValueError", f"{flag} must be <= {MAX_RANGE}, got {n}")
+      for flag in ("--kmax", "--kmax-forward") for n in VERIFY_ABOVE_BOUND),
     # a bad --m is rejected before any output file is written
     (["example", "--id", "I7", "--out", "t.txt", "--m=-1", "--svg", "x.svg"], 3, "ValueError",
      "a grid needs k >= 1 and m >= 1, got k=7, m=-1"),
@@ -708,7 +738,9 @@ BEYOND_INDEX = f"a grid with k=3, m={10**19} has {3 * 10**19} points, too many t
         "delta-inf", "delta-math-range", "delta-newton-overflow", "delta-lambdas-empty",
         "delta-lambdas-empty-entry", "delta-lambdas-malformed", "verify-kmax-1", "verify-kmax-negative",
         "verify-kmax-theorem1-0",
-        "verify-kmax-forward-1", "verify-kmax-theorem1-above-limit", "cheb-n-above-limit", "example-m-negative",
+        "verify-kmax-forward-1", "verify-kmax-theorem1-above-limit", "cheb-n-above-limit",
+        *(f"verify{flag[1:]}-{n}" for flag in ("--kmax", "--kmax-forward") for n in VERIFY_ABOVE_BOUND),
+        "example-m-negative",
         "example-m-zero", "isospectral-m-negative",
         "eigs-m-negative", "reconstruct-m-zero", "reconstruct-m-negative", "eigs-m-huge", "eigs-zero-m-huge",
         "delta-m-huge", "forward-w-m-huge", "isospectral-m-huge", "reconstruct-m-huge",

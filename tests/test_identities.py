@@ -45,17 +45,16 @@ def test_a_broken_identity_fails_its_sweep_only(block, broken, monkeypatch):
     assert [b for b, labels in failed.items() if labels] == [block]
 
 
-# a passing verify formats no config and lists no label source
+# a passing verify formats no config and lists no label source: the one listing is the forward oracle's own configs
 def test_a_passed_check_formats_no_label(monkeypatch):
     def no_repr(cfg):
         raise AssertionError("a passed check formatted its config")
 
-    def unlisted(kmax):
-        raise AssertionError("a passed block listed its configs")
-
+    listed = []
     monkeypatch.setattr(ProblemConfig, "__repr__", no_repr)
-    monkeypatch.setattr(identities, "coprime_configs", unlisted)
+    monkeypatch.setattr(identities, "coprime_configs", lambda kmax: listed.append(kmax) or coprime_configs(kmax))
     assert cli.dispatch(["verify", "--kmax", "12", "--kmax-theorem1", "12", "--kmax-forward", "4"]) == cli.EXIT_OK
+    assert listed == [4]
 
 
 def _greedy_match(a, b) -> float:
@@ -164,25 +163,6 @@ def test_lemma2_labels_each_failed_eigenvalue_of_the_mask(monkeypatch):
     assert block.ok.size == len(coprime_configs(6)) + sum(3 * k for k in range(2, 7))
 
 
-# a kmax too large to stack is refused when sweeps() is called, before any orbit is read: orbits_of is refused here,
-# so orbit checks run first would fail at k = 2 instead of running toward k = 3e9
-def test_sweeps_runs_the_stack_guard_before_any_orbit(monkeypatch):
-    monkeypatch.setattr(identities, "orbits_of", _refuse)
-    with pytest.raises(ValueError, match=r"^kmax=3000000000 stacks 18000000005999999996 matrix rows, too many to"):
-        identities.sweeps(3_000_000_000, 4, 2)
-
-
-# a --kmax-forward whose (j, k) pairs numpy refuses is refused when sweeps() is called, before the Theorem 2 stack
-# or any orbit is built
-@pytest.mark.parametrize("kmax_fwd", [10**11, 2**63])
-def test_sweeps_runs_the_forward_guard_first(monkeypatch, kmax_fwd):
-    monkeypatch.setattr(identities, "orbits_of", _refuse)
-    monkeypatch.setattr(identities, "reductions_match", _refuse)
-    message = rf"^--kmax-forward {kmax_fwd} lists {kmax_fwd**2 // 4} \(j, k\) pairs, too many to allocate$"
-    with pytest.raises(ValueError, match=message):
-        identities.sweeps(4, 4, kmax_fwd)
-
-
 # the forward oracle runs after the Theorem 2 stack, the memory peak, so the modules it loads first do not add to it;
 # it calls the direct core once per (j, k), here (1, 2) and (1, 3)
 def test_sweeps_runs_the_forward_oracle_after_theorem2(monkeypatch):
@@ -216,7 +196,7 @@ def test_forward_oracle_checks_the_coprime_configs_in_order(monkeypatch, kmax_fw
 
     monkeypatch.setattr(identities, "_direct_rows", seen_direct)
     monkeypatch.setattr(identities, "_matrix_rows", seen_matrix)
-    block = identities.forward_oracle(identities.forward_configs(kmax_fwd))
+    block = identities.forward_oracle(coprime_configs(kmax_fwd))
     assert block.ok.tolist() == [True] * len(coprime_configs(kmax_fwd))
     assert _batches(direct_seen) == _batches(matrix_seen) == coprime_configs(kmax_fwd)
     for (v, pairs, j, k, m), (w, *rest) in zip(direct_seen, matrix_seen):
